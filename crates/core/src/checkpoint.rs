@@ -13,10 +13,13 @@
 //! byte-identical between the two (asserted by test and bench).
 //!
 //! Lifecycle: [`crate::DiceSession::explore`] captures one checkpoint per
-//! round and drops it when the round's report is merged; in continuous
-//! operation ([`crate::LiveOrchestrator`]) that means a fresh capture per
-//! epoch window — a checkpoint is implicitly invalidated as soon as its
-//! window closes, so no round ever explores stale state.
+//! round and drops it when the round's report is merged. In continuous
+//! operation ([`crate::LiveOrchestrator`]) the session is the only holder:
+//! it captures after the epoch's traffic has quiesced and releases before
+//! the next epoch's driver runs, so no round ever explores stale state and
+//! the live router never writes to a shard a checkpoint still shares —
+//! the copy [`RoundCheckpoint::cow_stats_vs`] measures is paid only by a
+//! caller that keeps a checkpoint of its own across live writes.
 
 use std::sync::Arc;
 

@@ -38,10 +38,15 @@
 //! that no single round's window can show.
 //!
 //! Each round's state is a fresh copy-on-write [`crate::RoundCheckpoint`]
-//! per node, captured when the round runs and dropped with it — a
-//! checkpoint never outlives the epoch window it was taken for, and within
-//! the round every explored input shares it instead of deep-cloning the
-//! router.
+//! per node, captured by the round's [`DiceSession`] once the simulator
+//! has quiesced and dropped before the report is returned; within the
+//! round every explored input shares it instead of deep-cloning the
+//! router. That is the only fork there is: none is alive while the driver
+//! or the simulator writes, so no live write ever copies a RIB shard. The
+//! control snapshot's "cow shards n/m shared" line — what a fork held
+//! across each window *would* still share — is computed from the RIB's
+//! per-shard write generations ([`dice_router::Rib::shard_generations`])
+//! instead of from a held fork.
 //!
 //! Because each round checkpoints the node state *as it was when the round
 //! ran*, continuous rounds see behaviour that a single end-of-run harvest
@@ -63,7 +68,6 @@ use dice_netsim::{FaultPlan, SharedIngestStats, Simulator};
 use dice_solver::SolverStats;
 
 use crate::checker::{Fault, RoundOutcomes};
-use crate::checkpoint::RoundCheckpoint;
 use crate::control::{ControlPlane, ControlSnapshot, IngestCounters};
 use crate::fleet::{FleetExplorer, FleetReport};
 use crate::session::DiceSession;
@@ -175,12 +179,7 @@ impl LiveReport {
     /// Run-wide policy-branch coverage over registered filter arms, in
     /// `[0, 1]`; `1.0` when no round registered any policy site.
     pub fn policy_branch_coverage(&self) -> f64 {
-        let sites = self.total_policy_sites();
-        if sites == 0 {
-            1.0
-        } else {
-            self.total_policy_directions() as f64 / (2 * sites) as f64
-        }
+        policy_coverage(self.total_policy_sites(), self.total_policy_directions())
     }
 
     /// A canonical rendering of every deterministic field: each round's
@@ -229,6 +228,26 @@ impl LiveReport {
         }
         out
     }
+}
+
+/// Explored share of `2 * sites` filter-arm directions; `1.0` with no
+/// site registered.
+fn policy_coverage(sites: usize, directions: usize) -> f64 {
+    if sites == 0 {
+        1.0
+    } else {
+        directions as f64 / (2 * sites) as f64
+    }
+}
+
+/// Sums over a run's executed rounds that every [`ControlSnapshot`]
+/// reports, carried along by [`LiveOrchestrator::run`] so that publishing
+/// one does not walk all the rounds before it.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunTotals {
+    runs: usize,
+    policy_sites: usize,
+    policy_directions: usize,
 }
 
 impl fmt::Display for LiveReport {
@@ -461,17 +480,19 @@ impl LiveOrchestrator {
         let mut history: Vec<RoundOutcomes> = Vec::new();
 
         // Control-plane accumulators: per-round latency, merged solver
-        // counters, and shard-level CoW sharing of each round's per-node
-        // forks, probed when the round's window closes.
+        // counters, running report totals, and the shard-level CoW sharing
+        // a fork held across each window would show, counted when the
+        // window closes from the shard generations read when it opened.
         let mut solver = SolverStats::default();
         let mut last_latency = Duration::ZERO;
         let mut latency_total = Duration::ZERO;
         let mut round_latency = dice_obs::Histogram::new();
         let mut wave_latency = dice_obs::Histogram::new();
         let mut cow = CowForkStats::default();
-        let mut forks: Vec<RoundCheckpoint> = nodes
+        let mut totals = RunTotals::default();
+        let mut generations: Vec<Vec<u64>> = nodes
             .iter()
-            .map(|&node| RoundCheckpoint::capture(sim.router(node)))
+            .map(|&node| sim.router(node).rib().shard_generations())
             .collect();
 
         for epoch in 0..self.max_rounds.max(1) {
@@ -524,6 +545,9 @@ impl LiveOrchestrator {
                     solver.merge(&node.report.solver_stats);
                 }
                 wave_latency.merge(&fleet.wave_latency());
+                totals.runs += fleet.total_runs();
+                totals.policy_sites += fleet.total_policy_sites();
+                totals.policy_directions += fleet.total_policy_directions();
                 report.rounds.push(LiveRound {
                     index: round_index,
                     window: (cursor, head),
@@ -536,20 +560,21 @@ impl LiveOrchestrator {
                     sim.trim_observed_below(cursor);
                 }
 
-                // The round's forks are done: probe how much each still
-                // shares with its live router, then recapture for the next
-                // window.
-                for (fork, &node) in forks.iter_mut().zip(&nodes) {
-                    let probe = fork.cow_stats_vs(sim.router(node));
-                    cow.units_total += probe.units_total;
-                    cow.units_shared += probe.units_shared;
-                    *fork = RoundCheckpoint::capture(sim.router(node));
+                // The window closes: a shard whose generation has not
+                // moved since it opened is one a fork held across it would
+                // still share. The same reading opens the next window.
+                for (opened, &node) in generations.iter_mut().zip(&nodes) {
+                    let closed = sim.router(node).rib().shard_generations();
+                    cow.units_total += closed.len();
+                    cow.units_shared += opened.iter().zip(&closed).filter(|(a, b)| a == b).count();
+                    *opened = closed;
                 }
                 last_latency = epoch_started.elapsed();
                 latency_total += last_latency;
                 round_latency.record_duration(last_latency);
                 self.control.publish(self.assemble_snapshot(
                     &report,
+                    totals,
                     sim,
                     &solver,
                     last_latency,
@@ -569,6 +594,7 @@ impl LiveOrchestrator {
         report.elapsed = started.elapsed();
         self.control.publish(self.assemble_snapshot(
             &report,
+            totals,
             sim,
             &solver,
             last_latency,
@@ -588,6 +614,7 @@ impl LiveOrchestrator {
     fn assemble_snapshot(
         &self,
         report: &LiveReport,
+        totals: RunTotals,
         sim: &Simulator,
         solver: &SolverStats,
         last_latency: Duration,
@@ -600,7 +627,7 @@ impl LiveOrchestrator {
         let rounds = report.rounds.len();
         ControlSnapshot {
             rounds,
-            total_runs: report.total_runs(),
+            total_runs: totals.runs,
             distinct_faults: report.faults.len(),
             injected_faults: sim.injected_fault_count() as u64,
             fault_trace_events: sim.fault_trace().len() as u64,
@@ -612,7 +639,7 @@ impl LiveOrchestrator {
             solver_queries: solver.queries,
             solver_incremental_queries: solver.incremental_queries,
             solver_reuse_rate: solver.reuse_rate(),
-            policy_coverage: report.policy_branch_coverage(),
+            policy_coverage: policy_coverage(totals.policy_sites, totals.policy_directions),
             cow,
             compaction_watermark: watermark,
             delivered: sim.stats().delivered,

@@ -126,14 +126,21 @@ pub fn generate_trace(config: &TraceGenConfig, neighbor_as: u32, next_hop: Ipv4A
         table.push(UpdateMessage::announce(vec![prefix], &attrs));
     }
 
-    let mut updates = Vec::with_capacity(config.update_count);
+    // Every update re-announces or withdraws a table prefix: an empty
+    // table has none to update.
+    let update_count = if prefixes.is_empty() {
+        0
+    } else {
+        config.update_count
+    };
+    let mut updates = Vec::with_capacity(update_count);
     let duration_ms = config.duration_secs * 1000;
-    for i in 0..config.update_count {
+    for i in 0..update_count {
         // Spread events uniformly over the window, with jitter.
-        let base = if config.update_count <= 1 {
+        let base = if update_count <= 1 {
             0
         } else {
-            duration_ms * i as u64 / config.update_count as u64
+            duration_ms * i as u64 / update_count as u64
         };
         let at_ms = base + rng.gen_range(0..50);
         let (prefix, origin_as) = prefixes[rng.gen_range(0..prefixes.len())];

@@ -32,7 +32,6 @@
 //! table stays byte-identical.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::iter::Peekable;
 use std::sync::Arc;
 
@@ -60,13 +59,75 @@ impl RibChange {
     }
 }
 
+/// The candidate routes of one prefix, at most one per peer, sorted by the
+/// peer they were learned from.
+///
+/// Almost every prefix of a full table has exactly one candidate, so the
+/// set is a plain vector whose first allocation holds exactly one route;
+/// only contested prefixes grow it.
+#[derive(Debug, Clone, Default)]
+struct Candidates(Vec<Route>);
+
+impl Candidates {
+    fn position(&self, peer: PeerId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&peer, |r| r.learned_from)
+    }
+
+    fn get(&self, peer: PeerId) -> Option<&Route> {
+        self.position(peer).ok().map(|i| &self.0[i])
+    }
+
+    /// Inserts the route, or replaces the one already held from its peer
+    /// and returns that.
+    fn insert(&mut self, route: Route) -> Option<Route> {
+        match self.position(route.learned_from) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i], route)),
+            Err(i) => {
+                if self.0.is_empty() {
+                    // `Vec` would start at four slots; a table is mostly
+                    // single-candidate prefixes.
+                    self.0.reserve_exact(1);
+                }
+                self.0.insert(i, route);
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, peer: PeerId) -> Option<Route> {
+        self.position(peer).ok().map(|i| self.0.remove(i))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The candidates in peer order.
+    fn iter(&self) -> std::slice::Iter<'_, Route> {
+        self.0.iter()
+    }
+}
+
 /// The per-prefix candidate set plus the selected best route.
+///
+/// The trie stores an `Option<PrefixEntry>` inline in every node, interior
+/// ones included, so this stays a vector header and a peer id.
 #[derive(Debug, Clone, Default)]
 struct PrefixEntry {
-    /// Candidate routes, keyed by the peer they were learned from.
-    candidates: BTreeMap<PeerId, Route>,
-    /// Index of the best route's peer, if any.
+    candidates: Candidates,
+    /// The peer the best route was learned from, if any.
     best: Option<PeerId>,
+}
+
+impl PrefixEntry {
+    /// The selected (Loc-RIB) route.
+    fn best_route(&self) -> Option<&Route> {
+        self.candidates.get(self.best?)
+    }
+
+    fn reselect(&mut self) {
+        self.best = best_of(self.candidates.iter()).map(|r| r.learned_from);
+    }
 }
 
 /// One independent slice of the routing table: a trie over the prefixes
@@ -80,6 +141,9 @@ struct RibShard {
     prefixes: usize,
     /// Total number of candidate routes, in this shard.
     candidates: usize,
+    /// Write generation: bumped by every write that would copy this shard
+    /// were a fork holding it ([`Rib::shard_generations`]).
+    generation: u64,
 }
 
 impl RibShard {
@@ -87,48 +151,38 @@ impl RibShard {
     /// re-runs the decision process and reports the Loc-RIB change.
     ///
     /// This is the hot path of UPDATE processing (and of every concolic
-    /// re-execution), so it allocates nothing beyond trie growth: the
-    /// previous best is snapshotted only when the announce overwrites it in
-    /// place, and reselection scans the candidate map without materializing
-    /// it.
+    /// re-execution), so it walks the trie once and allocates nothing
+    /// beyond trie and candidate-set growth; reselection scans the
+    /// candidates without materializing them.
     fn announce(&mut self, route: Route) -> RibChange {
-        let prefix = route.prefix;
+        self.generation += 1;
         let peer = route.learned_from;
-        if self.table.get(&prefix).is_none() {
-            self.table.insert(prefix, PrefixEntry::default());
+        let (entry, inserted) = self
+            .table
+            .get_or_insert_with(route.prefix, PrefixEntry::default);
+        if inserted {
             self.prefixes += 1;
         }
-        let entry = self.table.get_mut(&prefix).expect("entry just ensured");
         let old_best_peer = entry.best;
-        // The only state the insert below can destroy is the best route
-        // itself (a re-announcement from the best peer); everything else
-        // survives in the map and needs no defensive clone.
-        let overwritten_best = match old_best_peer {
-            Some(bp) if bp == peer => entry.candidates.get(&bp).cloned(),
-            _ => None,
-        };
-        if entry.candidates.insert(peer, route).is_none() {
+        let replaced = entry.candidates.insert(route);
+        if replaced.is_none() {
             self.candidates += 1;
         }
-        Self::reselect(entry);
-        match (old_best_peer, entry.best) {
-            (None, Some(new)) => RibChange::Updated(entry.candidates[&new].clone()),
-            (Some(old), Some(new)) if old != new => {
-                RibChange::Updated(entry.candidates[&new].clone())
-            }
-            (Some(old), Some(_)) if old == peer => {
-                // Same best peer; did the re-announcement change the route?
-                let current = &entry.candidates[&old];
-                if overwritten_best.as_ref() == Some(current) {
-                    RibChange::Unchanged
-                } else {
-                    RibChange::Updated(current.clone())
-                }
-            }
-            // Same best peer, untouched by this announce.
-            (Some(_), Some(_)) => RibChange::Unchanged,
+        entry.reselect();
+        let new_best = entry.best_route();
+        match (old_best_peer, new_best) {
             // An announce never empties a candidate set.
             (_, None) => RibChange::Unchanged,
+            // Same best peer: the Loc-RIB view changed only if this
+            // announce replaced that peer's route with a different one.
+            (Some(old), Some(new)) if old == new.learned_from => {
+                if old != peer || replaced.as_ref() == Some(new) {
+                    RibChange::Unchanged
+                } else {
+                    RibChange::Updated(new.clone())
+                }
+            }
+            (_, Some(new)) => RibChange::Updated(new.clone()),
         }
     }
 
@@ -138,9 +192,10 @@ impl RibShard {
             return RibChange::Unchanged;
         };
         let old_best_peer = entry.best;
-        if entry.candidates.remove(&peer).is_none() {
+        if entry.candidates.remove(peer).is_none() {
             return RibChange::Unchanged;
         }
+        self.generation += 1;
         self.candidates -= 1;
         if entry.candidates.is_empty() {
             self.table.remove(prefix);
@@ -154,15 +209,11 @@ impl RibShard {
             // Removing a non-best candidate cannot change the winner.
             return RibChange::Unchanged;
         }
-        Self::reselect(entry);
-        match entry.best {
-            Some(new) => RibChange::Updated(entry.candidates[&new].clone()),
+        entry.reselect();
+        match entry.best_route() {
+            Some(new) => RibChange::Updated(new.clone()),
             None => RibChange::Removed(*prefix),
         }
-    }
-
-    fn reselect(entry: &mut PrefixEntry) {
-        entry.best = best_of(entry.candidates.values()).map(|r| r.learned_from);
     }
 }
 
@@ -303,11 +354,11 @@ impl Rib {
         }
         // The shard is shared with a fork: pay the copy-on-write clone
         // only when the withdrawal will actually change something.
-        if !slot
+        let held = slot
             .table
             .get(prefix)
-            .is_some_and(|e| e.candidates.contains_key(&peer))
-        {
+            .is_some_and(|e| e.candidates.get(peer).is_some());
+        if !held {
             return RibChange::Unchanged;
         }
         Arc::make_mut(slot).withdraw(prefix, peer)
@@ -537,11 +588,38 @@ impl Rib {
         (shared, total)
     }
 
+    /// The write generation of every copy-on-write unit, shards first and
+    /// the short trie last (`shard_count() + 1` entries, the `total` of
+    /// [`Rib::cow_shard_sharing`]).
+    ///
+    /// A unit's generation moves with every write that would have copied
+    /// it had a fork been holding it: each announce, and each withdrawal
+    /// that removes a candidate. Comparing two readings therefore counts
+    /// the shards a fork held between them would still share, without
+    /// holding one. (The one difference: a filtered bulk load copies a
+    /// held shard before it knows that the filter rejects the whole
+    /// bucket; generations count writes, not that copy.)
+    pub fn shard_generations(&self) -> Vec<u64> {
+        self.cow_units().map(|shard| shard.generation).collect()
+    }
+
+    /// How many copy-on-write units (shards and the short trie) some
+    /// clone of this table currently shares, i.e. how many the next write
+    /// to each would have to copy. Zero while no fork is alive.
+    pub fn shards_shared_with_a_fork(&self) -> usize {
+        self.cow_units()
+            .filter(|shard| Arc::strong_count(shard) > 1)
+            .count()
+    }
+
+    /// Every copy-on-write unit: the shards, then the short trie.
+    fn cow_units(&self) -> impl Iterator<Item = &Arc<RibShard>> {
+        self.shards.iter().chain(std::iter::once(&self.short))
+    }
+
     /// The best (Loc-RIB) route for a prefix, if any.
     pub fn best_route(&self, prefix: &Ipv4Prefix) -> Option<&Route> {
-        let entry = self.home(prefix).table.get(prefix)?;
-        let best = entry.best?;
-        entry.candidates.get(&best)
+        self.home(prefix).table.get(prefix)?.best_route()
     }
 
     /// All candidate routes for a prefix, in peer order.
@@ -554,7 +632,7 @@ impl Rib {
             .table
             .get(prefix)
             .into_iter()
-            .flat_map(|entry| entry.candidates.values())
+            .flat_map(|entry| entry.candidates.iter())
     }
 
     /// The best route whose prefix covers the given prefix (most specific).
@@ -571,9 +649,7 @@ impl Rib {
                 .or_else(|| self.short.table.longest_covering(prefix)),
             None => self.short.table.longest_covering(prefix),
         };
-        let (_, entry) = entry?;
-        let best = entry.best?;
-        entry.candidates.get(&best)
+        entry?.1.best_route()
     }
 
     /// Longest-prefix-match forwarding lookup for an IP address.
@@ -587,9 +663,7 @@ impl Rib {
                 .longest_match_ip(ip)
                 .or_else(|| self.short.table.longest_match_ip(ip))
         };
-        let (_, entry) = shard_hit?;
-        let best = entry.best?;
-        entry.candidates.get(&best)
+        shard_hit?.1.best_route()
     }
 
     /// Iterates over every `(prefix, entry)` pair across all shards in the
@@ -608,10 +682,8 @@ impl Rib {
     /// lazily and in canonical (single-trie depth-first) order — identical
     /// for every shard count.
     pub fn loc_rib(&self) -> impl Iterator<Item = (Ipv4Prefix, &Route)> {
-        self.entries().filter_map(|(p, entry)| {
-            let best = entry.best?;
-            entry.candidates.get(&best).map(|r| (p, r))
-        })
+        self.entries()
+            .filter_map(|(p, entry)| entry.best_route().map(|r| (p, r)))
     }
 
     /// Rough memory footprint estimate in bytes, used by the checkpoint
@@ -807,6 +879,92 @@ mod tests {
             .collect();
         assert_eq!(peers, vec![PeerId(1), PeerId(2)]);
         assert_eq!(rib.candidates(&p("1.2.3.0/24")).count(), 0);
+    }
+
+    #[test]
+    fn candidates_stay_in_peer_order_whatever_the_announce_order() {
+        let prefix = p("10.0.0.0/8");
+        let mut rib = Rib::new();
+        // Peer 2 has the shortest path, then 1, then 3.
+        rib.announce(route("10.0.0.0/8", 3, &[100, 200, 300]));
+        rib.announce(route("10.0.0.0/8", 1, &[100, 200]));
+        rib.announce(route("10.0.0.0/8", 2, &[100]));
+        let peers =
+            |rib: &Rib| -> Vec<u32> { rib.candidates(&prefix).map(|r| r.learned_from.0).collect() };
+        assert_eq!(peers(&rib), [1, 2, 3]);
+        assert_eq!(rib.route_count(), 3);
+        assert_eq!(
+            rib.best_route(&prefix).map(|r| r.learned_from),
+            Some(PeerId(2))
+        );
+        // A re-announcement replaces in place.
+        rib.announce(route("10.0.0.0/8", 3, &[100, 200, 300, 400]));
+        assert_eq!(peers(&rib), [1, 2, 3]);
+        assert_eq!(rib.route_count(), 3);
+
+        // Withdrawing the best reselects among the rest, still in order.
+        match rib.withdraw(&prefix, PeerId(2)) {
+            RibChange::Updated(r) => assert_eq!(r.learned_from, PeerId(1)),
+            other => panic!("expected fallback to peer 1, got {other:?}"),
+        }
+        assert_eq!(peers(&rib), [1, 3]);
+        match rib.withdraw(&prefix, PeerId(1)) {
+            RibChange::Updated(r) => assert_eq!(r.learned_from, PeerId(3)),
+            other => panic!("expected fallback to peer 3, got {other:?}"),
+        }
+        assert_eq!(rib.withdraw(&prefix, PeerId(3)), RibChange::Removed(prefix));
+        assert_eq!((rib.prefix_count(), rib.route_count()), (0, 0));
+    }
+
+    #[test]
+    fn prefix_entry_stays_small_enough_to_sit_in_every_trie_node() {
+        assert!(std::mem::size_of::<PrefixEntry>() <= 32);
+    }
+
+    #[test]
+    fn generations_move_with_effective_writes_only() {
+        let mut rib = Rib::with_shard_count(4);
+        let start = rib.shard_generations();
+        assert_eq!(start.len(), rib.shard_count() + 1);
+
+        // 10/8 lives in shard 0, 0/0 in the short trie (last entry).
+        rib.announce(route("10.0.0.0/8", 1, &[100]));
+        let one = rib.shard_generations();
+        assert_ne!(one[0], start[0]);
+        assert_eq!(one[1..], start[1..]);
+        rib.announce(route("0.0.0.0/0", 1, &[100]));
+        let two = rib.shard_generations();
+        assert_ne!(two[4], one[4]);
+        assert_eq!(two[..4], one[..4]);
+        // An identical re-announcement still writes.
+        rib.announce(route("10.0.0.0/8", 1, &[100]));
+        assert_ne!(rib.shard_generations()[0], two[0]);
+
+        // No-op withdrawals move nothing, through an owned shard...
+        let before = rib.shard_generations();
+        rib.withdraw(&p("10.0.0.0/8"), PeerId(9));
+        rib.withdraw(&p("11.0.0.0/8"), PeerId(1));
+        assert_eq!(rib.shard_generations(), before);
+        // ...and through one a fork holds, which they must not copy either.
+        assert_eq!(rib.shards_shared_with_a_fork(), 0);
+        let fork = rib.clone();
+        assert_eq!(rib.shards_shared_with_a_fork(), 5);
+        rib.withdraw(&p("10.0.0.0/8"), PeerId(9));
+        rib.withdraw(&p("11.0.0.0/8"), PeerId(1));
+        assert_eq!(rib.shard_generations(), before);
+        assert_eq!(rib.shards_shared_with_a_fork(), 5);
+
+        // An effective withdrawal moves its shard, and the generations
+        // agree with what the held fork sees.
+        rib.withdraw(&p("10.0.0.0/8"), PeerId(1));
+        let after = rib.shard_generations();
+        assert_ne!(after[0], before[0]);
+        assert_eq!(after[1..], before[1..]);
+        let unchanged = after.iter().zip(&before).filter(|(a, b)| a == b).count();
+        assert_eq!(fork.cow_shard_sharing(&rib), (unchanged, 5));
+        assert_eq!(rib.shards_shared_with_a_fork(), 4);
+        drop(fork);
+        assert_eq!(rib.shards_shared_with_a_fork(), 0);
     }
 
     #[test]

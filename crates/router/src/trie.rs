@@ -104,21 +104,48 @@ impl<T> PrefixTrie<T> {
         node.value.as_mut()
     }
 
-    /// Removes a prefix, returning its value. Empty interior nodes are left
-    /// in place (they are reclaimed only when the trie is dropped), which
-    /// keeps removal simple and is fine for routing-table workloads where
-    /// withdrawn prefixes are typically re-announced.
-    pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<T> {
+    /// Returns the value stored for this prefix, first inserting `make()`
+    /// if there is none, and whether that insert happened — one walk where
+    /// `get` → `insert` → `get_mut` would take three.
+    pub fn get_or_insert_with(
+        &mut self,
+        prefix: Ipv4Prefix,
+        make: impl FnOnce() -> T,
+    ) -> (&mut T, bool) {
         let mut node = &mut self.root;
         for i in 0..prefix.len() {
             let bit = prefix.bit(i) as usize;
-            node = node.children[bit].as_deref_mut()?;
+            node = node.children[bit].get_or_insert_with(Box::default);
         }
-        let prev = node.value.take();
-        if prev.is_some() {
-            self.len -= 1;
+        let inserted = node.value.is_none();
+        if inserted {
+            self.len += 1;
         }
-        prev
+        (node.value.get_or_insert_with(make), inserted)
+    }
+
+    /// Removes a prefix, returning its value. Nodes the removal leaves with
+    /// neither a value nor a child are freed on the way back up, so a
+    /// withdrawn prefix costs later walks and copies nothing.
+    pub fn remove(&mut self, prefix: &Ipv4Prefix) -> Option<T> {
+        let prev = Self::remove_below(&mut self.root, prefix, 0)?;
+        self.len -= 1;
+        Some(prev)
+    }
+
+    /// Removes `prefix` from the subtree under `node` (which sits at
+    /// `depth`), pruning every child the removal empties.
+    fn remove_below(node: &mut Node<T>, prefix: &Ipv4Prefix, depth: u8) -> Option<T> {
+        if depth == prefix.len() {
+            return node.value.take();
+        }
+        let slot = &mut node.children[prefix.bit(depth) as usize];
+        let child = slot.as_deref_mut()?;
+        let prev = Self::remove_below(child, prefix, depth + 1)?;
+        if child.value.is_none() && child.children.iter().all(Option::is_none) {
+            *slot = None;
+        }
+        Some(prev)
     }
 
     /// Longest-prefix match for a single IP address.
@@ -211,6 +238,21 @@ impl<T> PrefixTrie<T> {
                 stack
             },
         }
+    }
+}
+
+#[cfg(test)]
+impl<T> PrefixTrie<T> {
+    /// Allocated nodes below the root (structural size, for prune tests).
+    fn node_count(&self) -> usize {
+        fn below<T>(node: &Node<T>) -> usize {
+            node.children
+                .iter()
+                .flatten()
+                .map(|child| 1 + below(child))
+                .sum()
+        }
+        below(&self.root)
     }
 }
 
@@ -376,5 +418,67 @@ mod tests {
         t.insert(p("10.0.0.0/8"), vec![1]);
         t.get_mut(&p("10.0.0.0/8")).expect("present").push(2);
         assert_eq!(t.get(&p("10.0.0.0/8")), Some(&vec![1, 2]));
+    }
+
+    #[test]
+    fn get_or_insert_with_reports_inserts_and_keeps_len() {
+        let mut t: PrefixTrie<Vec<u32>> = PrefixTrie::new();
+        let (v, inserted) = t.get_or_insert_with(p("10.0.0.0/8"), Vec::new);
+        assert!(inserted);
+        v.push(1);
+        let (v, inserted) = t.get_or_insert_with(p("10.0.0.0/8"), || unreachable!("present"));
+        assert!(!inserted);
+        v.push(2);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(&p("10.0.0.0/8")), Some(&vec![1, 2]));
+        // An interior node on an existing path has no value yet: inserted.
+        assert!(t.get_or_insert_with(p("10.0.0.0/7"), Vec::new).1);
+        assert!(t.get_or_insert_with(p("0.0.0.0/0"), Vec::new).1);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.iter().count(), 3);
+    }
+
+    #[test]
+    fn remove_prunes_the_nodes_it_empties() {
+        let mut t = PrefixTrie::new();
+        t.insert(p("10.0.0.0/8"), 0u32);
+        let covering_only = t.node_count();
+        assert_eq!(covering_only, 8);
+
+        // Disjoint /24s, some under the covering /8 and some elsewhere.
+        let prefixes: Vec<Ipv4Prefix> = (0..64u32)
+            .map(|i| Ipv4Prefix::new(((10 + i % 4) << 24) | (i << 8), 24).expect("valid"))
+            .collect();
+        for (i, prefix) in prefixes.iter().enumerate() {
+            t.insert(*prefix, i as u32 + 1);
+        }
+        assert_eq!(t.len(), 65);
+        assert!(t.node_count() > covering_only + 64);
+
+        // Removing an absent prefix whose path partly exists changes nothing.
+        let before = t.node_count();
+        assert_eq!(t.remove(&p("10.0.0.0/16")), None);
+        assert_eq!(t.remove(&p("10.0.0.128/25")), None);
+        assert_eq!(t.node_count(), before);
+
+        for (i, prefix) in prefixes.iter().enumerate() {
+            assert_eq!(t.remove(prefix), Some(i as u32 + 1));
+        }
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.node_count(), covering_only, "only the /8's path remains");
+        assert_eq!(t.get(&p("10.0.0.0/8")), Some(&0));
+        assert_eq!(
+            t.iter().map(|(q, _)| q).collect::<Vec<_>>(),
+            [p("10.0.0.0/8")]
+        );
+
+        // A valued interior node survives the removal of what it covers,
+        // and its own removal keeps the subtree below it.
+        t.insert(p("10.1.0.0/16"), 7);
+        assert_eq!(t.remove(&p("10.0.0.0/8")), Some(0));
+        assert_eq!(t.node_count(), 16);
+        assert_eq!(t.remove(&p("10.1.0.0/16")), Some(7));
+        assert!(t.is_empty());
+        assert_eq!(t.node_count(), 0, "structurally empty again");
     }
 }

@@ -186,3 +186,144 @@ fn multi_round_live_run_detects_an_oscillation_a_single_round_misses() {
         });
     assert_eq!(rerun.digest(), live.digest());
 }
+
+/// One scripted live run for the copy-on-write tests: customer and
+/// upstream traffic spread over both halves of the address space (so some
+/// windows write one RIB shard and some several), a re-announcement, an
+/// effective and a no-op withdrawal, and a quiet epoch that executes no
+/// round and so leaves its window open.
+fn scripted_epoch(sim: &mut Simulator, provider: NodeId, epoch: usize) -> bool {
+    let customer =
+        |prefix: &str| announcement(prefix, &[asn::CUSTOMER, asn::CUSTOMER], addr::CUSTOMER);
+    let withdraw = |prefix: &str| {
+        BgpMessage::Update(UpdateMessage::withdraw(vec![prefix
+            .parse()
+            .expect("valid")]))
+    };
+    match epoch {
+        0 => {
+            sim.inject(
+                provider,
+                addr::INTERNET,
+                announcement(
+                    "208.65.152.0/22",
+                    &[asn::INTERNET, 3356, asn::VICTIM],
+                    addr::INTERNET,
+                ),
+            );
+            sim.inject(provider, addr::CUSTOMER, customer("41.1.0.0/16"));
+        }
+        1 => sim.inject(provider, addr::CUSTOMER, customer("41.64.0.0/12")),
+        2 => {}
+        3 => sim.inject(provider, addr::CUSTOMER, customer("41.1.0.0/16")),
+        4 => sim.inject(provider, addr::CUSTOMER, withdraw("41.64.0.0/12")),
+        5 => sim.inject(provider, addr::CUSTOMER, withdraw("41.99.0.0/16")),
+        _ => sim.inject(provider, addr::CUSTOMER, customer("200.1.0.0/16")),
+    }
+    epoch < 6
+}
+
+/// The structural regression test for "a fork outlives a write": whenever
+/// the driver is about to write, no RIB shard of any node is shared with
+/// any clone of its table — whatever exploration forked has been released.
+#[test]
+fn no_fork_is_alive_when_the_driver_writes() {
+    let topo = figure2_topology(CustomerFilterMode::Erroneous);
+    let provider = topo.node_by_name("Provider").expect("node");
+    let mut sim = Simulator::new(&topo);
+    let shared_shards = |sim: &Simulator| -> Vec<usize> {
+        (0..sim.len())
+            .map(|n| sim.router(NodeId(n)).rib().shards_shared_with_a_fork())
+            .collect()
+    };
+
+    let mut epochs = 0;
+    let live = LiveOrchestrator::new(two_checker_session()).run(&mut sim, |sim, epoch| {
+        assert!(
+            shared_shards(sim).iter().all(|&shared| shared == 0),
+            "epoch {epoch}: a fork is alive across drive: {:?}",
+            shared_shards(sim)
+        );
+        epochs += 1;
+        scripted_epoch(sim, provider, epoch)
+    });
+    assert_eq!(epochs, 7);
+    assert_eq!(live.rounds.len(), 6, "the quiet epoch runs no round");
+    assert!(live.has_faults());
+    assert!(shared_shards(&sim).iter().all(|&shared| shared == 0));
+
+    // The probe does see a fork when there is one.
+    let held = RoundCheckpoint::capture(sim.router(provider));
+    let rib = sim.router(provider).rib();
+    assert_eq!(rib.shards_shared_with_a_fork(), rib.shard_count() + 1);
+    drop(held);
+}
+
+/// The cow line of the control snapshot is computed from shard write
+/// generations, with no fork held. This runs the same scripted epochs a
+/// second time with the test itself holding a checkpoint per node across
+/// every window, the way the orchestrator used to, and sums
+/// `cow_stats_vs` at each window close: the counts must be equal, and
+/// holding forks must not change what exploration reports.
+#[test]
+fn generation_counted_cow_sharing_equals_what_held_forks_report() {
+    let topo = figure2_topology(CustomerFilterMode::Erroneous);
+    let provider = topo.node_by_name("Provider").expect("node");
+
+    let mut sim = Simulator::new(&topo);
+    let plane = ControlPlane::new();
+    let report = LiveOrchestrator::new(two_checker_session())
+        .with_control_plane(plane.clone())
+        .run(&mut sim, |sim, epoch| scripted_epoch(sim, provider, epoch));
+    let counted = plane.sample().cow;
+
+    let mut held_sim = Simulator::new(&topo);
+    let held_plane = ControlPlane::new();
+    let capture = |sim: &Simulator| -> Vec<RoundCheckpoint> {
+        (0..sim.len())
+            .map(|n| RoundCheckpoint::capture(sim.router(NodeId(n))))
+            .collect()
+    };
+    let mut forks = capture(&held_sim);
+    let (mut units_total, mut units_shared) = (0usize, 0usize);
+    let mut windows_closed = 0usize;
+    // A window closes when a round has executed; the probe forks are then
+    // compared against the live routers and re-captured for the next one.
+    let mut close_window = |sim: &Simulator, rounds: usize| {
+        if rounds == windows_closed {
+            return;
+        }
+        windows_closed = rounds;
+        for (n, fork) in forks.iter().enumerate() {
+            let stats = fork.cow_stats_vs(sim.router(NodeId(n)));
+            units_total += stats.units_total;
+            units_shared += stats.units_shared;
+        }
+        forks = capture(sim);
+    };
+    let held_report = LiveOrchestrator::new(two_checker_session())
+        .with_control_plane(held_plane.clone())
+        .run(&mut held_sim, |sim, epoch| {
+            close_window(sim, held_plane.sample().rounds);
+            scripted_epoch(sim, provider, epoch)
+        });
+    close_window(&held_sim, held_plane.sample().rounds);
+
+    assert_eq!(held_report.digest(), report.digest());
+    assert_eq!(held_report.rounds.len(), 6);
+    assert_eq!(windows_closed, 6);
+    assert_eq!(
+        (counted.units_total, counted.units_shared),
+        (units_total, units_shared),
+        "generation-counted sharing must equal the held-fork sums"
+    );
+    assert_eq!(held_plane.sample().cow, counted);
+    let units_per_window: usize = (0..sim.len())
+        .map(|n| sim.router(NodeId(n)).rib().shard_count() + 1)
+        .sum();
+    assert_eq!(units_total, 6 * units_per_window);
+    assert!(
+        0 < units_shared && units_shared < units_total,
+        "the script must leave some shards shared and copy others: {units_shared}/{units_total}"
+    );
+}

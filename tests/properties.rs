@@ -383,6 +383,36 @@ proptest! {
         prop_assert_eq!(decoded, BgpMessage::Update(update));
     }
 
+    /// Degenerate trace shapes — an empty or near-empty table, no updates,
+    /// all or no withdrawals — never panic the generator, give the sizes
+    /// asked for (an empty table has nothing to update) and repeat exactly
+    /// for a seed.
+    #[test]
+    fn degenerate_trace_configs_generate_deterministically(
+        prefix_count in 0usize..4,
+        update_count in 0usize..6,
+        all_withdrawals in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let config = TraceGenConfig {
+            prefix_count,
+            update_count,
+            withdrawal_percent: if all_withdrawals { 100 } else { 0 },
+            seed,
+            ..TraceGenConfig::default()
+        };
+        let next_hop = std::net::Ipv4Addr::new(10, 0, 2, 1);
+        let trace = generate_trace(&config, 1299, next_hop);
+        prop_assert_eq!(trace.table_size(), prefix_count);
+        prop_assert_eq!(trace.update_count(), if prefix_count == 0 { 0 } else { update_count });
+        for event in &trace.updates {
+            prop_assert_eq!(event.update.withdrawn.is_empty(), !all_withdrawals);
+        }
+        let again = generate_trace(&config, 1299, next_hop);
+        prop_assert_eq!(again.table, trace.table);
+        prop_assert_eq!(again.updates, trace.updates);
+    }
+
     /// Windowed (epoch) harvesting partitions the delivery log losslessly:
     /// for any live traffic and any ascending sequence of harvest cursors,
     /// concatenating the per-window harvests reproduces the one-shot
