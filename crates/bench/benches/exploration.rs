@@ -2,8 +2,8 @@
 //! handler — the engine negates predicates to reach every path — plus two
 //! comparisons: the sequential-vs-parallel multi-input `Dice::run` round
 //! (PR 1) and the sequential-vs-batched engine inner loop (incremental
-//! shared-prefix solving overlapped with execution), with fault-set
-//! equality asserted for both.
+//! shared-prefix solving, a wave at a time), with fault-set equality
+//! asserted for both.
 
 use std::time::Instant;
 
@@ -74,12 +74,11 @@ fn chain_program(ctx: &mut ExecCtx, input: &InputValues) -> u32 {
     crossed
 }
 
-fn chain_engine(batch_size: usize, solver_workers: usize) -> ConcolicEngine {
+fn chain_engine(batch_size: usize) -> ConcolicEngine {
     ConcolicEngine::with_config(
         EngineConfig::default()
             .with_max_runs(96)
-            .with_batch_size(batch_size)
-            .with_solver_workers(solver_workers),
+            .with_batch_size(batch_size),
     )
 }
 
@@ -115,7 +114,7 @@ fn bench_exploration(c: &mut Criterion) {
     let chain_seeds = [InputValues::new().with("v", 0).with("w", 0)];
 
     group.bench_function("multi_candidate_sequential_inner_loop", |b| {
-        let engine = chain_engine(0, 1);
+        let engine = chain_engine(0);
         b.iter(|| {
             let mut program = chain_program;
             std::hint::black_box(engine.explore(&mut program, &chain_seeds).stats.runs)
@@ -123,7 +122,7 @@ fn bench_exploration(c: &mut Criterion) {
     });
 
     group.bench_function("multi_candidate_batched_worklist", |b| {
-        let engine = chain_engine(32, 2);
+        let engine = chain_engine(32);
         b.iter(|| {
             let mut program = chain_program;
             std::hint::black_box(engine.explore(&mut program, &chain_seeds).stats.runs)
@@ -137,11 +136,11 @@ fn bench_exploration(c: &mut Criterion) {
     // identical; only the wall clock may differ.
     let started = Instant::now();
     let mut program = chain_program;
-    let sequential_engine = chain_engine(0, 1).explore(&mut program, &chain_seeds);
+    let sequential_engine = chain_engine(0).explore(&mut program, &chain_seeds);
     let sequential_inner = started.elapsed();
     let started = Instant::now();
     let mut program = chain_program;
-    let batched_engine = chain_engine(32, 2).explore(&mut program, &chain_seeds);
+    let batched_engine = chain_engine(32).explore(&mut program, &chain_seeds);
     let batched_inner = started.elapsed();
     assert_eq!(
         sequential_engine.runs.len(),

@@ -56,12 +56,10 @@ pub struct DiceConfig {
     /// Concolic engine configuration (path budget, strategy, solver).
     ///
     /// The engine default runs the batched worklist inner loop
-    /// ([`EngineConfig::batch_size`]) with a single solver worker per
-    /// exploration — exploration already fans observed inputs out across
-    /// [`DiceConfig::workers`] threads, and one overlapped solver thread
-    /// per input is the sweet spot that avoids oversubscribing cores with
-    /// nested parallelism. Raise `engine.solver_workers` only for rounds
-    /// with few observed inputs and deep traces.
+    /// ([`EngineConfig::batch_size`]) on the thread that calls it.
+    /// Parallelism has two levels, both above the engine: a fleet round
+    /// fans nodes out, and each node's round fans its observed inputs out
+    /// across [`DiceConfig::workers`] threads.
     pub engine: EngineConfig,
     /// Maximum number of observed inputs explored per round.
     pub max_observed_inputs: usize,

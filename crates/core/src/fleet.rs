@@ -12,7 +12,7 @@
 //! 2. **explore** — one exploration round runs per node, nodes fanned out
 //!    concurrently under a global core budget: the budget is split across
 //!    the per-node worker pools so the nested parallelism (nodes × observed
-//!    inputs × solver threads) never oversubscribes the machine. Each
+//!    inputs) never oversubscribes the machine. Each
 //!    node's round captures one copy-on-write [`crate::RoundCheckpoint`]
 //!    and shares it across every observed input of that round (no deep
 //!    clone per input — see [`crate::CheckpointMode`]);
@@ -362,14 +362,15 @@ impl FleetExplorer {
             .collect();
 
         let budget = crate::parallel::resolve_cores(self.core_budget);
-        // Split the budget: at most `concurrent` node rounds run at once,
-        // each with one baseline worker plus a share of the leftover
-        // budget proportional to its window's observed-input volume, and a
-        // single solver worker per input (EngineConfig::with_core_budget).
+        // Split the budget across the two levels that spawn threads: at
+        // most `concurrent` node rounds run at once, each exploring its
+        // inputs on one baseline worker plus a share of the leftover
+        // budget proportional to its window's observed-input volume (the
+        // engine under each worker solves and executes on that worker).
         // The floors guarantee the extras sum to at most `budget -
         // concurrent`, so any `concurrent` rounds running simultaneously
-        // hold at most `budget` threads — no skew of window sizes can
-        // oversubscribe the machine across the three nesting levels.
+        // explore on at most `budget` threads whatever the skew of window
+        // sizes.
         let concurrent = budget.min(windows.len()).max(1);
         let total_inputs: usize = windows.iter().map(|(_, inputs)| inputs.len()).sum();
         let extra = budget.saturating_sub(concurrent);
@@ -380,7 +381,7 @@ impl FleetExplorer {
                     + (extra * inputs.len())
                         .checked_div(total_inputs)
                         .unwrap_or(0);
-                self.session.with_workers(share).with_engine_core_budget(1)
+                self.session.with_workers(share)
             })
             .collect();
         let items: Vec<(usize, &NodeWindow)> = windows.iter().enumerate().collect();

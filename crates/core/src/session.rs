@@ -215,18 +215,6 @@ impl DiceSession {
         }
     }
 
-    /// Returns a session whose engine solver workers are capped to
-    /// `budget` cores ([`EngineConfig::with_core_budget`]), checker
-    /// registry shared. Thread counts only — reports are unchanged.
-    pub fn with_engine_core_budget(&self, budget: usize) -> DiceSession {
-        let mut config = self.config.clone();
-        config.engine = config.engine.with_core_budget(budget);
-        DiceSession {
-            config,
-            checkers: Arc::clone(&self.checkers),
-        }
-    }
-
     /// Runs one exploration round over the live router, seeding from the
     /// given observed `(peer, update)` inputs.
     ///

@@ -177,9 +177,9 @@ fn random_prefix(rng: &mut StdRng) -> Ipv4Prefix {
 
 /// Draws a synthetic ASN from a range that cannot collide with the testbed
 /// topology's ASNs, so replayed paths never trip the receiver's loop
-/// detection.
+/// detection. A zero AS pool is treated as one AS.
 fn synthetic_asn(rng: &mut StdRng, as_count: u32) -> u32 {
-    100_000 + rng.gen_range(0..as_count)
+    100_000 + rng.gen_range(0..as_count.max(1))
 }
 
 fn random_attrs(

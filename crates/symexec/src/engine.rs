@@ -20,19 +20,17 @@
 //! than strictly one candidate at a time: it drains a wave of independent
 //! candidates from the worklist, groups them by originating run, solves
 //! each group incrementally against its shared path prefix
-//! ([`dice_solver::IncrementalSolver`]) on worker threads, and overlaps
-//! that solving with concrete execution — solved inputs are executed on
-//! the main thread, in wave order, while later candidates are still being
-//! solved. Runs, coverage and per-candidate engine counters are identical
-//! to the sequential loop (`EngineConfig::batch_size == 0`); only
-//! wall-clock time and the *solver-internal* statistics differ (the
+//! ([`dice_solver::IncrementalSolver`]), then executes the solved inputs
+//! in wave order — all on the calling thread; parallelism lives above the
+//! engine, across observed inputs and nodes. Runs, coverage and
+//! per-candidate engine counters are identical to the sequential loop
+//! (`EngineConfig::batch_size == 0`, the reference the equivalence tests
+//! compare against); only the *solver-internal* statistics differ (the
 //! batched mode may solve a candidate whose result the sequential loop
 //! would have skipped as a duplicate before solving — the result is
 //! discarded, and the engine-level skip counters match).
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use dice_solver::{IncrementalSolver, Solver, SolverConfig, SolverStats, Verdict};
@@ -102,23 +100,6 @@ pub struct EngineConfig {
     /// other strategies fall back to the sequential loop regardless of
     /// this setting.
     pub batch_size: usize,
-    /// Worker threads solving candidate groups in batched mode; the main
-    /// thread concurrently executes solved inputs. `0` uses the machine's
-    /// available parallelism; the count is never higher than the number of
-    /// candidate groups in a wave.
-    pub solver_workers: usize,
-}
-
-/// Resolves a configured core count: `0` (the codebase-wide "all cores"
-/// convention) becomes the machine's available parallelism, anything else
-/// passes through.
-fn resolve_cores(configured: usize) -> usize {
-    match configured {
-        0 => std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        n => n,
-    }
 }
 
 impl Default for EngineConfig {
@@ -131,7 +112,6 @@ impl Default for EngineConfig {
             solver: SolverConfig::default(),
             prune_covered_directions: false,
             batch_size: 16,
-            solver_workers: 1,
         }
     }
 }
@@ -179,32 +159,6 @@ impl EngineConfig {
     /// the sequential negate-solve-execute loop).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// Sets the number of worker threads solving candidate groups in
-    /// batched mode (0 uses the machine's available parallelism).
-    pub fn with_solver_workers(mut self, workers: usize) -> Self {
-        self.solver_workers = workers;
-        self
-    }
-
-    /// Resolves `solver_workers` against a shared core budget and returns
-    /// the capped configuration: an orchestrator running many explorations
-    /// concurrently (per observed input, per topology node) hands each
-    /// engine a slice of the machine so nested parallelism never
-    /// oversubscribes. A `budget` of 0 means the machine's available
-    /// parallelism (the codebase-wide "0 = all cores" convention);
-    /// `solver_workers == 0` (auto) resolves to the budget itself. The
-    /// result is always at least one worker, and the cap only changes
-    /// thread counts — explorations are report-identical for every worker
-    /// count.
-    pub fn with_core_budget(mut self, budget: usize) -> Self {
-        let budget = resolve_cores(budget);
-        self.solver_workers = match self.solver_workers {
-            0 => budget,
-            n => n.min(budget),
-        };
         self
     }
 }
@@ -318,17 +272,7 @@ struct WaveItem {
     target: PathId,
 }
 
-/// A group of same-run wave candidates together with the run's trace,
-/// lent to a solver worker for the duration of the wave.
-struct SolveUnit {
-    run_index: usize,
-    /// `(wave position, candidate)`, sorted by branch index so the shared
-    /// prefix is asserted monotonically.
-    items: Vec<(usize, Candidate)>,
-    trace: ExecTrace,
-}
-
-/// A solver worker's answer for one wave position.
+/// The solver's answer for one wave position.
 enum SolveMsg {
     /// The negation is satisfiable; execute this input.
     Sat(InputValues),
@@ -408,10 +352,10 @@ impl ConcolicEngine {
     /// `max_runs` executions have been performed or the worklist is empty.
     ///
     /// With [`EngineConfig::batch_size`] > 0 (the default) candidates are
-    /// processed by the batched worklist pipeline — grouped by originating
-    /// run, solved incrementally against the shared path prefix, and
-    /// overlapped with execution — producing the same runs, coverage and
-    /// engine counters as the sequential loop.
+    /// processed a wave at a time — grouped by originating run, solved
+    /// incrementally against the shared path prefix, then executed in
+    /// wave order — producing the same runs, coverage and engine counters
+    /// as the sequential loop.
     pub fn explore<P: SymbolicProgram>(
         &self,
         program: &mut P,
@@ -420,7 +364,7 @@ impl ConcolicEngine {
         // Batching requires a strategy whose pop order survives deferred
         // integration; coverage pruning additionally consults state the
         // wave pipeline cannot replay. Everything else gains nothing from
-        // single-candidate waves (no shared prefix, per-wave thread setup),
+        // single-candidate waves (no shared prefix to reuse),
         // so those configurations run the plain sequential loop.
         if self.config.batch_size == 0
             || self.config.prune_covered_directions
@@ -508,9 +452,8 @@ impl ConcolicEngine {
         state.finish(start, *solver.stats(), dice_obs::Histogram::new())
     }
 
-    /// The batched worklist loop: drain a wave, solve candidate groups
-    /// incrementally on worker threads, execute solved inputs on this
-    /// thread in wave order while later candidates are still solving.
+    /// The batched worklist loop: drain a wave, solve its candidate groups
+    /// incrementally, execute the solved inputs in wave order.
     fn explore_batched<P: SymbolicProgram>(
         &self,
         program: &mut P,
@@ -587,10 +530,9 @@ impl ConcolicEngine {
         wave
     }
 
-    /// Solves a wave's candidates on worker threads (one incremental
-    /// session per originating run, shared prefix asserted once) and
-    /// commits the results — executing satisfiable inputs — on the current
-    /// thread, in wave order, while solving continues.
+    /// Solves a wave's candidates (one incremental session per originating
+    /// run, shared prefix asserted once), then commits the results —
+    /// executing satisfiable inputs — in wave order.
     fn solve_and_commit<P: SymbolicProgram>(
         &self,
         program: &mut P,
@@ -607,77 +549,23 @@ impl ConcolicEngine {
                 .or_default()
                 .push((pos, item.candidate));
         }
-        // Lend each group its originating trace for the duration of the
-        // wave; commits below only append new runs, never touch these.
-        let units: Vec<Mutex<Option<SolveUnit>>> = grouped
-            .into_iter()
-            .map(|(run_index, mut items)| {
-                items.sort_by_key(|(_, c)| c.branch_index);
-                let trace = std::mem::replace(&mut state.runs[run_index].trace, ExecTrace::empty());
-                Mutex::new(Some(SolveUnit {
-                    run_index,
-                    items,
-                    trace,
-                }))
-            })
-            .collect();
+        // The whole wave is solved before its first commit: a candidate the
+        // commit below discards as a duplicate still counts in the solver's
+        // statistics, which the report digests pin.
+        let mut solved: Vec<Option<SolveMsg>> = wave.iter().map(|_| None).collect();
+        for (run_index, mut items) in grouped {
+            // Branch-index order, so the shared prefix is asserted
+            // monotonically.
+            items.sort_by_key(|(_, c)| c.branch_index);
+            let trace = &mut state.runs[run_index].trace;
+            let group_stats = solve_group(self.config.solver, trace, &items, &mut solved);
+            solver_stats.merge(&group_stats);
+        }
 
-        let workers = self.effective_solver_workers(units.len());
-        let next_unit = AtomicUsize::new(0);
-        let solver_config = self.config.solver;
-        let (tx, rx) = mpsc::channel::<(usize, SolveMsg)>();
-
-        let mut returned: Vec<(usize, ExecTrace, SolverStats)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let tx = tx.clone();
-                    let (next_unit, units) = (&next_unit, &units);
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next_unit.fetch_add(1, Ordering::Relaxed);
-                            let Some(unit) = units.get(i) else {
-                                return done;
-                            };
-                            let unit = unit
-                                .lock()
-                                .expect("solve unit lock")
-                                .take()
-                                .expect("solve unit claimed exactly once");
-                            done.push(solve_unit(solver_config, unit, &tx));
-                        }
-                    })
-                })
-                .collect();
-            drop(tx);
-
-            // Commit pump: results arrive in solver-completion order but
-            // are applied strictly in wave order, so exploration state
-            // evolves exactly as in the sequential loop.
-            let mut pending: Vec<Option<SolveMsg>> = (0..wave.len()).map(|_| None).collect();
-            let mut next_commit = 0usize;
-            let mut wave_paths: HashSet<PathId> = HashSet::new();
-            for (pos, msg) in rx {
-                pending[pos] = Some(msg);
-                while next_commit < wave.len() {
-                    let Some(ready) = pending[next_commit].take() else {
-                        break;
-                    };
-                    self.commit(program, &wave[next_commit], ready, state, &mut wave_paths);
-                    next_commit += 1;
-                }
-            }
-
-            for handle in handles {
-                returned.extend(handle.join().expect("solver worker panicked"));
-            }
-        });
-
-        // Hand the lent traces back and fold in the sessions' statistics.
-        for (run_index, trace, unit_stats) in returned {
-            state.runs[run_index].trace = trace;
-            solver_stats.merge(&unit_stats);
+        let mut wave_paths: HashSet<PathId> = HashSet::new();
+        for (item, msg) in wave.iter().zip(solved) {
+            let msg = msg.expect("every wave position belongs to exactly one group");
+            self.commit(program, item, msg, state, &mut wave_paths);
         }
     }
 
@@ -719,15 +607,6 @@ impl ConcolicEngine {
             SolveMsg::Unsat => state.stats.solver_unsat += 1,
             SolveMsg::Unknown => state.stats.solver_unknown += 1,
         }
-    }
-
-    /// The solver worker count for a wave of `unit_count` candidate
-    /// groups: the configured count, or available parallelism when the
-    /// configuration says `0`, never more threads than groups.
-    fn effective_solver_workers(&self, unit_count: usize) -> usize {
-        resolve_cores(self.config.solver_workers)
-            .min(unit_count)
-            .max(1)
     }
 
     /// Executes the program once and wraps the result in a [`RunRecord`].
@@ -794,33 +673,35 @@ impl ConcolicEngine {
     }
 }
 
-/// Solves one candidate group as a batched incremental session: the shared
-/// path prefix is asserted (and propagated) once, each candidate's negated
-/// branch solved in its own push/pop frame. Results stream to the commit
-/// pump as they are produced.
-fn solve_unit(
+/// Solves one candidate group — `(wave position, candidate)` pairs of one
+/// originating run, in branch-index order — as an incremental session over
+/// that run's trace: the shared path prefix is asserted (and propagated)
+/// once, each candidate's negated branch solved in its own push/pop frame.
+/// Answers land in `solved` at their wave positions; the session's
+/// statistics are returned.
+fn solve_group(
     config: SolverConfig,
-    mut unit: SolveUnit,
-    tx: &mpsc::Sender<(usize, SolveMsg)>,
-) -> (usize, ExecTrace, SolverStats) {
+    trace: &mut ExecTrace,
+    items: &[(usize, Candidate)],
+    solved: &mut [Option<SolveMsg>],
+) -> SolverStats {
     let mut session = IncrementalSolver::with_config(config);
-    let seed_model = unit.trace.concrete.clone();
     let mut next_branch = 0usize;
-    for &(pos, candidate) in &unit.items {
+    for &(pos, candidate) in items {
         let index = candidate.branch_index;
         // Extend the shared prefix up to (excluding) the negated branch.
         while next_branch < index {
-            let branch = unit.trace.branches[next_branch];
-            let taken = branch.taken_constraint(&mut unit.trace.arena);
-            session.assert_term(&mut unit.trace.arena, taken);
+            let branch = trace.branches[next_branch];
+            let taken = branch.taken_constraint(&mut trace.arena);
+            session.assert_term(&mut trace.arena, taken);
             next_branch += 1;
         }
-        session.push(&unit.trace.arena);
-        let branch = unit.trace.branches[index];
-        let negated = branch.negated_constraint(&mut unit.trace.arena);
-        session.assert_term(&mut unit.trace.arena, negated);
+        session.push(&trace.arena);
+        let branch = trace.branches[index];
+        let negated = branch.negated_constraint(&mut trace.arena);
+        session.assert_term(&mut trace.arena, negated);
         let reused_before = session.stats().assertions_reused;
-        let verdict = session.check(&unit.trace.arena, Some(&seed_model));
+        let verdict = session.check(&trace.arena, Some(&trace.concrete));
         if candidate.is_policy {
             let reused = session.stats().assertions_reused - reused_before;
             let stats = session.stats_mut();
@@ -829,22 +710,17 @@ fn solve_unit(
         }
         session.pop();
 
-        let msg = match verdict {
+        solved[pos] = Some(match verdict {
             Verdict::Sat(model) => SolveMsg::Sat(InputValues::from_model(
                 &model,
-                &unit.trace.var_map,
-                &unit.trace.input,
+                &trace.var_map,
+                &trace.input,
             )),
             Verdict::Unsat => SolveMsg::Unsat,
             Verdict::Unknown => SolveMsg::Unknown,
-        };
-        if tx.send((pos, msg)).is_err() {
-            // The engine stopped listening (it is unwinding); no point
-            // solving the rest of the group.
-            break;
-        }
+        });
     }
-    (unit.run_index, unit.trace, *session.stats())
+    *session.stats()
 }
 
 #[cfg(test)]
@@ -1041,51 +917,5 @@ mod tests {
         let result = engine.explore(&mut program, &seeds);
         assert_eq!(result.stats.waves, 0);
         assert_eq!(result.solver_stats.incremental_queries, 0);
-    }
-
-    #[test]
-    fn solver_worker_count_is_bounded() {
-        let auto = ConcolicEngine::new();
-        assert_eq!(auto.effective_solver_workers(0), 1);
-        assert_eq!(auto.effective_solver_workers(1), 1);
-        let wide = ConcolicEngine::with_config(EngineConfig {
-            solver_workers: 8,
-            ..Default::default()
-        });
-        assert_eq!(wide.effective_solver_workers(3), 3);
-        let unlimited = ConcolicEngine::with_config(EngineConfig {
-            solver_workers: 0,
-            ..Default::default()
-        });
-        assert!(unlimited.effective_solver_workers(1_000) >= 1);
-    }
-
-    #[test]
-    fn core_budget_caps_solver_workers() {
-        // Explicit budgets cap explicit worker counts and resolve auto (0).
-        let capped = EngineConfig::default()
-            .with_solver_workers(8)
-            .with_core_budget(2);
-        assert_eq!(capped.solver_workers, 2);
-        let auto_workers = EngineConfig::default()
-            .with_solver_workers(0)
-            .with_core_budget(3);
-        assert_eq!(auto_workers.solver_workers, 3);
-        // Budget 0 follows the codebase-wide "0 = all cores" convention.
-        let all_cores = std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1);
-        let auto_budget = EngineConfig::default()
-            .with_solver_workers(0)
-            .with_core_budget(0);
-        assert_eq!(auto_budget.solver_workers, all_cores);
-        // Never below one worker.
-        assert_eq!(
-            EngineConfig::default()
-                .with_solver_workers(1)
-                .with_core_budget(1)
-                .solver_workers,
-            1
-        );
     }
 }

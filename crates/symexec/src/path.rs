@@ -50,23 +50,6 @@ pub struct ExecTrace {
 }
 
 impl ExecTrace {
-    /// An empty placeholder trace: no arena, branches or inputs.
-    ///
-    /// The batched engine swaps this in while a run's real trace is lent to
-    /// a solver worker for the duration of a wave; it never represents an
-    /// actual execution.
-    pub fn empty() -> Self {
-        ExecTrace {
-            arena: TermArena::new(),
-            branches: Vec::new(),
-            site_labels: HashMap::new(),
-            concrete: Model::new(),
-            var_map: HashMap::new(),
-            input: InputValues::new(),
-            policy_sites: BTreeSet::new(),
-        }
-    }
-
     /// Builds a trace from a finished execution context and its input.
     pub fn from_ctx(ctx: ExecCtx, input: InputValues) -> Self {
         let site_labels = ctx.site_labels().clone();
@@ -209,15 +192,6 @@ mod tests {
         assert_eq!(shape.len(), 2);
         assert!(shape[0].1);
         assert!(shape[1].1);
-    }
-
-    #[test]
-    fn empty_trace_is_inert() {
-        let t = ExecTrace::empty();
-        assert_eq!(t.depth(), 0);
-        assert!(t.shape().is_empty());
-        assert!(t.var_map.is_empty());
-        assert_eq!(t.path_id(), path_id(&[]));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The batched worklist engine must produce exactly the runs the
 //! sequential negate-solve-execute loop produces — same inputs, same
-//! paths, same provenance, in the same order — for any batch size and
-//! solver worker count. Coverage and fault-relevant outputs follow from
-//! that, but every dimension is asserted explicitly here.
+//! paths, same provenance, in the same order — for any batch size.
+//! Coverage and fault-relevant outputs follow from that, but every
+//! dimension is asserted explicitly here.
 
 use std::collections::HashSet;
 
@@ -131,20 +131,12 @@ fn figure1_is_identical_across_batch_sizes_and_workers() {
     let seeds = [InputValues::new().with("x", 5).with("y", 0)];
     let reference = explore(figure1, &seeds, sequential_config());
     for batch_size in [1, 2, 4, 16] {
-        for solver_workers in [1, 3] {
-            let batched = explore(
-                figure1,
-                &seeds,
-                EngineConfig::default()
-                    .with_batch_size(batch_size)
-                    .with_solver_workers(solver_workers),
-            );
-            assert_equivalent(
-                &reference,
-                &batched,
-                &format!("figure1 batch={batch_size} workers={solver_workers}"),
-            );
-        }
+        let batched = explore(
+            figure1,
+            &seeds,
+            EngineConfig::default().with_batch_size(batch_size),
+        );
+        assert_equivalent(&reference, &batched, &format!("figure1 batch={batch_size}"));
     }
     let outputs: HashSet<u32> = reference.outputs().copied().collect();
     assert_eq!(outputs, HashSet::from([0, 1, 2]));
@@ -155,11 +147,7 @@ fn deep_chain_is_identical_and_batches_widely() {
     let seeds = [InputValues::new().with("v", 0)];
     let config = EngineConfig::default().with_max_runs(64);
     let reference = explore(chain, &seeds, config.with_batch_size(0));
-    let batched = explore(
-        chain,
-        &seeds,
-        config.with_batch_size(16).with_solver_workers(2),
-    );
+    let batched = explore(chain, &seeds, config.with_batch_size(16));
     assert_equivalent(&reference, &batched, "deep chain");
     assert!(batched.stats.waves > 1, "the chain spans several waves");
     assert!(
@@ -181,9 +169,7 @@ fn remerging_paths_and_unsat_negations_are_identical() {
         let batched = explore(
             remerge,
             &seeds,
-            EngineConfig::default()
-                .with_batch_size(batch_size)
-                .with_solver_workers(2),
+            EngineConfig::default().with_batch_size(batch_size),
         );
         assert_equivalent(&reference, &batched, &format!("remerge batch={batch_size}"));
     }
@@ -212,11 +198,7 @@ fn non_batchable_strategies_remain_identical() {
             .with_max_runs(32)
             .with_strategy(strategy);
         let reference = explore(chain, &seeds, config.with_batch_size(0));
-        let batched = explore(
-            chain,
-            &seeds,
-            config.with_batch_size(16).with_solver_workers(2),
-        );
+        let batched = explore(chain, &seeds, config.with_batch_size(16));
         assert_equivalent(&reference, &batched, &format!("{strategy:?}"));
     }
 }

@@ -3,10 +3,29 @@
 //! exposition, publishes v2 latency summaries on the control plane, and —
 //! the tentpole invariant — reports byte-identical to an untraced run.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use dice::obs::{chrome_trace_jsonl, validate_chrome_trace_jsonl, validate_prometheus_text};
 use dice::prelude::*;
+
+/// The trace sink is process-global: every test here holds this lock, so a
+/// recorder never sees events from a run another test started.
+fn sink_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The customer's announcement of `block`, as the Provider receives it.
+fn customer_announcement(block: &str) -> BgpMessage {
+    let mut attrs = RouteAttrs::default();
+    attrs.as_path = AsPath::from_sequence([17557, 17557]);
+    attrs.next_hop = std::net::Ipv4Addr::new(10, 0, 1, 1);
+    BgpMessage::Update(UpdateMessage::announce(
+        vec![block.parse().expect("valid")],
+        &attrs,
+    ))
+}
 
 /// Drives two epochs of customer announcements through a Figure 2 live
 /// orchestration and returns the report plus the final control snapshot.
@@ -22,17 +41,7 @@ fn live_run() -> (LiveReport, ControlSnapshot) {
     let blocks = ["41.1.0.0/16", "41.64.0.0/12"];
     let report = orchestrator.run(&mut sim, |sim, epoch| {
         if let Some(block) = blocks.get(epoch) {
-            let mut attrs = RouteAttrs::default();
-            attrs.as_path = AsPath::from_sequence([17557, 17557]);
-            attrs.next_hop = std::net::Ipv4Addr::new(10, 0, 1, 1);
-            sim.inject(
-                provider,
-                addr::CUSTOMER,
-                BgpMessage::Update(UpdateMessage::announce(
-                    vec![block.parse().expect("valid")],
-                    &attrs,
-                )),
-            );
+            sim.inject(provider, addr::CUSTOMER, customer_announcement(block));
         }
         epoch + 1 < blocks.len()
     });
@@ -42,6 +51,7 @@ fn live_run() -> (LiveReport, ControlSnapshot) {
 
 #[test]
 fn traced_live_run_exports_chrome_and_prometheus_without_touching_reports() {
+    let _serial = sink_lock();
     let (baseline, _) = live_run();
 
     let recorder = Arc::new(BufferedRecorder::new());
@@ -98,9 +108,68 @@ fn traced_live_run_exports_chrome_and_prometheus_without_touching_reports() {
 fn untraced_snapshot_still_carries_latency_summaries() {
     // No sink installed at all: summaries come from the report path, not
     // the trace path, so they are populated either way.
+    let _serial = sink_lock();
     let (report, snapshot) = live_run();
     assert!(report.rounds.len() >= 2);
     assert_eq!(snapshot.round_latency.count, report.rounds.len() as u64);
     assert!(snapshot.mean_round_latency > std::time::Duration::ZERO);
     validate_prometheus_text(&snapshot.prometheus()).expect("exposition validates");
+}
+
+/// The threads that recorded engine work: every `symexec.wave` and
+/// `solver.check` event's `tid`.
+fn exploring_threads(events: &[dice::obs::TraceEvent]) -> BTreeSet<u64> {
+    let tids = |name: &str| -> BTreeSet<u64> {
+        let of_name = events.iter().filter(|e| e.name == name);
+        of_name.map(|e| e.tid).collect()
+    };
+    let (waves, checks) = (tids("symexec.wave"), tids("solver.check"));
+    assert!(!waves.is_empty(), "the round ran waves");
+    assert!(!checks.is_empty(), "the round ran solver queries");
+    &waves | &checks
+}
+
+#[test]
+fn exploration_runs_on_the_threads_the_budget_names() {
+    let _serial = sink_lock();
+    // Three announcements from the customer: the Provider observes a
+    // three-input window, and its neighbours observe what it re-advertises.
+    let topo = figure2_topology(CustomerFilterMode::Erroneous);
+    let provider = topo.node_by_name("Provider").expect("node");
+    let mut sim = Simulator::new(&topo);
+    for block in ["41.1.0.0/16", "41.64.0.0/12", "41.128.0.0/12"] {
+        sim.inject(provider, addr::CUSTOMER, customer_announcement(block));
+        sim.run_to_quiescence(100);
+    }
+    let window = sim.observed_inputs(provider);
+    assert!(window.len() >= 3, "a multi-input window");
+    let observing_nodes = (0..sim.len())
+        .filter(|&n| !sim.observed_inputs(NodeId(n)).is_empty())
+        .count();
+    assert!(observing_nodes >= 2, "rounds to run side by side");
+    assert!(sim.len() > 2, "more node rounds than the budget below");
+
+    // One session worker: the engine solves and executes every wave of
+    // every input on the thread that called `explore`.
+    let session = DiceBuilder::new().workers(1).build();
+    let recorder = Arc::new(BufferedRecorder::new());
+    {
+        let _guard = SinkGuard::install(recorder.clone());
+        session.explore(sim.router(provider), &window);
+    }
+    assert_eq!(exploring_threads(&recorder.drain()).len(), 1);
+
+    // A fleet round explores on no more threads than its core budget.
+    for budget in [1, 2] {
+        let fleet = FleetExplorer::new(session.clone()).with_core_budget(budget);
+        {
+            let _guard = SinkGuard::install(recorder.clone());
+            fleet.explore(&sim);
+        }
+        let threads = exploring_threads(&recorder.drain());
+        assert!(
+            threads.len() <= budget,
+            "budget {budget}: explored on threads {threads:?}"
+        );
+    }
 }

@@ -384,19 +384,21 @@ proptest! {
     }
 
     /// Degenerate trace shapes — an empty or near-empty table, no updates,
-    /// all or no withdrawals — never panic the generator, give the sizes
-    /// asked for (an empty table has nothing to update) and repeat exactly
-    /// for a seed.
+    /// all or no withdrawals, an empty AS pool — never panic the generator,
+    /// give the sizes asked for (an empty table has nothing to update) and
+    /// repeat exactly for a seed.
     #[test]
     fn degenerate_trace_configs_generate_deterministically(
         prefix_count in 0usize..4,
         update_count in 0usize..6,
+        as_count in 0u32..3,
         all_withdrawals in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let config = TraceGenConfig {
             prefix_count,
             update_count,
+            as_count,
             withdrawal_percent: if all_withdrawals { 100 } else { 0 },
             seed,
             ..TraceGenConfig::default()
@@ -801,6 +803,194 @@ fn fleet_digests_under(plan: FaultPlan) -> (String, Vec<String>) {
         .explore(&sim);
     let nodes = fleet.nodes.iter().map(|n| n.report.digest()).collect();
     (fleet.digest(), nodes)
+}
+
+/// Overwrites a few bytes of a well-formed encoding and optionally cuts it
+/// short: damage that gets past the framing checks and into the field
+/// decoders far more often than uniformly random bytes do.
+fn corrupt(mut bytes: Vec<u8>, edits: &[(usize, u8)], cut: Option<usize>) -> Vec<u8> {
+    for &(at, value) in edits {
+        if !bytes.is_empty() {
+            let at = at % bytes.len();
+            bytes[at] = value;
+        }
+    }
+    if let Some(cut) = cut {
+        bytes.truncate(cut % (bytes.len() + 1));
+    }
+    bytes
+}
+
+fn arb_damage() -> impl Strategy<Value = (Vec<(usize, u8)>, Option<usize>)> {
+    (
+        prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        prop::option::of(any::<usize>()),
+    )
+}
+
+/// Hostile BGP frames: arbitrary bytes, arbitrary bodies under a header
+/// whose marker and length are right, and valid UPDATEs with damage.
+fn arb_hostile_frame() -> impl Strategy<Value = Vec<u8>> {
+    let raw = prop::collection::vec(any::<u8>(), 0..64);
+    let framed = (any::<u8>(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(
+        |(message_type, body)| {
+            let mut frame = vec![0xff; 16];
+            frame.extend_from_slice(&((wire::HEADER_LEN + body.len()) as u16).to_be_bytes());
+            frame.push(message_type % 6);
+            frame.extend_from_slice(&body);
+            frame
+        },
+    );
+    let damaged = (
+        prop::collection::vec(arb_prefix(), 0..4),
+        prop::collection::vec(arb_prefix(), 0..4),
+        arb_attrs(),
+        arb_damage(),
+    )
+        .prop_map(|(nlri, withdrawn, attrs, (edits, cut))| {
+            let update = UpdateMessage {
+                withdrawn,
+                attributes: attrs.to_attributes(),
+                nlri,
+            };
+            let bytes = wire::encode(&BgpMessage::Update(update)).to_vec();
+            corrupt(bytes, &edits, cut)
+        });
+    prop_oneof![raw, framed, damaged]
+}
+
+/// Hostile serialized wire traces: arbitrary bytes, arbitrary bytes after
+/// a good magic and version, and valid traces with damage.
+fn arb_hostile_trace_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let raw = prop::collection::vec(any::<u8>(), 0..64);
+    let headed = prop::collection::vec(any::<u8>(), 0..64).prop_map(|tail| {
+        let mut bytes = WireTrace::new().to_bytes()[..10].to_vec();
+        bytes.extend_from_slice(&tail);
+        bytes
+    });
+    let damaged = (
+        prop::collection::vec(
+            (any::<u64>(), prop::collection::vec(any::<u8>(), 0..24)),
+            0..4,
+        ),
+        arb_damage(),
+    )
+        .prop_map(|(records, (edits, cut))| {
+            let mut trace = WireTrace::new();
+            for (at_ms, bytes) in records {
+                trace.push_raw(at_ms, NodeId(1), addr::CUSTOMER, bytes);
+            }
+            corrupt(trace.to_bytes(), &edits, cut)
+        });
+    prop_oneof![raw, headed, damaged]
+}
+
+/// Hostile filter sources: arbitrary (lossily decoded) bytes, random
+/// sequences of the language's own tokens, and printed filters with damage.
+fn arb_hostile_filter_source() -> impl Strategy<Value = String> {
+    const VOCABULARY: [&str; 40] = [
+        "filter",
+        "f",
+        "{",
+        "}",
+        "[",
+        "]",
+        "(",
+        ")",
+        ",",
+        ";",
+        "/",
+        "~",
+        "=",
+        "!=",
+        "<",
+        "<=",
+        ">",
+        ">=",
+        "!",
+        "&&",
+        "||",
+        "+",
+        "if",
+        "then",
+        "else",
+        "accept",
+        "reject",
+        "net",
+        "net.len",
+        "med",
+        "local_pref",
+        "community",
+        "add",
+        "prepend",
+        "true",
+        "10.0.0.0",
+        "24",
+        "300",
+        "99999999999999999999",
+        "é",
+    ];
+    let raw = prop::collection::vec(any::<u8>(), 0..64)
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned());
+    let soup = prop::collection::vec(0usize..VOCABULARY.len(), 0..24).prop_map(|words| {
+        let words: Vec<&str> = words.into_iter().map(|w| VOCABULARY[w]).collect();
+        words.join(" ")
+    });
+    // Printable replacements: a changed digit or operator still lexes, so
+    // the damage reaches the parser.
+    let damaged = (arb_policy_filter(), arb_damage()).prop_map(|(filter, (edits, cut))| {
+        let edits: Vec<(usize, u8)> = edits
+            .into_iter()
+            .map(|(at, b)| (at, b' ' + b % 95))
+            .collect();
+        let bytes = corrupt(filter.to_string().into_bytes(), &edits, cut);
+        String::from_utf8_lossy(&bytes).into_owned()
+    });
+    prop_oneof![raw, soup, damaged]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// No byte string panics the BGP decoder or makes it claim more bytes
+    /// than it was given, and whatever it accepts is a fixed point of
+    /// `decode ∘ encode`.
+    #[test]
+    fn wire_decode_survives_hostile_bytes(bytes in arb_hostile_frame()) {
+        if let Ok((msg, used)) = wire::decode(&bytes) {
+            prop_assert!(used <= bytes.len());
+            let canonical = wire::encode(&msg);
+            let (again, used_again) = wire::decode(&canonical).expect("own encoding decodes");
+            prop_assert_eq!(used_again, canonical.len());
+            prop_assert_eq!(wire::encode(&again), canonical);
+            prop_assert_eq!(again, msg);
+        }
+    }
+
+    /// No byte string panics the wire-trace parser, and whatever it
+    /// accepts re-serializes to bytes that parse back to the same trace.
+    #[test]
+    fn wire_trace_parser_survives_hostile_bytes(bytes in arb_hostile_trace_bytes()) {
+        if let Ok(trace) = WireTrace::from_bytes(&bytes) {
+            let canonical = trace.to_bytes();
+            prop_assert!(canonical.len() <= bytes.len());
+            let again = WireTrace::from_bytes(&canonical).expect("own serialization parses");
+            prop_assert_eq!(again.to_bytes(), canonical);
+            prop_assert_eq!(again, trace);
+        }
+    }
+
+    /// No string panics the policy lexer or parser, and whatever parses
+    /// prints to source that parses back to the same filter.
+    #[test]
+    fn policy_parser_survives_hostile_source(source in arb_hostile_filter_source()) {
+        if let Ok(filter) = parse_filter(&source) {
+            let printed = filter.to_string();
+            let again = parse_filter(&printed).expect("printed filter parses");
+            prop_assert_eq!(again.to_string(), printed);
+            prop_assert_eq!(again, filter);
+        }
+    }
 }
 
 proptest! {
