@@ -5,7 +5,7 @@
 //! (319,355 prefixes at full scale; scaled by `DICE_BENCH_SAMPLE_SIZE`
 //! for smoke runs, full size under `DICE_FULL_TABLE=1`):
 //!
-//! 1. **sharded vs single-trie table load** — the same route set loaded
+//! 1. **sharded vs single-shard table load** — the same route set loaded
 //!    into a one-shard RIB sequentially and into a core-sized sharded RIB
 //!    via [`Rib::load_parallel`], with the resulting tables asserted
 //!    observationally identical;
@@ -125,10 +125,10 @@ fn paper_scale_comparison() {
     let routes = paper_routes(prefixes);
     let timing_reps = reps.clamp(1, 10);
 
-    // 1. Table load: one trie loaded sequentially (the pre-change path)
+    // 1. Table load: one shard loaded sequentially (the pre-change path)
     //    vs a sharded RIB loaded with per-shard workers. At least 16
     //    shards even on narrow machines, so shard partitioning and the
-    //    shallower per-shard tries are exercised everywhere; worker count
+    //    smaller per-shard maps are exercised everywhere; worker count
     //    follows the machine.
     let shard_count = Rib::new().shard_count().max(16);
     let best_of = |mut run: Box<dyn FnMut(Vec<Route>) -> Rib>| -> (Duration, Rib) {
@@ -161,7 +161,7 @@ fn paper_scale_comparison() {
     assert_eq!(
         loc_rib_fingerprint(&sharded_rib),
         loc_rib_fingerprint(&single_rib),
-        "sharded and single-trie tables must be observationally identical"
+        "sharded and single-shard tables must be observationally identical"
     );
     let load_speedup = single_time.as_secs_f64() / sharded_time.as_secs_f64().max(f64::EPSILON);
 
@@ -226,7 +226,7 @@ fn paper_scale_comparison() {
     );
 
     println!(
-        "\npaper-scale table ({prefixes} prefixes, {} shards): single-trie load {:?}, sharded load {:?}, speedup {load_speedup:.2}x",
+        "\npaper-scale table ({prefixes} prefixes, {} shards): single-shard load {:?}, sharded load {:?}, speedup {load_speedup:.2}x",
         sharded_rib.shard_count(),
         single_time,
         sharded_time,

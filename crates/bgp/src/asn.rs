@@ -1,6 +1,7 @@
 //! Autonomous system numbers and AS paths.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// An autonomous system number.
 ///
@@ -71,51 +72,56 @@ impl AsPathSegment {
 
 /// An AS path: the ordered list of segments carried in the AS_PATH
 /// attribute.
+///
+/// The segments sit behind an [`Arc`], so cloning a path — and with it a
+/// route, an attribute set or an UPDATE — shares them instead of copying
+/// them. Equality and hashing are by content.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct AsPath {
-    segments: Vec<AsPathSegment>,
+    /// `None` for the path without segments, which needs no allocation.
+    segments: Option<Arc<[AsPathSegment]>>,
 }
 
 impl AsPath {
     /// An empty path (as originated by the local AS before export).
     pub fn empty() -> Self {
-        AsPath {
-            segments: Vec::new(),
-        }
+        AsPath { segments: None }
     }
 
     /// Builds a path consisting of a single sequence.
     pub fn from_sequence(asns: impl IntoIterator<Item = u32>) -> Self {
-        AsPath {
-            segments: vec![AsPathSegment::Sequence(asns.into_iter().map(Asn).collect())],
-        }
+        AsPath::from_segments(vec![AsPathSegment::Sequence(
+            asns.into_iter().map(Asn).collect(),
+        )])
     }
 
     /// Creates a path from raw segments.
     pub fn from_segments(segments: Vec<AsPathSegment>) -> Self {
-        AsPath { segments }
+        AsPath {
+            segments: (!segments.is_empty()).then(|| segments.into()),
+        }
     }
 
     /// The path segments.
     pub fn segments(&self) -> &[AsPathSegment] {
-        &self.segments
+        self.segments.as_deref().unwrap_or(&[])
     }
 
     /// True if the path has no segments or only empty segments.
     pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(|s| s.asns().is_empty())
+        self.segments().iter().all(|s| s.asns().is_empty())
     }
 
     /// The length used by the decision process (AS_SET counts as 1).
     pub fn length(&self) -> usize {
-        self.segments.iter().map(AsPathSegment::path_length).sum()
+        self.segments().iter().map(AsPathSegment::path_length).sum()
     }
 
     /// The origin AS: the last ASN of the last sequence segment, which is
     /// the AS that originated the route. Returns `None` for empty paths or
     /// paths ending in an AS_SET.
     pub fn origin_as(&self) -> Option<Asn> {
-        match self.segments.last() {
+        match self.segments().last() {
             Some(AsPathSegment::Sequence(v)) => v.last().copied(),
             _ => None,
         }
@@ -124,20 +130,20 @@ impl AsPath {
     /// The neighbor AS: the first ASN on the path (the AS the route was
     /// learned from).
     pub fn neighbor_as(&self) -> Option<Asn> {
-        self.segments
+        self.segments()
             .first()
             .and_then(|s| s.asns().first().copied())
     }
 
     /// Returns true if the path visits `asn` anywhere (loop detection).
     pub fn contains(&self, asn: Asn) -> bool {
-        self.segments.iter().any(|s| s.asns().contains(&asn))
+        self.segments().iter().any(|s| s.asns().contains(&asn))
     }
 
     /// Returns a new path with `asn` prepended `count` times, as performed
     /// when exporting a route to an eBGP peer.
     pub fn prepend(&self, asn: Asn, count: usize) -> AsPath {
-        let mut segments = self.segments.clone();
+        let mut segments = self.segments().to_vec();
         match segments.first_mut() {
             Some(AsPathSegment::Sequence(v)) => {
                 for _ in 0..count {
@@ -148,12 +154,12 @@ impl AsPath {
                 segments.insert(0, AsPathSegment::Sequence(vec![asn; count]));
             }
         }
-        AsPath { segments }
+        AsPath::from_segments(segments)
     }
 
     /// Flattens the path into a list of ASNs, ignoring segment structure.
     pub fn flatten(&self) -> Vec<Asn> {
-        self.segments
+        self.segments()
             .iter()
             .flat_map(|s| s.asns().iter().copied())
             .collect()
@@ -163,7 +169,7 @@ impl AsPath {
 impl fmt::Display for AsPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for seg in &self.segments {
+        for seg in self.segments() {
             if !first {
                 write!(f, " ")?;
             }
@@ -227,6 +233,44 @@ mod tests {
         let longer = path.prepend(Asn(65001), 2);
         assert_eq!(longer.length(), 3);
         assert_eq!(longer.origin_as(), Some(Asn(65001)));
+    }
+
+    #[test]
+    fn clones_share_segments_and_compare_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        let hash = |path: &AsPath| {
+            let mut hasher = DefaultHasher::new();
+            path.hash(&mut hasher);
+            hasher.finish()
+        };
+        let path = AsPath::from_sequence([3491, 17557]);
+        let shared = path.clone();
+        assert!(std::ptr::eq(path.segments(), shared.segments()));
+
+        // Prepending to a shared path builds a new one.
+        let longer = shared.prepend(Asn(1299), 2);
+        assert_eq!(
+            longer.flatten(),
+            [Asn(1299), Asn(1299), Asn(3491), Asn(17557)]
+        );
+        assert_eq!(path.flatten(), [Asn(3491), Asn(17557)]);
+        assert_eq!(shared, path);
+
+        // A path built separately is equal and hashes alike; sharing is
+        // not identity.
+        let rebuilt =
+            AsPath::from_segments(vec![AsPathSegment::Sequence(vec![Asn(3491), Asn(17557)])]);
+        assert!(!std::ptr::eq(path.segments(), rebuilt.segments()));
+        assert_eq!(rebuilt, path);
+        assert_eq!(hash(&rebuilt), hash(&path));
+        assert_ne!(longer, path);
+        assert_eq!(AsPath::from_segments(Vec::new()), AsPath::empty());
+        assert_eq!(
+            hash(&AsPath::from_segments(Vec::new())),
+            hash(&AsPath::default())
+        );
     }
 
     #[test]

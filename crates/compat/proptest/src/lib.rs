@@ -35,9 +35,20 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or what the `PROPTEST_CASES` environment variable says, as
+    /// in the real crate; [`ProptestConfig::with_cases`] ignores it.
     fn default() -> Self {
-        ProptestConfig { cases: 64 }
+        let requested = std::env::var("PROPTEST_CASES").ok();
+        ProptestConfig {
+            cases: default_cases(requested.as_deref()),
+        }
     }
+}
+
+/// The default case count given the value of `PROPTEST_CASES`, if set. A
+/// value that is not a number is ignored.
+fn default_cases(requested: Option<&str>) -> u32 {
+    requested.and_then(|n| n.trim().parse().ok()).unwrap_or(64)
 }
 
 impl ProptestConfig {
@@ -415,6 +426,22 @@ mod tests {
             // Each level adds exactly 100, and the depth bound is 3.
             prop_assert!(n < 410);
         }
+    }
+
+    #[test]
+    fn default_case_count_honours_the_environment_and_with_cases_wins() {
+        assert_eq!(crate::default_cases(None), 64);
+        assert_eq!(crate::default_cases(Some("2048")), 2048);
+        assert_eq!(crate::default_cases(Some(" 7\n")), 7);
+        assert_eq!(crate::default_cases(Some("many")), 64);
+        // What the process was started with, whatever that is (tests never
+        // set the variable: they run on parallel threads).
+        let requested = std::env::var("PROPTEST_CASES").ok();
+        assert_eq!(
+            ProptestConfig::default().cases,
+            crate::default_cases(requested.as_deref())
+        );
+        assert_eq!(ProptestConfig::with_cases(5).cases, 5);
     }
 
     #[test]

@@ -383,25 +383,27 @@ impl Simulator {
             );
             return;
         };
-        self.record_observed(node, peer, &message);
-        let out = self.routers[node.0].handle_message(peer, &message);
-        self.stats.delivered += 1;
-        self.enqueue_outgoing(node, out);
+        self.deliver(node, peer, message);
     }
 
-    /// Logs an UPDATE delivered to a node — exactly what the DiCE instance
-    /// beside that node would have observed on the wire. Non-UPDATE
-    /// messages carry no explorable input and are not recorded.
-    fn record_observed(&mut self, node: NodeId, peer: PeerId, message: &BgpMessage) {
+    /// Hands a message to the router of `node`, queues the responses, and
+    /// logs an UPDATE as exactly what the DiCE instance beside that node
+    /// would have observed on the wire: the router reads the message, the
+    /// log then takes it. Non-UPDATE messages carry no explorable input
+    /// and are not recorded.
+    fn deliver(&mut self, node: NodeId, peer: PeerId, message: BgpMessage) {
+        let out = self.routers[node.0].handle_message(peer, &message);
+        self.stats.delivered += 1;
         if let BgpMessage::Update(update) = message {
             self.observed.push(ObservedInput {
                 seq: self.observed_seq,
                 node,
                 peer,
-                update: update.clone(),
+                update,
             });
             self.observed_seq += 1;
         }
+        self.enqueue_outgoing(node, out);
     }
 
     /// The UPDATEs a node observed so far, in delivery order, as the
@@ -593,10 +595,7 @@ impl Simulator {
                 continue;
             }
             delivered += 1;
-            self.record_observed(m.to_node, m.from_peer, &m.message);
-            let out = self.routers[m.to_node.0].handle_message(m.from_peer, &m.message);
-            self.stats.delivered += 1;
-            self.enqueue_outgoing(m.to_node, out);
+            self.deliver(m.to_node, m.from_peer, m.message);
         }
         span.set_detail(delivered as u64);
         delivered
@@ -743,6 +742,47 @@ mod tests {
             .best_route(&"8.8.0.0/16".parse().expect("valid"))
             .is_some());
         assert_eq!(sim.now(), 5);
+    }
+
+    #[test]
+    fn session_messages_are_handled_but_not_logged() {
+        use dice_bgp::message::OpenMessage;
+
+        let topo = figure2_topology(CustomerFilterMode::Correct);
+        let mut sim = Simulator::new(&topo);
+        let provider = topo.node_by_name("Provider").expect("node");
+        let customer = topo.node_by_name("Customer").expect("node");
+        let router_id_of = |sim: &Simulator, node: NodeId, address| {
+            let router = sim.router(node);
+            let peer = router.peer_by_address(address).expect("peer");
+            router.peer(peer).expect("peer").router_id
+        };
+
+        // Injected: the Provider reads the OPEN and answers it.
+        sim.inject(
+            provider,
+            addr::CUSTOMER,
+            BgpMessage::Open(OpenMessage::new(asn::CUSTOMER, 90, 0x0a00_0909)),
+        );
+        assert_eq!(router_id_of(&sim, provider, addr::CUSTOMER), 0x0a00_0909);
+        assert_eq!(sim.stats().delivered, 1);
+        assert_eq!(sim.pending(), 2, "an OPEN and a KEEPALIVE in reply");
+
+        // Stepped: the Customer reads that OPEN and KEEPALIVE in turn.
+        let mut steps = 0;
+        while sim.stats().delivered < 3 {
+            sim.step();
+            steps += 1;
+            assert!(steps < 100, "the replies are delivered");
+        }
+        assert_eq!(
+            router_id_of(&sim, customer, addr::PROVIDER),
+            u32::from(addr::PROVIDER)
+        );
+
+        // None of the three was an UPDATE: nothing observed, cursor unmoved.
+        assert!(sim.observed_log().is_empty());
+        assert_eq!(sim.observed_cursor(), 0);
     }
 
     #[test]

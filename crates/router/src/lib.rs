@@ -1,7 +1,7 @@
 //! # dice-router
 //!
 //! A BIRD-like BGP routing daemon library: routing information bases backed
-//! by a radix trie, the RFC 4271 decision process, a policy/filter language
+//! by a copy-on-write prefix map, the RFC 4271 decision process, a policy/filter language
 //! with a concolic-aware interpreter, and the router message handler that
 //! DiCE checkpoints and explores.
 //!
@@ -33,4 +33,4 @@ pub use peer::{Peer, PeerStats};
 pub use policy::{FilterDef, FilterOutcome, FilterVerdict, RouteView};
 pub use rib::{Rib, RibChange};
 pub use router::{BgpRouter, Outgoing, RouterStats};
-pub use trie::PrefixTrie;
+pub use trie::PrefixMap;

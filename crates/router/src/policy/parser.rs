@@ -24,6 +24,13 @@
 //!              | "local_pref" | "origin" | "net.len"
 //! cmp         := "=" | "!=" | "<" | "<=" | ">" | ">="
 //! ```
+//!
+//! Source text is outside input. The parser recurses once per `if`, `!`
+//! and `(`, and everything downstream — evaluation, printing, dropping —
+//! recurses once per level of the tree, so a filter may nest at most
+//! `MAX_NESTING` levels. The count is taken on the fully parenthesised
+//! form the AST prints as, in which every `&&` and `||` is a level of its
+//! own: whatever parses prints to text that parses again.
 
 use std::fmt;
 
@@ -31,6 +38,10 @@ use dice_bgp::prefix::Ipv4Prefix;
 
 use super::ast::{CmpOp, Expr, Field, FilterDef, PrefixPattern, Stmt};
 use super::lexer::{tokenize, LexError, SpannedToken, Token};
+
+/// Most levels of `if`, `!`, parentheses and `&&` / `||` a filter may nest
+/// (see the module docs); ample for any filter written by hand.
+const MAX_NESTING: usize = 64;
 
 /// A parse error with line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,6 +76,8 @@ pub struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
     next_branch_id: u32,
+    /// Levels of `if`, `!` and `(` open at the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -74,6 +87,7 @@ impl Parser {
             tokens: tokenize(input)?,
             pos: 0,
             next_branch_id: 0,
+            depth: 0,
         })
     }
 
@@ -171,6 +185,31 @@ impl Parser {
         }
     }
 
+    /// Consumes a number that has to fit the narrower integer `T`.
+    fn expect_narrow<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, ParseError> {
+        let n = self.expect_number()?;
+        T::try_from(n).map_err(|_| self.error(format!("{what} `{n}` is out of range")))
+    }
+
+    /// Fails if `levels` of nesting are more than a filter may have.
+    fn check_nesting(&self, levels: usize) -> Result<usize, ParseError> {
+        if levels > MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(levels)
+    }
+
+    /// Runs `parse` one level of `if`, `!` or `(` further in.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth = self.check_nesting(self.depth + 1)?;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     /// Consumes an IPv4 address literal.
     pub fn expect_ip(&mut self) -> Result<u32, ParseError> {
         match self.advance() {
@@ -184,8 +223,8 @@ impl Parser {
     pub fn expect_prefix(&mut self) -> Result<Ipv4Prefix, ParseError> {
         let addr = self.expect_ip()?;
         self.expect(&Token::Slash)?;
-        let len = self.expect_number()?;
-        Ipv4Prefix::new(addr, len as u8).map_err(|e| self.error(e.to_string()))
+        let len = self.expect_narrow("prefix length")?;
+        Ipv4Prefix::new(addr, len).map_err(|e| self.error(e.to_string()))
     }
 
     /// Parses a complete `filter name { ... }` definition.
@@ -219,24 +258,31 @@ impl Parser {
         }
     }
 
+    /// Parses an `if` statement from past its keyword.
+    fn parse_if(&mut self) -> Result<Stmt, ParseError> {
+        let id = self.next_branch_id;
+        self.next_branch_id += 1;
+        let (cond, height) = self.parse_or_expr()?;
+        // The condition's printed form is read this far in.
+        self.check_nesting(self.depth + height)?;
+        self.expect_keyword("then")?;
+        let then_branch = self.parse_block()?;
+        let else_branch = if self.eat_keyword("else") {
+            self.parse_block()?
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If {
+            id,
+            cond,
+            then_branch,
+            else_branch,
+        })
+    }
+
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         if self.eat_keyword("if") {
-            let id = self.next_branch_id;
-            self.next_branch_id += 1;
-            let cond = self.parse_expr()?;
-            self.expect_keyword("then")?;
-            let then_branch = self.parse_block()?;
-            let else_branch = if self.eat_keyword("else") {
-                self.parse_block()?
-            } else {
-                Vec::new()
-            };
-            return Ok(Stmt::If {
-                id,
-                cond,
-                then_branch,
-                else_branch,
-            });
+            return self.nested(Self::parse_if);
         }
         if self.eat_keyword("accept") {
             self.expect(&Token::Semi)?;
@@ -266,12 +312,12 @@ impl Parser {
         if self.eat_keyword("add") {
             self.expect_keyword("community")?;
             self.expect(&Token::LParen)?;
-            let a = self.expect_number()?;
+            let a = self.expect_narrow("community part")?;
             self.expect(&Token::Comma)?;
-            let b = self.expect_number()?;
+            let b = self.expect_narrow("community part")?;
             self.expect(&Token::RParen)?;
             self.expect(&Token::Semi)?;
-            return Ok(Stmt::AddCommunity(a as u16, b as u16));
+            return Ok(Stmt::AddCommunity(a, b));
         }
         match self.peek() {
             Some(t) => Err(self.error(format!("expected statement, found `{t}`"))),
@@ -281,37 +327,54 @@ impl Parser {
 
     /// Parses a condition expression.
     pub fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_and_expr()?;
+        Ok(self.parse_or_expr()?.0)
+    }
+
+    /// Parses an `expr`. Like the productions under it, returns the
+    /// expression with its height: the levels of `!` and `(` its printed,
+    /// fully parenthesised form nests. Every node is checked as it is
+    /// built, so no tree grows deep before it is refused.
+    fn parse_or_expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut height) = self.parse_and_expr()?;
         while self.eat(&Token::OrOr) {
-            let rhs = self.parse_and_expr()?;
+            let (rhs, rhs_height) = self.parse_and_expr()?;
+            height = self.check_nesting(1 + height.max(rhs_height))?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_not_expr()?;
+    fn parse_and_expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut height) = self.parse_not_expr()?;
         while self.eat(&Token::AndAnd) {
-            let rhs = self.parse_not_expr()?;
+            let (rhs, rhs_height) = self.parse_not_expr()?;
+            height = self.check_nesting(1 + height.max(rhs_height))?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_not_expr(&mut self) -> Result<Expr, ParseError> {
+    fn parse_not_expr(&mut self) -> Result<(Expr, usize), ParseError> {
         if self.eat(&Token::Bang) {
-            let inner = self.parse_not_expr()?;
-            return Ok(Expr::Not(Box::new(inner)));
+            let (inner, height) = self.nested(Self::parse_not_expr)?;
+            // Prints as `!(inner)`: two levels.
+            let height = self.check_nesting(2 + height)?;
+            return Ok((Expr::Not(Box::new(inner)), height));
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_primary(&mut self) -> Result<(Expr, usize), ParseError> {
         if self.eat(&Token::LParen) {
-            let e = self.parse_expr()?;
+            let e = self.nested(Self::parse_or_expr)?;
             self.expect(&Token::RParen)?;
             return Ok(e);
         }
+        Ok((self.parse_atom()?, 0))
+    }
+
+    /// Parses a `primary` other than a parenthesised expression.
+    fn parse_atom(&mut self) -> Result<Expr, ParseError> {
         if self.eat_keyword("true") {
             return Ok(Expr::True);
         }
@@ -326,11 +389,11 @@ impl Parser {
         if self.eat_keyword("community") {
             self.expect(&Token::Tilde)?;
             self.expect(&Token::LParen)?;
-            let a = self.expect_number()?;
+            let a = self.expect_narrow("community part")?;
             self.expect(&Token::Comma)?;
-            let b = self.expect_number()?;
+            let b = self.expect_narrow("community part")?;
             self.expect(&Token::RParen)?;
-            return Ok(Expr::CommunityMatch(a as u16, b as u16));
+            return Ok(Expr::CommunityMatch(a, b));
         }
         // field cmp number
         let ident = self.expect_ident()?;
@@ -366,9 +429,9 @@ impl Parser {
             let pattern = if self.eat(&Token::Plus) {
                 PrefixPattern::or_longer(prefix)
             } else if self.eat(&Token::LBrace) {
-                let min = self.expect_number()? as u8;
+                let min: u8 = self.expect_narrow("prefix length")?;
                 self.expect(&Token::Comma)?;
-                let max = self.expect_number()? as u8;
+                let max: u8 = self.expect_narrow("prefix length")?;
                 self.expect(&Token::RBrace)?;
                 if min > max || max > 32 {
                     return Err(self.error(format!("invalid prefix length range {{{min},{max}}}")));
@@ -528,5 +591,110 @@ mod tests {
         assert!(parse_filter("filter f { if net ~ [ 10.0.0.0/8{24,8} ] then accept; }").is_err());
         assert!(parse_filter("filter f { if unknown_field = 3 then accept; }").is_err());
         assert!(parse_filter("filter f { accept; ").is_err());
+    }
+
+    /// `filter f { if <cond> then accept; reject; }`.
+    fn with_cond(cond: &str) -> String {
+        format!("filter f {{ if {cond} then accept; reject; }}")
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = |source: String| {
+            let err = parse_filter(&source).expect_err("too deep to parse");
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        };
+        deep(with_cond(&"(".repeat(100_000)));
+        deep(with_cond(&"!".repeat(100_000)));
+        deep(format!("filter f {{ {}", "if true then { ".repeat(10_000)));
+        deep(format!("filter f {{ {}", "if true then ".repeat(10_000)));
+        // A flat chain recurses nowhere in the parser, but the tree it
+        // builds is as deep as it is long, and printing, evaluating or
+        // dropping that tree recurses once per level.
+        deep(with_cond(&format!("true{}", " && true".repeat(100_000))));
+        deep(with_cond(&format!("true{}", " || true".repeat(100_000))));
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses_and_prints_to_what_parses() {
+        // The `if` is one level; each `(` or operator one, each `!` two
+        // (it prints as `!(...)`).
+        let parens = |n: usize| with_cond(&format!("{}true{}", "(".repeat(n), ")".repeat(n)));
+        let bangs = |n: usize| with_cond(&format!("{}true", "!".repeat(n)));
+        let chain = |n: usize| with_cond(&format!("med = 1{}", " || med = 2".repeat(n)));
+        let mixed =
+            |n: usize| with_cond(&format!("{}true{}", "!(true && ".repeat(n), ")".repeat(n)));
+        for (source, over) in [
+            (parens(MAX_NESTING - 1), parens(MAX_NESTING)),
+            (
+                bangs((MAX_NESTING - 1) / 2),
+                bangs((MAX_NESTING - 1) / 2 + 1),
+            ),
+            (chain(MAX_NESTING - 1), chain(MAX_NESTING)),
+            (
+                mixed((MAX_NESTING - 1) / 3),
+                mixed((MAX_NESTING - 1) / 3 + 1),
+            ),
+        ] {
+            let filter = parse_filter(&source).expect("within the limit");
+            let printed = filter.to_string();
+            assert_eq!(parse_filter(&printed).expect("printed form parses"), filter);
+            assert!(parse_filter(&over).is_err(), "one level more: {over}");
+        }
+        let ifs = |n: usize| {
+            format!(
+                "filter f {{ {}accept;{} }}",
+                "if true then { ".repeat(n),
+                " }".repeat(n)
+            )
+        };
+        let filter = parse_filter(&ifs(MAX_NESTING)).expect("within the limit");
+        assert_eq!(
+            parse_filter(&filter.to_string()).expect("printed form parses"),
+            filter
+        );
+        assert!(parse_filter(&ifs(MAX_NESTING + 1)).is_err());
+    }
+
+    #[test]
+    fn numbers_too_wide_for_their_field_are_rejected_not_truncated() {
+        let rejected = |source: &str, token: &str| {
+            let err = parse_filter(source).expect_err("out of range");
+            assert!(err.message.contains(token), "{err} should name {token}");
+        };
+        rejected("filter f { add community (70000, 1); accept; }", "`70000`");
+        rejected("filter f { add community (1, 65536); accept; }", "`65536`");
+        rejected(&with_cond("community ~ (70000, 1)"), "`70000`");
+        rejected(&with_cond("community ~ (1, 65536)"), "`65536`");
+        rejected(&with_cond("net ~ [ 10.0.0.0/8{8,300} ]"), "`300`");
+        rejected(&with_cond("net ~ [ 10.0.0.0/8{256,32} ]"), "`256`");
+        rejected(&with_cond("net ~ [ 10.0.0.0/288 ]"), "`288`");
+        assert!(parse_filter(&with_cond("net ~ [ 10.0.0.0/33 ]")).is_err());
+        assert!(parse_filter(&with_cond("net ~ [ 10.0.0.0/8{8,33} ]")).is_err());
+
+        // The widest values each field holds still parse, as themselves.
+        let f = parse_filter(
+            "filter f { if community ~ (65535, 65535) then add community (65535, 0); \
+             if net ~ [ 0.0.0.0/0{0,32}, 10.1.2.3/32 ] then accept; reject; }",
+        )
+        .expect("parses");
+        match &f.body[..2] {
+            [Stmt::If {
+                cond: Expr::CommunityMatch(65535, 65535),
+                then_branch,
+                ..
+            }, Stmt::If {
+                cond: Expr::NetMatch(patterns),
+                ..
+            }] => {
+                assert_eq!(then_branch[..], [Stmt::AddCommunity(65535, 0)]);
+                assert_eq!((patterns[0].min_len, patterns[0].max_len), (0, 32));
+                assert_eq!(
+                    patterns[1],
+                    PrefixPattern::exact("10.1.2.3/32".parse().expect("valid"))
+                );
+            }
+            other => panic!("unexpected statements {other:?}"),
+        }
     }
 }

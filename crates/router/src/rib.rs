@@ -6,29 +6,30 @@
 //!
 //! # Sharding and copy-on-write
 //!
-//! At the paper's scale (a 319,355-prefix full table) a single trie makes
-//! two hot paths serialize on one core: loading the table, and cloning the
-//! table for every exploration checkpoint. The RIB is therefore split into
-//! `N` independent tries (`N` a power of two, sized from the machine's
-//! available cores by default) keyed by the top `log2(N)` bits of the
-//! prefix address; prefixes shorter than `log2(N)` bits live in a small
-//! shared "short" trie. Every shard sits behind an [`Arc`]:
+//! At the paper's scale (a 319,355-prefix full table) a single table makes
+//! loading serialize on one core. The RIB is therefore split into `N`
+//! independent [`PrefixMap`]s (`N` a power of two, sized from the
+//! machine's available cores by default) keyed by the top `log2(N)` bits
+//! of the prefix address; prefixes shorter than `log2(N)` bits live in a
+//! small shared "short" map. Every shard sits behind an [`Arc`]:
 //!
 //! * **sharded operation** — announce, withdraw, reselection and lookups
-//!   touch exactly one shard (plus, for covering queries, the short trie),
+//!   touch exactly one shard (plus, for covering queries, the short map),
 //!   and [`Rib::load_parallel`] loads disjoint shard buckets on worker
 //!   threads with no cross-shard locking;
 //! * **copy-on-write forking** — `Rib::clone` is `N` reference-count
-//!   bumps (the fork/checkpoint operation); the first write to a shard
-//!   after a fork copies just that shard ([`Arc::make_mut`]), so a live
-//!   router and its exploration checkpoints share every shard neither
-//!   side has touched. [`Rib::deep_clone`] keeps the old copy-everything
-//!   behaviour for equivalence anchors and benchmarks.
+//!   bumps (the fork/checkpoint operation). The first write to a shard
+//!   after a fork copies the shard's counters and its map's chunk
+//!   directory ([`Arc::make_mut`]; one reference-count bump per chunk of
+//!   128 prefixes), and the map then copies the one chunk the write lands
+//!   in, so a live router and its exploration checkpoints share every
+//!   chunk neither side has written. [`Rib::deep_clone`] keeps the old
+//!   copy-everything behaviour for equivalence anchors and benchmarks.
 //!
 //! Sharding is an implementation detail: for any shard count the RIB is
 //! observationally identical (asserted by property test), and
 //! [`Rib::loc_rib`] merges shards back into the exact canonical prefix
-//! order a single trie iterates in, so every digest built by walking the
+//! order a single map iterates in, so every digest built by walking the
 //! table stays byte-identical.
 
 use std::cmp::Ordering;
@@ -39,7 +40,7 @@ use dice_bgp::prefix::Ipv4Prefix;
 use dice_bgp::route::{PeerId, Route};
 
 use crate::decision::best_of;
-use crate::trie::{Iter as TrieIter, PrefixTrie};
+use crate::trie::{Iter as MapIter, PrefixMap};
 
 /// The effect of applying an announcement or withdrawal to the Loc-RIB.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,8 +111,9 @@ impl Candidates {
 
 /// The per-prefix candidate set plus the selected best route.
 ///
-/// The trie stores an `Option<PrefixEntry>` inline in every node, interior
-/// ones included, so this stays a vector header and a peer id.
+/// The map stores entries inline, 128 to a chunk, and the first write to a
+/// chunk after a fork moves all of them, so this stays a vector header and
+/// a peer id.
 #[derive(Debug, Clone, Default)]
 struct PrefixEntry {
     candidates: Candidates,
@@ -130,13 +132,13 @@ impl PrefixEntry {
     }
 }
 
-/// One independent slice of the routing table: a trie over the prefixes
+/// One independent slice of the routing table: a map of the prefixes
 /// whose top bits route to this shard, plus its local counters. Shards
 /// never reference each other, so per-shard operations need no
 /// coordination and a shard is the unit of copy-on-write.
 #[derive(Debug, Clone, Default)]
 struct RibShard {
-    table: PrefixTrie<PrefixEntry>,
+    table: PrefixMap<PrefixEntry>,
     /// Number of prefixes with at least one candidate, in this shard.
     prefixes: usize,
     /// Total number of candidate routes, in this shard.
@@ -151,8 +153,8 @@ impl RibShard {
     /// re-runs the decision process and reports the Loc-RIB change.
     ///
     /// This is the hot path of UPDATE processing (and of every concolic
-    /// re-execution), so it walks the trie once and allocates nothing
-    /// beyond trie and candidate-set growth; reselection scans the
+    /// re-execution), so it searches the map once and allocates nothing
+    /// beyond map and candidate-set growth; reselection scans the
     /// candidates without materializing them.
     fn announce(&mut self, route: Route) -> RibChange {
         self.generation += 1;
@@ -219,9 +221,9 @@ impl RibShard {
 
 /// The canonical table order: lexicographic over prefix bit strings, with
 /// a prefix sorting before anything it covers. This is exactly the order a
-/// pre-order depth-first walk of a single trie yields, so merging shards
-/// under it reproduces the unsharded iteration byte for byte.
-fn canonical_cmp(a: Ipv4Prefix, b: Ipv4Prefix) -> Ordering {
+/// single [`PrefixMap`] iterates in (the pre-order of a binary trie), so
+/// merging shards under it reproduces the unsharded iteration byte for byte.
+pub fn canonical_cmp(a: Ipv4Prefix, b: Ipv4Prefix) -> Ordering {
     let common = a.len().min(b.len());
     let mask = if common == 0 {
         0
@@ -235,7 +237,7 @@ fn canonical_cmp(a: Ipv4Prefix, b: Ipv4Prefix) -> Ordering {
 
 /// The router's routing table.
 ///
-/// Internally a power-of-two set of independent tries (see the module
+/// Internally a power-of-two set of independent prefix maps (see the module
 /// docs) maps each prefix to its candidate set (the Adj-RIBs-In merged per
 /// prefix) and the selected best route (the Loc-RIB view). `Clone` is the
 /// copy-on-write fork: shards are shared until written.
@@ -293,7 +295,7 @@ impl Rib {
     }
 
     /// The shard index owning `prefix`, or `None` for prefixes shorter
-    /// than the shard key (those live in the shared short trie).
+    /// than the shard key (those live in the shared short map).
     fn shard_index(&self, prefix: &Ipv4Prefix) -> Option<usize> {
         if self.shard_bits == 0 {
             return Some(0);
@@ -304,7 +306,7 @@ impl Rib {
         Some((prefix.addr() >> (32 - self.shard_bits as u32)) as usize)
     }
 
-    /// The shard (or short trie) holding `prefix`, read-only.
+    /// The shard (or short map) holding `prefix`, read-only.
     fn home(&self, prefix: &Ipv4Prefix) -> &RibShard {
         match self.shard_index(prefix) {
             Some(i) => &self.shards[i],
@@ -312,9 +314,10 @@ impl Rib {
         }
     }
 
-    /// The shard (or short trie) holding `prefix`, for writing: the
+    /// The shard (or short map) holding `prefix`, for writing: the
     /// copy-on-write point — a shard still shared with a fork is copied
-    /// here, and only here.
+    /// here, and only here (chunks and all still shared; the shard's map
+    /// copies the chunk it writes).
     fn home_mut(&mut self, prefix: &Ipv4Prefix) -> &mut RibShard {
         match self.shard_index(prefix) {
             Some(i) => Arc::make_mut(&mut self.shards[i]),
@@ -348,7 +351,7 @@ impl Rib {
             None => &mut self.short,
         };
         // Uniquely owned shard (the steady state of a live router whose
-        // checkpoints have diverged): mutate in place, one trie walk.
+        // checkpoints have diverged): mutate in place, one search.
         if let Some(shard) = Arc::get_mut(slot) {
             return shard.withdraw(prefix, peer);
         }
@@ -450,7 +453,7 @@ impl Rib {
     /// are dropped. Returns the number of routes accepted.
     ///
     /// This is the filtered table-dump fast path: policy evaluation — the
-    /// expensive per-route step — is fanned out together with the trie
+    /// expensive per-route step — is fanned out together with the map
     /// inserts instead of serializing in front of them. Equivalent to
     /// filtering the batch in order and announcing the survivors (asserted
     /// by test): the filter only sees one route at a time and routes for
@@ -570,7 +573,7 @@ impl Rib {
     }
 
     /// Copy-on-write accounting against another fork of the same table:
-    /// `(shared, total)` shard units (including the short trie) still
+    /// `(shared, total)` shard units (including the short map) still
     /// physically shared between the two. Tables with different shard
     /// layouts share nothing.
     pub fn cow_shard_sharing(&self, other: &Rib) -> (usize, usize) {
@@ -589,7 +592,7 @@ impl Rib {
     }
 
     /// The write generation of every copy-on-write unit, shards first and
-    /// the short trie last (`shard_count() + 1` entries, the `total` of
+    /// the short map last (`shard_count() + 1` entries, the `total` of
     /// [`Rib::cow_shard_sharing`]).
     ///
     /// A unit's generation moves with every write that would have copied
@@ -603,7 +606,7 @@ impl Rib {
         self.cow_units().map(|shard| shard.generation).collect()
     }
 
-    /// How many copy-on-write units (shards and the short trie) some
+    /// How many copy-on-write units (shards and the short map) some
     /// clone of this table currently shares, i.e. how many the next write
     /// to each would have to copy. Zero while no fork is alive.
     pub fn shards_shared_with_a_fork(&self) -> usize {
@@ -612,7 +615,7 @@ impl Rib {
             .count()
     }
 
-    /// Every copy-on-write unit: the shards, then the short trie.
+    /// Every copy-on-write unit: the shards, then the short map.
     fn cow_units(&self) -> impl Iterator<Item = &Arc<RibShard>> {
         self.shards.iter().chain(std::iter::once(&self.short))
     }
@@ -641,7 +644,7 @@ impl Rib {
     pub fn best_covering_route(&self, prefix: &Ipv4Prefix) -> Option<&Route> {
         // A covering prefix at least `shard_bits` long shares the top bits
         // with `prefix`, so it lives in the same shard; shorter covers live
-        // in the short trie. The shard hit is always the more specific.
+        // in the short map. The shard hit is always the more specific.
         let entry = match self.shard_index(prefix) {
             Some(i) => self.shards[i]
                 .table
@@ -667,9 +670,8 @@ impl Rib {
     }
 
     /// Iterates over every `(prefix, entry)` pair across all shards in the
-    /// canonical table order (the single-trie pre-order): shards are
-    /// disjoint, already-sorted runs, so this is a two-way merge of the
-    /// short trie against the shard chain.
+    /// canonical table order: shards are disjoint, already-sorted runs, so
+    /// this is a two-way merge of the short map against the shard chain.
     fn entries(&self) -> ShardedEntries<'_> {
         ShardedEntries {
             short: self.short.table.iter().peekable(),
@@ -679,8 +681,7 @@ impl Rib {
     }
 
     /// Iterates over all `(prefix, best route)` pairs (the Loc-RIB view),
-    /// lazily and in canonical (single-trie depth-first) order — identical
-    /// for every shard count.
+    /// lazily and in canonical order — identical for every shard count.
     pub fn loc_rib(&self) -> impl Iterator<Item = (Ipv4Prefix, &Route)> {
         self.entries()
             .filter_map(|(p, entry)| entry.best_route().map(|r| (p, r)))
@@ -695,12 +696,12 @@ impl Rib {
     }
 }
 
-/// Lazy merge of all shard tries (plus the short trie) in canonical
+/// Lazy merge of all shard maps (plus the short map) in canonical
 /// prefix order, returned by [`Rib::loc_rib`]'s implementation.
 struct ShardedEntries<'a> {
-    short: Peekable<TrieIter<'a, PrefixEntry>>,
+    short: Peekable<MapIter<'a, PrefixEntry>>,
     shards: std::slice::Iter<'a, Arc<RibShard>>,
-    current: Option<Peekable<TrieIter<'a, PrefixEntry>>>,
+    current: Option<Peekable<MapIter<'a, PrefixEntry>>>,
 }
 
 impl<'a> Iterator for ShardedEntries<'a> {
@@ -709,7 +710,7 @@ impl<'a> Iterator for ShardedEntries<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         // Advance to the next shard with entries remaining. Shard runs are
         // disjoint and ordered by shard index, so chaining them yields one
-        // sorted run to merge against the short trie.
+        // sorted run to merge against the short map.
         let shard_head = loop {
             match self.current.as_mut() {
                 Some(iter) => match iter.peek() {
@@ -927,7 +928,7 @@ mod tests {
         let start = rib.shard_generations();
         assert_eq!(start.len(), rib.shard_count() + 1);
 
-        // 10/8 lives in shard 0, 0/0 in the short trie (last entry).
+        // 10/8 lives in shard 0, 0/0 in the short map (last entry).
         rib.announce(route("10.0.0.0/8", 1, &[100]));
         let one = rib.shard_generations();
         assert_ne!(one[0], start[0]);
@@ -1022,12 +1023,12 @@ mod tests {
             }
             assert_eq!(rib.prefix_count(), reference.prefix_count(), "{count}");
             assert_eq!(rib.route_count(), reference.route_count(), "{count}");
-            // The merged iteration reproduces the single-trie order exactly.
+            // The merged iteration reproduces the single-map order exactly.
             let loc: Vec<(Ipv4Prefix, Route)> =
                 rib.loc_rib().map(|(p, r)| (p, r.clone())).collect();
             assert_eq!(loc, ref_loc, "loc_rib order diverged at {count} shards");
             // Point queries agree, including covers resolved from the
-            // short trie.
+            // short map.
             for ip in [0x0a010203u32, 0xc0a80101, 0xd0419901, 0x55555555] {
                 assert_eq!(
                     rib.lookup_ip(ip).map(|r| r.prefix),
@@ -1043,7 +1044,7 @@ mod tests {
             assert_eq!(
                 rib.best_covering_route(&p("55.0.0.0/24")).map(|r| r.prefix),
                 Some(p("0.0.0.0/0")),
-                "short-trie cover at {count} shards"
+                "short-map cover at {count} shards"
             );
         }
     }
@@ -1065,7 +1066,7 @@ mod tests {
         }
         let fork = live.clone();
         let (shared, total) = fork.cow_shard_sharing(&live);
-        assert_eq!(total, 9, "8 shards plus the short trie");
+        assert_eq!(total, 9, "8 shards plus the short map");
         assert_eq!(shared, total, "an untouched fork shares every unit");
 
         // Writing one prefix copies exactly the affected shard.
@@ -1102,6 +1103,51 @@ mod tests {
         // Different layouts never report sharing.
         let other = Rib::with_shard_count(2);
         assert_eq!(live.cow_shard_sharing(&other).0, 0);
+    }
+
+    #[test]
+    fn first_write_after_a_fork_copies_one_chunk_of_one_shard() {
+        let mut live = Rib::with_shard_count(2);
+        for i in 0..10_000u32 {
+            // 5,000 prefixes under 10/8 (shard 0), 5,000 under 200/8 (shard 1).
+            let high = if i % 2 == 0 { 10 } else { 200 };
+            let prefix = Ipv4Prefix::must((high << 24) | (i << 8), 24);
+            live.announce(Route::new(prefix, RouteAttrs::default(), PeerId(1), 1));
+        }
+        let fork = live.clone();
+        let before: Vec<(Ipv4Prefix, Route)> =
+            fork.loc_rib().map(|(p, r)| (p, r.clone())).collect();
+        assert_eq!(before.len(), 10_000);
+        let chunks_shared = |live: &Rib, shard: usize| {
+            live.shards[shard]
+                .table
+                .chunks_shared_with(&fork.shards[shard].table)
+        };
+
+        // A second candidate for a prefix the table holds.
+        live.announce(route("10.0.2.0/24", 2, &[100]));
+        assert_eq!(fork.cow_shard_sharing(&live), (2, 3), "shard 0 copied");
+        let (shared, total) = chunks_shared(&live, 0);
+        assert!(total > 30, "5,000 prefixes fill {total} chunks");
+        assert_eq!(shared, total - 1, "all chunks but the written one shared");
+        let after: Vec<(Ipv4Prefix, Route)> = fork.loc_rib().map(|(p, r)| (p, r.clone())).collect();
+        assert_eq!(after, before, "the fork reads the table it was taken from");
+        assert_eq!(live.route_count(), 10_001);
+
+        // Withdrawing what shard 1, still shared, does not hold: nothing
+        // is copied, neither the shard nor a chunk of it.
+        assert_eq!(
+            live.withdraw(&p("200.0.0.128/25"), PeerId(1)),
+            RibChange::Unchanged
+        );
+        assert_eq!(
+            live.withdraw(&p("200.0.1.0/24"), PeerId(9)),
+            RibChange::Unchanged
+        );
+        assert_eq!(fork.cow_shard_sharing(&live), (2, 3));
+        let (shared, total) = chunks_shared(&live, 1);
+        assert_eq!(shared, total);
+        assert_eq!(chunks_shared(&live, 0).0, chunks_shared(&live, 0).1 - 1);
     }
 
     #[test]

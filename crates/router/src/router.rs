@@ -293,7 +293,7 @@ impl BgpRouter {
             return out;
         }
 
-        let attrs = update.route_attrs();
+        let mut attrs = update.route_attrs();
         // eBGP loop detection: a path containing the local AS is dropped.
         if attrs.as_path.contains(Asn(self.config.local_as)) {
             self.stats.routes_rejected += update.nlri.len() as u64;
@@ -302,9 +302,16 @@ impl BgpRouter {
         }
         let peer_router_id = self.peers.get(&from).map(|p| p.router_id).unwrap_or(0);
 
-        for prefix in &update.nlri {
+        let last = update.nlri.len() - 1;
+        for (i, prefix) in update.nlri.iter().enumerate() {
             self.stats.prefixes_announced += 1;
-            let route = Route::new(*prefix, attrs.clone(), from, peer_router_id);
+            // The last NLRI takes the attributes, the others get a copy.
+            let attrs = if i == last {
+                std::mem::take(&mut attrs)
+            } else {
+                attrs.clone()
+            };
+            let route = Route::new(*prefix, attrs, from, peer_router_id);
             match self.apply_import(from, route) {
                 Some(imported) => {
                     self.stats.routes_accepted += 1;

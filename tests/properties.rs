@@ -10,7 +10,8 @@ use dice_bgp::wire;
 use dice_router::policy::{
     eval_filter, parse_filter, CmpOp, Expr, Field, FilterDef, PrefixPattern, RouteView, Stmt,
 };
-use dice_router::PrefixTrie;
+use dice_router::rib::canonical_cmp;
+use dice_router::PrefixMap;
 use dice_solver::{Solver, TermArena};
 use dice_symexec::{ExecCtx, CU32};
 
@@ -186,27 +187,6 @@ proptest! {
             prop_assert_eq!(used, record.bytes.len());
             prop_assert_eq!(wire::encode(&msg).to_vec(), record.bytes.clone());
         }
-    }
-
-    /// The trie's longest-prefix match agrees with a naive linear scan.
-    #[test]
-    fn trie_matches_naive_longest_prefix_match(
-        prefixes in prop::collection::vec(arb_prefix(), 1..40),
-        ip in any::<u32>(),
-    ) {
-        let mut trie = PrefixTrie::new();
-        for (i, p) in prefixes.iter().enumerate() {
-            trie.insert(*p, i);
-        }
-        let expected = prefixes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.contains_ip(ip))
-            .max_by_key(|(i, p)| (p.len(), std::cmp::Reverse(*i)))
-            .map(|(_, p)| p.len());
-        // On duplicate prefixes the later insert wins, so compare lengths.
-        let got = trie.longest_match_ip(ip).map(|(p, _)| p.len());
-        prop_assert_eq!(got, expected);
     }
 
     /// Concolic arithmetic mirrors concrete machine arithmetic.
@@ -465,6 +445,192 @@ proptest! {
         }
     }
 
+    /// Fleet-wide fault deduplication is lossless: every fault present in
+    /// any per-node report is represented in the merged list (same fleet
+    /// key), every representative carries provenance, and no two merged
+    /// entries share a key.
+    #[test]
+    fn fleet_dedup_never_drops_a_fault(
+        per_node in prop::collection::vec(
+            prop::collection::vec((0u32..8, 0u32..4, 0u32..3, 0u8..2), 0..6),
+            1..5,
+        ),
+    ) {
+        use dice::core::{dedup_fleet_faults, FaultKind};
+        use dice_bgp::Asn;
+
+        // Synthesize per-node reports from small tuples so collisions
+        // within and across nodes are common.
+        let reports: Vec<ExplorationReport> = per_node
+            .iter()
+            .map(|faults| ExplorationReport {
+                faults: faults
+                    .iter()
+                    .map(|&(block, origin, existing, checker)| {
+                        let announced =
+                            Ipv4Prefix::new(block << 24, 24).expect("len <= 32");
+                        let kind = FaultKind::PotentialHijack {
+                            announced,
+                            claimed_origin: Asn(64_512 + origin),
+                            existing_prefix: announced,
+                            existing_origin: Asn(65_000 + existing),
+                        };
+                        Fault::new(if checker == 0 { "origin-hijack" } else { "other" }, kind)
+                    })
+                    .collect(),
+                ..Default::default()
+            })
+            .collect();
+        let keyed: Vec<(NodeId, &ExplorationReport)> = reports
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (NodeId(i), r))
+            .collect();
+
+        let merged = dedup_fleet_faults(&keyed);
+        let merged_keys: Vec<_> = merged.iter().map(|f| f.fault.fleet_key()).collect();
+
+        // Lossless: every sighting is represented, with its node recorded.
+        for (node, report) in &keyed {
+            for fault in &report.faults {
+                let idx = merged_keys
+                    .iter()
+                    .position(|k| *k == fault.fleet_key());
+                let Some(idx) = idx else {
+                    panic!("fault {fault} dropped by fleet dedup");
+                };
+                prop_assert!(merged[idx].nodes.contains(node));
+            }
+        }
+        // Deduplicated: keys are unique and provenance is first-sighting.
+        for (i, key) in merged_keys.iter().enumerate() {
+            prop_assert_eq!(merged_keys.iter().position(|k| k == key), Some(i));
+            prop_assert_eq!(merged[i].fault.node, merged[i].nodes.first().copied());
+        }
+    }
+}
+
+proptest! {
+    // The default configuration, so `PROPTEST_CASES` reaches these two: CI
+    // re-runs them at 2048 cases.
+    #![proptest_config(ProptestConfig::default())]
+
+    /// `PrefixMap` against a `BTreeMap` plus linear scans, checked after
+    /// every step of a random sequence of `insert` / `get_or_insert_with` /
+    /// `get_mut` / `remove` / `clone`. The sequence grows the map and then
+    /// shrinks it, over a small address pool, so chunks split, merge and
+    /// empty; a clone taken on the way must keep reading what the model
+    /// read at that moment however the original is written afterwards.
+    #[test]
+    fn prefix_map_matches_a_btree_model(
+        // (operation, prefix selector, length, value)
+        ops in prop::collection::vec((0u32..100, any::<u32>(), 0u8..=32, any::<u32>()), 1000..1200),
+    ) {
+        use std::collections::BTreeMap;
+
+        type Model = BTreeMap<(u32, u8), u32>;
+        type Entries = Vec<(Ipv4Prefix, u32)>;
+        // 512 addresses that nest under one another at every length.
+        let pool_addr = |sel: u32| (sel % 16) << 28 | (sel / 16 % 8) << 13 | (sel / 128 % 4) << 3;
+        let prefix_of = |&(addr, len): &(u32, u8)| Ipv4Prefix::must(addr, len);
+        let entries_of = |model: &Model| -> Entries {
+            let mut entries: Vec<_> = model.iter().map(|(k, v)| (prefix_of(k), *v)).collect();
+            entries.sort_by(|a, b| canonical_cmp(a.0, b.0));
+            entries
+        };
+        // The most specific model entry that `covers` accepts.
+        let scan = |model: &Model, covers: &dyn Fn(&Ipv4Prefix) -> bool| {
+            model
+                .iter()
+                .map(|(k, v)| (prefix_of(k), *v))
+                .filter(|(p, _)| covers(p))
+                .max_by_key(|(p, _)| p.len())
+        };
+        let read = |found: Option<(Ipv4Prefix, &u32)>| found.map(|(p, v)| (p, *v));
+
+        let mut map: PrefixMap<u32> = PrefixMap::new();
+        let mut model = Model::new();
+        let mut forks: Vec<(PrefixMap<u32>, Entries)> = Vec::new();
+        let mut most = 0;
+
+        for (step, &(op, sel, len, value)) in ops.iter().enumerate() {
+            let fresh = Ipv4Prefix::new(pool_addr(sel), len).expect("len <= 32");
+            // A prefix the map holds, so that removals and updates hit.
+            let held = model.keys().nth(sel as usize % model.len().max(1)).map(prefix_of);
+            // Cumulative shares of insert, get_or_insert_with, get_mut,
+            // clone and a removal that mostly misses; the rest removes a
+            // held prefix, the top of the range a run of neighbours.
+            let growing = step < ops.len() * 2 / 3;
+            let [insert, get_or_insert, get_mut, fork, miss] =
+                if growing { [60, 80, 86, 89, 91] } else { [6, 10, 16, 19, 22] };
+            let mut touched = fresh;
+            if op < insert {
+                prop_assert_eq!(map.insert(fresh, value), model.insert((fresh.addr(), fresh.len()), value));
+            } else if op < get_or_insert {
+                let absent = !model.contains_key(&(fresh.addr(), fresh.len()));
+                let (slot, inserted) = map.get_or_insert_with(fresh, || value);
+                prop_assert_eq!(inserted, absent);
+                let expected = model.entry((fresh.addr(), fresh.len())).or_insert(value);
+                prop_assert_eq!(*slot, *expected);
+                *slot = slot.wrapping_add(1);
+                *expected = expected.wrapping_add(1);
+            } else if op < get_mut {
+                touched = if value % 4 == 0 { fresh } else { held.unwrap_or(fresh) };
+                let expected = model.get_mut(&(touched.addr(), touched.len()));
+                let slot = map.get_mut(&touched);
+                prop_assert_eq!(slot.as_deref(), expected.as_deref());
+                if let (Some(slot), Some(expected)) = (slot, expected) {
+                    *slot = value;
+                    *expected = value;
+                }
+            } else if op < fork {
+                forks.push((map.clone(), entries_of(&model)));
+            } else if op < miss {
+                prop_assert_eq!(map.remove(&fresh), model.remove(&(fresh.addr(), fresh.len())));
+            } else if let Some(first) = held {
+                touched = first;
+                let run = if op >= 97 && !growing { 1 + value as usize % 48 } else { 1 };
+                let doomed: Vec<(u32, u8)> =
+                    model.range((first.addr(), first.len())..).take(run).map(|(k, _)| *k).collect();
+                for key in &doomed {
+                    prop_assert_eq!(map.remove(&prefix_of(key)), model.remove(key));
+                }
+            }
+            most = most.max(map.len());
+            let probes = if touched == fresh { vec![fresh] } else { vec![touched, fresh] };
+
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+            let listed: Entries = map.iter().map(|(p, v)| (p, *v)).collect();
+            prop_assert_eq!(&listed, &entries_of(&model), "iteration order at step {}", step);
+            for probe in probes {
+                prop_assert_eq!(map.get(&probe), model.get(&(probe.addr(), probe.len())));
+                prop_assert_eq!(
+                    read(map.longest_covering(&probe)),
+                    scan(&model, &|p| p.contains(&probe))
+                );
+                prop_assert_eq!(
+                    read(map.closest_ancestor(&probe)),
+                    scan(&model, &|p| p.contains(&probe) && *p != probe)
+                );
+            }
+            let ip = pool_addr(value) | value >> 29;
+            prop_assert_eq!(read(map.longest_match_ip(ip)), scan(&model, &|p| p.contains_ip(ip)));
+        }
+        // Enough to split chunks, whatever was drawn.
+        prop_assert!(most > 200, "the map only grew to {} entries", most);
+
+        // Fork isolation: every clone still reads what the model read when
+        // it was taken.
+        for (fork, then) in &forks {
+            let listed: Entries = fork.iter().map(|(p, v)| (p, *v)).collect();
+            prop_assert_eq!(&listed, then);
+            for (prefix, value) in then {
+                prop_assert_eq!(fork.get(prefix), Some(value));
+            }
+        }
+    }
+
     /// A sharded RIB is observationally identical to an unsharded one:
     /// for any interleaving of announcements and withdrawals, every shard
     /// count reports the same per-operation changes, the same counters,
@@ -533,70 +699,6 @@ proptest! {
                     reference.best_covering_route(&probe).map(|r| r.prefix)
                 );
             }
-        }
-    }
-
-    /// Fleet-wide fault deduplication is lossless: every fault present in
-    /// any per-node report is represented in the merged list (same fleet
-    /// key), every representative carries provenance, and no two merged
-    /// entries share a key.
-    #[test]
-    fn fleet_dedup_never_drops_a_fault(
-        per_node in prop::collection::vec(
-            prop::collection::vec((0u32..8, 0u32..4, 0u32..3, 0u8..2), 0..6),
-            1..5,
-        ),
-    ) {
-        use dice::core::{dedup_fleet_faults, FaultKind};
-        use dice_bgp::Asn;
-
-        // Synthesize per-node reports from small tuples so collisions
-        // within and across nodes are common.
-        let reports: Vec<ExplorationReport> = per_node
-            .iter()
-            .map(|faults| ExplorationReport {
-                faults: faults
-                    .iter()
-                    .map(|&(block, origin, existing, checker)| {
-                        let announced =
-                            Ipv4Prefix::new(block << 24, 24).expect("len <= 32");
-                        let kind = FaultKind::PotentialHijack {
-                            announced,
-                            claimed_origin: Asn(64_512 + origin),
-                            existing_prefix: announced,
-                            existing_origin: Asn(65_000 + existing),
-                        };
-                        Fault::new(if checker == 0 { "origin-hijack" } else { "other" }, kind)
-                    })
-                    .collect(),
-                ..Default::default()
-            })
-            .collect();
-        let keyed: Vec<(NodeId, &ExplorationReport)> = reports
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (NodeId(i), r))
-            .collect();
-
-        let merged = dedup_fleet_faults(&keyed);
-        let merged_keys: Vec<_> = merged.iter().map(|f| f.fault.fleet_key()).collect();
-
-        // Lossless: every sighting is represented, with its node recorded.
-        for (node, report) in &keyed {
-            for fault in &report.faults {
-                let idx = merged_keys
-                    .iter()
-                    .position(|k| *k == fault.fleet_key());
-                let Some(idx) = idx else {
-                    panic!("fault {fault} dropped by fleet dedup");
-                };
-                prop_assert!(merged[idx].nodes.contains(node));
-            }
-        }
-        // Deduplicated: keys are unique and provenance is first-sighting.
-        for (i, key) in merged_keys.iter().enumerate() {
-            prop_assert_eq!(merged_keys.iter().position(|k| k == key), Some(i));
-            prop_assert_eq!(merged[i].fault.node, merged[i].nodes.first().copied());
         }
     }
 }
@@ -886,7 +988,8 @@ fn arb_hostile_trace_bytes() -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// Hostile filter sources: arbitrary (lossily decoded) bytes, random
-/// sequences of the language's own tokens, and printed filters with damage.
+/// sequences of the language's own tokens, printed filters with damage, and
+/// deep nesting.
 fn arb_hostile_filter_source() -> impl Strategy<Value = String> {
     const VOCABULARY: [&str; 40] = [
         "filter",
@@ -946,7 +1049,29 @@ fn arb_hostile_filter_source() -> impl Strategy<Value = String> {
         let bytes = corrupt(filter.to_string().into_bytes(), &edits, cut);
         String::from_utf8_lossy(&bytes).into_owned()
     });
-    prop_oneof![raw, soup, damaged]
+    // Nesting from well under the parser's limit to far over it, of every
+    // kind it counts — parentheses, negations, operator chains, `if`s —
+    // closed properly, so that whatever is shallow enough parses.
+    let nested = (prop::collection::vec(0u8..4, 0..160), 0usize..100).prop_map(|(layers, ifs)| {
+        let mut open = String::new();
+        let mut close = String::new();
+        for layer in layers {
+            let (before, after) = match layer {
+                0 => ("(", ")"),
+                1 => ("!", ""),
+                2 => ("(true && ", ")"),
+                _ => ("med = 1 || ", ""),
+            };
+            open.push_str(before);
+            close.insert_str(0, after);
+        }
+        format!(
+            "filter f {{ {}if {open}true{close} then accept;{} }}",
+            "if true then { ".repeat(ifs),
+            " }".repeat(ifs),
+        )
+    });
+    prop_oneof![raw, soup, damaged, nested]
 }
 
 proptest! {
