@@ -53,6 +53,17 @@ macro_rules! impl_sample_uniform {
 
 impl_sample_uniform!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
+/// Reduces a random word into `0..span`. Every span of a 64-bit integer
+/// range fits in 64 bits except that of the full-width inclusive range
+/// (`2^64`), so the remainder is a `u64` division, not a 128-bit one
+/// through a runtime call; the value is the same either way.
+fn reduce(word: u64, span: u128) -> i128 {
+    match u64::try_from(span) {
+        Ok(span) => (word % span) as i128,
+        Err(_) => (word as u128 % span) as i128,
+    }
+}
+
 /// Types usable as the argument of [`Rng::gen_range`].
 pub trait SampleRange<T> {
     /// Draws a uniformly distributed value from the range.
@@ -68,7 +79,7 @@ impl<T: SampleUniform> SampleRange<T> for core::ops::Range<T> {
         let (lo, hi) = (self.start.to_i128(), self.end.to_i128());
         assert!(lo < hi, "cannot sample empty range");
         let span = (hi - lo) as u128;
-        T::from_i128(lo + (rng.next_u64() as u128 % span) as i128)
+        T::from_i128(lo + reduce(rng.next_u64(), span))
     }
 }
 
@@ -77,7 +88,7 @@ impl<T: SampleUniform> SampleRange<T> for core::ops::RangeInclusive<T> {
         let (lo, hi) = (self.start().to_i128(), self.end().to_i128());
         assert!(lo <= hi, "cannot sample empty range");
         let span = (hi - lo) as u128 + 1;
-        T::from_i128(lo + (rng.next_u64() as u128 % span) as i128)
+        T::from_i128(lo + reduce(rng.next_u64(), span))
     }
 }
 
@@ -135,7 +146,79 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SampleUniform, SeedableRng};
+
+    /// `gen_range` as it was written before the 64-bit reduction: the
+    /// remainder taken in 128 bits.
+    fn wide_formula<T: SampleUniform>(word: u64, lo: T, hi: T, inclusive: bool) -> T {
+        let (lo, hi) = (lo.to_i128(), hi.to_i128());
+        let span = (hi - lo) as u128 + u128::from(inclusive);
+        T::from_i128(lo + (word as u128 % span) as i128)
+    }
+
+    /// Draws from `lo..hi` and `lo..=hi` on one generator and checks both
+    /// against [`wide_formula`] on the words a twin generator yields.
+    fn check_against_wide_formula<T>(seed: u64, lo: T, hi: T)
+    where
+        T: SampleUniform + std::fmt::Debug,
+    {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut words = StdRng::seed_from_u64(seed);
+        for _ in 0..8 {
+            if lo < hi {
+                let expected = wide_formula(words.next_u64(), lo, hi, false);
+                assert_eq!(rng.gen_range(lo..hi), expected, "{lo:?}..{hi:?}");
+            }
+            let expected = wide_formula(words.next_u64(), lo, hi, true);
+            assert_eq!(rng.gen_range(lo..=hi), expected, "{lo:?}..={hi:?}");
+        }
+    }
+
+    macro_rules! check_type {
+        ($t:ty, $pick:expr) => {{
+            let edges = [<$t>::MIN, <$t>::MIN + 1, 0, 1, <$t>::MAX - 1, <$t>::MAX];
+            for (i, &a) in edges.iter().enumerate() {
+                for &b in &edges {
+                    check_against_wide_formula::<$t>(i as u64, a.min(b), a.max(b));
+                }
+            }
+            let mut pick = StdRng::seed_from_u64(0xD1CE);
+            for seed in 0..200 {
+                let (a, b): ($t, $t) = ($pick(pick.next_u64()), $pick(pick.next_u64()));
+                check_against_wide_formula::<$t>(seed, a.min(b), a.max(b));
+            }
+        }};
+    }
+
+    #[test]
+    fn gen_range_equals_the_128_bit_formula_for_every_integer_type() {
+        check_type!(u8, |w| w as u8);
+        check_type!(u16, |w| w as u16);
+        check_type!(u32, |w| w as u32);
+        check_type!(u64, |w| w);
+        check_type!(usize, |w| w as usize);
+        check_type!(i8, |w| w as i8);
+        check_type!(i16, |w| w as i16);
+        check_type!(i32, |w| w as i32);
+        check_type!(i64, |w| w as i64);
+        check_type!(isize, |w| w as isize);
+    }
+
+    #[test]
+    fn full_width_inclusive_ranges_return_the_word_itself() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut words = StdRng::seed_from_u64(3);
+        for _ in 0..16 {
+            assert_eq!(rng.gen_range(0..=u64::MAX), words.next_u64());
+        }
+        for _ in 0..16 {
+            let word = words.next_u64();
+            assert_eq!(
+                rng.gen_range(i64::MIN..=i64::MAX),
+                (i64::MIN as i128 + word as i128) as i64
+            );
+        }
+    }
 
     #[test]
     fn deterministic_for_equal_seeds() {

@@ -10,7 +10,7 @@
 use dice_bgp::message::UpdateMessage;
 use dice_bgp::prefix::Ipv4Prefix;
 use dice_bgp::route::PeerId;
-use dice_router::policy::eval_filter;
+use dice_router::policy::{eval_filter_at, FilterSites};
 use dice_router::{BgpRouter, FilterOutcome};
 use dice_symexec::{ExecCtx, InputValues, SymbolicProgram};
 
@@ -67,6 +67,10 @@ pub struct SymbolicUpdateHandler {
     checkpoint: RoundCheckpoint,
     peer: PeerId,
     template: UpdateTemplate,
+    /// The branch sites of the peer's import filter, labelled and hashed
+    /// once for all the handler's runs (`None` when the peer has no import
+    /// filter, or names one the configuration lacks).
+    import_sites: Option<FilterSites>,
     interceptor: MessageInterceptor,
 }
 
@@ -79,10 +83,17 @@ impl SymbolicUpdateHandler {
     /// router, or use [`SymbolicUpdateHandler::from_router`] to keep the
     /// old call shape.
     pub fn new(checkpoint: RoundCheckpoint, peer: PeerId, template: UpdateTemplate) -> Self {
+        let router = checkpoint.router();
+        let import_sites = router
+            .peer(peer)
+            .and_then(|p| p.import_filter.as_deref())
+            .and_then(|name| router.config().filter(name))
+            .map(FilterSites::of);
         SymbolicUpdateHandler {
             checkpoint,
             peer,
             template,
+            import_sites,
             interceptor: MessageInterceptor::new(),
         }
     }
@@ -129,11 +140,14 @@ impl SymbolicProgram for SymbolicUpdateHandler {
         // Run the peer's import policy over the symbolic view. A peer
         // without an import filter accepts everything; a reference to a
         // missing filter fails closed, mirroring the live router.
-        let filter_outcome = match router.peer(self.peer).and_then(|p| p.import_filter.clone()) {
+        let import_filter = router
+            .peer(self.peer)
+            .and_then(|p| p.import_filter.as_deref());
+        let filter_outcome = match import_filter {
             None => FilterOutcome::accepted(),
-            Some(name) => match router.config().filter(&name) {
-                Some(filter) => eval_filter(filter, &view, ctx),
-                None => FilterOutcome::rejected(),
+            Some(name) => match (router.config().filter(name), &self.import_sites) {
+                (Some(filter), Some(sites)) => eval_filter_at(filter, sites, &view, ctx),
+                _ => FilterOutcome::rejected(),
             },
         };
         let accepted = filter_outcome.is_accept();

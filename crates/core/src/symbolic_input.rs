@@ -47,6 +47,9 @@ pub struct UpdateTemplate {
     /// [`fields::PATH_LEN`]) are part of the symbolic input. On by default;
     /// turned off to reproduce the message-field-only exploration surface.
     policy_fields: bool,
+    /// The symbolic fields and their observed values, built when the
+    /// template is: every run reads it, none rebuilds it.
+    spec: InputSpec,
 }
 
 impl UpdateTemplate {
@@ -55,16 +58,20 @@ impl UpdateTemplate {
     /// leaves to future work.
     pub fn from_update(update: &UpdateMessage) -> Option<Self> {
         let prefix = *update.nlri.first()?;
-        Some(UpdateTemplate {
+        let template = UpdateTemplate {
             observed_prefix: prefix,
             observed_attrs: update.route_attrs(),
             policy_fields: true,
-        })
+            spec: InputSpec::new(),
+        };
+        // Setting the flag is what builds the spec.
+        Some(template.with_policy_fields(true))
     }
 
     /// Enables or disables the policy-oriented symbolic fields.
     pub fn with_policy_fields(mut self, enabled: bool) -> Self {
         self.policy_fields = enabled;
+        self.spec = self.build_spec();
         self
     }
 
@@ -90,7 +97,11 @@ impl UpdateTemplate {
 
     /// The declared symbolic input fields with their observed values as
     /// defaults.
-    pub fn input_spec(&self) -> InputSpec {
+    pub fn input_spec(&self) -> &InputSpec {
+        &self.spec
+    }
+
+    fn build_spec(&self) -> InputSpec {
         let a = &self.observed_attrs;
         let spec = InputSpec::new()
             .field(fields::NLRI_ADDR, 32, self.observed_prefix.addr() as u64)
@@ -112,7 +123,7 @@ impl UpdateTemplate {
 
     /// The seed input: the values observed on the wire.
     pub fn seed(&self) -> InputValues {
-        self.input_spec().defaults()
+        self.spec.defaults()
     }
 
     /// Reconstructs a *syntactically valid* UPDATE message from an input
@@ -166,8 +177,13 @@ impl UpdateTemplate {
     /// with the assignment's concrete values; everything else stays
     /// concrete from the observed message.
     pub fn symbolic_view(&self, ctx: &mut ExecCtx, values: &InputValues) -> RouteView {
-        let spec = self.input_spec();
-        let get = |name: &str| values.get_or(name, spec.get(name).map(|f| f.default).unwrap_or(0));
+        // An assignment the engine generated names every field; the
+        // observed value stands in for one a hand-written assignment omits.
+        let get = |name: &str| {
+            values
+                .get(name)
+                .unwrap_or_else(|| self.spec.get(name).map_or(0, |f| f.default))
+        };
         let a = &self.observed_attrs;
         let path_len = if self.policy_fields {
             ctx.symbolic_u32(fields::PATH_LEN, get(fields::PATH_LEN).clamp(1, 64) as u32)

@@ -114,16 +114,16 @@ impl RouterConfig {
                 router_id = Some(Ipv4Addr::from(addr));
             } else if parser.eat_keyword("local") {
                 parser.expect_keyword("as")?;
-                let asn = parser.expect_number()?;
+                let asn: u32 = parser.expect_narrow("AS number")?;
                 parser.expect(&Token::Semi)?;
-                local_as = Some(asn as u32);
+                local_as = Some(asn);
             } else if matches!(parser.peek(), Some(Token::Ident(s)) if s == "filter") {
                 let filter = parser.parse_filter()?;
                 config.filters.insert(filter.name.clone(), filter);
             } else if parser.eat_keyword("neighbor") {
                 let address = Ipv4Addr::from(parser.expect_ip()?);
                 parser.expect_keyword("as")?;
-                let remote_as = parser.expect_number()? as u32;
+                let remote_as: u32 = parser.expect_narrow("AS number")?;
                 parser.expect(&Token::LBrace)?;
                 let mut import_filter = None;
                 let mut export_filter = None;
@@ -279,6 +279,33 @@ mod tests {
         assert!(built.validate().is_ok());
         assert_eq!(built.neighbors.len(), 1);
         assert_eq!(built.static_routes.len(), 1);
+    }
+
+    #[test]
+    fn as_numbers_beyond_32_bits_are_rejected_not_truncated() {
+        let config = |local: &str, remote: &str| {
+            format!("router id 10.0.0.1;\nlocal as {local};\nneighbor 10.0.0.2 as {remote} {{ }}")
+        };
+        // The largest AS number parses as itself on both lines.
+        let cfg = RouterConfig::parse(&config("4294967295", "4294967295")).expect("parses");
+        assert_eq!(cfg.local_as, u32::MAX);
+        assert_eq!(cfg.neighbors[0].remote_as, u32::MAX);
+        // One more used to wrap to AS 0; the error names the number.
+        for src in [config("4294967296", "65002"), config("65001", "4294967296")] {
+            let err = RouterConfig::parse(&src).expect_err("out of range");
+            assert!(
+                err.message
+                    .contains("AS number `4294967296` is out of range"),
+                "{err}"
+            );
+            assert!(err.line == 2 || err.line == 3, "{err}");
+        }
+        // The language has no negative numbers: the sign never reaches the
+        // number at all.
+        for src in [config("-1", "65002"), config("65001", "-1")] {
+            let err = RouterConfig::parse(&src).expect_err("no negative numbers");
+            assert!(err.message.contains("`-`"), "{err}");
+        }
     }
 
     #[test]

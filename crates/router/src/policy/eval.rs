@@ -8,8 +8,17 @@
 //! interpreter (§3.2). When the fields are concrete (the live fast path)
 //! nothing is recorded and the interpreter behaves like a plain filter
 //! engine.
+//!
+//! A filter's branch sites do not change from run to run, so their labels
+//! are formatted and hashed once into a [`FilterSites`] table — by whoever
+//! evaluates the filter repeatedly (the symbolic UPDATE handler builds one
+//! per observed input), or by [`eval_filter`] itself for a one-off symbolic
+//! evaluation — and a run declares the whole table with a reference-count
+//! bump and looks an executed arm's site up by its id.
 
-use dice_symexec::{Concolic, ConcolicBool, ExecCtx, TermId, CU32, CU8};
+use std::sync::Arc;
+
+use dice_symexec::{Concolic, ConcolicBool, ExecCtx, SiteId, SiteInfo, TermId, CU32, CU8};
 
 use dice_bgp::route::Route;
 
@@ -162,24 +171,98 @@ enum Flow {
     Stop(FilterVerdict),
 }
 
+/// The branch sites of one filter — every `if` arm's
+/// [`FilterDef::site_label`], hashed to its [`SiteId`] — computed once and
+/// reused by every symbolic evaluation of that filter
+/// ([`eval_filter_at`]).
+///
+/// A table describes the filter as it was when the table was built: build
+/// a new one after renaming the filter or renumbering its arms.
+#[derive(Debug, Clone)]
+pub struct FilterSites {
+    /// What a run declares: every arm as a labelled policy site.
+    info: Arc<SiteInfo>,
+    /// `(arm id, site)`, sorted by arm id.
+    arms: Vec<(u32, SiteId)>,
+}
+
+impl FilterSites {
+    /// Labels and hashes every arm of `filter`.
+    pub fn of(filter: &FilterDef) -> Self {
+        let mut info = SiteInfo::default();
+        let mut arms: Vec<(u32, SiteId)> = filter
+            .sites()
+            .into_iter()
+            .map(|(arm, label)| (arm, info.add_policy_site(&label)))
+            .collect();
+        arms.sort_unstable();
+        arms.dedup();
+        FilterSites {
+            info: Arc::new(info),
+            arms,
+        }
+    }
+
+    /// The labelled policy sites a run of the filter declares.
+    pub fn info(&self) -> &Arc<SiteInfo> {
+        &self.info
+    }
+
+    /// The site of arm `arm`, if the filter had such an arm.
+    pub fn site_of(&self, arm: u32) -> Option<SiteId> {
+        self.arms
+            .binary_search_by_key(&arm, |&(id, _)| id)
+            .ok()
+            .map(|at| self.arms[at].1)
+    }
+}
+
 /// Evaluates `filter` over `view`, recording branch constraints in `ctx`
 /// when the view contains symbolic fields.
 ///
 /// A filter that falls off the end without executing `accept` or `reject`
 /// rejects the route, matching BIRD's default.
+///
+/// A symbolic evaluation builds the filter's [`FilterSites`] first; callers
+/// that evaluate one filter many times build it once and call
+/// [`eval_filter_at`].
 pub fn eval_filter(filter: &FilterDef, view: &RouteView, ctx: &mut ExecCtx) -> FilterOutcome {
-    // Register every arm of the filter as a policy site before executing
-    // anything, so arms no run has ever reached still count in the
-    // policy-coverage denominator. Skipped on the fully concrete fast path
-    // (no symbolic inputs declared), which keeps live ingest free of the
-    // label formatting cost.
-    if !ctx.var_map().is_empty() {
-        for (_, label) in filter.sites() {
-            ctx.declare_policy_site(&label);
-        }
+    if ctx.var_map().is_empty() {
+        run_filter(filter, None, view, ctx)
+    } else {
+        run_filter(filter, Some(&FilterSites::of(filter)), view, ctx)
+    }
+}
+
+/// [`eval_filter`] with the filter's site table supplied: `sites` must be
+/// [`FilterSites::of`] this `filter`.
+pub fn eval_filter_at(
+    filter: &FilterDef,
+    sites: &FilterSites,
+    view: &RouteView,
+    ctx: &mut ExecCtx,
+) -> FilterOutcome {
+    let symbolic = !ctx.var_map().is_empty();
+    run_filter(filter, symbolic.then_some(sites), view, ctx)
+}
+
+/// `sites` is `None` on the fully concrete fast path (no symbolic inputs
+/// declared): live ingest does no site bookkeeping at all, it just follows
+/// the arms.
+fn run_filter(
+    filter: &FilterDef,
+    sites: Option<&FilterSites>,
+    view: &RouteView,
+    ctx: &mut ExecCtx,
+) -> FilterOutcome {
+    // Every arm of the filter is a policy site before anything executes,
+    // so arms no run has ever reached still count in the policy-coverage
+    // denominator.
+    if let Some(sites) = sites {
+        ctx.declare_policy_sites(sites.info());
     }
     let mut outcome = FilterOutcome::rejected();
-    match eval_stmts(filter, &filter.body, view, ctx, &mut outcome) {
+    match eval_stmts(filter, sites, &filter.body, view, ctx, &mut outcome) {
         Flow::Stop(v) => outcome.verdict = v,
         Flow::Continue => outcome.verdict = FilterVerdict::Reject,
     }
@@ -188,6 +271,7 @@ pub fn eval_filter(filter: &FilterDef, view: &RouteView, ctx: &mut ExecCtx) -> F
 
 fn eval_stmts(
     filter: &FilterDef,
+    sites: Option<&FilterSites>,
     stmts: &[Stmt],
     view: &RouteView,
     ctx: &mut ExecCtx,
@@ -209,16 +293,14 @@ fn eval_stmts(
             } => {
                 let condition = eval_expr(cond, view, ctx);
                 let constraint = condition.term();
-                let taken = if ctx.var_map().is_empty() {
-                    // Fully concrete fast path: no site bookkeeping, no
-                    // label formatting — live ingest just follows the arm.
-                    condition.value()
-                } else {
-                    // The branch site is the configuration AST node, so
-                    // recorded constraints attribute coverage to the
-                    // *configuration*.
-                    let label = filter.site_label(*id);
-                    ctx.policy_branch_labeled(&label, condition)
+                // The branch site is the configuration AST node, so
+                // recorded constraints attribute coverage to the
+                // *configuration*.
+                let taken = match sites.map(|sites| sites.site_of(*id)) {
+                    None => condition.value(),
+                    Some(Some(site)) => ctx.branch_at(site, condition),
+                    // A table built before the filter got this arm.
+                    Some(None) => ctx.policy_branch_labeled(&filter.site_label(*id), condition),
                 };
                 outcome.trace.push(ArmTrace {
                     arm: *id,
@@ -226,7 +308,7 @@ fn eval_stmts(
                     constraint,
                 });
                 let branch = if taken { then_branch } else { else_branch };
-                match eval_stmts(filter, branch, view, ctx, outcome) {
+                match eval_stmts(filter, sites, branch, view, ctx, outcome) {
                     Flow::Continue => {}
                     stop => return stop,
                 }
@@ -451,6 +533,149 @@ mod tests {
         let constraints = ctx.path_constraints();
         let model = ctx.concrete_model().clone();
         assert!(model.satisfies_all(ctx.arena(), &constraints));
+    }
+
+    /// What the interpreter did before the table: every arm's label
+    /// formatted and hashed on the spot.
+    fn reference_sites(filter: &FilterDef) -> Vec<(u32, SiteId, String)> {
+        filter
+            .arm_ids()
+            .into_iter()
+            .map(|id| {
+                let label = filter.site_label(id);
+                (id, SiteId::from_label(&label), label)
+            })
+            .collect()
+    }
+
+    fn assert_table_matches_labels(filter: &FilterDef) {
+        let sites = FilterSites::of(filter);
+        let reference = reference_sites(filter);
+        for (id, site, label) in &reference {
+            assert_eq!(
+                sites.site_of(*id),
+                Some(*site),
+                "arm {id} of {}",
+                filter.name
+            );
+            assert_eq!(sites.info().label(*site), Some(label.as_str()));
+            assert!(sites.info().policy_sites().contains(site));
+        }
+        let distinct: std::collections::BTreeSet<SiteId> =
+            reference.iter().map(|(_, site, _)| *site).collect();
+        assert_eq!(sites.info().policy_sites(), &distinct);
+        assert_eq!(sites.info().labels().len(), distinct.len());
+        assert_eq!(sites.site_of(u32::MAX), None);
+    }
+
+    fn nested_ifs(name: &str) -> FilterDef {
+        let leaf = |cond| Stmt::If {
+            id: 0,
+            cond,
+            then_branch: vec![Stmt::Accept],
+            else_branch: vec![],
+        };
+        FilterDef {
+            name: name.into(),
+            body: vec![
+                Stmt::If {
+                    id: 0,
+                    cond: Expr::True,
+                    then_branch: vec![leaf(Expr::False)],
+                    else_branch: vec![leaf(Expr::True), Stmt::Reject],
+                },
+                leaf(Expr::CommunityMatch(65000, 1)),
+            ],
+        }
+    }
+
+    #[test]
+    fn site_table_matches_labels_for_parsed_and_hand_built_filters() {
+        assert_table_matches_labels(&parse_filter(CUSTOMER_FILTER).expect("parses"));
+        assert_table_matches_labels(&FilterDef::accept_all("no_arms"));
+
+        // Hand-built, then numbered as the parser would.
+        let mut built = nested_ifs("built");
+        built.assign_arm_ids();
+        assert_eq!(built.arm_ids(), vec![0, 1, 2, 3]);
+        assert_table_matches_labels(&built);
+        let reparsed = parse_filter(&built.to_string()).expect("display re-parses");
+        assert_eq!(
+            FilterSites::of(&reparsed).info(),
+            FilterSites::of(&built).info()
+        );
+
+        // Never numbered: every arm carries id 0, one site stands for all.
+        let unnumbered = nested_ifs("unnumbered");
+        assert_table_matches_labels(&unnumbered);
+        assert_eq!(FilterSites::of(&unnumbered).info().policy_sites().len(), 1);
+
+        // Sparse, out-of-order ids.
+        let mut sparse = nested_ifs("sparse");
+        if let Stmt::If { id, .. } = &mut sparse.body[1] {
+            *id = 1_000_000;
+        }
+        assert_table_matches_labels(&sparse);
+    }
+
+    #[test]
+    fn same_shape_under_another_name_is_another_set_of_sites() {
+        let (mut a, mut b) = (nested_ifs("edge_in"), nested_ifs("core_in"));
+        a.assign_arm_ids();
+        b.assign_arm_ids();
+        let (sites_a, sites_b) = (FilterSites::of(&a), FilterSites::of(&b));
+        assert_table_matches_labels(&a);
+        assert_table_matches_labels(&b);
+        assert_eq!(sites_a.info().policy_sites().len(), 4);
+        assert!(sites_a
+            .info()
+            .policy_sites()
+            .is_disjoint(sites_b.info().policy_sites()));
+    }
+
+    #[test]
+    fn evaluating_at_a_table_records_what_labelled_evaluation_recorded() {
+        let filter = parse_filter(CUSTOMER_FILTER).expect("parses");
+        let sites = FilterSites::of(&filter);
+        let r = route("208.65.152.0/22", &[36561]);
+        let symbolic_view = |ctx: &mut ExecCtx| RouteView {
+            prefix_addr: ctx.symbolic_u32("nlri.addr", r.prefix.addr()),
+            prefix_len: ctx.symbolic_u8("nlri.len", r.prefix.len()),
+            source_as: ctx.symbolic_u32("attr.source_as", 36561),
+            ..RouteView::concrete(&r)
+        };
+
+        let mut at_table = ExecCtx::new();
+        let view = symbolic_view(&mut at_table);
+        let outcome = eval_filter_at(&filter, &sites, &view, &mut at_table);
+        let mut one_off = ExecCtx::new();
+        let view = symbolic_view(&mut one_off);
+        assert_eq!(eval_filter(&filter, &view, &mut one_off), outcome);
+        assert_eq!(at_table.branches(), one_off.branches());
+        assert_eq!(at_table.site_info(), one_off.site_info());
+
+        // The branch sites are the arms' labels, hashed.
+        let expected: Vec<SiteId> = outcome
+            .trace
+            .iter()
+            .map(|arm| SiteId::from_label(&filter.site_label(arm.arm)))
+            .collect();
+        let recorded: Vec<SiteId> = at_table.branches().iter().map(|b| b.site).collect();
+        assert_eq!(recorded, expected);
+
+        // The concrete fast path ignores the table altogether.
+        let mut concrete = ExecCtx::new();
+        let out = eval_filter_at(&filter, &sites, &RouteView::concrete(&r), &mut concrete);
+        assert!(out.is_accept());
+        assert!(concrete.policy_sites().is_empty() && concrete.site_labels().is_empty());
+
+        // A table of some other filter leaves the arms their own sites.
+        let other = FilterSites::of(&FilterDef::accept_all("other"));
+        let mut mismatched = ExecCtx::new();
+        let view = symbolic_view(&mut mismatched);
+        eval_filter_at(&filter, &other, &view, &mut mismatched);
+        let recorded: Vec<SiteId> = mismatched.branches().iter().map(|b| b.site).collect();
+        assert_eq!(recorded, expected);
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl Parser {
     }
 
     /// Consumes a number that has to fit the narrower integer `T`.
-    fn expect_narrow<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, ParseError> {
+    pub(crate) fn expect_narrow<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, ParseError> {
         let n = self.expect_number()?;
         T::try_from(n).map_err(|_| self.error(format!("{what} `{n}` is out of range")))
     }

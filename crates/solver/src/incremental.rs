@@ -76,9 +76,9 @@
 //! assert!(session.stats().assertions_reused > 0);
 //! ```
 
-use std::collections::HashSet;
 use std::time::Instant;
 
+use crate::hash::FastHashSet;
 use crate::interval::Domains;
 use crate::model::Model;
 use crate::simplify::flatten_into;
@@ -115,8 +115,12 @@ pub struct IncrementalSolver {
     stats: SolverStats,
     /// Flattened, deduplicated atoms, in assertion order.
     asserted: Vec<TermId>,
+    /// The same atoms in sorted order — exactly the constraint list
+    /// `preprocess` would hand the one-shot pipeline — kept sorted as atoms
+    /// come and go, so no query sorts.
+    sorted: Vec<TermId>,
     /// Dedup set over `asserted`.
-    seen: HashSet<TermId>,
+    seen: FastHashSet<TermId>,
     /// Interval domains covering `asserted[..propagated_len]`.
     domains: Domains,
     propagated_len: usize,
@@ -145,7 +149,8 @@ impl IncrementalSolver {
             config,
             stats: SolverStats::new(),
             asserted: Vec::new(),
-            seen: HashSet::new(),
+            sorted: Vec::new(),
+            seen: FastHashSet::default(),
             domains: Domains::new(),
             propagated_len: 0,
             // Vacuously a fixpoint: nothing has been propagated yet.
@@ -204,8 +209,7 @@ impl IncrementalSolver {
     /// the arena.
     pub fn push(&mut self, arena: &TermArena) {
         if !self.contradiction && self.propagation_needed() {
-            let sorted = self.sorted_assertions();
-            self.propagate_pending(arena, &sorted);
+            self.propagate_pending(arena);
         }
         self.frames.push(Frame {
             asserted_len: self.asserted.len(),
@@ -222,19 +226,9 @@ impl IncrementalSolver {
         self.propagated_len < self.asserted.len() || !self.converged
     }
 
-    /// The asserted set in sorted order — exactly the constraint list
-    /// `preprocess` would hand the one-shot pipeline.
-    fn sorted_assertions(&self) -> Vec<TermId> {
-        let mut sorted = self.asserted.clone();
-        sorted.sort_unstable();
-        sorted
-    }
-
     /// Folds assertions not yet covered by the domains into them,
-    /// propagating to a fixpoint. `sorted` must be the current
-    /// [`IncrementalSolver::sorted_assertions`]; callers that already hold
-    /// it (check) avoid re-sorting here.
-    fn propagate_pending(&mut self, arena: &TermArena, sorted: &[TermId]) {
+    /// propagating to a fixpoint.
+    fn propagate_pending(&mut self, arena: &TermArena) {
         let pending = self.asserted.len() - self.propagated_len;
         if pending == 0 && self.converged {
             return;
@@ -242,15 +236,15 @@ impl IncrementalSolver {
         let start = Instant::now();
         if !self.converged {
             self.stats.assertions_propagated += self.asserted.len() as u64;
-            self.domains = Domains::init(arena, sorted);
+            self.domains = Domains::init(arena, &self.sorted);
         } else {
             self.stats.assertions_propagated += pending as u64;
             self.domains
                 .ensure_vars(arena, &self.asserted[self.propagated_len..]);
         }
-        let outcome = self
-            .domains
-            .propagate_counted(arena, sorted, self.config.propagation_rounds);
+        let outcome =
+            self.domains
+                .propagate_counted(arena, &self.sorted, self.config.propagation_rounds);
         self.propagated_len = self.asserted.len();
         self.converged = outcome.converged;
         self.stats.propagation_time_ns += start.elapsed().as_nanos() as u64;
@@ -265,10 +259,14 @@ impl IncrementalSolver {
     /// Panics if called without a matching `push`.
     pub fn pop(&mut self) {
         let frame = self.frames.pop().expect("pop without matching push");
-        for t in &self.asserted[frame.asserted_len..] {
-            self.seen.remove(t);
+        for t in self.asserted.drain(frame.asserted_len..) {
+            self.seen.remove(&t);
+            let at = self
+                .sorted
+                .binary_search(&t)
+                .expect("asserted atoms are in the sorted list");
+            self.sorted.remove(at);
         }
-        self.asserted.truncate(frame.asserted_len);
         self.domains = frame.domains;
         self.propagated_len = frame.propagated_len;
         self.converged = frame.converged;
@@ -286,16 +284,21 @@ impl IncrementalSolver {
         }
         let start = Instant::now();
         let before = self.asserted.len();
-        if !flatten_into(arena, term, &mut self.seen, &mut self.asserted) {
-            self.contradiction = true;
-        } else {
+        // A literal `false` makes the stack contradictory outright.
+        self.contradiction = !flatten_into(arena, term, &mut self.seen, &mut self.asserted);
+        for i in before..self.asserted.len() {
+            let atom = self.asserted[i];
+            let at = self
+                .sorted
+                .binary_search(&atom)
+                .expect_err("atoms are deduplicated");
+            self.sorted.insert(at, atom);
             // Detect `p` asserted on a stack already holding `not p`.
-            for i in before..self.asserted.len() {
-                let neg = arena.not(self.asserted[i]);
-                if self.seen.contains(&neg) {
-                    self.contradiction = true;
-                    break;
-                }
+            // Negating interns a term, and term numbering is observable:
+            // nothing is negated once the contradiction is known.
+            if !self.contradiction {
+                let neg = arena.not(atom);
+                self.contradiction = self.seen.contains(&neg);
             }
         }
         self.stats.preprocess_passes += 1;
@@ -345,27 +348,24 @@ impl IncrementalSolver {
             return Verdict::Sat(seed.cloned().unwrap_or_default());
         }
 
-        // The search phases expect the preprocessed set in sorted order,
-        // exactly as `preprocess` would have produced it; propagation uses
-        // the same list, so it is computed once per query.
-        let sorted = self.sorted_assertions();
-
         // Constraints already folded into converged domains are reused as
         // is; only assertions made since then get propagated.
         if self.converged {
             self.stats.assertions_reused += self.propagated_len as u64;
         }
-        self.propagate_pending(arena, &sorted);
+        self.propagate_pending(arena);
         if self.domains.any_empty() {
             self.stats.decided_by_propagation += 1;
             return Verdict::Unsat;
         }
 
+        // The search phases expect the preprocessed set in sorted order,
+        // exactly as `preprocess` would have produced it.
         decide(
             &self.config,
             &mut self.stats,
             arena,
-            &sorted,
+            &self.sorted,
             &self.domains,
             seed,
         )

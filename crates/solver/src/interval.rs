@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::term::{max_value, CmpOp, TermArena, TermId, TermKind, VarId};
+use crate::term::{max_value, CmpOp, Leaf, TermArena, TermId, TermKind, TermWalk, VarId};
 
 /// A closed unsigned interval `[lo, hi]`; empty when `lo > hi`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,15 +151,9 @@ impl Domains {
     /// Initializes the domain of every variable appearing in `constraints`
     /// to the full range of its declared width.
     pub fn init(arena: &TermArena, constraints: &[TermId]) -> Self {
-        let mut vars = Vec::new();
-        for &c in constraints {
-            arena.collect_vars(c, &mut vars);
-        }
-        let mut map = BTreeMap::new();
-        for v in vars {
-            map.insert(v, Interval::full(arena.var_info(v).width));
-        }
-        Domains { map }
+        let mut domains = Domains::new();
+        domains.ensure_vars(arena, constraints);
+        domains
     }
 
     /// Returns the interval for `var`, defaulting to the full width range.
@@ -212,14 +206,18 @@ impl Domains {
     /// Used by the incremental session when new assertions introduce new
     /// variables on top of an already-propagated stack.
     pub fn ensure_vars(&mut self, arena: &TermArena, constraints: &[TermId]) {
-        let mut vars = Vec::new();
+        // One walk over all of them: a subterm two constraints share is
+        // entered once.
+        let mut walk = TermWalk::default();
+        walk.begin(arena);
         for &c in constraints {
-            arena.collect_vars(c, &mut vars);
-        }
-        for v in vars {
-            self.map
-                .entry(v)
-                .or_insert_with(|| Interval::full(arena.var_info(v).width));
+            arena.visit_leaves(c, &mut walk, |leaf| {
+                if let Leaf::Var(v) = leaf {
+                    self.map
+                        .entry(v)
+                        .or_insert_with(|| Interval::full(arena.var_info(v).width));
+                }
+            });
         }
     }
 

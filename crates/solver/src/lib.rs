@@ -40,6 +40,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod eval;
+pub mod hash;
 pub mod incremental;
 pub mod interval;
 pub mod model;
@@ -47,7 +49,10 @@ pub mod simplify;
 pub mod solver;
 pub mod stats;
 pub mod term;
+#[cfg(test)]
+mod testkit;
 
+pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
 pub use incremental::IncrementalSolver;
 pub use interval::{Domains, Interval, Propagation};
 pub use model::{Model, Value};

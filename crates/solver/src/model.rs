@@ -3,7 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::term::{mask, Sort, TermArena, TermId, TermKind, VarId};
+use crate::eval::{eval_bool, eval_int};
+use crate::term::{Sort, TermArena, TermId, VarId};
 
 /// A concrete value produced by evaluating a term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,64 +90,12 @@ impl Model {
     ///
     /// Panics if the term id does not belong to `arena`.
     pub fn eval(&self, arena: &TermArena, term: TermId) -> Value {
-        match &arena.node(term).kind {
-            TermKind::ConstInt { value, width } => Value::Int {
-                value: *value,
-                width: *width,
+        match arena.sort(term) {
+            Sort::Bool => Value::Bool(eval_bool(arena, self, term)),
+            Sort::Int(width) => Value::Int {
+                value: eval_int(arena, self, term),
+                width,
             },
-            TermKind::ConstBool(b) => Value::Bool(*b),
-            TermKind::Var(v) => {
-                let width = arena.var_info(*v).width;
-                Value::Int {
-                    value: mask(self.get(*v), width),
-                    width,
-                }
-            }
-            TermKind::Bin { op, lhs, rhs } => {
-                let a = self.eval(arena, *lhs).expect_int();
-                let b = self.eval(arena, *rhs).expect_int();
-                let width = arena.sort(term).width();
-                Value::Int {
-                    value: TermArena::eval_bin(*op, a, b, width),
-                    width,
-                }
-            }
-            TermKind::Cmp { op, lhs, rhs } => {
-                let a = self.eval(arena, *lhs).expect_int();
-                let b = self.eval(arena, *rhs).expect_int();
-                Value::Bool(op.eval(a, b))
-            }
-            TermKind::BoolBin { op, lhs, rhs } => {
-                let a = self.eval(arena, *lhs).expect_bool();
-                let b = self.eval(arena, *rhs).expect_bool();
-                Value::Bool(op.eval(a, b))
-            }
-            TermKind::BoolNot(x) => Value::Bool(!self.eval(arena, *x).expect_bool()),
-            TermKind::BitNot(x) => {
-                let width = arena.sort(term).width();
-                Value::Int {
-                    value: mask(!self.eval(arena, *x).expect_int(), width),
-                    width,
-                }
-            }
-            TermKind::Ite {
-                cond,
-                then_t,
-                else_t,
-            } => {
-                if self.eval(arena, *cond).expect_bool() {
-                    self.eval(arena, *then_t)
-                } else {
-                    self.eval(arena, *else_t)
-                }
-            }
-            TermKind::Resize { term: inner, width } => {
-                let v = self.eval(arena, *inner).expect_int();
-                Value::Int {
-                    value: mask(v, *width),
-                    width: *width,
-                }
-            }
         }
     }
 
@@ -157,7 +106,7 @@ impl Model {
     /// Panics if the term is not boolean-sorted.
     pub fn holds(&self, arena: &TermArena, term: TermId) -> bool {
         debug_assert_eq!(arena.sort(term), Sort::Bool);
-        self.eval(arena, term).expect_bool()
+        eval_bool(arena, self, term)
     }
 
     /// Returns true if every constraint in the slice holds under this model.

@@ -8,8 +8,7 @@
 //! * constraints that are literally `true` are dropped,
 //! * a literally-`false` constraint short-circuits the whole set.
 
-use std::collections::HashSet;
-
+use crate::hash::FastHashSet;
 use crate::term::{BoolOp, Sort, TermArena, TermId, TermKind};
 
 /// The outcome of preprocessing a constraint set.
@@ -34,7 +33,7 @@ impl Preprocessed {
 /// Simplifies and flattens a conjunction of constraints.
 pub fn preprocess(arena: &mut TermArena, constraints: &[TermId]) -> Preprocessed {
     let mut out = Vec::new();
-    let mut seen = HashSet::new();
+    let mut seen = FastHashSet::default();
     for &c in constraints {
         if !flatten_into(arena, c, &mut seen, &mut out) {
             return Preprocessed::Contradiction;
@@ -68,13 +67,13 @@ pub fn preprocess(arena: &mut TermArena, constraints: &[TermId]) -> Preprocessed
 pub fn flatten_into(
     arena: &mut TermArena,
     constraint: TermId,
-    seen: &mut HashSet<TermId>,
+    seen: &mut FastHashSet<TermId>,
     out: &mut Vec<TermId>,
 ) -> bool {
     let mut work: Vec<TermId> = vec![constraint];
     while let Some(c) = work.pop() {
         let c = normalize(arena, c);
-        match &arena.node(c).kind {
+        match arena.node(c).kind {
             TermKind::ConstBool(true) => continue,
             TermKind::ConstBool(false) => return false,
             TermKind::BoolBin {
@@ -82,8 +81,8 @@ pub fn flatten_into(
                 lhs,
                 rhs,
             } => {
-                work.push(*lhs);
-                work.push(*rhs);
+                work.push(lhs);
+                work.push(rhs);
             }
             _ => {
                 if seen.insert(c) {
@@ -101,7 +100,7 @@ pub fn normalize(arena: &mut TermArena, term: TermId) -> TermId {
     if arena.sort(term) != Sort::Bool {
         return term;
     }
-    match arena.node(term).kind.clone() {
+    match arena.node(term).kind {
         TermKind::BoolNot(inner) => {
             let inner = normalize(arena, inner);
             arena.not(inner)

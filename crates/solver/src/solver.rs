@@ -15,7 +15,13 @@
 //!    combination of values.
 //! 4. **Local search** — otherwise run a randomized hill-climbing search
 //!    seeded from the current concrete input (concolic execution always has
-//!    one), constraint constants and domain boundaries.
+//!    one), constraint constants and domain boundaries. The candidate is a
+//!    dense `Vec<u64>` indexed by [`VarId`]; a move re-evaluates only the
+//!    constraints that mention the moved variable, and a [`Model`] is
+//!    built once, for the assignment that is returned.
+//!
+//! Phases 3 and 4 and [`Model::eval`] share one evaluation core
+//! (`crate::eval`): integer terms to `u64`, boolean terms to `bool`.
 //!
 //! Queries the pipeline cannot decide return [`Verdict::Unknown`]; the
 //! exploration engine treats those paths as unreachable for now, exactly as
@@ -34,11 +40,13 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::eval::eval_bool;
+use crate::hash::FastHashSet;
 use crate::interval::{Domains, Interval};
 use crate::model::Model;
 use crate::simplify::{preprocess, Preprocessed};
 use crate::stats::SolverStats;
-use crate::term::{TermArena, TermId, TermKind, VarId};
+use crate::term::{Leaf, TermArena, TermId, TermWalk, VarId};
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -320,6 +328,12 @@ fn enumerate(
 }
 
 /// Randomized hill-climbing search over the residual domains.
+///
+/// The candidate lives in a [`SearchState`]: a move re-evaluates the
+/// constraints that mention the moved variable and nothing else. The random
+/// stream, the move set, the `candidate == old` skips and plateau acceptance
+/// decide which assignments are tried and in which order, and those pin the
+/// generated inputs — none of them depends on how a candidate is scored.
 fn local_search(
     config: &SolverConfig,
     stats: &mut SolverStats,
@@ -332,31 +346,42 @@ fn local_search(
     if vars.is_empty() {
         return Verdict::Unknown;
     }
-    let interesting = interesting_constants(arena, constraints);
+    let mut walk = TermWalk::default();
+    let interesting = interesting_constants(arena, constraints, &mut walk);
     let mut rng = StdRng::seed_from_u64(config.rng_seed);
     let per_restart = config.search_iterations / config.search_restarts.max(1) as u64;
+    let mut state = SearchState::new(arena, constraints, seed, &mut walk);
+    // What a satisfying state returns: the seed with every searched
+    // variable overwritten.
+    let model_of = |state: &SearchState| {
+        let mut model = seed.cloned().unwrap_or_default();
+        for &(v, _) in &vars {
+            model.set(v, state.value(v));
+        }
+        Verdict::Sat(model)
+    };
 
     for restart in 0..config.search_restarts.max(1) {
-        let mut model = seed.cloned().unwrap_or_default();
         // Clamp the starting point into the propagated domains; later
-        // restarts start from random points for diversity.
-        for (v, iv) in &vars {
+        // restarts start from random points for diversity. Only searched
+        // variables ever move, so the rest still hold their seed values.
+        for &(v, iv) in &vars {
             let start = if restart == 0 {
-                iv.clamp(model.get(*v))
+                iv.clamp(seed.map_or(0, |m| m.get(v)))
             } else {
                 iv.lo + rng.gen_range(0..iv.size().max(1))
             };
-            model.set(*v, start);
+            state.place(v, start);
         }
-        let mut best = model.count_violations(arena, constraints);
+        let mut best = state.recount();
         stats.candidates_evaluated += 1;
         if best == 0 {
-            return Verdict::Sat(model);
+            return model_of(&state);
         }
 
         for _ in 0..per_restart {
             let (var, iv) = vars[rng.gen_range(0..vars.len())];
-            let old = model.get(var);
+            let old = state.value(var);
             let candidate = match rng.gen_range(0..6u32) {
                 // Jump to an interesting constant from the constraints.
                 0 if !interesting.is_empty() => {
@@ -374,57 +399,179 @@ fn local_search(
             if candidate == old {
                 continue;
             }
-            model.set(var, candidate);
-            let score = model.count_violations(arena, constraints);
+            let score = state.try_move(var, candidate);
             stats.candidates_evaluated += 1;
             if score == 0 {
-                return Verdict::Sat(model);
+                return model_of(&state);
             }
             // Accept improving or equal moves (plateau walking); revert
             // worsening moves.
             if score <= best {
                 best = score;
             } else {
-                model.set(var, old);
+                state.undo_move(var, old);
             }
         }
     }
     Verdict::Unknown
 }
 
-/// Extracts constant operands of comparisons, plus their neighbors.
-/// These make good jump targets for local search.
-fn interesting_constants(arena: &TermArena, constraints: &[TermId]) -> Vec<u64> {
+/// Local search's candidate assignment and what is known about it: which
+/// constraints it violates, and which constraints each variable can affect.
+struct SearchState<'a> {
+    arena: &'a TermArena,
+    constraints: &'a [TermId],
+    /// Raw value per variable, indexed by [`VarId`] (seed values for
+    /// variables the search does not move, 0 for ones the seed omits —
+    /// what [`Model::get`] answers).
+    values: Vec<u64>,
+    /// `violated[i]`: constraint `i` does not hold under `values`.
+    violated: Vec<bool>,
+    violations: usize,
+    /// `(variable index, constraint index)` for every variable a constraint
+    /// mentions, sorted; `mentions_of[v]..mentions_of[v + 1]` is variable
+    /// `v`'s stretch.
+    mentions: Vec<(u32, u32)>,
+    mentions_of: Vec<u32>,
+    /// The constraints the last [`SearchState::try_move`] flipped.
+    flipped: Vec<u32>,
+}
+
+impl<'a> SearchState<'a> {
+    fn new(
+        arena: &'a TermArena,
+        constraints: &'a [TermId],
+        seed: Option<&Model>,
+        walk: &mut TermWalk,
+    ) -> Self {
+        let var_count = arena.var_count();
+        let mut values = vec![0u64; var_count];
+        for (v, x) in seed.into_iter().flat_map(Model::iter) {
+            if let Some(slot) = values.get_mut(v.index()) {
+                *slot = x;
+            }
+        }
+
+        let mut mentions = Vec::new();
+        for (i, &c) in constraints.iter().enumerate() {
+            walk.begin(arena);
+            arena.visit_leaves(c, walk, |leaf| {
+                if let Leaf::Var(v) = leaf {
+                    mentions.push((v.0, i as u32));
+                }
+            });
+        }
+        mentions.sort_unstable();
+        let mut mentions_of = vec![0u32; var_count + 1];
+        for &(v, _) in &mentions {
+            mentions_of[v as usize + 1] += 1;
+        }
+        for v in 0..var_count {
+            mentions_of[v + 1] += mentions_of[v];
+        }
+
+        SearchState {
+            arena,
+            constraints,
+            values,
+            violated: vec![false; constraints.len()],
+            violations: 0,
+            mentions,
+            mentions_of,
+            flipped: Vec::new(),
+        }
+    }
+
+    fn value(&self, var: VarId) -> u64 {
+        self.values[var.index()]
+    }
+
+    /// Sets a variable without rescoring; [`SearchState::recount`] follows.
+    fn place(&mut self, var: VarId, value: u64) {
+        self.values[var.index()] = value;
+    }
+
+    fn holds(&self, constraint: u32) -> bool {
+        eval_bool(
+            self.arena,
+            self.values.as_slice(),
+            self.constraints[constraint as usize],
+        )
+    }
+
+    /// Scores the whole assignment from scratch.
+    fn recount(&mut self) -> usize {
+        self.violations = 0;
+        for i in 0..self.constraints.len() {
+            let violated = !self.holds(i as u32);
+            self.violated[i] = violated;
+            self.violations += usize::from(violated);
+        }
+        self.violations
+    }
+
+    /// Moves `var` to `value` and returns the number of violated
+    /// constraints, re-evaluating only those that mention `var`.
+    fn try_move(&mut self, var: VarId, value: u64) -> usize {
+        self.values[var.index()] = value;
+        self.flipped.clear();
+        let stretch =
+            self.mentions_of[var.index()] as usize..self.mentions_of[var.index() + 1] as usize;
+        for at in stretch {
+            let constraint = self.mentions[at].1;
+            let violated = !self.holds(constraint);
+            if violated != self.violated[constraint as usize] {
+                self.flipped.push(constraint);
+                self.flip(constraint);
+            }
+        }
+        self.violations
+    }
+
+    /// Takes back the last [`SearchState::try_move`], which moved `var`
+    /// away from `old`.
+    fn undo_move(&mut self, var: VarId, old: u64) {
+        self.values[var.index()] = old;
+        while let Some(constraint) = self.flipped.pop() {
+            self.flip(constraint);
+        }
+    }
+
+    fn flip(&mut self, constraint: u32) {
+        let violated = &mut self.violated[constraint as usize];
+        *violated = !*violated;
+        if *violated {
+            self.violations += 1;
+        } else {
+            self.violations -= 1;
+        }
+    }
+}
+
+/// Extracts constant operands of comparisons, plus their neighbors. These
+/// make good jump targets for local search, which indexes the list with its
+/// random stream — so the order is pinned: that of a depth-first walk from
+/// the last constraint to the first, right operand before left, each value
+/// where it is first met. A shared subterm is entered once; a second visit
+/// would meet only values already listed.
+fn interesting_constants(
+    arena: &TermArena,
+    constraints: &[TermId],
+    walk: &mut TermWalk,
+) -> Vec<u64> {
     let mut out = Vec::new();
-    let mut stack: Vec<TermId> = constraints.to_vec();
-    while let Some(t) = stack.pop() {
-        match &arena.node(t).kind {
-            TermKind::ConstInt { value, .. } => {
-                for v in [value.wrapping_sub(1), *value, value.wrapping_add(1)] {
-                    if !out.contains(&v) {
+    let mut known: FastHashSet<u64> = FastHashSet::default();
+    walk.begin(arena);
+    for &c in constraints.iter().rev() {
+        arena.visit_leaves(c, walk, |leaf| {
+            if let Leaf::Const(value) = leaf {
+                for v in [value.wrapping_sub(1), value, value.wrapping_add(1)] {
+                    if known.insert(v) {
                         out.push(v);
                     }
                 }
             }
-            TermKind::ConstBool(_) | TermKind::Var(_) => {}
-            TermKind::Bin { lhs, rhs, .. }
-            | TermKind::Cmp { lhs, rhs, .. }
-            | TermKind::BoolBin { lhs, rhs, .. } => {
-                stack.push(*lhs);
-                stack.push(*rhs);
-            }
-            TermKind::BoolNot(x) | TermKind::BitNot(x) => stack.push(*x),
-            TermKind::Ite {
-                cond,
-                then_t,
-                else_t,
-            } => {
-                stack.push(*cond);
-                stack.push(*then_t);
-                stack.push(*else_t);
-            }
-            TermKind::Resize { term, .. } => stack.push(*term),
-        }
+        });
     }
     out
 }
@@ -432,6 +579,9 @@ fn interesting_constants(arena: &TermArena, constraints: &[TermId]) -> Vec<u64> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::TermKind;
+    use crate::testkit::{exhaustively_satisfiable, reference_count_violations, TermGen};
+    use proptest::prelude::*;
 
     fn solver() -> Solver {
         Solver::new()
@@ -582,5 +732,257 @@ mod tests {
         let verdict = s.solve(&mut arena, &[e1, e2], None);
         let m = verdict.model().expect("expected sat");
         assert_eq!((m.get(x), m.get(y)), (7, 9));
+    }
+
+    /// `local_search` as it was before the dense, incremental rewrite —
+    /// a cloned `Model` per restart, every constraint re-evaluated for every
+    /// candidate — moved here verbatim, but for scoring through the
+    /// reference evaluator instead of the `Model` methods the rewrite now
+    /// sits under.
+    fn reference_local_search(
+        config: &SolverConfig,
+        stats: &mut SolverStats,
+        arena: &TermArena,
+        constraints: &[TermId],
+        domains: &Domains,
+        seed: Option<&Model>,
+    ) -> Verdict {
+        let vars: Vec<(VarId, Interval)> = domains.iter().collect();
+        if vars.is_empty() {
+            return Verdict::Unknown;
+        }
+        let interesting = reference_interesting_constants(arena, constraints);
+        let mut rng = StdRng::seed_from_u64(config.rng_seed);
+        let per_restart = config.search_iterations / config.search_restarts.max(1) as u64;
+
+        for restart in 0..config.search_restarts.max(1) {
+            let mut model = seed.cloned().unwrap_or_default();
+            // Clamp the starting point into the propagated domains; later
+            // restarts start from random points for diversity.
+            for (v, iv) in &vars {
+                let start = if restart == 0 {
+                    iv.clamp(model.get(*v))
+                } else {
+                    iv.lo + rng.gen_range(0..iv.size().max(1))
+                };
+                model.set(*v, start);
+            }
+            let mut best = reference_count_violations(&model, arena, constraints);
+            stats.candidates_evaluated += 1;
+            if best == 0 {
+                return Verdict::Sat(model);
+            }
+
+            for _ in 0..per_restart {
+                let (var, iv) = vars[rng.gen_range(0..vars.len())];
+                let old = model.get(var);
+                let candidate = match rng.gen_range(0..6u32) {
+                    // Jump to an interesting constant from the constraints.
+                    0 if !interesting.is_empty() => {
+                        iv.clamp(interesting[rng.gen_range(0..interesting.len())])
+                    }
+                    // Jump to a domain boundary.
+                    1 => iv.lo,
+                    2 => iv.hi,
+                    // Small step.
+                    3 => iv.clamp(old.wrapping_add(1)),
+                    4 => iv.clamp(old.wrapping_sub(1)),
+                    // Uniform random value in the domain.
+                    _ => iv.lo + rng.gen_range(0..iv.size().max(1)),
+                };
+                if candidate == old {
+                    continue;
+                }
+                model.set(var, candidate);
+                let score = reference_count_violations(&model, arena, constraints);
+                stats.candidates_evaluated += 1;
+                if score == 0 {
+                    return Verdict::Sat(model);
+                }
+                // Accept improving or equal moves (plateau walking); revert
+                // worsening moves.
+                if score <= best {
+                    best = score;
+                } else {
+                    model.set(var, old);
+                }
+            }
+        }
+        Verdict::Unknown
+    }
+
+    /// `interesting_constants` as it was: deduplicated with `Vec::contains`.
+    fn reference_interesting_constants(arena: &TermArena, constraints: &[TermId]) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut stack: Vec<TermId> = constraints.to_vec();
+        while let Some(t) = stack.pop() {
+            match &arena.node(t).kind {
+                TermKind::ConstInt { value, .. } => {
+                    for v in [value.wrapping_sub(1), *value, value.wrapping_add(1)] {
+                        if !out.contains(&v) {
+                            out.push(v);
+                        }
+                    }
+                }
+                TermKind::ConstBool(_) | TermKind::Var(_) => {}
+                TermKind::Bin { lhs, rhs, .. }
+                | TermKind::Cmp { lhs, rhs, .. }
+                | TermKind::BoolBin { lhs, rhs, .. } => {
+                    stack.push(*lhs);
+                    stack.push(*rhs);
+                }
+                TermKind::BoolNot(x) | TermKind::BitNot(x) => stack.push(*x),
+                TermKind::Ite {
+                    cond,
+                    then_t,
+                    else_t,
+                } => {
+                    stack.push(*cond);
+                    stack.push(*then_t);
+                    stack.push(*else_t);
+                }
+                TermKind::Resize { term, .. } => stack.push(*term),
+            }
+        }
+        out
+    }
+
+    /// A random constraint set over `var_count` variables, propagated as
+    /// `decide` would receive it; `None` when propagation already refutes
+    /// it.
+    fn search_problem(
+        gen: &mut TermGen,
+        constraint_count: usize,
+    ) -> Option<(Vec<TermId>, Domains)> {
+        let raw: Vec<TermId> = (0..constraint_count).map(|_| gen.constraint(3)).collect();
+        let constraints = match preprocess(&mut gen.arena, &raw) {
+            Preprocessed::Constraints(cs) if !cs.is_empty() => cs,
+            _ => return None,
+        };
+        let mut domains = Domains::init(&gen.arena, &constraints);
+        domains
+            .propagate(&gen.arena, &constraints, 16)
+            .then_some((constraints, domains))
+    }
+
+    proptest! {
+        /// The rewritten local search returns what the old one did: the
+        /// same verdict, the same model, after the same number of
+        /// candidates — on 1–6 variables of 4–32 bits, with and without a
+        /// seed model, across restarts.
+        #[test]
+        fn local_search_matches_its_reference(seed in any::<u64>()) {
+            let mut gen = TermGen::new(seed, 1 + (seed % 6) as usize, 4..=32);
+            let constraint_count = 1 + (seed >> 8) as usize % 8;
+            let Some((constraints, domains)) = search_problem(&mut gen, constraint_count) else {
+                // Refuted before any search: nothing to compare.
+                return;
+            };
+            let model = gen.model();
+            let start = (seed >> 16) % 2 == 0;
+            let start = start.then_some(&model);
+            let config = SolverConfig {
+                search_iterations: 240,
+                search_restarts: 1 + (seed >> 24) as u32 % 4,
+                rng_seed: seed ^ 0xD1CE,
+                ..SolverConfig::default()
+            };
+            let (mut stats, mut reference_stats) = (SolverStats::new(), SolverStats::new());
+            let verdict = local_search(&config, &mut stats, &gen.arena, &constraints, &domains, start);
+            let reference = reference_local_search(
+                &config,
+                &mut reference_stats,
+                &gen.arena,
+                &constraints,
+                &domains,
+                start,
+            );
+            prop_assert_eq!(&verdict, &reference);
+            prop_assert_eq!(stats.candidates_evaluated, reference_stats.candidates_evaluated);
+            if let Verdict::Sat(model) = &verdict {
+                prop_assert_eq!(reference_count_violations(model, &gen.arena, &constraints), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn interesting_constants_keep_first_seen_order() {
+        for seed in 0..200 {
+            let mut gen = TermGen::new(seed, 3, 4..=32);
+            let constraints: Vec<TermId> = (0..6).map(|_| gen.constraint(3)).collect();
+            assert_eq!(
+                interesting_constants(&gen.arena, &constraints, &mut TermWalk::default()),
+                reference_interesting_constants(&gen.arena, &constraints),
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// The differential test ROADMAP item 9 asked for: `Solver` and
+    /// `IncrementalSolver` against exhaustive enumeration over 4–8-bit
+    /// variables. A `Sat` model must satisfy the query, `Unsat` must mean no
+    /// assignment exists, and `Unknown` — the solver may give up — is
+    /// counted and printed, not asserted away.
+    #[test]
+    fn solvers_agree_with_exhaustive_enumeration() {
+        let cases = u64::from(ProptestConfig::default().cases);
+        let (mut sat, mut unsat, mut unknown) = (0u64, 0u64, 0u64);
+        for seed in 0..cases {
+            // One or two variables of any width in 4..=8, or three that
+            // together stay enumerable.
+            let var_count = 1 + (seed % 3) as usize;
+            let widths = if var_count == 3 { 4..=5 } else { 4..=8 };
+            let mut gen = TermGen::new(seed.wrapping_mul(0x9E37_79B9), var_count, widths);
+            let constraint_count = 1 + (seed >> 3) as usize % 5;
+            let constraints: Vec<TermId> =
+                (0..constraint_count).map(|_| gen.constraint(3)).collect();
+            let start = gen.model();
+            let satisfiable = exhaustively_satisfiable(&gen.arena, &gen.vars, &constraints);
+
+            let one_shot = Solver::new().solve(&mut gen.arena, &constraints, Some(&start));
+            // The engine's pattern: the prefix asserted once, the last
+            // constraint in a frame of its own.
+            let (last, prefix) = constraints.split_last().expect("at least one constraint");
+            let mut session = crate::IncrementalSolver::new();
+            session.assert_all(&mut gen.arena, prefix);
+            session.push(&gen.arena);
+            session.assert_term(&mut gen.arena, *last);
+            let incremental = session.check(&gen.arena, Some(&start));
+            session.pop();
+
+            for (solver, verdict) in [("Solver", &one_shot), ("IncrementalSolver", &incremental)] {
+                match verdict {
+                    Verdict::Sat(model) => {
+                        sat += 1;
+                        assert!(
+                            satisfiable,
+                            "seed {seed}: {solver} found a model of an unsatisfiable set"
+                        );
+                        assert_eq!(
+                            reference_count_violations(model, &gen.arena, &constraints),
+                            0,
+                            "seed {seed}: {solver}'s model {model} violates the query"
+                        );
+                    }
+                    Verdict::Unsat => {
+                        unsat += 1;
+                        assert!(
+                            !satisfiable,
+                            "seed {seed}: {solver} refuted a satisfiable set"
+                        );
+                    }
+                    Verdict::Unknown => unknown += 1,
+                }
+            }
+            assert_eq!(
+                one_shot, incremental,
+                "seed {seed}: the two solvers disagree"
+            );
+        }
+        println!(
+            "differential: {cases} constraint sets, two solvers each: {sat} sat, {unsat} unsat, \
+             {unknown} unknown"
+        );
+        assert!(sat > 0 && unsat > 0, "the generator reaches both outcomes");
     }
 }

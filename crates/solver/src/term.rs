@@ -10,8 +10,11 @@
 //! perform light constant folding so that fully-concrete subexpressions
 //! never reach the solver.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::sync::Arc;
+
+use crate::hash::FastHashMap;
 
 /// Identifier of a term inside a [`TermArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,8 +77,9 @@ impl Sort {
 /// Metadata describing a declared symbolic variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VarInfo {
-    /// Human-readable name (e.g. `"nlri.prefix"`).
-    pub name: String,
+    /// Human-readable name (e.g. `"nlri.prefix"`), shared with whoever
+    /// declared it: an arena is built per concolic run, its names are not.
+    pub name: Arc<str>,
     /// Bit width of the variable (1..=64).
     pub width: u32,
 }
@@ -186,7 +190,7 @@ impl BoolOp {
 }
 
 /// The structural kind of a term.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // Variant fields are self-describing.
 pub enum TermKind {
     /// Integer constant with the given width.
@@ -246,6 +250,37 @@ pub fn max_value(width: u32) -> u64 {
     }
 }
 
+/// A leaf a traversal reaches: a variable or an integer constant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leaf {
+    Var(VarId),
+    Const(u64),
+}
+
+/// Scratch for [`TermArena::visit_leaves`]: which terms a traversal has
+/// entered, kept as epoch stamps so that starting over costs nothing and one
+/// allocation serves every constraint of a query.
+#[derive(Debug, Default)]
+pub(crate) struct TermWalk {
+    marks: Vec<u32>,
+    stack: Vec<TermId>,
+    epoch: u32,
+}
+
+impl TermWalk {
+    /// Forgets every term entered so far and covers all of `arena`.
+    pub(crate) fn begin(&mut self, arena: &TermArena) {
+        self.marks.resize(arena.len(), 0);
+        self.epoch = match self.epoch.checked_add(1) {
+            Some(next) => next,
+            None => {
+                self.marks.fill(0);
+                1
+            }
+        };
+    }
+}
+
 /// A hash-consed arena of terms and symbolic variables.
 ///
 /// # Examples
@@ -265,7 +300,7 @@ pub fn max_value(width: u32) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct TermArena {
     nodes: Vec<TermNode>,
-    dedup: HashMap<TermKind, TermId>,
+    dedup: FastHashMap<TermKind, TermId>,
     vars: Vec<VarInfo>,
 }
 
@@ -273,6 +308,14 @@ impl TermArena {
     /// Creates an empty arena.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Makes room for `terms` more terms and `vars` more variables, so a
+    /// run about as large as the one before it grows nothing on the way.
+    pub fn reserve(&mut self, terms: usize, vars: usize) {
+        self.nodes.reserve(terms);
+        self.dedup.reserve(terms);
+        self.vars.reserve(vars);
     }
 
     /// Number of distinct terms stored.
@@ -322,7 +365,7 @@ impl TermArena {
     /// # Panics
     ///
     /// Panics if `width` is 0 or greater than 64.
-    pub fn declare_var(&mut self, name: impl Into<String>, width: u32) -> VarId {
+    pub fn declare_var(&mut self, name: impl Into<Arc<str>>, width: u32) -> VarId {
         assert!(
             (1..=64).contains(&width),
             "variable width must be in 1..=64"
@@ -336,16 +379,14 @@ impl TermArena {
     }
 
     fn intern(&mut self, kind: TermKind, sort: Sort) -> TermId {
-        if let Some(&id) = self.dedup.get(&kind) {
-            return id;
+        match self.dedup.entry(kind) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(slot) => {
+                let id = TermId(self.nodes.len() as u32);
+                self.nodes.push(TermNode { kind, sort });
+                *slot.insert(id)
+            }
         }
-        let id = TermId(self.nodes.len() as u32);
-        self.nodes.push(TermNode {
-            kind: kind.clone(),
-            sort,
-        });
-        self.dedup.insert(kind, id);
-        id
     }
 
     /// Creates an integer constant of the given width.
@@ -685,37 +726,52 @@ impl TermArena {
 
     /// Collects the set of variables appearing in a term.
     pub fn collect_vars(&self, id: TermId, out: &mut Vec<VarId>) {
-        let mut stack = vec![id];
-        let mut seen = vec![false; self.nodes.len()];
-        while let Some(t) = stack.pop() {
-            if seen[t.index()] {
+        let mut walk = TermWalk::default();
+        walk.begin(self);
+        self.visit_leaves(id, &mut walk, |leaf| match leaf {
+            Leaf::Var(v) if !out.contains(&v) => out.push(v),
+            _ => {}
+        });
+    }
+
+    /// Calls `visit` for every variable and integer constant under `root`
+    /// whose term `walk` has not reached since its last
+    /// [`TermWalk::begin`], depth first, right operand before left. Shared
+    /// subterms are entered once, and a variable or constant has one term,
+    /// so within one `begin` no leaf is visited twice.
+    pub(crate) fn visit_leaves(
+        &self,
+        root: TermId,
+        walk: &mut TermWalk,
+        mut visit: impl FnMut(Leaf),
+    ) {
+        walk.stack.push(root);
+        while let Some(t) = walk.stack.pop() {
+            if walk.marks[t.index()] == walk.epoch {
                 continue;
             }
-            seen[t.index()] = true;
-            match &self.node(t).kind {
-                TermKind::ConstInt { .. } | TermKind::ConstBool(_) => {}
-                TermKind::Var(v) => {
-                    if !out.contains(v) {
-                        out.push(*v);
-                    }
-                }
+            walk.marks[t.index()] = walk.epoch;
+            match self.node(t).kind {
+                TermKind::ConstBool(_) => {}
+                TermKind::ConstInt { value, .. } => visit(Leaf::Const(value)),
+                TermKind::Var(v) => visit(Leaf::Var(v)),
                 TermKind::Bin { lhs, rhs, .. }
                 | TermKind::Cmp { lhs, rhs, .. }
                 | TermKind::BoolBin { lhs, rhs, .. } => {
-                    stack.push(*lhs);
-                    stack.push(*rhs);
+                    walk.stack.push(lhs);
+                    walk.stack.push(rhs);
                 }
-                TermKind::BoolNot(x) | TermKind::BitNot(x) => stack.push(*x),
+                TermKind::BoolNot(x) | TermKind::BitNot(x) => walk.stack.push(x),
                 TermKind::Ite {
                     cond,
                     then_t,
                     else_t,
                 } => {
-                    stack.push(*cond);
-                    stack.push(*then_t);
-                    stack.push(*else_t);
+                    walk.stack.push(cond);
+                    walk.stack.push(then_t);
+                    walk.stack.push(else_t);
                 }
-                TermKind::Resize { term, .. } => stack.push(*term),
+                TermKind::Resize { term, .. } => walk.stack.push(term),
             }
         }
     }
@@ -725,7 +781,7 @@ impl TermArena {
         match &self.node(id).kind {
             TermKind::ConstInt { value, width } => format!("{value}:{width}"),
             TermKind::ConstBool(b) => b.to_string(),
-            TermKind::Var(v) => self.var_info(*v).name.clone(),
+            TermKind::Var(v) => self.var_info(*v).name.to_string(),
             TermKind::Bin { op, lhs, rhs } => {
                 format!("({op:?} {} {})", self.display(*lhs), self.display(*rhs))
             }

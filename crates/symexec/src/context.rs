@@ -1,17 +1,31 @@
 //! The concolic execution context.
 //!
 //! An [`ExecCtx`] is created for each execution of the program under test.
-//! It owns the term arena, the registry of symbolic input variables and the
-//! sequence of branch records observed along the current code path.
+//! It owns what is the run's alone: the term arena (interned in execution
+//! order — [`TermId`] numbering is observable, see below), the symbolic
+//! input variables and their concrete values, and the branch records along
+//! the executed path. What outlives a run is shared into it instead of
+//! rebuilt: variable names are `Arc<str>`s, and site labels and the policy
+//! site set arrive as one reference-counted [`SiteInfo`] — a filter's
+//! table, built once, declared by every run that evaluates the filter —
+//! which the context copies only if the program then labels a site of its
+//! own.
+//!
+//! `TermId`s order the solver's assertion list and the walk that collects
+//! local search's jump constants, so they decide which input a negated
+//! branch yields: one arena per run, terms interned as execution meets
+//! them, never an arena shared or pre-built across runs.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::panic::Location;
+use std::sync::Arc;
 
-use dice_solver::{Model, TermArena, TermId, VarId};
+use dice_solver::{FastBuildHasher, FastHashMap, Model, TermArena, TermId, VarId};
 
+use crate::path::ExecTrace;
 use crate::value::{Concolic, ConcolicBool, ConcolicInt, CU16, CU32, CU64, CU8};
 
 /// A stable identifier of a branch site in the program under test.
@@ -45,6 +59,73 @@ impl SiteId {
 impl fmt::Display for SiteId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "site#{:016x}", self.0)
+    }
+}
+
+/// Human-readable labels of branch sites.
+pub type SiteLabels = FastHashMap<SiteId, Arc<str>>;
+
+/// Symbolic input names and the solver variables declared for them.
+pub type VarMap = FastHashMap<Arc<str>, VarId>;
+
+/// What is known about branch sites beyond their ids: labels for reports,
+/// and which sites are *policy* sites (filter arms, not code).
+///
+/// Runs share one behind an `Arc` when they declare the same sites — the
+/// filter interpreter builds a filter's table once and every run of that
+/// filter declares it with a reference-count bump
+/// ([`ExecCtx::declare_policy_sites`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SiteInfo {
+    labels: SiteLabels,
+    policy: BTreeSet<SiteId>,
+}
+
+/// What a context that declared nothing reports.
+static NO_SITES: SiteInfo = SiteInfo {
+    labels: SiteLabels::with_hasher(FastBuildHasher::new()),
+    policy: BTreeSet::new(),
+};
+
+impl SiteInfo {
+    fn add_label(&mut self, site: SiteId, label: impl FnOnce() -> Arc<str>) {
+        self.labels.entry(site).or_insert_with(label);
+    }
+
+    /// Hashes and labels one policy site, and returns it.
+    pub fn add_policy_site(&mut self, label: &str) -> SiteId {
+        let site = SiteId::from_label(label);
+        self.add_label(site, || Arc::from(label));
+        self.policy.insert(site);
+        site
+    }
+
+    /// Marks a site as a policy site without labelling it.
+    pub(crate) fn declare_policy(&mut self, site: SiteId) {
+        self.policy.insert(site);
+    }
+
+    /// Adds everything `other` knows; known labels win.
+    pub(crate) fn merge(&mut self, other: &SiteInfo) {
+        for (&site, label) in &other.labels {
+            self.add_label(site, || Arc::clone(label));
+        }
+        self.policy.extend(other.policy.iter().copied());
+    }
+
+    /// The label of a site, if known.
+    pub fn label(&self, site: SiteId) -> Option<&str> {
+        self.labels.get(&site).map(|label| &**label)
+    }
+
+    /// Every known label.
+    pub fn labels(&self) -> &SiteLabels {
+        &self.labels
+    }
+
+    /// The policy sites, in stable order.
+    pub fn policy_sites(&self) -> &BTreeSet<SiteId> {
+        &self.policy
     }
 }
 
@@ -97,11 +178,12 @@ impl BranchRecord {
 #[derive(Debug, Clone)]
 pub struct ExecCtx {
     arena: TermArena,
-    vars: HashMap<String, VarId>,
+    vars: VarMap,
     concrete: Model,
     branches: Vec<BranchRecord>,
-    site_labels: HashMap<SiteId, String>,
-    policy_sites: BTreeSet<SiteId>,
+    /// `None` until a site is labelled or declared: the fully concrete
+    /// fast path builds a context per route and must not allocate for it.
+    sites: Option<Arc<SiteInfo>>,
     recording: bool,
     max_branches: usize,
 }
@@ -117,11 +199,10 @@ impl ExecCtx {
     pub fn new() -> Self {
         ExecCtx {
             arena: TermArena::new(),
-            vars: HashMap::new(),
+            vars: VarMap::default(),
             concrete: Model::new(),
             branches: Vec::new(),
-            site_labels: HashMap::new(),
-            policy_sites: BTreeSet::new(),
+            sites: None,
             recording: true,
             max_branches: 100_000,
         }
@@ -131,6 +212,16 @@ impl ExecCtx {
     /// against pathological loops over symbolic data).
     pub fn with_max_branches(mut self, max: usize) -> Self {
         self.max_branches = max;
+        self
+    }
+
+    /// Makes room for a run the size of `like`: the engine passes the run
+    /// before, so a run allocates its tables once instead of growing them
+    /// through every power of two.
+    pub fn with_capacity_like(mut self, like: &ExecTrace) -> Self {
+        self.arena.reserve(like.arena.len(), like.var_map.len());
+        self.vars.reserve(like.var_map.len());
+        self.branches.reserve(like.branches.len());
         self
     }
 
@@ -145,8 +236,14 @@ impl ExecCtx {
     }
 
     /// Consumes the context, returning its arena, branches and input model.
-    pub fn into_parts(self) -> (TermArena, Vec<BranchRecord>, Model, HashMap<String, VarId>) {
+    pub fn into_parts(self) -> (TermArena, Vec<BranchRecord>, Model, VarMap) {
         (self.arena, self.branches, self.concrete, self.vars)
+    }
+
+    /// Takes what the context knows about its sites — the shared table the
+    /// run declared, or its own — leaving it knowing none.
+    pub(crate) fn take_sites(&mut self) -> Arc<SiteInfo> {
+        self.sites.take().unwrap_or_default()
     }
 
     /// The branches recorded so far, in execution order.
@@ -160,13 +257,32 @@ impl ExecCtx {
     }
 
     /// The mapping from symbolic input names to solver variables.
-    pub fn var_map(&self) -> &HashMap<String, VarId> {
+    pub fn var_map(&self) -> &VarMap {
         &self.vars
     }
 
+    /// Labels and policy membership of the sites seen or declared so far.
+    pub fn site_info(&self) -> &SiteInfo {
+        self.sites.as_deref().unwrap_or(&NO_SITES)
+    }
+
     /// Human-readable labels for branch sites, when known.
-    pub fn site_labels(&self) -> &HashMap<SiteId, String> {
-        &self.site_labels
+    pub fn site_labels(&self) -> &SiteLabels {
+        self.site_info().labels()
+    }
+
+    /// Records a site's label, and that it is a policy site if `policy`.
+    /// A shared table is copied only when this tells it something new.
+    fn note_site(&mut self, site: SiteId, policy: bool, label: impl FnOnce() -> Arc<str>) {
+        let known = self.site_info();
+        if known.labels.contains_key(&site) && (!policy || known.policy.contains(&site)) {
+            return;
+        }
+        let mine = Arc::make_mut(self.sites.get_or_insert_with(Arc::default));
+        mine.add_label(site, label);
+        if policy {
+            mine.policy.insert(site);
+        }
     }
 
     /// Returns whether constraint recording is currently enabled.
@@ -197,8 +313,9 @@ impl ExecCtx {
         let var = match self.vars.get(name) {
             Some(&v) => v,
             None => {
-                let v = self.arena.declare_var(name, T::WIDTH);
-                self.vars.insert(name.to_string(), v);
+                let name: Arc<str> = Arc::from(name);
+                let v = self.arena.declare_var(Arc::clone(&name), T::WIDTH);
+                self.vars.insert(name, v);
                 v
             }
         };
@@ -233,9 +350,9 @@ impl ExecCtx {
     pub fn branch(&mut self, cond: ConcolicBool) -> bool {
         let loc = Location::caller();
         let site = SiteId::from_location(loc);
-        self.site_labels
-            .entry(site)
-            .or_insert_with(|| format!("{}:{}:{}", loc.file(), loc.line(), loc.column()));
+        self.note_site(site, false, || {
+            format!("{}:{}:{}", loc.file(), loc.line(), loc.column()).into()
+        });
         self.branch_at(site, cond)
     }
 
@@ -258,9 +375,7 @@ impl ExecCtx {
     /// Records a labelled branch, remembering the label for reports.
     pub fn branch_labeled(&mut self, label: &str, cond: ConcolicBool) -> bool {
         let site = SiteId::from_label(label);
-        self.site_labels
-            .entry(site)
-            .or_insert_with(|| label.to_string());
+        self.note_site(site, false, || Arc::from(label));
         self.branch_at(site, cond)
     }
 
@@ -271,11 +386,19 @@ impl ExecCtx {
     /// the policy-coverage denominator.
     pub fn declare_policy_site(&mut self, label: &str) -> SiteId {
         let site = SiteId::from_label(label);
-        self.site_labels
-            .entry(site)
-            .or_insert_with(|| label.to_string());
-        self.policy_sites.insert(site);
+        self.note_site(site, true, || Arc::from(label));
         site
+    }
+
+    /// Declares a whole group of policy sites hashed and labelled
+    /// beforehand — a filter's table. The first declaration of a run shares
+    /// the table; only a run that knows other sites as well copies.
+    pub fn declare_policy_sites(&mut self, group: &Arc<SiteInfo>) {
+        match &mut self.sites {
+            None => self.sites = Some(Arc::clone(group)),
+            Some(mine) if Arc::ptr_eq(mine, group) => {}
+            Some(mine) => Arc::make_mut(mine).merge(group),
+        }
     }
 
     /// Records a labelled branch at a policy site (declaring it as such).
@@ -286,16 +409,15 @@ impl ExecCtx {
 
     /// The policy sites declared during this run, in stable order.
     pub fn policy_sites(&self) -> &BTreeSet<SiteId> {
-        &self.policy_sites
+        self.site_info().policy_sites()
     }
 
     /// The conjunction of constraints describing the executed path.
     pub fn path_constraints(&mut self) -> Vec<TermId> {
-        let branches = self.branches.clone();
-        branches
-            .iter()
-            .map(|b| b.taken_constraint(&mut self.arena))
-            .collect()
+        let ExecCtx {
+            arena, branches, ..
+        } = self;
+        branches.iter().map(|b| b.taken_constraint(arena)).collect()
     }
 }
 
@@ -389,7 +511,7 @@ mod tests {
         ctx.branch_labeled("filter:line1", cond);
         ctx.branch_labeled("filter:line1", cond);
         assert_eq!(ctx.branches()[0].site, ctx.branches()[1].site);
-        assert_eq!(ctx.site_labels()[&ctx.branches()[0].site], "filter:line1");
+        assert_eq!(&*ctx.site_labels()[&ctx.branches()[0].site], "filter:line1");
         assert_eq!(SiteId::from_label("filter:line1"), ctx.branches()[0].site);
     }
 
@@ -408,7 +530,80 @@ mod tests {
         assert_eq!(ctx.branches().len(), 1);
         assert_eq!(ctx.branches()[0].site, declared);
         assert!(ctx.policy_sites().contains(&unexecuted));
-        assert_eq!(ctx.site_labels()[&unexecuted], "filter:f:if1");
+        assert_eq!(ctx.site_info().label(unexecuted), Some("filter:f:if1"));
+    }
+
+    fn filter_table(labels: &[&str]) -> Arc<SiteInfo> {
+        let mut info = SiteInfo::default();
+        for label in labels {
+            info.add_policy_site(label);
+        }
+        Arc::new(info)
+    }
+
+    #[test]
+    fn a_fresh_context_knows_no_sites_and_holds_no_table() {
+        let ctx = ExecCtx::new();
+        assert!(
+            ctx.sites.is_none(),
+            "the concrete fast path allocates nothing"
+        );
+        assert!(ctx.site_labels().is_empty());
+        assert!(ctx.policy_sites().is_empty());
+        assert_eq!(ctx.site_info().label(SiteId(7)), None);
+    }
+
+    #[test]
+    fn declaring_a_table_shares_it_until_the_run_labels_a_site_of_its_own() {
+        let table = filter_table(&["filter:f:if0", "filter:f:if1"]);
+        let mut ctx = ExecCtx::new();
+        ctx.declare_policy_sites(&table);
+        ctx.declare_policy_sites(&table);
+        assert!(Arc::ptr_eq(ctx.sites.as_ref().expect("declared"), &table));
+        assert_eq!(ctx.policy_sites().len(), 2);
+        let if1 = SiteId::from_label("filter:f:if1");
+        assert_eq!(ctx.site_info().label(if1), Some("filter:f:if1"));
+
+        // Naming a site the table already knows copies nothing.
+        ctx.declare_policy_site("filter:f:if0");
+        assert!(Arc::ptr_eq(ctx.sites.as_ref().expect("declared"), &table));
+
+        // A label of the run's own copies the table; the shared one is
+        // left as it was.
+        let x = ctx.symbolic_u32("x", 1);
+        let cond = x.gt(&CU32::concrete(0), &mut ctx);
+        ctx.branch_labeled("code:check", cond);
+        assert!(!Arc::ptr_eq(ctx.sites.as_ref().expect("declared"), &table));
+        assert_eq!(ctx.site_labels().len(), 3);
+        assert_eq!(
+            ctx.policy_sites().len(),
+            2,
+            "a code site is not a policy site"
+        );
+        assert_eq!(table.labels().len(), 2);
+
+        // A second table merges into the copy.
+        ctx.declare_policy_sites(&filter_table(&["filter:g:if0"]));
+        assert_eq!(ctx.policy_sites().len(), 3);
+        assert_eq!(ctx.take_sites().labels().len(), 4);
+        assert!(ctx.site_labels().is_empty(), "taken");
+    }
+
+    #[test]
+    fn capacity_hints_change_nothing_observable() {
+        let mut first = ExecCtx::new();
+        let x = first.symbolic_u32("x", 5);
+        let cond = x.lt(&CU32::concrete(10), &mut first);
+        first.branch_labeled("b", cond);
+        let trace = ExecTrace::from_ctx(first, crate::InputValues::new().with("x", 5));
+
+        let mut sized = ExecCtx::new().with_capacity_like(&trace);
+        let x = sized.symbolic_u32("x", 5);
+        let cond = x.lt(&CU32::concrete(10), &mut sized);
+        sized.branch_labeled("b", cond);
+        assert_eq!(sized.branches(), &trace.branches[..]);
+        assert_eq!(sized.arena().len(), trace.arena.len());
+        assert_eq!(sized.var_map(), &trace.var_map);
     }
 
     #[test]

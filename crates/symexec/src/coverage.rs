@@ -5,9 +5,11 @@
 //! tell the engine (and the operator) how close it is, and drive the
 //! coverage-guided search strategy.
 
-use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-use crate::context::SiteId;
+use dice_solver::FastHashMap;
+
+use crate::context::{SiteId, SiteInfo};
 
 /// Which directions of a branch site have been observed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,13 +32,16 @@ impl SiteCoverage {
 /// Aggregate coverage over all branch sites seen so far.
 #[derive(Debug, Clone, Default)]
 pub struct Coverage {
-    sites: HashMap<SiteId, SiteCoverage>,
-    labels: HashMap<SiteId, String>,
-    /// Sites that live in router *configuration* (filter arms) rather than
-    /// code. Registration is independent of execution, so the denominator
-    /// of [`Coverage::policy_branch_coverage`] includes arms no run has
-    /// reached.
-    policy: BTreeSet<SiteId>,
+    sites: FastHashMap<SiteId, SiteCoverage>,
+    /// Labels, and the sites that live in router *configuration* (filter
+    /// arms) rather than code. Registration is independent of execution,
+    /// so the denominator of [`Coverage::policy_branch_coverage`] includes
+    /// arms no run has reached.
+    info: SiteInfo,
+    /// The table [`Coverage::register_sites`] folded in last. Runs of one
+    /// filter all bring the same one, so after the first a run's sites are
+    /// registered by comparing two pointers.
+    last_registered: Option<Arc<SiteInfo>>,
 }
 
 impl Coverage {
@@ -56,14 +61,23 @@ impl Coverage {
         }
     }
 
-    /// Records a human-readable label for a site.
-    pub fn record_label(&mut self, site: SiteId, label: &str) {
-        self.labels.entry(site).or_insert_with(|| label.to_string());
+    /// Registers what a run knows about its sites: every label, and every
+    /// policy site (see [`Coverage::register_policy_site`]).
+    pub fn register_sites(&mut self, sites: &Arc<SiteInfo>) {
+        if self
+            .last_registered
+            .as_ref()
+            .is_some_and(|last| Arc::ptr_eq(last, sites))
+        {
+            return;
+        }
+        self.info.merge(sites);
+        self.last_registered = Some(Arc::clone(sites));
     }
 
     /// Returns the label of a site, if known.
     pub fn label(&self, site: SiteId) -> Option<&str> {
-        self.labels.get(&site).map(String::as_str)
+        self.info.label(site)
     }
 
     /// Returns the coverage entry for a site, if it was ever executed.
@@ -117,22 +131,23 @@ impl Coverage {
     /// does not mark any direction covered — it only adds the site to the
     /// policy-coverage denominator.
     pub fn register_policy_site(&mut self, site: SiteId) {
-        self.policy.insert(site);
+        self.info.declare_policy(site);
     }
 
     /// Returns true if the site was registered as a policy site.
     pub fn is_policy_site(&self, site: SiteId) -> bool {
-        self.policy.contains(&site)
+        self.info.policy_sites().contains(&site)
     }
 
     /// Number of registered policy branch sites (executed or not).
     pub fn policy_site_count(&self) -> usize {
-        self.policy.len()
+        self.info.policy_sites().len()
     }
 
     /// Number of policy sites for which both directions were observed.
     pub fn policy_complete_sites(&self) -> usize {
-        self.policy
+        self.info
+            .policy_sites()
             .iter()
             .filter(|s| self.sites.get(s).is_some_and(|c| c.is_complete()))
             .count()
@@ -140,7 +155,8 @@ impl Coverage {
 
     /// Number of `(policy site, direction)` pairs observed.
     pub fn policy_directions_covered(&self) -> usize {
-        self.policy
+        self.info
+            .policy_sites()
             .iter()
             .filter_map(|s| self.sites.get(s))
             .map(|c| usize::from(c.taken) + usize::from(c.not_taken))
@@ -154,10 +170,10 @@ impl Coverage {
     ///
     /// Returns 1.0 when no policy sites are registered.
     pub fn policy_branch_coverage(&self) -> f64 {
-        if self.policy.is_empty() {
+        if self.info.policy_sites().is_empty() {
             return 1.0;
         }
-        self.policy_directions_covered() as f64 / (2 * self.policy.len()) as f64
+        self.policy_directions_covered() as f64 / (2 * self.info.policy_sites().len()) as f64
     }
 
     /// Iterates over `(site, coverage)` pairs.
@@ -173,10 +189,7 @@ impl Coverage {
             entry.taken |= cov.taken;
             entry.not_taken |= cov.not_taken;
         }
-        for (&site, label) in &other.labels {
-            self.labels.entry(site).or_insert_with(|| label.clone());
-        }
-        self.policy.extend(other.policy.iter().copied());
+        self.info.merge(&other.info);
     }
 }
 
@@ -258,18 +271,51 @@ mod tests {
     }
 
     #[test]
+    fn registering_the_same_table_again_is_a_pointer_comparison() {
+        let mut info = SiteInfo::default();
+        let arm = info.add_policy_site("filter:f:if0");
+        let table = Arc::new(info);
+        let mut cov = Coverage::new();
+        cov.register_sites(&table);
+        assert!(cov.is_policy_site(arm));
+        assert_eq!(cov.label(arm), Some("filter:f:if0"));
+        assert_eq!(cov.policy_branch_coverage(), 0.0, "registered, not covered");
+        // Every further run of the filter brings the same table.
+        cov.register_sites(&table);
+        assert_eq!(cov.policy_site_count(), 1);
+        assert!(Arc::ptr_eq(
+            cov.last_registered.as_ref().expect("remembered"),
+            &table
+        ));
+        // An equal table built elsewhere (another handler of the same
+        // filter) adds nothing new.
+        let mut again = SiteInfo::default();
+        again.add_policy_site("filter:f:if0");
+        cov.register_sites(&Arc::new(again));
+        assert_eq!(cov.policy_site_count(), 1);
+    }
+
+    #[test]
     fn merge_combines_sites_and_labels() {
         let mut a = Coverage::new();
-        a.record(site(1), true);
-        a.record_label(site(1), "first");
+        let first = SiteId::from_label("first");
+        let second = SiteId::from_label("second");
+        let table = |label| {
+            let mut info = SiteInfo::default();
+            info.add_policy_site(label);
+            Arc::new(info)
+        };
+        a.record(first, true);
+        a.register_sites(&table("first"));
         let mut b = Coverage::new();
-        b.record(site(1), false);
-        b.record(site(2), true);
-        b.record_label(site(2), "second");
+        b.record(first, false);
+        b.record(second, true);
+        b.register_sites(&table("second"));
         a.merge(&b);
         assert_eq!(a.site_count(), 2);
         assert_eq!(a.complete_sites(), 1);
-        assert_eq!(a.label(site(1)), Some("first"));
-        assert_eq!(a.label(site(2)), Some("second"));
+        assert_eq!(a.label(first), Some("first"));
+        assert_eq!(a.label(second), Some("second"));
+        assert_eq!(a.policy_site_count(), 2);
     }
 }

@@ -29,11 +29,23 @@
 //! batched mode may solve a candidate whose result the sequential loop
 //! would have skipped as a duplicate before solving — the result is
 //! discarded, and the engine-level skip counters match).
+//!
+//! # What a run owns
+//!
+//! Each execution gets a fresh [`ExecCtx`] — its own term arena, interned
+//! in execution order because [`dice_solver::TermId`] numbering decides
+//! which input a negation yields — with tables sized from the run before
+//! it. Everything else is shared into the run or moved out of it: the
+//! finished context's arena, branches, model and variable map move into
+//! the [`ExecTrace`], which also hashes the path identity and every
+//! negation target once; site labels and policy sites are one
+//! reference-counted [`crate::SiteInfo`] the program declared, which
+//! [`Coverage::register_sites`] folds in once per table, not per run.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use dice_solver::{IncrementalSolver, Solver, SolverConfig, SolverStats, Verdict};
+use dice_solver::{FastHashSet, IncrementalSolver, Solver, SolverConfig, SolverStats, Verdict};
 
 use crate::context::ExecCtx;
 use crate::coverage::Coverage;
@@ -235,7 +247,7 @@ impl<O> Exploration<O> {
 
     /// Number of distinct paths executed.
     pub fn distinct_paths(&self) -> usize {
-        let ids: HashSet<PathId> = self.runs.iter().map(|r| r.trace.path_id()).collect();
+        let ids: FastHashSet<PathId> = self.runs.iter().map(|r| r.trace.path_id()).collect();
         ids.len()
     }
 
@@ -289,7 +301,7 @@ struct ExplorationState<O> {
     stats: ExplorationStats,
     worklist: Worklist,
     /// Path identities we have executed or already queued a query for.
-    attempted: HashSet<PathId>,
+    attempted: FastHashSet<PathId>,
 }
 
 impl<O> ExplorationState<O> {
@@ -299,7 +311,7 @@ impl<O> ExplorationState<O> {
             coverage: Coverage::new(),
             stats: ExplorationStats::default(),
             worklist: Worklist::new(strategy),
-            attempted: HashSet::new(),
+            attempted: FastHashSet::default(),
         }
     }
 
@@ -441,6 +453,7 @@ impl ConcolicEngine {
                         input,
                         Some((candidate.run_index, candidate.branch_index)),
                         generation,
+                        state.runs.last().map(|run| &run.trace),
                     );
                     self.integrate(record, &mut state);
                 }
@@ -494,7 +507,13 @@ impl ConcolicEngine {
             if state.runs.len() >= self.config.max_runs {
                 break;
             }
-            let record = self.execute(program, seed.clone(), None, 0);
+            let record = self.execute(
+                program,
+                seed.clone(),
+                None,
+                0,
+                state.runs.last().map(|run| &run.trace),
+            );
             self.integrate(record, state);
         }
     }
@@ -562,7 +581,7 @@ impl ConcolicEngine {
             solver_stats.merge(&group_stats);
         }
 
-        let mut wave_paths: HashSet<PathId> = HashSet::new();
+        let mut wave_paths: FastHashSet<PathId> = FastHashSet::default();
         for (item, msg) in wave.iter().zip(solved) {
             let msg = msg.expect("every wave position belongs to exactly one group");
             self.commit(program, item, msg, state, &mut wave_paths);
@@ -577,7 +596,7 @@ impl ConcolicEngine {
         item: &WaveItem,
         msg: SolveMsg,
         state: &mut ExplorationState<P::Output>,
-        wave_paths: &mut HashSet<PathId>,
+        wave_paths: &mut FastHashSet<PathId>,
     ) {
         // The sequential loop would not even have popped this candidate
         // once the run budget filled.
@@ -600,6 +619,7 @@ impl ConcolicEngine {
                     input,
                     Some((item.candidate.run_index, item.candidate.branch_index)),
                     item.candidate.generation + 1,
+                    state.runs.last().map(|run| &run.trace),
                 );
                 wave_paths.insert(record.trace.path_id());
                 self.integrate(record, state);
@@ -610,14 +630,20 @@ impl ConcolicEngine {
     }
 
     /// Executes the program once and wraps the result in a [`RunRecord`].
+    /// `previous` is the run before, whose size the new run's tables start
+    /// at.
     fn execute<P: SymbolicProgram>(
         &self,
         program: &mut P,
         input: InputValues,
         parent: Option<(usize, usize)>,
         generation: u32,
+        previous: Option<&ExecTrace>,
     ) -> RunRecord<P::Output> {
         let mut ctx = ExecCtx::new().with_max_branches(self.config.max_branches_per_run);
+        if let Some(previous) = previous {
+            ctx = ctx.with_capacity_like(previous);
+        }
         let output = program.run(&mut ctx, &input);
         let trace = ExecTrace::from_ctx(ctx, input);
         RunRecord {
@@ -635,17 +661,9 @@ impl ConcolicEngine {
         // Policy sites are registered (denominator) independently of which
         // branches the run actually executed, so never-reached filter arms
         // still show up as uncovered in the policy-coverage report.
-        for &site in &record.trace.policy_sites {
-            state.coverage.register_policy_site(site);
-            if let Some(label) = record.trace.site_labels.get(&site) {
-                state.coverage.record_label(site, label);
-            }
-        }
+        state.coverage.register_sites(&record.trace.sites);
         for b in &record.trace.branches {
             state.coverage.record(b.site, b.taken);
-            if let Some(label) = record.trace.site_labels.get(&b.site) {
-                state.coverage.record_label(b.site, label);
-            }
         }
         state.attempted.insert(record.trace.path_id());
         let candidate_count = record.trace.branches.len();
@@ -655,7 +673,7 @@ impl ConcolicEngine {
             self.config.max_candidates_per_run.min(candidate_count)
         };
         for (branch_index, b) in record.trace.branches.iter().enumerate().take(limit) {
-            let is_policy = record.trace.policy_sites.contains(&b.site);
+            let is_policy = record.trace.sites.policy_sites().contains(&b.site);
             state.worklist.push(Candidate {
                 run_index,
                 branch_index,
@@ -726,6 +744,7 @@ fn solve_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     /// The three-branch sample program from Figure 1 of the paper: the
     /// engine should discover all reachable paths by negating predicates.

@@ -8,8 +8,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use dice_solver::{Model, VarId};
+use dice_solver::Model;
+
+use crate::context::VarMap;
 
 /// Description of one symbolic input field.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,9 +84,12 @@ impl InputSpec {
 }
 
 /// A concrete assignment of values to named input fields.
+///
+/// Names are shared: the engine clones an assignment for every input it
+/// generates, and a clone copies the values, not the strings.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InputValues {
-    values: BTreeMap<String, u64>,
+    values: BTreeMap<Arc<str>, u64>,
 }
 
 impl InputValues {
@@ -94,7 +100,12 @@ impl InputValues {
 
     /// Sets a field value.
     pub fn set(&mut self, name: &str, value: u64) {
-        self.values.insert(name.to_string(), value);
+        match self.values.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.values.insert(Arc::from(name), value);
+            }
+        }
     }
 
     /// Builder-style field setter.
@@ -125,7 +136,7 @@ impl InputValues {
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.values.iter().map(|(k, &v)| (k.as_str(), v))
+        self.values.iter().map(|(k, &v)| (&**k, v))
     }
 
     /// Builds new input values from a solver model.
@@ -134,11 +145,7 @@ impl InputValues {
     /// model leaves unconstrained keep the value from `fallback` (usually
     /// the input of the run whose branch was negated), so that generated
     /// messages stay close to observed ones.
-    pub fn from_model(
-        model: &Model,
-        var_map: &std::collections::HashMap<String, VarId>,
-        fallback: &InputValues,
-    ) -> InputValues {
+    pub fn from_model(model: &Model, var_map: &VarMap, fallback: &InputValues) -> InputValues {
         let mut out = fallback.clone();
         for (name, &var) in var_map {
             if let Some(v) = model.get_opt(var) {
@@ -165,7 +172,10 @@ impl fmt::Display for InputValues {
 impl FromIterator<(String, u64)> for InputValues {
     fn from_iter<T: IntoIterator<Item = (String, u64)>>(iter: T) -> Self {
         InputValues {
-            values: iter.into_iter().collect(),
+            values: iter
+                .into_iter()
+                .map(|(name, value)| (Arc::from(name), value))
+                .collect(),
         }
     }
 }
@@ -173,7 +183,6 @@ impl FromIterator<(String, u64)> for InputValues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn spec_defaults() {
@@ -202,8 +211,8 @@ mod tests {
         let mut arena = dice_solver::TermArena::new();
         let va = arena.declare_var("a", 32);
         let _vb = arena.declare_var("b", 32);
-        let mut var_map = HashMap::new();
-        var_map.insert("a".to_string(), va);
+        let mut var_map = VarMap::default();
+        var_map.insert("a".into(), va);
         // `b` intentionally not in the var map: it was never made symbolic.
         let mut model = Model::new();
         model.set(va, 777);

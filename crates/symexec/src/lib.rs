@@ -45,7 +45,7 @@ pub mod path;
 pub mod strategy;
 pub mod value;
 
-pub use context::{BranchRecord, ExecCtx, SiteId};
+pub use context::{BranchRecord, ExecCtx, SiteId, SiteInfo, SiteLabels, VarMap};
 pub use coverage::{Coverage, SiteCoverage};
 pub use engine::{
     ConcolicEngine, EngineConfig, Exploration, ExplorationStats, RunRecord, SymbolicProgram,

@@ -6,12 +6,12 @@
 //! fault checkers inspect.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use dice_solver::{Model, TermArena, TermId, VarId};
+use dice_solver::{Model, TermArena, TermId};
 
-use crate::context::{BranchRecord, ExecCtx, SiteId};
+use crate::context::{BranchRecord, ExecCtx, SiteId, SiteInfo, VarMap};
 use crate::input::InputValues;
 
 /// A compact identity for a code path: the ordered sequence of
@@ -19,14 +19,35 @@ use crate::input::InputValues;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathId(pub u64);
 
+fn hash_step(h: &mut DefaultHasher, site: SiteId, taken: bool) {
+    site.hash(h);
+    taken.hash(h);
+}
+
 /// Computes the path identity of a branch sequence.
 pub fn path_id(branches: &[(SiteId, bool)]) -> PathId {
     let mut h = DefaultHasher::new();
-    for (site, taken) in branches {
-        site.hash(&mut h);
-        taken.hash(&mut h);
+    for &(site, taken) in branches {
+        hash_step(&mut h, site, taken);
     }
     PathId(h.finish())
+}
+
+/// The identity of a branch sequence and, for every index `k`, of the path
+/// negating branch `k` targets (the prefix up to `k` with `k`'s direction
+/// flipped) — all from one pass: the hasher that has absorbed the prefix
+/// `[0, k)` is cloned to finish the flipped variant, then absorbs `k`
+/// itself. The values are those [`path_id`] gives for each shape.
+fn path_ids(branches: &[BranchRecord]) -> (PathId, Vec<PathId>) {
+    let mut prefix = DefaultHasher::new();
+    let mut negated = Vec::with_capacity(branches.len());
+    for b in branches {
+        let mut flipped = prefix.clone();
+        hash_step(&mut flipped, b.site, !b.taken);
+        negated.push(PathId(flipped.finish()));
+        hash_step(&mut prefix, b.site, b.taken);
+    }
+    (PathId(prefix.finish()), negated)
 }
 
 /// The result of one concolic execution of the program under test.
@@ -36,33 +57,37 @@ pub struct ExecTrace {
     pub arena: TermArena,
     /// The branches taken, in order.
     pub branches: Vec<BranchRecord>,
-    /// Human-readable labels for branch sites.
-    pub site_labels: HashMap<SiteId, String>,
+    /// Labels of the run's branch sites and its policy sites (every arm of
+    /// every filter the run evaluated, executed or not) — usually the
+    /// filter's own table, shared by every run that evaluated it.
+    pub sites: Arc<SiteInfo>,
     /// Concrete assignment of the symbolic inputs during the run.
     pub concrete: Model,
     /// Mapping from input field names to solver variables.
-    pub var_map: HashMap<String, VarId>,
+    pub var_map: VarMap,
     /// The input values the run was started with.
     pub input: InputValues,
-    /// Policy branch sites declared during the run (every arm of every
-    /// filter the run evaluated, executed or not).
-    pub policy_sites: BTreeSet<SiteId>,
+    /// Identity of the executed path, hashed when the trace was built.
+    path: PathId,
+    /// `negated[k]`: identity of the path negating branch `k` targets.
+    negated: Vec<PathId>,
 }
 
 impl ExecTrace {
     /// Builds a trace from a finished execution context and its input.
-    pub fn from_ctx(ctx: ExecCtx, input: InputValues) -> Self {
-        let site_labels = ctx.site_labels().clone();
-        let policy_sites = ctx.policy_sites().clone();
+    pub fn from_ctx(mut ctx: ExecCtx, input: InputValues) -> Self {
+        let sites = ctx.take_sites();
         let (arena, branches, concrete, var_map) = ctx.into_parts();
+        let (path, negated) = path_ids(&branches);
         ExecTrace {
             arena,
             branches,
-            site_labels,
+            sites,
             concrete,
             var_map,
             input,
-            policy_sites,
+            path,
+            negated,
         }
     }
 
@@ -78,7 +103,7 @@ impl ExecTrace {
 
     /// The path identity of the full trace.
     pub fn path_id(&self) -> PathId {
-        path_id(&self.shape())
+        self.path
     }
 
     /// The identity of the path targeted by negating branch `index`:
@@ -88,15 +113,7 @@ impl ExecTrace {
     ///
     /// Panics if `index` is out of bounds.
     pub fn negated_path_id(&self, index: usize) -> PathId {
-        let mut shape: Vec<(SiteId, bool)> = self
-            .branches
-            .iter()
-            .take(index + 1)
-            .map(|b| (b.site, b.taken))
-            .collect();
-        let last = shape.last_mut().expect("index within bounds");
-        last.1 = !last.1;
-        path_id(&shape)
+        self.negated[index]
     }
 
     /// Constraints of the path prefix `[0, index)` plus the negation of the
@@ -108,22 +125,23 @@ impl ExecTrace {
     /// Panics if `index` is out of bounds.
     pub fn negation_query(&mut self, index: usize) -> Vec<TermId> {
         assert!(index < self.branches.len(), "branch index out of bounds");
-        let branches = self.branches.clone();
+        let ExecTrace {
+            arena, branches, ..
+        } = self;
         let mut out = Vec::with_capacity(index + 1);
-        for b in branches.iter().take(index) {
-            out.push(b.taken_constraint(&mut self.arena));
+        for b in &branches[..index] {
+            out.push(b.taken_constraint(arena));
         }
-        out.push(branches[index].negated_constraint(&mut self.arena));
+        out.push(branches[index].negated_constraint(arena));
         out
     }
 
     /// All constraints along the executed path.
     pub fn path_constraints(&mut self) -> Vec<TermId> {
-        let branches = self.branches.clone();
-        branches
-            .iter()
-            .map(|b| b.taken_constraint(&mut self.arena))
-            .collect()
+        let ExecTrace {
+            arena, branches, ..
+        } = self;
+        branches.iter().map(|b| b.taken_constraint(arena)).collect()
     }
 }
 
@@ -131,6 +149,7 @@ impl ExecTrace {
 mod tests {
     use super::*;
     use crate::value::CU32;
+    use proptest::prelude::*;
 
     fn trace_with_two_branches(x_val: u32) -> ExecTrace {
         let mut ctx = ExecCtx::new();
@@ -142,6 +161,65 @@ mod tests {
         let c2 = x.lt(&c100, &mut ctx);
         ctx.branch_labeled("b2", c2);
         ExecTrace::from_ctx(ctx, InputValues::new().with("x", x_val as u64))
+    }
+
+    /// `negated_path_id` as it was: the prefix up to `index` copied out
+    /// with its last direction flipped, hashed from scratch.
+    fn reference_negated_path_id(branches: &[BranchRecord], index: usize) -> PathId {
+        let mut shape: Vec<(SiteId, bool)> = branches
+            .iter()
+            .take(index + 1)
+            .map(|b| (b.site, b.taken))
+            .collect();
+        let last = shape.last_mut().expect("index within bounds");
+        last.1 = !last.1;
+        path_id(&shape)
+    }
+
+    proptest! {
+        /// One pass with a cloned hasher per prefix yields, for every
+        /// branch of a random shape, the identity the old per-candidate
+        /// rehash gave — and the trace's own.
+        #[test]
+        fn one_pass_path_ids_match_rehashing_every_prefix(
+            shape in prop::collection::vec((0u64..6, any::<bool>()), 0..40),
+        ) {
+            let condition = TermArena::new().bool_const(true);
+            let branches: Vec<BranchRecord> = shape
+                .iter()
+                .map(|&(site, taken)| BranchRecord {
+                    // Few distinct sites, so shapes revisit them.
+                    site: SiteId(site.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    condition,
+                    taken,
+                })
+                .collect();
+            let (path, negated) = path_ids(&branches);
+            let full: Vec<(SiteId, bool)> = branches.iter().map(|b| (b.site, b.taken)).collect();
+            prop_assert_eq!(path, path_id(&full));
+            prop_assert_eq!(negated.len(), branches.len());
+            for (k, &id) in negated.iter().enumerate() {
+                prop_assert_eq!(id, reference_negated_path_id(&branches, k));
+            }
+        }
+    }
+
+    #[test]
+    fn trace_serves_the_ids_it_hashed_when_built() {
+        let t = trace_with_two_branches(5);
+        assert_eq!(t.path_id(), path_id(&t.shape()));
+        for k in 0..t.depth() {
+            assert_eq!(
+                t.negated_path_id(k),
+                reference_negated_path_id(&t.branches, k)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn negated_path_id_rejects_bad_index() {
+        let _ = trace_with_two_branches(5).negated_path_id(2);
     }
 
     #[test]

@@ -8,12 +8,13 @@ use dice::prelude::*;
 use dice_bgp::attributes::{Community, Origin};
 use dice_bgp::wire;
 use dice_router::policy::{
-    eval_filter, parse_filter, CmpOp, Expr, Field, FilterDef, PrefixPattern, RouteView, Stmt,
+    eval_filter, eval_filter_at, parse_filter, CmpOp, Expr, Field, FilterDef, FilterSites,
+    PrefixPattern, RouteView, Stmt,
 };
 use dice_router::rib::canonical_cmp;
 use dice_router::PrefixMap;
 use dice_solver::{Solver, TermArena};
-use dice_symexec::{ExecCtx, CU32};
+use dice_symexec::{ExecCtx, SiteId, CU32};
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(addr, len)| Ipv4Prefix::new(addr, len).expect("len <= 32"))
@@ -281,6 +282,40 @@ proptest! {
         let reparsed = parse_filter(&filter.to_string()).expect("display output re-parses");
         prop_assert_eq!(&reparsed, &filter);
         prop_assert_eq!(reparsed.sites(), filter.sites());
+    }
+
+    /// A filter's site table — labels formatted and hashed once — holds
+    /// for every arm exactly the site its label hashes to, and a symbolic
+    /// evaluation at the table declares and records the same sites as one
+    /// that builds its own.
+    #[test]
+    fn policy_site_table_matches_arm_labels(
+        filter in arb_policy_filter(),
+        prefix in arb_prefix(),
+        attrs in arb_attrs(),
+    ) {
+        let sites = FilterSites::of(&filter);
+        for (arm, label) in filter.sites() {
+            let site = SiteId::from_label(&label);
+            prop_assert_eq!(sites.site_of(arm), Some(site));
+            prop_assert_eq!(sites.info().label(site), Some(label.as_str()));
+        }
+        prop_assert_eq!(sites.info().policy_sites().len(), filter.branch_count());
+
+        let route = Route::new(prefix, attrs, PeerId(1), 1);
+        let symbolic_view = |ctx: &mut ExecCtx| RouteView {
+            prefix_addr: ctx.symbolic_u32("nlri.addr", route.prefix.addr()),
+            prefix_len: ctx.symbolic_u8("nlri.len", route.prefix.len()),
+            ..RouteView::concrete(&route)
+        };
+        let mut at_table = ExecCtx::new();
+        let view = symbolic_view(&mut at_table);
+        let outcome = eval_filter_at(&filter, &sites, &view, &mut at_table);
+        let mut one_off = ExecCtx::new();
+        let view = symbolic_view(&mut one_off);
+        prop_assert_eq!(eval_filter(&filter, &view, &mut one_off), outcome);
+        prop_assert_eq!(at_table.branches(), one_off.branches());
+        prop_assert_eq!(at_table.site_info(), one_off.site_info());
     }
 
     /// Concrete and symbolic evaluation of the same filter over the same
