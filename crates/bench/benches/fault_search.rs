@@ -67,7 +67,7 @@ fn orchestrator() -> LiveOrchestrator {
         .engine(EngineConfig::default().with_max_runs(4))
         .checker(Box::new(BgpWedgieChecker::new()))
         .build();
-    LiveOrchestrator::new(session).with_core_budget(1)
+    LiveOrchestrator::new(session)
 }
 
 fn search(budget: usize) -> FaultPlanSearch {

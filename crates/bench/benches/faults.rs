@@ -92,7 +92,7 @@ fn plan(customer: NodeId, provider: NodeId, internet: NodeId) -> FaultPlan {
 /// without the fault plan perturbing the network between epochs.
 fn live_run(fault_plan: Option<FaultPlan>) -> LiveReport {
     let (mut sim, _, provider, _) = fresh_sim();
-    let mut orchestrator = LiveOrchestrator::new(session()).with_core_budget(1);
+    let mut orchestrator = LiveOrchestrator::new(session());
     if let Some(plan) = fault_plan {
         orchestrator = orchestrator.with_fault_plan(plan);
     }

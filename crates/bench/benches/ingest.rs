@@ -6,8 +6,8 @@
 //! with a byte-identical observed log.
 //!
 //! Set `DICE_BENCH_INGEST_JSON=<path>` to write the comparison as a JSON
-//! baseline artifact (CI uploads `BENCH_ingest.json` next to
-//! `BENCH_live.json` and the other bench artifacts).
+//! baseline artifact (CI uploads `BENCH_ingest.json` next to the other
+//! bench artifacts).
 
 use std::time::{Duration, Instant};
 

@@ -57,7 +57,7 @@ fn live_run() -> LiveReport {
         ),
     );
     sim.run_to_quiescence(100);
-    let orchestrator = LiveOrchestrator::new(session()).with_core_budget(1);
+    let orchestrator = LiveOrchestrator::new(session());
     orchestrator.run(&mut sim, |sim, epoch| {
         if let Some(block) = EPOCH_BLOCKS.get(epoch) {
             sim.inject(

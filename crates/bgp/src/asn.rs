@@ -143,18 +143,25 @@ impl AsPath {
     /// Returns a new path with `asn` prepended `count` times, as performed
     /// when exporting a route to an eBGP peer.
     pub fn prepend(&self, asn: Asn, count: usize) -> AsPath {
-        let mut segments = self.segments().to_vec();
-        match segments.first_mut() {
-            Some(AsPathSegment::Sequence(v)) => {
-                for _ in 0..count {
-                    v.insert(0, asn);
-                }
+        let old = self.segments();
+        // The segments go straight into the shared slice: one allocation
+        // for it, one for the leading sequence.
+        let segments: Arc<[AsPathSegment]> = match old.split_first() {
+            Some((AsPathSegment::Sequence(first), rest)) => {
+                let mut sequence = Vec::with_capacity(count + first.len());
+                sequence.extend(std::iter::repeat_n(asn, count));
+                sequence.extend_from_slice(first);
+                std::iter::once(AsPathSegment::Sequence(sequence))
+                    .chain(rest.iter().cloned())
+                    .collect()
             }
-            _ => {
-                segments.insert(0, AsPathSegment::Sequence(vec![asn; count]));
-            }
+            _ => std::iter::once(AsPathSegment::Sequence(vec![asn; count]))
+                .chain(old.iter().cloned())
+                .collect(),
+        };
+        AsPath {
+            segments: Some(segments),
         }
-        AsPath::from_segments(segments)
     }
 
     /// Flattens the path into a list of ASNs, ignoring segment structure.
@@ -233,6 +240,33 @@ mod tests {
         let longer = path.prepend(Asn(65001), 2);
         assert_eq!(longer.length(), 3);
         assert_eq!(longer.origin_as(), Some(Asn(65001)));
+
+        // A leading set gets a sequence in front of it; later segments
+        // follow unchanged.
+        let set_first = AsPath::from_segments(vec![
+            AsPathSegment::Set(vec![Asn(10), Asn(11)]),
+            AsPathSegment::Sequence(vec![Asn(20)]),
+        ]);
+        assert_eq!(
+            set_first.prepend(Asn(1), 2).segments(),
+            [
+                AsPathSegment::Sequence(vec![Asn(1), Asn(1)]),
+                AsPathSegment::Set(vec![Asn(10), Asn(11)]),
+                AsPathSegment::Sequence(vec![Asn(20)]),
+            ]
+        );
+        // A leading sequence grows in place; the set after it stays.
+        let sequence_first = AsPath::from_segments(vec![
+            AsPathSegment::Sequence(vec![Asn(20)]),
+            AsPathSegment::Set(vec![Asn(10)]),
+        ]);
+        assert_eq!(
+            sequence_first.prepend(Asn(1), 1).segments(),
+            [
+                AsPathSegment::Sequence(vec![Asn(1), Asn(20)]),
+                AsPathSegment::Set(vec![Asn(10)]),
+            ]
+        );
     }
 
     #[test]

@@ -264,11 +264,17 @@ impl RouteAttrs {
 
     /// Converts to the wire-level attribute list in canonical code order.
     pub fn to_attributes(&self) -> Vec<PathAttribute> {
-        let mut out = vec![
+        let optional = usize::from(self.med.is_some())
+            + usize::from(self.local_pref.is_some())
+            + usize::from(self.atomic_aggregate)
+            + usize::from(self.aggregator.is_some())
+            + usize::from(!self.communities.is_empty());
+        let mut out = Vec::with_capacity(3 + optional);
+        out.extend([
             PathAttribute::Origin(self.origin),
             PathAttribute::AsPath(self.as_path.clone()),
             PathAttribute::NextHop(self.next_hop),
-        ];
+        ]);
         if let Some(med) = self.med {
             out.push(PathAttribute::Med(med));
         }

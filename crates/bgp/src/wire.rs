@@ -6,7 +6,7 @@
 //! valid* messages (paper §3.2), so this layer is exercised by the live
 //! message path and by tests, not by exploration.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::net::Ipv4Addr;
 
 use crate::asn::{AsPath, AsPathSegment, Asn};
@@ -22,21 +22,37 @@ pub const HEADER_LEN: usize = 19;
 /// Maximum BGP message length.
 pub const MAX_MESSAGE_LEN: usize = 4096;
 
-/// Encodes a message into a fresh byte buffer.
+/// Encodes a message into a fresh byte buffer of exactly its size.
 pub fn encode(msg: &BgpMessage) -> Bytes {
-    let mut body = BytesMut::new();
+    let mut out = Vec::new();
+    encode_into(msg, &mut out);
+    Bytes::from(out)
+}
+
+/// Encodes a message into `out`, replacing what it held: [`encode`] for a
+/// caller that encodes message after message into one buffer.
+///
+/// Every length field is computed before the bytes it covers are written,
+/// so the message is written front to back, growing `out` at most once.
+pub fn encode_into(msg: &BgpMessage, out: &mut Vec<u8>) {
+    let body_len = match msg {
+        BgpMessage::Open(_) => OPEN_BODY_LEN,
+        BgpMessage::Update(u) => update_body_len(u),
+        BgpMessage::Notification(n) => 2 + n.error.data.len(),
+        BgpMessage::Keepalive(_) => 0,
+    };
+    out.clear();
+    out.reserve(HEADER_LEN + body_len);
+    out.put_bytes(0xff, 16);
+    out.put_u16((HEADER_LEN + body_len) as u16);
+    out.put_u8(msg.message_type() as u8);
     match msg {
-        BgpMessage::Open(o) => encode_open(o, &mut body),
-        BgpMessage::Update(u) => encode_update(u, &mut body),
-        BgpMessage::Notification(n) => encode_notification(n, &mut body),
+        BgpMessage::Open(o) => encode_open(o, out),
+        BgpMessage::Update(u) => encode_update(u, out),
+        BgpMessage::Notification(n) => encode_notification(n, out),
         BgpMessage::Keepalive(_) => {}
     }
-    let mut out = BytesMut::with_capacity(HEADER_LEN + body.len());
-    out.put_bytes(0xff, 16);
-    out.put_u16((HEADER_LEN + body.len()) as u16);
-    out.put_u8(msg.message_type() as u8);
-    out.extend_from_slice(&body);
-    out.freeze()
+    debug_assert_eq!(out.len(), HEADER_LEN + body_len);
 }
 
 /// Decodes one message from the front of `buf`.
@@ -90,7 +106,10 @@ fn need(buf: &[u8], n: usize) -> Result<(), BgpError> {
     }
 }
 
-fn encode_open(o: &OpenMessage, out: &mut BytesMut) {
+/// Version, AS, hold time, identifier and the optional-parameters length.
+const OPEN_BODY_LEN: usize = 10;
+
+fn encode_open(o: &OpenMessage, out: &mut Vec<u8>) {
     out.put_u8(o.version);
     // Classic 2-octet AS field; 4-byte ASNs are truncated here and carried
     // in full inside AS_PATH (see DESIGN.md deviation note).
@@ -121,11 +140,15 @@ fn decode_open(buf: &mut &[u8]) -> Result<OpenMessage, BgpError> {
     })
 }
 
-fn encode_prefixes(prefixes: &[Ipv4Prefix], out: &mut BytesMut) {
+fn prefixes_len(prefixes: &[Ipv4Prefix]) -> usize {
+    prefixes.iter().map(|p| 1 + p.wire_len()).sum()
+}
+
+fn encode_prefixes(prefixes: &[Ipv4Prefix], out: &mut Vec<u8>) {
     for p in prefixes {
         out.put_u8(p.len());
         let bytes = p.addr().to_be_bytes();
-        out.extend_from_slice(&bytes[..p.wire_len()]);
+        out.put_slice(&bytes[..p.wire_len()]);
     }
 }
 
@@ -148,47 +171,65 @@ fn decode_prefixes(mut buf: &[u8]) -> Result<Vec<Ipv4Prefix>, BgpError> {
     Ok(out)
 }
 
-fn encode_attribute(attr: &PathAttribute, out: &mut BytesMut) {
-    let mut value = BytesMut::new();
+/// Length of an attribute's value on the wire.
+fn attribute_value_len(attr: &PathAttribute) -> usize {
     match attr {
-        PathAttribute::Origin(o) => value.put_u8(o.code()),
-        PathAttribute::AsPath(path) => {
-            for seg in path.segments() {
-                value.put_u8(seg.type_code());
-                value.put_u8(seg.asns().len() as u8);
-                for asn in seg.asns() {
-                    value.put_u32(asn.value());
-                }
-            }
-        }
-        PathAttribute::NextHop(nh) => value.put_u32(u32::from(*nh)),
-        PathAttribute::Med(m) => value.put_u32(*m),
-        PathAttribute::LocalPref(l) => value.put_u32(*l),
-        PathAttribute::AtomicAggregate => {}
-        PathAttribute::Aggregator(a) => {
-            value.put_u32(a.asn.value());
-            value.put_u32(a.router_id);
-        }
-        PathAttribute::Communities(cs) => {
-            for c in cs {
-                value.put_u32(c.0);
-            }
-        }
+        PathAttribute::Origin(_) => 1,
+        PathAttribute::AsPath(path) => path.segments().iter().map(|s| 2 + 4 * s.asns().len()).sum(),
+        PathAttribute::NextHop(_) | PathAttribute::Med(_) | PathAttribute::LocalPref(_) => 4,
+        PathAttribute::AtomicAggregate => 0,
+        PathAttribute::Aggregator(_) => 8,
+        PathAttribute::Communities(cs) => 4 * cs.len(),
     }
+}
+
+/// Length of an attribute on the wire: flags, code, length field, value.
+fn attribute_len(attr: &PathAttribute) -> usize {
+    let value = attribute_value_len(attr);
+    let length_field = if value > 255 { 2 } else { 1 };
+    2 + length_field + value
+}
+
+fn encode_attribute(attr: &PathAttribute, out: &mut Vec<u8>) {
+    let value_len = attribute_value_len(attr);
     let code = attr.code();
     let mut attr_flags = code.default_flags();
-    let extended = value.len() > 255;
+    let extended = value_len > 255;
     if extended {
         attr_flags |= flags::EXTENDED_LENGTH;
     }
     out.put_u8(attr_flags);
     out.put_u8(code as u8);
     if extended {
-        out.put_u16(value.len() as u16);
+        out.put_u16(value_len as u16);
     } else {
-        out.put_u8(value.len() as u8);
+        out.put_u8(value_len as u8);
     }
-    out.extend_from_slice(&value);
+    match attr {
+        PathAttribute::Origin(o) => out.put_u8(o.code()),
+        PathAttribute::AsPath(path) => {
+            for seg in path.segments() {
+                out.put_u8(seg.type_code());
+                out.put_u8(seg.asns().len() as u8);
+                for asn in seg.asns() {
+                    out.put_u32(asn.value());
+                }
+            }
+        }
+        PathAttribute::NextHop(nh) => out.put_u32(u32::from(*nh)),
+        PathAttribute::Med(m) => out.put_u32(*m),
+        PathAttribute::LocalPref(l) => out.put_u32(*l),
+        PathAttribute::AtomicAggregate => {}
+        PathAttribute::Aggregator(a) => {
+            out.put_u32(a.asn.value());
+            out.put_u32(a.router_id);
+        }
+        PathAttribute::Communities(cs) => {
+            for c in cs {
+                out.put_u32(c.0);
+            }
+        }
+    }
 }
 
 fn decode_attribute(buf: &mut &[u8]) -> Result<Option<PathAttribute>, BgpError> {
@@ -347,20 +388,43 @@ fn decode_attribute(buf: &mut &[u8]) -> Result<Option<PathAttribute>, BgpError> 
     Ok(Some(attr))
 }
 
-fn encode_update(u: &UpdateMessage, out: &mut BytesMut) {
-    let mut withdrawn = BytesMut::new();
-    encode_prefixes(&u.withdrawn, &mut withdrawn);
-    out.put_u16(withdrawn.len() as u16);
-    out.extend_from_slice(&withdrawn);
+fn update_body_len(u: &UpdateMessage) -> usize {
+    let attrs: usize = u.attributes.iter().map(attribute_len).sum();
+    2 + prefixes_len(&u.withdrawn) + 2 + attrs + prefixes_len(&u.nlri)
+}
 
-    let mut attrs = BytesMut::new();
+fn encode_update(u: &UpdateMessage, out: &mut Vec<u8>) {
+    out.put_u16(prefixes_len(&u.withdrawn) as u16);
+    encode_prefixes(&u.withdrawn, out);
+
+    let attrs: usize = u.attributes.iter().map(attribute_len).sum();
+    out.put_u16(attrs as u16);
     for a in &u.attributes {
-        encode_attribute(a, &mut attrs);
+        encode_attribute(a, out);
     }
-    out.put_u16(attrs.len() as u16);
-    out.extend_from_slice(&attrs);
 
     encode_prefixes(&u.nlri, out);
+}
+
+/// How many attributes an attribute block holds, read from their headers
+/// alone: what the decoded list needs room for. A malformed block counts
+/// up to where it breaks; decoding reports the error.
+fn attribute_count(mut block: &[u8]) -> usize {
+    let mut count = 0;
+    while block.len() >= 3 {
+        let extended = block[0] & flags::EXTENDED_LENGTH != 0;
+        let (header, len) = if extended {
+            if block.len() < 4 {
+                break;
+            }
+            (4, u16::from_be_bytes([block[2], block[3]]) as usize)
+        } else {
+            (3, block[2] as usize)
+        };
+        count += 1;
+        block = &block[(header + len).min(block.len())..];
+    }
+    count
 }
 
 fn decode_update(buf: &mut &[u8]) -> Result<UpdateMessage, BgpError> {
@@ -391,7 +455,7 @@ fn decode_update(buf: &mut &[u8]) -> Result<UpdateMessage, BgpError> {
     }
     let mut attr_buf = &buf[..attrs_len];
     buf.advance(attrs_len);
-    let mut attributes = Vec::new();
+    let mut attributes = Vec::with_capacity(attribute_count(attr_buf));
     while !attr_buf.is_empty() {
         if let Some(attr) = decode_attribute(&mut attr_buf)? {
             attributes.push(attr);
@@ -407,10 +471,10 @@ fn decode_update(buf: &mut &[u8]) -> Result<UpdateMessage, BgpError> {
     })
 }
 
-fn encode_notification(n: &NotificationMessage, out: &mut BytesMut) {
+fn encode_notification(n: &NotificationMessage, out: &mut Vec<u8>) {
     out.put_u8(n.error.code as u8);
     out.put_u8(n.error.subcode);
-    out.extend_from_slice(&n.error.data);
+    out.put_slice(&n.error.data);
 }
 
 fn decode_notification(buf: &mut &[u8]) -> Result<NotificationMessage, BgpError> {
@@ -437,6 +501,7 @@ mod tests {
     use super::*;
     use crate::attributes::RouteAttrs;
     use crate::error::ErrorCode;
+    use bytes::BytesMut;
 
     fn sample_update() -> UpdateMessage {
         let mut attrs = RouteAttrs::originated(17557, Ipv4Addr::new(192, 0, 2, 1));
@@ -738,6 +803,37 @@ mod tests {
         )));
         // /8 NLRI takes 2 bytes, /22 takes 4 bytes.
         assert_eq!(two.len() - one.len(), 2);
+    }
+
+    #[test]
+    fn encode_into_reuses_its_buffer() {
+        let update = BgpMessage::Update(sample_update());
+        let keepalive = BgpMessage::Keepalive(KeepaliveMessage);
+        let mut out = Vec::new();
+        encode_into(&update, &mut out);
+        assert_eq!(out[..], encode(&update)[..]);
+        encode_into(&keepalive, &mut out);
+        assert_eq!(out[..], encode(&keepalive)[..]);
+    }
+
+    #[test]
+    fn extended_length_attribute_roundtrip() {
+        // 70 ASNs make a 282-byte AS_PATH value: past one length octet.
+        let mut attrs = RouteAttrs::originated(65001, Ipv4Addr::new(10, 0, 0, 1));
+        attrs.as_path = AsPath::from_sequence(64_000..64_070);
+        attrs.communities = (0..70).map(|v| Community::new(3491, v)).collect();
+        let update = UpdateMessage {
+            withdrawn: vec!["203.0.113.0/24".parse().expect("valid")],
+            attributes: attrs.to_attributes(),
+            nlri: vec!["0.0.0.0/0".parse().expect("valid")],
+        };
+        let msg = BgpMessage::Update(update);
+        let bytes = encode(&msg);
+        let (decoded, used) = decode(&bytes).expect("decodes");
+        assert_eq!(used, bytes.len());
+        assert_eq!(decoded, msg);
+        let as_path_flags = bytes[HEADER_LEN + 2 + 4 + 2 + 4];
+        assert_ne!(as_path_flags & flags::EXTENDED_LENGTH, 0);
     }
 
     #[test]

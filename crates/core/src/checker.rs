@@ -53,7 +53,7 @@
 //!   rounds keep flowing — the network re-stabilized in a *different*
 //!   stable state than the one it started in.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -851,45 +851,83 @@ impl FaultChecker for CrossRoundFlapChecker {
     }
 
     fn check_live(&self, rounds: &[RoundOutcomes]) -> Vec<Fault> {
-        // Per (node, prefix): one summary direction per round. The slice
-        // arrives in round order, so appending preserves the timeline.
-        let mut timelines: BTreeMap<(usize, Ipv4Prefix), Vec<bool>> = BTreeMap::new();
-        for round in rounds {
-            let mut last: BTreeMap<Ipv4Prefix, bool> = BTreeMap::new();
-            for (_, update) in &round.observed {
-                // Withdrawals before NLRI within one UPDATE, mirroring the
-                // implicit-replacement order of RFC 4271 §3.1.
-                for prefix in &update.withdrawn {
-                    last.insert(*prefix, false);
-                }
-                for prefix in &update.nlri {
-                    last.insert(*prefix, true);
-                }
-            }
-            for (prefix, direction) in last {
-                timelines
-                    .entry((round.node.0, prefix))
-                    .or_default()
-                    .push(direction);
-            }
-        }
-        timelines
-            .into_iter()
-            .filter_map(|((node, prefix), timeline)| {
-                let transitions = timeline.windows(2).filter(|w| w[0] != w[1]).count();
+        observed_timelines(rounds)
+            .chunk_by(Summary::same_timeline)
+            .filter_map(|timeline| {
+                let transitions = timeline
+                    .windows(2)
+                    .filter(|w| w[0].announced != w[1].announced)
+                    .count();
                 (transitions >= self.min_transitions).then(|| {
                     Fault::new(
                         self.name(),
                         FaultKind::CrossRoundFlap {
-                            announced: prefix,
+                            announced: timeline[0].prefix,
                             transitions,
                         },
                     )
-                    .with_node(NodeId(node))
+                    .with_node(NodeId(timeline[0].node))
                 })
             })
             .collect()
     }
+}
+
+/// One history entry's last word on one prefix: the direction a node's
+/// observed window left it in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Summary {
+    node: usize,
+    prefix: Ipv4Prefix,
+    /// Position of the entry in the history slice.
+    entry: usize,
+    /// The entry's live round index.
+    round: usize,
+    announced: bool,
+}
+
+impl Summary {
+    fn same_timeline(a: &Summary, b: &Summary) -> bool {
+        (a.node, a.prefix) == (b.node, b.prefix)
+    }
+}
+
+/// The observed timelines the temporal checkers judge, shared by
+/// [`CrossRoundFlapChecker`] and [`BgpWedgieChecker`].
+///
+/// Each history entry's window reduces to at most one direction per
+/// prefix: the last announce or withdraw of it in the window, with
+/// withdrawals before NLRI within one UPDATE (the implicit-replacement
+/// order of RFC 4271 §3.1). The summaries come back sorted by
+/// `(node, prefix)`, and within one `(node, prefix)` in history order, so
+/// each timeline is one [`slice::chunk_by`] run. One pass over the windows
+/// plus one stable sort.
+fn observed_timelines(rounds: &[RoundOutcomes]) -> Vec<Summary> {
+    let mut summaries = Vec::new();
+    for (entry, round) in rounds.iter().enumerate() {
+        let summary = |prefix: &Ipv4Prefix, announced| Summary {
+            node: round.node.0,
+            prefix: *prefix,
+            entry,
+            round: round.round,
+            announced,
+        };
+        for (_, update) in &round.observed {
+            summaries.extend(update.withdrawn.iter().map(|p| summary(p, false)));
+            summaries.extend(update.nlri.iter().map(|p| summary(p, true)));
+        }
+    }
+    // Stable, so an entry's sightings of one prefix keep their wire order
+    // and the last of each run is the window's last word.
+    summaries.sort_by_key(|s| (s.node, s.prefix, s.entry));
+    summaries.dedup_by(|later, kept| {
+        let same = (later.node, later.prefix, later.entry) == (kept.node, kept.prefix, kept.entry);
+        if same {
+            kept.announced = later.announced;
+        }
+        same
+    });
+    summaries
 }
 
 /// Detects BGP wedgies — policy-dependent stable-state divergence — from
@@ -950,48 +988,34 @@ impl FaultChecker for BgpWedgieChecker {
         // Quiet nodes produce no RoundOutcomes, so "rounds after the
         // withdrawal" is measured on the fleet-wide round clock: any node's
         // activity proves time passed without the prefix coming back.
-        let mut all_rounds: BTreeSet<usize> = BTreeSet::new();
-        let mut timelines: BTreeMap<(usize, Ipv4Prefix), Vec<(usize, bool)>> = BTreeMap::new();
-        for round in rounds {
-            all_rounds.insert(round.round);
-            let mut last: BTreeMap<Ipv4Prefix, bool> = BTreeMap::new();
-            for (_, update) in &round.observed {
-                for prefix in &update.withdrawn {
-                    last.insert(*prefix, false);
-                }
-                for prefix in &update.nlri {
-                    last.insert(*prefix, true);
-                }
-            }
-            for (prefix, direction) in last {
-                timelines
-                    .entry((round.node.0, prefix))
-                    .or_default()
-                    .push((round.round, direction));
-            }
-        }
-        timelines
-            .into_iter()
-            .filter_map(|((node, prefix), timeline)| {
-                let &(withdrawn_at, last_direction) =
-                    timeline.last().expect("timelines have at least one entry");
-                if last_direction {
+        let mut all_rounds: Vec<usize> = rounds.iter().map(|r| r.round).collect();
+        all_rounds.sort_unstable();
+        all_rounds.dedup();
+        observed_timelines(rounds)
+            .chunk_by(Summary::same_timeline)
+            .filter_map(|timeline| {
+                let last = timeline.last().expect("chunks are never empty");
+                if last.announced {
                     return None;
                 }
-                let announced_before = timeline.iter().any(|&(r, d)| d && r < withdrawn_at);
+                let withdrawn_at = last.round;
+                let announced_before = timeline
+                    .iter()
+                    .any(|s| s.announced && s.round < withdrawn_at);
                 if !announced_before {
                     return None;
                 }
-                let stuck_rounds = all_rounds.iter().filter(|&&r| r > withdrawn_at).count();
+                let stuck_rounds =
+                    all_rounds.len() - all_rounds.partition_point(|&r| r <= withdrawn_at);
                 (stuck_rounds >= self.min_stable_rounds).then(|| {
                     Fault::new(
                         self.name(),
                         FaultKind::BgpWedgie {
-                            announced: prefix,
+                            announced: last.prefix,
                             stuck_rounds,
                         },
                     )
-                    .with_node(NodeId(node))
+                    .with_node(NodeId(last.node))
                 })
             })
             .collect()
@@ -1533,6 +1557,183 @@ mod tests {
         assert_eq!(checker.check_live(&collapsed).len(), 1);
         // The default check_live of per-event checkers reports nothing.
         assert!(OriginHijackChecker::new().check_live(&half).is_empty());
+    }
+
+    /// The reduction both temporal checkers ran before
+    /// [`observed_timelines`]: a fresh map per history entry, then one map
+    /// of timelines per `(node, prefix)`. Kept as the oracle the shared
+    /// helper must match.
+    fn oracle_timelines(
+        rounds: &[RoundOutcomes],
+    ) -> BTreeMap<(usize, Ipv4Prefix), Vec<(usize, bool)>> {
+        let mut timelines: BTreeMap<(usize, Ipv4Prefix), Vec<(usize, bool)>> = BTreeMap::new();
+        for round in rounds {
+            let mut last: BTreeMap<Ipv4Prefix, bool> = BTreeMap::new();
+            for (_, update) in &round.observed {
+                for prefix in &update.withdrawn {
+                    last.insert(*prefix, false);
+                }
+                for prefix in &update.nlri {
+                    last.insert(*prefix, true);
+                }
+            }
+            for (prefix, direction) in last {
+                timelines
+                    .entry((round.node.0, prefix))
+                    .or_default()
+                    .push((round.round, direction));
+            }
+        }
+        timelines
+    }
+
+    /// [`CrossRoundFlapChecker::check_live`] over the oracle reduction.
+    fn oracle_flaps(checker: &CrossRoundFlapChecker, rounds: &[RoundOutcomes]) -> Vec<Fault> {
+        oracle_timelines(rounds)
+            .into_iter()
+            .filter_map(|((node, prefix), timeline)| {
+                let transitions = timeline.windows(2).filter(|w| w[0].1 != w[1].1).count();
+                (transitions >= checker.min_transitions).then(|| {
+                    Fault::new(
+                        checker.name(),
+                        FaultKind::CrossRoundFlap {
+                            announced: prefix,
+                            transitions,
+                        },
+                    )
+                    .with_node(NodeId(node))
+                })
+            })
+            .collect()
+    }
+
+    /// [`BgpWedgieChecker::check_live`] over the oracle reduction.
+    fn oracle_wedgies(checker: &BgpWedgieChecker, rounds: &[RoundOutcomes]) -> Vec<Fault> {
+        let all_rounds: std::collections::BTreeSet<usize> =
+            rounds.iter().map(|r| r.round).collect();
+        oracle_timelines(rounds)
+            .into_iter()
+            .filter_map(|((node, prefix), timeline)| {
+                let &(withdrawn_at, last_direction) = timeline.last()?;
+                if last_direction {
+                    return None;
+                }
+                if !timeline.iter().any(|&(r, d)| d && r < withdrawn_at) {
+                    return None;
+                }
+                let stuck_rounds = all_rounds.iter().filter(|&&r| r > withdrawn_at).count();
+                (stuck_rounds >= checker.min_stable_rounds).then(|| {
+                    Fault::new(
+                        checker.name(),
+                        FaultKind::BgpWedgie {
+                            announced: prefix,
+                            stuck_rounds,
+                        },
+                    )
+                    .with_node(NodeId(node))
+                })
+            })
+            .collect()
+    }
+
+    /// Asserts both temporal checkers, at several thresholds, report what
+    /// the oracle reduction reports: same faults, same order, same
+    /// `transitions` and `stuck_rounds`.
+    fn assert_temporal_checkers_match_the_oracle(rounds: &[RoundOutcomes]) {
+        for min in 1..=3 {
+            let flaps = CrossRoundFlapChecker::new().with_min_transitions(min);
+            assert_eq!(flaps.check_live(rounds), oracle_flaps(&flaps, rounds));
+            let wedgies = BgpWedgieChecker::new().with_min_stable_rounds(min);
+            assert_eq!(wedgies.check_live(rounds), oracle_wedgies(&wedgies, rounds));
+        }
+    }
+
+    /// One history entry from raw UPDATEs given as (withdrawn, NLRI)
+    /// prefix lists.
+    fn entry_of(
+        round: usize,
+        node: usize,
+        updates: Vec<(Vec<Ipv4Prefix>, Vec<Ipv4Prefix>)>,
+    ) -> RoundOutcomes {
+        let observed = updates
+            .into_iter()
+            .map(|(withdrawn, nlri)| {
+                let mut update = UpdateMessage::withdraw(withdrawn);
+                update.nlri = nlri;
+                (PeerId(1), update)
+            })
+            .collect();
+        RoundOutcomes {
+            round,
+            node: NodeId(node),
+            observed,
+            outcomes: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn temporal_checkers_match_the_oracle_on_the_edge_cases() {
+        let a: Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
+        let b: Ipv4Prefix = "198.51.100.0/24".parse().expect("valid");
+        // Withdraw and announce of one prefix in one UPDATE: the NLRI wins.
+        // Announce then withdraw across two UPDATEs: the withdrawal wins.
+        // Empty windows still tick the round clock, and node 2 repeats
+        // across rounds.
+        let rounds = [
+            entry_of(0, 2, vec![(vec![], vec![a, b])]),
+            entry_of(1, 2, vec![(vec![a], vec![a])]),
+            entry_of(1, 1, vec![]),
+            entry_of(2, 2, vec![(vec![], vec![a]), (vec![a, b], vec![])]),
+            entry_of(3, 0, vec![]),
+            entry_of(4, 2, vec![(vec![b], vec![b]), (vec![], vec![])]),
+        ];
+        assert_temporal_checkers_match_the_oracle(&rounds);
+        assert_eq!(
+            CrossRoundFlapChecker::new()
+                .with_min_transitions(1)
+                .check_live(&rounds)
+                .len(),
+            2,
+            "both prefixes changed direction on node 2"
+        );
+        assert_temporal_checkers_match_the_oracle(&[]);
+        assert_temporal_checkers_match_the_oracle(&rounds[2..3]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn temporal_checkers_match_the_oracle_on_random_histories(
+            history in proptest::prop::collection::vec(
+                (
+                    0usize..6,
+                    0usize..3,
+                    proptest::prop::collection::vec(
+                        (
+                            proptest::prop::collection::vec(0usize..4, 0..3),
+                            proptest::prop::collection::vec(0usize..4, 0..3),
+                        ),
+                        0..4,
+                    ),
+                ),
+                0..10,
+            ),
+        ) {
+            // Four prefixes, so windows collide on them often.
+            let prefixes: [Ipv4Prefix; 4] = ["10.0.0.0/8", "10.0.0.0/9", "41.1.0.0/16", "41.1.0.0/17"]
+                .map(|p| p.parse().expect("valid"));
+            let pick = |ids: Vec<usize>| ids.into_iter().map(|i| prefixes[i]).collect();
+            let rounds: Vec<RoundOutcomes> = history
+                .into_iter()
+                .map(|(round, node, updates)| {
+                    let updates = updates
+                        .into_iter()
+                        .map(|(withdrawn, nlri)| (pick(withdrawn), pick(nlri)))
+                        .collect();
+                    entry_of(round, node, updates)
+                })
+                .collect();
+            assert_temporal_checkers_match_the_oracle(&rounds);
+        }
     }
 
     #[test]

@@ -310,7 +310,8 @@ struct PlanProbe {
     injected: u64,
     trace_digest: String,
     trace_fingerprint: u64,
-    live_digest: String,
+    /// The run's report. Its digest is rendered only for the baseline and
+    /// for a minimized plan's final run, the two places that read it.
     report: LiveReport,
 }
 
@@ -404,7 +405,7 @@ impl FaultPlanSearch {
 
         let mut report = SearchReport {
             baseline_fault_keys: baseline.fleet_keys.clone(),
-            baseline_live_digest: baseline.live_digest.clone(),
+            baseline_live_digest: baseline.report.digest(),
             ..SearchReport::default()
         };
 
@@ -465,7 +466,7 @@ impl FaultPlanSearch {
                     fault_key: key,
                     expected_trace_digest: final_probe.trace_digest,
                     expected_trace_fingerprint: final_probe.trace_fingerprint,
-                    expected_live_digest: final_probe.live_digest,
+                    expected_live_digest: final_probe.report.digest(),
                 });
             }
         }
@@ -519,7 +520,6 @@ impl FaultPlanSearch {
             injected: report.injected_faults,
             trace_digest: sim.fault_trace().digest(),
             trace_fingerprint: sim.fault_trace().fingerprint(),
-            live_digest: report.digest(),
             report,
         }
     }
@@ -875,7 +875,7 @@ mod tests {
         let session = DiceBuilder::new()
             .engine(EngineConfig::default().with_max_runs(2))
             .build();
-        LiveOrchestrator::new(session).with_core_budget(1)
+        LiveOrchestrator::new(session)
     }
 
     #[test]
@@ -1016,7 +1016,7 @@ mod tests {
             .engine(EngineConfig::default().with_max_runs(2))
             .checker(Box::new(crate::checker::BgpWedgieChecker::new()))
             .build();
-        let orchestrator = LiveOrchestrator::new(session).with_core_budget(1);
+        let orchestrator = LiveOrchestrator::new(session);
         FaultPlanSearch::new(orchestrator)
             .with_seed(seed)
             .with_budget(budget)

@@ -9,23 +9,30 @@
 //! 1. **harvest** — each node's observed inputs are taken from the
 //!    simulation's delivery log ([`Simulator::observed_inputs`]): exactly
 //!    the UPDATEs the node's local DiCE instance would have seen;
-//! 2. **explore** — one exploration round runs per node, nodes fanned out
-//!    concurrently under a global core budget: the budget is split across
-//!    the per-node worker pools so the nested parallelism (nodes × observed
-//!    inputs) never oversubscribes the machine. Each
-//!    node's round captures one copy-on-write [`crate::RoundCheckpoint`]
-//!    and shares it across every observed input of that round (no deep
-//!    clone per input — see [`crate::CheckpointMode`]);
+//! 2. **explore** — one exploration round runs per node, the nodes in
+//!    order on the calling thread, each node's inputs on that thread too.
+//!    Each node's round captures one copy-on-write
+//!    [`crate::RoundCheckpoint`] and shares it across every observed input
+//!    of that round (no deep clone per input — see
+//!    [`crate::CheckpointMode`]);
 //! 3. **merge** — per-node [`ExplorationReport`]s are collected in
 //!    topology order into a [`FleetReport`], and faults are deduplicated
 //!    fleet-wide by `(checker, prefix, offending message)`
 //!    ([`Fault::fleet_key`]) — the same leak observed from three vantage
 //!    points is one fleet fault with three sightings.
 //!
-//! Reports are deterministic: node order is topology order, per-node
+//! A round is a single-threaded function of the nodes' checkpoints and
+//! windows. Fanning nodes out across threads cost more than it saved: a
+//! node round is tens of microseconds of work, about what spawning and
+//! joining one scoped thread costs, so the fan-out this module used to do
+//! ran a Figure 2 round at 0.53× the speed of the sequential loop. The
+//! place for parallelism is rounds running beside the live driver, not
+//! nodes inside one round.
+//!
+//! Reports are deterministic: node order is window order, per-node
 //! reports are worker-count-invariant, and dedup keeps first-sighting
 //! order, so the same simulation state yields byte-identical
-//! [`FleetReport::digest`]s for every budget setting.
+//! [`FleetReport::digest`]s.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -143,7 +150,7 @@ impl FleetReport {
 
     /// A canonical rendering of every deterministic field — per-node
     /// digests plus the deduplicated fault list. Independent of worker
-    /// counts and core budgets.
+    /// counts.
     pub fn digest(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -256,7 +263,6 @@ pub fn dedup_fleet_faults(reports: &[(NodeId, &ExplorationReport)]) -> Vec<Fleet
 #[derive(Debug, Clone)]
 pub struct FleetExplorer {
     session: DiceSession,
-    core_budget: usize,
 }
 
 impl Default for FleetExplorer {
@@ -269,18 +275,14 @@ impl FleetExplorer {
     /// Creates a fleet explorer running every node's round through the
     /// given session (shared checker registry, shared engine settings).
     pub fn new(session: DiceSession) -> Self {
-        FleetExplorer {
-            session,
-            core_budget: 0,
-        }
+        FleetExplorer { session }
     }
 
-    /// Sets the global core budget shared by all concurrent node rounds
-    /// (`0`, the default, uses the machine's available parallelism). The
-    /// budget bounds *threads*, not results: reports are identical for
-    /// every setting.
-    pub fn with_core_budget(mut self, cores: usize) -> Self {
-        self.core_budget = cores;
+    /// Does nothing. It used to bound the threads a round's node fan-out
+    /// spawned; a round now explores every node on the calling thread, so
+    /// there is nothing left to bound.
+    #[deprecated(note = "a fleet round runs on the calling thread; the budget bounds nothing")]
+    pub fn with_core_budget(self, _cores: usize) -> Self {
         self
     }
 
@@ -325,7 +327,7 @@ impl FleetExplorer {
             .collect();
         harvest_span.set_detail(harvested.iter().map(|(_, w)| w.len() as u64).sum());
         drop(harvest_span);
-        self.explore_windows(sim, harvested)
+        self.explore_window_slice(sim, &harvested).0
     }
 
     /// Runs one round over explicit per-node input windows — the
@@ -334,14 +336,12 @@ impl FleetExplorer {
     /// ([`Simulator::observed_inputs_in`]) and hands it here, so each round
     /// explores only what arrived since the previous one.
     ///
-    /// Duplicate node ids collapse to their first occurrence. The global
-    /// core budget is split with per-node worker pools sized by observed
-    /// -input volume: a node that observed most of the window gets most of
-    /// the budget. As everywhere, budgets bound *threads*, not results —
-    /// for identical windows the report digest is byte-identical to
-    /// [`FleetExplorer::explore_nodes`] for every budget setting.
+    /// Duplicate node ids collapse to their first occurrence. Nodes are
+    /// explored in window order on the calling thread; for identical
+    /// windows the report digest is byte-identical to
+    /// [`FleetExplorer::explore_nodes`].
     pub fn explore_windows(&self, sim: &Simulator, windows: Vec<NodeWindow>) -> FleetReport {
-        self.explore_windows_collecting(sim, windows).0
+        self.explore_window_slice(sim, &windows).0
     }
 
     /// Like [`FleetExplorer::explore_windows`], but also returns every
@@ -354,51 +354,32 @@ impl FleetExplorer {
         sim: &Simulator,
         windows: Vec<NodeWindow>,
     ) -> (FleetReport, Vec<(NodeId, Vec<HandlerOutcome>)>) {
+        self.explore_window_slice(sim, &windows)
+    }
+
+    /// [`FleetExplorer::explore_windows_collecting`] over borrowed windows,
+    /// so a caller that keeps its windows afterwards copies none of them.
+    /// Returns one outcome entry per distinct node, in window order.
+    pub(crate) fn explore_window_slice(
+        &self,
+        sim: &Simulator,
+        windows: &[NodeWindow],
+    ) -> (FleetReport, Vec<(NodeId, Vec<HandlerOutcome>)>) {
         let started = Instant::now();
         let mut seen = std::collections::HashSet::new();
-        let windows: Vec<NodeWindow> = windows
-            .into_iter()
+        let windows: Vec<&NodeWindow> = windows
+            .iter()
             .filter(|(node, _)| seen.insert(*node))
             .collect();
 
-        let budget = crate::parallel::resolve_cores(self.core_budget);
-        // Split the budget across the two levels that spawn threads: at
-        // most `concurrent` node rounds run at once, each exploring its
-        // inputs on one baseline worker plus a share of the leftover
-        // budget proportional to its window's observed-input volume (the
-        // engine under each worker solves and executes on that worker).
-        // The floors guarantee the extras sum to at most `budget -
-        // concurrent`, so any `concurrent` rounds running simultaneously
-        // explore on at most `budget` threads whatever the skew of window
-        // sizes.
-        let concurrent = budget.min(windows.len()).max(1);
-        let total_inputs: usize = windows.iter().map(|(_, inputs)| inputs.len()).sum();
-        let extra = budget.saturating_sub(concurrent);
-        let sessions: Vec<DiceSession> = windows
-            .iter()
-            .map(|(_, inputs)| {
-                let share = 1
-                    + (extra * inputs.len())
-                        .checked_div(total_inputs)
-                        .unwrap_or(0);
-                self.session.with_workers(share)
-            })
-            .collect();
-        let items: Vec<(usize, &NodeWindow)> = windows.iter().enumerate().collect();
-
-        // Work-stealing fan-out over nodes, results merged back in window
-        // order so the report is deterministic for every budget.
+        let session = self.session.with_workers(1);
         let mut explore_span = dice_obs::span("core", "fleet.explore");
         explore_span.set_detail(windows.len() as u64);
-        let results = crate::parallel::fan_out(&items, concurrent, |(i, (node, observed))| {
-            sessions[*i].explore_collecting(sim.router(*node), observed)
-        });
-        drop(explore_span);
-
         let mut node_reports: Vec<NodeReport> = Vec::with_capacity(windows.len());
         let mut node_outcomes: Vec<(NodeId, Vec<HandlerOutcome>)> =
             Vec::with_capacity(windows.len());
-        for ((node, _), (report, outcomes)) in windows.iter().zip(results) {
+        for (node, observed) in windows {
+            let (report, outcomes) = session.explore_collecting(sim.router(*node), observed);
             node_reports.push(NodeReport {
                 node: *node,
                 name: sim.name(*node).to_string(),
@@ -406,6 +387,7 @@ impl FleetExplorer {
             });
             node_outcomes.push((*node, outcomes));
         }
+        drop(explore_span);
         let keyed: Vec<(NodeId, &ExplorationReport)> =
             node_reports.iter().map(|n| (n.node, &n.report)).collect();
         let faults = dedup_fleet_faults(&keyed);
@@ -494,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_round_explores_every_node_concurrently() {
+    fn fleet_round_explores_every_node() {
         let sim = simulated_figure2(CustomerFilterMode::Erroneous);
         let session = DiceBuilder::new()
             .checker(Box::new(OriginHijackChecker::new()))
@@ -529,21 +511,6 @@ mod tests {
             "the CoW round checkpoint must not change any fleet result"
         );
         assert!(cow.has_faults());
-    }
-
-    #[test]
-    fn fleet_report_is_deterministic_across_core_budgets() {
-        let sim = simulated_figure2(CustomerFilterMode::Erroneous);
-        let digest_for = |budget: usize| {
-            FleetExplorer::default()
-                .with_core_budget(budget)
-                .explore(&sim)
-                .digest()
-        };
-        let sequential = digest_for(1);
-        assert_eq!(sequential, digest_for(2), "budget 1 vs 2");
-        assert_eq!(sequential, digest_for(8), "budget 1 vs 8");
-        assert_eq!(sequential, digest_for(0), "budget 1 vs auto");
     }
 
     #[test]
@@ -583,29 +550,18 @@ mod tests {
             .iter()
             .map(|&n| (n, sim.observed_inputs_in(n, 0, head)))
             .collect();
-        let via_windows = explorer.explore_windows(&sim, windows);
+        let via_windows = explorer.explore_windows(&sim, windows.clone());
         assert_eq!(via_windows.digest(), via_nodes.digest());
 
-        // Volume-adaptive budgets only change thread counts, never the
-        // report: wildly different budgets agree byte for byte.
-        let windows = |_| {
-            nodes
-                .iter()
-                .map(|&n| (n, sim.observed_inputs_in(n, 0, head)))
-                .collect::<Vec<_>>()
-        };
-        for budget in [1usize, 3, 16] {
-            let report = FleetExplorer::default()
-                .with_core_budget(budget)
-                .explore_windows(&sim, windows(budget));
-            assert_eq!(report.digest(), via_nodes.digest(), "budget {budget}");
-        }
-        // Duplicate window entries collapse to the first occurrence.
-        let mut duplicated = windows(0);
+        // Duplicate window entries collapse to the first occurrence, and
+        // the collecting path returns one outcome entry per distinct node.
+        let mut duplicated = windows;
         let extra = duplicated[0].clone();
         duplicated.push(extra);
-        let report = explorer.explore_windows(&sim, duplicated);
+        let (report, outcomes) = explorer.explore_windows_collecting(&sim, duplicated);
         assert_eq!(report.digest(), via_nodes.digest());
+        let outcome_nodes: Vec<NodeId> = outcomes.iter().map(|(n, _)| *n).collect();
+        assert_eq!(outcome_nodes, nodes);
         // An empty window set yields an empty report.
         let empty = explorer.explore_windows(&sim, Vec::new());
         assert!(empty.nodes.is_empty());

@@ -7,6 +7,8 @@
 //! rather than sent (§2.3: "DiCE intercepts the messages generated during
 //! exploration").
 
+use std::sync::Arc;
+
 use dice_bgp::message::UpdateMessage;
 use dice_bgp::prefix::Ipv4Prefix;
 use dice_bgp::route::PeerId;
@@ -68,9 +70,10 @@ pub struct SymbolicUpdateHandler {
     peer: PeerId,
     template: UpdateTemplate,
     /// The branch sites of the peer's import filter, labelled and hashed
-    /// once for all the handler's runs (`None` when the peer has no import
-    /// filter, or names one the configuration lacks).
-    import_sites: Option<FilterSites>,
+    /// once for all the handler's runs — once per round, when the round
+    /// hands them in (`None` when the peer has no import filter, or names
+    /// one the configuration lacks).
+    import_sites: Option<Arc<FilterSites>>,
     interceptor: MessageInterceptor,
 }
 
@@ -83,12 +86,30 @@ impl SymbolicUpdateHandler {
     /// router, or use [`SymbolicUpdateHandler::from_router`] to keep the
     /// old call shape.
     pub fn new(checkpoint: RoundCheckpoint, peer: PeerId, template: UpdateTemplate) -> Self {
-        let router = checkpoint.router();
-        let import_sites = router
+        let import_sites = Self::import_sites_of(checkpoint.router(), peer);
+        Self::with_import_sites(checkpoint, peer, template, import_sites)
+    }
+
+    /// The branch-site table of `peer`'s import filter on `router`, or
+    /// `None` when the peer has no import filter or names one the
+    /// configuration lacks.
+    pub(crate) fn import_sites_of(router: &BgpRouter, peer: PeerId) -> Option<Arc<FilterSites>> {
+        router
             .peer(peer)
             .and_then(|p| p.import_filter.as_deref())
             .and_then(|name| router.config().filter(name))
-            .map(FilterSites::of);
+            .map(|filter| Arc::new(FilterSites::of(filter)))
+    }
+
+    /// [`SymbolicUpdateHandler::new`] with the site table already built
+    /// ([`SymbolicUpdateHandler::import_sites_of`]), so a round exploring
+    /// many inputs from one peer builds it once.
+    pub(crate) fn with_import_sites(
+        checkpoint: RoundCheckpoint,
+        peer: PeerId,
+        template: UpdateTemplate,
+        import_sites: Option<Arc<FilterSites>>,
+    ) -> Self {
         SymbolicUpdateHandler {
             checkpoint,
             peer,
@@ -145,7 +166,7 @@ impl SymbolicProgram for SymbolicUpdateHandler {
             .and_then(|p| p.import_filter.as_deref());
         let filter_outcome = match import_filter {
             None => FilterOutcome::accepted(),
-            Some(name) => match (router.config().filter(name), &self.import_sites) {
+            Some(name) => match (router.config().filter(name), self.import_sites.as_deref()) {
                 (Some(filter), Some(sites)) => eval_filter_at(filter, sites, &view, ctx),
                 _ => FilterOutcome::rejected(),
             },
@@ -183,7 +204,13 @@ impl SymbolicProgram for SymbolicUpdateHandler {
             origin_as: attrs.origin_as().map(|a| a.value()).unwrap_or(0),
             accepted,
             next_hop: attrs.next_hop,
-            as_path: attrs.as_path.flatten().iter().map(|a| a.value()).collect(),
+            as_path: attrs
+                .as_path
+                .segments()
+                .iter()
+                .flat_map(|segment| segment.asns())
+                .map(|a| a.value())
+                .collect(),
             filter: filter_outcome,
             intercepted,
         }

@@ -33,7 +33,7 @@
 //!   and `Send + Sync`); [`Dice`] remains as a thin compatibility wrapper.
 //! * [`FleetExplorer`] — the paper's federated setting: harvests each
 //!   node's observed inputs from a simulated topology and runs one round
-//!   beside every node concurrently, merging results into a [`FleetReport`]
+//!   beside every node in turn, merging results into a [`FleetReport`]
 //!   with fleet-wide fault deduplication.
 //! * [`LiveOrchestrator`] — the paper's *continuous* operating mode:
 //!   interleaves live simulation progress with exploration rounds, each

@@ -12,11 +12,14 @@
 //!    ([`dice_netsim::ObservedInput::seq`]), so the round harvests exactly
 //!    the inputs that arrived since the previous round
 //!    ([`Simulator::observed_inputs_in`]) — no global wipe, no node ever
-//!    loses another node's pending observations;
+//!    loses another node's pending observations. With log compaction on
+//!    (the default) the window is taken out of the log
+//!    ([`Simulator::take_observed_in`]) instead of copied, since step 5
+//!    drops it anyway;
 //! 3. **explore** — one fleet round runs over the window
-//!    ([`FleetExplorer::explore_windows`]) under the shared global core
-//!    budget, with per-node worker pools sized by each node's share of the
-//!    window volume;
+//!    ([`FleetExplorer::explore_windows`]), every node in turn on the
+//!    calling thread; the windows then move into the cross-round history
+//!    without being copied;
 //! 4. **accumulate** — every round's [`FleetReport`] lands in a
 //!    [`LiveReport`], and faults are deduplicated *across rounds* by
 //!    [`Fault::fleet_key`]: the same leak re-detected every round is one
@@ -56,7 +59,7 @@
 //!
 //! Reports stay deterministic: a single-round run over a quiesced
 //! simulator is byte-identical (per [`FleetReport::digest`]) to
-//! [`FleetExplorer::explore`] over the same state, for every core budget.
+//! [`FleetExplorer::explore`] over the same state.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -184,9 +187,9 @@ impl LiveReport {
 
     /// A canonical rendering of every deterministic field: each round's
     /// window and [`FleetReport::digest`], then the cross-round fault list
-    /// with full provenance. Independent of wall-clock time, worker counts
-    /// and core budgets — byte-identical across reruns of the same
-    /// deterministic scenario.
+    /// with full provenance. Independent of wall-clock time and worker
+    /// counts — byte-identical across reruns of the same deterministic
+    /// scenario.
     pub fn digest(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -357,11 +360,11 @@ impl LiveOrchestrator {
         }
     }
 
-    /// Sets the global core budget shared by every round's node fan-out
-    /// (`0`, the default, uses the machine's available parallelism).
-    /// Budgets bound threads, never results.
-    pub fn with_core_budget(mut self, cores: usize) -> Self {
-        self.explorer = self.explorer.with_core_budget(cores);
+    /// Does nothing. It used to bound the threads each round's node
+    /// fan-out spawned; a round now explores every node on the calling
+    /// thread, so there is nothing left to bound.
+    #[deprecated(note = "a live round runs on the calling thread; the budget bounds nothing")]
+    pub fn with_core_budget(self, _cores: usize) -> Self {
         self
     }
 
@@ -505,23 +508,31 @@ impl LiveOrchestrator {
             let head = sim.observed_cursor();
             if head > cursor {
                 let mut harvest_span = dice_obs::span("core", "live.harvest");
-                let windows: Vec<_> = nodes
-                    .iter()
-                    .map(|&node| (node, sim.observed_inputs_in(node, cursor, head)))
-                    .collect();
+                let windows: Vec<_> = if self.compact_log {
+                    // The log below `head` is trimmed once the round is
+                    // done, so the window is taken out of it, not copied.
+                    nodes
+                        .iter()
+                        .copied()
+                        .zip(sim.take_observed_in(cursor, head))
+                        .collect()
+                } else {
+                    nodes
+                        .iter()
+                        .map(|&node| (node, sim.observed_inputs_in(node, cursor, head)))
+                        .collect()
+                };
                 harvest_span.set_detail(windows.iter().map(|(_, w)| w.len() as u64).sum());
                 drop(harvest_span);
-                let (fleet, outcomes) = self
-                    .explorer
-                    .explore_windows_collecting(sim, windows.clone());
+                let (fleet, outcomes) = self.explorer.explore_window_slice(sim, &windows);
                 let round_index = report.rounds.len();
                 Self::merge_round_faults(&mut report.faults, &mut index, &fleet, round_index);
 
                 // Stitch the round's per-node windows into the rolling
-                // history and run the temporal checker pass over it.
-                let by_node: HashMap<NodeId, Vec<_>> = windows.into_iter().collect();
-                for (node, outcomes) in outcomes {
-                    let observed = by_node.get(&node).cloned().unwrap_or_default();
+                // history and run the temporal checker pass over it. The
+                // nodes are distinct, so the round returned one outcome
+                // entry per window, in window order.
+                for ((node, observed), (_, outcomes)) in windows.into_iter().zip(outcomes) {
                     if observed.is_empty() && outcomes.is_empty() {
                         continue;
                     }

@@ -1,5 +1,10 @@
-//! Work-stealing fan-out shared by the session (per observed input) and
-//! fleet (per topology node) layers.
+//! Work-stealing fan-out of a session's observed inputs across
+//! [`crate::DiceConfig::workers`] threads.
+//!
+//! A fleet round does not use it: it explores its nodes, and each node's
+//! inputs, in order on the calling thread. A node round costs about what
+//! spawning and joining a scoped thread does, so a per-round fan-out cost
+//! more than it saved (see the `fleet` module).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -29,6 +29,7 @@ use std::time::Instant;
 
 use dice_bgp::message::UpdateMessage;
 use dice_bgp::route::PeerId;
+use dice_router::policy::FilterSites;
 use dice_router::BgpRouter;
 use dice_solver::SolverStats;
 use dice_symexec::{ConcolicEngine, Coverage, EngineConfig, InputValues};
@@ -204,8 +205,9 @@ impl DiceSession {
     }
 
     /// Returns a session sharing this session's checker registry but using
-    /// `workers` exploration threads — how a fleet orchestrator slices a
-    /// global core budget across nodes without rebuilding checkers.
+    /// `workers` exploration threads — how a fleet round keeps every node's
+    /// inputs on the calling thread (`with_workers(1)`) without rebuilding
+    /// checkers.
     pub fn with_workers(&self, workers: usize) -> DiceSession {
         let mut config = self.config.clone();
         config.workers = workers;
@@ -258,12 +260,26 @@ impl DiceSession {
             ..Default::default()
         };
 
+        // Each sending peer's import-filter site table, built once for the
+        // round rather than once per input.
+        let mut import_sites: Vec<(PeerId, Option<Arc<FilterSites>>)> = Vec::new();
+        for (peer, _) in inputs {
+            if import_sites.iter().all(|(known, _)| known != peer) {
+                let sites = SymbolicUpdateHandler::import_sites_of(checkpoint.router(), *peer);
+                import_sites.push((*peer, sites));
+            }
+        }
+
         // Work-stealing fan-out over inputs; outcomes land in input order,
         // so the merged report is identical to a sequential round.
         let workers = self.effective_workers(inputs.len());
         let outcomes: Vec<Option<InputOutcome>> =
             crate::parallel::fan_out(inputs, workers, |(peer, update)| {
-                self.explore_input(&checkpoint, *peer, update)
+                let sites = import_sites
+                    .iter()
+                    .find(|(known, _)| known == peer)
+                    .and_then(|(_, sites)| sites.clone());
+                self.explore_input(&checkpoint, *peer, update, sites)
             });
 
         let mut coverage = Coverage::new();
@@ -317,6 +333,7 @@ impl DiceSession {
         checkpoint: &RoundCheckpoint,
         peer: PeerId,
         update: &UpdateMessage,
+        import_sites: Option<Arc<FilterSites>>,
     ) -> Option<InputOutcome> {
         let template = UpdateTemplate::from_update(update)?
             .with_policy_fields(self.config.symbolic_policy_fields);
@@ -327,7 +344,12 @@ impl DiceSession {
             }
             _ => checkpoint.clone(),
         };
-        let mut handler = SymbolicUpdateHandler::new(handler_checkpoint, peer, template);
+        let mut handler = SymbolicUpdateHandler::with_import_sites(
+            handler_checkpoint,
+            peer,
+            template,
+            import_sites,
+        );
         let engine = ConcolicEngine::with_config(self.config.engine);
         let mut exploration = engine.explore(&mut handler, &[seed]);
 

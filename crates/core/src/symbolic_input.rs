@@ -9,10 +9,12 @@
 //! symbolic fields as an input assignment, and rebuilds a valid UPDATE from
 //! any assignment the solver produces.
 
+use std::sync::{Arc, OnceLock};
+
 use dice_bgp::attributes::{Community, Origin, RouteAttrs};
 use dice_bgp::message::UpdateMessage;
 use dice_bgp::prefix::Ipv4Prefix;
-use dice_bgp::{AsPath, Asn};
+use dice_bgp::{AsPath, AsPathSegment, Asn};
 use dice_router::policy::RouteView;
 use dice_symexec::{Concolic, ExecCtx, InputSpec, InputValues};
 
@@ -38,6 +40,39 @@ pub mod fields {
     pub const PATH_LEN: &str = "attr.path_len";
 }
 
+/// Every symbolic field with its bit width, in declaration order. The two
+/// policy fields come last, so the message-only surface is a prefix.
+const FIELDS: [(&str, u32); 8] = [
+    (fields::NLRI_ADDR, 32),
+    (fields::NLRI_LEN, 8),
+    (fields::ORIGIN, 8),
+    (fields::MED, 32),
+    (fields::LOCAL_PREF, 32),
+    (fields::SOURCE_AS, 32),
+    (fields::COMMUNITY, 32),
+    (fields::PATH_LEN, 32),
+];
+
+/// How many of [`FIELDS`] a template without the policy fields has.
+const MESSAGE_FIELDS: usize = 6;
+
+// Positions in `FIELDS`.
+const NLRI_ADDR: usize = 0;
+const NLRI_LEN: usize = 1;
+const ORIGIN: usize = 2;
+const MED: usize = 3;
+const LOCAL_PREF: usize = 4;
+const SOURCE_AS: usize = 5;
+const COMMUNITY: usize = 6;
+const PATH_LEN: usize = 7;
+
+thread_local! {
+    /// The field names as shared strings, one set per thread. Every seed
+    /// and every run names the same fields; handing out a clone of one of
+    /// these is a reference-count bump where a fresh name copies the string.
+    static FIELD_NAMES: [Arc<str>; 8] = FIELDS.map(|(name, _)| Arc::from(name));
+}
+
 /// A template derived from one observed UPDATE message.
 #[derive(Debug, Clone)]
 pub struct UpdateTemplate {
@@ -47,9 +82,12 @@ pub struct UpdateTemplate {
     /// [`fields::PATH_LEN`]) are part of the symbolic input. On by default;
     /// turned off to reproduce the message-field-only exploration surface.
     policy_fields: bool,
-    /// The symbolic fields and their observed values, built when the
-    /// template is: every run reads it, none rebuilds it.
-    spec: InputSpec,
+    /// The observed value of every field in [`FIELDS`], policy fields
+    /// included whether enabled or not.
+    observed: [u64; 8],
+    /// The declared fields, built the first time they are asked for.
+    /// Exploration reads `observed` and never needs them.
+    spec: OnceLock<InputSpec>,
 }
 
 impl UpdateTemplate {
@@ -58,31 +96,46 @@ impl UpdateTemplate {
     /// leaves to future work.
     pub fn from_update(update: &UpdateMessage) -> Option<Self> {
         let prefix = *update.nlri.first()?;
-        let template = UpdateTemplate {
+        let attrs = update.route_attrs();
+        let mut observed = [0; 8];
+        observed[NLRI_ADDR] = prefix.addr() as u64;
+        observed[NLRI_LEN] = prefix.len() as u64;
+        observed[ORIGIN] = attrs.origin.code() as u64;
+        observed[MED] = attrs.effective_med() as u64;
+        observed[LOCAL_PREF] = attrs.effective_local_pref() as u64;
+        observed[SOURCE_AS] = attrs.origin_as().map(|x| x.value()).unwrap_or(0) as u64;
+        observed[COMMUNITY] = 0;
+        observed[PATH_LEN] = (attrs.as_path.length() as u64).clamp(1, 64);
+        Some(UpdateTemplate {
             observed_prefix: prefix,
-            observed_attrs: update.route_attrs(),
+            observed_attrs: attrs,
             policy_fields: true,
-            spec: InputSpec::new(),
-        };
-        // Setting the flag is what builds the spec.
-        Some(template.with_policy_fields(true))
+            observed,
+            spec: OnceLock::new(),
+        })
     }
 
     /// Enables or disables the policy-oriented symbolic fields.
     pub fn with_policy_fields(mut self, enabled: bool) -> Self {
-        self.policy_fields = enabled;
-        self.spec = self.build_spec();
+        if self.policy_fields != enabled {
+            self.policy_fields = enabled;
+            self.spec = OnceLock::new();
+        }
         self
+    }
+
+    /// How many of [`FIELDS`] this template declares.
+    fn field_count(&self) -> usize {
+        if self.policy_fields {
+            FIELDS.len()
+        } else {
+            MESSAGE_FIELDS
+        }
     }
 
     /// Whether the policy-oriented symbolic fields are enabled.
     pub fn policy_fields(&self) -> bool {
         self.policy_fields
-    }
-
-    /// The observed AS-path length clamped into the materializable range.
-    fn observed_path_len(&self) -> u64 {
-        (self.observed_attrs.as_path.length() as u64).clamp(1, 64)
     }
 
     /// The prefix of the observed announcement.
@@ -98,32 +151,28 @@ impl UpdateTemplate {
     /// The declared symbolic input fields with their observed values as
     /// defaults.
     pub fn input_spec(&self) -> &InputSpec {
-        &self.spec
+        self.spec.get_or_init(|| {
+            FIELDS
+                .iter()
+                .zip(self.observed)
+                .take(self.field_count())
+                .fold(InputSpec::new(), |spec, (&(name, width), value)| {
+                    spec.field(name, width, value)
+                })
+        })
     }
 
-    fn build_spec(&self) -> InputSpec {
-        let a = &self.observed_attrs;
-        let spec = InputSpec::new()
-            .field(fields::NLRI_ADDR, 32, self.observed_prefix.addr() as u64)
-            .field(fields::NLRI_LEN, 8, self.observed_prefix.len() as u64)
-            .field(fields::ORIGIN, 8, a.origin.code() as u64)
-            .field(fields::MED, 32, a.effective_med() as u64)
-            .field(fields::LOCAL_PREF, 32, a.effective_local_pref() as u64)
-            .field(
-                fields::SOURCE_AS,
-                32,
-                a.origin_as().map(|x| x.value()).unwrap_or(0) as u64,
-            );
-        if !self.policy_fields {
-            return spec;
-        }
-        spec.field(fields::COMMUNITY, 32, 0)
-            .field(fields::PATH_LEN, 32, self.observed_path_len())
-    }
-
-    /// The seed input: the values observed on the wire.
+    /// The seed input: the values observed on the wire, the same assignment
+    /// as the defaults of [`UpdateTemplate::input_spec`].
     pub fn seed(&self) -> InputValues {
-        self.spec.defaults()
+        FIELD_NAMES.with(|names| {
+            names
+                .iter()
+                .zip(self.observed)
+                .take(self.field_count())
+                .map(|(name, value)| (Arc::clone(name), value))
+                .collect()
+        })
     }
 
     /// Reconstructs a *syntactically valid* UPDATE message from an input
@@ -148,17 +197,11 @@ impl UpdateTemplate {
             .expect("code folded into 0..=2");
         attrs.med = Some(values.get_or(fields::MED, 0) as u32);
         attrs.local_pref = Some(values.get_or(fields::LOCAL_PREF, 100) as u32);
-        let source_as = values.get_or(
-            fields::SOURCE_AS,
-            self.observed_attrs
-                .origin_as()
-                .map(|x| x.value())
-                .unwrap_or(0) as u64,
-        ) as u32;
+        let source_as = values.get_or(fields::SOURCE_AS, self.observed[SOURCE_AS]) as u32;
         attrs.as_path = replace_origin_as(&self.observed_attrs.as_path, Asn(source_as));
         if self.policy_fields {
             let target = values
-                .get_or(fields::PATH_LEN, self.observed_path_len())
+                .get_or(fields::PATH_LEN, self.observed[PATH_LEN])
                 .clamp(1, 64) as usize;
             attrs.as_path = resize_path(&attrs.as_path, target);
             let slot = values.get_or(fields::COMMUNITY, 0) as u32;
@@ -177,48 +220,53 @@ impl UpdateTemplate {
     /// with the assignment's concrete values; everything else stays
     /// concrete from the observed message.
     pub fn symbolic_view(&self, ctx: &mut ExecCtx, values: &InputValues) -> RouteView {
-        // An assignment the engine generated names every field; the
-        // observed value stands in for one a hand-written assignment omits.
-        let get = |name: &str| {
-            values
-                .get(name)
-                .unwrap_or_else(|| self.spec.get(name).map_or(0, |f| f.default))
-        };
-        let a = &self.observed_attrs;
-        let path_len = if self.policy_fields {
-            ctx.symbolic_u32(fields::PATH_LEN, get(fields::PATH_LEN).clamp(1, 64) as u32)
-        } else {
-            Concolic::concrete(a.as_path.length() as u32)
-        };
-        let community_slot = if self.policy_fields {
-            ctx.symbolic_u32(fields::COMMUNITY, get(fields::COMMUNITY) as u32)
-        } else {
-            Concolic::concrete(0)
-        };
-        RouteView {
-            prefix_addr: ctx.symbolic_u32(fields::NLRI_ADDR, get(fields::NLRI_ADDR) as u32),
-            prefix_len: ctx.symbolic_u8(fields::NLRI_LEN, get(fields::NLRI_LEN).min(32) as u8),
-            source_as: ctx.symbolic_u32(fields::SOURCE_AS, get(fields::SOURCE_AS) as u32),
-            neighbor_as: Concolic::concrete(
-                a.as_path.neighbor_as().map(|x| x.value()).unwrap_or(0),
-            ),
-            path_len,
-            med: ctx.symbolic_u32(fields::MED, get(fields::MED) as u32),
-            local_pref: ctx.symbolic_u32(fields::LOCAL_PREF, get(fields::LOCAL_PREF) as u32),
-            origin_code: ctx.symbolic_u8(fields::ORIGIN, (get(fields::ORIGIN) % 3) as u8),
-            communities: a
-                .communities
-                .iter()
-                .map(|c| (c.asn_part(), c.value_part()))
-                .collect(),
-            community_slot,
-        }
+        FIELD_NAMES.with(|names| {
+            // An assignment the engine generated names every field; the
+            // observed value stands in for one a hand-written assignment
+            // omits.
+            let get = |field: usize| values.get(&names[field]).unwrap_or(self.observed[field]);
+            let a = &self.observed_attrs;
+            let path_len = if self.policy_fields {
+                ctx.symbolic_shared(&names[PATH_LEN], get(PATH_LEN).clamp(1, 64) as u32)
+            } else {
+                Concolic::concrete(a.as_path.length() as u32)
+            };
+            let community_slot = if self.policy_fields {
+                ctx.symbolic_shared(&names[COMMUNITY], get(COMMUNITY) as u32)
+            } else {
+                Concolic::concrete(0)
+            };
+            RouteView {
+                prefix_addr: ctx.symbolic_shared(&names[NLRI_ADDR], get(NLRI_ADDR) as u32),
+                prefix_len: ctx.symbolic_shared(&names[NLRI_LEN], get(NLRI_LEN).min(32) as u8),
+                source_as: ctx.symbolic_shared(&names[SOURCE_AS], get(SOURCE_AS) as u32),
+                neighbor_as: Concolic::concrete(
+                    a.as_path.neighbor_as().map(|x| x.value()).unwrap_or(0),
+                ),
+                path_len,
+                med: ctx.symbolic_shared(&names[MED], get(MED) as u32),
+                local_pref: ctx.symbolic_shared(&names[LOCAL_PREF], get(LOCAL_PREF) as u32),
+                origin_code: ctx.symbolic_shared(&names[ORIGIN], (get(ORIGIN) % 3) as u8),
+                communities: a
+                    .communities
+                    .iter()
+                    .map(|c| (c.asn_part(), c.value_part()))
+                    .collect(),
+                community_slot,
+            }
+        })
     }
 }
 
 /// Returns a copy of `path` whose origin AS (last ASN of the last sequence
 /// segment) is replaced with `origin`. Empty paths become a one-hop path.
 fn replace_origin_as(path: &AsPath, origin: Asn) -> AsPath {
+    // A one-sequence path that already ends in `origin` is its own result.
+    if let [AsPathSegment::Sequence(asns)] = path.segments() {
+        if asns.last() == Some(&origin) {
+            return path.clone();
+        }
+    }
     let mut asns: Vec<u32> = path.flatten().iter().map(|a| a.value()).collect();
     match asns.last_mut() {
         Some(last) => *last = origin.value(),
@@ -232,10 +280,11 @@ fn replace_origin_as(path: &AsPath, origin: Asn) -> AsPath {
 /// hop (mimicking neighbor-side prepending), shorter ones by dropping hops
 /// from the front. Empty paths stay empty — there is no AS to repeat.
 fn resize_path(path: &AsPath, target: usize) -> AsPath {
-    let asns: Vec<u32> = path.flatten().iter().map(|a| a.value()).collect();
-    if asns.is_empty() || asns.len() == target {
+    let hops: usize = path.segments().iter().map(|s| s.asns().len()).sum();
+    if hops == 0 || hops == target {
         return path.clone();
     }
+    let asns: Vec<u32> = path.flatten().iter().map(|a| a.value()).collect();
     let mut resized = asns.clone();
     if asns.len() < target {
         let first = asns[0];
@@ -279,6 +328,19 @@ mod tests {
                 .len(),
             6
         );
+        // Switching the fields off and back on rebuilds the full spec.
+        let round_trip = template
+            .clone()
+            .with_policy_fields(false)
+            .with_policy_fields(true);
+        assert_eq!(round_trip.input_spec().len(), 8);
+        assert_eq!(round_trip.seed(), seed);
+        // The seed is the spec's default assignment, with or without the
+        // policy fields.
+        assert_eq!(seed, template.input_spec().defaults());
+        let opaque = template.clone().with_policy_fields(false);
+        assert_eq!(opaque.seed(), opaque.input_spec().defaults());
+        assert_eq!(opaque.seed().len(), 6);
         assert!(UpdateTemplate::from_update(&UpdateMessage::withdraw(vec![])).is_none());
     }
 

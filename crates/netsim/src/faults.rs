@@ -516,6 +516,8 @@ pub(crate) struct FaultRuntime {
 pub(crate) enum EnqueueVerdict {
     /// Drop the message.
     Drop,
+    /// Enqueue the message once, undelayed: no fault spec names the link.
+    Unperturbed,
     /// Enqueue one copy per entry, each with the given extra delay in
     /// ticks. `vec![0]` is an unperturbed delivery.
     Deliver {
@@ -626,7 +628,6 @@ impl FaultRuntime {
             return EnqueueVerdict::Drop;
         }
         let link = normalize_link(from, to);
-        let mut extra_delays = vec![0u64];
         // Collect matching probabilistic specs first: drawing the RNG while
         // iterating would borrow `self.plan` and `self.rng` at once.
         let specs: Vec<FaultSpec> = self
@@ -636,6 +637,10 @@ impl FaultRuntime {
             .filter(|s| s.link() == Some(link))
             .cloned()
             .collect();
+        if specs.is_empty() {
+            return EnqueueVerdict::Unperturbed;
+        }
+        let mut extra_delays = vec![0u64];
         for spec in specs {
             // Each guard draws the RNG exactly once for its spec, keeping
             // the spec-order replay contract intact.
@@ -847,10 +852,10 @@ mod tests {
             EnqueueVerdict::Drop
         ));
         // Unrelated links are untouched.
-        match rt.on_enqueue(NodeId(1), NodeId(2), 1) {
-            EnqueueVerdict::Deliver { extra_delays } => assert_eq!(extra_delays, vec![0]),
-            EnqueueVerdict::Drop => panic!("unrelated link perturbed"),
-        }
+        assert!(matches!(
+            rt.on_enqueue(NodeId(1), NodeId(2), 1),
+            EnqueueVerdict::Unperturbed
+        ));
     }
 
     #[test]
@@ -873,7 +878,9 @@ mod tests {
                 assert_eq!(extra_delays.len(), 2, "one duplicate copy");
                 assert!(extra_delays.iter().all(|d| (1..=4).contains(d)));
             }
-            EnqueueVerdict::Drop => panic!("nothing should drop"),
+            EnqueueVerdict::Drop | EnqueueVerdict::Unperturbed => {
+                panic!("both copies should be perturbed")
+            }
         }
         assert_eq!(rt.trace().injected_count(), 2);
     }

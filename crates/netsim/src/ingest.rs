@@ -387,6 +387,8 @@ pub struct WireReplayDriver {
     split: EpochSplit,
     window_end_ms: u64,
     stats: SharedIngestStats,
+    /// Where each decoded frame is re-encoded for the byte-identity check.
+    reencoded: Vec<u8>,
 }
 
 impl WireReplayDriver {
@@ -398,6 +400,7 @@ impl WireReplayDriver {
             split: EpochSplit::AllAtOnce,
             window_end_ms: 0,
             stats: SharedIngestStats::new(),
+            reencoded: Vec::new(),
         }
     }
 
@@ -471,7 +474,8 @@ impl WireReplayDriver {
                     let _ = msg;
                 }
                 Ok((msg, _)) => {
-                    if wire::encode(&msg)[..] != record.bytes[..] {
+                    wire::encode_into(&msg, &mut self.reencoded);
+                    if self.reencoded[..] != record.bytes[..] {
                         batch.reencode_mismatches += 1;
                         batch
                             .events

@@ -457,6 +457,31 @@ impl Simulator {
             .collect()
     }
 
+    /// Removes the epoch window `[from, to)` from the observation log and
+    /// returns it split by node: entry `i` holds what node `i` observed in
+    /// the window, in delivery order — for every node, what
+    /// [`Simulator::observed_inputs_in`] returns for it, moved out instead
+    /// of copied. Entries outside the window and all sequence numbers stay
+    /// as they were.
+    ///
+    /// This is the harvest of an orchestrator that compacts the log after
+    /// every round anyway: the window is about to be trimmed, so it is
+    /// taken rather than cloned.
+    pub fn take_observed_in(&mut self, from: u64, to: u64) -> Vec<Vec<(PeerId, UpdateMessage)>> {
+        let start = self.observed.partition_point(|o| o.seq < from);
+        let end = start + self.observed[start..].partition_point(|o| o.seq < to);
+        let mut counts = vec![0usize; self.routers.len()];
+        for o in &self.observed[start..end] {
+            counts[o.node.0] += 1;
+        }
+        let mut windows: Vec<Vec<(PeerId, UpdateMessage)>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
+        for o in self.observed.drain(start..end) {
+            windows[o.node.0].push((o.peer, o.update));
+        }
+        windows
+    }
+
     /// Removes and returns `node`'s entries from the observation log, in
     /// delivery order, leaving every other node's pending inputs — and all
     /// sequence numbers — intact. This is the per-node replacement for the
@@ -503,18 +528,34 @@ impl Simulator {
                         EnqueueVerdict::Drop => {
                             self.stats.dropped += 1;
                         }
+                        EnqueueVerdict::Unperturbed => {
+                            self.queue.push_back(InFlight {
+                                deliver_at: now + self.link_delay,
+                                from_node,
+                                to_node,
+                                from_peer,
+                                message,
+                            });
+                        }
                         EnqueueVerdict::Deliver { extra_delays } => {
                             self.stats.duplicated += extra_delays.len() as u64 - 1;
                             self.stats.reordered +=
                                 extra_delays.iter().filter(|d| **d > 0).count() as u64;
-                            for extra in extra_delays {
-                                self.queue.push_back(InFlight {
-                                    deliver_at: self.stats.now + self.link_delay + extra,
-                                    from_node,
-                                    to_node,
-                                    from_peer,
-                                    message: message.clone(),
-                                });
+                            let deliver_at = self.stats.now + self.link_delay;
+                            let in_flight = |extra: u64, message| InFlight {
+                                deliver_at: deliver_at + extra,
+                                from_node,
+                                to_node,
+                                from_peer,
+                                message,
+                            };
+                            // Duplicates get copies; the last copy takes the
+                            // message itself.
+                            if let Some((&last, duplicates)) = extra_delays.split_last() {
+                                for &extra in duplicates {
+                                    self.queue.push_back(in_flight(extra, message.clone()));
+                                }
+                                self.queue.push_back(in_flight(last, message));
                             }
                         }
                     }
@@ -917,6 +958,42 @@ mod tests {
         // Sequence tags are the global delivery order.
         let seqs: Vec<u64> = sim.observed_log().iter().map(|o| o.seq).collect();
         assert_eq!(seqs, (0..end).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn taking_a_window_moves_out_what_harvesting_it_copies() {
+        let topo = figure2_topology(CustomerFilterMode::Missing);
+        let mut sim = Simulator::new(&topo);
+        let provider = topo.node_by_name("Provider").expect("node");
+
+        for prefix in ["41.1.0.0/16", "41.64.0.0/12", "41.128.0.0/12"] {
+            sim.inject(
+                provider,
+                addr::CUSTOMER,
+                announcement(prefix, &[asn::CUSTOMER], addr::CUSTOMER),
+            );
+            sim.run_to_quiescence(100);
+        }
+        let head = sim.observed_cursor();
+        let (from, to) = (2, head - 1);
+        let copied: Vec<_> = (0..sim.len())
+            .map(|i| sim.observed_inputs_in(NodeId(i), from, to))
+            .collect();
+        assert!(copied.iter().filter(|w| !w.is_empty()).count() >= 2);
+        let before = sim.observed_log().to_vec();
+
+        let taken = sim.take_observed_in(from, to);
+        assert_eq!(taken, copied, "one window per node, each in delivery order");
+        // Only the window left the log; what surrounds it and the cursor
+        // stay as they were.
+        let rest: Vec<_> = before
+            .into_iter()
+            .filter(|o| o.seq < from || o.seq >= to)
+            .collect();
+        assert_eq!(sim.observed_log(), rest);
+        assert_eq!(sim.observed_cursor(), head);
+        // Taking it again finds nothing.
+        assert!(sim.take_observed_in(from, to).iter().all(Vec::is_empty));
     }
 
     #[test]

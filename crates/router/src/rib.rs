@@ -219,6 +219,26 @@ impl RibShard {
     }
 }
 
+/// Filters one bucket of a bulk load, then announces the survivors into
+/// `shard`, and returns how many survived. The filter runs first, so a
+/// shard a fork holds is copied only when some route survives: a bucket
+/// the filter rejects entirely leaves the shard shared and its generation
+/// where it was.
+fn load_filtered_bucket<F>(shard: &mut Arc<RibShard>, bucket: Vec<Route>, filter: &F) -> usize
+where
+    F: Fn(Route) -> Option<Route>,
+{
+    let survivors: Vec<Route> = bucket.into_iter().filter_map(filter).collect();
+    let kept = survivors.len();
+    if kept > 0 {
+        let shard = Arc::make_mut(shard);
+        for route in survivors {
+            shard.announce(route);
+        }
+    }
+    kept
+}
+
 /// The canonical table order: lexicographic over prefix bit strings, with
 /// a prefix sorting before anything it covers. This is exactly the order a
 /// single [`PrefixMap`] iterates in (the pre-order of a binary trie), so
@@ -458,6 +478,8 @@ impl Rib {
     /// filtering the batch in order and announcing the survivors (asserted
     /// by test): the filter only sees one route at a time and routes for
     /// the same prefix keep their relative order within a shard bucket.
+    /// Each bucket is filtered before its shard is touched, so a shard a
+    /// fork holds is copied only when a route of its bucket survives.
     pub fn load_parallel_filtered<F>(
         &mut self,
         routes: Vec<Route>,
@@ -477,49 +499,37 @@ impl Rib {
                 None => short_routes.push(route),
             }
         }
-        let mut accepted = 0usize;
-        if !short_routes.is_empty() {
-            let short = Arc::make_mut(&mut self.short);
-            for route in short_routes {
-                if let Some(route) = filter(route) {
-                    short.announce(route);
-                    accepted += 1;
-                }
-            }
-        }
+        let accepted = load_filtered_bucket(&mut self.short, short_routes, &filter);
         let workers = match workers {
             0 => std::thread::available_parallelism()
                 .map(usize::from)
                 .unwrap_or(1),
             n => n,
         };
-        let mut jobs: Vec<(&mut RibShard, Vec<Route>)> = self
+        // The shards stay behind their `Arc`s until a bucket's filter has
+        // run: a shard a fork holds is copied only if a route survives.
+        let mut jobs: Vec<(&mut Arc<RibShard>, Vec<Route>)> = self
             .shards
             .iter_mut()
             .zip(buckets)
             .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(shard, bucket)| (Arc::make_mut(shard), bucket))
             .collect();
         if jobs.is_empty() {
             return accepted;
         }
         if workers <= 1 || jobs.len() == 1 {
-            for (shard, bucket) in jobs {
-                for route in bucket {
-                    if let Some(route) = filter(route) {
-                        shard.announce(route);
-                        accepted += 1;
-                    }
-                }
-            }
-            return accepted;
+            return accepted
+                + jobs
+                    .into_iter()
+                    .map(|(shard, bucket)| load_filtered_bucket(shard, bucket, &filter))
+                    .sum::<usize>();
         }
         // Same greedy longest-processing-time balancing as the unfiltered
         // path; the filter cost is proportional to bucket volume, so route
         // counts remain the right load measure.
         let worker_count = workers.min(jobs.len());
         jobs.sort_by_key(|(_, bucket)| std::cmp::Reverse(bucket.len()));
-        type WorkerGroup<'a> = (usize, Vec<(&'a mut RibShard, Vec<Route>)>);
+        type WorkerGroup<'a> = (usize, Vec<(&'a mut Arc<RibShard>, Vec<Route>)>);
         let mut groups: Vec<WorkerGroup<'_>> = (0..worker_count).map(|_| (0, Vec::new())).collect();
         for job in jobs {
             let lightest = groups
@@ -536,16 +546,10 @@ impl Rib {
                     .into_iter()
                     .map(|(_, group)| {
                         scope.spawn(move || {
-                            let mut kept = 0usize;
-                            for (shard, bucket) in group {
-                                for route in bucket {
-                                    if let Some(route) = filter(route) {
-                                        shard.announce(route);
-                                        kept += 1;
-                                    }
-                                }
-                            }
-                            kept
+                            group
+                                .into_iter()
+                                .map(|(shard, bucket)| load_filtered_bucket(shard, bucket, filter))
+                                .sum::<usize>()
                         })
                     })
                     .collect();
@@ -599,9 +603,9 @@ impl Rib {
     /// it had a fork been holding it: each announce, and each withdrawal
     /// that removes a candidate. Comparing two readings therefore counts
     /// the shards a fork held between them would still share, without
-    /// holding one. (The one difference: a filtered bulk load copies a
-    /// held shard before it knows that the filter rejects the whole
-    /// bucket; generations count writes, not that copy.)
+    /// holding one. That includes a filtered bulk load: it filters a
+    /// bucket before touching its shard, so a bucket the filter rejects
+    /// entirely neither copies a held shard nor moves its generation.
     pub fn shard_generations(&self) -> Vec<u64> {
         self.cow_units().map(|shard| shard.generation).collect()
     }
@@ -1246,6 +1250,50 @@ mod tests {
             let b: Vec<(Ipv4Prefix, Route)> =
                 sequential.loc_rib().map(|(p, r)| (p, r.clone())).collect();
             assert_eq!(a, b, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_filtered_load_leaves_a_held_shard_alone_when_its_bucket_is_rejected() {
+        // Of 4 shards, shard 0 holds 0/2 and shard 3 holds 192/2; the
+        // short map holds the /0 and /1 prefixes.
+        let batch = || {
+            vec![
+                route("10.0.0.0/8", 1, &[100]),
+                route("10.1.0.0/16", 1, &[100]),
+                route("200.0.0.0/8", 1, &[200]),
+                route("0.0.0.0/0", 1, &[100]),
+            ]
+        };
+        // Keep only routes through AS 200: shard 0's bucket and the short
+        // map's are rejected whole.
+        let through_200 = |route: Route| {
+            let hops = route.attrs.as_path.flatten();
+            hops.iter().any(|asn| asn.value() == 200).then_some(route)
+        };
+        for workers in [1usize, 4] {
+            let mut live = Rib::with_shard_count(4);
+            live.announce(route("10.2.0.0/16", 2, &[300]));
+            live.announce(route("200.1.0.0/16", 2, &[300]));
+            live.announce(route("0.0.0.0/0", 2, &[300]));
+            let fork = live.clone();
+            let before = live.shard_generations();
+
+            assert_eq!(
+                live.load_parallel_filtered(batch(), workers, through_200),
+                1
+            );
+            let after = live.shard_generations();
+            let (shard0, shard3, short) = (0, 3, live.shard_count());
+            assert_eq!(after[shard0], before[shard0], "workers={workers}");
+            assert_eq!(after[short], before[short], "workers={workers}");
+            assert_ne!(after[shard3], before[shard3], "workers={workers}");
+            assert!(Arc::ptr_eq(&live.shards[shard0], &fork.shards[shard0]));
+            assert!(Arc::ptr_eq(&live.short, &fork.short));
+            // Only the shard a route survived into was copied.
+            assert_eq!(fork.cow_shard_sharing(&live), (4, 5), "workers={workers}");
+            assert!(live.best_route(&p("200.0.0.0/8")).is_some());
+            assert!(live.best_route(&p("10.0.0.0/8")).is_none());
         }
     }
 }

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use dice_bgp::attributes::{Community, RouteAttrs};
 use dice_bgp::fsm::SessionEvent;
@@ -73,7 +74,8 @@ pub struct SessionResetOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BgpRouter {
-    config: RouterConfig,
+    /// Read-only once built, so a fork shares it.
+    config: Arc<RouterConfig>,
     peers: BTreeMap<PeerId, Peer>,
     by_address: HashMap<Ipv4Addr, PeerId>,
     rib: Rib,
@@ -93,7 +95,7 @@ impl BgpRouter {
             by_address.insert(n.address, id);
         }
         let mut router = BgpRouter {
-            config,
+            config: Arc::new(config),
             peers,
             by_address,
             rib: Rib::new(),
@@ -285,7 +287,7 @@ impl BgpRouter {
                 p.stats.withdrawals += 1;
             }
             let change = self.rib.withdraw(prefix, from);
-            out.extend(self.propagate(change, Some(from)));
+            self.propagate(change, Some(from), &mut out);
         }
 
         if update.nlri.is_empty() {
@@ -319,7 +321,7 @@ impl BgpRouter {
                         p.stats.routes_accepted += 1;
                     }
                     let change = self.rib.announce(imported);
-                    out.extend(self.propagate(change, Some(from)));
+                    self.propagate(change, Some(from), &mut out);
                 }
                 None => {
                     self.stats.routes_rejected += 1;
@@ -373,7 +375,8 @@ impl BgpRouter {
             ..Default::default()
         };
         let change = self.rib.announce(Route::local(prefix, attrs));
-        let out = self.propagate(change, None);
+        let mut out = Vec::new();
+        self.propagate(change, None, &mut out);
         self.stats.messages_sent += out.len() as u64;
         out
     }
@@ -399,7 +402,7 @@ impl BgpRouter {
         for prefix in &prefixes {
             self.stats.prefixes_withdrawn += 1;
             let change = self.rib.withdraw(prefix, peer);
-            outgoing.extend(self.propagate(change, Some(peer)));
+            self.propagate(change, Some(peer), &mut outgoing);
         }
         self.stats.messages_sent += outgoing.len() as u64;
         SessionResetOutcome {
@@ -451,22 +454,24 @@ impl BgpRouter {
         Some(UpdateMessage::announce(vec![route.prefix], &attrs))
     }
 
-    /// Turns a Loc-RIB change into the UPDATEs sent to the other peers.
-    fn propagate(&mut self, change: RibChange, learned_from: Option<PeerId>) -> Vec<Outgoing> {
-        let mut out = Vec::new();
+    /// Turns a Loc-RIB change into the UPDATEs sent to the other peers,
+    /// appended to `out`.
+    fn propagate(
+        &mut self,
+        change: RibChange,
+        learned_from: Option<PeerId>,
+        out: &mut Vec<Outgoing>,
+    ) {
+        let start = out.len();
         match change {
             RibChange::Unchanged => {}
             RibChange::Updated(route) => {
-                let targets: Vec<PeerId> = self
-                    .peers
-                    .values()
-                    .filter(|p| Some(p.id) != learned_from && p.is_established())
-                    .map(|p| p.id)
-                    .collect();
-                for id in targets {
-                    let peer = &self.peers[&id];
+                for peer in self.peers.values() {
+                    if Some(peer.id) == learned_from || !peer.is_established() {
+                        continue;
+                    }
                     if let Some(update) = self.export_route(peer, &route) {
-                        out.push((id, BgpMessage::Update(update)));
+                        out.push((peer.id, BgpMessage::Update(update)));
                     }
                 }
             }
@@ -481,12 +486,11 @@ impl BgpRouter {
                 }
             }
         }
-        for (id, _) in &out {
+        for (id, _) in &out[start..] {
             if let Some(p) = self.peers.get_mut(id) {
                 p.stats.updates_out += 1;
             }
         }
-        out
     }
 }
 

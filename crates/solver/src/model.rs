@@ -1,6 +1,5 @@
 //! Variable assignments and concrete evaluation of terms.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::eval::{eval_bool, eval_int};
@@ -37,9 +36,18 @@ impl Value {
 /// An assignment of concrete values to symbolic variables.
 ///
 /// Variables not present in the model evaluate to 0.
+///
+/// Variable ids are dense arena indices, so the values sit in a vector
+/// indexed by id: a lookup is an index, and a run's few variables cost one
+/// allocation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Model {
-    values: BTreeMap<VarId, u64>,
+    /// `values[v]` is variable `v`'s assignment, if it has one. Nothing is
+    /// ever unassigned, so two models with the same assignments have the
+    /// same length.
+    values: Vec<Option<u64>>,
+    /// How many entries of `values` are assigned.
+    assigned: usize,
 }
 
 impl Model {
@@ -48,40 +56,56 @@ impl Model {
         Self::default()
     }
 
+    /// Makes room for `vars` more variables.
+    pub fn reserve(&mut self, vars: usize) {
+        self.values.reserve(vars);
+    }
+
     /// Assigns a value to a variable; the value is truncated to the
     /// variable's width at evaluation time.
     pub fn set(&mut self, var: VarId, value: u64) {
-        self.values.insert(var, value);
+        let index = var.index();
+        if index >= self.values.len() {
+            self.values.resize(index + 1, None);
+        }
+        let slot = &mut self.values[index];
+        if slot.is_none() {
+            self.assigned += 1;
+        }
+        *slot = Some(value);
     }
 
     /// Returns the value assigned to `var`, or 0 if unassigned.
     pub fn get(&self, var: VarId) -> u64 {
-        self.values.get(&var).copied().unwrap_or(0)
+        self.get_opt(var).unwrap_or(0)
     }
 
     /// Returns the value assigned to `var` if present.
     pub fn get_opt(&self, var: VarId) -> Option<u64> {
-        self.values.get(&var).copied()
+        self.values.get(var.index()).copied().flatten()
     }
 
     /// Returns true if the variable has an explicit assignment.
     pub fn contains(&self, var: VarId) -> bool {
-        self.values.contains_key(&var)
+        self.get_opt(var).is_some()
     }
 
     /// Number of explicitly assigned variables.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.assigned
     }
 
     /// Returns true if no variable is explicitly assigned.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.assigned == 0
     }
 
     /// Iterates over explicit assignments in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, u64)> + '_ {
-        self.values.iter().map(|(&v, &x)| (v, x))
+        self.values
+            .iter()
+            .enumerate()
+            .filter_map(|(index, value)| Some((VarId(index as u32), (*value)?)))
     }
 
     /// Evaluates a term under this model.
@@ -126,7 +150,7 @@ impl Model {
 impl fmt::Display for Model {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (v, x)) in self.values.iter().enumerate() {
+        for (i, (v, x)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -138,9 +162,11 @@ impl fmt::Display for Model {
 
 impl FromIterator<(VarId, u64)> for Model {
     fn from_iter<T: IntoIterator<Item = (VarId, u64)>>(iter: T) -> Self {
-        Model {
-            values: iter.into_iter().collect(),
+        let mut model = Model::new();
+        for (var, value) in iter {
+            model.set(var, value);
         }
+        model
     }
 }
 
@@ -217,6 +243,30 @@ mod tests {
         assert_eq!(model.eval(&arena, ite).expect_int(), 1);
         model.set(x, 5);
         assert_eq!(model.eval(&arena, ite).expect_int(), 2);
+    }
+
+    #[test]
+    fn assignments_count_iterate_and_compare_by_variable() {
+        let mut arena = TermArena::new();
+        let vars: Vec<VarId> = (0..4)
+            .map(|i| arena.declare_var(format!("v{i}"), 8))
+            .collect();
+        let mut model = Model::new();
+        assert!(model.is_empty());
+        model.set(vars[2], 7);
+        model.set(vars[0], 1);
+        model.set(vars[2], 9);
+        assert_eq!(model.len(), 2);
+        assert!(model.contains(vars[0]) && !model.contains(vars[1]));
+        assert_eq!(model.get_opt(vars[3]), None);
+        assert_eq!(model.get(vars[3]), 0);
+        let assigned: Vec<(VarId, u64)> = model.iter().collect();
+        assert_eq!(assigned, vec![(vars[0], 1), (vars[2], 9)]);
+        // Equal assignments make equal models, whatever order they came in.
+        let reordered: Model = [(vars[2], 9), (vars[0], 1)].into_iter().collect();
+        assert_eq!(model, reordered);
+        model.set(vars[3], 0);
+        assert_ne!(model, reordered);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! branch yields: one arena per run, terms interned as execution meets
 //! them, never an arena shared or pre-built across runs.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -221,7 +221,19 @@ impl ExecCtx {
     pub fn with_capacity_like(mut self, like: &ExecTrace) -> Self {
         self.arena.reserve(like.arena.len(), like.var_map.len());
         self.vars.reserve(like.var_map.len());
+        self.concrete.reserve(like.var_map.len());
         self.branches.reserve(like.branches.len());
+        self
+    }
+
+    /// Makes room for the first run over an input of `fields` fields, when
+    /// there is no run before it to size by: a variable per field, a few
+    /// terms and a branch or two over each.
+    pub(crate) fn with_input_capacity(mut self, fields: usize) -> Self {
+        self.arena.reserve(4 * fields, fields);
+        self.vars.reserve(fields);
+        self.concrete.reserve(fields);
+        self.branches.reserve(fields);
         self
     }
 
@@ -319,9 +331,26 @@ impl ExecCtx {
                 v
             }
         };
+        self.bind(var, concrete)
+    }
+
+    /// Gives a declared variable its concrete value for this run.
+    fn bind<T: ConcolicInt>(&mut self, var: VarId, concrete: T) -> Concolic<T> {
         self.concrete.set(var, concrete.to_u64());
         let term = self.arena.var(var);
         Concolic::with_term(concrete, term)
+    }
+
+    /// Declares (or re-binds) a symbolic input of any width under a name
+    /// the caller already holds as a shared string, so declaring it copies
+    /// nothing. Otherwise the same as [`ExecCtx::symbolic_u32`] and its
+    /// siblings.
+    pub fn symbolic_shared<T: ConcolicInt>(&mut self, name: &Arc<str>, concrete: T) -> Concolic<T> {
+        let var = match self.vars.entry(Arc::clone(name)) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(slot) => *slot.insert(self.arena.declare_var(Arc::clone(name), T::WIDTH)),
+        };
+        self.bind(var, concrete)
     }
 
     /// Declares (or re-binds) an 8-bit symbolic input with a concrete value.
@@ -424,6 +453,26 @@ impl ExecCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shared_names_declare_exactly_what_borrowed_names_do() {
+        let names: Vec<Arc<str>> = ["a", "b"].into_iter().map(Arc::from).collect();
+        let mut borrowed = ExecCtx::new();
+        let mut shared = ExecCtx::new().with_input_capacity(names.len());
+        for (round, value) in [(0, 5u32), (1, 9)] {
+            for name in &names {
+                let b = borrowed.symbolic_u32(name, value + round);
+                let s = shared.symbolic_shared(name, value + round);
+                assert_eq!((b.value(), b.term()), (s.value(), s.term()));
+            }
+        }
+        assert_eq!(borrowed.var_map(), shared.var_map());
+        assert_eq!(borrowed.concrete_model(), shared.concrete_model());
+        assert_eq!(borrowed.arena().len(), shared.arena().len());
+        // The declared name is the caller's string, not a copy of it.
+        let (declared, _) = shared.var_map().get_key_value("a").expect("declared");
+        assert!(Arc::ptr_eq(declared, &names[0]));
+    }
 
     #[test]
     fn symbolic_inputs_are_registered() {

@@ -247,6 +247,9 @@ impl<O> Exploration<O> {
 
     /// Number of distinct paths executed.
     pub fn distinct_paths(&self) -> usize {
+        if self.runs.len() < 2 {
+            return self.runs.len();
+        }
         let ids: FastHashSet<PathId> = self.runs.iter().map(|r| r.trace.path_id()).collect();
         ids.len()
     }
@@ -640,10 +643,11 @@ impl ConcolicEngine {
         generation: u32,
         previous: Option<&ExecTrace>,
     ) -> RunRecord<P::Output> {
-        let mut ctx = ExecCtx::new().with_max_branches(self.config.max_branches_per_run);
-        if let Some(previous) = previous {
-            ctx = ctx.with_capacity_like(previous);
-        }
+        let ctx = ExecCtx::new().with_max_branches(self.config.max_branches_per_run);
+        let mut ctx = match previous {
+            Some(previous) => ctx.with_capacity_like(previous),
+            None => ctx.with_input_capacity(input.len()),
+        };
         let output = program.run(&mut ctx, &input);
         let trace = ExecTrace::from_ctx(ctx, input);
         RunRecord {

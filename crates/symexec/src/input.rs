@@ -180,6 +180,16 @@ impl FromIterator<(String, u64)> for InputValues {
     }
 }
 
+/// Collects an assignment from names the caller already shares: each name
+/// is a reference-count bump, not a copy of the string.
+impl FromIterator<(Arc<str>, u64)> for InputValues {
+    fn from_iter<T: IntoIterator<Item = (Arc<str>, u64)>>(iter: T) -> Self {
+        InputValues {
+            values: iter.into_iter().collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

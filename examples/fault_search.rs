@@ -61,7 +61,7 @@ fn main() {
         .engine(EngineConfig::default().with_max_runs(4))
         .checker(Box::new(BgpWedgieChecker::new()))
         .build();
-    let orchestrator = LiveOrchestrator::new(session).with_core_budget(1);
+    let orchestrator = LiveOrchestrator::new(session);
     let plane = orchestrator.control_plane();
 
     let search = FaultPlanSearch::new(orchestrator)

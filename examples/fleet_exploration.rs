@@ -6,8 +6,8 @@
 //! example simulates live traffic over the three-router Figure 2 testbed,
 //! harvests each node's observed UPDATEs from the simulation's delivery
 //! log, builds a session with two pluggable checkers through
-//! `DiceBuilder`, and runs one exploration round per node concurrently
-//! under a shared core budget. Faults are deduplicated fleet-wide: the
+//! `DiceBuilder`, and runs one exploration round per node, in turn, on the
+//! calling thread. Faults are deduplicated fleet-wide: the
 //! same leak seen from several vantage points reports once, with every
 //! sighting listed.
 //!
@@ -62,7 +62,7 @@ fn main() {
         );
     }
 
-    // 3. Build the exploration session: engine budget, workers, and a
+    // 3. Build the exploration session: engine budget and a
     //    checker registry — the origin-hijack checker of §4.2 plus the
     //    forwarding-loop checker, both applied to every explored outcome.
     let session = DiceBuilder::new()
@@ -71,8 +71,8 @@ fn main() {
         .checker(Box::new(ForwardingLoopChecker::new()))
         .build();
 
-    // 4. One exploration round beside every node, concurrently, splitting
-    //    the machine between the per-node worker pools.
+    // 4. One exploration round beside every node, each from a copy-on-write
+    //    checkpoint of that node's router.
     let report = FleetExplorer::new(session).explore(&sim);
     println!("\n{report}");
 

@@ -31,9 +31,7 @@ fn traced_run() -> (LiveReport, ControlSnapshot) {
     let session = DiceBuilder::new()
         .engine(EngineConfig::default().with_max_runs(8))
         .build();
-    let orchestrator = LiveOrchestrator::new(session)
-        .with_core_budget(2)
-        .with_ingest_stats(driver.stats());
+    let orchestrator = LiveOrchestrator::new(session).with_ingest_stats(driver.stats());
     let plane = orchestrator.control_plane();
     let mut sim = Simulator::new(&topo);
     let report = orchestrator.run(&mut sim, |sim, epoch| driver.drive(sim, epoch));

@@ -43,9 +43,7 @@ fn main() {
     let session = DiceBuilder::new()
         .engine(EngineConfig::default().with_max_runs(4))
         .build();
-    let orchestrator = LiveOrchestrator::new(session)
-        .with_core_budget(2)
-        .with_ingest_stats(driver.stats());
+    let orchestrator = LiveOrchestrator::new(session).with_ingest_stats(driver.stats());
     let plane = orchestrator.control_plane();
 
     // 3. Run: the orchestrator interleaves replay epochs with exploration

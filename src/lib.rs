@@ -84,7 +84,7 @@ mod tests {
         let session: DiceSession = DiceBuilder::new()
             .checker(Box::new(ForwardingLoopChecker::new()))
             .build();
-        let fleet = FleetExplorer::new(session).with_core_budget(1);
+        let fleet = FleetExplorer::new(session);
         let _: &DiceSession = fleet.session();
         let _: Option<FleetFault> = None;
         let _ = FleetReport::default();
@@ -111,7 +111,6 @@ mod tests {
         let _: Option<InjectedFaultKind> = None;
         let _: Option<DeliveryError> = None;
         let live = LiveOrchestrator::default()
-            .with_core_budget(1)
             .with_quiesce_steps(50)
             .with_max_rounds(2)
             .with_fault_plan(plan)

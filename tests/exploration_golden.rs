@@ -217,23 +217,21 @@ fn short_live_script_is_pinned() {
         .checker(Box::new(OriginHijackChecker::new()))
         .checker(Box::new(RouteOscillationChecker::new()))
         .build();
-    let live = LiveOrchestrator::new(session)
-        .with_core_budget(2)
-        .run(&mut sim, |sim, epoch| {
-            // Three epochs, two customer announcements each, on both sides
-            // of the filter's MED and origin-AS thresholds.
-            for k in 0..2u32 {
-                let i = epoch as u32 * 2 + k;
-                let prefix = Ipv4Prefix::new((41 << 24) | (i << 16), 18).expect("an /18");
-                let update = customer_announcement(
-                    prefix,
-                    &[asn::CUSTOMER, asn::CUSTOMER, 17_557 + i % 3],
-                    Some(300 * i),
-                );
-                sim.inject(provider, addr::CUSTOMER, BgpMessage::Update(update));
-            }
-            epoch < 2
-        });
+    let live = LiveOrchestrator::new(session).run(&mut sim, |sim, epoch| {
+        // Three epochs, two customer announcements each, on both sides
+        // of the filter's MED and origin-AS thresholds.
+        for k in 0..2u32 {
+            let i = epoch as u32 * 2 + k;
+            let prefix = Ipv4Prefix::new((41 << 24) | (i << 16), 18).expect("an /18");
+            let update = customer_announcement(
+                prefix,
+                &[asn::CUSTOMER, asn::CUSTOMER, 17_557 + i % 3],
+                Some(300 * i),
+            );
+            sim.inject(provider, addr::CUSTOMER, BgpMessage::Update(update));
+        }
+        epoch < 2
+    });
     pin(
         "live.digest",
         fnv1a(&live.digest()),
@@ -284,7 +282,7 @@ fn seeded_fault_plan_search_is_pinned() {
         .checker(Box::new(BgpWedgieChecker::new()))
         .checker(Box::new(OriginHijackChecker::new()))
         .build();
-    let search = FaultPlanSearch::new(LiveOrchestrator::new(session).with_core_budget(1))
+    let search = FaultPlanSearch::new(LiveOrchestrator::new(session))
         .with_seed(7)
         .with_budget(6)
         .with_epoch_horizon(3);

@@ -38,7 +38,7 @@ fn run_flap_scenario(plan: Option<FaultPlan>) -> LiveReport {
         .engine(EngineConfig::default().with_max_runs(8))
         .checker(Box::new(CrossRoundFlapChecker::new()))
         .build();
-    let mut orchestrator = LiveOrchestrator::new(session).with_core_budget(1);
+    let mut orchestrator = LiveOrchestrator::new(session);
     if let Some(plan) = plan {
         orchestrator = orchestrator.with_fault_plan(plan);
     }
@@ -148,7 +148,6 @@ fn link_flap_plan_loses_epoch_traffic_and_is_counted_in_round_reports() {
         .engine(EngineConfig::default().with_max_runs(8))
         .build();
     let live = LiveOrchestrator::new(session)
-        .with_core_budget(1)
         .with_fault_plan(plan)
         .run(&mut sim, |sim, epoch| {
             let block = if epoch == 0 {

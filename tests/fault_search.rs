@@ -56,7 +56,7 @@ fn wedgie_orchestrator() -> LiveOrchestrator {
         .engine(EngineConfig::default().with_max_runs(2))
         .checker(Box::new(BgpWedgieChecker::new()))
         .build();
-    LiveOrchestrator::new(session).with_core_budget(1)
+    LiveOrchestrator::new(session)
 }
 
 fn wedgie_search() -> FaultPlanSearch {

@@ -36,7 +36,7 @@ fn live_run() -> (LiveReport, ControlSnapshot) {
     let session = DiceBuilder::new()
         .engine(EngineConfig::default().with_max_runs(4))
         .build();
-    let orchestrator = LiveOrchestrator::new(session).with_core_budget(1);
+    let orchestrator = LiveOrchestrator::new(session);
     let control = orchestrator.control_plane();
     let blocks = ["41.1.0.0/16", "41.64.0.0/12"];
     let report = orchestrator.run(&mut sim, |sim, epoch| {
@@ -129,47 +129,71 @@ fn exploring_threads(events: &[dice::obs::TraceEvent]) -> BTreeSet<u64> {
     &waves | &checks
 }
 
+/// Runs `round` with `recorder` installed and returns the engine threads it
+/// recorded together with the id of the thread that called it.
+fn explore_traced(recorder: &Arc<BufferedRecorder>, round: impl FnOnce()) -> (BTreeSet<u64>, u64) {
+    let events = {
+        let _guard = SinkGuard::install(recorder.clone());
+        dice::obs::event("test", "caller", 0);
+        round();
+        recorder.drain()
+    };
+    let caller = events
+        .iter()
+        .find(|e| e.name == "caller")
+        .expect("the caller's marker was recorded")
+        .tid;
+    (exploring_threads(&events), caller)
+}
+
 #[test]
-fn exploration_runs_on_the_threads_the_budget_names() {
+fn fleet_and_live_rounds_explore_on_the_calling_thread() {
     let _serial = sink_lock();
     // Three announcements from the customer: the Provider observes a
     // three-input window, and its neighbours observe what it re-advertises.
     let topo = figure2_topology(CustomerFilterMode::Erroneous);
     let provider = topo.node_by_name("Provider").expect("node");
+    let drive = |sim: &mut Simulator| {
+        for block in ["41.1.0.0/16", "41.64.0.0/12", "41.128.0.0/12"] {
+            sim.inject(provider, addr::CUSTOMER, customer_announcement(block));
+            sim.run_to_quiescence(100);
+        }
+    };
     let mut sim = Simulator::new(&topo);
-    for block in ["41.1.0.0/16", "41.64.0.0/12", "41.128.0.0/12"] {
-        sim.inject(provider, addr::CUSTOMER, customer_announcement(block));
-        sim.run_to_quiescence(100);
-    }
+    drive(&mut sim);
     let window = sim.observed_inputs(provider);
     assert!(window.len() >= 3, "a multi-input window");
     let observing_nodes = (0..sim.len())
         .filter(|&n| !sim.observed_inputs(NodeId(n)).is_empty())
         .count();
-    assert!(observing_nodes >= 2, "rounds to run side by side");
-    assert!(sim.len() > 2, "more node rounds than the budget below");
+    assert!(
+        observing_nodes >= 2,
+        "a round with several nodes to explore"
+    );
 
+    let recorder = Arc::new(BufferedRecorder::new());
     // One session worker: the engine solves and executes every wave of
     // every input on the thread that called `explore`.
-    let session = DiceBuilder::new().workers(1).build();
-    let recorder = Arc::new(BufferedRecorder::new());
-    {
-        let _guard = SinkGuard::install(recorder.clone());
-        session.explore(sim.router(provider), &window);
-    }
-    assert_eq!(exploring_threads(&recorder.drain()).len(), 1);
+    let sequential = DiceBuilder::new().workers(1).build();
+    let (threads, caller) = explore_traced(&recorder, || {
+        sequential.explore(sim.router(provider), &window);
+    });
+    assert_eq!(threads, BTreeSet::from([caller]));
 
-    // A fleet round explores on no more threads than its core budget.
-    for budget in [1, 2] {
-        let fleet = FleetExplorer::new(session.clone()).with_core_budget(budget);
-        {
-            let _guard = SinkGuard::install(recorder.clone());
-            fleet.explore(&sim);
-        }
-        let threads = exploring_threads(&recorder.drain());
-        assert!(
-            threads.len() <= budget,
-            "budget {budget}: explored on threads {threads:?}"
-        );
-    }
+    // A fleet round and a live round stay on the calling thread even when
+    // the session would fan a lone round's inputs out across four workers.
+    let wide = DiceBuilder::new().workers(4).build();
+    let (threads, caller) = explore_traced(&recorder, || {
+        FleetExplorer::new(wide.clone()).explore(&sim);
+    });
+    assert_eq!(threads, BTreeSet::from([caller]), "fleet round");
+
+    let mut live_sim = Simulator::new(&topo);
+    let (threads, caller) = explore_traced(&recorder, || {
+        LiveOrchestrator::new(wide).run(&mut live_sim, |sim, _| {
+            drive(sim);
+            false
+        });
+    });
+    assert_eq!(threads, BTreeSet::from([caller]), "live round");
 }

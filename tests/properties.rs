@@ -775,7 +775,7 @@ fn live_digest_under(plan: Option<FaultPlan>) -> String {
     let session = DiceBuilder::new()
         .engine(EngineConfig::default().with_max_runs(4))
         .build();
-    let mut orchestrator = LiveOrchestrator::new(session).with_core_budget(1);
+    let mut orchestrator = LiveOrchestrator::new(session);
     if let Some(plan) = plan {
         orchestrator = orchestrator.with_fault_plan(plan);
     }
@@ -935,9 +935,7 @@ fn fleet_digests_under(plan: FaultPlan) -> (String, Vec<String>) {
     let session = DiceBuilder::new()
         .engine(EngineConfig::default().with_max_runs(4))
         .build();
-    let fleet = FleetExplorer::new(session)
-        .with_core_budget(1)
-        .explore(&sim);
+    let fleet = FleetExplorer::new(session).explore(&sim);
     let nodes = fleet.nodes.iter().map(|n| n.report.digest()).collect();
     (fleet.digest(), nodes)
 }

@@ -192,9 +192,7 @@ fn synthesized_trace_drives_a_live_run_from_bytes_alone() {
 
     let mut driver = WireReplayDriver::new(trace).with_frames_per_epoch(12);
     let mut sim = Simulator::new(&topo);
-    let orchestrator = LiveOrchestrator::new(session())
-        .with_core_budget(2)
-        .with_ingest_stats(driver.stats());
+    let orchestrator = LiveOrchestrator::new(session()).with_ingest_stats(driver.stats());
     let plane = orchestrator.control_plane();
     let report = orchestrator.run(&mut sim, |sim, epoch| driver.drive(sim, epoch));
 
