@@ -1,49 +1,30 @@
 //! # dice-checkpoint
 //!
-//! Fork-style, copy-on-write checkpointing of node state with page-level
-//! memory accounting.
+//! Copy-on-write fork accounting.
 //!
 //! The DiCE prototype checkpoints the BIRD daemon with `fork()`, so
 //! checkpoints and exploration clones share memory pages with the live
 //! process until they diverge; the paper's §4.1 reports the resulting
-//! overhead as percentages of unique pages. This crate reproduces the same
-//! mechanism in user space: node state implements [`Checkpointable`]
-//! (deterministic serialization), lives in a paged [`AddressSpace`], and
-//! [`TrackedProcess::fork`] creates clones whose unique-page counts are the
-//! experiment's metric.
+//! overhead as percentages of unique pages. This reproduction forks the
+//! router's state structurally instead (copy-on-write RIB chunks behind
+//! `Arc`s), and [`CowForkStats`] reports the same shape of number for such
+//! a fork: of the units it comprises, how many are still shared with the
+//! process it was forked from.
 //!
 //! ## Example
 //!
 //! ```
-//! use dice_checkpoint::{Checkpointable, CheckpointManager};
+//! use dice_checkpoint::CowForkStats;
 //!
-//! #[derive(Clone)]
-//! struct Counter(u64);
-//! impl Checkpointable for Counter {
-//!     fn serialize_state(&self, out: &mut Vec<u8>) {
-//!         out.extend_from_slice(&self.0.to_be_bytes());
-//!     }
-//! }
-//!
-//! let mut manager = CheckpointManager::new(Counter(1));
-//! let checkpoint = manager.take_checkpoint();
-//! manager.live_mut().state_mut().0 = 2;
-//! manager.live_mut().sync();
-//! // The single page diverged once the live process wrote to it.
-//! assert_eq!(checkpoint.memory_stats_vs(manager.live()).unique_pages, 1);
+//! // A fork of 200 units, 7 of which the live side has since written.
+//! let stats = CowForkStats::from_sharing(193, 200);
+//! assert_eq!(stats.units_copied(), 7);
+//! assert!((stats.copied_fraction() - 0.035).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
-pub mod codec;
-pub mod page;
-pub mod space;
 pub mod stats;
 
-pub use checkpoint::{CheckpointManager, Checkpointable, TrackedProcess};
-pub use codec::{DecodeError, Decoder, Encoder};
-pub use page::{Page, PAGE_SIZE};
-pub use space::AddressSpace;
-pub use stats::{CloneOverhead, CowForkStats, MemoryStats};
+pub use stats::CowForkStats;

@@ -1,66 +1,13 @@
-//! Memory accounting for checkpoints and exploration clones (the §4.1
+//! Copy-on-write accounting for checkpoint forks (the §4.1
 //! memory-overhead metric).
 
 use std::fmt;
-
-/// Page-level statistics of one process image relative to the image it was
-/// forked from.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoryStats {
-    /// Total pages mapped by the process.
-    pub total_pages: usize,
-    /// Pages not shared with the parent (the paper's "unique memory pages").
-    pub unique_pages: usize,
-}
-
-impl MemoryStats {
-    /// Fraction of pages that are unique, in `[0, 1]`.
-    pub fn unique_fraction(&self) -> f64 {
-        if self.total_pages == 0 {
-            0.0
-        } else {
-            self.unique_pages as f64 / self.total_pages as f64
-        }
-    }
-
-    /// Unique pages as a percentage, as reported in the paper
-    /// ("the checkpoint process has 3.45% unique memory pages").
-    pub fn unique_percent(&self) -> f64 {
-        self.unique_fraction() * 100.0
-    }
-
-    /// Pages still shared with the parent.
-    pub fn shared_pages(&self) -> usize {
-        self.total_pages - self.unique_pages
-    }
-
-    /// Approximate unique memory in bytes.
-    pub fn unique_bytes(&self) -> usize {
-        self.unique_pages * crate::page::PAGE_SIZE
-    }
-}
-
-impl fmt::Display for MemoryStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/{} pages unique ({:.2}%)",
-            self.unique_pages,
-            self.total_pages,
-            self.unique_percent()
-        )
-    }
-}
 
 /// Copy-on-write accounting for structure-level forks (the paper's `fork`
 /// model applied at data-structure granularity rather than page
 /// granularity): of the `units_total` independently shareable units a fork
 /// comprises — e.g. the RIB shards of a router checkpoint — how many are
 /// still physically shared with the process it was forked from.
-///
-/// The page-level counterpart is [`MemoryStats`]; this type reports the
-/// same shape of number for in-memory `Arc`-shard forks, where the unit of
-/// copy-on-write is a shard instead of a page.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowForkStats {
     /// Independently shareable units in the fork.
@@ -94,8 +41,8 @@ impl CowForkStats {
         }
     }
 
-    /// Fraction of units copied, in `[0, 1]` — the analogue of
-    /// [`MemoryStats::unique_fraction`].
+    /// Fraction of units copied, in `[0, 1]` — the analogue of the
+    /// paper's fraction of unique pages.
     pub fn copied_fraction(&self) -> f64 {
         if self.units_total == 0 {
             0.0
@@ -117,73 +64,9 @@ impl fmt::Display for CowForkStats {
     }
 }
 
-/// Aggregate over many exploration clones: the paper reports the average
-/// and maximum additional unique pages across the processes forked for
-/// exploration.
-#[derive(Debug, Clone, Default)]
-pub struct CloneOverhead {
-    samples: Vec<MemoryStats>,
-}
-
-impl CloneOverhead {
-    /// Creates an empty aggregate.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one clone's statistics.
-    pub fn record(&mut self, stats: MemoryStats) {
-        self.samples.push(stats);
-    }
-
-    /// Number of clones recorded.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns true if no clones were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean unique-page percentage across clones.
-    pub fn mean_unique_percent(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples
-            .iter()
-            .map(MemoryStats::unique_percent)
-            .sum::<f64>()
-            / self.samples.len() as f64
-    }
-
-    /// Maximum unique-page percentage across clones.
-    pub fn max_unique_percent(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(MemoryStats::unique_percent)
-            .fold(0.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fractions_and_percentages() {
-        let s = MemoryStats {
-            total_pages: 200,
-            unique_pages: 7,
-        };
-        assert!((s.unique_fraction() - 0.035).abs() < 1e-9);
-        assert!((s.unique_percent() - 3.5).abs() < 1e-9);
-        assert_eq!(s.shared_pages(), 193);
-        assert_eq!(s.unique_bytes(), 7 * 4096);
-        assert_eq!(MemoryStats::default().unique_fraction(), 0.0);
-        assert!(s.to_string().contains("3.50%"));
-    }
 
     #[test]
     fn cow_fork_stats_fractions() {
@@ -196,26 +79,5 @@ mod tests {
         assert_eq!(CowForkStats::from_sharing(5, 3).units_shared, 3);
         assert_eq!(CowForkStats::default().shared_fraction(), 0.0);
         assert_eq!(CowForkStats::default().copied_fraction(), 0.0);
-    }
-
-    #[test]
-    fn clone_overhead_aggregates() {
-        let mut agg = CloneOverhead::new();
-        assert!(agg.is_empty());
-        agg.record(MemoryStats {
-            total_pages: 100,
-            unique_pages: 30,
-        });
-        agg.record(MemoryStats {
-            total_pages: 100,
-            unique_pages: 40,
-        });
-        agg.record(MemoryStats {
-            total_pages: 100,
-            unique_pages: 38,
-        });
-        assert_eq!(agg.len(), 3);
-        assert!((agg.mean_unique_percent() - 36.0).abs() < 1e-9);
-        assert!((agg.max_unique_percent() - 40.0).abs() < 1e-9);
     }
 }

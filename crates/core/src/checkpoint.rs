@@ -7,10 +7,9 @@
 //! orchestration layer. Capturing one is a [`BgpRouter`] clone — itself a
 //! copy-on-write fork now that RIB shards sit behind `Arc`s ([`Rib`] docs)
 //! — wrapped in an `Arc` so every [`crate::SymbolicUpdateHandler`] of the
-//! round shares the *same* snapshot instead of deep-cloning the router per
-//! observed input. The pre-change cost model survives as
-//! [`crate::CheckpointMode::DeepClonePerInput`], and reports are
-//! byte-identical between the two (asserted by test and bench).
+//! round shares the *same* snapshot instead of copying the router per
+//! observed input. A fork explores exactly like a router rebuilt from the
+//! same updates, which shares nothing with it (asserted by test).
 //!
 //! Lifecycle: [`crate::DiceSession::explore`] captures one checkpoint per
 //! round and drops it when the round's report is merged. In continuous
@@ -44,14 +43,6 @@ impl RoundCheckpoint {
     pub fn capture(live: &BgpRouter) -> Self {
         RoundCheckpoint {
             router: Arc::new(live.clone()),
-        }
-    }
-
-    /// Wraps an already-owned router (e.g. a
-    /// [`BgpRouter::deep_clone`]) as a checkpoint.
-    pub fn from_router(router: BgpRouter) -> Self {
-        RoundCheckpoint {
-            router: Arc::new(router),
         }
     }
 
@@ -140,7 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_snapshot_and_from_router_wraps() {
+    fn clones_share_the_snapshot() {
         let live = provider();
         let checkpoint = RoundCheckpoint::capture(&live);
         assert_eq!(checkpoint.share_count(), 1);
@@ -148,9 +139,6 @@ mod tests {
         assert_eq!(checkpoint.share_count(), 5, "one Arc, five handles");
         drop(handles);
         assert_eq!(checkpoint.share_count(), 1);
-
-        let owned = RoundCheckpoint::from_router(live.deep_clone());
-        assert_eq!(owned.cow_stats_vs(&live).units_shared, 0);
-        assert_eq!(owned.router().local_as(), live.local_as());
+        assert_eq!(checkpoint.router().local_as(), live.local_as());
     }
 }

@@ -13,8 +13,7 @@
 //!    order on the calling thread, each node's inputs on that thread too.
 //!    Each node's round captures one copy-on-write
 //!    [`crate::RoundCheckpoint`] and shares it across every observed input
-//!    of that round (no deep clone per input — see
-//!    [`crate::CheckpointMode`]);
+//!    of that round;
 //! 3. **merge** — per-node [`ExplorationReport`]s are collected in
 //!    topology order into a [`FleetReport`], and faults are deduplicated
 //!    fleet-wide by `(checker, prefix, offending message)`
@@ -406,8 +405,7 @@ impl FleetExplorer {
 mod tests {
     use super::*;
     use crate::checker::{ForwardingLoopChecker, OriginHijackChecker};
-    use crate::explorer::Dice;
-    use crate::session::DiceBuilder;
+    use crate::session::{DiceBuilder, DiceSession};
     use dice_bgp::attributes::RouteAttrs;
     use dice_bgp::message::{BgpMessage, UpdateMessage};
     use dice_bgp::AsPath;
@@ -455,22 +453,23 @@ mod tests {
     }
 
     #[test]
-    fn single_node_fleet_run_is_byte_identical_to_legacy_dice_run() {
+    fn single_node_fleet_run_is_byte_identical_to_a_session_round() {
         let sim = simulated_figure2(CustomerFilterMode::Erroneous);
         let topo = figure2_topology(CustomerFilterMode::Erroneous);
         let provider = topo.node_by_name("Provider").expect("node");
 
         let fleet = FleetExplorer::default().explore_nodes(&sim, &[provider]);
-        let legacy = Dice::new().run(sim.router(provider), &sim.observed_inputs(provider));
+        let direct =
+            DiceSession::default().explore(sim.router(provider), &sim.observed_inputs(provider));
 
         assert_eq!(fleet.nodes.len(), 1);
         assert_eq!(
             fleet.nodes[0].report.digest(),
-            legacy.digest(),
-            "fleet single-node report must be byte-identical to Dice::run"
+            direct.digest(),
+            "fleet single-node report must be byte-identical to DiceSession::explore"
         );
-        assert!(legacy.has_faults(), "the erroneous filter is flagged");
-        assert_eq!(fleet.faults.len(), legacy.faults.len());
+        assert!(direct.has_faults(), "the erroneous filter is flagged");
+        assert_eq!(fleet.faults.len(), direct.faults.len());
         assert_eq!(fleet.faults[0].nodes, vec![provider]);
         assert_eq!(fleet.faults[0].fault.node, Some(provider));
     }
@@ -496,21 +495,33 @@ mod tests {
     }
 
     #[test]
-    fn fleet_round_is_identical_under_both_checkpoint_modes() {
+    fn a_fleet_round_on_forks_matches_an_independently_built_fleet() {
+        // Every node is explored on a copy-on-write fork of its live router.
+        // The round leaves the live routers as they were, and its digest
+        // equals the digest of a round over a fleet built from the same
+        // traffic, which shares no table storage with the first.
         let sim = simulated_figure2(CustomerFilterMode::Erroneous);
-        let cow = FleetExplorer::default().explore(&sim);
-        let cloned = FleetExplorer::new(
-            DiceBuilder::new()
-                .checkpoint_mode(crate::CheckpointMode::DeepClonePerInput)
-                .build(),
-        )
-        .explore(&sim);
+        let rebuilt = simulated_figure2(CustomerFilterMode::Erroneous);
+        for n in 0..sim.len() {
+            let (shared, _) = sim
+                .router(NodeId(n))
+                .rib()
+                .cow_shard_sharing(rebuilt.router(NodeId(n)).rib());
+            assert_eq!(shared, 0, "node {n} shares storage with the rebuilt fleet");
+        }
+
+        let explorer = FleetExplorer::default();
+        let first = explorer.explore(&sim);
+        let again = explorer.explore(&sim);
+        let independent = explorer.explore(&rebuilt);
+        assert_eq!(first.digest(), again.digest(), "a round changed live state");
         assert_eq!(
-            cow.digest(),
-            cloned.digest(),
-            "the CoW round checkpoint must not change any fleet result"
+            first.digest(),
+            independent.digest(),
+            "forking must not change any fleet result"
         );
-        assert!(cow.has_faults());
+        assert!(first.has_faults());
+        assert!(first.nodes.iter().all(|n| n.report.isolation_preserved));
     }
 
     #[test]
@@ -522,7 +533,8 @@ mod tests {
         let sim = simulated_figure2(CustomerFilterMode::Erroneous);
         let topo = figure2_topology(CustomerFilterMode::Erroneous);
         let provider = topo.node_by_name("Provider").expect("node");
-        let report = Dice::new().run(sim.router(provider), &sim.observed_inputs(provider));
+        let report =
+            DiceSession::default().explore(sim.router(provider), &sim.observed_inputs(provider));
         assert!(report.has_faults());
 
         let merged = dedup_fleet_faults(&[(NodeId(0), &report), (NodeId(2), &report)]);

@@ -44,20 +44,6 @@ pub struct HandlerOutcome {
     pub intercepted: Vec<(PeerId, UpdateMessage)>,
 }
 
-impl HandlerOutcome {
-    /// Number of messages the execution would have emitted (all
-    /// intercepted).
-    ///
-    /// Migration shim: this used to be a plain `usize` field of the same
-    /// name; it is now derived from the recorded
-    /// [`intercepted`](HandlerOutcome::intercepted) message *sequence*.
-    /// Existing `outcome.intercepted_messages` readers only need added
-    /// parentheses; the field form goes away entirely in the next release.
-    pub fn intercepted_messages(&self) -> usize {
-        self.intercepted.len()
-    }
-}
-
 /// The symbolic UPDATE handler explored by the concolic engine.
 ///
 /// The handler only *reads* the checkpointed router (filters, peers, the
@@ -79,12 +65,8 @@ pub struct SymbolicUpdateHandler {
 
 impl SymbolicUpdateHandler {
     /// Creates a handler over a shared round checkpoint, exploring inputs
-    /// derived from an update observed from `peer`.
-    ///
-    /// Migration note: this used to take an owned `BgpRouter` (a deep
-    /// clone per handler); pass [`RoundCheckpoint::capture`] of the
-    /// router, or use [`SymbolicUpdateHandler::from_router`] to keep the
-    /// old call shape.
+    /// derived from an update observed from `peer`. A standalone handler
+    /// takes [`RoundCheckpoint::capture`] of the router.
     pub fn new(checkpoint: RoundCheckpoint, peer: PeerId, template: UpdateTemplate) -> Self {
         let import_sites = Self::import_sites_of(checkpoint.router(), peer);
         Self::with_import_sites(checkpoint, peer, template, import_sites)
@@ -117,12 +99,6 @@ impl SymbolicUpdateHandler {
             import_sites,
             interceptor: MessageInterceptor::new(),
         }
-    }
-
-    /// Convenience wrapper for the pre-copy-on-write call shape: wraps an
-    /// owned router as a single-handler checkpoint.
-    pub fn from_router(router: BgpRouter, peer: PeerId, template: UpdateTemplate) -> Self {
-        Self::new(RoundCheckpoint::from_router(router), peer, template)
     }
 
     /// The checkpoint the handler executes over.
@@ -247,13 +223,14 @@ mod tests {
         let router = provider(CustomerFilterMode::Missing);
         let peer = router.peer_by_address(addr::CUSTOMER).expect("peer");
         let template = UpdateTemplate::from_update(&observed_update()).expect("template");
-        let mut handler = SymbolicUpdateHandler::from_router(router, peer, template);
+        let mut handler =
+            SymbolicUpdateHandler::new(RoundCheckpoint::capture(&router), peer, template);
         let mut ctx = ExecCtx::new();
         let seed = handler.template().seed();
         let outcome = handler.run(&mut ctx, &seed);
         assert!(outcome.accepted, "missing filter accepts everything");
         // The message toward the transit peer was intercepted, not sent.
-        assert_eq!(outcome.intercepted_messages(), 1);
+        assert_eq!(outcome.intercepted.len(), 1);
         assert_eq!(outcome.intercepted[0].1.nlri, vec![outcome.prefix]);
         assert!(outcome.intercepted[0].1.withdrawn.is_empty());
         assert_eq!(handler.interceptor().len(), 1);
@@ -273,7 +250,8 @@ mod tests {
             .is_some());
 
         let template = UpdateTemplate::from_update(&observed_update()).expect("template");
-        let mut handler = SymbolicUpdateHandler::from_router(router, peer, template);
+        let mut handler =
+            SymbolicUpdateHandler::new(RoundCheckpoint::capture(&router), peer, template);
         let mut ctx = ExecCtx::new();
         // Same prefix, wrong origin AS: the correct filter rejects it.
         let rejected = handler
@@ -282,7 +260,7 @@ mod tests {
             .with(crate::symbolic_input::fields::SOURCE_AS, 64_999);
         let outcome = handler.run(&mut ctx, &rejected);
         assert!(!outcome.accepted);
-        assert_eq!(outcome.intercepted_messages(), 1);
+        assert_eq!(outcome.intercepted.len(), 1);
         let (_, update) = &outcome.intercepted[0];
         assert!(update.nlri.is_empty());
         assert_eq!(update.withdrawn, vec![outcome.prefix]);
@@ -301,7 +279,7 @@ mod tests {
             .with(crate::symbolic_input::fields::SOURCE_AS, 64_999);
         let outcome = handler.run(&mut ctx, &foreign);
         assert!(!outcome.accepted);
-        assert_eq!(outcome.intercepted_messages(), 0);
+        assert_eq!(outcome.intercepted.len(), 0);
     }
 
     #[test]
@@ -309,7 +287,8 @@ mod tests {
         let router = provider(CustomerFilterMode::Correct);
         let peer = router.peer_by_address(addr::CUSTOMER).expect("peer");
         let template = UpdateTemplate::from_update(&observed_update()).expect("template");
-        let mut handler = SymbolicUpdateHandler::from_router(router, peer, template);
+        let mut handler =
+            SymbolicUpdateHandler::new(RoundCheckpoint::capture(&router), peer, template);
         let mut ctx = ExecCtx::new();
         let seed = handler.template().seed();
         let outcome = handler.run(&mut ctx, &seed);
@@ -324,7 +303,8 @@ mod tests {
         let peer = router.peer_by_address(addr::CUSTOMER).expect("peer");
         let template = UpdateTemplate::from_update(&observed_update()).expect("template");
         let seed = template.seed();
-        let mut handler = SymbolicUpdateHandler::from_router(router, peer, template);
+        let mut handler =
+            SymbolicUpdateHandler::new(RoundCheckpoint::capture(&router), peer, template);
         let engine = ConcolicEngine::with_config(EngineConfig::default().with_max_runs(32));
         let exploration = engine.explore(&mut handler, &[seed]);
         let accepted = exploration.outputs().filter(|o| o.accepted).count();

@@ -7,7 +7,8 @@
 //! whether the system deviates from its desired behaviour. It does so by
 //!
 //! * taking a cheap, fork-style **checkpoint** of the live node
-//!   ([`CheckpointedRouter`], `dice-checkpoint`),
+//!   ([`RoundCheckpoint`], a copy-on-write fork whose sharing
+//!   `dice-checkpoint`'s `CowForkStats` accounts for),
 //! * deriving **symbolic inputs** from previously observed UPDATE messages
 //!   ([`UpdateTemplate`]) — only selected fields are symbolic, so generated
 //!   messages are always syntactically valid,
@@ -30,7 +31,7 @@
 //!
 //! * [`DiceBuilder`] → [`DiceSession`] — one node, explicit observed
 //!   inputs, pluggable checker registry ([`FaultChecker`] is object-safe
-//!   and `Send + Sync`); [`Dice`] remains as a thin compatibility wrapper.
+//!   and `Send + Sync`).
 //! * [`FleetExplorer`] — the paper's federated setting: harvests each
 //!   node's observed inputs from a simulated topology and runs one round
 //!   beside every node in turn, merging results into a [`FleetReport`]
@@ -48,7 +49,7 @@
 //! ## Example
 //!
 //! ```
-//! use dice_core::{Dice, CustomerFilterMode};
+//! use dice_core::{CustomerFilterMode, DiceBuilder};
 //! use dice_bgp::attributes::RouteAttrs;
 //! use dice_bgp::message::UpdateMessage;
 //! use dice_bgp::AsPath;
@@ -75,7 +76,8 @@
 //! let mut cattrs = RouteAttrs::default();
 //! cattrs.as_path = AsPath::from_sequence([17557, 17557]);
 //! let observed = UpdateMessage::announce(vec!["41.1.0.0/16".parse().unwrap()], &cattrs);
-//! let report = Dice::new().run_single(&router, customer, &observed);
+//! let session = DiceBuilder::new().build();
+//! let report = session.explore(&router, &[(customer, observed)]);
 //! assert!(report.has_faults());
 //! ```
 
@@ -84,9 +86,7 @@
 
 pub mod checker;
 pub mod checkpoint;
-pub mod checkpointable;
 pub mod control;
-pub mod explorer;
 pub mod fault_search;
 pub mod fleet;
 pub mod handler;
@@ -94,7 +94,6 @@ pub mod isolation;
 pub mod live;
 mod parallel;
 pub mod report;
-pub mod scheduler;
 pub mod session;
 pub mod symbolic_input;
 
@@ -104,11 +103,9 @@ pub use checker::{
     RoundOutcomes, RouteLeakChecker, RouteOscillationChecker,
 };
 pub use checkpoint::RoundCheckpoint;
-pub use checkpointable::CheckpointedRouter;
 pub use control::{
     ControlPlane, ControlSnapshot, IngestCounters, SearchCounters, CONTROL_SCHEMA_VERSION,
 };
-pub use explorer::{CheckpointMode, Dice, DiceConfig};
 pub use fault_search::{
     fault_key, topology_fingerprint, FaultPlanSearch, FaultScenario, ReproBundle, ReproReplay,
     SearchReport, SpecKindMask,
@@ -120,10 +117,9 @@ pub use handler::{HandlerOutcome, SymbolicUpdateHandler};
 pub use isolation::{LiveStateFingerprint, MessageInterceptor};
 pub use live::{LiveFault, LiveOrchestrator, LiveReport, LiveRound, SearchSummary};
 pub use report::ExplorationReport;
-pub use scheduler::{ScheduleResult, SharedCoreScheduler};
-pub use session::{DiceBuilder, DiceSession};
+pub use session::{DiceBuilder, DiceConfig, DiceSession};
 pub use symbolic_input::{fields, UpdateTemplate};
 
-// Re-exported so examples and benches can select the misconfiguration mode
+// Re-exported so examples and tests can select the misconfiguration mode
 // and build fault plans without importing dice-netsim directly.
 pub use dice_netsim::{CustomerFilterMode, FaultPlan, FaultSpec, FaultTrace};

@@ -23,8 +23,7 @@
 //!   directory ([`Arc::make_mut`]; one reference-count bump per chunk of
 //!   128 prefixes), and the map then copies the one chunk the write lands
 //!   in, so a live router and its exploration checkpoints share every
-//!   chunk neither side has written. [`Rib::deep_clone`] keeps the old
-//!   copy-everything behaviour for equivalence anchors and benchmarks.
+//!   chunk neither side has written.
 //!
 //! Sharding is an implementation detail: for any shard count the RIB is
 //! observationally identical (asserted by property test), and
@@ -560,22 +559,6 @@ impl Rib {
             })
     }
 
-    /// A fully independent copy: every shard's contents are duplicated,
-    /// sharing nothing with `self`. This is what `Rib::clone` did before
-    /// shards became copy-on-write; equivalence anchors and the checkpoint
-    /// benchmarks use it as the reference cost.
-    pub fn deep_clone(&self) -> Rib {
-        Rib {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| Arc::new(RibShard::clone(s)))
-                .collect(),
-            short: Arc::new(RibShard::clone(&self.short)),
-            shard_bits: self.shard_bits,
-        }
-    }
-
     /// Copy-on-write accounting against another fork of the same table:
     /// `(shared, total)` shard units (including the short map) still
     /// physically shared between the two. Tables with different shard
@@ -1063,7 +1046,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_a_cow_fork_and_deep_clone_shares_nothing() {
+    fn clone_is_a_cow_fork_and_a_rebuilt_table_shares_nothing() {
         let mut live = Rib::with_shard_count(8);
         for r in mixed_routes() {
             live.announce(r);
@@ -1095,12 +1078,15 @@ mod tests {
         let (shared2, total2) = fork2.cow_shard_sharing(&live);
         assert_eq!(shared2, total2, "no-op withdrawals copy nothing");
 
-        // deep_clone duplicates everything up front.
-        let deep = live.deep_clone();
-        let (shared_deep, _) = deep.cow_shard_sharing(&live);
-        assert_eq!(shared_deep, 0);
-        assert_eq!(deep.prefix_count(), live.prefix_count());
-        let a: Vec<_> = deep.loc_rib().map(|(p, _)| p).collect();
+        // Sharing is physical, not logical: the same routes announced into
+        // a table of the same layout share nothing with it.
+        let mut rebuilt = Rib::with_shard_count(8);
+        for r in mixed_routes() {
+            rebuilt.announce(r);
+        }
+        rebuilt.announce(route("203.0.113.0/24", 1, &[100]));
+        assert_eq!(rebuilt.cow_shard_sharing(&live), (0, total));
+        let a: Vec<_> = rebuilt.loc_rib().map(|(p, _)| p).collect();
         let b: Vec<_> = live.loc_rib().map(|(p, _)| p).collect();
         assert_eq!(a, b);
 

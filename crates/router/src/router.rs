@@ -131,20 +131,6 @@ impl BgpRouter {
         &self.rib
     }
 
-    /// A fully independent copy of the router, duplicating the routing
-    /// table up front instead of sharing its shards copy-on-write.
-    ///
-    /// `BgpRouter::clone` is the checkpoint/fork operation: the RIB's
-    /// shards are shared until either side writes ([`Rib`] module docs).
-    /// `deep_clone` restores the pre-copy-on-write cost model; the
-    /// exploration equivalence anchors and the checkpoint benchmarks use
-    /// it as the reference path.
-    pub fn deep_clone(&self) -> BgpRouter {
-        let mut copy = self.clone();
-        copy.rib = self.rib.deep_clone();
-        copy
-    }
-
     /// Bulk-loads routes straight into the RIB, fanned out across
     /// `workers` threads over disjoint shards ([`Rib::load_parallel`];
     /// `0` uses the machine's available parallelism). Returns the number
@@ -693,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_cow_and_deep_clone_is_independent() {
+    fn clone_is_a_cow_fork_and_a_rebuilt_router_shares_nothing() {
         let mut live = provider();
         let customer = live
             .peer_by_address(Ipv4Addr::new(10, 0, 1, 1))
@@ -716,10 +702,14 @@ mod tests {
             "at most the touched shards copied"
         );
 
-        // deep_clone shares nothing from the start.
-        let deep = live.deep_clone();
-        assert_eq!(deep.rib().cow_shard_sharing(live.rib()).0, 0);
-        assert_eq!(deep.rib().prefix_count(), live.rib().prefix_count());
+        // A router fed the same updates holds the same table and shares
+        // none of it.
+        let mut rebuilt = provider();
+        for prefix in ["208.65.152.0/22", "208.65.154.0/24"] {
+            rebuilt.handle_update(customer, &update(prefix, &[17557, 36561]));
+        }
+        assert_eq!(rebuilt.rib().cow_shard_sharing(live.rib()).0, 0);
+        assert_eq!(rebuilt.rib().prefix_count(), live.rib().prefix_count());
     }
 
     #[test]

@@ -48,8 +48,6 @@ fn main() {
     //    concolic exploration of the UPDATE handler and the configured
     //    filters, fault checking. The builder owns the checker registry;
     //    with none registered it defaults to the origin-hijack checker.
-    //    (The legacy one-liner still works:
-    //    `Dice::new().run_single(&router, customer, &observed)`.)
     let session = DiceBuilder::new().build();
     let report = session.explore(&router, &[(customer, observed.clone())]);
     println!("{report}");

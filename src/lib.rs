@@ -27,16 +27,15 @@ pub mod prelude {
     pub use dice_bgp::prefix::Ipv4Prefix;
     pub use dice_bgp::route::{PeerId, Route};
     pub use dice_bgp::AsPath;
-    pub use dice_checkpoint::{CheckpointManager, Checkpointable};
     pub use dice_core::{
-        AsRelationship, BgpWedgieChecker, BlackholeChecker, CheckpointMode, CheckpointedRouter,
-        ControlPlane, ControlSnapshot, CrossRoundFlapChecker, CustomerFilterMode, Dice,
-        DiceBuilder, DiceConfig, DiceSession, ExplorationReport, Fault, FaultChecker, FaultKind,
-        FaultPlanSearch, FaultScenario, FleetExplorer, FleetFault, FleetReport,
-        ForwardingLoopChecker, IngestCounters, LiveFault, LiveOrchestrator, LiveReport, LiveRound,
-        MoreSpecificHijackChecker, OriginHijackChecker, ReproBundle, ReproReplay, RoundCheckpoint,
-        RoundOutcomes, RouteLeakChecker, RouteOscillationChecker, SearchCounters, SearchReport,
-        SearchSummary, SharedCoreScheduler, SpecKindMask, UpdateTemplate, CONTROL_SCHEMA_VERSION,
+        AsRelationship, BgpWedgieChecker, BlackholeChecker, ControlPlane, ControlSnapshot,
+        CrossRoundFlapChecker, CustomerFilterMode, DiceBuilder, DiceConfig, DiceSession,
+        ExplorationReport, Fault, FaultChecker, FaultKind, FaultPlanSearch, FaultScenario,
+        FleetExplorer, FleetFault, FleetReport, ForwardingLoopChecker, IngestCounters, LiveFault,
+        LiveOrchestrator, LiveReport, LiveRound, MoreSpecificHijackChecker, OriginHijackChecker,
+        ReproBundle, ReproReplay, RoundCheckpoint, RoundOutcomes, RouteLeakChecker,
+        RouteOscillationChecker, SearchCounters, SearchReport, SearchSummary, SpecKindMask,
+        UpdateTemplate, CONTROL_SCHEMA_VERSION,
     };
     pub use dice_netsim::topology::{
         addr, asn, figure2_topology, figure2_topology_with_customer_filter, NodeId, Topology,
@@ -71,12 +70,7 @@ mod tests {
         let prefix: Ipv4Prefix = "10.0.0.0/8".parse().expect("valid");
         let _ = Route::new(prefix, RouteAttrs::default(), PeerId(1), 1);
         let _ = AsPath::from_sequence([64_512]);
-        fn assert_checkpointable<T: Checkpointable>() {}
-        assert_checkpointable::<CheckpointedRouter>();
         let _ = CustomerFilterMode::Correct;
-        let dice =
-            Dice::with_config(DiceConfig::default().with_checkpoint_mode(CheckpointMode::CowRound));
-        let _: &DiceConfig = dice.config();
         let _ = ExplorationReport::default();
         let _: Option<Fault> = None;
         let _: Option<FaultKind> = None;
@@ -84,6 +78,7 @@ mod tests {
         let session: DiceSession = DiceBuilder::new()
             .checker(Box::new(ForwardingLoopChecker::new()))
             .build();
+        let _: &DiceConfig = session.config();
         let fleet = FleetExplorer::new(session);
         let _: &DiceSession = fleet.session();
         let _: Option<FleetFault> = None;
@@ -140,7 +135,6 @@ mod tests {
         let _ = Topology::new();
         fn assert_checker<T: FaultChecker>() {}
         assert_checker::<OriginHijackChecker>();
-        let _ = SharedCoreScheduler::baseline();
         let observed = UpdateMessage::announce(vec![prefix], &RouteAttrs::default());
         let _ = UpdateTemplate::from_update(&observed);
         let topo = figure2_topology(CustomerFilterMode::Correct);
@@ -153,7 +147,6 @@ mod tests {
         let spec = &topo.nodes()[0];
         let router = BgpRouter::new(spec.config.clone());
         let _: &RouterConfig = router.config();
-        let _ = CheckpointManager::new(CheckpointedRouter(router.clone()));
         let _ = RoundCheckpoint::capture(&router).share_count();
         let _: Option<&NeighborConfig> = spec.config.neighbors.first();
         let _ = ConcolicEngine::with_config(EngineConfig::default());

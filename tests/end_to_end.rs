@@ -56,7 +56,7 @@ fn dice_detects_leak_that_the_live_network_would_suffer() {
     // DiCE check: exploration of a *benign* observed update predicts the
     // same class of leak before it happens.
     let (router, customer, observed) = provider_scenario(CustomerFilterMode::Erroneous);
-    let report = Dice::new().run_single(&router, customer, &observed);
+    let report = DiceSession::default().explore(&router, &[(customer, observed)]);
     assert!(report.has_faults());
     assert!(report
         .leaked_prefixes()
@@ -67,7 +67,7 @@ fn dice_detects_leak_that_the_live_network_would_suffer() {
 #[test]
 fn correct_configuration_passes_online_testing() {
     let (router, customer, observed) = provider_scenario(CustomerFilterMode::Correct);
-    let report = Dice::new().run_single(&router, customer, &observed);
+    let report = DiceSession::default().explore(&router, &[(customer, observed)]);
     assert!(!report.has_faults());
     assert!(
         report.branch_sites > 0,
@@ -86,7 +86,7 @@ fn exploration_is_isolated_from_the_live_router() {
     let routes_before = router.rib().route_count();
     let stats_before = *router.stats();
 
-    let report = Dice::new().run_single(&router, customer, &observed);
+    let report = DiceSession::default().explore(&router, &[(customer, observed)]);
 
     assert!(report.isolation_preserved);
     assert_eq!(router.rib().prefix_count(), rib_before);
@@ -100,10 +100,10 @@ fn exploration_is_isolated_from_the_live_router() {
 
 #[test]
 fn checkpoint_of_loaded_router_shares_memory_with_live_process() {
-    use dice::prelude::{CheckpointManager, CheckpointedRouter};
-
-    let (router, _, _) = provider_scenario(CustomerFilterMode::Erroneous);
-    // Load a few thousand synthetic routes to give the image some weight.
+    // §4.1 asks how much of the node a checkpoint duplicates. Here the
+    // checkpoint is a copy-on-write fork of the router, and the answer is
+    // the share of RIB units it still shares with the live router.
+    let (mut router, _, _) = provider_scenario(CustomerFilterMode::Erroneous);
     let trace = generate_trace(
         &TraceGenConfig {
             prefix_count: 3_000,
@@ -113,32 +113,26 @@ fn checkpoint_of_loaded_router_shares_memory_with_live_process() {
         asn::INTERNET,
         addr::INTERNET,
     );
-    let mut router = router;
     Replayer::new(&trace, addr::INTERNET).load_table(&mut router);
 
-    let mut manager = CheckpointManager::new(CheckpointedRouter(router));
-    let checkpoint = manager.take_checkpoint();
-    assert_eq!(checkpoint.memory_stats_vs(manager.live()).unique_pages, 0);
+    let checkpoint = RoundCheckpoint::capture(&router);
+    let stats = checkpoint.cow_stats_vs(&router);
+    assert_eq!(stats.shared_fraction(), 1.0, "a fresh fork copies nothing");
 
-    // Live processing of the incremental trace dirties only part of the image.
-    let peer = manager
-        .live()
-        .state()
-        .router()
-        .peer_by_address(addr::INTERNET)
-        .expect("peer");
-    let updates: Vec<UpdateMessage> = trace.updates.iter().map(|e| e.update.clone()).collect();
-    for u in &updates {
-        manager
-            .live_mut()
-            .state_mut()
-            .router_mut()
-            .handle_update(peer, u);
+    // Live processing of the incremental trace copies only what it writes.
+    let before = checkpoint.rib().prefix_count();
+    let peer = router.peer_by_address(addr::INTERNET).expect("peer");
+    for event in &trace.updates {
+        router.handle_update(peer, &event.update);
     }
-    manager.live_mut().sync();
-    let stats = checkpoint.memory_stats_vs(manager.live());
-    assert!(stats.unique_fraction() < 1.0);
-    assert!(stats.total_pages > 10);
+    let stats = checkpoint.cow_stats_vs(&router);
+    assert!(stats.units_copied() > 0, "the replay wrote to the table");
+    assert!(stats.shared_fraction() > 0.0, "{stats}");
+    assert_eq!(
+        checkpoint.rib().prefix_count(),
+        before,
+        "the fork is frozen"
+    );
 }
 
 #[test]
@@ -169,9 +163,10 @@ fn full_table_load_and_replay_keep_router_consistent() {
 #[test]
 fn dice_report_is_reproducible_for_the_same_inputs() {
     let (router, customer, observed) = provider_scenario(CustomerFilterMode::Erroneous);
-    let dice = Dice::new();
-    let a = dice.run_single(&router, customer, &observed);
-    let b = dice.run_single(&router, customer, &observed);
+    let session = DiceSession::default();
+    let inputs = [(customer, observed)];
+    let a = session.explore(&router, &inputs);
+    let b = session.explore(&router, &inputs);
     assert_eq!(a.runs, b.runs);
     assert_eq!(a.distinct_paths, b.distinct_paths);
     assert_eq!(a.faults, b.faults);
@@ -182,7 +177,7 @@ fn dice_report_is_reproducible_for_the_same_inputs() {
 /// simulation over Figure 2, per-node input harvesting, one exploration
 /// round beside every node through a two-checker session, fleet-wide
 /// deduplication — with the single-node path asserted byte-identical to
-/// legacy `Dice::run`.
+/// a plain `DiceSession::explore`.
 #[test]
 fn fleet_exploration_detects_the_leak_from_harvested_inputs() {
     let topo = figure2_topology(CustomerFilterMode::Erroneous);
@@ -237,9 +232,10 @@ fn fleet_exploration_detects_the_leak_from_harvested_inputs() {
         .any(|f| f.fault.checker == "origin-hijack" && f.nodes.contains(&provider)));
     assert!(fleet.nodes.iter().all(|n| n.report.isolation_preserved));
 
-    // The single-node fleet path is byte-identical to legacy Dice::run
-    // over the same harvested inputs.
+    // The single-node fleet path is byte-identical to a plain session
+    // round over the same harvested inputs.
     let single = FleetExplorer::default().explore_nodes(&sim, &[provider]);
-    let legacy = Dice::new().run(sim.router(provider), &sim.observed_inputs(provider));
-    assert_eq!(single.nodes[0].report.digest(), legacy.digest());
+    let direct =
+        DiceSession::default().explore(sim.router(provider), &sim.observed_inputs(provider));
+    assert_eq!(single.nodes[0].report.digest(), direct.digest());
 }

@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants,
 //! spanning the protocol codec, the routing substrate, the concolic engine
-//! and the checkpoint layer.
+//! and copy-on-write forks of the routing table.
 
 use proptest::prelude::*;
 
@@ -358,25 +358,6 @@ proptest! {
         prop_assert!(concrete_ctx.branches().is_empty());
         prop_assert!(concrete_ctx.policy_sites().is_empty());
         prop_assert_eq!(sym_ctx.policy_sites().len(), filter.branch_count());
-    }
-
-    /// Copy-on-write snapshots: unmodified forks share every page, and a
-    /// fork never affects its parent's contents.
-    #[test]
-    fn checkpoint_forks_are_isolated(data in prop::collection::vec(any::<u8>(), 1..40_000), edit in any::<u8>()) {
-        use dice_checkpoint::AddressSpace;
-        let parent = AddressSpace::from_bytes(&data);
-        let fork = parent.clone();
-        prop_assert_eq!(fork.unique_pages_vs(&parent), 0);
-
-        let mut modified = data.clone();
-        let idx = modified.len() / 2;
-        modified[idx] = modified[idx].wrapping_add(edit | 1);
-        let mut fork = fork;
-        fork.load(&modified);
-        // The parent still reads back the original data.
-        prop_assert_eq!(&parent.read_all()[..data.len()], &data[..]);
-        prop_assert!(fork.unique_pages_vs(&parent) <= 1);
     }
 
     /// Generated exploratory UPDATE messages are always syntactically valid
