@@ -301,3 +301,163 @@ fn seeded_fault_plan_search_is_pinned() {
     pin("search.repros", report.repros.len(), 1usize);
     pin("search.baseline_runs", report.report.total_runs(), 19usize);
 }
+
+/// Announces `prefix` from `path`'s first AS through `next_hop`.
+fn announcement_from(prefix: &str, path: &[u32], next_hop: std::net::Ipv4Addr) -> BgpMessage {
+    let mut attrs = RouteAttrs::default();
+    attrs.as_path = AsPath::from_sequence(path.iter().copied());
+    attrs.next_hop = next_hop;
+    BgpMessage::Update(UpdateMessage::announce(
+        vec![prefix.parse().expect("valid")],
+        &attrs,
+    ))
+}
+
+/// One Internet-side block per epoch, so every epoch executes a round and
+/// the fleet round clock keeps ticking.
+fn announce_internet_block(sim: &mut Simulator, epoch: usize) {
+    let block = format!("198.{}.{}.0/24", 51 + epoch / 200, epoch % 200);
+    sim.inject(
+        NodeId(1),
+        addr::INTERNET,
+        announcement_from(&block, &[asn::INTERNET, 3356], addr::INTERNET),
+    );
+}
+
+#[test]
+fn long_live_run_with_temporal_checkers_is_pinned() {
+    // The Customer announces two blocks, a partition cuts it off at epoch
+    // 2 and heals at epoch 4, and only 41.1.0.0/16 is re-announced (epoch
+    // 10): 41.1 flaps, 100.64 stays wedged. Forty rounds of node windows
+    // fill the temporal checkers' 64-entry window and drain it, so both
+    // faults stop being re-sighted once their first announcement leaves
+    // the window (round 31). The constants were generated before the
+    // temporal checkers folded their history instead of re-judging it.
+    let session = DiceBuilder::new()
+        .engine(EngineConfig::default().with_max_runs(2))
+        .checker(Box::new(CrossRoundFlapChecker::new()))
+        .checker(Box::new(BgpWedgieChecker::new()))
+        .build();
+    let plan = FaultPlan::new(11)
+        .with_spec(FaultSpec::Partition {
+            nodes: vec![NodeId(0)],
+            epoch: 2,
+        })
+        .with_spec(FaultSpec::Heal {
+            nodes: vec![NodeId(0)],
+            epoch: 4,
+        });
+    let mut sim = Simulator::new(&figure2_topology(CustomerFilterMode::Missing));
+    let provider = NodeId(1);
+    let customer_path = [asn::CUSTOMER, asn::CUSTOMER];
+    let live = LiveOrchestrator::new(session)
+        .with_fault_plan(plan)
+        .with_max_rounds(40)
+        .run(&mut sim, |sim, epoch| {
+            if epoch == 0 || epoch == 10 {
+                sim.inject(
+                    provider,
+                    addr::CUSTOMER,
+                    announcement_from("41.1.0.0/16", &customer_path, addr::CUSTOMER),
+                );
+            }
+            if epoch == 0 {
+                sim.inject(
+                    provider,
+                    addr::CUSTOMER,
+                    announcement_from("100.64.0.0/16", &customer_path, addr::CUSTOMER),
+                );
+            }
+            announce_internet_block(sim, epoch);
+            true
+        });
+    let entries: usize = live
+        .rounds
+        .iter()
+        .map(|r| {
+            r.report
+                .nodes
+                .iter()
+                .filter(|n| n.report.observed_inputs > 0)
+                .count()
+        })
+        .sum();
+    assert!(
+        entries >= 70,
+        "only {entries} node windows: the window never drains"
+    );
+    let wedgie = live
+        .faults
+        .iter()
+        .find(|f| f.fault.to_string().starts_with("bgp wedgie: 100.64.0.0/16"))
+        .expect("the partition wedges 100.64.0.0/16");
+    pin(
+        "long_live.digest",
+        fnv1a(&live.digest()),
+        0xf823_cbe7_549e_91f4u64,
+    );
+    pin("long_live.rounds", live.rounds.len(), 40usize);
+    pin("long_live.faults", live.faults.len(), 3usize);
+    pin(
+        "long_live.wedgie_rounds",
+        wedgie.rounds.clone(),
+        (3..=31).collect(),
+    );
+}
+
+/// The Customer announces two blocks whose string order is not their
+/// numeric order, then Internet-side traffic keeps the round clock
+/// ticking. One partition of the Customer wedges both blocks at once.
+struct TwoBlockScenario;
+
+impl FaultScenario for TwoBlockScenario {
+    fn build(&self) -> Simulator {
+        Simulator::new(&figure2_topology(CustomerFilterMode::Missing))
+    }
+
+    fn drive(&self, sim: &mut Simulator, epoch: usize) -> bool {
+        if epoch == 0 {
+            for block in ["41.1.0.0/16", "100.64.0.0/16"] {
+                sim.inject(
+                    NodeId(1),
+                    addr::CUSTOMER,
+                    announcement_from(block, &[asn::CUSTOMER, asn::CUSTOMER], addr::CUSTOMER),
+                );
+            }
+        } else {
+            announce_internet_block(sim, epoch);
+        }
+        epoch < 3
+    }
+}
+
+#[test]
+fn a_search_emitting_two_repros_from_one_candidate_is_pinned() {
+    let session = DiceBuilder::new()
+        .engine(EngineConfig::default().with_max_runs(2))
+        .checker(Box::new(BgpWedgieChecker::new()))
+        .checker(Box::new(CrossRoundFlapChecker::new()))
+        .build();
+    let search = FaultPlanSearch::new(LiveOrchestrator::new(session))
+        .with_seed(1)
+        .with_budget(8)
+        .with_epoch_horizon(3)
+        .with_spec_kinds(SpecKindMask::only_partitions());
+    let report = search.run(&TwoBlockScenario);
+    let keys: Vec<&str> = report.repros.iter().map(|r| r.fault_key.as_str()).collect();
+    pin(
+        "two_repros.digest",
+        fnv1a(&report.digest()),
+        0x215f_705e_64ee_a934u64,
+    );
+    // One candidate surfaces both keys; its repros come out in string
+    // order over the keys, not in numeric prefix order.
+    pin(
+        "two_repros.keys",
+        keys,
+        vec![
+            "bgp-wedgie|100.64.0.0/16|bgp wedgie: 100.64.0.0/16 withdrawn after a fault and never re-announced in steady state",
+            "bgp-wedgie|41.1.0.0/16|bgp wedgie: 41.1.0.0/16 withdrawn after a fault and never re-announced in steady state",
+        ],
+    );
+}
