@@ -40,10 +40,10 @@
 //!   alternately announce and withdraw — the route-flapping signature that
 //!   per-outcome checks cannot see.
 //!
-//! Cross-round ([`FaultChecker::check_live`]):
+//! Cross-round ([`FaultChecker::live_fold`]):
 //!
 //! * [`CrossRoundFlapChecker`] — stitches the per-round observed windows a
-//!   live orchestrator accumulates ([`RoundOutcomes`]) into one
+//!   live orchestrator produces ([`RoundOutcomes`]) into one
 //!   announce/withdraw timeline per `(node, prefix)` and flags flaps
 //!   *slower than one epoch window* — each individual round sees at most
 //!   one direction, so neither per-event nor per-round checkers can fire.
@@ -52,10 +52,20 @@
 //!   session resets flush it) and never re-announced even though later
 //!   rounds keep flowing — the network re-stabilized in a *different*
 //!   stable state than the one it started in.
+//!
+//! A cross-round checker judges the last [`LIVE_WINDOW`] node windows of a
+//! live run. It does not keep them: its [`LiveFold`] folds each new window
+//! into per-`(node, prefix)` timeline summaries once, and expires the
+//! oldest window's summaries when the window is full, so a round costs
+//! what it observed rather than what the window holds.
+//! [`FaultChecker::check_live`] runs the same fold over a slice in one
+//! shot.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Bound;
 
 use dice_bgp::message::UpdateMessage;
 use dice_bgp::prefix::Ipv4Prefix;
@@ -86,7 +96,7 @@ pub struct Fault {
 ///
 /// `#[non_exhaustive]`: new checkers add variants without breaking
 /// downstream matches.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FaultKind {
     /// An exploratory announcement would override the origin AS of an
@@ -118,9 +128,10 @@ pub enum FaultKind {
         /// The prefix the node would flap.
         announced: Ipv4Prefix,
         /// Announce↔withdraw transitions observed across the round's runs.
-        /// Deliberately excluded from the [`fmt::Display`] rendering so the
-        /// fleet/cross-round dedup key ([`Fault::fleet_key`]) stays stable
-        /// when later rounds observe more flips of the same prefix.
+        /// Deliberately excluded from the [`fmt::Display`] rendering and
+        /// from the fleet/cross-round dedup key ([`Fault::fleet_key`]), so
+        /// the key stays stable when later rounds observe more flips of the
+        /// same prefix.
         transitions: usize,
     },
     /// A Gao-Rexford valley-free violation: a route learned from a
@@ -164,9 +175,9 @@ pub enum FaultKind {
         /// The flapping prefix.
         announced: Ipv4Prefix,
         /// Direction changes across the stitched round timeline. Excluded
-        /// from the [`fmt::Display`] rendering (like
-        /// [`FaultKind::RouteOscillation`]) so the dedup key stays stable
-        /// as later rounds extend the timeline.
+        /// from the [`fmt::Display`] rendering and the dedup key (like
+        /// [`FaultKind::RouteOscillation`]) so the key stays stable as
+        /// later rounds extend the timeline.
         transitions: usize,
     },
     /// A BGP wedgie: after a fault (typically a partition that healed) a
@@ -178,7 +189,8 @@ pub enum FaultKind {
         announced: Ipv4Prefix,
         /// Rounds the node stayed quiescent after the withdrawal without
         /// the prefix coming back. Excluded from the [`fmt::Display`]
-        /// rendering so the dedup key stays stable as rounds accumulate.
+        /// rendering and the dedup key so the key stays stable as rounds
+        /// accumulate.
         stuck_rounds: usize,
     },
 }
@@ -202,7 +214,33 @@ impl Fault {
 
     /// The prefix range the fault is about.
     pub fn leaked_prefix(&self) -> Ipv4Prefix {
-        match &self.kind {
+        self.kind.announced()
+    }
+
+    /// The fleet-wide deduplication key: the checker and what it found,
+    /// without node provenance and without the counts that grow as later
+    /// rounds see more of the same misbehaviour. Two sightings of one
+    /// misbehaviour on different nodes, or in different rounds, share a
+    /// key.
+    pub fn fleet_key(&self) -> FaultKey {
+        let mut kind = self.kind.clone();
+        match &mut kind {
+            FaultKind::RouteOscillation { transitions, .. }
+            | FaultKind::CrossRoundFlap { transitions, .. } => *transitions = 0,
+            FaultKind::BgpWedgie { stuck_rounds, .. } => *stuck_rounds = 0,
+            _ => {}
+        }
+        FaultKey {
+            checker: self.checker.clone(),
+            kind,
+        }
+    }
+}
+
+impl FaultKind {
+    /// The prefix the misbehaviour is about.
+    fn announced(&self) -> Ipv4Prefix {
+        match self {
             FaultKind::PotentialHijack { announced, .. } => *announced,
             FaultKind::ForwardingLoop { announced, .. } => *announced,
             FaultKind::RouteOscillation { announced, .. } => *announced,
@@ -213,15 +251,37 @@ impl Fault {
             FaultKind::BgpWedgie { announced, .. } => *announced,
         }
     }
+}
 
-    /// The fleet-wide deduplication key: `(checker, prefix, offending
-    /// message)`. Two sightings of the same misbehaviour on different nodes
-    /// share a key; node provenance is deliberately excluded.
-    pub fn fleet_key(&self) -> (String, Ipv4Prefix, String) {
-        (
-            self.checker.clone(),
-            self.leaked_prefix(),
-            self.kind.to_string(),
+/// The fleet-wide deduplication key of a [`Fault`] ([`Fault::fleet_key`]):
+/// its checker and its [`FaultKind`] with the count fields zeroed.
+///
+/// Two keys are equal exactly when their renderings are, so fleet, live
+/// and search dedup compare keys by value and render one only where a
+/// string is read ([`crate::fault_key`]). The rendering is
+/// `checker|prefix|kind`, the kind as [`FaultKind`]'s `Display`, which
+/// leaves the counts out.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct FaultKey {
+    checker: String,
+    kind: FaultKind,
+}
+
+impl FaultKey {
+    /// The name of the checker that reported the fault.
+    pub fn checker(&self) -> &str {
+        &self.checker
+    }
+}
+
+impl fmt::Display for FaultKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}|{}|{}",
+            self.checker,
+            self.kind.announced(),
+            self.kind
         )
     }
 }
@@ -251,8 +311,9 @@ impl fmt::Display for FaultKind {
             }
             FaultKind::RouteOscillation { announced, .. } => {
                 // The transition count is intentionally not rendered: the
-                // rendering is the dedup key, and the same flapping prefix
-                // must collapse across rounds that saw different counts.
+                // rendering names the dedup key, and the same flapping
+                // prefix must collapse across rounds that saw different
+                // counts.
                 write!(
                     f,
                     "route oscillation: {announced} alternates between announce and withdraw"
@@ -319,7 +380,8 @@ impl fmt::Display for Fault {
 
 /// One live round's worth of material for cross-round (temporal) checkers:
 /// what a node *observed* on the wire during the round's epoch window, and
-/// what exploration *derived* from it.
+/// what exploration *derived* from it. A live run's history is a sequence
+/// of these entries, one per node that saw anything, round by round.
 ///
 /// The observed window matters independently of the outcomes: pure
 /// withdrawals carry no explorable input (no outcomes are produced for
@@ -367,19 +429,114 @@ pub trait FaultChecker: Send + Sync {
         Vec::new()
     }
 
-    /// Inspects the accumulated material of *multiple live rounds*, in
-    /// round order — the temporal tier above [`FaultChecker::check_round`].
+    /// A fresh cross-round fold: the temporal tier above
+    /// [`FaultChecker::check_round`], which sees *multiple live rounds*.
     ///
-    /// The default implementation reports nothing, mirroring the
-    /// `check_round` pattern: per-event and per-round checkers need not
-    /// care, and existing implementations keep compiling unchanged.
-    /// Cross-round checkers such as [`CrossRoundFlapChecker`] override it
-    /// to stitch per-round sequences and catch misbehaviour slower than
-    /// one epoch window. A live orchestrator applies it after every
-    /// executed round, over its bounded round history.
+    /// The default returns `None`, mirroring the `check_round` pattern:
+    /// per-event and per-round checkers need not care. Cross-round checkers
+    /// such as [`CrossRoundFlapChecker`] return a [`LiveFold`] that stitches
+    /// per-round sequences and catches misbehaviour slower than one epoch
+    /// window. A live orchestrator makes one per run and folds every
+    /// executed round into it.
+    fn live_fold(&self) -> Option<Box<dyn LiveFold>> {
+        None
+    }
+
+    /// What this checker's [`LiveFold`] reports after folding in every
+    /// entry of `rounds`, in order, with none expired: the cross-round
+    /// check of one history in one shot. Empty for checkers without a
+    /// fold.
     fn check_live(&self, rounds: &[RoundOutcomes]) -> Vec<Fault> {
-        let _ = rounds;
-        Vec::new()
+        let mut faults = Vec::new();
+        if let Some(mut fold) = self.live_fold() {
+            for entry in rounds {
+                fold.push(entry);
+            }
+            fold.faults(&mut faults);
+        }
+        faults
+    }
+}
+
+/// How many history entries ([`RoundOutcomes`]) a live run's cross-round
+/// checkers judge: after each round, the oldest beyond this many expire.
+pub const LIVE_WINDOW: usize = 64;
+
+/// One cross-round checker's state over a live run's history, folded one
+/// entry ([`RoundOutcomes`]) at a time ([`FaultChecker::live_fold`]).
+///
+/// After each round a live orchestrator pushes the round's entries,
+/// expires the oldest until at most [`LIVE_WINDOW`] are held, and reads
+/// the faults the held entries show. The fold keeps per-`(node, prefix)`
+/// summaries, not the entries, so a round costs what it observed rather
+/// than what the window holds.
+pub trait LiveFold: Send {
+    /// Folds the next history entry in.
+    fn push(&mut self, entry: &RoundOutcomes);
+
+    /// Forgets the oldest entry the fold still holds; nothing when it
+    /// holds none.
+    fn expire(&mut self);
+
+    /// Appends every fault the held entries show, in the checker's report
+    /// order.
+    fn faults(&self, out: &mut Vec<Fault>);
+
+    /// How many per-entry summaries the fold holds: what its memory grows
+    /// with, bounded by what [`LIVE_WINDOW`] entries observed.
+    fn held_summaries(&self) -> usize;
+}
+
+/// Every registered cross-round checker's [`LiveFold`] over one live run:
+/// at most `capacity` history entries are held at a time.
+pub(crate) struct LiveWindow {
+    folds: Vec<Box<dyn LiveFold>>,
+    held: usize,
+    capacity: usize,
+}
+
+impl LiveWindow {
+    /// One fold per checker that has one, in registration order.
+    pub(crate) fn new<'a>(
+        checkers: impl IntoIterator<Item = &'a dyn FaultChecker>,
+        capacity: usize,
+    ) -> Self {
+        LiveWindow {
+            folds: checkers.into_iter().filter_map(|c| c.live_fold()).collect(),
+            held: 0,
+            capacity,
+        }
+    }
+
+    /// Folds one round's entries in, expires the oldest beyond the
+    /// capacity, and returns every fault the held entries show, checker by
+    /// checker in registration order.
+    pub(crate) fn fold_round<'a>(
+        &mut self,
+        entries: impl IntoIterator<Item = &'a RoundOutcomes>,
+    ) -> Vec<Fault> {
+        for entry in entries {
+            for fold in &mut self.folds {
+                fold.push(entry);
+            }
+            self.held += 1;
+        }
+        while self.held > self.capacity {
+            for fold in &mut self.folds {
+                fold.expire();
+            }
+            self.held -= 1;
+        }
+        let mut faults = Vec::new();
+        for fold in &self.folds {
+            fold.faults(&mut faults);
+        }
+        faults
+    }
+
+    /// History entries currently held.
+    pub(crate) fn held_entries(&self) -> usize {
+        self.held
     }
 }
 
@@ -813,8 +970,8 @@ impl FaultChecker for BlackholeChecker {
 /// round 0, withdrawn in round 1 and announced again in round 2 flips
 /// twice — yet every individual round saw a single direction, so
 /// [`FaultChecker::check`] and [`FaultChecker::check_round`] are
-/// structurally unable to catch it. Only the
-/// [`FaultChecker::check_live`] hook fires.
+/// structurally unable to catch it. Only its [`LiveFold`]
+/// ([`FaultChecker::live_fold`]) fires.
 #[derive(Debug, Clone, Copy)]
 pub struct CrossRoundFlapChecker {
     min_transitions: usize,
@@ -850,84 +1007,262 @@ impl FaultChecker for CrossRoundFlapChecker {
         None
     }
 
-    fn check_live(&self, rounds: &[RoundOutcomes]) -> Vec<Fault> {
-        observed_timelines(rounds)
-            .chunk_by(Summary::same_timeline)
-            .filter_map(|timeline| {
-                let transitions = timeline
-                    .windows(2)
-                    .filter(|w| w[0].announced != w[1].announced)
-                    .count();
-                (transitions >= self.min_transitions).then(|| {
-                    Fault::new(
-                        self.name(),
-                        FaultKind::CrossRoundFlap {
-                            announced: timeline[0].prefix,
-                            transitions,
-                        },
-                    )
-                    .with_node(NodeId(timeline[0].node))
-                })
-            })
-            .collect()
+    fn live_fold(&self) -> Option<Box<dyn LiveFold>> {
+        Some(Box::new(FlapFold {
+            checker: *self,
+            timelines: Timelines::default(),
+            flapping: BTreeSet::new(),
+        }))
     }
 }
 
-/// One history entry's last word on one prefix: the direction a node's
+/// A `(node, prefix)` timeline: whose it is.
+type TimelineKey = (usize, Ipv4Prefix);
+
+/// One held entry's last word on one prefix: the direction the node's
 /// observed window left it in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Summary {
-    node: usize,
     prefix: Ipv4Prefix,
-    /// Position of the entry in the history slice.
-    entry: usize,
     /// The entry's live round index.
     round: usize,
     announced: bool,
+    /// Position of the same timeline's next summary, once there is one.
+    next: Option<usize>,
 }
 
-impl Summary {
-    fn same_timeline(a: &Summary, b: &Summary) -> bool {
-        (a.node, a.prefix) == (b.node, b.prefix)
-    }
+/// Where one `(node, prefix)` timeline's held summaries are, and how many
+/// times its direction changes between them.
+#[derive(Debug, Clone, Copy)]
+struct Timeline {
+    /// Position of the oldest held summary.
+    first: usize,
+    /// Position of the newest.
+    last: usize,
+    transitions: usize,
 }
 
-/// The observed timelines the temporal checkers judge, shared by
+/// A held history entry: what [`Timelines::expire`] must take back out.
+#[derive(Debug, Clone, Copy)]
+struct HeldEntry {
+    node: usize,
+    round: usize,
+    /// How many summaries it added, one per timeline it extended.
+    summaries: usize,
+}
+
+/// The observed timelines of the held history entries, shared by
 /// [`CrossRoundFlapChecker`] and [`BgpWedgieChecker`].
 ///
-/// Each history entry's window reduces to at most one direction per
-/// prefix: the last announce or withdraw of it in the window, with
-/// withdrawals before NLRI within one UPDATE (the implicit-replacement
-/// order of RFC 4271 §3.1). The summaries come back sorted by
-/// `(node, prefix)`, and within one `(node, prefix)` in history order, so
-/// each timeline is one [`slice::chunk_by`] run. One pass over the windows
-/// plus one stable sort.
-fn observed_timelines(rounds: &[RoundOutcomes]) -> Vec<Summary> {
-    let mut summaries = Vec::new();
-    for (entry, round) in rounds.iter().enumerate() {
-        let summary = |prefix: &Ipv4Prefix, announced| Summary {
-            node: round.node.0,
-            prefix: *prefix,
-            entry,
-            round: round.round,
-            announced,
+/// Each entry's window reduces to at most one direction per prefix: the
+/// last announce or withdraw of it in the window, with withdrawals before
+/// NLRI within one UPDATE (the implicit-replacement order of RFC 4271
+/// §3.1). [`Timelines::push`] appends those summaries and links each to
+/// the previous summary of its `(node, prefix)` timeline;
+/// [`Timelines::expire`] takes the oldest entry's summaries back off the
+/// front. Both leave the timelines they touched in
+/// [`Timelines::touched`], so a checker's fold keeps its own index of the
+/// timelines that fire.
+#[derive(Debug, Default)]
+struct Timelines {
+    entries: VecDeque<HeldEntry>,
+    /// Every held entry's summaries, in history order. Positions count
+    /// from the first summary the fold ever held; `base` is the front's.
+    summaries: VecDeque<Summary>,
+    base: usize,
+    timelines: BTreeMap<TimelineKey, Timeline>,
+    /// Held entries per round: the fleet-wide round clock.
+    rounds: BTreeMap<usize, usize>,
+    /// The timelines the last push or expiry touched, as they are now
+    /// (`None` once one holds nothing).
+    touched: Vec<(TimelineKey, Option<Timeline>)>,
+    /// One entry's `(prefix, announced)` sightings, reused across pushes.
+    scratch: Vec<(Ipv4Prefix, bool)>,
+}
+
+impl Timelines {
+    fn at(&self, position: usize) -> &Summary {
+        &self.summaries[position - self.base]
+    }
+
+    /// Folds one entry in.
+    fn push(&mut self, entry: &RoundOutcomes) {
+        let node = entry.node.0;
+        self.touched.clear();
+        self.scratch.clear();
+        for (_, update) in &entry.observed {
+            self.scratch
+                .extend(update.withdrawn.iter().map(|p| (*p, false)));
+            self.scratch.extend(update.nlri.iter().map(|p| (*p, true)));
+        }
+        // Stable, so a prefix's sightings keep their wire order and the
+        // last of each run is the window's last word.
+        self.scratch.sort_by_key(|&(prefix, _)| prefix);
+        self.scratch.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        self.summaries.reserve(self.scratch.len());
+        for &(prefix, announced) in &self.scratch {
+            let position = self.base + self.summaries.len();
+            self.summaries.push_back(Summary {
+                prefix,
+                round: entry.round,
+                announced,
+                next: None,
+            });
+            let timeline = match self.timelines.entry((node, prefix)) {
+                Entry::Occupied(mut slot) => {
+                    let timeline = slot.get_mut();
+                    let before = &mut self.summaries[timeline.last - self.base];
+                    before.next = Some(position);
+                    timeline.transitions += usize::from(before.announced != announced);
+                    timeline.last = position;
+                    *timeline
+                }
+                Entry::Vacant(slot) => *slot.insert(Timeline {
+                    first: position,
+                    last: position,
+                    transitions: 0,
+                }),
+            };
+            self.touched.push(((node, prefix), Some(timeline)));
+        }
+        *self.rounds.entry(entry.round).or_default() += 1;
+        self.entries.push_back(HeldEntry {
+            node,
+            round: entry.round,
+            summaries: self.scratch.len(),
+        });
+    }
+
+    /// Takes the oldest entry back out; nothing when none is held.
+    fn expire(&mut self) {
+        self.touched.clear();
+        let Some(entry) = self.entries.pop_front() else {
+            return;
         };
-        for (_, update) in &round.observed {
-            summaries.extend(update.withdrawn.iter().map(|p| summary(p, false)));
-            summaries.extend(update.nlri.iter().map(|p| summary(p, true)));
+        if let Some(count) = self.rounds.get_mut(&entry.round) {
+            *count -= 1;
+            if *count == 0 {
+                self.rounds.remove(&entry.round);
+            }
+        }
+        for _ in 0..entry.summaries {
+            let dropped = self
+                .summaries
+                .pop_front()
+                .expect("an entry's summaries are held while it is");
+            self.base += 1;
+            // The oldest entry's summary is the front of its timeline.
+            let key = (entry.node, dropped.prefix);
+            let timeline = match dropped.next {
+                Some(next) => {
+                    let changes = self.at(next).announced != dropped.announced;
+                    let timeline = self
+                        .timelines
+                        .get_mut(&key)
+                        .expect("a held summary's timeline is held");
+                    timeline.first = next;
+                    timeline.transitions -= usize::from(changes);
+                    Some(*timeline)
+                }
+                None => {
+                    self.timelines.remove(&key);
+                    None
+                }
+            };
+            self.touched.push((key, timeline));
         }
     }
-    // Stable, so an entry's sightings of one prefix keep their wire order
-    // and the last of each run is the window's last word.
-    summaries.sort_by_key(|s| (s.node, s.prefix, s.entry));
-    summaries.dedup_by(|later, kept| {
-        let same = (later.node, later.prefix, later.entry) == (kept.node, kept.prefix, kept.entry);
-        if same {
-            kept.announced = later.announced;
+
+    /// The timelines the last [`Timelines::push`] or
+    /// [`Timelines::expire`] extended or shortened, as they are now.
+    fn touched(&self) -> &[(TimelineKey, Option<Timeline>)] {
+        &self.touched
+    }
+
+    /// Direction changes along a timeline; `None` when it holds nothing.
+    fn transitions(&self, key: &TimelineKey) -> Option<usize> {
+        self.timelines.get(key).map(|t| t.transitions)
+    }
+
+    /// The round a timeline was withdrawn in, when it ends withdrawn and
+    /// an earlier round of it was an announcement.
+    fn withdrawn_at(&self, timeline: &Timeline) -> Option<usize> {
+        let last = self.at(timeline.last);
+        if last.announced {
+            return None;
         }
-        same
-    });
-    summaries
+        let mut position = timeline.first;
+        while position != timeline.last {
+            let summary = self.at(position);
+            if summary.announced && summary.round < last.round {
+                return Some(last.round);
+            }
+            position = summary
+                .next
+                .expect("a timeline links up to its last summary");
+        }
+        None
+    }
+
+    /// Distinct held rounds after `round`: how long the fleet kept running
+    /// since then. Quiet nodes hold no entry, so any node's activity
+    /// proves time passed.
+    fn rounds_after(&self, round: usize) -> usize {
+        self.rounds
+            .range((Bound::Excluded(round), Bound::Unbounded))
+            .count()
+    }
+}
+
+/// [`CrossRoundFlapChecker`]'s fold: the timelines, and the ones with
+/// enough direction changes to report.
+struct FlapFold {
+    checker: CrossRoundFlapChecker,
+    timelines: Timelines,
+    flapping: BTreeSet<TimelineKey>,
+}
+
+impl LiveFold for FlapFold {
+    fn push(&mut self, entry: &RoundOutcomes) {
+        self.timelines.push(entry);
+        for (key, timeline) in self.timelines.touched() {
+            if timeline.is_some_and(|t| t.transitions >= self.checker.min_transitions) {
+                self.flapping.insert(*key);
+            }
+        }
+    }
+
+    fn expire(&mut self) {
+        self.timelines.expire();
+        for (key, timeline) in self.timelines.touched() {
+            if timeline.is_none_or(|t| t.transitions < self.checker.min_transitions) {
+                self.flapping.remove(key);
+            }
+        }
+    }
+
+    fn faults(&self, out: &mut Vec<Fault>) {
+        out.extend(self.flapping.iter().map(|key| {
+            Fault::new(
+                self.checker.name(),
+                FaultKind::CrossRoundFlap {
+                    announced: key.1,
+                    transitions: self.timelines.transitions(key).unwrap_or_default(),
+                },
+            )
+            .with_node(NodeId(key.0))
+        }));
+    }
+
+    fn held_summaries(&self) -> usize {
+        self.timelines.summaries.len()
+    }
 }
 
 /// Detects BGP wedgies — policy-dependent stable-state divergence — from
@@ -984,41 +1319,67 @@ impl FaultChecker for BgpWedgieChecker {
         None
     }
 
-    fn check_live(&self, rounds: &[RoundOutcomes]) -> Vec<Fault> {
-        // Quiet nodes produce no RoundOutcomes, so "rounds after the
-        // withdrawal" is measured on the fleet-wide round clock: any node's
-        // activity proves time passed without the prefix coming back.
-        let mut all_rounds: Vec<usize> = rounds.iter().map(|r| r.round).collect();
-        all_rounds.sort_unstable();
-        all_rounds.dedup();
-        observed_timelines(rounds)
-            .chunk_by(Summary::same_timeline)
-            .filter_map(|timeline| {
-                let last = timeline.last().expect("chunks are never empty");
-                if last.announced {
-                    return None;
-                }
-                let withdrawn_at = last.round;
-                let announced_before = timeline
-                    .iter()
-                    .any(|s| s.announced && s.round < withdrawn_at);
-                if !announced_before {
-                    return None;
-                }
-                let stuck_rounds =
-                    all_rounds.len() - all_rounds.partition_point(|&r| r <= withdrawn_at);
-                (stuck_rounds >= self.min_stable_rounds).then(|| {
+    fn live_fold(&self) -> Option<Box<dyn LiveFold>> {
+        Some(Box::new(WedgieFold {
+            checker: *self,
+            timelines: Timelines::default(),
+            withdrawn: BTreeMap::new(),
+        }))
+    }
+}
+
+/// [`BgpWedgieChecker`]'s fold: the timelines, and the ones that end in a
+/// withdrawal after an earlier announcement, with the withdrawal's round.
+/// Whether one of those has stayed withdrawn long enough depends on the
+/// rounds held since, so it is judged when the faults are read.
+struct WedgieFold {
+    checker: BgpWedgieChecker,
+    timelines: Timelines,
+    withdrawn: BTreeMap<TimelineKey, usize>,
+}
+
+impl WedgieFold {
+    fn reindex_touched(&mut self) {
+        for (key, timeline) in self.timelines.touched() {
+            match timeline.and_then(|t| self.timelines.withdrawn_at(&t)) {
+                Some(round) => self.withdrawn.insert(*key, round),
+                None => self.withdrawn.remove(key),
+            };
+        }
+    }
+}
+
+impl LiveFold for WedgieFold {
+    fn push(&mut self, entry: &RoundOutcomes) {
+        self.timelines.push(entry);
+        self.reindex_touched();
+    }
+
+    fn expire(&mut self) {
+        self.timelines.expire();
+        self.reindex_touched();
+    }
+
+    fn faults(&self, out: &mut Vec<Fault>) {
+        for (key, &withdrawn_at) in &self.withdrawn {
+            let stuck_rounds = self.timelines.rounds_after(withdrawn_at);
+            if stuck_rounds >= self.checker.min_stable_rounds {
+                out.push(
                     Fault::new(
-                        self.name(),
+                        self.checker.name(),
                         FaultKind::BgpWedgie {
-                            announced: last.prefix,
+                            announced: key.1,
                             stuck_rounds,
                         },
                     )
-                    .with_node(NodeId(last.node))
-                })
-            })
-            .collect()
+                    .with_node(NodeId(key.0)),
+                );
+            }
+        }
+    }
+
+    fn held_summaries(&self) -> usize {
+        self.timelines.summaries.len()
     }
 }
 
@@ -1559,78 +1920,109 @@ mod tests {
         assert!(OriginHijackChecker::new().check_live(&half).is_empty());
     }
 
-    /// The reduction both temporal checkers ran before
-    /// [`observed_timelines`]: a fresh map per history entry, then one map
-    /// of timelines per `(node, prefix)`. Kept as the oracle the shared
-    /// helper must match.
-    fn oracle_timelines(
-        rounds: &[RoundOutcomes],
-    ) -> BTreeMap<(usize, Ipv4Prefix), Vec<(usize, bool)>> {
-        let mut timelines: BTreeMap<(usize, Ipv4Prefix), Vec<(usize, bool)>> = BTreeMap::new();
-        for round in rounds {
-            let mut last: BTreeMap<Ipv4Prefix, bool> = BTreeMap::new();
-            for (_, update) in &round.observed {
-                for prefix in &update.withdrawn {
-                    last.insert(*prefix, false);
-                }
-                for prefix in &update.nlri {
-                    last.insert(*prefix, true);
-                }
-            }
-            for (prefix, direction) in last {
-                timelines
-                    .entry((round.node.0, prefix))
-                    .or_default()
-                    .push((round.round, direction));
-            }
-        }
-        timelines
+    /// One history entry's last word on one prefix: the direction a node's
+    /// observed window left it in.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Summary {
+        node: usize,
+        prefix: Ipv4Prefix,
+        /// Position of the entry in the history slice.
+        entry: usize,
+        /// The entry's live round index.
+        round: usize,
+        announced: bool,
     }
 
-    /// [`CrossRoundFlapChecker::check_live`] over the oracle reduction.
+    impl Summary {
+        fn same_timeline(a: &Summary, b: &Summary) -> bool {
+            (a.node, a.prefix) == (b.node, b.prefix)
+        }
+    }
+
+    /// The re-judge the temporal checkers ran before they folded: every
+    /// entry of the slice reduced again, sorted by `(node, prefix)` and
+    /// history order, so each timeline is one [`slice::chunk_by`] run. Kept
+    /// as the oracle the folds must match.
+    fn observed_timelines(rounds: &[RoundOutcomes]) -> Vec<Summary> {
+        let mut summaries = Vec::new();
+        for (entry, round) in rounds.iter().enumerate() {
+            let summary = |prefix: &Ipv4Prefix, announced| Summary {
+                node: round.node.0,
+                prefix: *prefix,
+                entry,
+                round: round.round,
+                announced,
+            };
+            for (_, update) in &round.observed {
+                summaries.extend(update.withdrawn.iter().map(|p| summary(p, false)));
+                summaries.extend(update.nlri.iter().map(|p| summary(p, true)));
+            }
+        }
+        summaries.sort_by_key(|s| (s.node, s.prefix, s.entry));
+        summaries.dedup_by(|later, kept| {
+            let same =
+                (later.node, later.prefix, later.entry) == (kept.node, kept.prefix, kept.entry);
+            if same {
+                kept.announced = later.announced;
+            }
+            same
+        });
+        summaries
+    }
+
+    /// [`CrossRoundFlapChecker`] re-judging a whole history slice.
     fn oracle_flaps(checker: &CrossRoundFlapChecker, rounds: &[RoundOutcomes]) -> Vec<Fault> {
-        oracle_timelines(rounds)
-            .into_iter()
-            .filter_map(|((node, prefix), timeline)| {
-                let transitions = timeline.windows(2).filter(|w| w[0].1 != w[1].1).count();
+        observed_timelines(rounds)
+            .chunk_by(Summary::same_timeline)
+            .filter_map(|timeline| {
+                let transitions = timeline
+                    .windows(2)
+                    .filter(|w| w[0].announced != w[1].announced)
+                    .count();
                 (transitions >= checker.min_transitions).then(|| {
                     Fault::new(
                         checker.name(),
                         FaultKind::CrossRoundFlap {
-                            announced: prefix,
+                            announced: timeline[0].prefix,
                             transitions,
                         },
                     )
-                    .with_node(NodeId(node))
+                    .with_node(NodeId(timeline[0].node))
                 })
             })
             .collect()
     }
 
-    /// [`BgpWedgieChecker::check_live`] over the oracle reduction.
+    /// [`BgpWedgieChecker`] re-judging a whole history slice.
     fn oracle_wedgies(checker: &BgpWedgieChecker, rounds: &[RoundOutcomes]) -> Vec<Fault> {
-        let all_rounds: std::collections::BTreeSet<usize> =
-            rounds.iter().map(|r| r.round).collect();
-        oracle_timelines(rounds)
-            .into_iter()
-            .filter_map(|((node, prefix), timeline)| {
-                let &(withdrawn_at, last_direction) = timeline.last()?;
-                if last_direction {
+        let mut all_rounds: Vec<usize> = rounds.iter().map(|r| r.round).collect();
+        all_rounds.sort_unstable();
+        all_rounds.dedup();
+        observed_timelines(rounds)
+            .chunk_by(Summary::same_timeline)
+            .filter_map(|timeline| {
+                let last = timeline.last().expect("chunks are never empty");
+                if last.announced {
                     return None;
                 }
-                if !timeline.iter().any(|&(r, d)| d && r < withdrawn_at) {
+                let withdrawn_at = last.round;
+                if !timeline
+                    .iter()
+                    .any(|s| s.announced && s.round < withdrawn_at)
+                {
                     return None;
                 }
-                let stuck_rounds = all_rounds.iter().filter(|&&r| r > withdrawn_at).count();
+                let stuck_rounds =
+                    all_rounds.len() - all_rounds.partition_point(|&r| r <= withdrawn_at);
                 (stuck_rounds >= checker.min_stable_rounds).then(|| {
                     Fault::new(
                         checker.name(),
                         FaultKind::BgpWedgie {
-                            announced: prefix,
+                            announced: last.prefix,
                             stuck_rounds,
                         },
                     )
-                    .with_node(NodeId(node))
+                    .with_node(NodeId(last.node))
                 })
             })
             .collect()
@@ -1718,22 +2110,163 @@ mod tests {
                 0..10,
             ),
         ) {
-            // Four prefixes, so windows collide on them often.
-            let prefixes: [Ipv4Prefix; 4] = ["10.0.0.0/8", "10.0.0.0/9", "41.1.0.0/16", "41.1.0.0/17"]
-                .map(|p| p.parse().expect("valid"));
-            let pick = |ids: Vec<usize>| ids.into_iter().map(|i| prefixes[i]).collect();
-            let rounds: Vec<RoundOutcomes> = history
+            assert_temporal_checkers_match_the_oracle(&history_of(history));
+        }
+
+        /// The folds a live run keeps, fed round by round and expiring
+        /// beyond a small window, report after every round what the
+        /// re-judge reports over the entries the window still holds.
+        #[test]
+        fn a_folded_history_judges_like_a_one_shot_rejudge(
+            history in proptest::prop::collection::vec(
+                (
+                    0usize..3,
+                    0usize..3,
+                    proptest::prop::collection::vec(
+                        (
+                            proptest::prop::collection::vec(0usize..4, 0..3),
+                            proptest::prop::collection::vec(0usize..4, 0..3),
+                        ),
+                        0..4,
+                    ),
+                ),
+                0..40,
+            ),
+            capacity in 1usize..8,
+            min in 1usize..3,
+        ) {
+            // Rounds ascend by the drawn step, so a round may carry several
+            // entries and the window drains mid-round.
+            let mut round = 0;
+            let history: Vec<_> = history
                 .into_iter()
-                .map(|(round, node, updates)| {
-                    let updates = updates
-                        .into_iter()
-                        .map(|(withdrawn, nlri)| (pick(withdrawn), pick(nlri)))
-                        .collect();
-                    entry_of(round, node, updates)
+                .map(|(step, node, updates)| {
+                    round += step;
+                    (round, node, updates)
                 })
                 .collect();
-            assert_temporal_checkers_match_the_oracle(&rounds);
+            let entries = history_of(history);
+            let flaps = CrossRoundFlapChecker::new().with_min_transitions(min);
+            let wedgies = BgpWedgieChecker::new().with_min_stable_rounds(min);
+            let mut window = LiveWindow::new([&flaps as &dyn FaultChecker, &wedgies], capacity);
+            let mut pushed = 0;
+            for batch in entries.chunk_by(|a, b| a.round == b.round) {
+                let folded = window.fold_round(batch);
+                pushed += batch.len();
+                let held = &entries[pushed.saturating_sub(capacity)..pushed];
+                let mut rejudged = oracle_flaps(&flaps, held);
+                rejudged.extend(oracle_wedgies(&wedgies, held));
+                proptest::prop_assert_eq!(folded, rejudged);
+                proptest::prop_assert_eq!(window.held_entries(), held.len());
+            }
         }
+
+        /// Two faults share a typed key exactly when their rendered keys
+        /// are equal.
+        #[test]
+        fn the_typed_dedup_key_is_the_string_fleet_key(
+            a in arbitrary_fault(),
+            b in arbitrary_fault(),
+        ) {
+            proptest::prop_assert_eq!(
+                a.fleet_key() == b.fleet_key(),
+                crate::fault_key(&a) == crate::fault_key(&b)
+            );
+            proptest::prop_assert_eq!(a.fleet_key().to_string(), crate::fault_key(&a));
+        }
+    }
+
+    /// One drawn history entry: round, node, and each UPDATE's withdrawn
+    /// and NLRI prefix indices.
+    type RawEntry = (usize, usize, Vec<(Vec<usize>, Vec<usize>)>);
+
+    /// History entries from raw draws over four prefixes, so windows
+    /// collide on them often.
+    fn history_of(raw: Vec<RawEntry>) -> Vec<RoundOutcomes> {
+        let prefixes: [Ipv4Prefix; 4] = ["10.0.0.0/8", "10.0.0.0/9", "41.1.0.0/16", "41.1.0.0/17"]
+            .map(|p| p.parse().expect("valid"));
+        let pick = |ids: Vec<usize>| ids.into_iter().map(|i| prefixes[i]).collect();
+        raw.into_iter()
+            .map(|(round, node, updates)| {
+                let updates = updates
+                    .into_iter()
+                    .map(|(withdrawn, nlri)| (pick(withdrawn), pick(nlri)))
+                    .collect();
+                entry_of(round, node, updates)
+            })
+            .collect()
+    }
+
+    /// Faults over small domains, so unequal faults often share fields and
+    /// the count fields vary under equal keys.
+    fn arbitrary_fault() -> impl proptest::Strategy<Value = Fault> {
+        use proptest::prelude::*;
+        let prefix = (0u32..3, 15u8..17)
+            .prop_map(|(i, len)| Ipv4Prefix::new((41 << 24) | (i << 16), len).expect("valid"));
+        let asn = (0u32..2).prop_map(|i| Asn(64_512 + i));
+        let address = (0u8..2).prop_map(|i| Ipv4Addr::new(10, 0, 0, i));
+        let count = 0usize..3;
+        let kind = prop_oneof![
+            (prefix.clone(), asn.clone(), prefix.clone(), asn.clone()).prop_map(
+                |(announced, claimed_origin, existing_prefix, existing_origin)| {
+                    FaultKind::PotentialHijack {
+                        announced,
+                        claimed_origin,
+                        existing_prefix,
+                        existing_origin,
+                    }
+                }
+            ),
+            (prefix.clone(), address.clone()).prop_map(|(announced, next_hop)| {
+                FaultKind::ForwardingLoop {
+                    announced,
+                    next_hop,
+                }
+            }),
+            (prefix.clone(), count.clone()).prop_map(|(announced, transitions)| {
+                FaultKind::RouteOscillation {
+                    announced,
+                    transitions,
+                }
+            }),
+            (prefix.clone(), asn.clone(), asn.clone()).prop_map(
+                |(announced, customer_as, via_as)| FaultKind::RouteLeak {
+                    announced,
+                    customer_as,
+                    via_as,
+                }
+            ),
+            (prefix.clone(), prefix.clone(), asn).prop_map(
+                |(announced, existing_prefix, origin)| FaultKind::MoreSpecificHijack {
+                    announced,
+                    existing_prefix,
+                    origin,
+                }
+            ),
+            (prefix.clone(), address).prop_map(|(announced, next_hop)| FaultKind::Blackhole {
+                announced,
+                next_hop,
+            }),
+            (prefix.clone(), count.clone()).prop_map(|(announced, transitions)| {
+                FaultKind::CrossRoundFlap {
+                    announced,
+                    transitions,
+                }
+            }),
+            (prefix, count).prop_map(|(announced, stuck_rounds)| FaultKind::BgpWedgie {
+                announced,
+                stuck_rounds,
+            }),
+        ];
+        let checker = prop_oneof![Just("bgp-wedgie"), Just("cross-round-flap"), Just("x")];
+        let node = proptest::prop::option::of((0usize..2).prop_map(NodeId));
+        (checker, kind, node).prop_map(|(checker, kind, node)| {
+            let fault = Fault::new(checker, kind);
+            match node {
+                Some(node) => fault.with_node(node),
+                None => fault,
+            }
+        })
     }
 
     #[test]

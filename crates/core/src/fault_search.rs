@@ -11,9 +11,13 @@
 //!    (add / remove / retarget / reschedule specs, splice two plans,
 //!    reseed the probabilistic draws) and runs each candidate through a
 //!    fresh scenario simulator under the configured orchestrator.
-//! 2. Every run is scored for *novelty* — never-seen [`Fault::fleet_key`]s,
-//!    checker classes, or fault-trace event shapes — and novel plans enter
-//!    the mutation pool, biasing the search toward productive regions.
+//! 2. Every run is scored for *novelty* — never-seen fault keys
+//!    ([`Fault::fleet_key`]), checker classes, or fault-trace event shapes
+//!    (an event's class and endpoints) — and novel plans enter the mutation
+//!    pool, biasing the search toward productive regions. Keys and shapes
+//!    are compared by value; the string form of a key ([`fault_key`]) is
+//!    rendered only where it is read: the baseline key set, the repro
+//!    order and the [`ReproBundle`]s.
 //! 3. When a plan surfaces a fault the empty-plan control run does not,
 //!    the plan is delta-debugged down to a **1-minimal** trigger (no
 //!    single spec can be removed without losing the fault) and emitted as
@@ -28,7 +32,7 @@
 //! ran, and the [`crate::ControlSnapshot`] v3 lines append after the v2
 //! block.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -37,9 +41,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dice_netsim::topology::NodeId;
-use dice_netsim::{FaultPlan, FaultSpec, Simulator};
+use dice_netsim::{DeliveryError, FaultPlan, FaultSpec, InjectedFaultKind, Simulator};
 
-use crate::checker::Fault;
+use crate::checker::{Fault, FaultKey};
 use crate::control::SearchCounters;
 use crate::live::{LiveOrchestrator, LiveReport, SearchSummary};
 
@@ -82,11 +86,71 @@ pub fn topology_fingerprint(sim: &Simulator) -> String {
     out
 }
 
-/// The flat string form of [`Fault::fleet_key`], used as the search's
-/// dedup and targeting key for discovered faults.
+/// The flat string form of [`Fault::fleet_key`] (`checker|prefix|kind`):
+/// how a [`ReproBundle`] and a [`SearchReport`] name a discovered fault.
 pub fn fault_key(fault: &Fault) -> String {
-    let (checker, prefix, kind) = fault.fleet_key();
-    format!("{checker}|{prefix}|{kind}")
+    fault.fleet_key().to_string()
+}
+
+/// A fault-trace event's *shape*: its class and endpoints, without the
+/// payload that varies run to run (epochs, counts, delays). Equal exactly
+/// when the first two whitespace-separated tokens of the events'
+/// renderings are.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum EventShape {
+    /// A link or session event, or a message crossing a link: the class
+    /// and the two endpoints.
+    Link(&'static str, NodeId, NodeId),
+    /// A partition or heal: the class and the node set.
+    Nodes(&'static str, Vec<NodeId>),
+    /// A delivery error: the node it names, `None` for an unknown source
+    /// address.
+    DeliveryError(Option<NodeId>),
+    /// An event kind this module does not know, by its rendered tokens.
+    Rendered(String),
+}
+
+impl EventShape {
+    fn of(kind: &InjectedFaultKind) -> Self {
+        match kind {
+            InjectedFaultKind::LinkDown { a, b, .. } => EventShape::Link("link-down", *a, *b),
+            InjectedFaultKind::LinkUp { a, b, .. } => EventShape::Link("link-up", *a, *b),
+            InjectedFaultKind::SessionReset { a, b, .. } => {
+                EventShape::Link("session-reset", *a, *b)
+            }
+            InjectedFaultKind::PartitionSevered { nodes, .. } => {
+                EventShape::Nodes("partition-severed", nodes.clone())
+            }
+            InjectedFaultKind::PartitionHealed { nodes, .. } => {
+                EventShape::Nodes("partition-healed", nodes.clone())
+            }
+            InjectedFaultKind::MessageDropped { from, to, .. } => {
+                EventShape::Link("msg-dropped", *from, *to)
+            }
+            InjectedFaultKind::MessageDuplicated { from, to } => {
+                EventShape::Link("msg-duplicated", *from, *to)
+            }
+            InjectedFaultKind::MessageDelayed { from, to, .. } => {
+                EventShape::Link("msg-delayed", *from, *to)
+            }
+            InjectedFaultKind::DeliveryError(DeliveryError::UnknownSourceAddress { .. }) => {
+                EventShape::DeliveryError(None)
+            }
+            InjectedFaultKind::DeliveryError(
+                DeliveryError::UnknownPeer { node, .. }
+                | DeliveryError::UnresolvedPeerAddress { node, .. }
+                | DeliveryError::NoReturnPeer { to_node: node, .. },
+            ) => EventShape::DeliveryError(Some(*node)),
+            other => EventShape::Rendered(rendered_shape(other)),
+        }
+    }
+}
+
+/// The first two whitespace-separated tokens of an event's rendering.
+fn rendered_shape(kind: &InjectedFaultKind) -> String {
+    let line = kind.to_string();
+    let shape: Vec<&str> = line.split_whitespace().take(2).collect();
+    shape.join(" ")
 }
 
 /// Which [`FaultSpec`] kinds the generator and mutator may produce.
@@ -304,11 +368,10 @@ impl SearchReport {
 /// What one candidate run surfaced, reduced to the coverage signals the
 /// search scores on.
 struct PlanProbe {
-    fleet_keys: BTreeSet<String>,
-    checkers: BTreeSet<String>,
-    shapes: BTreeSet<String>,
+    /// The key of every fault the run reported, each once.
+    keys: Vec<FaultKey>,
+    shapes: HashSet<EventShape>,
     injected: u64,
-    trace_digest: String,
     trace_fingerprint: u64,
     /// The run's report. Its digest is rendered only for the baseline and
     /// for a minimized plan's final run, the two places that read it.
@@ -398,13 +461,18 @@ impl FaultPlanSearch {
         let node_count = probe_sim.len();
         drop(probe_sim);
 
-        let baseline = self.run_plan(scenario, &FaultPlan::default());
-        let mut seen_keys = baseline.fleet_keys.clone();
-        let mut seen_checkers = baseline.checkers.clone();
+        let (baseline, _) = self.run_plan(scenario, &FaultPlan::default());
+        let baseline_keys: HashSet<FaultKey> = baseline.keys.iter().cloned().collect();
+        let mut seen_keys = baseline_keys.clone();
+        let mut seen_checkers: HashSet<String> = baseline
+            .keys
+            .iter()
+            .map(|key| key.checker().to_owned())
+            .collect();
         let mut seen_shapes = baseline.shapes.clone();
 
         let mut report = SearchReport {
-            baseline_fault_keys: baseline.fleet_keys.clone(),
+            baseline_fault_keys: baseline.keys.iter().map(FaultKey::to_string).collect(),
             baseline_live_digest: baseline.report.digest(),
             ..SearchReport::default()
         };
@@ -413,7 +481,7 @@ impl FaultPlanSearch {
         // scenario degrades to the baseline run.
         let budget = if node_count >= 2 { self.budget } else { 0 };
         let mut pool: Vec<FaultPlan> = Vec::new();
-        let mut repro_keys: BTreeSet<String> = BTreeSet::new();
+        let mut repro_keys: HashSet<FaultKey> = HashSet::new();
 
         for _ in 0..budget {
             let plan = if pool.is_empty() || rng.gen_bool(0.35) {
@@ -422,35 +490,49 @@ impl FaultPlanSearch {
                 let base = pool[rng.gen_range(0..pool.len())].clone();
                 self.mutate(base, &pool, &mut rng, node_count)
             };
-            let probe = self.run_plan(scenario, &plan);
+            let (probe, _) = self.run_plan(scenario, &plan);
             report.plans_tried += 1;
             report.injected_per_plan.push(probe.injected);
 
-            let novelty = probe.fleet_keys.difference(&seen_keys).count()
-                + probe.checkers.difference(&seen_checkers).count()
-                + probe.shapes.difference(&seen_shapes).count();
-            if novelty > 0 {
+            let novel = probe.keys.iter().any(|key| !seen_keys.contains(key))
+                || probe
+                    .keys
+                    .iter()
+                    .any(|key| !seen_checkers.contains(key.checker()))
+                || probe
+                    .shapes
+                    .iter()
+                    .any(|shape| !seen_shapes.contains(shape));
+            if novel {
                 report.novel_plans += 1;
                 pool.push(plan.clone());
             }
-            seen_keys.extend(probe.fleet_keys.iter().cloned());
-            seen_checkers.extend(probe.checkers.iter().cloned());
-            seen_shapes.extend(probe.shapes.iter().cloned());
+            for key in &probe.keys {
+                if !seen_checkers.contains(key.checker()) {
+                    seen_checkers.insert(key.checker().to_owned());
+                }
+                if !seen_keys.contains(key) {
+                    seen_keys.insert(key.clone());
+                }
+            }
+            seen_shapes.extend(probe.shapes);
 
-            let fresh_faults: Vec<String> = probe
-                .fleet_keys
+            // Repros come out in the string order of their keys.
+            let mut fresh_faults: Vec<(String, &FaultKey)> = probe
+                .keys
                 .iter()
-                .filter(|k| !baseline.fleet_keys.contains(*k) && !repro_keys.contains(*k))
-                .cloned()
+                .filter(|key| !baseline_keys.contains(*key) && !repro_keys.contains(*key))
+                .map(|key| (key.to_string(), key))
                 .collect();
-            for key in fresh_faults {
-                let minimized = self.minimize(scenario, &plan, &key, &mut report.shrink_runs);
-                let final_probe = self.run_plan(scenario, &minimized);
+            fresh_faults.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            for (rendered, key) in fresh_faults {
+                let minimized = self.minimize(scenario, &plan, key, &mut report.shrink_runs);
+                let (final_probe, final_sim) = self.run_plan(scenario, &minimized);
                 let Some(fault) = final_probe
                     .report
                     .faults
                     .iter()
-                    .find(|f| fault_key(&f.fault) == key)
+                    .find(|f| f.fault.fleet_key() == *key)
                     .map(|f| f.fault.clone())
                 else {
                     // The minimization invariant guarantees the key fires;
@@ -463,8 +545,8 @@ impl FaultPlanSearch {
                     plan: minimized,
                     topology_fingerprint: fingerprint.clone(),
                     fault,
-                    fault_key: key,
-                    expected_trace_digest: final_probe.trace_digest,
+                    fault_key: rendered,
+                    expected_trace_digest: final_sim.fault_trace().digest(),
                     expected_trace_fingerprint: final_probe.trace_fingerprint,
                     expected_live_digest: final_probe.report.digest(),
                 });
@@ -494,34 +576,28 @@ impl FaultPlanSearch {
         repro.replay(&self.orchestrator, scenario)
     }
 
-    fn run_plan(&self, scenario: &dyn FaultScenario, plan: &FaultPlan) -> PlanProbe {
+    /// Runs `plan` over a fresh scenario simulator and probes the run. The
+    /// simulator comes back too, for the one caller that reads its trace.
+    fn run_plan(&self, scenario: &dyn FaultScenario, plan: &FaultPlan) -> (PlanProbe, Simulator) {
         let mut sim = scenario.build();
         let runner = self.orchestrator.clone().with_fault_plan(plan.clone());
         let report = runner.run(&mut sim, |sim, epoch| scenario.drive(sim, epoch));
-        let mut fleet_keys = BTreeSet::new();
-        let mut checkers = BTreeSet::new();
-        for fault in &report.faults {
-            fleet_keys.insert(fault_key(&fault.fault));
-            checkers.insert(fault.fault.checker.clone());
-        }
-        // An event's "shape" is its class plus endpoints — the rendered
-        // line with volatile payloads (timestamps, counts) stripped by
-        // keeping only the first two whitespace-separated tokens.
-        let mut shapes = BTreeSet::new();
-        for event in sim.fault_trace().events() {
-            let line = event.kind.to_string();
-            let shape: Vec<&str> = line.split_whitespace().take(2).collect();
-            shapes.insert(shape.join(" "));
-        }
-        PlanProbe {
-            fleet_keys,
-            checkers,
+        // The live report already deduplicated its faults by key.
+        let keys = report.faults.iter().map(|f| f.fault.fleet_key()).collect();
+        let shapes = sim
+            .fault_trace()
+            .events()
+            .iter()
+            .map(|event| EventShape::of(&event.kind))
+            .collect();
+        let probe = PlanProbe {
+            keys,
             shapes,
             injected: report.injected_faults,
-            trace_digest: sim.fault_trace().digest(),
             trace_fingerprint: sim.fault_trace().fingerprint(),
             report,
-        }
+        };
+        (probe, sim)
     }
 
     /// Greedy delta debugging to a 1-minimal plan: repeatedly try dropping
@@ -533,7 +609,7 @@ impl FaultPlanSearch {
         &self,
         scenario: &dyn FaultScenario,
         plan: &FaultPlan,
-        key: &str,
+        key: &FaultKey,
         shrink_runs: &mut usize,
     ) -> FaultPlan {
         let mut current = plan.clone();
@@ -545,7 +621,7 @@ impl FaultPlanSearch {
                 specs.remove(index);
                 let candidate = rebuild_plan(current.seed(), specs);
                 *shrink_runs += 1;
-                if self.run_plan(scenario, &candidate).fleet_keys.contains(key) {
+                if self.run_plan(scenario, &candidate).0.keys.contains(key) {
                     current = candidate;
                     progressed = true;
                 } else {
@@ -838,6 +914,75 @@ mod tests {
     use dice_bgp::AsPath;
     use dice_netsim::topology::{addr, figure2_topology, CustomerFilterMode};
     use dice_symexec::EngineConfig;
+    use std::net::Ipv4Addr;
+
+    #[test]
+    fn event_shapes_are_equal_exactly_when_their_rendered_tokens_are() {
+        let nodes = [NodeId(0), NodeId(1), NodeId(12)];
+        let mut events = Vec::new();
+        for &a in &nodes {
+            for &b in &nodes {
+                events.extend([
+                    InjectedFaultKind::LinkDown { a, b, epoch: 1 },
+                    InjectedFaultKind::LinkUp { a, b, epoch: 2 },
+                    InjectedFaultKind::SessionReset {
+                        a,
+                        b,
+                        epoch: 1,
+                        withdrawn_routes: 3,
+                    },
+                    InjectedFaultKind::PartitionSevered {
+                        nodes: vec![a, b],
+                        epoch: 1,
+                        links: 2,
+                    },
+                    InjectedFaultKind::PartitionHealed {
+                        nodes: vec![a],
+                        epoch: 2,
+                        links: 1,
+                    },
+                    InjectedFaultKind::MessageDropped {
+                        from: a,
+                        to: b,
+                        link_down: a == b,
+                    },
+                    InjectedFaultKind::MessageDuplicated { from: a, to: b },
+                    InjectedFaultKind::MessageDelayed {
+                        from: a,
+                        to: b,
+                        extra_ticks: 2,
+                    },
+                    InjectedFaultKind::DeliveryError(DeliveryError::UnknownPeer {
+                        node: a,
+                        peer: dice_bgp::route::PeerId(7),
+                    }),
+                    InjectedFaultKind::DeliveryError(DeliveryError::UnresolvedPeerAddress {
+                        node: b,
+                        peer: dice_bgp::route::PeerId(1),
+                        address: Ipv4Addr::new(192, 0, 2, 1),
+                    }),
+                    InjectedFaultKind::DeliveryError(DeliveryError::NoReturnPeer {
+                        node: a,
+                        to_node: b,
+                        sender: Ipv4Addr::new(192, 0, 2, 2),
+                    }),
+                    InjectedFaultKind::DeliveryError(DeliveryError::UnknownSourceAddress {
+                        node: a,
+                        address: Ipv4Addr::new(192, 0, 2, 3),
+                    }),
+                ]);
+            }
+        }
+        for first in &events {
+            for second in &events {
+                assert_eq!(
+                    EventShape::of(first) == EventShape::of(second),
+                    rendered_shape(first) == rendered_shape(second),
+                    "{first} vs {second}"
+                );
+            }
+        }
+    }
 
     /// The Figure 2 topology with the filter *missing* (no checker fires on
     /// a quiescent run), driven by two customer announcement epochs.

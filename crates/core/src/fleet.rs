@@ -16,9 +16,10 @@
 //!    of that round;
 //! 3. **merge** — per-node [`ExplorationReport`]s are collected in
 //!    topology order into a [`FleetReport`], and faults are deduplicated
-//!    fleet-wide by `(checker, prefix, offending message)`
-//!    ([`Fault::fleet_key`]) — the same leak observed from three vantage
-//!    points is one fleet fault with three sightings.
+//!    fleet-wide by their typed key ([`Fault::fleet_key`]: the checker and
+//!    what it found, compared by value, no string rendered) — the same
+//!    leak observed from three vantage points is one fleet fault with
+//!    three sightings.
 //!
 //! A round is a single-threaded function of the nodes' checkpoints and
 //! windows. Fanning nodes out across threads cost more than it saved: a
@@ -42,7 +43,7 @@ use dice_bgp::route::PeerId;
 use dice_netsim::topology::NodeId;
 use dice_netsim::Simulator;
 
-use crate::checker::Fault;
+use crate::checker::{Fault, FaultKey};
 use crate::handler::HandlerOutcome;
 use crate::report::ExplorationReport;
 use crate::session::DiceSession;
@@ -227,15 +228,15 @@ impl fmt::Display for FleetReport {
 
 /// Deduplicates per-node fault lists fleet-wide.
 ///
-/// Keyed by [`Fault::fleet_key`] — `(checker, prefix, offending message)`;
-/// node provenance never splits a key. The first sighting (in the given
+/// Keyed by [`Fault::fleet_key`] — the checker and what it found, compared
+/// by value; node provenance never splits a key. The first sighting (in the given
 /// report order) contributes the representative [`Fault`], stamped with its
 /// node; later sightings only append to [`FleetFault::nodes`]. Every fault
 /// present in any input report is represented in the output — nothing is
 /// dropped, which `tests/properties.rs` asserts by property.
 pub fn dedup_fleet_faults(reports: &[(NodeId, &ExplorationReport)]) -> Vec<FleetFault> {
     let mut out: Vec<FleetFault> = Vec::new();
-    let mut index: HashMap<(String, dice_bgp::Ipv4Prefix, String), usize> = HashMap::new();
+    let mut index: HashMap<FaultKey, usize> = HashMap::new();
     for (node, report) in reports {
         for fault in &report.faults {
             match index.entry(fault.fleet_key()) {
@@ -347,7 +348,7 @@ impl FleetExplorer {
     /// node's explored outcome sequence (in window order, each node's
     /// outcomes concatenated in input order) — what a live orchestrator
     /// stitches into [`crate::checker::RoundOutcomes`] for the cross-round
-    /// ([`crate::FaultChecker::check_live`]) pass.
+    /// ([`crate::FaultChecker::live_fold`]) pass.
     pub fn explore_windows_collecting(
         &self,
         sim: &Simulator,

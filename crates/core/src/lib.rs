@@ -25,7 +25,7 @@
 //!   Gao-Rexford valley violations ([`RouteLeakChecker`]), more-specific
 //!   prefix hijacks ([`MoreSpecificHijackChecker`]), blackholed next hops
 //!   ([`BlackholeChecker`]) and cross-round route flaps
-//!   ([`CrossRoundFlapChecker`], via [`FaultChecker::check_live`]).
+//!   ([`CrossRoundFlapChecker`], via [`FaultChecker::live_fold`]).
 //!
 //! Three entry points drive rounds:
 //!
@@ -99,8 +99,8 @@ pub mod symbolic_input;
 
 pub use checker::{
     AsRelationship, BgpWedgieChecker, BlackholeChecker, CrossRoundFlapChecker, Fault, FaultChecker,
-    FaultKind, ForwardingLoopChecker, MoreSpecificHijackChecker, OriginHijackChecker,
-    RoundOutcomes, RouteLeakChecker, RouteOscillationChecker,
+    FaultKey, FaultKind, ForwardingLoopChecker, LiveFold, MoreSpecificHijackChecker,
+    OriginHijackChecker, RoundOutcomes, RouteLeakChecker, RouteOscillationChecker, LIVE_WINDOW,
 };
 pub use checkpoint::RoundCheckpoint;
 pub use control::{

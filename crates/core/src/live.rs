@@ -14,31 +14,38 @@
 //!    ([`Simulator::observed_inputs_in`]) — no global wipe, no node ever
 //!    loses another node's pending observations. With log compaction on
 //!    (the default) the window is taken out of the log
-//!    ([`Simulator::take_observed_in`]) instead of copied, since step 5
+//!    ([`Simulator::take_observed_in`]) instead of copied, since step 6
 //!    drops it anyway;
 //! 3. **explore** — one fleet round runs over the window
 //!    ([`FleetExplorer::explore_windows`]), every node in turn on the
-//!    calling thread; the windows then move into the cross-round history
-//!    without being copied;
-//! 4. **accumulate** — every round's [`FleetReport`] lands in a
-//!    [`LiveReport`], and faults are deduplicated *across rounds* by
-//!    [`Fault::fleet_key`]: the same leak re-detected every round is one
-//!    live fault with every sighting round recorded;
-//! 5. **compact** — once the round's window is harvested, the delivery log
+//!    calling thread;
+//! 4. **check across rounds** — each node's window and outcomes become one
+//!    history entry ([`crate::RoundOutcomes`]), folded once into every
+//!    temporal checker's [`crate::LiveFold`]; the entry itself is then
+//!    dropped. The folds judge the last [`crate::LIVE_WINDOW`] entries:
+//!    after each round the oldest beyond that expire, so the pass costs
+//!    what the round observed, not what the window holds;
+//! 5. **accumulate** — every round's [`FleetReport`] and the faults the
+//!    folds show land in a [`LiveReport`], deduplicated *across rounds* by
+//!    their typed key ([`Fault::fleet_key`], compared by value): the same
+//!    leak re-detected every round is one live fault with every sighting
+//!    round recorded;
+//! 6. **compact** — once the round's window is harvested, the delivery log
 //!    below the cursor is dropped ([`Simulator::trim_observed_below`];
 //!    disable via [`LiveOrchestrator::with_log_compaction`]), bounding a
 //!    long live session's memory by the unharvested tail.
 //!
-//! Two optional dimensions ride on the loop. A deterministic
-//! [`FaultPlan`] ([`LiveOrchestrator::with_fault_plan`]) perturbs the
-//! network between epochs — link flaps, session resets, seeded message
-//! drop/duplicate/reorder — with every injected event recorded in the
-//! simulator's [`dice_netsim::FaultTrace`], so a faulty run replays
-//! byte-for-byte from `(plan, seed)`. And after each round the temporal
-//! checker pass ([`crate::FaultChecker::check_live`]) re-examines a rolling
-//! cross-round history ([`LiveOrchestrator::with_live_history`]) of per-node
-//! observation windows, catching faults — route flaps, wedged convergence —
-//! that no single round's window can show.
+//! Memory stays bounded on a run of any length: the log by the
+//! unharvested tail, the temporal folds by what [`crate::LIVE_WINDOW`]
+//! entries observed ([`crate::LiveFold::held_summaries`]).
+//!
+//! A deterministic [`FaultPlan`] ([`LiveOrchestrator::with_fault_plan`])
+//! rides on the loop, perturbing the network between epochs — link flaps,
+//! session resets, seeded message drop/duplicate/reorder — with every
+//! injected event recorded in the simulator's [`dice_netsim::FaultTrace`],
+//! so a faulty run replays byte-for-byte from `(plan, seed)`. The temporal
+//! folds of step 4 are what catch the faults such a plan provokes — route
+//! flaps, wedged convergence — that no single round's window can show.
 //!
 //! Each round's state is a fresh copy-on-write [`crate::RoundCheckpoint`]
 //! per node, captured by the round's [`DiceSession`] once the simulator
@@ -70,7 +77,7 @@ use dice_netsim::topology::NodeId;
 use dice_netsim::{FaultPlan, SharedIngestStats, Simulator};
 use dice_solver::SolverStats;
 
-use crate::checker::{Fault, RoundOutcomes};
+use crate::checker::{Fault, FaultKey, RoundOutcomes, LIVE_WINDOW};
 use crate::control::{ControlPlane, ControlSnapshot, IngestCounters};
 use crate::fleet::{FleetExplorer, FleetReport};
 use crate::session::DiceSession;
@@ -104,8 +111,8 @@ pub struct LiveFault {
 pub struct LiveReport {
     /// Executed rounds, in execution order.
     pub rounds: Vec<LiveRound>,
-    /// Faults deduplicated across nodes *and* rounds by
-    /// [`Fault::fleet_key`], in first-sighting order.
+    /// Faults deduplicated across nodes *and* rounds by their typed key
+    /// ([`Fault::fleet_key`]), in first-sighting order.
     pub faults: Vec<LiveFault>,
     /// Total number of faults the run's [`FaultPlan`] injected into the
     /// simulation (link flaps, session resets, message perturbations;
@@ -333,7 +340,6 @@ pub struct LiveOrchestrator {
     max_rounds: usize,
     compact_log: bool,
     fault_plan: Option<FaultPlan>,
-    live_history: usize,
     control: ControlPlane,
     ingest_stats: Option<SharedIngestStats>,
 }
@@ -354,7 +360,6 @@ impl LiveOrchestrator {
             max_rounds: 64,
             compact_log: true,
             fault_plan: None,
-            live_history: 64,
             control: ControlPlane::new(),
             ingest_stats: None,
         }
@@ -408,15 +413,6 @@ impl LiveOrchestrator {
     /// run without a plan.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Bounds the rolling cross-round history handed to the temporal
-    /// checker pass ([`crate::FaultChecker::check_live`]): the most recent
-    /// `entries` per-node round windows are retained (default 64; clamped
-    /// to at least 1). Only rounds that observed something occupy entries.
-    pub fn with_live_history(mut self, entries: usize) -> Self {
-        self.live_history = entries.max(1);
         self
     }
 
@@ -478,9 +474,9 @@ impl LiveOrchestrator {
         }
         let nodes: Vec<NodeId> = (0..sim.len()).map(NodeId).collect();
         let mut report = LiveReport::default();
-        let mut index: HashMap<(String, dice_bgp::Ipv4Prefix, String), usize> = HashMap::new();
+        let mut index: HashMap<FaultKey, usize> = HashMap::new();
         let mut cursor = 0u64;
-        let mut history: Vec<RoundOutcomes> = Vec::new();
+        let mut temporal = self.explorer.session().live_window(LIVE_WINDOW);
 
         // Control-plane accumulators: per-round latency, merged solver
         // counters, running report totals, and the shard-level CoW sharing
@@ -528,29 +524,28 @@ impl LiveOrchestrator {
                 let round_index = report.rounds.len();
                 Self::merge_round_faults(&mut report.faults, &mut index, &fleet, round_index);
 
-                // Stitch the round's per-node windows into the rolling
-                // history and run the temporal checker pass over it. The
-                // nodes are distinct, so the round returned one outcome
-                // entry per window, in window order.
-                for ((node, observed), (_, outcomes)) in windows.into_iter().zip(outcomes) {
-                    if observed.is_empty() && outcomes.is_empty() {
-                        continue;
-                    }
-                    history.push(RoundOutcomes {
+                // Each node that saw anything adds one history entry, folded
+                // into the temporal checkers and then dropped. The nodes
+                // are distinct, so the round returned one outcome entry per
+                // window, in window order.
+                let entries: Vec<RoundOutcomes> = windows
+                    .into_iter()
+                    .zip(outcomes)
+                    .filter(|((_, observed), (_, outcomes))| {
+                        !observed.is_empty() || !outcomes.is_empty()
+                    })
+                    .map(|((node, observed), (_, outcomes))| RoundOutcomes {
                         round: round_index,
                         node,
                         observed,
                         outcomes,
-                    });
-                }
-                if history.len() > self.live_history {
-                    history.drain(..history.len() - self.live_history);
-                }
+                    })
+                    .collect();
                 let mut check_span = dice_obs::span("core", "live.check");
-                check_span.set_detail(history.len() as u64);
-                let temporal = self.explorer.session().check_live(&history);
+                let found = temporal.fold_round(&entries);
+                check_span.set_detail(temporal.held_entries() as u64);
                 drop(check_span);
-                Self::merge_temporal_faults(&mut report.faults, &mut index, &temporal, round_index);
+                Self::merge_temporal_faults(&mut report.faults, &mut index, &found, round_index);
 
                 for node in &fleet.nodes {
                     solver.merge(&node.report.solver_stats);
@@ -663,18 +658,14 @@ impl LiveOrchestrator {
         }
     }
 
-    /// Folds one round's fleet-deduplicated faults into the cross-round
-    /// list: keys ([`Fault::fleet_key`]) already present collect the new
-    /// sighting's nodes and round; new keys append in first-sighting
-    /// order. Nothing is ever dropped.
-    /// Folds the temporal pass's faults ([`crate::FaultChecker::check_live`]
-    /// over the rolling history) into the cross-round list. Temporal
-    /// checkers re-examine the whole history every round, so an already
-    /// known key only records the new round once (and any new node); fresh
-    /// keys append in first-sighting order.
+    /// Folds the temporal pass's faults (everything the
+    /// [`crate::LiveFold`]s show over the window) into the cross-round
+    /// list. The folds report every fault the window still shows, every
+    /// round, so an already known key only records the new round once (and
+    /// any new node); fresh keys append in first-sighting order.
     fn merge_temporal_faults(
         faults: &mut Vec<LiveFault>,
-        index: &mut HashMap<(String, dice_bgp::Ipv4Prefix, String), usize>,
+        index: &mut HashMap<FaultKey, usize>,
         found: &[Fault],
         round: usize,
     ) {
@@ -703,9 +694,13 @@ impl LiveOrchestrator {
         }
     }
 
+    /// Folds one round's fleet-deduplicated faults into the cross-round
+    /// list: keys ([`Fault::fleet_key`]) already present collect the new
+    /// sighting's nodes and round; new keys append in first-sighting
+    /// order. Nothing is ever dropped.
     fn merge_round_faults(
         faults: &mut Vec<LiveFault>,
-        index: &mut HashMap<(String, dice_bgp::Ipv4Prefix, String), usize>,
+        index: &mut HashMap<FaultKey, usize>,
         fleet: &FleetReport,
         round: usize,
     ) {
@@ -917,6 +912,171 @@ mod tests {
             "without compaction the full history is retained"
         );
         assert!(compacted.has_faults());
+    }
+
+    /// What a [`Probe`]'s fold saw: every entry pushed (outcomes left
+    /// out), and after every round the entries pushed so far, the faults
+    /// reported and the summaries held.
+    #[derive(Default)]
+    struct ProbeLog {
+        entries: Vec<RoundOutcomes>,
+        rounds: Vec<(usize, Vec<Fault>, usize)>,
+    }
+
+    /// A temporal checker that records what its inner checker's fold sees
+    /// and reports.
+    struct Probe<C> {
+        inner: C,
+        log: std::sync::Arc<std::sync::Mutex<ProbeLog>>,
+    }
+
+    impl<C: crate::FaultChecker> crate::FaultChecker for Probe<C> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn check(
+            &self,
+            _outcome: &crate::HandlerOutcome,
+            _checkpoint_rib: &dice_router::Rib,
+        ) -> Option<Fault> {
+            None
+        }
+
+        fn live_fold(&self) -> Option<Box<dyn crate::LiveFold>> {
+            Some(Box::new(ProbeFold {
+                inner: self.inner.live_fold()?,
+                log: std::sync::Arc::clone(&self.log),
+            }))
+        }
+    }
+
+    struct ProbeFold {
+        inner: Box<dyn crate::LiveFold>,
+        log: std::sync::Arc<std::sync::Mutex<ProbeLog>>,
+    }
+
+    impl crate::LiveFold for ProbeFold {
+        fn push(&mut self, entry: &RoundOutcomes) {
+            self.log
+                .lock()
+                .expect("no panics")
+                .entries
+                .push(RoundOutcomes {
+                    outcomes: Vec::new(),
+                    ..entry.clone()
+                });
+            self.inner.push(entry);
+        }
+
+        fn expire(&mut self) {
+            self.inner.expire();
+        }
+
+        fn faults(&self, out: &mut Vec<Fault>) {
+            let mut faults = Vec::new();
+            self.inner.faults(&mut faults);
+            let mut log = self.log.lock().expect("no panics");
+            let pushed = log.entries.len();
+            log.rounds
+                .push((pushed, faults.clone(), self.inner.held_summaries()));
+            out.extend(faults);
+        }
+
+        fn held_summaries(&self) -> usize {
+            self.inner.held_summaries()
+        }
+    }
+
+    /// Distinct prefixes an entry's observed window names: the summaries a
+    /// fold holds for it.
+    fn summaries_of(entry: &RoundOutcomes) -> usize {
+        let prefixes: std::collections::BTreeSet<_> = entry
+            .observed
+            .iter()
+            .flat_map(|(_, update)| update.withdrawn.iter().chain(&update.nlri))
+            .collect();
+        prefixes.len()
+    }
+
+    #[test]
+    fn a_thousand_round_run_keeps_the_temporal_folds_bounded() {
+        let topo = figure2_topology(CustomerFilterMode::Correct);
+        let provider = topo.node_by_name("Provider").expect("node");
+        let mut sim = Simulator::new(&topo);
+        let logs: [std::sync::Arc<std::sync::Mutex<ProbeLog>>; 2] = Default::default();
+        let session = DiceSession::builder()
+            .engine(dice_symexec::EngineConfig::default().with_max_runs(1))
+            .checker(Box::new(Probe {
+                inner: crate::CrossRoundFlapChecker::new(),
+                log: std::sync::Arc::clone(&logs[0]),
+            }))
+            .checker(Box::new(Probe {
+                inner: crate::BgpWedgieChecker::new(),
+                log: std::sync::Arc::clone(&logs[1]),
+            }))
+            .build();
+        // A looping driver: four customer blocks announced in turn, then
+        // withdrawn in turn, forever. Every round observes the same amount,
+        // so once the window is full its size must not move.
+        let rounds = 1_000;
+        let live =
+            LiveOrchestrator::new(session)
+                .with_max_rounds(rounds)
+                .run(&mut sim, |sim, epoch| {
+                    let block = format!("41.{}.0.0/16", epoch % 4);
+                    if epoch / 4 % 2 == 0 {
+                        inject_customer_block(sim, provider, &block);
+                    } else {
+                        sim.inject(
+                            provider,
+                            addr::CUSTOMER,
+                            BgpMessage::Update(UpdateMessage::withdraw(vec![block
+                                .parse()
+                                .expect("valid")])),
+                        );
+                        sim.run_to_quiescence(100);
+                    }
+                    true
+                });
+        assert_eq!(live.rounds.len(), rounds);
+        assert!(live.has_faults(), "the blocks flap");
+
+        let oneshot = [
+            DiceSession::builder()
+                .checker(Box::new(crate::CrossRoundFlapChecker::new()))
+                .build(),
+            DiceSession::builder()
+                .checker(Box::new(crate::BgpWedgieChecker::new()))
+                .build(),
+        ];
+        for (log, oneshot) in logs.iter().zip(&oneshot) {
+            let log = log.lock().expect("no panics");
+            assert_eq!(log.rounds.len(), rounds);
+            let held_at = |round: usize| {
+                let (pushed, _, _) = log.rounds[round];
+                &log.entries[pushed.saturating_sub(LIVE_WINDOW)..pushed]
+            };
+            // The fold holds exactly the summaries of the last 64 entries.
+            for (round, (_, _, held)) in log.rounds.iter().enumerate() {
+                let expected: usize = held_at(round).iter().map(summaries_of).sum();
+                assert_eq!(*held, expected, "round {round}");
+            }
+            assert!(log.entries.len() > 2 * LIVE_WINDOW, "the window drained");
+            let full = log.rounds[64].2;
+            assert!(
+                log.rounds[64..].iter().all(|&(_, _, held)| held == full),
+                "the fold's size stays flat once the window is full"
+            );
+            // Round 502 sits in a withdrawal phase, so wedgies fire there.
+            for round in [63, 64, 65, 500, 502] {
+                assert_eq!(
+                    log.rounds[round].1,
+                    oneshot.check_live(held_at(round)),
+                    "round {round}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// passes through.
 pub(crate) fn resolve_cores(configured: usize) -> usize {
     match configured {
-        0 => std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
+        0 => dice_router::available_cores(),
         n => n,
     }
 }

@@ -281,8 +281,8 @@ impl DiceSession {
     /// outcome of the round, concatenated in input order (each input's runs
     /// in execution order) — the same sequence the round-level checker pass
     /// replays. Orchestrators stitch these into
-    /// [`crate::checker::RoundOutcomes`] histories for the cross-round
-    /// ([`FaultChecker::check_live`]) pass.
+    /// [`crate::checker::RoundOutcomes`] history entries for the
+    /// cross-round ([`FaultChecker::live_fold`]) pass.
     pub fn explore_collecting(
         &self,
         live: &BgpRouter,
@@ -428,18 +428,21 @@ impl DiceSession {
             .collect()
     }
 
-    /// Applies every registered checker's cross-round hook
-    /// ([`FaultChecker::check_live`]) to a rolling history of per-round
-    /// outcome windows, in registration order. Live orchestrators call this
-    /// after each round with their bounded [`crate::checker::RoundOutcomes`]
-    /// history; the
-    /// default hook returns nothing, so sessions without temporal checkers
-    /// pay nothing.
+    /// The cross-round check of one history in one shot: every registered
+    /// checker's [`crate::LiveFold`] ([`FaultChecker::live_fold`]) folds in
+    /// every entry of `rounds`, in order, with none expired, and reports,
+    /// in registration order. A live orchestrator runs the same folds
+    /// round by round instead, expiring entries beyond
+    /// [`crate::LIVE_WINDOW`]. Sessions without temporal checkers report
+    /// nothing.
     pub fn check_live(&self, rounds: &[crate::checker::RoundOutcomes]) -> Vec<Fault> {
-        self.checkers
-            .iter()
-            .flat_map(|checker| checker.check_live(rounds))
-            .collect()
+        self.live_window(rounds.len()).fold_round(rounds)
+    }
+
+    /// One fold per registered temporal checker, holding at most
+    /// `capacity` history entries.
+    pub(crate) fn live_window(&self, capacity: usize) -> crate::checker::LiveWindow {
+        crate::checker::LiveWindow::new(self.checkers.iter().map(|c| &**c), capacity)
     }
 
     /// The worker count for a round over `input_count` inputs: the

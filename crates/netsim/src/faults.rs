@@ -436,9 +436,47 @@ impl fmt::Display for InjectedFault {
 /// during a run. Two runs of the same topology, driver, and `(plan, seed)`
 /// produce byte-identical traces — the replay anchor the determinism
 /// proptests assert.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The injected count and the fingerprint are kept running as events are
+/// recorded, so reading them costs nothing however long the trace is.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultTrace {
     events: Vec<InjectedFault>,
+    /// Events other than structural delivery errors.
+    injected: usize,
+    /// FNV-1a over [`FaultTrace::digest`] so far.
+    hash: Fnv1a,
+}
+
+impl Default for FaultTrace {
+    fn default() -> Self {
+        FaultTrace {
+            events: Vec::new(),
+            injected: 0,
+            hash: Fnv1a::new(),
+        }
+    }
+}
+
+/// A running FNV-1a 64-bit hash, fed through [`fmt::Write`] so an event's
+/// rendering is hashed without being collected into a string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for byte in text.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
 }
 
 impl FaultTrace {
@@ -462,10 +500,7 @@ impl FaultTrace {
     /// [`InjectedFaultKind::DeliveryError`]s, which diagnose the topology
     /// rather than perturb it.
     pub fn injected_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| !matches!(e.kind, InjectedFaultKind::DeliveryError(_)))
-            .count()
+        self.injected
     }
 
     /// Number of recorded structural delivery errors.
@@ -492,12 +527,17 @@ impl FaultTrace {
         if self.events.is_empty() {
             return 0;
         }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.digest().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        self.hash.0
+    }
+
+    /// Appends one event, keeping the count and the fingerprint current.
+    fn push(&mut self, event: InjectedFault) {
+        use fmt::Write as _;
+        if !matches!(event.kind, InjectedFaultKind::DeliveryError(_)) {
+            self.injected += 1;
         }
-        hash
+        writeln!(self.hash, "{event}").expect("hashing cannot fail");
+        self.events.push(event);
     }
 }
 
@@ -506,6 +546,8 @@ impl FaultTrace {
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     plan: FaultPlan,
+    /// Whether any spec of the plan fires at the start of an epoch.
+    epoch_scheduled: bool,
     rng: StdRng,
     down_links: BTreeSet<(usize, usize)>,
     trace: FaultTrace,
@@ -529,8 +571,18 @@ pub(crate) enum EnqueueVerdict {
 impl FaultRuntime {
     pub(crate) fn new(plan: FaultPlan) -> Self {
         let rng = StdRng::seed_from_u64(plan.seed());
+        let epoch_scheduled = plan.specs().iter().any(|spec| match spec {
+            FaultSpec::LinkFlap { .. }
+            | FaultSpec::SessionReset { .. }
+            | FaultSpec::Partition { .. }
+            | FaultSpec::Heal { .. } => true,
+            FaultSpec::MessageDrop { .. }
+            | FaultSpec::MessageDuplicate { .. }
+            | FaultSpec::MessageReorder { .. } => false,
+        });
         FaultRuntime {
             plan,
+            epoch_scheduled,
             rng,
             down_links: BTreeSet::new(),
             trace: FaultTrace::default(),
@@ -546,7 +598,14 @@ impl FaultRuntime {
     }
 
     pub(crate) fn record(&mut self, at: u64, kind: InjectedFaultKind) {
-        self.trace.events.push(InjectedFault { at, kind });
+        self.trace.push(InjectedFault { at, kind });
+    }
+
+    /// True when some spec fires at the start of an epoch (link flaps,
+    /// session resets, partitions, heals); the message faults act per
+    /// message instead.
+    pub(crate) fn schedules_epochs(&self) -> bool {
+        self.epoch_scheduled
     }
 
     pub(crate) fn link_is_down(&self, a: NodeId, b: NodeId) -> bool {
@@ -883,6 +942,79 @@ mod tests {
             }
         }
         assert_eq!(rt.trace().injected_count(), 2);
+    }
+
+    #[test]
+    fn running_fingerprint_and_count_match_the_rendered_trace() {
+        let (a, b) = (NodeId(0), NodeId(2));
+        let events = [
+            InjectedFaultKind::LinkDown { a, b, epoch: 1 },
+            InjectedFaultKind::DeliveryError(DeliveryError::UnknownSourceAddress {
+                node: a,
+                address: Ipv4Addr::new(192, 0, 2, 1),
+            }),
+            InjectedFaultKind::SessionReset {
+                a,
+                b,
+                epoch: 2,
+                withdrawn_routes: 7,
+            },
+            InjectedFaultKind::PartitionSevered {
+                nodes: vec![a, b],
+                epoch: 3,
+                links: 2,
+            },
+            InjectedFaultKind::DeliveryError(DeliveryError::UnknownPeer {
+                node: b,
+                peer: PeerId(4),
+            }),
+            InjectedFaultKind::MessageDropped {
+                from: a,
+                to: b,
+                link_down: true,
+            },
+            InjectedFaultKind::MessageDuplicated { from: b, to: a },
+            InjectedFaultKind::MessageDelayed {
+                from: a,
+                to: b,
+                extra_ticks: 3,
+            },
+            InjectedFaultKind::DeliveryError(DeliveryError::UnresolvedPeerAddress {
+                node: a,
+                peer: PeerId(1),
+                address: Ipv4Addr::new(198, 51, 100, 1),
+            }),
+            InjectedFaultKind::DeliveryError(DeliveryError::NoReturnPeer {
+                node: a,
+                to_node: b,
+                sender: Ipv4Addr::new(198, 51, 100, 2),
+            }),
+            InjectedFaultKind::PartitionHealed {
+                nodes: vec![a, b],
+                epoch: 4,
+                links: 2,
+            },
+            InjectedFaultKind::LinkUp { a, b, epoch: 5 },
+        ];
+        let fnv1a = |text: &str| {
+            text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mut rt = FaultRuntime::new(FaultPlan::default());
+        for (at, kind) in events.into_iter().enumerate() {
+            rt.record(at as u64, kind);
+            let trace = rt.trace();
+            assert_eq!(trace.fingerprint(), fnv1a(&trace.digest()), "after {at}");
+            let injected = trace
+                .events()
+                .iter()
+                .filter(|e| !matches!(e.kind, InjectedFaultKind::DeliveryError(_)))
+                .count();
+            assert_eq!(trace.injected_count(), injected, "after {at}");
+            assert_eq!(trace.clone(), *trace);
+        }
+        assert_eq!(rt.trace().delivery_error_count(), 4);
     }
 
     #[test]

@@ -172,6 +172,10 @@ impl Simulator {
     /// call this once per epoch.
     pub fn apply_epoch_faults(&mut self, epoch: u64) {
         let mut span = dice_obs::span("netsim", "sim.apply_epoch_faults");
+        if !self.faults.schedules_epochs() {
+            span.set_detail(0);
+            return;
+        }
         let before = self.injected_fault_count();
         let now = self.stats.now;
         self.faults.apply_link_epoch(epoch, now);

@@ -31,6 +31,6 @@ pub use config::{NeighborConfig, RouterConfig, StaticRoute};
 pub use decision::{compare, is_better, select_best, DecisionReason};
 pub use peer::{Peer, PeerStats};
 pub use policy::{FilterDef, FilterOutcome, FilterVerdict, RouteView};
-pub use rib::{Rib, RibChange};
+pub use rib::{available_cores, Rib, RibChange};
 pub use router::{BgpRouter, Outgoing, RouterStats};
 pub use trie::PrefixMap;

@@ -33,7 +33,7 @@
 
 use std::cmp::Ordering;
 use std::iter::Peekable;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dice_bgp::prefix::Ipv4Prefix;
 use dice_bgp::route::{PeerId, Route};
@@ -276,15 +276,23 @@ impl Default for Rib {
     }
 }
 
+/// The machine's available parallelism, read once per process. Asking the
+/// OS costs tens of microseconds (it reads the cgroup quota and the
+/// affinity mask), and every `Rib::new` used to ask.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+    })
+}
+
 /// The default shard count: the machine's available parallelism rounded up
 /// to a power of two, clamped to `[1, 64]` so forks stay a handful of
 /// reference-count bumps even on very wide machines.
 fn default_shard_count() -> usize {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
-        .next_power_of_two()
-        .clamp(1, 64)
+    available_cores().next_power_of_two().clamp(1, 64)
 }
 
 impl Rib {
@@ -412,9 +420,7 @@ impl Rib {
             }
         }
         let workers = match workers {
-            0 => std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1),
+            0 => available_cores(),
             n => n,
         };
         let mut jobs: Vec<(&mut RibShard, Vec<Route>)> = self
@@ -500,9 +506,7 @@ impl Rib {
         }
         let accepted = load_filtered_bucket(&mut self.short, short_routes, &filter);
         let workers = match workers {
-            0 => std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1),
+            0 => available_cores(),
             n => n,
         };
         // The shards stay behind their `Arc`s until a bucket's filter has

@@ -30,12 +30,12 @@ pub mod prelude {
     pub use dice_core::{
         AsRelationship, BgpWedgieChecker, BlackholeChecker, ControlPlane, ControlSnapshot,
         CrossRoundFlapChecker, CustomerFilterMode, DiceBuilder, DiceConfig, DiceSession,
-        ExplorationReport, Fault, FaultChecker, FaultKind, FaultPlanSearch, FaultScenario,
-        FleetExplorer, FleetFault, FleetReport, ForwardingLoopChecker, IngestCounters, LiveFault,
-        LiveOrchestrator, LiveReport, LiveRound, MoreSpecificHijackChecker, OriginHijackChecker,
-        ReproBundle, ReproReplay, RoundCheckpoint, RoundOutcomes, RouteLeakChecker,
-        RouteOscillationChecker, SearchCounters, SearchReport, SearchSummary, SpecKindMask,
-        UpdateTemplate, CONTROL_SCHEMA_VERSION,
+        ExplorationReport, Fault, FaultChecker, FaultKey, FaultKind, FaultPlanSearch,
+        FaultScenario, FleetExplorer, FleetFault, FleetReport, ForwardingLoopChecker,
+        IngestCounters, LiveFault, LiveFold, LiveOrchestrator, LiveReport, LiveRound,
+        MoreSpecificHijackChecker, OriginHijackChecker, ReproBundle, ReproReplay, RoundCheckpoint,
+        RoundOutcomes, RouteLeakChecker, RouteOscillationChecker, SearchCounters, SearchReport,
+        SearchSummary, SpecKindMask, UpdateTemplate, CONTROL_SCHEMA_VERSION,
     };
     pub use dice_netsim::topology::{
         addr, asn, figure2_topology, figure2_topology_with_customer_filter, NodeId, Topology,
@@ -94,6 +94,8 @@ mod tests {
         let _ = CrossRoundFlapChecker::new().with_min_transitions(2);
         let _ = BgpWedgieChecker::new().with_min_stable_rounds(2);
         let _: Option<RoundOutcomes> = None;
+        let _: Option<Box<dyn LiveFold>> = CrossRoundFlapChecker::new().live_fold();
+        let _: Option<FaultKey> = None;
         let plan = FaultPlan::new(7).with_spec(FaultSpec::LinkFlap {
             a: NodeId(0),
             b: NodeId(1),
@@ -108,8 +110,7 @@ mod tests {
         let live = LiveOrchestrator::default()
             .with_quiesce_steps(50)
             .with_max_rounds(2)
-            .with_fault_plan(plan)
-            .with_live_history(8);
+            .with_fault_plan(plan);
         let _: &FleetExplorer = live.explorer();
         let _: Option<LiveFault> = None;
         let _: Option<LiveRound> = None;

@@ -7,7 +7,7 @@
 //! between the Provider and its Customer scheduled mid-run: the reset
 //! withdraws the customer block fleet-wide, the next live epoch re-announces
 //! it, and the [`CrossRoundFlapChecker`] — running through the
-//! [`LiveOrchestrator`]'s cross-round [`FaultChecker::check_live`] pass —
+//! [`LiveOrchestrator`]'s cross-round [`FaultChecker::live_fold`] pass —
 //! stitches the announce→withdraw→announce timeline no single round can
 //! see. The identical run without the plan never observes the withdraw, so
 //! the same checker provably stays silent.
