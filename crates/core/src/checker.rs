@@ -447,14 +447,7 @@ pub trait FaultChecker: Send + Sync {
     /// check of one history in one shot. Empty for checkers without a
     /// fold.
     fn check_live(&self, rounds: &[RoundOutcomes]) -> Vec<Fault> {
-        let mut faults = Vec::new();
-        if let Some(mut fold) = self.live_fold() {
-            for entry in rounds {
-                fold.push(entry);
-            }
-            fold.faults(&mut faults);
-        }
-        faults
+        LiveWindow::new(self.live_fold(), rounds.len()).fold_round(rounds)
     }
 }
 
@@ -496,13 +489,10 @@ pub(crate) struct LiveWindow {
 }
 
 impl LiveWindow {
-    /// One fold per checker that has one, in registration order.
-    pub(crate) fn new<'a>(
-        checkers: impl IntoIterator<Item = &'a dyn FaultChecker>,
-        capacity: usize,
-    ) -> Self {
+    /// A window over `folds`, in the registration order of their checkers.
+    pub(crate) fn new(folds: impl IntoIterator<Item = Box<dyn LiveFold>>, capacity: usize) -> Self {
         LiveWindow {
-            folds: checkers.into_iter().filter_map(|c| c.live_fold()).collect(),
+            folds: folds.into_iter().collect(),
             held: 0,
             capacity,
         }
@@ -2148,7 +2138,7 @@ mod tests {
             let entries = history_of(history);
             let flaps = CrossRoundFlapChecker::new().with_min_transitions(min);
             let wedgies = BgpWedgieChecker::new().with_min_stable_rounds(min);
-            let mut window = LiveWindow::new([&flaps as &dyn FaultChecker, &wedgies], capacity);
+            let mut window = LiveWindow::new(flaps.live_fold().into_iter().chain(wedgies.live_fold()), capacity);
             let mut pushed = 0;
             for batch in entries.chunk_by(|a, b| a.round == b.round) {
                 let folded = window.fold_round(batch);
@@ -2173,6 +2163,16 @@ mod tests {
                 crate::fault_key(&a) == crate::fault_key(&b)
             );
             proptest::prop_assert_eq!(a.fleet_key().to_string(), crate::fault_key(&a));
+            // More rounds seen from another node: still the same fault.
+            let mut later = a.clone().with_node(NodeId(7));
+            match &mut later.kind {
+                FaultKind::RouteOscillation { transitions, .. }
+                | FaultKind::CrossRoundFlap { transitions, .. } => *transitions += 1,
+                FaultKind::BgpWedgie { stuck_rounds, .. } => *stuck_rounds += 1,
+                _ => {}
+            }
+            proptest::prop_assert_eq!(later.fleet_key(), a.fleet_key());
+            proptest::prop_assert_eq!(crate::fault_key(&later), crate::fault_key(&a));
         }
     }
 

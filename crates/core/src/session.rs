@@ -442,7 +442,12 @@ impl DiceSession {
     /// One fold per registered temporal checker, holding at most
     /// `capacity` history entries.
     pub(crate) fn live_window(&self, capacity: usize) -> crate::checker::LiveWindow {
-        crate::checker::LiveWindow::new(self.checkers.iter().map(|c| &**c), capacity)
+        crate::checker::LiveWindow::new(
+            self.checkers
+                .iter()
+                .filter_map(|checker| checker.live_fold()),
+            capacity,
+        )
     }
 
     /// The worker count for a round over `input_count` inputs: the
