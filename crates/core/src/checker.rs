@@ -1041,8 +1041,8 @@ struct HeldEntry {
     summaries: usize,
 }
 
-/// The observed timelines of the held history entries, shared by
-/// [`CrossRoundFlapChecker`] and [`BgpWedgieChecker`].
+/// The observed timelines of the held history entries: what both
+/// [`CrossRoundFlapChecker`]'s and [`BgpWedgieChecker`]'s folds keep.
 ///
 /// Each entry's window reduces to at most one direction per prefix: the
 /// last announce or withdraw of it in the window, with withdrawals before
