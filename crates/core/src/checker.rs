@@ -54,12 +54,13 @@
 //!   stable state than the one it started in.
 //!
 //! A cross-round checker judges the last [`LIVE_WINDOW`] node windows of a
-//! live run. It does not keep them: its [`LiveFold`] folds each new window
-//! into per-`(node, prefix)` timeline summaries once, and expires the
-//! oldest window's summaries when the window is full, so a round costs
-//! what it observed rather than what the window holds.
-//! [`FaultChecker::check_live`] runs the same fold over a slice in one
-//! shot.
+//! live run without keeping them. The window reduces each new node window
+//! once into per-`(node, prefix)` timeline summaries
+//! ([`ObservedTimelines`]) and expires the oldest window's summaries when
+//! it is full; each checker's [`LiveFold`] keeps only the index of the
+//! timelines it reports. A round costs what it observed rather than what
+//! the window holds. [`FaultChecker::check_live`] runs the same fold over
+//! a slice in one shot.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -460,30 +461,28 @@ pub const LIVE_WINDOW: usize = 64;
 ///
 /// After each round a live orchestrator pushes the round's entries,
 /// expires the oldest until at most [`LIVE_WINDOW`] are held, and reads
-/// the faults the held entries show. The fold keeps per-`(node, prefix)`
-/// summaries, not the entries, so a round costs what it observed rather
-/// than what the window holds.
+/// the faults the held entries show. Every entry is reduced once into the
+/// window's [`ObservedTimelines`], which every fold is handed after the
+/// change; a fold keeps only what its checker judges, so a round costs
+/// what it observed rather than what the window holds.
 pub trait LiveFold: Send {
-    /// Folds the next history entry in.
-    fn push(&mut self, entry: &RoundOutcomes);
+    /// Folds the next history entry in; `timelines` already holds it.
+    fn push(&mut self, entry: &RoundOutcomes, timelines: &ObservedTimelines);
 
-    /// Forgets the oldest entry the fold still holds; nothing when it
-    /// holds none.
-    fn expire(&mut self);
+    /// Forgets the oldest held entry; `timelines` no longer holds it.
+    fn expire(&mut self, timelines: &ObservedTimelines);
 
     /// Appends every fault the held entries show, in the checker's report
     /// order.
-    fn faults(&self, out: &mut Vec<Fault>);
-
-    /// How many per-entry summaries the fold holds: what its memory grows
-    /// with, bounded by what [`LIVE_WINDOW`] entries observed.
-    fn held_summaries(&self) -> usize;
+    fn faults(&self, timelines: &ObservedTimelines, out: &mut Vec<Fault>);
 }
 
-/// Every registered cross-round checker's [`LiveFold`] over one live run:
-/// at most `capacity` history entries are held at a time.
+/// Every registered cross-round checker's [`LiveFold`] over one live run,
+/// and the observed timelines they share: at most `capacity` history
+/// entries are held at a time.
 pub(crate) struct LiveWindow {
     folds: Vec<Box<dyn LiveFold>>,
+    timelines: ObservedTimelines,
     held: usize,
     capacity: usize,
 }
@@ -493,6 +492,7 @@ impl LiveWindow {
     pub(crate) fn new(folds: impl IntoIterator<Item = Box<dyn LiveFold>>, capacity: usize) -> Self {
         LiveWindow {
             folds: folds.into_iter().collect(),
+            timelines: ObservedTimelines::default(),
             held: 0,
             capacity,
         }
@@ -500,26 +500,31 @@ impl LiveWindow {
 
     /// Folds one round's entries in, expires the oldest beyond the
     /// capacity, and returns every fault the held entries show, checker by
-    /// checker in registration order.
+    /// checker in registration order. Without folds nothing is kept.
     pub(crate) fn fold_round<'a>(
         &mut self,
         entries: impl IntoIterator<Item = &'a RoundOutcomes>,
     ) -> Vec<Fault> {
+        let mut faults = Vec::new();
+        if self.folds.is_empty() {
+            return faults;
+        }
         for entry in entries {
+            self.timelines.push(entry);
             for fold in &mut self.folds {
-                fold.push(entry);
+                fold.push(entry, &self.timelines);
             }
             self.held += 1;
         }
         while self.held > self.capacity {
+            self.timelines.expire();
             for fold in &mut self.folds {
-                fold.expire();
+                fold.expire(&self.timelines);
             }
             self.held -= 1;
         }
-        let mut faults = Vec::new();
         for fold in &self.folds {
-            fold.faults(&mut faults);
+            fold.faults(&self.timelines, &mut faults);
         }
         faults
     }
@@ -1000,7 +1005,6 @@ impl FaultChecker for CrossRoundFlapChecker {
     fn live_fold(&self) -> Option<Box<dyn LiveFold>> {
         Some(Box::new(FlapFold {
             checker: *self,
-            timelines: Timelines::default(),
             flapping: BTreeSet::new(),
         }))
     }
@@ -1032,7 +1036,7 @@ struct Timeline {
     transitions: usize,
 }
 
-/// A held history entry: what [`Timelines::expire`] must take back out.
+/// A held history entry: what an expiry must take back out.
 #[derive(Debug, Clone, Copy)]
 struct HeldEntry {
     node: usize,
@@ -1041,20 +1045,20 @@ struct HeldEntry {
     summaries: usize,
 }
 
-/// The observed timelines of the held history entries: what both
-/// [`CrossRoundFlapChecker`]'s and [`BgpWedgieChecker`]'s folds keep.
+/// The observed timelines of a live window's held history entries: one
+/// announce/withdraw timeline per `(node, prefix)`, shared by every
+/// [`LiveFold`] of the window.
 ///
 /// Each entry's window reduces to at most one direction per prefix: the
 /// last announce or withdraw of it in the window, with withdrawals before
 /// NLRI within one UPDATE (the implicit-replacement order of RFC 4271
-/// §3.1). [`Timelines::push`] appends those summaries and links each to
-/// the previous summary of its `(node, prefix)` timeline;
-/// [`Timelines::expire`] takes the oldest entry's summaries back off the
-/// front. Both leave the timelines they touched in
-/// [`Timelines::touched`], so a checker's fold keeps its own index of the
+/// §3.1). A push appends those summaries and links each to the previous
+/// summary of its `(node, prefix)` timeline; an expiry takes the oldest
+/// entry's summaries back off the front. Both remember the timelines
+/// they touched, so a checker's fold keeps its own index of the
 /// timelines that fire.
 #[derive(Debug, Default)]
-struct Timelines {
+pub struct ObservedTimelines {
     entries: VecDeque<HeldEntry>,
     /// Every held entry's summaries, in history order. Positions count
     /// from the first summary the fold ever held; `base` is the front's.
@@ -1070,7 +1074,13 @@ struct Timelines {
     scratch: Vec<(Ipv4Prefix, bool)>,
 }
 
-impl Timelines {
+impl ObservedTimelines {
+    /// How many per-entry summaries the window holds: what its memory
+    /// grows with, bounded by what [`LIVE_WINDOW`] entries observed.
+    pub fn held_summaries(&self) -> usize {
+        self.summaries.len()
+    }
+
     fn at(&self, position: usize) -> &Summary {
         &self.summaries[position - self.base]
     }
@@ -1169,8 +1179,8 @@ impl Timelines {
         }
     }
 
-    /// The timelines the last [`Timelines::push`] or
-    /// [`Timelines::expire`] extended or shortened, as they are now.
+    /// The timelines the last push or expiry extended or shortened, as
+    /// they are now.
     fn touched(&self) -> &[(TimelineKey, Option<Timeline>)] {
         &self.touched
     }
@@ -1210,48 +1220,41 @@ impl Timelines {
     }
 }
 
-/// [`CrossRoundFlapChecker`]'s fold: the timelines, and the ones with
-/// enough direction changes to report.
+/// [`CrossRoundFlapChecker`]'s fold: the timelines with enough direction
+/// changes to report.
 struct FlapFold {
     checker: CrossRoundFlapChecker,
-    timelines: Timelines,
     flapping: BTreeSet<TimelineKey>,
 }
 
 impl LiveFold for FlapFold {
-    fn push(&mut self, entry: &RoundOutcomes) {
-        self.timelines.push(entry);
-        for (key, timeline) in self.timelines.touched() {
+    fn push(&mut self, _entry: &RoundOutcomes, timelines: &ObservedTimelines) {
+        for (key, timeline) in timelines.touched() {
             if timeline.is_some_and(|t| t.transitions >= self.checker.min_transitions) {
                 self.flapping.insert(*key);
             }
         }
     }
 
-    fn expire(&mut self) {
-        self.timelines.expire();
-        for (key, timeline) in self.timelines.touched() {
+    fn expire(&mut self, timelines: &ObservedTimelines) {
+        for (key, timeline) in timelines.touched() {
             if timeline.is_none_or(|t| t.transitions < self.checker.min_transitions) {
                 self.flapping.remove(key);
             }
         }
     }
 
-    fn faults(&self, out: &mut Vec<Fault>) {
+    fn faults(&self, timelines: &ObservedTimelines, out: &mut Vec<Fault>) {
         out.extend(self.flapping.iter().map(|key| {
             Fault::new(
                 self.checker.name(),
                 FaultKind::CrossRoundFlap {
                     announced: key.1,
-                    transitions: self.timelines.transitions(key).unwrap_or_default(),
+                    transitions: timelines.transitions(key).unwrap_or_default(),
                 },
             )
             .with_node(NodeId(key.0))
         }));
-    }
-
-    fn held_summaries(&self) -> usize {
-        self.timelines.summaries.len()
     }
 }
 
@@ -1312,26 +1315,24 @@ impl FaultChecker for BgpWedgieChecker {
     fn live_fold(&self) -> Option<Box<dyn LiveFold>> {
         Some(Box::new(WedgieFold {
             checker: *self,
-            timelines: Timelines::default(),
             withdrawn: BTreeMap::new(),
         }))
     }
 }
 
-/// [`BgpWedgieChecker`]'s fold: the timelines, and the ones that end in a
-/// withdrawal after an earlier announcement, with the withdrawal's round.
-/// Whether one of those has stayed withdrawn long enough depends on the
-/// rounds held since, so it is judged when the faults are read.
+/// [`BgpWedgieChecker`]'s fold: the timelines that end in a withdrawal
+/// after an earlier announcement, with the withdrawal's round. Whether one
+/// of those has stayed withdrawn long enough depends on the rounds held
+/// since, so it is judged when the faults are read.
 struct WedgieFold {
     checker: BgpWedgieChecker,
-    timelines: Timelines,
     withdrawn: BTreeMap<TimelineKey, usize>,
 }
 
 impl WedgieFold {
-    fn reindex_touched(&mut self) {
-        for (key, timeline) in self.timelines.touched() {
-            match timeline.and_then(|t| self.timelines.withdrawn_at(&t)) {
+    fn reindex_touched(&mut self, timelines: &ObservedTimelines) {
+        for (key, timeline) in timelines.touched() {
+            match timeline.and_then(|t| timelines.withdrawn_at(&t)) {
                 Some(round) => self.withdrawn.insert(*key, round),
                 None => self.withdrawn.remove(key),
             };
@@ -1340,19 +1341,17 @@ impl WedgieFold {
 }
 
 impl LiveFold for WedgieFold {
-    fn push(&mut self, entry: &RoundOutcomes) {
-        self.timelines.push(entry);
-        self.reindex_touched();
+    fn push(&mut self, _entry: &RoundOutcomes, timelines: &ObservedTimelines) {
+        self.reindex_touched(timelines);
     }
 
-    fn expire(&mut self) {
-        self.timelines.expire();
-        self.reindex_touched();
+    fn expire(&mut self, timelines: &ObservedTimelines) {
+        self.reindex_touched(timelines);
     }
 
-    fn faults(&self, out: &mut Vec<Fault>) {
+    fn faults(&self, timelines: &ObservedTimelines, out: &mut Vec<Fault>) {
         for (key, &withdrawn_at) in &self.withdrawn {
-            let stuck_rounds = self.timelines.rounds_after(withdrawn_at);
+            let stuck_rounds = timelines.rounds_after(withdrawn_at);
             if stuck_rounds >= self.checker.min_stable_rounds {
                 out.push(
                     Fault::new(
@@ -1366,10 +1365,6 @@ impl LiveFold for WedgieFold {
                 );
             }
         }
-    }
-
-    fn held_summaries(&self) -> usize {
-        self.timelines.summaries.len()
     }
 }
 

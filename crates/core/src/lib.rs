@@ -100,7 +100,8 @@ pub mod symbolic_input;
 pub use checker::{
     AsRelationship, BgpWedgieChecker, BlackholeChecker, CrossRoundFlapChecker, Fault, FaultChecker,
     FaultKey, FaultKind, ForwardingLoopChecker, LiveFold, MoreSpecificHijackChecker,
-    OriginHijackChecker, RoundOutcomes, RouteLeakChecker, RouteOscillationChecker, LIVE_WINDOW,
+    ObservedTimelines, OriginHijackChecker, RoundOutcomes, RouteLeakChecker,
+    RouteOscillationChecker, LIVE_WINDOW,
 };
 pub use checkpoint::RoundCheckpoint;
 pub use control::{

@@ -20,9 +20,10 @@
 //!    ([`FleetExplorer::explore_windows`]), every node in turn on the
 //!    calling thread;
 //! 4. **check across rounds** — each node's window and outcomes become one
-//!    history entry ([`crate::RoundOutcomes`]), folded once into every
-//!    temporal checker's [`crate::LiveFold`]; the entry itself is then
-//!    dropped. The folds judge the last [`crate::LIVE_WINDOW`] entries:
+//!    history entry ([`crate::RoundOutcomes`]), reduced once into the
+//!    window's [`crate::ObservedTimelines`] and folded into every temporal
+//!    checker's [`crate::LiveFold`]; the entry itself is then dropped. The
+//!    folds judge the last [`crate::LIVE_WINDOW`] entries:
 //!    after each round the oldest beyond that expire, so the pass costs
 //!    what the round observed, not what the window holds;
 //! 5. **accumulate** — every round's [`FleetReport`] and the faults the
@@ -37,7 +38,7 @@
 //!
 //! Memory stays bounded on a run of any length: the log by the
 //! unharvested tail, the temporal folds by what [`crate::LIVE_WINDOW`]
-//! entries observed ([`crate::LiveFold::held_summaries`]).
+//! entries observed ([`crate::ObservedTimelines::held_summaries`]).
 //!
 //! A deterministic [`FaultPlan`] ([`LiveOrchestrator::with_fault_plan`])
 //! rides on the loop, perturbing the network between epochs — link flaps,
@@ -957,34 +958,27 @@ mod tests {
     }
 
     impl crate::LiveFold for ProbeFold {
-        fn push(&mut self, entry: &RoundOutcomes) {
-            self.log
-                .lock()
-                .expect("no panics")
-                .entries
-                .push(RoundOutcomes {
-                    outcomes: Vec::new(),
-                    ..entry.clone()
-                });
-            self.inner.push(entry);
+        fn push(&mut self, entry: &RoundOutcomes, timelines: &crate::ObservedTimelines) {
+            let entry_seen = RoundOutcomes {
+                outcomes: Vec::new(),
+                ..entry.clone()
+            };
+            self.log.lock().expect("no panics").entries.push(entry_seen);
+            self.inner.push(entry, timelines);
         }
 
-        fn expire(&mut self) {
-            self.inner.expire();
+        fn expire(&mut self, timelines: &crate::ObservedTimelines) {
+            self.inner.expire(timelines);
         }
 
-        fn faults(&self, out: &mut Vec<Fault>) {
+        fn faults(&self, timelines: &crate::ObservedTimelines, out: &mut Vec<Fault>) {
             let mut faults = Vec::new();
-            self.inner.faults(&mut faults);
+            self.inner.faults(timelines, &mut faults);
             let mut log = self.log.lock().expect("no panics");
             let pushed = log.entries.len();
             log.rounds
-                .push((pushed, faults.clone(), self.inner.held_summaries()));
+                .push((pushed, faults.clone(), timelines.held_summaries()));
             out.extend(faults);
-        }
-
-        fn held_summaries(&self) -> usize {
-            self.inner.held_summaries()
         }
     }
 

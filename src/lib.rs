@@ -33,9 +33,10 @@ pub mod prelude {
         ExplorationReport, Fault, FaultChecker, FaultKey, FaultKind, FaultPlanSearch,
         FaultScenario, FleetExplorer, FleetFault, FleetReport, ForwardingLoopChecker,
         IngestCounters, LiveFault, LiveFold, LiveOrchestrator, LiveReport, LiveRound,
-        MoreSpecificHijackChecker, OriginHijackChecker, ReproBundle, ReproReplay, RoundCheckpoint,
-        RoundOutcomes, RouteLeakChecker, RouteOscillationChecker, SearchCounters, SearchReport,
-        SearchSummary, SpecKindMask, UpdateTemplate, CONTROL_SCHEMA_VERSION,
+        MoreSpecificHijackChecker, ObservedTimelines, OriginHijackChecker, ReproBundle,
+        ReproReplay, RoundCheckpoint, RoundOutcomes, RouteLeakChecker, RouteOscillationChecker,
+        SearchCounters, SearchReport, SearchSummary, SpecKindMask, UpdateTemplate,
+        CONTROL_SCHEMA_VERSION,
     };
     pub use dice_netsim::topology::{
         addr, asn, figure2_topology, figure2_topology_with_customer_filter, NodeId, Topology,
