@@ -483,7 +483,6 @@ pub trait LiveFold: Send {
 pub(crate) struct LiveWindow {
     folds: Vec<Box<dyn LiveFold>>,
     timelines: ObservedTimelines,
-    held: usize,
     capacity: usize,
 }
 
@@ -493,7 +492,6 @@ impl LiveWindow {
         LiveWindow {
             folds: folds.into_iter().collect(),
             timelines: ObservedTimelines::default(),
-            held: 0,
             capacity,
         }
     }
@@ -514,14 +512,12 @@ impl LiveWindow {
             for fold in &mut self.folds {
                 fold.push(entry, &self.timelines);
             }
-            self.held += 1;
         }
-        while self.held > self.capacity {
+        while self.held_entries() > self.capacity {
             self.timelines.expire();
             for fold in &mut self.folds {
                 fold.expire(&self.timelines);
             }
-            self.held -= 1;
         }
         for fold in &self.folds {
             fold.faults(&self.timelines, &mut faults);
@@ -531,7 +527,7 @@ impl LiveWindow {
 
     /// History entries currently held.
     pub(crate) fn held_entries(&self) -> usize {
-        self.held
+        self.timelines.entries.len()
     }
 }
 
@@ -1061,7 +1057,7 @@ struct HeldEntry {
 pub struct ObservedTimelines {
     entries: VecDeque<HeldEntry>,
     /// Every held entry's summaries, in history order. Positions count
-    /// from the first summary the fold ever held; `base` is the front's.
+    /// from the first summary the window ever held; `base` is the front's.
     summaries: VecDeque<Summary>,
     base: usize,
     timelines: BTreeMap<TimelineKey, Timeline>,
