@@ -200,6 +200,91 @@ fn sixteen_arm_filter_generated_inputs_are_pinned() {
     );
 }
 
+/// The solver counters of the sixteen-arm round that `digest()` leaves out.
+/// They count how each query was decided and how much work it took, so a
+/// change to a local-search walk or to the propagation schedule moves them
+/// even when every generated input stays put.
+#[test]
+fn sixteen_arm_filter_solver_counters_are_pinned() {
+    let (router, pool) = heavy_scenario();
+    let session = DiceBuilder::new().max_observed_inputs(16).build();
+    let stats = session.explore(&router, &pool).solver_stats;
+    pin(
+        "heavy.solver.candidates_evaluated",
+        stats.candidates_evaluated,
+        13_578u64,
+    );
+    pin(
+        "heavy.solver.decided_by",
+        [
+            stats.decided_by_preprocess,
+            stats.decided_by_propagation,
+            stats.decided_by_enumeration,
+            stats.decided_by_search,
+        ],
+        [0, 0, 0, 428u64],
+    );
+    pin(
+        "heavy.solver.assertions_propagated",
+        stats.assertions_propagated,
+        1_996u64,
+    );
+    pin(
+        "heavy.solver.preprocess_passes",
+        stats.preprocess_passes,
+        1_708u64,
+    );
+}
+
+/// One recurring long local-search walk of the sixteen-arm round: the
+/// negation of `source_as = 64512 || source_as = 64513` (arm 5) on the
+/// first input's first generated run. Interval propagation cannot narrow a
+/// disjunction, so the walk has to stumble on 64512 or 64513 among the
+/// jump constants; its length and its model pin the walk move by move.
+#[test]
+fn the_long_source_as_negation_is_pinned() {
+    let (router, pool) = heavy_scenario();
+    let engine_config = DiceBuilder::new().build().config().engine;
+    let (peer, update) = &pool[0];
+    let template = UpdateTemplate::from_update(update).expect("announces a prefix");
+    let seed = template.seed();
+    let mut handler =
+        SymbolicUpdateHandler::new(RoundCheckpoint::capture(&router), *peer, template);
+    let mut exploration = ConcolicEngine::with_config(engine_config).explore(&mut handler, &[seed]);
+    let trace = &mut exploration.runs[1].trace;
+    let index = trace
+        .branches
+        .iter()
+        .position(|b| trace.sites.label(b.site) == Some("filter:customer_in:if5"))
+        .expect("the run reaches arm 5");
+    assert!(!trace.branches[index].taken);
+
+    // The engine's pattern: the prefix asserted, the negated branch in a
+    // frame of its own, the run's concrete input as the seed.
+    let mut session = dice::solver::IncrementalSolver::new();
+    for k in 0..index {
+        let taken = trace.branches[k].taken_constraint(&mut trace.arena);
+        session.assert_term(&mut trace.arena, taken);
+    }
+    session.push(&trace.arena);
+    let negated = trace.branches[index].negated_constraint(&mut trace.arena);
+    session.assert_term(&mut trace.arena, negated);
+    let verdict = session.check(&trace.arena, Some(&trace.concrete));
+    session.pop();
+
+    pin("source_as.branch_index", index, 4usize);
+    pin(
+        "source_as.candidates_evaluated",
+        session.stats().candidates_evaluated,
+        505u64,
+    );
+    pin(
+        "source_as.model",
+        verdict.model().map(ToString::to_string).unwrap_or_default(),
+        "{v0=2, v1=3493959681, v2=1093778795, v3=0, v4=64512, v5=499, v6=100, v7=0}".to_string(),
+    );
+}
+
 #[test]
 fn short_live_script_is_pinned() {
     let filter = parse_filter(CUSTOMER_IN).expect("the filter parses");
