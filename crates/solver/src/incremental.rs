@@ -82,7 +82,7 @@ use crate::hash::FastHashSet;
 use crate::interval::Domains;
 use crate::model::Model;
 use crate::simplify::flatten_into;
-use crate::solver::{decide, SolverConfig, Verdict};
+use crate::solver::{decide, SearchScratch, SolverConfig, Verdict};
 use crate::stats::SolverStats;
 use crate::term::{TermArena, TermId};
 
@@ -129,6 +129,9 @@ pub struct IncrementalSolver {
     /// A literal `false` or a `p ∧ ¬p` pair has been asserted.
     contradiction: bool,
     frames: Vec<Frame>,
+    /// Local search's buffers and the walk marks variable registration
+    /// uses, kept across queries.
+    scratch: SearchScratch,
 }
 
 impl Default for IncrementalSolver {
@@ -157,6 +160,7 @@ impl IncrementalSolver {
             converged: true,
             contradiction: false,
             frames: Vec::new(),
+            scratch: SearchScratch::default(),
         }
     }
 
@@ -180,6 +184,20 @@ impl IncrementalSolver {
     /// Resets cumulative statistics.
     pub fn reset_stats(&mut self) {
         self.stats = SolverStats::new();
+    }
+
+    /// Retracts every assertion and frame: the session answers as a new
+    /// one would, keeping its statistics and the allocations a new one
+    /// would make again.
+    pub fn reset(&mut self) {
+        self.asserted.clear();
+        self.sorted.clear();
+        self.seen.clear();
+        self.domains.clear();
+        self.propagated_len = 0;
+        self.converged = true;
+        self.contradiction = false;
+        self.frames.clear();
     }
 
     /// Current stack depth (number of unmatched pushes).
@@ -236,11 +254,16 @@ impl IncrementalSolver {
         let start = Instant::now();
         if !self.converged {
             self.stats.assertions_propagated += self.asserted.len() as u64;
-            self.domains = Domains::init(arena, &self.sorted);
+            self.domains.clear();
+            self.domains
+                .ensure_vars_with(arena, &self.sorted, &mut self.scratch.walk);
         } else {
             self.stats.assertions_propagated += pending as u64;
-            self.domains
-                .ensure_vars(arena, &self.asserted[self.propagated_len..]);
+            self.domains.ensure_vars_with(
+                arena,
+                &self.asserted[self.propagated_len..],
+                &mut self.scratch.walk,
+            );
         }
         let outcome =
             self.domains
@@ -364,6 +387,7 @@ impl IncrementalSolver {
         decide(
             &self.config,
             &mut self.stats,
+            &mut self.scratch,
             arena,
             &self.sorted,
             &self.domains,

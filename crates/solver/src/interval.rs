@@ -6,8 +6,6 @@
 //! ranges; an empty range proves unsatisfiability, and small ranges enable
 //! cheap exhaustive enumeration.
 
-use std::collections::BTreeMap;
-
 use crate::term::{max_value, CmpOp, Leaf, TermArena, TermId, TermKind, TermWalk, VarId};
 
 /// A closed unsigned interval `[lo, hi]`; empty when `lo > hi`.
@@ -137,9 +135,19 @@ pub struct Propagation {
 }
 
 /// Per-variable interval state for a constraint set.
+///
+/// Variable ids are dense arena indices, so the intervals sit in a vector
+/// indexed by id, `None` for a variable no constraint has mentioned yet:
+/// a lookup is an index, and copying the state — an incremental session
+/// saves it once per negation candidate — copies a handful of intervals.
+/// [`Domains::iter`] walks the vector, so it yields ascending [`VarId`]
+/// order; local search's move set is drawn in that order.
 #[derive(Debug, Clone, Default)]
 pub struct Domains {
-    map: BTreeMap<VarId, Interval>,
+    /// `slots[v]` is variable `v`'s interval, if it is tracked.
+    slots: Vec<Option<Interval>>,
+    /// How many slots are tracked.
+    tracked: usize,
 }
 
 impl Domains {
@@ -158,41 +166,58 @@ impl Domains {
 
     /// Returns the interval for `var`, defaulting to the full width range.
     pub fn get(&self, arena: &TermArena, var: VarId) -> Interval {
-        self.map
-            .get(&var)
+        self.slots
+            .get(var.index())
             .copied()
+            .flatten()
             .unwrap_or_else(|| Interval::full(arena.var_info(var).width))
     }
 
     /// Sets the interval for `var`.
     pub fn set(&mut self, var: VarId, iv: Interval) {
-        self.map.insert(var, iv);
+        let index = var.index();
+        if index >= self.slots.len() {
+            self.slots.resize(index + 1, None);
+        }
+        if self.slots[index].replace(iv).is_none() {
+            self.tracked += 1;
+        }
+    }
+
+    /// Forgets every variable, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.tracked = 0;
     }
 
     /// Returns true if any variable has an empty domain.
     pub fn any_empty(&self) -> bool {
-        self.map.values().any(Interval::is_empty)
+        self.slots.iter().flatten().any(Interval::is_empty)
     }
 
-    /// Iterates over `(variable, interval)` pairs.
+    /// Iterates over `(variable, interval)` pairs in ascending variable
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, Interval)> + '_ {
-        self.map.iter().map(|(&v, &iv)| (v, iv))
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(index, iv)| iv.map(|iv| (VarId(index as u32), iv)))
     }
 
     /// Number of tracked variables.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.tracked
     }
 
     /// Returns true if no variables are tracked.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.tracked == 0
     }
 
     /// Product of domain sizes, saturating at `u64::MAX`.
     pub fn search_space(&self) -> u64 {
         let mut acc: u64 = 1;
-        for iv in self.map.values() {
+        for iv in self.slots.iter().flatten() {
             acc = acc.saturating_mul(iv.size());
             if acc == 0 {
                 return 0;
@@ -206,16 +231,32 @@ impl Domains {
     /// Used by the incremental session when new assertions introduce new
     /// variables on top of an already-propagated stack.
     pub fn ensure_vars(&mut self, arena: &TermArena, constraints: &[TermId]) {
+        self.ensure_vars_with(arena, constraints, &mut TermWalk::default());
+    }
+
+    /// [`Domains::ensure_vars`] through the caller's walk marks, so a
+    /// session that registers variables query after query allocates them
+    /// once.
+    pub(crate) fn ensure_vars_with(
+        &mut self,
+        arena: &TermArena,
+        constraints: &[TermId],
+        walk: &mut TermWalk,
+    ) {
+        if self.slots.len() < arena.var_count() {
+            self.slots.resize(arena.var_count(), None);
+        }
         // One walk over all of them: a subterm two constraints share is
         // entered once.
-        let mut walk = TermWalk::default();
         walk.begin(arena);
         for &c in constraints {
-            arena.visit_leaves(c, &mut walk, |leaf| {
+            arena.visit_leaves(c, walk, |leaf| {
                 if let Leaf::Var(v) = leaf {
-                    self.map
-                        .entry(v)
-                        .or_insert_with(|| Interval::full(arena.var_info(v).width));
+                    let slot = &mut self.slots[v.index()];
+                    if slot.is_none() {
+                        *slot = Some(Interval::full(arena.var_info(v).width));
+                        self.tracked += 1;
+                    }
                 }
             });
         }
@@ -384,6 +425,278 @@ impl Domains {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::TermGen;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// `Domains` as it was before the dense layout: a `BTreeMap` keyed by
+    /// variable, moved here verbatim but for the methods no test calls.
+    #[derive(Debug, Clone, Default)]
+    struct MapDomains {
+        map: BTreeMap<VarId, Interval>,
+    }
+
+    impl MapDomains {
+        /// Initializes the domain of every variable appearing in `constraints`
+        /// to the full range of its declared width.
+        fn init(arena: &TermArena, constraints: &[TermId]) -> Self {
+            let mut domains = MapDomains::default();
+            domains.ensure_vars(arena, constraints);
+            domains
+        }
+
+        /// Returns the interval for `var`, defaulting to the full width range.
+        fn get(&self, arena: &TermArena, var: VarId) -> Interval {
+            self.map
+                .get(&var)
+                .copied()
+                .unwrap_or_else(|| Interval::full(arena.var_info(var).width))
+        }
+
+        /// Sets the interval for `var`.
+        fn set(&mut self, var: VarId, iv: Interval) {
+            self.map.insert(var, iv);
+        }
+
+        /// Returns true if any variable has an empty domain.
+        fn any_empty(&self) -> bool {
+            self.map.values().any(Interval::is_empty)
+        }
+
+        /// Iterates over `(variable, interval)` pairs.
+        fn iter(&self) -> impl Iterator<Item = (VarId, Interval)> + '_ {
+            self.map.iter().map(|(&v, &iv)| (v, iv))
+        }
+
+        /// Number of tracked variables.
+        fn len(&self) -> usize {
+            self.map.len()
+        }
+
+        /// Product of domain sizes, saturating at `u64::MAX`.
+        fn search_space(&self) -> u64 {
+            let mut acc: u64 = 1;
+            for iv in self.map.values() {
+                acc = acc.saturating_mul(iv.size());
+                if acc == 0 {
+                    return 0;
+                }
+            }
+            acc
+        }
+
+        /// Registers every variable appearing in `constraints` that is not yet
+        /// tracked, initializing it to the full range of its declared width.
+        /// Used by the incremental session when new assertions introduce new
+        /// variables on top of an already-propagated stack.
+        fn ensure_vars(&mut self, arena: &TermArena, constraints: &[TermId]) {
+            // One walk over all of them: a subterm two constraints share is
+            // entered once.
+            let mut walk = TermWalk::default();
+            walk.begin(arena);
+            for &c in constraints {
+                arena.visit_leaves(c, &mut walk, |leaf| {
+                    if let Leaf::Var(v) = leaf {
+                        self.map
+                            .entry(v)
+                            .or_insert_with(|| Interval::full(arena.var_info(v).width));
+                    }
+                });
+            }
+        }
+
+        /// Like `propagate`, but additionally reports how many sweeps
+        /// ran and whether a fixpoint was reached before the round budget.
+        fn propagate_counted(
+            &mut self,
+            arena: &TermArena,
+            constraints: &[TermId],
+            max_rounds: usize,
+        ) -> Propagation {
+            let mut rounds = 0;
+            let mut converged = false;
+            while rounds < max_rounds {
+                rounds += 1;
+                let mut changed = false;
+                for &c in constraints {
+                    if !self.propagate_one(arena, c, &mut changed) {
+                        return Propagation {
+                            consistent: false,
+                            rounds,
+                            converged: false,
+                        };
+                    }
+                }
+                if self.any_empty() {
+                    return Propagation {
+                        consistent: false,
+                        rounds,
+                        converged: false,
+                    };
+                }
+                if !changed {
+                    converged = true;
+                    break;
+                }
+            }
+            Propagation {
+                consistent: !self.any_empty(),
+                rounds,
+                converged: converged || constraints.is_empty(),
+            }
+        }
+
+        /// Propagates a single constraint. Returns `false` on contradiction.
+        fn propagate_one(&mut self, arena: &TermArena, c: TermId, changed: &mut bool) -> bool {
+            match &arena.node(c).kind {
+                TermKind::ConstBool(true) => true,
+                TermKind::ConstBool(false) => false,
+                TermKind::Cmp { op, lhs, rhs } => {
+                    self.propagate_cmp(arena, *op, *lhs, *rhs, changed)
+                }
+                TermKind::BoolBin {
+                    op: crate::term::BoolOp::And,
+                    lhs,
+                    rhs,
+                } => {
+                    self.propagate_one(arena, *lhs, changed)
+                        && self.propagate_one(arena, *rhs, changed)
+                }
+                // Other boolean structure (or, not over non-comparisons, ...) is
+                // not propagated; the search phases handle it.
+                _ => true,
+            }
+        }
+
+        fn propagate_cmp(
+            &mut self,
+            arena: &TermArena,
+            op: CmpOp,
+            lhs: TermId,
+            rhs: TermId,
+            changed: &mut bool,
+        ) -> bool {
+            let lv = arena.as_var(lhs);
+            let rv = arena.as_var(rhs);
+            let lc = arena.as_const_int(lhs).map(|(v, _)| v);
+            let rc = arena.as_const_int(rhs).map(|(v, _)| v);
+            match (lv, rv, lc, rc) {
+                // var op const
+                (Some(v), None, None, Some(c)) => self.narrow(arena, v, op, c, changed),
+                // const op var  =>  var (swapped op) const
+                (None, Some(v), Some(c), None) => self.narrow(arena, v, op.swap(), c, changed),
+                // var op var: propagate bounds both ways.
+                (Some(a), Some(b), None, None) => {
+                    let ia = self.get(arena, a);
+                    let ib = self.get(arena, b);
+                    if ia.is_empty() || ib.is_empty() {
+                        return false;
+                    }
+                    let (na, nb) = match op {
+                        CmpOp::Eq => {
+                            let m = ia.intersect(&ib);
+                            (m, m)
+                        }
+                        CmpOp::Ne => {
+                            if ia.is_point() && ib.is_point() && ia.lo == ib.lo {
+                                (Interval::empty(), Interval::empty())
+                            } else {
+                                (ia, ib)
+                            }
+                        }
+                        CmpOp::Ult => (
+                            ia.refine_cmp_const(CmpOp::Ult, ib.hi),
+                            ib.refine_cmp_const(CmpOp::Ugt, ia.lo),
+                        ),
+                        CmpOp::Ule => (
+                            ia.refine_cmp_const(CmpOp::Ule, ib.hi),
+                            ib.refine_cmp_const(CmpOp::Uge, ia.lo),
+                        ),
+                        CmpOp::Ugt => (
+                            ia.refine_cmp_const(CmpOp::Ugt, ib.lo),
+                            ib.refine_cmp_const(CmpOp::Ult, ia.hi),
+                        ),
+                        CmpOp::Uge => (
+                            ia.refine_cmp_const(CmpOp::Uge, ib.lo),
+                            ib.refine_cmp_const(CmpOp::Ule, ia.hi),
+                        ),
+                    };
+                    if na != ia {
+                        self.set(a, na);
+                        *changed = true;
+                    }
+                    if nb != ib {
+                        self.set(b, nb);
+                        *changed = true;
+                    }
+                    !na.is_empty() && !nb.is_empty()
+                }
+                // Structured terms (e.g. `(x & mask) == const`) are not
+                // interval-propagated; handled by the search phases.
+                _ => true,
+            }
+        }
+
+        fn narrow(
+            &mut self,
+            arena: &TermArena,
+            var: VarId,
+            op: CmpOp,
+            bound: u64,
+            changed: &mut bool,
+        ) -> bool {
+            let cur = self.get(arena, var);
+            let next = cur.refine_cmp_const(op, bound);
+            if next != cur {
+                self.set(var, next);
+                *changed = true;
+            }
+            !next.is_empty()
+        }
+    }
+
+    proptest! {
+        /// The dense layout tracks what the map did: the same variables in
+        /// the same ascending order with the same intervals, the same
+        /// propagation outcome (consistency, sweeps, convergence) — on a
+        /// fresh set and again after a second batch of constraints is
+        /// folded in on top, as an incremental session does.
+        #[test]
+        fn dense_domains_match_the_map(seed in any::<u64>()) {
+            let mut gen = TermGen::new(seed, 1 + (seed % 6) as usize, 1..=32);
+            let count = 1 + (seed >> 8) as usize % 8;
+            let constraints: Vec<TermId> = (0..count).map(|_| gen.constraint(2)).collect();
+            let (first, second) = constraints.split_at((seed >> 16) as usize % (count + 1));
+            let rounds = 1 + (seed >> 24) as usize % 16;
+            let arena = &gen.arena;
+
+            let mut dense = Domains::init(arena, first);
+            let mut map = MapDomains::init(arena, first);
+            let same = |dense: &Domains, map: &MapDomains| {
+                prop_assert_eq!(dense.iter().collect::<Vec<_>>(), map.iter().collect::<Vec<_>>());
+                prop_assert_eq!(dense.len(), map.len());
+                prop_assert_eq!(dense.any_empty(), map.any_empty());
+                prop_assert_eq!(dense.search_space(), map.search_space());
+                for &(v, _) in &gen.vars {
+                    prop_assert_eq!(dense.get(arena, v), map.get(arena, v));
+                }
+            };
+            same(&dense, &map);
+            prop_assert_eq!(
+                dense.propagate_counted(arena, first, rounds),
+                map.propagate_counted(arena, first, rounds)
+            );
+            same(&dense, &map);
+            dense.ensure_vars(arena, second);
+            map.ensure_vars(arena, second);
+            same(&dense, &map);
+            prop_assert_eq!(
+                dense.propagate_counted(arena, &constraints, rounds),
+                map.propagate_counted(arena, &constraints, rounds)
+            );
+            same(&dense, &map);
+        }
+    }
 
     #[test]
     fn interval_basics() {

@@ -113,6 +113,7 @@ impl Default for SolverConfig {
 pub struct Solver {
     config: SolverConfig,
     stats: SolverStats,
+    scratch: SearchScratch,
 }
 
 impl Solver {
@@ -126,6 +127,7 @@ impl Solver {
         Solver {
             config,
             stats: SolverStats::new(),
+            scratch: SearchScratch::default(),
         }
     }
 
@@ -218,6 +220,7 @@ impl Solver {
         decide(
             &self.config,
             &mut self.stats,
+            &mut self.scratch,
             arena,
             &simplified,
             &domains,
@@ -237,13 +240,14 @@ impl Solver {
 pub(crate) fn decide(
     config: &SolverConfig,
     stats: &mut SolverStats,
+    scratch: &mut SearchScratch,
     arena: &TermArena,
     constraints: &[TermId],
     domains: &Domains,
     seed: Option<&Model>,
 ) -> Verdict {
     let start = Instant::now();
-    let verdict = decide_inner(config, stats, arena, constraints, domains, seed);
+    let verdict = decide_inner(config, stats, scratch, arena, constraints, domains, seed);
     stats.search_time_ns += start.elapsed().as_nanos() as u64;
     verdict
 }
@@ -251,6 +255,7 @@ pub(crate) fn decide(
 fn decide_inner(
     config: &SolverConfig,
     stats: &mut SolverStats,
+    scratch: &mut SearchScratch,
     arena: &TermArena,
     constraints: &[TermId],
     domains: &Domains,
@@ -277,7 +282,7 @@ fn decide_inner(
     }
 
     // Phase 4: randomized local search.
-    let verdict = local_search(config, stats, arena, constraints, domains, seed);
+    let verdict = local_search(config, stats, scratch, arena, constraints, domains, seed);
     if verdict.is_sat() {
         stats.decided_by_search += 1;
     }
@@ -327,9 +332,49 @@ fn enumerate(
     }
 }
 
+/// Local search's working memory. A solver — one-shot or a session — owns
+/// one and lends it to every query it decides, so a query reuses the
+/// allocations of the ones before it; no value in it outlives the query
+/// that wrote it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SearchScratch {
+    /// The searched variables and their domains, in ascending order.
+    vars: Vec<(VarId, Interval)>,
+    /// Jump targets: constraint constants and their neighbours, in the
+    /// order [`interesting_constants`] pins.
+    jumps: Vec<u64>,
+    /// Dedup set over `jumps`.
+    jump_seen: FastHashSet<u64>,
+    /// Walk marks, shared with [`Domains::ensure_vars_with`].
+    pub(crate) walk: TermWalk,
+    /// The candidate assignment and its bookkeeping.
+    state: StateBuffers,
+}
+
+/// The buffers a [`SearchState`] works in.
+#[derive(Debug, Clone, Default)]
+struct StateBuffers {
+    /// Raw value per variable, indexed by [`VarId`] (seed values for
+    /// variables the search does not move, 0 for ones the seed omits —
+    /// what [`Model::get`] answers).
+    values: Vec<u64>,
+    /// `violated[i]`: constraint `i` does not hold under `values`.
+    violated: Vec<bool>,
+    /// `(variable index, constraint index)` for every variable a constraint
+    /// mentions, sorted; `mentions_of[v]..mentions_of[v + 1]` is variable
+    /// `v`'s stretch.
+    mentions: Vec<(u32, u32)>,
+    mentions_of: Vec<u32>,
+    /// The constraints the last [`SearchState::try_move`] flipped.
+    flipped: Vec<u32>,
+}
+
 /// Randomized hill-climbing search over the residual domains.
 ///
-/// The candidate lives in a [`SearchState`]: a move re-evaluates the
+/// The first point tried is the seed clamped into the domains, and most
+/// queries hold right there; what only a move needs — the jump constants,
+/// the mentions index, the random stream — is built once that point fails.
+/// The candidate then lives in a [`SearchState`]: a move re-evaluates the
 /// constraints that mention the moved variable and nothing else. The random
 /// stream, the move set, the `candidate == old` skips and plateau acceptance
 /// decide which assignments are tried and in which order, and those pin the
@@ -337,46 +382,64 @@ fn enumerate(
 fn local_search(
     config: &SolverConfig,
     stats: &mut SolverStats,
+    scratch: &mut SearchScratch,
     arena: &TermArena,
     constraints: &[TermId],
     domains: &Domains,
     seed: Option<&Model>,
 ) -> Verdict {
-    let vars: Vec<(VarId, Interval)> = domains.iter().collect();
+    let SearchScratch {
+        vars,
+        jumps,
+        jump_seen,
+        walk,
+        state: buffers,
+    } = scratch;
+    vars.clear();
+    vars.extend(domains.iter());
     if vars.is_empty() {
         return Verdict::Unknown;
     }
-    let mut walk = TermWalk::default();
-    let interesting = interesting_constants(arena, constraints, &mut walk);
-    let mut rng = StdRng::seed_from_u64(config.rng_seed);
-    let per_restart = config.search_iterations / config.search_restarts.max(1) as u64;
-    let mut state = SearchState::new(arena, constraints, seed, &mut walk);
+    let vars = &*vars;
+    let mut state = SearchState::new(arena, constraints, seed, buffers);
     // What a satisfying state returns: the seed with every searched
     // variable overwritten.
     let model_of = |state: &SearchState| {
         let mut model = seed.cloned().unwrap_or_default();
-        for &(v, _) in &vars {
+        for &(v, _) in vars {
             model.set(v, state.value(v));
         }
         Verdict::Sat(model)
     };
 
+    // Restart 0 starts from the seed clamped into the propagated domains.
+    // Only searched variables ever move, so the rest still hold their seed
+    // values. No random draw comes before this point, so building the
+    // walk's state only after it fails leaves every walk as it was.
+    for &(v, iv) in vars {
+        state.place(v, iv.clamp(seed.map_or(0, |m| m.get(v))));
+    }
+    let mut best = state.recount();
+    stats.candidates_evaluated += 1;
+    if best == 0 {
+        return model_of(&state);
+    }
+    interesting_constants(arena, constraints, walk, jumps, jump_seen);
+    state.index_mentions(walk);
+    let mut rng = StdRng::seed_from_u64(config.rng_seed);
+    let per_restart = config.search_iterations / config.search_restarts.max(1) as u64;
+
     for restart in 0..config.search_restarts.max(1) {
-        // Clamp the starting point into the propagated domains; later
-        // restarts start from random points for diversity. Only searched
-        // variables ever move, so the rest still hold their seed values.
-        for &(v, iv) in &vars {
-            let start = if restart == 0 {
-                iv.clamp(seed.map_or(0, |m| m.get(v)))
-            } else {
-                iv.lo + rng.gen_range(0..iv.size().max(1))
-            };
-            state.place(v, start);
-        }
-        let mut best = state.recount();
-        stats.candidates_evaluated += 1;
-        if best == 0 {
-            return model_of(&state);
+        if restart > 0 {
+            // Later restarts start from random points for diversity.
+            for &(v, iv) in vars {
+                state.place(v, iv.lo + rng.gen_range(0..iv.size().max(1)));
+            }
+            best = state.recount();
+            stats.candidates_evaluated += 1;
+            if best == 0 {
+                return model_of(&state);
+            }
         }
 
         for _ in 0..per_restart {
@@ -384,9 +447,7 @@ fn local_search(
             let old = state.value(var);
             let candidate = match rng.gen_range(0..6u32) {
                 // Jump to an interesting constant from the constraints.
-                0 if !interesting.is_empty() => {
-                    iv.clamp(interesting[rng.gen_range(0..interesting.len())])
-                }
+                0 if !jumps.is_empty() => iv.clamp(jumps[rng.gen_range(0..jumps.len())]),
                 // Jump to a domain boundary.
                 1 => iv.lo,
                 2 => iv.hi,
@@ -417,84 +478,78 @@ fn local_search(
 }
 
 /// Local search's candidate assignment and what is known about it: which
-/// constraints it violates, and which constraints each variable can affect.
+/// constraints it violates, and — once [`SearchState::index_mentions`] has
+/// run — which constraints each variable can affect.
 struct SearchState<'a> {
     arena: &'a TermArena,
     constraints: &'a [TermId],
-    /// Raw value per variable, indexed by [`VarId`] (seed values for
-    /// variables the search does not move, 0 for ones the seed omits —
-    /// what [`Model::get`] answers).
-    values: Vec<u64>,
-    /// `violated[i]`: constraint `i` does not hold under `values`.
-    violated: Vec<bool>,
+    buf: &'a mut StateBuffers,
     violations: usize,
-    /// `(variable index, constraint index)` for every variable a constraint
-    /// mentions, sorted; `mentions_of[v]..mentions_of[v + 1]` is variable
-    /// `v`'s stretch.
-    mentions: Vec<(u32, u32)>,
-    mentions_of: Vec<u32>,
-    /// The constraints the last [`SearchState::try_move`] flipped.
-    flipped: Vec<u32>,
 }
 
 impl<'a> SearchState<'a> {
+    /// The seed as a dense assignment, nothing scored yet.
     fn new(
         arena: &'a TermArena,
         constraints: &'a [TermId],
         seed: Option<&Model>,
-        walk: &mut TermWalk,
+        buf: &'a mut StateBuffers,
     ) -> Self {
-        let var_count = arena.var_count();
-        let mut values = vec![0u64; var_count];
+        buf.values.clear();
+        buf.values.resize(arena.var_count(), 0);
         for (v, x) in seed.into_iter().flat_map(Model::iter) {
-            if let Some(slot) = values.get_mut(v.index()) {
+            if let Some(slot) = buf.values.get_mut(v.index()) {
                 *slot = x;
             }
         }
-
-        let mut mentions = Vec::new();
-        for (i, &c) in constraints.iter().enumerate() {
-            walk.begin(arena);
-            arena.visit_leaves(c, walk, |leaf| {
-                if let Leaf::Var(v) = leaf {
-                    mentions.push((v.0, i as u32));
-                }
-            });
-        }
-        mentions.sort_unstable();
-        let mut mentions_of = vec![0u32; var_count + 1];
-        for &(v, _) in &mentions {
-            mentions_of[v as usize + 1] += 1;
-        }
-        for v in 0..var_count {
-            mentions_of[v + 1] += mentions_of[v];
-        }
-
+        buf.violated.clear();
+        buf.violated.resize(constraints.len(), false);
         SearchState {
             arena,
             constraints,
-            values,
-            violated: vec![false; constraints.len()],
+            buf,
             violations: 0,
-            mentions,
-            mentions_of,
-            flipped: Vec::new(),
+        }
+    }
+
+    /// Indexes the constraints each variable mentions, which a move needs
+    /// and a first point does not.
+    fn index_mentions(&mut self, walk: &mut TermWalk) {
+        let buf = &mut *self.buf;
+        buf.mentions.clear();
+        for (i, &c) in self.constraints.iter().enumerate() {
+            walk.begin(self.arena);
+            self.arena.visit_leaves(c, walk, |leaf| {
+                if let Leaf::Var(v) = leaf {
+                    buf.mentions.push((v.0, i as u32));
+                }
+            });
+        }
+        buf.mentions.sort_unstable();
+        let var_count = self.arena.var_count();
+        buf.mentions_of.clear();
+        buf.mentions_of.resize(var_count + 1, 0);
+        for &(v, _) in &buf.mentions {
+            buf.mentions_of[v as usize + 1] += 1;
+        }
+        for v in 0..var_count {
+            buf.mentions_of[v + 1] += buf.mentions_of[v];
         }
     }
 
     fn value(&self, var: VarId) -> u64 {
-        self.values[var.index()]
+        self.buf.values[var.index()]
     }
 
     /// Sets a variable without rescoring; [`SearchState::recount`] follows.
     fn place(&mut self, var: VarId, value: u64) {
-        self.values[var.index()] = value;
+        self.buf.values[var.index()] = value;
     }
 
     fn holds(&self, constraint: u32) -> bool {
         eval_bool(
             self.arena,
-            self.values.as_slice(),
+            self.buf.values.as_slice(),
             self.constraints[constraint as usize],
         )
     }
@@ -504,7 +559,7 @@ impl<'a> SearchState<'a> {
         self.violations = 0;
         for i in 0..self.constraints.len() {
             let violated = !self.holds(i as u32);
-            self.violated[i] = violated;
+            self.buf.violated[i] = violated;
             self.violations += usize::from(violated);
         }
         self.violations
@@ -513,15 +568,15 @@ impl<'a> SearchState<'a> {
     /// Moves `var` to `value` and returns the number of violated
     /// constraints, re-evaluating only those that mention `var`.
     fn try_move(&mut self, var: VarId, value: u64) -> usize {
-        self.values[var.index()] = value;
-        self.flipped.clear();
-        let stretch =
-            self.mentions_of[var.index()] as usize..self.mentions_of[var.index() + 1] as usize;
+        self.buf.values[var.index()] = value;
+        self.buf.flipped.clear();
+        let stretch = self.buf.mentions_of[var.index()] as usize
+            ..self.buf.mentions_of[var.index() + 1] as usize;
         for at in stretch {
-            let constraint = self.mentions[at].1;
+            let constraint = self.buf.mentions[at].1;
             let violated = !self.holds(constraint);
-            if violated != self.violated[constraint as usize] {
-                self.flipped.push(constraint);
+            if violated != self.buf.violated[constraint as usize] {
+                self.buf.flipped.push(constraint);
                 self.flip(constraint);
             }
         }
@@ -531,14 +586,14 @@ impl<'a> SearchState<'a> {
     /// Takes back the last [`SearchState::try_move`], which moved `var`
     /// away from `old`.
     fn undo_move(&mut self, var: VarId, old: u64) {
-        self.values[var.index()] = old;
-        while let Some(constraint) = self.flipped.pop() {
+        self.buf.values[var.index()] = old;
+        while let Some(constraint) = self.buf.flipped.pop() {
             self.flip(constraint);
         }
     }
 
     fn flip(&mut self, constraint: u32) {
-        let violated = &mut self.violated[constraint as usize];
+        let violated = &mut self.buf.violated[constraint as usize];
         *violated = !*violated;
         if *violated {
             self.violations += 1;
@@ -548,19 +603,22 @@ impl<'a> SearchState<'a> {
     }
 }
 
-/// Extracts constant operands of comparisons, plus their neighbors. These
-/// make good jump targets for local search, which indexes the list with its
-/// random stream — so the order is pinned: that of a depth-first walk from
-/// the last constraint to the first, right operand before left, each value
-/// where it is first met. A shared subterm is entered once; a second visit
-/// would meet only values already listed.
+/// Collects into `out` the constant operands of comparisons, plus their
+/// neighbors. These make good jump targets for local search, which indexes
+/// the list with its random stream — so the order is pinned: that of a
+/// depth-first walk from the last constraint to the first, right operand
+/// before left, each value where it is first met. A shared subterm is
+/// entered once; a second visit would meet only values already listed.
+/// `known` is the dedup set, cleared here like `out`.
 fn interesting_constants(
     arena: &TermArena,
     constraints: &[TermId],
     walk: &mut TermWalk,
-) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut known: FastHashSet<u64> = FastHashSet::default();
+    out: &mut Vec<u64>,
+    known: &mut FastHashSet<u64>,
+) {
+    out.clear();
+    known.clear();
     walk.begin(arena);
     for &c in constraints.iter().rev() {
         arena.visit_leaves(c, walk, |leaf| {
@@ -573,14 +631,15 @@ fn interesting_constants(
             }
         });
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::term::TermKind;
-    use crate::testkit::{exhaustively_satisfiable, reference_count_violations, TermGen};
+    use crate::testkit::{
+        exhaustively_satisfiable, reference_count_violations, reference_eval, TermGen,
+    };
     use proptest::prelude::*;
 
     fn solver() -> Solver {
@@ -847,38 +906,79 @@ mod tests {
         out
     }
 
-    /// A random constraint set over `var_count` variables, propagated as
-    /// `decide` would receive it; `None` when propagation already refutes
-    /// it.
-    fn search_problem(
-        gen: &mut TermGen,
-        constraint_count: usize,
-    ) -> Option<(Vec<TermId>, Domains)> {
-        let raw: Vec<TermId> = (0..constraint_count).map(|_| gen.constraint(3)).collect();
-        let constraints = match preprocess(&mut gen.arena, &raw) {
+    /// A constraint set preprocessed and propagated as `decide` would
+    /// receive it; `None` when preprocessing or propagation already
+    /// decides it.
+    fn search_problem(arena: &mut TermArena, raw: &[TermId]) -> Option<(Vec<TermId>, Domains)> {
+        let constraints = match preprocess(arena, raw) {
             Preprocessed::Constraints(cs) if !cs.is_empty() => cs,
             _ => return None,
         };
-        let mut domains = Domains::init(&gen.arena, &constraints);
+        let mut domains = Domains::init(arena, &constraints);
         domains
-            .propagate(&gen.arena, &constraints, 16)
+            .propagate(arena, &constraints, 16)
             .then_some((constraints, domains))
+    }
+
+    /// Runs the product local search and its reference on one query and
+    /// asserts they agree: verdict, model and candidate count. Returns the
+    /// count.
+    fn assert_search_matches(
+        config: &SolverConfig,
+        scratch: &mut SearchScratch,
+        arena: &TermArena,
+        constraints: &[TermId],
+        domains: &Domains,
+        start: Option<&Model>,
+    ) -> u64 {
+        let (mut stats, mut reference_stats) = (SolverStats::new(), SolverStats::new());
+        let verdict = local_search(
+            config,
+            &mut stats,
+            scratch,
+            arena,
+            constraints,
+            domains,
+            start,
+        );
+        let reference = reference_local_search(
+            config,
+            &mut reference_stats,
+            arena,
+            constraints,
+            domains,
+            start,
+        );
+        assert_eq!(verdict, reference);
+        assert_eq!(
+            stats.candidates_evaluated,
+            reference_stats.candidates_evaluated
+        );
+        if let Verdict::Sat(model) = &verdict {
+            assert_eq!(reference_count_violations(model, arena, constraints), 0);
+        }
+        stats.candidates_evaluated
     }
 
     proptest! {
         /// The rewritten local search returns what the old one did: the
         /// same verdict, the same model, after the same number of
         /// candidates — on 1–6 variables of 4–32 bits, with and without a
-        /// seed model, across restarts.
+        /// seed model, across restarts. Each case asks two queries through
+        /// one scratch: a random constraint set, and the part of it the
+        /// seed satisfies, which the first point decides whenever the seed
+        /// already lies in the domains.
         #[test]
         fn local_search_matches_its_reference(seed in any::<u64>()) {
             let mut gen = TermGen::new(seed, 1 + (seed % 6) as usize, 4..=32);
             let constraint_count = 1 + (seed >> 8) as usize % 8;
-            let Some((constraints, domains)) = search_problem(&mut gen, constraint_count) else {
-                // Refuted before any search: nothing to compare.
-                return;
-            };
             let model = gen.model();
+            let raw: Vec<TermId> = (0..constraint_count).map(|_| gen.constraint(3)).collect();
+            let held: Vec<TermId> = raw
+                .iter()
+                .copied()
+                .filter(|&c| reference_eval(&model, &gen.arena, c).expect_bool())
+                .collect();
             let start = (seed >> 16) % 2 == 0;
             let start = start.then_some(&model);
             let config = SolverConfig {
@@ -887,20 +987,29 @@ mod tests {
                 rng_seed: seed ^ 0xD1CE,
                 ..SolverConfig::default()
             };
-            let (mut stats, mut reference_stats) = (SolverStats::new(), SolverStats::new());
-            let verdict = local_search(&config, &mut stats, &gen.arena, &constraints, &domains, start);
-            let reference = reference_local_search(
-                &config,
-                &mut reference_stats,
-                &gen.arena,
-                &constraints,
-                &domains,
-                start,
-            );
-            prop_assert_eq!(&verdict, &reference);
-            prop_assert_eq!(stats.candidates_evaluated, reference_stats.candidates_evaluated);
-            if let Verdict::Sat(model) = &verdict {
-                prop_assert_eq!(reference_count_violations(model, &gen.arena, &constraints), 0);
+            let mut scratch = SearchScratch::default();
+            for query in [raw, held] {
+                // Refuted before any search: nothing to compare.
+                let Some((constraints, domains)) = search_problem(&mut gen.arena, &query) else {
+                    continue;
+                };
+                let candidates = assert_search_matches(
+                    &config,
+                    &mut scratch,
+                    &gen.arena,
+                    &constraints,
+                    &domains,
+                    start,
+                );
+                let seed_in_domains = start.is_some_and(|m| {
+                    domains.iter().all(|(v, iv)| iv.contains(m.get(v)))
+                });
+                let seed_holds = start.is_some_and(|m| {
+                    reference_count_violations(m, &gen.arena, &constraints) == 0
+                });
+                if seed_in_domains && seed_holds {
+                    prop_assert_eq!(candidates, 1, "a seed that holds is the first point");
+                }
             }
         }
     }
@@ -910,8 +1019,16 @@ mod tests {
         for seed in 0..200 {
             let mut gen = TermGen::new(seed, 3, 4..=32);
             let constraints: Vec<TermId> = (0..6).map(|_| gen.constraint(3)).collect();
+            let (mut out, mut known) = (vec![7], FastHashSet::from_iter([7]));
+            interesting_constants(
+                &gen.arena,
+                &constraints,
+                &mut TermWalk::default(),
+                &mut out,
+                &mut known,
+            );
             assert_eq!(
-                interesting_constants(&gen.arena, &constraints, &mut TermWalk::default()),
+                out,
                 reference_interesting_constants(&gen.arena, &constraints),
                 "seed {seed}"
             );

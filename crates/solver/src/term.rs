@@ -260,7 +260,7 @@ pub(crate) enum Leaf {
 /// Scratch for [`TermArena::visit_leaves`]: which terms a traversal has
 /// entered, kept as epoch stamps so that starting over costs nothing and one
 /// allocation serves every constraint of a query.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TermWalk {
     marks: Vec<u32>,
     stack: Vec<TermId>,

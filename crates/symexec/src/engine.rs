@@ -4,9 +4,9 @@
 //!
 //! 1. execute the program under test with a concrete input, recording the
 //!    branch constraints along the executed path;
-//! 2. pick a recorded branch (according to the search strategy) and ask the
-//!    solver for an input that satisfies the path prefix plus the *negated*
-//!    branch predicate;
+//! 2. pick a recorded branch — generation by generation, shallowest first
+//!    ([`crate::strategy`]) — and ask the solver for an input that satisfies
+//!    the path prefix plus the *negated* branch predicate;
 //! 3. execute the program with the generated input, record its path, update
 //!    the aggregate constraint/coverage set, and repeat until the path
 //!    budget is exhausted or no unexplored branches remain.
@@ -18,11 +18,13 @@
 //!
 //! By default the engine runs steps 2–3 as a *batched worklist* rather
 //! than strictly one candidate at a time: it drains a wave of independent
-//! candidates from the worklist, groups them by originating run, solves
-//! each group incrementally against its shared path prefix
-//! ([`dice_solver::IncrementalSolver`]), then executes the solved inputs
-//! in wave order — all on the calling thread; parallelism lives above the
-//! engine, across observed inputs and nodes. Runs, coverage and
+//! candidates — one generation's, off the top of the worklist's heap —
+//! groups them by originating run, solves each group incrementally against
+//! its shared path prefix ([`dice_solver::IncrementalSolver`]; one session
+//! per exploration, reset between groups, so its buffers are allocated
+//! once), then executes the solved inputs in wave order — all on the
+//! calling thread; parallelism lives above the engine, across observed
+//! inputs and nodes. Runs, coverage and
 //! per-candidate engine counters are identical to the sequential loop
 //! (`EngineConfig::batch_size == 0`, the reference the equivalence tests
 //! compare against); only the *solver-internal* statistics differ (the
@@ -51,7 +53,7 @@ use crate::context::ExecCtx;
 use crate::coverage::Coverage;
 use crate::input::InputValues;
 use crate::path::{ExecTrace, PathId};
-use crate::strategy::{Candidate, SearchStrategy, Worklist};
+use crate::strategy::{Candidate, Worklist};
 
 /// A program that can be executed concolically.
 ///
@@ -93,8 +95,6 @@ pub struct EngineConfig {
     /// Maximum number of negation candidates taken from a single run
     /// (0 means unlimited).
     pub max_candidates_per_run: usize,
-    /// Search strategy for candidate selection.
-    pub strategy: SearchStrategy,
     /// Solver configuration.
     pub solver: SolverConfig,
     /// If true, skip negation candidates whose target `(site, direction)`
@@ -106,11 +106,6 @@ pub struct EngineConfig {
     /// Maximum number of candidates drained from the worklist per wave in
     /// the batched worklist mode. `0` disables batching entirely and runs
     /// the sequential negate-solve-execute loop.
-    ///
-    /// Only [`SearchStrategy::Generational`] pops are order-stable under
-    /// batching (see [`SearchStrategy::batchable`]); configurations with
-    /// other strategies fall back to the sequential loop regardless of
-    /// this setting.
     pub batch_size: usize,
 }
 
@@ -120,7 +115,6 @@ impl Default for EngineConfig {
             max_runs: 256,
             max_branches_per_run: 10_000,
             max_candidates_per_run: 0,
-            strategy: SearchStrategy::Generational,
             solver: SolverConfig::default(),
             prune_covered_directions: false,
             batch_size: 16,
@@ -145,12 +139,6 @@ impl EngineConfig {
     /// run (0 means unlimited).
     pub fn with_max_candidates_per_run(mut self, max: usize) -> Self {
         self.max_candidates_per_run = max;
-        self
-    }
-
-    /// Sets the search strategy for candidate selection.
-    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -308,12 +296,12 @@ struct ExplorationState<O> {
 }
 
 impl<O> ExplorationState<O> {
-    fn new(strategy: SearchStrategy) -> Self {
+    fn new() -> Self {
         ExplorationState {
             runs: Vec::new(),
             coverage: Coverage::new(),
             stats: ExplorationStats::default(),
-            worklist: Worklist::new(strategy),
+            worklist: Worklist::new(),
             attempted: FastHashSet::default(),
         }
     }
@@ -376,15 +364,9 @@ impl ConcolicEngine {
         program: &mut P,
         seeds: &[InputValues],
     ) -> Exploration<P::Output> {
-        // Batching requires a strategy whose pop order survives deferred
-        // integration; coverage pruning additionally consults state the
-        // wave pipeline cannot replay. Everything else gains nothing from
-        // single-candidate waves (no shared prefix to reuse),
-        // so those configurations run the plain sequential loop.
-        if self.config.batch_size == 0
-            || self.config.prune_covered_directions
-            || !self.config.strategy.batchable()
-        {
+        // Coverage pruning consults state the wave pipeline cannot replay,
+        // so it runs the plain sequential loop.
+        if self.config.batch_size == 0 || self.config.prune_covered_directions {
             self.explore_sequential(program, seeds)
         } else {
             self.explore_batched(program, seeds)
@@ -401,13 +383,13 @@ impl ConcolicEngine {
     ) -> Exploration<P::Output> {
         let start = Instant::now();
         let mut solver = Solver::with_config(self.config.solver);
-        let mut state = ExplorationState::new(self.config.strategy);
+        let mut state = ExplorationState::new();
 
         self.execute_seeds(program, seeds, &mut state);
 
         // Main negate-solve-execute loop.
         while state.runs.len() < self.config.max_runs {
-            let Some(candidate) = state.worklist.pop(&state.coverage) else {
+            let Some(candidate) = state.worklist.pop() else {
                 break;
             };
             if self.config.prune_covered_directions
@@ -476,8 +458,8 @@ impl ConcolicEngine {
         seeds: &[InputValues],
     ) -> Exploration<P::Output> {
         let start = Instant::now();
-        let mut state = ExplorationState::new(self.config.strategy);
-        let mut solver_stats = SolverStats::new();
+        let mut state = ExplorationState::new();
+        let mut session = IncrementalSolver::with_config(self.config.solver);
         let mut wave_latency = dice_obs::Histogram::new();
 
         self.execute_seeds(program, seeds, &mut state);
@@ -492,11 +474,11 @@ impl ConcolicEngine {
             let mut wave_span = dice_obs::span("symexec", "symexec.wave");
             wave_span.set_detail(wave.len() as u64);
             let wave_started = Instant::now();
-            self.solve_and_commit(program, &wave, &mut state, &mut solver_stats);
+            self.solve_and_commit(program, &wave, &mut state, &mut session);
             wave_latency.record_duration(wave_started.elapsed());
         }
 
-        state.finish(start, solver_stats, wave_latency)
+        state.finish(start, *session.stats(), wave_latency)
     }
 
     /// Executes the seed inputs (the paper's "previously observed inputs").
@@ -522,21 +504,23 @@ impl ConcolicEngine {
     }
 
     /// Drains the next wave of candidates: up to `budget` (and at most
-    /// [`EngineConfig::batch_size`]) entries the strategy would pop
+    /// [`EngineConfig::batch_size`]) entries the worklist would pop
     /// consecutively regardless of interleaved executions, with
     /// already-attempted targets filtered out exactly as the sequential
     /// loop does at pop time.
+    ///
+    /// That is one generation's candidates: runs executed while a
+    /// generation-`g` wave is in flight only enqueue generation-`g + 1`
+    /// candidates, which the worklist's `(generation, branch_index)` order
+    /// never prefers over the `g` candidates still queued.
     fn drain_wave<O>(&self, state: &mut ExplorationState<O>, budget: usize) -> Vec<WaveItem> {
-        // `explore` only routes batchable strategies here.
-        debug_assert!(self.config.strategy.batchable());
         let limit = budget.min(self.config.batch_size);
         let mut wave: Vec<WaveItem> = Vec::new();
         while wave.len() < limit {
-            let first = wave.first().map(|w| w.candidate);
-            let popped = state.worklist.pop_if(&state.coverage, |c| match &first {
-                None => true,
-                Some(f) => self.config.strategy.same_wave(f, c),
-            });
+            let first = wave.first().map(|w| w.candidate.generation);
+            let popped = state
+                .worklist
+                .pop_if(|c| first.is_none_or(|generation| c.generation == generation));
             let Some(candidate) = popped else {
                 break;
             };
@@ -552,15 +536,15 @@ impl ConcolicEngine {
         wave
     }
 
-    /// Solves a wave's candidates (one incremental session per originating
-    /// run, shared prefix asserted once), then commits the results —
-    /// executing satisfiable inputs — in wave order.
+    /// Solves a wave's candidates (one group per originating run, its
+    /// shared prefix asserted once), then commits the results — executing
+    /// satisfiable inputs — in wave order.
     fn solve_and_commit<P: SymbolicProgram>(
         &self,
         program: &mut P,
         wave: &[WaveItem],
         state: &mut ExplorationState<P::Output>,
-        solver_stats: &mut SolverStats,
+        session: &mut IncrementalSolver,
     ) {
         // Group wave positions by originating run; each group becomes one
         // incremental solver session over that run's trace.
@@ -580,8 +564,7 @@ impl ConcolicEngine {
             // monotonically.
             items.sort_by_key(|(_, c)| c.branch_index);
             let trace = &mut state.runs[run_index].trace;
-            let group_stats = solve_group(self.config.solver, trace, &items, &mut solved);
-            solver_stats.merge(&group_stats);
+            solve_group(session, trace, &items, &mut solved);
         }
 
         let mut wave_paths: FastHashSet<PathId> = FastHashSet::default();
@@ -696,18 +679,18 @@ impl ConcolicEngine {
 }
 
 /// Solves one candidate group — `(wave position, candidate)` pairs of one
-/// originating run, in branch-index order — as an incremental session over
-/// that run's trace: the shared path prefix is asserted (and propagated)
+/// originating run, in branch-index order — over that run's trace: the
+/// session is reset, the shared path prefix is asserted (and propagated)
 /// once, each candidate's negated branch solved in its own push/pop frame.
 /// Answers land in `solved` at their wave positions; the session's
-/// statistics are returned.
+/// statistics accumulate across groups.
 fn solve_group(
-    config: SolverConfig,
+    session: &mut IncrementalSolver,
     trace: &mut ExecTrace,
     items: &[(usize, Candidate)],
     solved: &mut [Option<SolveMsg>],
-) -> SolverStats {
-    let mut session = IncrementalSolver::with_config(config);
+) {
+    session.reset();
     let mut next_branch = 0usize;
     for &(pos, candidate) in items {
         let index = candidate.branch_index;
@@ -742,7 +725,6 @@ fn solve_group(
             Verdict::Unknown => SolveMsg::Unknown,
         });
     }
-    *session.stats()
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ pub use engine::{
 };
 pub use input::{InputField, InputSpec, InputValues};
 pub use path::{path_id, ExecTrace, PathId};
-pub use strategy::{Candidate, SearchStrategy, Worklist};
+pub use strategy::{Candidate, Worklist};
 pub use value::{Concolic, ConcolicBool, ConcolicInt, CU16, CU32, CU64, CU8};
 
 // Solver handles that appear in this crate's public API (branch records and

@@ -1,15 +1,16 @@
-//! Search strategies for selecting the next branch to negate.
+//! The order in which recorded branches are negated.
 //!
-//! Oasis (the engine the paper builds on) "has multiple search strategies";
-//! the default "attempts to cover all execution paths reachable by the set
-//! of controlled symbolic inputs". This module provides the equivalent
-//! choices for the Rust engine.
+//! Oasis (the engine the paper builds on) "attempts to cover all execution
+//! paths reachable by the set of controlled symbolic inputs". The engine
+//! does so generation by generation, as SAGE-style whitebox fuzzing does:
+//! every branch of the seed runs is negated before any branch of a run
+//! those negations produced, and within a generation the shallowest branch
+//! goes first. The [`Worklist`] is a min-heap on that order.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use crate::context::SiteId;
-use crate::coverage::Coverage;
 
 /// A pending exploration candidate: negate branch `branch_index` of run
 /// `run_index`.
@@ -21,7 +22,7 @@ pub struct Candidate {
     pub branch_index: usize,
     /// Exploration generation of the run (seeds are generation 0).
     pub generation: u32,
-    /// Branch site, used for coverage-guided selection.
+    /// Branch site, for coverage accounting.
     pub site: SiteId,
     /// Direction the original run took at this branch.
     pub taken: bool,
@@ -32,176 +33,91 @@ pub struct Candidate {
     pub is_policy: bool,
 }
 
-/// Strategy used to pick the next candidate from the worklist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchStrategy {
-    /// Negate the most recently discovered, deepest branch first (LIFO).
-    DepthFirst,
-    /// Explore runs generation by generation (FIFO), the default of the
-    /// paper's engine and of SAGE-style whitebox fuzzing.
-    #[default]
-    Generational,
-    /// Prefer candidates whose unexplored direction has never been covered
-    /// at that site; fall back to generational order.
-    CoverageGuided,
-    /// Pick uniformly at random (deterministic given the seed).
-    Random {
-        /// RNG seed.
-        seed: u64,
-    },
-}
-
-impl SearchStrategy {
-    /// Returns true if the strategy's pop order is unaffected by deferring
-    /// the integration of executed runs, i.e. whether the engine may drain
-    /// several candidates as one batch and still pop in exactly the order
-    /// the sequential negate-solve-execute loop would.
-    ///
-    /// This holds for [`SearchStrategy::Generational`]: runs generated
-    /// while a generation-`g` wave is in flight only enqueue
-    /// generation-`g+1` candidates, which strict `(generation,
-    /// branch_index)` ordering never prefers over remaining `g` candidates.
-    /// The other strategies consult state that changes with every execution
-    /// (depth frontier, coverage, RNG draws), so the engine runs them
-    /// through the sequential loop instead.
-    pub fn batchable(&self) -> bool {
-        matches!(self, SearchStrategy::Generational)
-    }
-
-    /// Returns true if `next` may join a batch started by `first` without
-    /// changing the sequential pop order. Only meaningful when
-    /// [`SearchStrategy::batchable`] holds.
-    pub fn same_wave(&self, first: &Candidate, next: &Candidate) -> bool {
-        self.batchable() && first.generation == next.generation
-    }
-}
-
-/// Worklist of pending candidates with strategy-driven selection.
+/// A queued candidate and its place in the order: `(generation,
+/// branch_index)`, ties broken by insertion.
 #[derive(Debug)]
+struct Queued {
+    key: (u32, usize, u64),
+    candidate: Candidate,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Queued {}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// Pending candidates, popped lowest generation first, then shallowest
+/// branch, then earliest enqueued.
+///
+/// Insertion order breaks ties, so a run of candidates with equal keys
+/// pops in the order it was pushed — a property the batched engine relies
+/// on to pop in exactly the sequential order.
+#[derive(Debug, Default)]
 pub struct Worklist {
-    strategy: SearchStrategy,
-    items: Vec<Candidate>,
-    rng: StdRng,
+    heap: BinaryHeap<Reverse<Queued>>,
+    /// Insertion counter, the last component of every key.
+    pushed: u64,
 }
 
 impl Worklist {
-    /// Creates an empty worklist using the given strategy.
-    pub fn new(strategy: SearchStrategy) -> Self {
-        let seed = match strategy {
-            SearchStrategy::Random { seed } => seed,
-            _ => 0,
-        };
-        Worklist {
-            strategy,
-            items: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
-        }
+    /// Creates an empty worklist.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Adds a candidate.
-    pub fn push(&mut self, c: Candidate) {
-        self.items.push(c);
+    pub fn push(&mut self, candidate: Candidate) {
+        let key = (candidate.generation, candidate.branch_index, self.pushed);
+        self.pushed += 1;
+        self.heap.push(Reverse(Queued { key, candidate }));
     }
 
     /// Number of pending candidates.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.heap.len()
     }
 
     /// Returns true if no candidates are pending.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.heap.is_empty()
     }
 
-    /// Selects and removes the next candidate according to the strategy.
-    ///
-    /// Removal preserves the insertion order of the remaining candidates,
-    /// so ties (equal strategy keys) always break toward the earliest
-    /// enqueued candidate — a property the batched engine relies on to pop
-    /// in exactly the sequential order.
-    pub fn pop(&mut self, coverage: &Coverage) -> Option<Candidate> {
-        self.pop_if(coverage, |_| true)
+    /// Removes and returns the next candidate.
+    pub fn pop(&mut self) -> Option<Candidate> {
+        self.heap.pop().map(|Reverse(queued)| queued.candidate)
     }
 
-    /// Like [`Worklist::pop`], but lets the caller inspect the selected
+    /// Like [`Worklist::pop`], but lets the caller inspect the next
     /// candidate first: if `accept` returns false the candidate stays in
     /// the worklist and `None` is returned.
-    ///
-    /// With [`SearchStrategy::Random`] a refusal still consumes an RNG
-    /// draw, perturbing subsequent selections; callers batching waves
-    /// should consult [`SearchStrategy::batchable`] and never probe
-    /// non-batchable strategies.
-    pub fn pop_if(
-        &mut self,
-        coverage: &Coverage,
-        accept: impl FnOnce(&Candidate) -> bool,
-    ) -> Option<Candidate> {
-        if self.items.is_empty() {
+    pub fn pop_if(&mut self, accept: impl FnOnce(&Candidate) -> bool) -> Option<Candidate> {
+        let Reverse(next) = self.heap.peek()?;
+        if !accept(&next.candidate) {
             return None;
         }
-        let idx = match self.strategy {
-            SearchStrategy::DepthFirst => {
-                // Last inserted, deepest branch.
-                let mut best = self.items.len() - 1;
-                for (i, c) in self.items.iter().enumerate() {
-                    let b = &self.items[best];
-                    if (c.generation, c.branch_index) > (b.generation, b.branch_index) {
-                        best = i;
-                    }
-                }
-                best
-            }
-            SearchStrategy::Generational => {
-                // Lowest generation, then shallowest branch: breadth-first
-                // over the execution tree.
-                let mut best = 0;
-                for (i, c) in self.items.iter().enumerate() {
-                    let b = &self.items[best];
-                    if (c.generation, c.branch_index) < (b.generation, b.branch_index) {
-                        best = i;
-                    }
-                }
-                best
-            }
-            SearchStrategy::CoverageGuided => {
-                // Prefer candidates targeting a direction never covered.
-                let mut best: Option<usize> = None;
-                for (i, c) in self.items.iter().enumerate() {
-                    let uncovered = !coverage.direction_covered(c.site, !c.taken);
-                    let best_uncovered = best
-                        .map(|b| {
-                            !coverage.direction_covered(self.items[b].site, !self.items[b].taken)
-                        })
-                        .unwrap_or(false);
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            let bc = &self.items[b];
-                            (uncovered, std::cmp::Reverse((c.generation, c.branch_index)))
-                                > (
-                                    best_uncovered,
-                                    std::cmp::Reverse((bc.generation, bc.branch_index)),
-                                )
-                        }
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-                best.unwrap_or(0)
-            }
-            SearchStrategy::Random { .. } => self.rng.gen_range(0..self.items.len()),
-        };
-        if !accept(&self.items[idx]) {
-            return None;
-        }
-        Some(self.items.remove(idx))
+        self.pop()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cand(run: usize, branch: usize, generation: u32, site: u64, taken: bool) -> Candidate {
         Candidate {
@@ -214,102 +130,69 @@ mod tests {
         }
     }
 
+    /// The generational worklist as it was before the heap: a vector
+    /// scanned for its first minimum on every pop, removed from in place.
+    #[derive(Default)]
+    struct Scanned {
+        items: Vec<Candidate>,
+    }
+
+    impl Scanned {
+        fn pop_if(&mut self, accept: impl FnOnce(&Candidate) -> bool) -> Option<Candidate> {
+            if self.items.is_empty() {
+                return None;
+            }
+            // Lowest generation, then shallowest branch: breadth-first
+            // over the execution tree.
+            let mut best = 0;
+            for (i, c) in self.items.iter().enumerate() {
+                let b = &self.items[best];
+                if (c.generation, c.branch_index) < (b.generation, b.branch_index) {
+                    best = i;
+                }
+            }
+            if !accept(&self.items[best]) {
+                return None;
+            }
+            Some(self.items.remove(best))
+        }
+    }
+
     #[test]
     fn generational_pops_lowest_generation_first() {
-        let mut wl = Worklist::new(SearchStrategy::Generational);
+        let mut wl = Worklist::new();
         wl.push(cand(1, 3, 2, 10, true));
         wl.push(cand(0, 1, 0, 11, true));
         wl.push(cand(2, 0, 1, 12, false));
-        let cov = Coverage::new();
-        let first = wl.pop(&cov).expect("non-empty");
+        let first = wl.pop().expect("non-empty");
         assert_eq!(first.generation, 0);
-        let second = wl.pop(&cov).expect("non-empty");
+        let second = wl.pop().expect("non-empty");
         assert_eq!(second.generation, 1);
     }
 
     #[test]
-    fn depth_first_pops_deepest_latest() {
-        let mut wl = Worklist::new(SearchStrategy::DepthFirst);
-        wl.push(cand(0, 1, 0, 10, true));
-        wl.push(cand(1, 5, 1, 11, true));
-        wl.push(cand(1, 2, 1, 12, false));
-        let cov = Coverage::new();
-        let first = wl.pop(&cov).expect("non-empty");
-        assert_eq!((first.generation, first.branch_index), (1, 5));
-    }
-
-    #[test]
-    fn coverage_guided_prefers_uncovered_directions() {
-        let mut wl = Worklist::new(SearchStrategy::CoverageGuided);
-        wl.push(cand(0, 0, 0, 10, true)); // negation targets (10, false)
-        wl.push(cand(0, 1, 0, 11, true)); // negation targets (11, false)
-        let mut cov = Coverage::new();
-        // Site 10's false direction is already covered; site 11's is not.
-        cov.record(SiteId(10), false);
-        cov.record(SiteId(10), true);
-        cov.record(SiteId(11), true);
-        let first = wl.pop(&cov).expect("non-empty");
-        assert_eq!(first.site, SiteId(11));
-    }
-
-    #[test]
-    fn random_is_deterministic_for_seed() {
-        let order = |seed| {
-            let mut wl = Worklist::new(SearchStrategy::Random { seed });
-            for i in 0..8 {
-                wl.push(cand(i, 0, 0, i as u64, true));
-            }
-            let cov = Coverage::new();
-            let mut out = Vec::new();
-            while let Some(c) = wl.pop(&cov) {
-                out.push(c.run_index);
-            }
-            out
-        };
-        assert_eq!(order(42), order(42));
-        assert_eq!(order(42).len(), 8);
-    }
-
-    #[test]
     fn pop_if_leaves_refused_candidates_in_place() {
-        let mut wl = Worklist::new(SearchStrategy::Generational);
+        let mut wl = Worklist::new();
         wl.push(cand(0, 0, 0, 10, true));
         wl.push(cand(1, 0, 1, 11, true));
-        let cov = Coverage::new();
-        let first = wl.pop(&cov).expect("non-empty");
+        let first = wl.pop().expect("non-empty");
         assert_eq!(first.generation, 0);
         // The next selection is generation 1; a same-wave barrier refuses it.
-        let strategy = SearchStrategy::Generational;
-        let refused = wl.pop_if(&cov, |c| strategy.same_wave(&first, c));
+        let refused = wl.pop_if(|c| c.generation == first.generation);
         assert!(refused.is_none());
         assert_eq!(wl.len(), 1, "refused candidate stays queued");
-        let accepted = wl.pop(&cov).expect("still there");
+        let accepted = wl.pop().expect("still there");
         assert_eq!(accepted.generation, 1);
     }
 
     #[test]
-    fn only_generational_is_batchable() {
-        assert!(SearchStrategy::Generational.batchable());
-        assert!(!SearchStrategy::DepthFirst.batchable());
-        assert!(!SearchStrategy::CoverageGuided.batchable());
-        assert!(!SearchStrategy::Random { seed: 1 }.batchable());
-        let a = cand(0, 0, 2, 10, true);
-        let same = cand(1, 3, 2, 11, false);
-        let other = cand(1, 3, 3, 11, false);
-        assert!(SearchStrategy::Generational.same_wave(&a, &same));
-        assert!(!SearchStrategy::Generational.same_wave(&a, &other));
-        assert!(!SearchStrategy::DepthFirst.same_wave(&a, &same));
-    }
-
-    #[test]
     fn pop_breaks_ties_by_insertion_order() {
-        let mut wl = Worklist::new(SearchStrategy::Generational);
+        let mut wl = Worklist::new();
         // Equal (generation, branch_index) keys: insertion order decides.
         wl.push(cand(7, 0, 0, 10, true));
         wl.push(cand(8, 0, 0, 11, true));
         wl.push(cand(9, 0, 0, 12, true));
-        let cov = Coverage::new();
-        let order: Vec<usize> = std::iter::from_fn(|| wl.pop(&cov))
+        let order: Vec<usize> = std::iter::from_fn(|| wl.pop())
             .map(|c| c.run_index)
             .collect();
         assert_eq!(order, vec![7, 8, 9]);
@@ -317,9 +200,43 @@ mod tests {
 
     #[test]
     fn pop_on_empty_returns_none() {
-        let mut wl = Worklist::new(SearchStrategy::default());
-        assert!(wl.pop(&Coverage::new()).is_none());
+        let mut wl = Worklist::new();
+        assert!(wl.pop().is_none());
+        assert!(wl.pop_if(|_| true).is_none());
         assert!(wl.is_empty());
         assert_eq!(wl.len(), 0);
+    }
+
+    proptest! {
+        /// The heap pops what the first-minimum scan popped, through any
+        /// interleaving of pushes, pops and refused `pop_if`s, with keys
+        /// drawn from a small range so equal keys are common.
+        #[test]
+        fn the_heap_pops_what_the_scan_popped(
+            ops in prop::collection::vec((0u8..4, 0u32..3, 0usize..4, any::<bool>()), 1..200)
+        ) {
+            let (mut heap, mut scan) = (Worklist::new(), Scanned::default());
+            for (step, (op, generation, branch, refuse)) in ops.into_iter().enumerate() {
+                match op {
+                    0 | 1 => {
+                        let c = cand(step, branch, generation, step as u64, refuse);
+                        heap.push(c);
+                        scan.items.push(c);
+                    }
+                    // A wave barrier: accept only the given generation, or
+                    // refuse outright.
+                    2 => {
+                        let accept = |c: &Candidate| !refuse && c.generation == generation;
+                        prop_assert_eq!(heap.pop_if(accept), scan.pop_if(accept));
+                    }
+                    _ => prop_assert_eq!(heap.pop(), scan.pop_if(|_| true)),
+                }
+                prop_assert_eq!(heap.len(), scan.items.len());
+            }
+            while let Some(c) = heap.pop() {
+                prop_assert_eq!(Some(c), scan.pop_if(|_| true));
+            }
+            prop_assert!(scan.items.is_empty());
+        }
     }
 }

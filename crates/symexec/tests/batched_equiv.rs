@@ -8,9 +8,7 @@
 
 use std::collections::HashSet;
 
-use dice_symexec::{
-    ConcolicEngine, EngineConfig, ExecCtx, Exploration, InputValues, SearchStrategy,
-};
+use dice_symexec::{ConcolicEngine, EngineConfig, ExecCtx, Exploration, InputValues};
 
 /// Figure 1 of the paper: nested branches, three reachable paths.
 fn figure1(ctx: &mut ExecCtx, input: &InputValues) -> u32 {
@@ -181,26 +179,6 @@ fn remerging_paths_and_unsat_negations_are_identical() {
         reference.stats.skipped_duplicates >= 1,
         "re-merging paths produce duplicate targets"
     );
-}
-
-#[test]
-fn non_batchable_strategies_remain_identical() {
-    // Non-generational strategies fall back to the sequential loop even
-    // with a batch size configured; this pins both that dispatch and the
-    // resulting equivalence.
-    let seeds = [InputValues::new().with("v", 0)];
-    for strategy in [
-        SearchStrategy::DepthFirst,
-        SearchStrategy::CoverageGuided,
-        SearchStrategy::Random { seed: 42 },
-    ] {
-        let config = EngineConfig::default()
-            .with_max_runs(32)
-            .with_strategy(strategy);
-        let reference = explore(chain, &seeds, config.with_batch_size(0));
-        let batched = explore(chain, &seeds, config.with_batch_size(16));
-        assert_equivalent(&reference, &batched, &format!("{strategy:?}"));
-    }
 }
 
 #[test]
