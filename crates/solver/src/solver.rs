@@ -15,10 +15,17 @@
 //!    combination of values.
 //! 4. **Local search** — otherwise run a randomized hill-climbing search
 //!    seeded from the current concrete input (concolic execution always has
-//!    one), constraint constants and domain boundaries. The candidate is a
-//!    dense `Vec<u64>` indexed by [`VarId`]; a move re-evaluates only the
-//!    constraints that mention the moved variable, and a [`Model`] is
-//!    built once, for the assignment that is returned.
+//!    one), constraint constants and domain boundaries. The first point is
+//!    the seed clamped into the propagated domains, and it is tried before
+//!    any search state exists: most negation queries hold right there, and
+//!    they pay for one evaluation of each constraint. Only when it fails
+//!    are the jump constants collected and each constraint split once into
+//!    its comparisons (atoms) and its boolean structure over them. The
+//!    candidate is a dense `Vec<u64>` indexed by [`VarId`]; a move
+//!    re-evaluates the moved variable's atoms and then the structure of
+//!    only the constraints whose atoms changed, and a [`Model`] is built
+//!    once, for the assignment that is returned. The buffers all this uses
+//!    belong to the solver, not the query.
 //!
 //! Phases 3 and 4 and [`Model::eval`] share one evaluation core
 //! (`crate::eval`): integer terms to `u64`, boolean terms to `bool`.
@@ -41,12 +48,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::eval::eval_bool;
-use crate::hash::FastHashSet;
+use crate::hash::{FastHashMap, FastHashSet};
 use crate::interval::{Domains, Interval};
 use crate::model::Model;
 use crate::simplify::{preprocess, Preprocessed};
 use crate::stats::SolverStats;
-use crate::term::{Leaf, TermArena, TermId, TermWalk, VarId};
+use crate::term::{max_value, BoolOp, CmpOp, Leaf, TermArena, TermId, TermKind, TermWalk, VarId};
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -360,22 +367,77 @@ struct StateBuffers {
     values: Vec<u64>,
     /// `violated[i]`: constraint `i` does not hold under `values`.
     violated: Vec<bool>,
-    /// `(variable index, constraint index)` for every variable a constraint
-    /// mentions, sorted; `mentions_of[v]..mentions_of[v + 1]` is variable
-    /// `v`'s stretch.
-    mentions: Vec<(u32, u32)>,
-    mentions_of: Vec<u32>,
-    /// The constraints the last [`SearchState::try_move`] flipped.
+    /// The query's distinct comparisons and whether each holds.
+    atoms: Vec<Atom>,
+    atom_holds: Vec<bool>,
+    /// Atom index by term, while the atoms are collected.
+    atom_of: FastHashMap<TermId, u32>,
+    /// `(variable index, atom)` for every variable an atom reads, sorted;
+    /// `reads_of[v]..reads_of[v + 1]` is variable `v`'s stretch.
+    reads: Vec<(u32, u32)>,
+    reads_of: Vec<u32>,
+    /// `(atom, constraint)` for every constraint an atom occurs in, sorted
+    /// and indexed the same way by `uses_of`.
+    uses: Vec<(u32, u32)>,
+    uses_of: Vec<u32>,
+    /// Every constraint's boolean structure over its atoms, in postfix;
+    /// `steps_of[i]..steps_of[i + 1]` is constraint `i`'s program.
+    steps: Vec<Step>,
+    steps_of: Vec<u32>,
+    /// The evaluation stack of a program.
+    stack: Vec<bool>,
+    /// Constraints a move must rescore, deduplicated by stamping
+    /// `dirty_at[i]` with the move's number.
+    dirty: Vec<u32>,
+    dirty_at: Vec<u32>,
+    moves: u32,
+    /// The atoms the last [`SearchState::try_move`] changed, and the
+    /// constraints it flipped.
+    changed: Vec<u32>,
     flipped: Vec<u32>,
 }
+
+/// A comparison a constraint is built from.
+#[derive(Debug, Clone, Copy)]
+enum Atom {
+    /// A variable, read at its width as [`crate::eval`] reads it,
+    /// compared against a constant — which is to say tested for lying in
+    /// `lo ..= lo + span` (or, when `outside`, for not lying there), so it
+    /// evaluates without branching on the comparison.
+    Unary {
+        var: VarId,
+        mask: u64,
+        lo: u64,
+        span: u64,
+        outside: bool,
+    },
+    /// Any other boolean term that is not a connective, evaluated whole.
+    Opaque(TermId),
+}
+
+/// One step of a constraint's boolean structure, in postfix order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Push whether atom `i` holds.
+    Atom(u32),
+    Const(bool),
+    Not,
+    Bin(BoolOp),
+}
+
+/// A constraint whose structure would take more steps than this is one
+/// opaque atom instead: a program is a tree, and a term that shares
+/// subterms can unfold into far more steps than it has nodes.
+const MAX_STEPS: usize = 256;
 
 /// Randomized hill-climbing search over the residual domains.
 ///
 /// The first point tried is the seed clamped into the domains, and most
 /// queries hold right there; what only a move needs — the jump constants,
-/// the mentions index, the random stream — is built once that point fails.
+/// the atom index, the random stream — is built once that point fails.
 /// The candidate then lives in a [`SearchState`]: a move re-evaluates the
-/// constraints that mention the moved variable and nothing else. The random
+/// moved variable's atoms, then the structure of the constraints whose
+/// atoms changed, and nothing else. The random
 /// stream, the move set, the `candidate == old` skips and plateau acceptance
 /// decide which assignments are tried and in which order, and those pin the
 /// generated inputs — none of them depends on how a candidate is scored.
@@ -425,7 +487,7 @@ fn local_search(
         return model_of(&state);
     }
     interesting_constants(arena, constraints, walk, jumps, jump_seen);
-    state.index_mentions(walk);
+    state.index(walk);
     let mut rng = StdRng::seed_from_u64(config.rng_seed);
     let per_restart = config.search_iterations / config.search_restarts.max(1) as u64;
 
@@ -478,8 +540,11 @@ fn local_search(
 }
 
 /// Local search's candidate assignment and what is known about it: which
-/// constraints it violates, and — once [`SearchState::index_mentions`] has
-/// run — which constraints each variable can affect.
+/// constraints it violates, and — once [`SearchState::index`] has run —
+/// each constraint split into its comparisons (atoms) and its boolean
+/// structure over them, so a move re-evaluates the moved variable's atoms
+/// and then only the structure of the constraints an atom that changed
+/// occurs in.
 struct SearchState<'a> {
     arena: &'a TermArena,
     constraints: &'a [TermId],
@@ -504,6 +569,8 @@ impl<'a> SearchState<'a> {
         }
         buf.violated.clear();
         buf.violated.resize(constraints.len(), false);
+        // Not indexed yet.
+        buf.steps_of.clear();
         SearchState {
             arena,
             constraints,
@@ -512,29 +579,50 @@ impl<'a> SearchState<'a> {
         }
     }
 
-    /// Indexes the constraints each variable mentions, which a move needs
-    /// and a first point does not.
-    fn index_mentions(&mut self, walk: &mut TermWalk) {
+    /// Splits every constraint into atoms and structure and indexes which
+    /// atoms each variable reads and which constraints each atom occurs
+    /// in — what a move needs and a first point does not. Scores the
+    /// current assignment's atoms.
+    fn index(&mut self, walk: &mut TermWalk) {
+        let arena = self.arena;
         let buf = &mut *self.buf;
-        buf.mentions.clear();
+        buf.atoms.clear();
+        buf.atom_of.clear();
+        buf.reads.clear();
+        buf.uses.clear();
+        buf.steps.clear();
+        buf.steps_of.clear();
+        buf.steps_of.push(0);
         for (i, &c) in self.constraints.iter().enumerate() {
-            walk.begin(self.arena);
-            self.arena.visit_leaves(c, walk, |leaf| {
-                if let Leaf::Var(v) = leaf {
-                    buf.mentions.push((v.0, i as u32));
+            let start = buf.steps.len();
+            if !compile(arena, c, buf, walk, start + MAX_STEPS) {
+                buf.steps.truncate(start);
+                let atom = buf.atom(arena, c, walk);
+                buf.steps.push(Step::Atom(atom));
+            }
+            for at in start..buf.steps.len() {
+                if let Step::Atom(atom) = buf.steps[at] {
+                    buf.uses.push((atom, i as u32));
                 }
-            });
+            }
+            buf.steps_of.push(buf.steps.len() as u32);
         }
-        buf.mentions.sort_unstable();
-        let var_count = self.arena.var_count();
-        buf.mentions_of.clear();
-        buf.mentions_of.resize(var_count + 1, 0);
-        for &(v, _) in &buf.mentions {
-            buf.mentions_of[v as usize + 1] += 1;
+        buf.reads.sort_unstable();
+        // An atom twice in one constraint is one use.
+        buf.uses.sort_unstable();
+        buf.uses.dedup();
+        let var_count = arena.var_count();
+        offsets(&buf.reads, var_count, &mut buf.reads_of);
+        offsets(&buf.uses, buf.atoms.len(), &mut buf.uses_of);
+
+        buf.atom_holds.clear();
+        for atom in 0..buf.atoms.len() {
+            let holds = buf.eval_atom(arena, atom);
+            buf.atom_holds.push(holds);
         }
-        for v in 0..var_count {
-            buf.mentions_of[v + 1] += buf.mentions_of[v];
-        }
+        buf.dirty_at.clear();
+        buf.dirty_at.resize(self.constraints.len(), 0);
+        buf.moves = 0;
     }
 
     fn value(&self, var: VarId) -> u64 {
@@ -546,35 +634,59 @@ impl<'a> SearchState<'a> {
         self.buf.values[var.index()] = value;
     }
 
-    fn holds(&self, constraint: u32) -> bool {
-        eval_bool(
-            self.arena,
-            self.buf.values.as_slice(),
-            self.constraints[constraint as usize],
-        )
-    }
-
-    /// Scores the whole assignment from scratch.
+    /// Scores the whole assignment from scratch: before
+    /// [`SearchState::index`] by evaluating each constraint, after it by
+    /// re-evaluating every atom and then every structure.
     fn recount(&mut self) -> usize {
+        let indexed = !self.buf.steps_of.is_empty();
+        if indexed {
+            for atom in 0..self.buf.atoms.len() {
+                self.buf.atom_holds[atom] = self.buf.eval_atom(self.arena, atom);
+            }
+        }
         self.violations = 0;
         for i in 0..self.constraints.len() {
-            let violated = !self.holds(i as u32);
-            self.buf.violated[i] = violated;
-            self.violations += usize::from(violated);
+            let holds = if indexed {
+                self.buf.structure_holds(i)
+            } else {
+                eval_bool(self.arena, self.buf.values.as_slice(), self.constraints[i])
+            };
+            self.buf.violated[i] = !holds;
+            self.violations += usize::from(!holds);
         }
         self.violations
     }
 
     /// Moves `var` to `value` and returns the number of violated
-    /// constraints, re-evaluating only those that mention `var`.
+    /// constraints, re-evaluating only `var`'s atoms and the structure of
+    /// the constraints whose atoms changed.
     fn try_move(&mut self, var: VarId, value: u64) -> usize {
-        self.buf.values[var.index()] = value;
-        self.buf.flipped.clear();
-        let stretch = self.buf.mentions_of[var.index()] as usize
-            ..self.buf.mentions_of[var.index() + 1] as usize;
-        for at in stretch {
-            let constraint = self.buf.mentions[at].1;
-            let violated = !self.holds(constraint);
+        let buf = &mut *self.buf;
+        buf.values[var.index()] = value;
+        buf.changed.clear();
+        buf.flipped.clear();
+        buf.dirty.clear();
+        buf.moves += 1;
+        let reads = buf.reads_of[var.index()] as usize..buf.reads_of[var.index() + 1] as usize;
+        for at in reads {
+            let atom = buf.reads[at].1 as usize;
+            let holds = buf.eval_atom(self.arena, atom);
+            if holds == buf.atom_holds[atom] {
+                continue;
+            }
+            buf.atom_holds[atom] = holds;
+            buf.changed.push(atom as u32);
+            for at in buf.uses_of[atom] as usize..buf.uses_of[atom + 1] as usize {
+                let constraint = buf.uses[at].1;
+                if buf.dirty_at[constraint as usize] != buf.moves {
+                    buf.dirty_at[constraint as usize] = buf.moves;
+                    buf.dirty.push(constraint);
+                }
+            }
+        }
+        for at in 0..self.buf.dirty.len() {
+            let constraint = self.buf.dirty[at];
+            let violated = !self.buf.structure_holds(constraint as usize);
             if violated != self.buf.violated[constraint as usize] {
                 self.buf.flipped.push(constraint);
                 self.flip(constraint);
@@ -587,6 +699,10 @@ impl<'a> SearchState<'a> {
     /// away from `old`.
     fn undo_move(&mut self, var: VarId, old: u64) {
         self.buf.values[var.index()] = old;
+        for &atom in &self.buf.changed {
+            let holds = &mut self.buf.atom_holds[atom as usize];
+            *holds = !*holds;
+        }
         while let Some(constraint) = self.buf.flipped.pop() {
             self.flip(constraint);
         }
@@ -600,6 +716,151 @@ impl<'a> SearchState<'a> {
         } else {
             self.violations -= 1;
         }
+    }
+}
+
+impl StateBuffers {
+    /// The atom for boolean term `term`, added (with the variables it
+    /// reads) the first time the query meets it.
+    fn atom(&mut self, arena: &TermArena, term: TermId, walk: &mut TermWalk) -> u32 {
+        if let Some(&atom) = self.atom_of.get(&term) {
+            return atom;
+        }
+        let atom = self.atoms.len() as u32;
+        let unary = match arena.node(term).kind {
+            TermKind::Cmp { op, lhs, rhs } => match (arena.as_var(lhs), arena.as_var(rhs)) {
+                (Some(var), None) => arena.as_const_int(rhs).map(|(c, _)| (var, lhs, op, c)),
+                (None, Some(var)) => arena
+                    .as_const_int(lhs)
+                    .map(|(c, _)| (var, rhs, op.swap(), c)),
+                _ => None,
+            },
+            _ => None,
+        };
+        match unary {
+            Some((var, var_term, op, c)) => {
+                let (lo, hi, outside) = match op {
+                    CmpOp::Eq => (c, c, false),
+                    CmpOp::Ne => (c, c, true),
+                    CmpOp::Ule => (0, c, false),
+                    CmpOp::Uge => (c, u64::MAX, false),
+                    // `x < 0` and `x > MAX` hold nowhere: outside everything.
+                    CmpOp::Ult => c
+                        .checked_sub(1)
+                        .map_or((0, u64::MAX, true), |hi| (0, hi, false)),
+                    CmpOp::Ugt => c
+                        .checked_add(1)
+                        .map_or((0, u64::MAX, true), |lo| (lo, u64::MAX, false)),
+                };
+                self.atoms.push(Atom::Unary {
+                    var,
+                    mask: max_value(arena.node(var_term).sort.width()),
+                    lo,
+                    span: hi - lo,
+                    outside,
+                });
+                self.reads.push((var.0, atom));
+            }
+            None => {
+                self.atoms.push(Atom::Opaque(term));
+                walk.begin(arena);
+                let reads = &mut self.reads;
+                arena.visit_leaves(term, walk, |leaf| {
+                    if let Leaf::Var(v) = leaf {
+                        reads.push((v.0, atom));
+                    }
+                });
+            }
+        }
+        self.atom_of.insert(term, atom);
+        atom
+    }
+
+    fn eval_atom(&self, arena: &TermArena, atom: usize) -> bool {
+        match self.atoms[atom] {
+            Atom::Unary {
+                var,
+                mask,
+                lo,
+                span,
+                outside,
+            } => ((self.values[var.index()] & mask).wrapping_sub(lo) <= span) != outside,
+            Atom::Opaque(term) => eval_bool(arena, self.values.as_slice(), term),
+        }
+    }
+
+    /// Runs constraint `i`'s program over the atoms' current values.
+    fn structure_holds(&mut self, i: usize) -> bool {
+        let program = &self.steps[self.steps_of[i] as usize..self.steps_of[i + 1] as usize];
+        if let [Step::Atom(atom)] = program {
+            return self.atom_holds[*atom as usize];
+        }
+        let stack = &mut self.stack;
+        stack.clear();
+        for step in program {
+            match *step {
+                Step::Atom(atom) => stack.push(self.atom_holds[atom as usize]),
+                Step::Const(b) => stack.push(b),
+                Step::Not => {
+                    let top = stack
+                        .last_mut()
+                        .expect("a program pushes before it negates");
+                    *top = !*top;
+                }
+                Step::Bin(op) => {
+                    let rhs = stack.pop().expect("a connective has two operands");
+                    let lhs = stack.last_mut().expect("a connective has two operands");
+                    *lhs = op.eval(*lhs, rhs);
+                }
+            }
+        }
+        stack[0]
+    }
+}
+
+/// Appends `term`'s boolean structure to `buf.steps` in postfix, adding
+/// its atoms; false, with the steps left half-written, once they would
+/// pass `limit`.
+fn compile(
+    arena: &TermArena,
+    term: TermId,
+    buf: &mut StateBuffers,
+    walk: &mut TermWalk,
+    limit: usize,
+) -> bool {
+    if buf.steps.len() >= limit {
+        return false;
+    }
+    let step = match arena.node(term).kind {
+        TermKind::ConstBool(b) => Step::Const(b),
+        TermKind::BoolNot(x) => {
+            if !compile(arena, x, buf, walk, limit) {
+                return false;
+            }
+            Step::Not
+        }
+        TermKind::BoolBin { op, lhs, rhs } => {
+            if !compile(arena, lhs, buf, walk, limit) || !compile(arena, rhs, buf, walk, limit) {
+                return false;
+            }
+            Step::Bin(op)
+        }
+        _ => Step::Atom(buf.atom(arena, term, walk)),
+    };
+    buf.steps.push(step);
+    true
+}
+
+/// Turns sorted `(key, _)` pairs into stretch offsets: `out[k]..out[k + 1]`
+/// are the pairs with key `k`, for keys below `keys`.
+fn offsets(pairs: &[(u32, u32)], keys: usize, out: &mut Vec<u32>) {
+    out.clear();
+    out.resize(keys + 1, 0);
+    for &(key, _) in pairs {
+        out[key as usize + 1] += 1;
+    }
+    for k in 0..keys {
+        out[k + 1] += out[k];
     }
 }
 
@@ -1012,6 +1273,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Drives a [`SearchState`] over `constraints` through `moves` random
+    /// moves — some kept, some taken back, with a restart from random
+    /// values now and then — and checks every score against evaluating
+    /// each constraint whole.
+    fn assert_moves_score_like_eval_bool(gen: &mut TermGen, constraints: &[TermId], moves: usize) {
+        let model = gen.model();
+        let violations = |values: &[u64]| {
+            constraints
+                .iter()
+                .filter(|&&c| !eval_bool(&gen.arena, values, c))
+                .count()
+        };
+        let (mut buf, mut walk) = (StateBuffers::default(), TermWalk::default());
+        let mut state = SearchState::new(&gen.arena, constraints, Some(&model), &mut buf);
+        assert_eq!(state.recount(), violations(&state.buf.values));
+        state.index(&mut walk);
+        for step in 0..moves {
+            let (var, width) = gen.vars[gen.rng.gen_range(0..gen.vars.len())];
+            let old = state.value(var);
+            let value = gen.rng.gen_range(0..=crate::term::max_value(width));
+            let score = state.try_move(var, value);
+            assert_eq!(score, violations(&state.buf.values), "move {step}");
+            if gen.rng.gen_range(0..2u32) == 0 {
+                state.undo_move(var, old);
+                assert_eq!(state.violations, violations(&state.buf.values));
+            }
+            if gen.rng.gen_range(0..16u32) == 0 {
+                for &(v, width) in &gen.vars {
+                    state.place(v, gen.rng.gen_range(0..=crate::term::max_value(width)));
+                }
+                assert_eq!(state.recount(), violations(&state.buf.values));
+            }
+        }
+        // Every move is scored from the atoms' cached values, so the
+        // cache itself must still match the assignment.
+        for atom in 0..state.buf.atoms.len() {
+            assert_eq!(
+                state.buf.atom_holds[atom],
+                state.buf.eval_atom(&gen.arena, atom)
+            );
+        }
+    }
+
+    proptest! {
+        /// A move rescored from cached atoms counts the violations that
+        /// evaluating every constraint whole counts, over random terms of
+        /// every kind — unary comparisons, comparisons of arbitrary
+        /// integer terms, and connectives over them.
+        #[test]
+        fn atom_scores_match_eval_bool(seed in any::<u64>()) {
+            let mut gen = TermGen::new(seed, 1 + (seed % 6) as usize, 1..=64);
+            let count = 1 + (seed >> 8) as usize % 8;
+            let constraints: Vec<TermId> = (0..count)
+                .map(|i| if i % 2 == 0 { gen.constraint(3) } else { gen.bool_term(4) })
+                .collect();
+            assert_moves_score_like_eval_bool(&mut gen, &constraints, 64);
+        }
+    }
+
+    /// A constraint whose structure would unfold into more than
+    /// [`MAX_STEPS`] steps becomes one opaque atom, and still scores right.
+    #[test]
+    fn a_widely_shared_structure_is_one_opaque_atom() {
+        let mut gen = TermGen::new(7, 2, 8..=8);
+        let (x, _) = gen.vars[0];
+        let xv = gen.arena.var(x);
+        let c = gen.arena.int_const(100, 8);
+        let mut term = gen.arena.ult(xv, c);
+        // Each level refers to the one below twice: 2^10 leaves as a tree.
+        for _ in 0..10 {
+            let negated = gen.arena.not(term);
+            term = gen.arena.bool_bin(BoolOp::Or, term, negated);
+        }
+        let (y, _) = gen.vars[1];
+        let yv = gen.arena.var(y);
+        let small = gen.arena.ult(yv, c);
+        let constraints = [term, small];
+        let (mut buf, mut walk) = (StateBuffers::default(), TermWalk::default());
+        let mut state = SearchState::new(&gen.arena, &constraints, None, &mut buf);
+        state.recount();
+        state.index(&mut walk);
+        let Step::Atom(atom) = state.buf.steps[0] else {
+            panic!(
+                "the first constraint compiles to {:?}",
+                &state.buf.steps[..1]
+            );
+        };
+        assert!(matches!(state.buf.atoms[atom as usize], Atom::Opaque(t) if t == term));
+        assert_eq!(state.buf.steps_of[1], 1, "one step: the opaque atom");
+        assert_moves_score_like_eval_bool(&mut gen, &constraints, 200);
     }
 
     #[test]
