@@ -61,7 +61,7 @@ use crate::symbolic_input::UpdateTemplate;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct DiceConfig {
-    /// Concolic engine configuration (path budget, strategy, solver).
+    /// Concolic engine configuration (path budget, solver).
     ///
     /// The engine default runs the batched worklist inner loop
     /// ([`EngineConfig::batch_size`]) on the thread that calls it.

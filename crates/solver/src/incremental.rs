@@ -555,6 +555,42 @@ mod tests {
     }
 
     #[test]
+    fn a_reset_session_answers_as_a_new_one() {
+        let (mut arena, _, xv) = arena_with_var(16);
+        let c5 = arena.int_const(5, 16);
+        let c900 = arena.int_const(900, 16);
+        let p = arena.eq(xv, c5);
+        let np = arena.not(p);
+        let above = arena.ugt(xv, c900);
+        let mut seed = Model::new();
+        seed.set(crate::term::VarId(0), 17);
+
+        // Leave the session contradictory, with a frame open and its
+        // search buffers filled by a query that had to search.
+        let mut used = IncrementalSolver::new();
+        used.assert_term(&mut arena, above);
+        assert!(used.check(&arena, Some(&seed)).is_sat());
+        used.assert_term(&mut arena, p);
+        used.push(&arena);
+        used.assert_term(&mut arena, np);
+        assert!(used.is_contradiction());
+        used.reset();
+        assert_eq!((used.depth(), used.assertion_count()), (0, 0));
+        assert!(!used.is_contradiction());
+
+        let mut fresh = IncrementalSolver::new();
+        for s in [&mut used, &mut fresh] {
+            s.assert_term(&mut arena, np);
+            s.push(&arena);
+            s.assert_term(&mut arena, above);
+        }
+        assert_eq!(
+            used.check(&arena, Some(&seed)),
+            fresh.check(&arena, Some(&seed))
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "pop without matching push")]
     fn pop_on_empty_stack_panics() {
         let mut s = IncrementalSolver::new();

@@ -2,8 +2,8 @@
 //!
 //! The paper's exploration strategy "attempts to cover all execution paths
 //! reachable by the set of controlled symbolic inputs"; coverage statistics
-//! tell the engine (and the operator) how close it is, and drive the
-//! coverage-guided search strategy.
+//! tell the engine (and the operator) how close it is, and drive coverage
+//! pruning (`EngineConfig::prune_covered_directions`).
 
 use std::sync::Arc;
 

@@ -546,8 +546,8 @@ impl ConcolicEngine {
         state: &mut ExplorationState<P::Output>,
         session: &mut IncrementalSolver,
     ) {
-        // Group wave positions by originating run; each group becomes one
-        // incremental solver session over that run's trace.
+        // Group wave positions by originating run; each group is solved
+        // through the session over that run's trace.
         let mut grouped: BTreeMap<usize, Vec<(usize, Candidate)>> = BTreeMap::new();
         for (pos, item) in wave.iter().enumerate() {
             grouped

@@ -9,10 +9,10 @@
 //! `dice_benchmark`), one short `LiveOrchestrator` script and one seeded
 //! `FaultPlanSearch`.
 //!
-//! **Every constant below was generated on the parent commit (PR 23,
-//! `41720b7`) before any other file of the PR that added this test was
-//! touched**, and the PR left them as they were. To regenerate after a
-//! change that is *meant* to alter exploration outputs, run with
+//! **Every constant below was generated on the parent of the change that
+//! added it, before any other file of that change was touched**, and the
+//! change left it as it was. To regenerate after a change that is *meant*
+//! to alter exploration outputs, run with
 //! `GOLDEN_PRINT=1 cargo test --test exploration_golden -- --nocapture`
 //! and copy the printed values — and regenerate
 //! `dice_benchmark/src/reference.rs` in the same change.
