@@ -37,8 +37,8 @@ pub struct ExplorationReport {
     /// Cumulative solver statistics (including incremental-session
     /// counters: batched queries, prefix reuse, push/pop volume).
     pub solver_stats: SolverStats,
-    /// Worklist waves processed by the batched engine, summed over
-    /// observed inputs (0 when the sequential inner loop ran).
+    /// Worklist waves processed by the engine, summed over observed
+    /// inputs.
     pub solver_waves: usize,
     /// Policy branch sites registered from filter ASTs — every `if` arm of
     /// every filter the explored handlers evaluated, whether or not the arm
@@ -51,9 +51,9 @@ pub struct ExplorationReport {
     pub policy_directions: usize,
     /// Wall-clock duration of the exploration.
     pub elapsed: Duration,
-    /// Latency distribution of batched solver waves (empty when the
-    /// sequential inner loop ran). Purely observational: like `elapsed`,
-    /// wall-clock timings never reach [`ExplorationReport::digest`].
+    /// Latency distribution of solver waves. Purely observational: like
+    /// `elapsed`, wall-clock timings never reach
+    /// [`ExplorationReport::digest`].
     pub wave_latency: dice_obs::Histogram,
 }
 

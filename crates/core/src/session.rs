@@ -61,12 +61,12 @@ use crate::symbolic_input::UpdateTemplate;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct DiceConfig {
-    /// Concolic engine configuration (path budget, solver).
+    /// Concolic engine configuration: the run budget per observed input.
     ///
-    /// The engine default runs the batched worklist inner loop
-    /// ([`EngineConfig::batch_size`]) on the thread that calls it.
-    /// Parallelism sits above the engine: each round fans its observed
-    /// inputs out across [`DiceConfig::workers`] threads.
+    /// The engine explores on the thread that calls it, a wave of
+    /// negation candidates at a time. Parallelism sits above the engine:
+    /// each round fans its observed inputs out across
+    /// [`DiceConfig::workers`] threads.
     pub engine: EngineConfig,
     /// Maximum number of observed inputs explored per round.
     pub max_observed_inputs: usize,
@@ -842,39 +842,6 @@ mod tests {
         assert_eq!(combined.faults, merged_faults);
         assert!(combined.isolation_preserved);
         assert!(singles.iter().all(|r| r.isolation_preserved));
-    }
-
-    #[test]
-    fn batched_inner_loop_equals_sequential_inner_loop() {
-        // An engine solving one candidate at a time from scratch
-        // (batch_size = 0) and the batched worklist engine must find the
-        // same faults, runs and coverage on the Figure 2 scenario.
-        let (router, customer, observed) = scenario(CustomerFilterMode::Erroneous);
-        let inputs = multi_input_observed(&router, customer, &observed);
-
-        let sequential = DiceBuilder::new()
-            .engine(EngineConfig::default().with_max_runs(64).with_batch_size(0))
-            .build()
-            .explore(&router, &inputs);
-        let batched = DiceSession::default().explore(&router, &inputs);
-
-        assert_eq!(sequential.faults, batched.faults, "fault sets diverged");
-        assert_eq!(sequential.runs, batched.runs);
-        assert_eq!(sequential.distinct_paths, batched.distinct_paths);
-        assert_eq!(sequential.generated_inputs, batched.generated_inputs);
-        assert_eq!(sequential.branch_sites, batched.branch_sites);
-        assert_eq!(sequential.complete_sites, batched.complete_sites);
-        assert_eq!(
-            sequential.intercepted_messages,
-            batched.intercepted_messages
-        );
-        assert_eq!(sequential.solver_waves, 0);
-        assert!(batched.solver_waves > 0, "batched engine processed waves");
-        assert!(
-            batched.solver_stats.incremental_queries > 0,
-            "candidates were solved through incremental sessions"
-        );
-        assert!(batched.has_faults());
     }
 
     #[test]

@@ -1,28 +1,30 @@
 //! Incremental solving over an assertion stack.
 //!
-//! The concolic engine's inner loop negates one branch of a recorded path
-//! at a time: candidate *k* asks for `prefix[0..k] ∧ ¬branch[k]`. Solved
-//! one-shot ([`crate::Solver::solve`]), every sibling candidate re-flattens,
-//! re-deduplicates and re-propagates the whole shared prefix from scratch —
-//! `O(depth²)` work per run. [`IncrementalSolver`] keeps that work alive on
-//! a `push`/`pop` assertion stack instead:
+//! [`IncrementalSolver`] is how this crate solves. The concolic engine's
+//! inner loop negates one branch of a recorded path at a time: candidate
+//! *k* asks for `prefix[0..k] ∧ ¬branch[k]`. Solved one query at a time
+//! from scratch, every sibling candidate would re-flatten, re-deduplicate
+//! and re-propagate the whole shared prefix — `O(depth²)` work per run.
+//! The session keeps that work alive on a `push`/`pop` assertion stack
+//! instead:
 //!
 //! * **assert** simplifies a constraint once ([`crate::simplify`]) and
 //!   appends its atoms to the stack;
 //! * **check** folds any newly asserted atoms into the persistent interval
 //!   domains ([`crate::interval::Domains`]) — already-propagated prefix
-//!   constraints are *not* revisited — then funnels into the same
-//!   enumeration/local-search phases as the one-shot solver;
+//!   constraints are *not* revisited — then runs the enumeration and
+//!   local-search phases ([`crate::solver`]);
 //! * **push/pop** bracket per-candidate assertions, restoring the prefix
 //!   domains on pop so the next sibling starts from the shared state.
 //!
-//! Results are identical to one-shot solving: `check` sees the same
-//! simplified, sorted constraint set a [`crate::Solver::solve`] call would
-//! build, the same propagated domains, and runs the identical
-//! deterministic search phases. The domain equality rests on interval
-//! propagation having a unique fixpoint, so it holds *whenever from-scratch
-//! propagation of the full query converges within
-//! [`crate::SolverConfig::propagation_rounds`]* — true for the
+//! Results are identical to solving each query from scratch, which this
+//! module's tests check against the one-shot pipeline kept in
+//! `solver.rs`'s tests: `check` sees the same simplified, sorted
+//! constraint set that pipeline builds, the same propagated domains, and
+//! runs the identical deterministic search phases. The domain equality
+//! rests on interval propagation having a unique fixpoint, so it holds
+//! *whenever from-scratch propagation of the full query converges within
+//! the propagation round budget* — true for the
 //! comparison-against-constant constraint families the concolic engine
 //! emits, which converge in a few sweeps; diverging would take a
 //! variable-to-variable inequality chain longer than the round budget
@@ -106,9 +108,8 @@ struct Frame {
 ///
 /// Simplification results and propagated interval domains persist across
 /// queries, so sibling queries sharing an assertion prefix are decided as
-/// one batched session instead of N from-scratch [`crate::Solver::solve`]
-/// calls. See the [module documentation](self) for the contract and an
-/// example.
+/// one batched session instead of N from-scratch solves. See the
+/// [module documentation](self) for the contract and an example.
 #[derive(Debug, Clone)]
 pub struct IncrementalSolver {
     config: SolverConfig,
@@ -136,20 +137,8 @@ pub struct IncrementalSolver {
 
 impl Default for IncrementalSolver {
     fn default() -> Self {
-        Self::with_config(SolverConfig::default())
-    }
-}
-
-impl IncrementalSolver {
-    /// Creates a session with the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a session with the given configuration.
-    pub fn with_config(config: SolverConfig) -> Self {
         IncrementalSolver {
-            config,
+            config: SolverConfig::default(),
             stats: SolverStats::new(),
             asserted: Vec::new(),
             sorted: Vec::new(),
@@ -163,10 +152,12 @@ impl IncrementalSolver {
             scratch: SearchScratch::default(),
         }
     }
+}
 
-    /// Returns the configuration in use.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
+impl IncrementalSolver {
+    /// Creates an empty session.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Returns cumulative statistics for this session.
@@ -179,11 +170,6 @@ impl IncrementalSolver {
     /// policy-derived queries) can annotate the counters.
     pub fn stats_mut(&mut self) -> &mut SolverStats {
         &mut self.stats
-    }
-
-    /// Resets cumulative statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = SolverStats::new();
     }
 
     /// Retracts every assertion and frame: the session answers as a new
@@ -336,8 +322,11 @@ impl IncrementalSolver {
     }
 
     /// Decides satisfiability of the conjunction of all asserted
-    /// constraints. `seed` plays the same role as in
-    /// [`crate::Solver::solve`].
+    /// constraints.
+    ///
+    /// `seed` optionally provides a starting assignment (the concrete input
+    /// of the current concolic run); local search starts from it, which
+    /// keeps generated inputs close to observed ones.
     ///
     /// Only constraints asserted since the last `check` (or, after a `pop`,
     /// since the restored frame's last propagation) are folded into the
@@ -400,6 +389,8 @@ impl IncrementalSolver {
 mod tests {
     use super::*;
     use crate::solver::Solver;
+    use crate::term::VarId;
+    use proptest::prelude::*;
 
     fn arena_with_var(width: u32) -> (TermArena, crate::term::VarId, TermId) {
         let mut arena = TermArena::new();
@@ -595,5 +586,187 @@ mod tests {
     fn pop_on_empty_stack_panics() {
         let mut s = IncrementalSolver::new();
         s.pop();
+    }
+
+    // Batched push/pop solving is observationally identical to independent
+    // one-shot solving: for randomly generated constraint systems shaped
+    // like the concolic engine's queries — a shared path prefix plus one
+    // negated branch per candidate — a session returns exactly the same
+    // verdicts *and models* as N independent `Solver::solve` calls.
+
+    /// Bit widths assigned to generated variables: small enough to exercise the
+    /// enumeration phase, large enough (16) to force local search.
+    const WIDTHS: [u32; 4] = [4, 6, 8, 16];
+
+    /// One generated comparison: `var_a op (const | var_b)`.
+    ///
+    /// `op` selects from eq/ne/ult/ule/ugt/uge; `kind` picks the rhs form and
+    /// whether the constraint is additionally wrapped in a negation.
+    type Spec = (u8, u8, u8, u16);
+
+    fn materialize(arena: &mut TermArena, vars: &[VarId], spec: Spec) -> TermId {
+        let (a, op, kind, value) = spec;
+        let va = vars[a as usize % vars.len()];
+        let width = arena.var_info(va).width;
+        let lhs = arena.var(va);
+        let rhs = if kind % 3 == 2 && vars.len() > 1 {
+            // var-vs-var comparison; widths must match, so resize.
+            let vb = vars[(a as usize + 1) % vars.len()];
+            let rv = arena.var(vb);
+            arena.resize(rv, width)
+        } else {
+            arena.int_const(value as u64, width)
+        };
+        let cmp = match op % 6 {
+            0 => arena.eq(lhs, rhs),
+            1 => arena.ne(lhs, rhs),
+            2 => arena.ult(lhs, rhs),
+            3 => arena.ule(lhs, rhs),
+            4 => arena.ugt(lhs, rhs),
+            _ => arena.uge(lhs, rhs),
+        };
+        if kind % 5 == 4 {
+            arena.not(cmp)
+        } else {
+            cmp
+        }
+    }
+
+    fn setup(var_count: usize, seeds: &[u16]) -> (TermArena, Vec<VarId>, Model) {
+        let mut arena = TermArena::new();
+        let vars: Vec<VarId> = (0..var_count)
+            .map(|i| arena.declare_var(format!("v{i}"), WIDTHS[i % WIDTHS.len()]))
+            .collect();
+        let mut seed = Model::new();
+        for (i, &v) in vars.iter().enumerate() {
+            seed.set(v, seeds.get(i).copied().unwrap_or(0) as u64);
+        }
+        (arena, vars, seed)
+    }
+
+    fn assert_same(incremental: &Verdict, reference: &Verdict, context: &str) {
+        assert_eq!(
+            incremental, reference,
+            "batched and one-shot solving diverged: {context}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The engine's sibling-candidate pattern: one shared prefix, each
+        /// candidate pushed as its own frame.
+        #[test]
+        fn sibling_candidates_match_independent_solves(
+            var_count in 1usize..4,
+            prefix in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>()), 1..6),
+            candidates in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>()), 1..6),
+            seeds in prop::collection::vec(any::<u16>(), 4..5),
+        ) {
+            let (mut arena, vars, seed) = setup(var_count, &seeds);
+            let prefix_terms: Vec<TermId> = prefix
+                .iter()
+                .map(|&s| materialize(&mut arena, &vars, s))
+                .collect();
+            let candidate_terms: Vec<TermId> = candidates
+                .iter()
+                .map(|&s| materialize(&mut arena, &vars, s))
+                .collect();
+
+            let mut session = IncrementalSolver::new();
+            session.assert_all(&mut arena, &prefix_terms);
+            for &cand in &candidate_terms {
+                session.push(&arena);
+                session.assert_term(&mut arena, cand);
+                let incremental = session.check(&arena, Some(&seed));
+                session.pop();
+
+                let mut one_shot = Solver::new();
+                let mut query = prefix_terms.clone();
+                query.push(cand);
+                let reference = one_shot.solve(&mut arena, &query, Some(&seed));
+                assert_same(&incremental, &reference, &arena.display(cand));
+            }
+        }
+
+        /// The engine's progressive-prefix pattern: walking down one path,
+        /// negating each branch in turn while the prefix grows underneath.
+        #[test]
+        fn progressive_prefix_matches_independent_solves(
+            var_count in 1usize..4,
+            path in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>()), 1..8),
+            seeds in prop::collection::vec(any::<u16>(), 4..5),
+        ) {
+            let (mut arena, vars, seed) = setup(var_count, &seeds);
+            let path_terms: Vec<TermId> = path
+                .iter()
+                .map(|&s| materialize(&mut arena, &vars, s))
+                .collect();
+
+            let mut session = IncrementalSolver::new();
+            for i in 0..path_terms.len() {
+                // Branch i negated on top of prefix [0, i).
+                let negated = arena.not(path_terms[i]);
+                session.push(&arena);
+                session.assert_term(&mut arena, negated);
+                let incremental = session.check(&arena, Some(&seed));
+                session.pop();
+
+                let mut one_shot = Solver::new();
+                let mut query: Vec<TermId> = path_terms[..i].to_vec();
+                query.push(negated);
+                let reference = one_shot.solve(&mut arena, &query, Some(&seed));
+                assert_same(&incremental, &reference, &arena.display(negated));
+
+                // Extend the shared prefix with the branch actually taken.
+                session.assert_term(&mut arena, path_terms[i]);
+            }
+        }
+
+        /// Nested frames: a frame stacked on a sibling frame still answers like
+        /// the equivalent flat one-shot query, and popping restores exactly.
+        #[test]
+        fn nested_frames_match_flat_queries(
+            var_count in 1usize..4,
+            base in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>()), 1..4),
+            inner in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>()),
+            deeper in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u16>()),
+            seeds in prop::collection::vec(any::<u16>(), 4..5),
+        ) {
+            let (mut arena, vars, seed) = setup(var_count, &seeds);
+            let base_terms: Vec<TermId> = base
+                .iter()
+                .map(|&s| materialize(&mut arena, &vars, s))
+                .collect();
+            let inner_term = materialize(&mut arena, &vars, inner);
+            let deeper_term = materialize(&mut arena, &vars, deeper);
+
+            let mut session = IncrementalSolver::new();
+            session.assert_all(&mut arena, &base_terms);
+            session.push(&arena);
+            session.assert_term(&mut arena, inner_term);
+            session.push(&arena);
+            session.assert_term(&mut arena, deeper_term);
+
+            let mut one_shot = Solver::new();
+            let mut flat = base_terms.clone();
+            flat.push(inner_term);
+            flat.push(deeper_term);
+            let incremental = session.check(&arena, Some(&seed));
+            let reference = one_shot.solve(&mut arena, &flat, Some(&seed));
+            assert_same(&incremental, &reference, "deeper frame");
+
+            session.pop();
+            let mut flat = base_terms.clone();
+            flat.push(inner_term);
+            let incremental = session.check(&arena, Some(&seed));
+            let reference = one_shot.solve(&mut arena, &flat, Some(&seed));
+            assert_same(&incremental, &reference, "inner frame after pop");
+
+            session.pop();
+            let incremental = session.check(&arena, Some(&seed));
+            let reference = one_shot.solve(&mut arena, &base_terms, Some(&seed));
+            assert_same(&incremental, &reference, "base after popping all frames");
+        }
     }
 }

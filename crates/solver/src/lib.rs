@@ -11,10 +11,17 @@
 //! of one branch predicate, it produces a concrete input assignment that
 //! drives execution down the other side of that branch.
 //!
+//! Queries go through one entry point, the [`incremental`] module's
+//! [`IncrementalSolver`]: a push/pop assertion stack that keeps
+//! simplification results and propagated interval domains alive across
+//! queries, so the sibling negation candidates of one concolic run pay for
+//! their shared path prefix once. The crate's tests check it against a
+//! one-shot pipeline that solves every query from scratch.
+//!
 //! ## Example
 //!
 //! ```
-//! use dice_solver::{Solver, TermArena};
+//! use dice_solver::{IncrementalSolver, TermArena};
 //!
 //! let mut arena = TermArena::new();
 //! let metric = arena.declare_var("med", 32);
@@ -24,18 +31,12 @@
 //! // for an input taking the other side.
 //! let negated = arena.uge(m, hundred);
 //!
-//! let mut solver = Solver::new();
-//! let verdict = solver.solve(&mut arena, &[negated], None);
+//! let mut session = IncrementalSolver::new();
+//! session.assert_term(&mut arena, negated);
+//! let verdict = session.check(&arena, None);
 //! let model = verdict.model().expect("satisfiable");
 //! assert!(model.get(metric) >= 100);
 //! ```
-//!
-//! When many queries share a constraint prefix — the sibling negation
-//! candidates of one concolic run — use the [`incremental`] module's
-//! [`IncrementalSolver`]: a push/pop assertion stack that keeps
-//! simplification results and propagated interval domains alive across
-//! queries, answering each one identically to [`Solver::solve`] at a
-//! fraction of the cost.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +58,6 @@ pub use incremental::IncrementalSolver;
 pub use interval::{Domains, Interval, Propagation};
 pub use model::{Model, Value};
 pub use simplify::{flatten_into, normalize, preprocess, Preprocessed};
-pub use solver::{Solver, SolverConfig, Verdict};
+pub use solver::Verdict;
 pub use stats::SolverStats;
 pub use term::{BinOp, BoolOp, CmpOp, Sort, TermArena, TermId, TermKind, VarId};

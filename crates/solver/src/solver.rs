@@ -35,12 +35,12 @@
 //! the paper's prototype skips constraints its solver cannot reverse (e.g.
 //! hash functions).
 //!
-//! [`Solver::solve`] runs the full pipeline from scratch for every query.
-//! When many queries share a constraint prefix — sibling negation
-//! candidates from one concolic run — use
-//! [`crate::incremental::IncrementalSolver`], which keeps phases 1–2 alive
-//! across queries on an assertion stack and funnels into the same phase-3/4
-//! code below, so batched and one-shot solving return identical results.
+//! [`crate::incremental::IncrementalSolver`] is the way to solve: it keeps
+//! phases 1–2 alive across queries on an assertion stack, so sibling
+//! negation candidates sharing a path prefix pay for it once, and funnels
+//! into the phase-3/4 code below. This module's tests keep a one-shot
+//! `Solver`, which runs the whole pipeline from scratch for every query,
+//! as the reference the session is checked against.
 
 use std::time::Instant;
 
@@ -51,6 +51,7 @@ use crate::eval::eval_bool;
 use crate::hash::{FastHashMap, FastHashSet};
 use crate::interval::{Domains, Interval};
 use crate::model::Model;
+#[cfg(test)]
 use crate::simplify::{preprocess, Preprocessed};
 use crate::stats::SolverStats;
 use crate::term::{max_value, BoolOp, CmpOp, Leaf, TermArena, TermId, TermKind, TermWalk, VarId};
@@ -86,19 +87,20 @@ impl Verdict {
     }
 }
 
-/// Tunable solver parameters.
+/// The solver's budgets and random seed. Every session runs on the
+/// defaults; tests build variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverConfig {
+pub(crate) struct SolverConfig {
     /// Maximum rounds of interval propagation.
-    pub propagation_rounds: usize,
+    pub(crate) propagation_rounds: usize,
     /// Maximum number of candidate assignments tried by enumeration.
-    pub enumeration_limit: u64,
+    pub(crate) enumeration_limit: u64,
     /// Maximum number of candidate assignments tried by local search.
-    pub search_iterations: u64,
+    pub(crate) search_iterations: u64,
     /// Number of independent local-search restarts.
-    pub search_restarts: u32,
+    pub(crate) search_restarts: u32,
     /// Seed for the solver's deterministic random number generator.
-    pub rng_seed: u64,
+    pub(crate) rng_seed: u64,
 }
 
 impl Default for SolverConfig {
@@ -113,71 +115,36 @@ impl Default for SolverConfig {
     }
 }
 
-/// The constraint solver. Holds configuration and cumulative statistics;
-/// the term arena is supplied per query so that many solver instances can
-/// share one arena (or vice versa).
+/// The one-shot pipeline: every query preprocessed and propagated from
+/// scratch, then decided by the phase-3/4 code the session shares. The
+/// reference [`crate::incremental::IncrementalSolver`] is tested against.
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct Solver {
+pub(crate) struct Solver {
     config: SolverConfig,
     stats: SolverStats,
     scratch: SearchScratch,
 }
 
+#[cfg(test)]
 impl Solver {
-    /// Creates a solver with default configuration.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a solver with the given configuration.
-    pub fn with_config(config: SolverConfig) -> Self {
-        Solver {
-            config,
-            stats: SolverStats::new(),
-            scratch: SearchScratch::default(),
-        }
-    }
-
-    /// Returns the configuration in use.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Returns cumulative statistics.
-    pub fn stats(&self) -> &SolverStats {
+    pub(crate) fn stats(&self) -> &SolverStats {
         &self.stats
     }
 
-    /// Mutable access to cumulative statistics, so callers that know a
-    /// query's provenance (e.g. the exploration engine attributing
-    /// policy-derived queries) can annotate the counters.
-    pub fn stats_mut(&mut self) -> &mut SolverStats {
-        &mut self.stats
-    }
-
-    /// Resets cumulative statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = SolverStats::new();
-    }
-
-    /// Decides satisfiability of the conjunction of `constraints`.
-    ///
-    /// `seed` optionally provides a starting assignment (the concrete input
-    /// of the current concolic run); local search mutates it, which makes
-    /// generated inputs stay close to observed ones.
-    ///
-    /// Every call runs preprocessing and propagation from scratch; this is
-    /// the one-shot compatibility entry point. Queries sharing a constraint
-    /// prefix are cheaper through
-    /// [`crate::incremental::IncrementalSolver`].
-    pub fn solve(
+    /// Decides satisfiability of the conjunction of `constraints`, `seed`
+    /// playing the role it plays in
+    /// [`crate::incremental::IncrementalSolver::check`].
+    pub(crate) fn solve(
         &mut self,
         arena: &mut TermArena,
         constraints: &[TermId],
         seed: Option<&Model>,
     ) -> Verdict {
-        let mut span = dice_obs::span("solver", "solver.solve");
-        span.set_detail(constraints.len() as u64);
         let start = Instant::now();
         let verdict = self.solve_inner(arena, constraints, seed);
         self.stats.queries += 1;
@@ -237,8 +204,8 @@ impl Solver {
 }
 
 /// Phases 3–4 of the pipeline: pinned-domain shortcut, bounded enumeration,
-/// randomized local search. Shared between [`Solver::solve`] and
-/// [`crate::incremental::IncrementalSolver::check`] so both produce
+/// randomized local search. [`crate::incremental::IncrementalSolver::check`]
+/// and the one-shot test reference both end here, so they produce
 /// identical verdicts and models for identical `(constraints, domains,
 /// seed)` inputs.
 ///
@@ -339,8 +306,8 @@ fn enumerate(
     }
 }
 
-/// Local search's working memory. A solver — one-shot or a session — owns
-/// one and lends it to every query it decides, so a query reuses the
+/// Local search's working memory. A session (or the one-shot test
+/// reference) owns one and lends it to every query it decides, so a query reuses the
 /// allocations of the ones before it; no value in it outlives the query
 /// that wrote it.
 #[derive(Debug, Clone, Default)]

@@ -17,8 +17,7 @@ use std::time::Duration;
 /// Counters collected across solver queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Total number of satisfiability queries (one-shot `solve` calls plus
-    /// incremental `check` calls).
+    /// Total number of satisfiability queries.
     pub queries: u64,
     /// Queries answered `Sat`.
     pub sat: u64,
@@ -47,8 +46,7 @@ pub struct SolverStats {
     pub propagation_time_ns: u64,
     /// Time spent enumerating or searching for models, in nanoseconds.
     pub search_time_ns: u64,
-    /// Number of simplification passes run (one per one-shot query; one per
-    /// asserted term in an incremental session).
+    /// Number of simplification passes run (one per asserted term).
     pub preprocess_passes: u64,
     /// Queries answered through an incremental session (`check` calls).
     pub incremental_queries: u64,

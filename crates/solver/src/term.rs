@@ -527,16 +527,6 @@ impl TermArena {
         self.bin(BinOp::Mul, lhs, rhs)
     }
 
-    /// Unsigned division.
-    pub fn udiv(&mut self, lhs: TermId, rhs: TermId) -> TermId {
-        self.bin(BinOp::UDiv, lhs, rhs)
-    }
-
-    /// Unsigned remainder.
-    pub fn urem(&mut self, lhs: TermId, rhs: TermId) -> TermId {
-        self.bin(BinOp::URem, lhs, rhs)
-    }
-
     /// Bitwise and.
     pub fn bitand(&mut self, lhs: TermId, rhs: TermId) -> TermId {
         self.bin(BinOp::And, lhs, rhs)

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use dice_solver::{FastBuildHasher, FastHashMap, Model, TermArena, TermId, VarId};
 
 use crate::path::ExecTrace;
-use crate::value::{Concolic, ConcolicBool, ConcolicInt, CU16, CU32, CU64, CU8};
+use crate::value::{Concolic, ConcolicBool, ConcolicInt, CU32, CU64, CU8};
 
 /// A stable identifier of a branch site in the program under test.
 ///
@@ -355,11 +355,6 @@ impl ExecCtx {
 
     /// Declares (or re-binds) an 8-bit symbolic input with a concrete value.
     pub fn symbolic_u8(&mut self, name: &str, concrete: u8) -> CU8 {
-        self.declare(name, concrete)
-    }
-
-    /// Declares (or re-binds) a 16-bit symbolic input with a concrete value.
-    pub fn symbolic_u16(&mut self, name: &str, concrete: u16) -> CU16 {
         self.declare(name, concrete)
     }
 

@@ -2,8 +2,7 @@
 //!
 //! The paper's exploration strategy "attempts to cover all execution paths
 //! reachable by the set of controlled symbolic inputs"; coverage statistics
-//! tell the engine (and the operator) how close it is, and drive coverage
-//! pruning (`EngineConfig::prune_covered_directions`).
+//! tell the engine (and the operator) how close it is.
 
 use std::sync::Arc;
 
@@ -83,20 +82,6 @@ impl Coverage {
     /// Returns the coverage entry for a site, if it was ever executed.
     pub fn site(&self, site: SiteId) -> Option<SiteCoverage> {
         self.sites.get(&site).copied()
-    }
-
-    /// Returns true if the given direction of the site has been observed.
-    pub fn direction_covered(&self, site: SiteId, taken: bool) -> bool {
-        match self.sites.get(&site) {
-            None => false,
-            Some(c) => {
-                if taken {
-                    c.taken
-                } else {
-                    c.not_taken
-                }
-            }
-        }
     }
 
     /// Number of distinct branch sites observed.
@@ -215,15 +200,6 @@ mod tests {
         assert_eq!(cov.complete_sites(), 1);
         assert!(cov.site(site(1)).expect("seen").is_complete());
         assert_eq!(cov.site(site(1)).expect("seen").hits, 3);
-    }
-
-    #[test]
-    fn direction_covered_queries() {
-        let mut cov = Coverage::new();
-        cov.record(site(7), true);
-        assert!(cov.direction_covered(site(7), true));
-        assert!(!cov.direction_covered(site(7), false));
-        assert!(!cov.direction_covered(site(8), true));
     }
 
     #[test]

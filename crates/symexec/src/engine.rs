@@ -4,9 +4,9 @@
 //!
 //! 1. execute the program under test with a concrete input, recording the
 //!    branch constraints along the executed path;
-//! 2. pick a recorded branch — generation by generation, shallowest first
-//!    ([`crate::strategy`]) — and ask the solver for an input that satisfies
-//!    the path prefix plus the *negated* branch predicate;
+//! 2. pick a recorded branch — generation by generation, shallowest first —
+//!    and ask the solver for an input that satisfies the path prefix plus
+//!    the *negated* branch predicate;
 //! 3. execute the program with the generated input, record its path, update
 //!    the aggregate constraint/coverage set, and repeat until the path
 //!    budget is exhausted or no unexplored branches remain.
@@ -14,23 +14,21 @@
 //! The program under test implements [`SymbolicProgram`]; in DiCE it is the
 //! BGP UPDATE handler executing over a clone of the node checkpoint.
 //!
-//! # Batched worklist mode
+//! # Waves
 //!
-//! By default the engine runs steps 2–3 as a *batched worklist* rather
-//! than strictly one candidate at a time: it drains a wave of independent
-//! candidates — one generation's, off the top of the worklist's heap —
-//! groups them by originating run, solves each group incrementally against
-//! its shared path prefix ([`dice_solver::IncrementalSolver`]; one session
-//! per exploration, reset between groups, so its buffers are allocated
-//! once), then executes the solved inputs in wave order — all on the
-//! calling thread; parallelism lives above the engine, across observed
-//! inputs and nodes. Runs, coverage and
-//! per-candidate engine counters are identical to the sequential loop
-//! (`EngineConfig::batch_size == 0`, the reference the equivalence tests
-//! compare against); only the *solver-internal* statistics differ (the
-//! batched mode may solve a candidate whose result the sequential loop
-//! would have skipped as a duplicate before solving — the result is
-//! discarded, and the engine-level skip counters match).
+//! Steps 2–3 run a wave at a time: the engine drains up to 16 candidates
+//! of one generation off the top of the worklist's heap, groups them by
+//! originating run, solves each group incrementally against its shared
+//! path prefix ([`dice_solver::IncrementalSolver`]; one session per
+//! exploration, reset between groups, so its buffers are allocated once),
+//! then executes the satisfiable inputs in wave order — all on the calling
+//! thread; parallelism lives above the engine, across observed inputs and
+//! nodes. A run executed earlier in a wave may reach the path a later
+//! candidate of the same wave targets; that candidate's answer is
+//! discarded and counted as a duplicate, not as a solver outcome, though
+//! the solver's own statistics count the query. The runs, counters and
+//! solver statistics this produces are pinned in
+//! `crates/symexec/tests/batched_equiv.rs`.
 //!
 //! # What a run owns
 //!
@@ -47,7 +45,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use dice_solver::{FastHashSet, IncrementalSolver, Solver, SolverConfig, SolverStats, Verdict};
+use dice_solver::{FastHashSet, IncrementalSolver, SolverStats, Verdict};
 
 use crate::context::ExecCtx;
 use crate::coverage::Coverage;
@@ -81,44 +79,27 @@ where
     }
 }
 
-/// Configuration of the exploration loop.
+/// Maximum number of branches a run records; branches past it execute
+/// concretely.
+const MAX_BRANCHES_PER_RUN: usize = 10_000;
+
+/// Maximum number of candidates drained from the worklist per wave.
+const WAVE: usize = 16;
+
+/// Configuration of the exploration loop: its run budget.
 ///
-/// `#[non_exhaustive]`: construct via [`EngineConfig::default`] and the
-/// `with_*` builder methods so future fields are not breaking changes.
+/// `#[non_exhaustive]`: construct via [`EngineConfig::default`] and
+/// [`EngineConfig::with_max_runs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EngineConfig {
     /// Maximum number of program executions (including seed runs).
     pub max_runs: usize,
-    /// Maximum number of branches recorded per run.
-    pub max_branches_per_run: usize,
-    /// Maximum number of negation candidates taken from a single run
-    /// (0 means unlimited).
-    pub max_candidates_per_run: usize,
-    /// Solver configuration.
-    pub solver: SolverConfig,
-    /// If true, skip negation candidates whose target `(site, direction)`
-    /// is already covered. This trades exhaustive path coverage for speed.
-    ///
-    /// Pruning consults coverage at pop time, which the batched worklist
-    /// cannot replay exactly; enabling it forces the sequential loop.
-    pub prune_covered_directions: bool,
-    /// Maximum number of candidates drained from the worklist per wave in
-    /// the batched worklist mode. `0` disables batching entirely and runs
-    /// the sequential negate-solve-execute loop.
-    pub batch_size: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            max_runs: 256,
-            max_branches_per_run: 10_000,
-            max_candidates_per_run: 0,
-            solver: SolverConfig::default(),
-            prune_covered_directions: false,
-            batch_size: 16,
-        }
+        EngineConfig { max_runs: 256 }
     }
 }
 
@@ -126,39 +107,6 @@ impl EngineConfig {
     /// Sets the maximum number of program executions (including seeds).
     pub fn with_max_runs(mut self, max_runs: usize) -> Self {
         self.max_runs = max_runs;
-        self
-    }
-
-    /// Sets the maximum number of branches recorded per run.
-    pub fn with_max_branches_per_run(mut self, max: usize) -> Self {
-        self.max_branches_per_run = max;
-        self
-    }
-
-    /// Sets the maximum number of negation candidates taken from a single
-    /// run (0 means unlimited).
-    pub fn with_max_candidates_per_run(mut self, max: usize) -> Self {
-        self.max_candidates_per_run = max;
-        self
-    }
-
-    /// Sets the solver configuration.
-    pub fn with_solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Enables or disables skipping candidates whose target direction is
-    /// already covered (forces the sequential inner loop when enabled).
-    pub fn with_prune_covered_directions(mut self, prune: bool) -> Self {
-        self.prune_covered_directions = prune;
-        self
-    }
-
-    /// Sets the batched-worklist wave size (0 disables batching and runs
-    /// the sequential negate-solve-execute loop).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
         self
     }
 }
@@ -188,15 +136,13 @@ pub struct ExplorationStats {
     pub policy_candidates: usize,
     /// Candidates skipped because their target path had already been tried.
     pub skipped_duplicates: usize,
-    /// Candidates skipped by coverage pruning.
-    pub skipped_covered: usize,
     /// Solver queries that produced a new input.
     pub solver_sat: usize,
     /// Solver queries proving the other side infeasible.
     pub solver_unsat: usize,
     /// Solver queries that timed out / were undecided.
     pub solver_unknown: usize,
-    /// Worklist waves processed by the batched engine (0 when sequential).
+    /// Worklist waves processed.
     pub waves: usize,
     /// Total wall-clock time of the exploration, in nanoseconds.
     pub elapsed_ns: u64,
@@ -220,10 +166,9 @@ pub struct Exploration<O> {
     pub stats: ExplorationStats,
     /// Cumulative solver statistics.
     pub solver_stats: SolverStats,
-    /// Wall-clock latency distribution of batched solver waves (one sample
-    /// per wave; empty for the sequential loop). Purely observational:
-    /// kept out of [`ExplorationStats`] so the batched-vs-sequential
-    /// equivalence contract stays a field-for-field comparison.
+    /// Wall-clock latency distribution of solver waves, one sample per
+    /// wave. Purely observational: kept out of [`ExplorationStats`], which
+    /// holds only deterministic counters (and the total elapsed time).
     pub wave_latency: dice_obs::Histogram,
 }
 
@@ -244,8 +189,7 @@ impl<O> Exploration<O> {
 
     /// Consumes the exploration and returns every run's application-level
     /// output, preserving execution order (seed runs first, generated runs
-    /// in the order they were committed — identical between the batched
-    /// and sequential inner loops).
+    /// in the order they were committed).
     ///
     /// This is the plumbing surface for *sequence-aware* fault checkers:
     /// outputs carry whatever the program recorded per run (in DiCE, the
@@ -283,7 +227,7 @@ enum SolveMsg {
     Unknown,
 }
 
-/// The mutable exploration state threaded through both engine loops: the
+/// The mutable exploration state threaded through the engine loop: the
 /// run list, aggregate coverage, counters, the candidate worklist and the
 /// set of attempted path identities.
 struct ExplorationState<O> {
@@ -350,116 +294,19 @@ impl ConcolicEngine {
     /// Explores the program starting from the given seed inputs.
     ///
     /// Each seed is executed once; every symbolic branch observed becomes a
-    /// negation candidate. The engine then repeatedly selects candidates,
-    /// solves for inputs on the unexplored side, and executes them, until
-    /// `max_runs` executions have been performed or the worklist is empty.
-    ///
-    /// With [`EngineConfig::batch_size`] > 0 (the default) candidates are
-    /// processed a wave at a time — grouped by originating run, solved
-    /// incrementally against the shared path prefix, then executed in
-    /// wave order — producing the same runs, coverage and engine counters
-    /// as the sequential loop.
+    /// negation candidate. The engine then repeatedly drains a wave of
+    /// candidates, solves for inputs on their unexplored sides — grouped by
+    /// originating run, incrementally against the shared path prefix — and
+    /// executes them in wave order, until `max_runs` executions have been
+    /// performed or the worklist is empty.
     pub fn explore<P: SymbolicProgram>(
         &self,
         program: &mut P,
         seeds: &[InputValues],
     ) -> Exploration<P::Output> {
-        // Coverage pruning consults state the wave pipeline cannot replay,
-        // so it runs the plain sequential loop.
-        if self.config.batch_size == 0 || self.config.prune_covered_directions {
-            self.explore_sequential(program, seeds)
-        } else {
-            self.explore_batched(program, seeds)
-        }
-    }
-
-    /// The strictly sequential negate-solve-execute loop: one candidate at
-    /// a time, each solved from scratch. Reference semantics for the
-    /// batched mode, and the only mode supporting coverage pruning.
-    fn explore_sequential<P: SymbolicProgram>(
-        &self,
-        program: &mut P,
-        seeds: &[InputValues],
-    ) -> Exploration<P::Output> {
-        let start = Instant::now();
-        let mut solver = Solver::with_config(self.config.solver);
-        let mut state = ExplorationState::new();
-
-        self.execute_seeds(program, seeds, &mut state);
-
-        // Main negate-solve-execute loop.
-        while state.runs.len() < self.config.max_runs {
-            let Some(candidate) = state.worklist.pop() else {
-                break;
-            };
-            if self.config.prune_covered_directions
-                && state
-                    .coverage
-                    .direction_covered(candidate.site, !candidate.taken)
-            {
-                state.stats.skipped_covered += 1;
-                continue;
-            }
-            let target = state.runs[candidate.run_index]
-                .trace
-                .negated_path_id(candidate.branch_index);
-            if !state.attempted.insert(target) {
-                state.stats.skipped_duplicates += 1;
-                continue;
-            }
-            // Build and solve the negation query against the originating
-            // run's arena.
-            let (query, seed_model) = {
-                let run = &mut state.runs[candidate.run_index];
-                let query = run.trace.negation_query(candidate.branch_index);
-                (query, run.trace.concrete.clone())
-            };
-            let reused_before = solver.stats().assertions_reused;
-            let verdict = {
-                let run = &mut state.runs[candidate.run_index];
-                solver.solve(&mut run.trace.arena, &query, Some(&seed_model))
-            };
-            if candidate.is_policy {
-                let reused = solver.stats().assertions_reused - reused_before;
-                let stats = solver.stats_mut();
-                stats.policy_queries += 1;
-                stats.policy_assertions_reused += reused;
-            }
-            match verdict {
-                Verdict::Sat(model) => {
-                    state.stats.solver_sat += 1;
-                    let input = {
-                        let run = &state.runs[candidate.run_index];
-                        InputValues::from_model(&model, &run.trace.var_map, &run.trace.input)
-                    };
-                    let generation = state.runs[candidate.run_index].generation + 1;
-                    let record = self.execute(
-                        program,
-                        input,
-                        Some((candidate.run_index, candidate.branch_index)),
-                        generation,
-                        state.runs.last().map(|run| &run.trace),
-                    );
-                    self.integrate(record, &mut state);
-                }
-                Verdict::Unsat => state.stats.solver_unsat += 1,
-                Verdict::Unknown => state.stats.solver_unknown += 1,
-            }
-        }
-
-        state.finish(start, *solver.stats(), dice_obs::Histogram::new())
-    }
-
-    /// The batched worklist loop: drain a wave, solve its candidate groups
-    /// incrementally, execute the solved inputs in wave order.
-    fn explore_batched<P: SymbolicProgram>(
-        &self,
-        program: &mut P,
-        seeds: &[InputValues],
-    ) -> Exploration<P::Output> {
         let start = Instant::now();
         let mut state = ExplorationState::new();
-        let mut session = IncrementalSolver::with_config(self.config.solver);
+        let mut session = IncrementalSolver::new();
         let mut wave_latency = dice_obs::Histogram::new();
 
         self.execute_seeds(program, seeds, &mut state);
@@ -504,17 +351,17 @@ impl ConcolicEngine {
     }
 
     /// Drains the next wave of candidates: up to `budget` (and at most
-    /// [`EngineConfig::batch_size`]) entries the worklist would pop
-    /// consecutively regardless of interleaved executions, with
-    /// already-attempted targets filtered out exactly as the sequential
-    /// loop does at pop time.
+    /// [`WAVE`]) entries of one generation, in worklist order. A candidate
+    /// whose target path was already executed or queued is skipped and
+    /// counted as a duplicate; the rest have their target recorded as
+    /// attempted.
     ///
-    /// That is one generation's candidates: runs executed while a
-    /// generation-`g` wave is in flight only enqueue generation-`g + 1`
-    /// candidates, which the worklist's `(generation, branch_index)` order
-    /// never prefers over the `g` candidates still queued.
+    /// Runs executed while a generation-`g` wave is in flight only enqueue
+    /// generation-`g + 1` candidates, which the worklist's `(generation,
+    /// branch_index)` order never prefers over the `g` candidates still
+    /// queued, so no wave's runs change what the next wave drains first.
     fn drain_wave<O>(&self, state: &mut ExplorationState<O>, budget: usize) -> Vec<WaveItem> {
-        let limit = budget.min(self.config.batch_size);
+        let limit = budget.min(WAVE);
         let mut wave: Vec<WaveItem> = Vec::new();
         while wave.len() < limit {
             let first = wave.first().map(|w| w.candidate.generation);
@@ -574,8 +421,8 @@ impl ConcolicEngine {
         }
     }
 
-    /// Applies one wave entry's solver result, replicating the sequential
-    /// loop's pop-time checks against the now-current exploration state.
+    /// Applies one wave entry's solver result against the now-current
+    /// exploration state.
     fn commit<P: SymbolicProgram>(
         &self,
         program: &mut P,
@@ -584,15 +431,14 @@ impl ConcolicEngine {
         state: &mut ExplorationState<P::Output>,
         wave_paths: &mut FastHashSet<PathId>,
     ) {
-        // The sequential loop would not even have popped this candidate
-        // once the run budget filled.
+        // Once the run budget is full, the rest of the wave is dropped
+        // uncounted.
         if state.runs.len() >= self.config.max_runs {
             return;
         }
-        // A run executed earlier in this wave may have claimed the target
-        // path; the sequential loop skips such candidates before solving.
-        // The (already computed) result is discarded and, like there, does
-        // not count as a solver outcome.
+        // A target already claimed in this wave is skipped and not counted
+        // as a solver outcome: a run executed earlier in the wave reached
+        // it, so the (already computed) answer is discarded.
         if wave_paths.contains(&item.target) {
             state.stats.skipped_duplicates += 1;
             return;
@@ -626,7 +472,7 @@ impl ConcolicEngine {
         generation: u32,
         previous: Option<&ExecTrace>,
     ) -> RunRecord<P::Output> {
-        let ctx = ExecCtx::new().with_max_branches(self.config.max_branches_per_run);
+        let ctx = ExecCtx::new().with_max_branches(MAX_BRANCHES_PER_RUN);
         let mut ctx = match previous {
             Some(previous) => ctx.with_capacity_like(previous),
             None => ctx.with_input_capacity(input.len()),
@@ -653,20 +499,12 @@ impl ConcolicEngine {
             state.coverage.record(b.site, b.taken);
         }
         state.attempted.insert(record.trace.path_id());
-        let candidate_count = record.trace.branches.len();
-        let limit = if self.config.max_candidates_per_run == 0 {
-            candidate_count
-        } else {
-            self.config.max_candidates_per_run.min(candidate_count)
-        };
-        for (branch_index, b) in record.trace.branches.iter().enumerate().take(limit) {
+        for (branch_index, b) in record.trace.branches.iter().enumerate() {
             let is_policy = record.trace.sites.policy_sites().contains(&b.site);
             state.worklist.push(Candidate {
                 run_index,
                 branch_index,
                 generation: record.generation,
-                site: b.site,
-                taken: b.taken,
                 is_policy,
             });
             state.stats.candidates += 1;
@@ -780,6 +618,29 @@ mod tests {
     }
 
     #[test]
+    fn a_run_records_at_most_ten_thousand_branches() {
+        // 10,050 symbolic branches: the run executes all of them, but only
+        // the first 10,000 are recorded, and only those become candidates.
+        fn program(ctx: &mut ExecCtx, input: &InputValues) -> u32 {
+            let x = ctx.symbolic_u32("x", input.get_or("x", 0) as u32);
+            let mut taken = 0;
+            for step in 0..10_050 {
+                let c = x.gt_const(step, ctx);
+                if ctx.branch(c) {
+                    taken += 1;
+                }
+            }
+            taken
+        }
+        let engine = ConcolicEngine::with_config(EngineConfig::default().with_max_runs(1));
+        let mut p = program;
+        let result = engine.explore(&mut p, &[InputValues::new().with("x", 20_000)]);
+        assert_eq!(result.runs[0].output, 10_050);
+        assert_eq!(result.runs[0].trace.branches.len(), 10_000);
+        assert_eq!(result.stats.candidates, 10_000);
+    }
+
+    #[test]
     fn unsat_branches_are_counted_not_explored() {
         // The second branch is infeasible to negate: x > 100 && x <= 100.
         fn program(ctx: &mut ExecCtx, input: &InputValues) -> u32 {
@@ -850,40 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn pruning_reduces_work() {
-        let full = ConcolicEngine::with_config(EngineConfig {
-            prune_covered_directions: false,
-            ..Default::default()
-        });
-        let pruned = ConcolicEngine::with_config(EngineConfig {
-            prune_covered_directions: true,
-            ..Default::default()
-        });
-        // Several runs hit the same branch sites.
-        fn program(ctx: &mut ExecCtx, input: &InputValues) -> bool {
-            let a = ctx.symbolic_u32("a", input.get_or("a", 0) as u32);
-            let b = ctx.symbolic_u32("b", input.get_or("b", 0) as u32);
-            let c1 = a.gt_const(10, ctx);
-            let c2 = b.gt_const(10, ctx);
-            let r1 = ctx.branch_labeled("a>10", c1);
-            let r2 = ctx.branch_labeled("b>10", c2);
-            r1 && r2
-        }
-        let seeds = [
-            InputValues::new().with("a", 0).with("b", 0),
-            InputValues::new().with("a", 20).with("b", 0),
-        ];
-        let mut p1 = program;
-        let mut p2 = program;
-        let r_full = full.explore(&mut p1, &seeds);
-        let r_pruned = pruned.explore(&mut p2, &seeds);
-        assert!(r_pruned.stats.runs <= r_full.stats.runs);
-        // Both cover every direction of both sites.
-        assert_eq!(r_pruned.coverage.complete_sites(), 2);
-        assert_eq!(r_full.coverage.complete_sites(), 2);
-    }
-
-    #[test]
     fn aggregate_constraints_grow_across_runs() {
         // The paper: "Updating the aggregate set is important for achieving
         // full coverage, since the previous runs might not have reached all
@@ -909,18 +736,5 @@ mod tests {
             result.solver_stats.incremental_queries > 0,
             "candidates are solved through incremental sessions"
         );
-    }
-
-    #[test]
-    fn sequential_mode_has_no_waves() {
-        let engine = ConcolicEngine::with_config(EngineConfig {
-            batch_size: 0,
-            ..Default::default()
-        });
-        let seeds = [InputValues::new().with("x", 5).with("y", 0)];
-        let mut program = figure1_program;
-        let result = engine.explore(&mut program, &seeds);
-        assert_eq!(result.stats.waves, 0);
-        assert_eq!(result.solver_stats.incremental_queries, 0);
     }
 }

@@ -42,7 +42,7 @@ pub mod coverage;
 pub mod engine;
 pub mod input;
 pub mod path;
-pub mod strategy;
+mod strategy;
 pub mod value;
 
 pub use context::{BranchRecord, ExecCtx, SiteId, SiteInfo, SiteLabels, VarMap};
@@ -52,8 +52,7 @@ pub use engine::{
 };
 pub use input::{InputField, InputSpec, InputValues};
 pub use path::{path_id, ExecTrace, PathId};
-pub use strategy::{Candidate, Worklist};
-pub use value::{Concolic, ConcolicBool, ConcolicInt, CU16, CU32, CU64, CU8};
+pub use value::{Concolic, ConcolicBool, ConcolicInt, CU32, CU64, CU8};
 
 // Solver handles that appear in this crate's public API (branch records and
 // policy arm traces carry `TermId` path constraints).

@@ -10,8 +10,6 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use crate::context::SiteId;
-
 /// A pending exploration candidate: negate branch `branch_index` of run
 /// `run_index`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,10 +20,6 @@ pub struct Candidate {
     pub branch_index: usize,
     /// Exploration generation of the run (seeds are generation 0).
     pub generation: u32,
-    /// Branch site, for coverage accounting.
-    pub site: SiteId,
-    /// Direction the original run took at this branch.
-    pub taken: bool,
     /// True when the branch site lives in router configuration (a policy
     /// filter arm) rather than code. Scheduling is identical either way;
     /// the flag attributes solver queries to policy exploration in
@@ -65,8 +59,7 @@ impl Ord for Queued {
 /// branch, then earliest enqueued.
 ///
 /// Insertion order breaks ties, so a run of candidates with equal keys
-/// pops in the order it was pushed — a property the batched engine relies
-/// on to pop in exactly the sequential order.
+/// pops in the order it was pushed.
 #[derive(Debug, Default)]
 pub struct Worklist {
     heap: BinaryHeap<Reverse<Queued>>,
@@ -88,11 +81,13 @@ impl Worklist {
     }
 
     /// Number of pending candidates.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Returns true if no candidates are pending.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -119,13 +114,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn cand(run: usize, branch: usize, generation: u32, site: u64, taken: bool) -> Candidate {
+    fn cand(run: usize, branch: usize, generation: u32) -> Candidate {
         Candidate {
             run_index: run,
             branch_index: branch,
             generation,
-            site: SiteId(site),
-            taken,
             is_policy: false,
         }
     }
@@ -161,9 +154,9 @@ mod tests {
     #[test]
     fn generational_pops_lowest_generation_first() {
         let mut wl = Worklist::new();
-        wl.push(cand(1, 3, 2, 10, true));
-        wl.push(cand(0, 1, 0, 11, true));
-        wl.push(cand(2, 0, 1, 12, false));
+        wl.push(cand(1, 3, 2));
+        wl.push(cand(0, 1, 0));
+        wl.push(cand(2, 0, 1));
         let first = wl.pop().expect("non-empty");
         assert_eq!(first.generation, 0);
         let second = wl.pop().expect("non-empty");
@@ -173,8 +166,8 @@ mod tests {
     #[test]
     fn pop_if_leaves_refused_candidates_in_place() {
         let mut wl = Worklist::new();
-        wl.push(cand(0, 0, 0, 10, true));
-        wl.push(cand(1, 0, 1, 11, true));
+        wl.push(cand(0, 0, 0));
+        wl.push(cand(1, 0, 1));
         let first = wl.pop().expect("non-empty");
         assert_eq!(first.generation, 0);
         // The next selection is generation 1; a same-wave barrier refuses it.
@@ -189,9 +182,9 @@ mod tests {
     fn pop_breaks_ties_by_insertion_order() {
         let mut wl = Worklist::new();
         // Equal (generation, branch_index) keys: insertion order decides.
-        wl.push(cand(7, 0, 0, 10, true));
-        wl.push(cand(8, 0, 0, 11, true));
-        wl.push(cand(9, 0, 0, 12, true));
+        wl.push(cand(7, 0, 0));
+        wl.push(cand(8, 0, 0));
+        wl.push(cand(9, 0, 0));
         let order: Vec<usize> = std::iter::from_fn(|| wl.pop())
             .map(|c| c.run_index)
             .collect();
@@ -219,7 +212,7 @@ mod tests {
             for (step, (op, generation, branch, refuse)) in ops.into_iter().enumerate() {
                 match op {
                     0 | 1 => {
-                        let c = cand(step, branch, generation, step as u64, refuse);
+                        let c = cand(step, branch, generation);
                         heap.push(c);
                         scan.items.push(c);
                     }

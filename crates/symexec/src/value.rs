@@ -48,8 +48,6 @@ pub struct Concolic<T: ConcolicInt> {
 
 /// Convenience aliases for the common widths.
 pub type CU8 = Concolic<u8>;
-/// 16-bit concolic integer.
-pub type CU16 = Concolic<u16>;
 /// 32-bit concolic integer.
 pub type CU32 = Concolic<u32>;
 /// 64-bit concolic integer.

@@ -1,13 +1,10 @@
-//! Sequential-vs-batched engine equivalence.
+//! Golden pins of the engine's wave loop on four small scenarios.
 //!
-//! The batched worklist engine must produce exactly the runs the
-//! sequential negate-solve-execute loop produces — same inputs, same
-//! paths, same provenance, in the same order — for any batch size.
-//! Coverage and fault-relevant outputs follow from that, but every
-//! dimension is asserted explicitly here.
-//!
-//! Each scenario's exploration is also pinned: every run's output, parent,
-//! generation and input, the engine counters and the solver counters.
+//! Each scenario's exploration is pinned: every run's output, parent,
+//! generation and input, in execution order; the engine counters; and the
+//! solver counters. The values were recorded while a one-candidate-at-a-
+//! time reference loop still ran beside the wave loop and was asserted to
+//! produce the same runs, so they are that loop's runs too.
 //! **The pinned values were generated before the change that added them
 //! touched any other file.** To regenerate after a change that is *meant*
 //! to alter exploration outputs, run with
@@ -132,78 +129,10 @@ where
     ConcolicEngine::with_config(config).explore(&mut program, seeds)
 }
 
-/// Asserts that two explorations are observably identical: run for run,
-/// candidate for candidate. Wall-clock and wave counters are exempt.
-fn assert_equivalent<O: std::fmt::Debug + PartialEq>(
-    sequential: &Exploration<O>,
-    batched: &Exploration<O>,
-    what: &str,
-) {
-    assert_eq!(
-        sequential.runs.len(),
-        batched.runs.len(),
-        "{what}: run count"
-    );
-    for (i, (s, b)) in sequential.runs.iter().zip(batched.runs.iter()).enumerate() {
-        assert_eq!(s.output, b.output, "{what}: output of run {i}");
-        assert_eq!(s.parent, b.parent, "{what}: parent of run {i}");
-        assert_eq!(s.generation, b.generation, "{what}: generation of run {i}");
-        assert_eq!(
-            s.trace.input, b.trace.input,
-            "{what}: generated input of run {i}"
-        );
-        assert_eq!(
-            s.trace.path_id(),
-            b.trace.path_id(),
-            "{what}: path of run {i}"
-        );
-    }
-    assert_eq!(
-        sequential.coverage.site_count(),
-        batched.coverage.site_count(),
-        "{what}: branch sites"
-    );
-    assert_eq!(
-        sequential.coverage.complete_sites(),
-        batched.coverage.complete_sites(),
-        "{what}: complete sites"
-    );
-    let s = &sequential.stats;
-    let b = &batched.stats;
-    assert_eq!(s.runs, b.runs, "{what}: stats.runs");
-    assert_eq!(s.candidates, b.candidates, "{what}: stats.candidates");
-    assert_eq!(
-        s.skipped_duplicates, b.skipped_duplicates,
-        "{what}: stats.skipped_duplicates"
-    );
-    assert_eq!(
-        s.skipped_covered, b.skipped_covered,
-        "{what}: stats.skipped_covered"
-    );
-    assert_eq!(s.solver_sat, b.solver_sat, "{what}: stats.solver_sat");
-    assert_eq!(s.solver_unsat, b.solver_unsat, "{what}: stats.solver_unsat");
-    assert_eq!(
-        s.solver_unknown, b.solver_unknown,
-        "{what}: stats.solver_unknown"
-    );
-}
-
-fn sequential_config() -> EngineConfig {
-    EngineConfig::default().with_batch_size(0)
-}
-
+/// Figure 1: three reachable paths from one seed.
 #[test]
 fn figure1_is_identical_across_batch_sizes_and_workers() {
     let seeds = [InputValues::new().with("x", 5).with("y", 0)];
-    let reference = explore(figure1, &seeds, sequential_config());
-    for batch_size in [1, 2, 4, 16] {
-        let batched = explore(
-            figure1,
-            &seeds,
-            EngineConfig::default().with_batch_size(batch_size),
-        );
-        assert_equivalent(&reference, &batched, &format!("figure1 batch={batch_size}"));
-    }
     let exploration = explore(figure1, &seeds, EngineConfig::default());
     pin(
         "figure1",
@@ -215,17 +144,17 @@ fn figure1_is_identical_across_batch_sizes_and_workers() {
             [2, 2, 1, 2],
         ),
     );
-    let outputs: HashSet<u32> = reference.outputs().copied().collect();
+    let outputs: HashSet<u32> = exploration.outputs().copied().collect();
     assert_eq!(outputs, HashSet::from([0, 1, 2]));
+    assert_eq!(exploration.coverage.complete_sites(), 2);
 }
 
+/// The 12-step chain: many sibling candidates share a long prefix and
+/// span several waves.
 #[test]
 fn deep_chain_is_identical_and_batches_widely() {
     let seeds = [InputValues::new().with("v", 0)];
-    let config = EngineConfig::default().with_max_runs(64);
-    let reference = explore(chain, &seeds, config.with_batch_size(0));
-    let batched = explore(chain, &seeds, config.with_batch_size(16));
-    assert_equivalent(&reference, &batched, "deep chain");
+    let batched = explore(chain, &seeds, EngineConfig::default().with_max_runs(64));
     pin(
         "chain",
         &batched,
@@ -242,24 +171,17 @@ fn deep_chain_is_identical_and_batches_widely() {
         "sibling candidates reused the shared prefix"
     );
     // Every chain threshold was crossed somewhere.
-    assert_eq!(reference.coverage.complete_sites(), 12);
+    assert_eq!(batched.coverage.complete_sites(), 12);
 }
 
+/// Re-merging paths and an infeasible negation: duplicate targets are
+/// skipped, the unsat negation is counted, not executed.
 #[test]
 fn remerging_paths_and_unsat_negations_are_identical() {
     let seeds = [
         InputValues::new().with("a", 0).with("b", 0),
         InputValues::new().with("a", 100).with("b", 100),
     ];
-    let reference = explore(remerge, &seeds, sequential_config());
-    for batch_size in [1, 3, 16] {
-        let batched = explore(
-            remerge,
-            &seeds,
-            EngineConfig::default().with_batch_size(batch_size),
-        );
-        assert_equivalent(&reference, &batched, &format!("remerge batch={batch_size}"));
-    }
     let exploration = explore(remerge, &seeds, EngineConfig::default());
     pin(
         "remerge",
@@ -272,11 +194,11 @@ fn remerging_paths_and_unsat_negations_are_identical() {
         ),
     );
     assert!(
-        reference.stats.solver_unsat >= 1,
+        exploration.stats.solver_unsat >= 1,
         "the duplicated predicate's negation is infeasible"
     );
     assert!(
-        reference.stats.skipped_duplicates >= 1,
+        exploration.stats.skipped_duplicates >= 1,
         "re-merging paths produce duplicate targets"
     );
 }
@@ -343,10 +265,11 @@ const BUDGET_PINS: [Pinned; 9] = [
 fn tight_run_budgets_are_identical() {
     let seeds = [InputValues::new().with("v", 0)];
     for max_runs in 1..10 {
-        let config = EngineConfig::default().with_max_runs(max_runs);
-        let reference = explore(chain, &seeds, config.with_batch_size(0));
-        let batched = explore(chain, &seeds, config);
-        assert_equivalent(&reference, &batched, &format!("max_runs={max_runs}"));
+        let batched = explore(
+            chain,
+            &seeds,
+            EngineConfig::default().with_max_runs(max_runs),
+        );
         pin(
             &format!("max_runs={max_runs}"),
             &batched,

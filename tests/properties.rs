@@ -13,7 +13,7 @@ use dice_router::policy::{
 };
 use dice_router::rib::canonical_cmp;
 use dice_router::PrefixMap;
-use dice_solver::{Solver, TermArena};
+use dice_solver::{IncrementalSolver, TermArena};
 use dice_symexec::{ExecCtx, SiteId, CU32};
 
 fn arb_prefix() -> impl Strategy<Value = Ipv4Prefix> {
@@ -220,8 +220,9 @@ proptest! {
         let c2 = arena.ule(xv, hi_t);
         let c3 = arena.ne(xv, ex_t);
         let constraints = [c1, c2, c3];
-        let mut solver = Solver::new();
-        let verdict = solver.solve(&mut arena, &constraints, None);
+        let mut session = IncrementalSolver::new();
+        session.assert_all(&mut arena, &constraints);
+        let verdict = session.check(&arena, None);
         // The range always contains at least two values, so excluding one
         // still leaves a model.
         let model = verdict.model().expect("satisfiable by construction");
