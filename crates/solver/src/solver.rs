@@ -307,9 +307,9 @@ fn enumerate(
 }
 
 /// Local search's working memory. A session (or the one-shot test
-/// reference) owns one and lends it to every query it decides, so a query reuses the
-/// allocations of the ones before it; no value in it outlives the query
-/// that wrote it.
+/// reference) owns one and lends it to every query it decides, so a query
+/// reuses the allocations of the ones before it; no value in it outlives
+/// the query that wrote it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SearchScratch {
     /// The searched variables and their domains, in ascending order.
