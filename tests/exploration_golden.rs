@@ -20,6 +20,7 @@
 use dice::core::{RoundCheckpoint, SymbolicUpdateHandler};
 use dice::prelude::*;
 use dice::router::policy::parse_filter;
+use dice::symexec::Coverage;
 
 /// The `explore_heavy` workload's customer import filter, verbatim.
 const CUSTOMER_IN: &str = r#"
@@ -170,12 +171,16 @@ fn sixteen_arm_filter_generated_inputs_are_pinned() {
     let checkpoint = RoundCheckpoint::capture(&router);
     let mut rendered: Vec<String> = Vec::new();
     let mut distinct_paths = 0usize;
+    let mut union_paths = std::collections::BTreeSet::new();
+    let mut coverage = Coverage::new();
     for (peer, update) in &pool {
         let template = UpdateTemplate::from_update(update).expect("announces a prefix");
         let seed = template.seed();
         let mut handler = SymbolicUpdateHandler::new(checkpoint.clone(), *peer, template);
         let exploration = ConcolicEngine::with_config(engine_config).explore(&mut handler, &[seed]);
         distinct_paths += exploration.distinct_paths();
+        union_paths.extend(exploration.runs.iter().map(|run| run.trace.path_id()));
+        coverage.merge(&exploration.coverage);
         rendered.extend(
             exploration
                 .generated_inputs()
@@ -186,6 +191,34 @@ fn sixteen_arm_filter_generated_inputs_are_pinned() {
     rendered.sort();
     pin("heavy.generated.count", rendered.len(), 428usize);
     pin("heavy.generated.distinct_paths", distinct_paths, 256usize);
+    // Every input walks the same filter paths: 256 per-input paths are 16
+    // in union.
+    pin("heavy.generated.union_paths", union_paths.len(), 16usize);
+    // Merged over the round, every policy direction is covered but the two
+    // of arm 6 (`neighbor_as != 17557`): the template keeps `neighbor_as`
+    // concrete, so that arm is never recorded.
+    pin(
+        "heavy.generated.policy_directions",
+        (
+            coverage.policy_directions_covered(),
+            2 * coverage.policy_site_count(),
+        ),
+        (30usize, 32usize),
+    );
+    let recorded: Vec<&str> = coverage
+        .iter()
+        .filter(|&(site, _)| coverage.is_policy_site(site))
+        .filter_map(|(site, _)| coverage.label(site))
+        .collect();
+    let unrecorded: Vec<String> = (0..16)
+        .map(|arm| format!("filter:customer_in:if{arm}"))
+        .filter(|label| !recorded.contains(&label.as_str()))
+        .collect();
+    pin(
+        "heavy.generated.unrecorded_policy_sites",
+        unrecorded,
+        vec!["filter:customer_in:if6".to_string()],
+    );
     pin(
         "heavy.generated.sorted_fnv",
         fnv1a(&rendered.join("\n")),
