@@ -6,7 +6,7 @@ use std::fmt;
 /// Copy-on-write accounting for structure-level forks (the paper's `fork`
 /// model applied at data-structure granularity rather than page
 /// granularity): of the `units_total` independently shareable units a fork
-/// comprises — e.g. the RIB shards of a router checkpoint — how many are
+/// comprises — e.g. the RIB table of a router checkpoint — how many are
 /// still physically shared with the process it was forked from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowForkStats {

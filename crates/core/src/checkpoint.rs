@@ -5,8 +5,9 @@
 //! (§3.2): forks share every memory page with the live process until one
 //! side writes. [`RoundCheckpoint`] is that model applied at the
 //! orchestration layer. Capturing one is a [`BgpRouter`] clone — itself a
-//! copy-on-write fork now that RIB shards sit behind `Arc`s ([`Rib`] docs)
-//! — wrapped in an `Arc` so every [`crate::SymbolicUpdateHandler`] of the
+//! copy-on-write fork, because the RIB and each chunk of its prefix map sit
+//! behind `Arc`s ([`Rib`] docs) — wrapped in an `Arc` so every
+//! [`crate::SymbolicUpdateHandler`] of the
 //! round shares the *same* snapshot instead of copying the router per
 //! observed input. A fork explores exactly like a router rebuilt from the
 //! same updates, which shares nothing with it (asserted by test).
@@ -16,7 +17,7 @@
 //! operation ([`crate::LiveOrchestrator`]) the session is the only holder:
 //! it captures after the epoch's traffic has quiesced and releases before
 //! the next epoch's driver runs, so no round ever explores stale state and
-//! the live router never writes to a shard a checkpoint still shares —
+//! the live router never writes to a table a checkpoint still shares —
 //! the copy [`RoundCheckpoint::cow_stats_vs`] measures is paid only by a
 //! caller that keeps a checkpoint of its own across live writes.
 
@@ -30,7 +31,7 @@ use dice_router::{BgpRouter, Rib};
 ///
 /// Cloning a `RoundCheckpoint` is one reference-count bump; the underlying
 /// router state is shared copy-on-write with the live router it was
-/// captured from (at RIB-shard granularity).
+/// captured from.
 #[derive(Debug, Clone)]
 pub struct RoundCheckpoint {
     router: Arc<BgpRouter>,
@@ -38,7 +39,7 @@ pub struct RoundCheckpoint {
 
 impl RoundCheckpoint {
     /// Captures a checkpoint of the live router (the fork operation): a
-    /// copy-on-write clone whose RIB shards stay shared with `live` until
+    /// copy-on-write clone whose RIB stays shared with `live` until
     /// either side writes.
     pub fn capture(live: &BgpRouter) -> Self {
         RoundCheckpoint {
@@ -63,10 +64,11 @@ impl RoundCheckpoint {
     }
 
     /// Copy-on-write accounting against the live router this checkpoint
-    /// was captured from: how many RIB shard units are still physically
-    /// shared. Right after [`RoundCheckpoint::capture`] everything is
-    /// shared; live writes during the round copy only the touched shards —
-    /// the shard-granular analogue of the paper's 3.45% unique pages.
+    /// was captured from: whether the RIB, the one unit, is still
+    /// physically shared. Right after [`RoundCheckpoint::capture`] it is;
+    /// the first live write copies it (the table's counters and chunk
+    /// directory, and the one chunk written: the rest of the chunks stay
+    /// shared, the analogue of the paper's 3.45% unique pages).
     pub fn cow_stats_vs(&self, live: &BgpRouter) -> CowForkStats {
         let (shared, total) = self.router.rib().cow_shard_sharing(live.rib());
         CowForkStats::from_sharing(shared, total)
@@ -116,15 +118,15 @@ mod tests {
         assert_eq!(stats.units_copied(), 0, "a fresh capture copies nothing");
         assert!(stats.shared_fraction() >= 1.0 - 1e-9);
 
-        // The live router keeps processing; only touched shards diverge,
-        // and the checkpoint's view stays frozen.
+        // The live router keeps processing; its first write copies the one
+        // unit, and the checkpoint's view stays frozen.
         let before = checkpoint.rib().prefix_count();
         announce(&mut live, "198.51.100.0/24", 7);
         let stats = checkpoint.cow_stats_vs(&live);
-        assert!(stats.units_copied() >= 1);
-        assert!(
-            stats.units_copied() <= 2,
-            "a single update dirties at most its shard (plus a short cover)"
+        assert_eq!(
+            (stats.units_copied(), stats.units_total),
+            (1, 1),
+            "a single update copies the table"
         );
         assert_eq!(checkpoint.rib().prefix_count(), before);
         assert_eq!(live.rib().prefix_count(), before + 1);

@@ -142,10 +142,12 @@ pub struct ControlSnapshot {
     /// Policy-branch coverage across rounds, in `[0, 1]` (1.0 when no
     /// policies are registered).
     pub policy_coverage: f64,
-    /// RIB-shard copy-on-write sharing, summed over every node and epoch
-    /// window: of all shard units a fork held across each window would
-    /// comprise, how many it would still share when the window closed.
-    /// Counted from shard write generations; no such fork is held.
+    /// RIB copy-on-write sharing, summed over every node and epoch window.
+    /// The unit is a node's whole table: of the tables a fork held across
+    /// each window would comprise (one per node), how many it would still
+    /// share when the window closed. Counted from each table's write
+    /// generation; no such fork is held. The rendered label still reads
+    /// "cow shards".
     pub cow: CowForkStats,
     /// The delivery-log compaction watermark: every log entry below this
     /// sequence number has been harvested (and dropped, when compaction is

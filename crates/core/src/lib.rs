@@ -7,8 +7,10 @@
 //! whether the system deviates from its desired behaviour. It does so by
 //!
 //! * taking a cheap, fork-style **checkpoint** of the live node
-//!   ([`RoundCheckpoint`], a copy-on-write fork whose sharing
-//!   `dice-checkpoint`'s `CowForkStats` accounts for),
+//!   ([`RoundCheckpoint`], a copy-on-write fork: the router's table is one
+//!   `Arc` over `Arc`'d chunks of 128 prefixes, so a write after the fork
+//!   copies one chunk, and `dice-checkpoint`'s `CowForkStats` counts
+//!   whether the table is still shared),
 //! * deriving **symbolic inputs** from previously observed UPDATE messages
 //!   ([`UpdateTemplate`]) — only selected fields are symbolic, so generated
 //!   messages are always syntactically valid,

@@ -53,11 +53,11 @@
 //! has quiesced and dropped before the report is returned; within the
 //! round every explored input shares it instead of deep-cloning the
 //! router. That is the only fork there is: none is alive while the driver
-//! or the simulator writes, so no live write ever copies a RIB shard. The
-//! control snapshot's "cow shards n/m shared" line — what a fork held
-//! across each window *would* still share — is computed from the RIB's
-//! per-shard write generations ([`dice_router::Rib::shard_generations`])
-//! instead of from a held fork.
+//! or the simulator writes, so no live write ever copies a RIB. The
+//! control snapshot's "cow shards n/m shared" line — how many of the
+//! nodes' tables a fork held across each window *would* still share — is
+//! computed from each RIB's write generation
+//! ([`dice_router::Rib::generation`]) instead of from a held fork.
 //!
 //! Because each round checkpoints the node state *as it was when the round
 //! ran*, continuous rounds see behaviour that a single end-of-run harvest
@@ -480,9 +480,9 @@ impl LiveOrchestrator {
         let mut temporal = self.explorer.session().live_window(LIVE_WINDOW);
 
         // Control-plane accumulators: per-round latency, merged solver
-        // counters, running report totals, and the shard-level CoW sharing
+        // counters, running report totals, and the table-level CoW sharing
         // a fork held across each window would show, counted when the
-        // window closes from the shard generations read when it opened.
+        // window closes from the table generations read when it opened.
         let mut solver = SolverStats::default();
         let mut last_latency = Duration::ZERO;
         let mut latency_total = Duration::ZERO;
@@ -490,9 +490,9 @@ impl LiveOrchestrator {
         let mut wave_latency = dice_obs::Histogram::new();
         let mut cow = CowForkStats::default();
         let mut totals = RunTotals::default();
-        let mut generations: Vec<Vec<u64>> = nodes
+        let mut generations: Vec<u64> = nodes
             .iter()
-            .map(|&node| sim.router(node).rib().shard_generations())
+            .map(|&node| sim.router(node).rib().generation())
             .collect();
 
         for epoch in 0..self.max_rounds.max(1) {
@@ -567,13 +567,13 @@ impl LiveOrchestrator {
                     sim.trim_observed_below(cursor);
                 }
 
-                // The window closes: a shard whose generation has not
+                // The window closes: a table whose generation has not
                 // moved since it opened is one a fork held across it would
                 // still share. The same reading opens the next window.
                 for (opened, &node) in generations.iter_mut().zip(&nodes) {
-                    let closed = sim.router(node).rib().shard_generations();
-                    cow.units_total += closed.len();
-                    cow.units_shared += opened.iter().zip(&closed).filter(|(a, b)| a == b).count();
+                    let closed = sim.router(node).rib().generation();
+                    cow.units_total += 1;
+                    cow.units_shared += usize::from(*opened == closed);
                     *opened = closed;
                 }
                 last_latency = epoch_started.elapsed();

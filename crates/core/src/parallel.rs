@@ -7,15 +7,28 @@
 //! more than it saved (see the `fleet` module).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Resolves a configured core count: `0` (the codebase-wide "all cores"
 /// convention) becomes the machine's available parallelism, anything else
 /// passes through.
 pub(crate) fn resolve_cores(configured: usize) -> usize {
     match configured {
-        0 => dice_router::available_cores(),
+        0 => available_cores(),
         n => n,
     }
+}
+
+/// The machine's available parallelism, read once per process: asking the
+/// OS costs tens of microseconds (it reads the cgroup quota and the
+/// affinity mask).
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+    })
 }
 
 /// Maps `f` over every item, fanned out across `workers` threads.

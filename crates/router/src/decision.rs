@@ -11,7 +11,7 @@ use dice_bgp::route::Route;
 /// The reason one route was preferred over another, for operator-facing
 /// explanations and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecisionReason {
+pub(crate) enum DecisionReason {
     /// Higher LOCAL_PREF wins.
     LocalPref,
     /// Shorter AS path wins.
@@ -30,7 +30,7 @@ pub enum DecisionReason {
 }
 
 /// Compares two candidate routes; `Ordering::Greater` means `a` is better.
-pub fn compare(a: &Route, b: &Route) -> (Ordering, DecisionReason) {
+pub(crate) fn compare(a: &Route, b: &Route) -> (Ordering, DecisionReason) {
     // 1. Highest LOCAL_PREF.
     let lp = a
         .attrs
@@ -72,12 +72,15 @@ pub fn compare(a: &Route, b: &Route) -> (Ordering, DecisionReason) {
 }
 
 /// Returns true if `candidate` is strictly better than `current`.
-pub fn is_better(candidate: &Route, current: &Route) -> bool {
+#[cfg(test)]
+fn is_better(candidate: &Route, current: &Route) -> bool {
     compare(candidate, current).0 == Ordering::Greater
 }
 
-/// Selects the best route among candidates, returning its index.
-pub fn select_best(candidates: &[Route]) -> Option<usize> {
+/// Selects the best route among candidates, returning its index: the
+/// indexed reference [`best_of`] is tested against.
+#[cfg(test)]
+fn select_best(candidates: &[Route]) -> Option<usize> {
     let mut best: Option<usize> = None;
     for (i, r) in candidates.iter().enumerate() {
         match best {
@@ -93,9 +96,9 @@ pub fn select_best(candidates: &[Route]) -> Option<usize> {
 }
 
 /// Selects the best route from an iterator of borrowed candidates without
-/// materializing them (ties keep the earliest candidate, like
-/// [`select_best`]). This is the allocation-free path the RIB decision
-/// process runs on every announce/withdraw.
+/// materializing them (ties keep the earliest candidate). This is the
+/// allocation-free path the RIB decision process runs on every
+/// announce/withdraw.
 pub fn best_of<'a, I>(candidates: I) -> Option<&'a Route>
 where
     I: IntoIterator<Item = &'a Route>,

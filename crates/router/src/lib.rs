@@ -25,12 +25,11 @@ pub mod peer;
 pub mod policy;
 pub mod rib;
 pub mod router;
-pub mod trie;
+mod trie;
 
 pub use config::{NeighborConfig, RouterConfig, StaticRoute};
-pub use decision::{compare, is_better, select_best, DecisionReason};
 pub use peer::{Peer, PeerStats};
 pub use policy::{FilterDef, FilterOutcome, FilterVerdict, RouteView};
-pub use rib::{available_cores, Rib, RibChange};
+pub use rib::{Rib, RibChange};
 pub use router::{BgpRouter, Outgoing, RouterStats};
 pub use trie::PrefixMap;

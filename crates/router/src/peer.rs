@@ -46,7 +46,7 @@ pub struct Peer {
 
 impl Peer {
     /// Creates a peer from configuration, in the `Idle` state.
-    pub fn from_config(id: PeerId, config: &NeighborConfig) -> Self {
+    pub(crate) fn from_config(id: PeerId, config: &NeighborConfig) -> Self {
         Peer {
             id,
             address: config.address,

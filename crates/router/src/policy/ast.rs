@@ -30,7 +30,8 @@ impl FilterDef {
     }
 
     /// A filter that rejects every route.
-    pub fn reject_all(name: impl Into<String>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn reject_all(name: impl Into<String>) -> Self {
         FilterDef {
             name: name.into(),
             body: vec![Stmt::Reject],
@@ -48,12 +49,12 @@ impl FilterDef {
     /// [`dice_symexec::SiteId`](https://docs.rs) equivalent the engine
     /// schedules, so a filter arm is the same exploration site no matter
     /// which router, round or worker evaluates it.
-    pub fn site_label(&self, id: u32) -> String {
+    pub(crate) fn site_label(&self, id: u32) -> String {
         format!("filter:{}:if{}", self.name, id)
     }
 
     /// Arm identifiers in pre-order (the order the parser assigns them).
-    pub fn arm_ids(&self) -> Vec<u32> {
+    pub(crate) fn arm_ids(&self) -> Vec<u32> {
         fn walk(stmts: &[Stmt], out: &mut Vec<u32>) {
             for s in stmts {
                 if let Stmt::If {
@@ -318,7 +319,7 @@ impl PrefixPattern {
     }
 
     /// A pattern matching the prefix or anything more specific.
-    pub fn or_longer(prefix: Ipv4Prefix) -> Self {
+    pub(crate) fn or_longer(prefix: Ipv4Prefix) -> Self {
         PrefixPattern {
             prefix,
             min_len: prefix.len(),

@@ -33,7 +33,8 @@ pub fn encode_community(asn: u16, value: u16) -> u32 {
 }
 
 /// Unpacks a community slot encoding produced by [`encode_community`].
-pub fn decode_community(slot: u32) -> (u16, u16) {
+#[cfg(test)]
+pub(crate) fn decode_community(slot: u32) -> (u16, u16) {
     ((slot >> 16) as u16, (slot & 0xffff) as u16)
 }
 
@@ -172,7 +173,7 @@ enum Flow {
 }
 
 /// The branch sites of one filter — every `if` arm's
-/// [`FilterDef::site_label`], hashed to its [`SiteId`] — computed once and
+/// `FilterDef::site_label`, hashed to its [`SiteId`] — computed once and
 /// reused by every symbolic evaluation of that filter
 /// ([`eval_filter_at`]).
 ///
@@ -319,7 +320,7 @@ fn eval_stmts(
 }
 
 /// Evaluates a condition to a concolic boolean.
-pub fn eval_expr(expr: &Expr, view: &RouteView, ctx: &mut ExecCtx) -> ConcolicBool {
+pub(crate) fn eval_expr(expr: &Expr, view: &RouteView, ctx: &mut ExecCtx) -> ConcolicBool {
     match expr {
         Expr::True => ConcolicBool::concrete(true),
         Expr::False => ConcolicBool::concrete(false),

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Identifier or keyword.
     Ident(String),
     /// Unsigned integer literal.
@@ -91,11 +91,11 @@ impl fmt::Display for Token {
 
 /// A lexing error with line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
     /// Description of the problem.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for LexError {
@@ -108,15 +108,15 @@ impl std::error::Error for LexError {}
 
 /// A token together with the line it started on (for error reporting).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpannedToken {
+pub(crate) struct SpannedToken {
     /// The token.
-    pub token: Token,
+    pub(crate) token: Token,
     /// 1-based line number.
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// Tokenizes the input. `#` starts a comment that runs to end of line.
-pub fn tokenize(input: &str) -> Result<Vec<SpannedToken>, LexError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<SpannedToken>, LexError> {
     let mut out = Vec::new();
     let bytes = input.as_bytes();
     let mut i = 0;

@@ -72,7 +72,7 @@ impl From<LexError> for ParseError {
 /// Token-stream cursor shared by the filter parser and the router
 /// configuration parser.
 #[derive(Debug)]
-pub struct Parser {
+pub(crate) struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
     next_branch_id: u32,
@@ -82,7 +82,7 @@ pub struct Parser {
 
 impl Parser {
     /// Creates a parser over the given source text.
-    pub fn new(input: &str) -> Result<Self, ParseError> {
+    pub(crate) fn new(input: &str) -> Result<Self, ParseError> {
         Ok(Parser {
             tokens: tokenize(input)?,
             pos: 0,
@@ -92,22 +92,22 @@ impl Parser {
     }
 
     /// Returns true if all tokens have been consumed.
-    pub fn at_end(&self) -> bool {
+    pub(crate) fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
     /// The current line number, for error messages.
-    pub fn line(&self) -> usize {
+    pub(crate) fn line(&self) -> usize {
         self.tokens.get(self.pos).map(|t| t.line).unwrap_or(0)
     }
 
     /// Peeks at the current token.
-    pub fn peek(&self) -> Option<&Token> {
+    pub(crate) fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
 
     /// Consumes and returns the current token.
-    pub fn advance(&mut self) -> Option<Token> {
+    pub(crate) fn advance(&mut self) -> Option<Token> {
         let t = self.tokens.get(self.pos).map(|t| t.token.clone());
         if t.is_some() {
             self.pos += 1;
@@ -116,7 +116,7 @@ impl Parser {
     }
 
     /// Creates an error at the current position.
-    pub fn error(&self, message: impl Into<String>) -> ParseError {
+    pub(crate) fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError {
             line: self.line(),
             message: message.into(),
@@ -124,7 +124,7 @@ impl Parser {
     }
 
     /// Consumes the expected token or fails.
-    pub fn expect(&mut self, expected: &Token) -> Result<(), ParseError> {
+    pub(crate) fn expect(&mut self, expected: &Token) -> Result<(), ParseError> {
         match self.peek() {
             Some(t) if t == expected => {
                 self.pos += 1;
@@ -136,7 +136,7 @@ impl Parser {
     }
 
     /// Consumes an identifier with the exact given text.
-    pub fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
+    pub(crate) fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
         match self.peek() {
             Some(Token::Ident(s)) if s == kw => {
                 self.pos += 1;
@@ -148,7 +148,7 @@ impl Parser {
     }
 
     /// Returns true (and consumes) if the current token is the identifier.
-    pub fn eat_keyword(&mut self, kw: &str) -> bool {
+    pub(crate) fn eat_keyword(&mut self, kw: &str) -> bool {
         if matches!(self.peek(), Some(Token::Ident(s)) if s == kw) {
             self.pos += 1;
             true
@@ -158,7 +158,7 @@ impl Parser {
     }
 
     /// Returns true (and consumes) if the current token equals `t`.
-    pub fn eat(&mut self, t: &Token) -> bool {
+    pub(crate) fn eat(&mut self, t: &Token) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -168,7 +168,7 @@ impl Parser {
     }
 
     /// Consumes an identifier.
-    pub fn expect_ident(&mut self) -> Result<String, ParseError> {
+    pub(crate) fn expect_ident(&mut self) -> Result<String, ParseError> {
         match self.advance() {
             Some(Token::Ident(s)) => Ok(s),
             Some(t) => Err(self.error(format!("expected identifier, found `{t}`"))),
@@ -177,7 +177,7 @@ impl Parser {
     }
 
     /// Consumes a number.
-    pub fn expect_number(&mut self) -> Result<u64, ParseError> {
+    pub(crate) fn expect_number(&mut self) -> Result<u64, ParseError> {
         match self.advance() {
             Some(Token::Number(n)) => Ok(n),
             Some(t) => Err(self.error(format!("expected number, found `{t}`"))),
@@ -211,7 +211,7 @@ impl Parser {
     }
 
     /// Consumes an IPv4 address literal.
-    pub fn expect_ip(&mut self) -> Result<u32, ParseError> {
+    pub(crate) fn expect_ip(&mut self) -> Result<u32, ParseError> {
         match self.advance() {
             Some(Token::IpAddr(a)) => Ok(a),
             Some(t) => Err(self.error(format!("expected IPv4 address, found `{t}`"))),
@@ -220,7 +220,7 @@ impl Parser {
     }
 
     /// Consumes a `A.B.C.D/len` prefix.
-    pub fn expect_prefix(&mut self) -> Result<Ipv4Prefix, ParseError> {
+    pub(crate) fn expect_prefix(&mut self) -> Result<Ipv4Prefix, ParseError> {
         let addr = self.expect_ip()?;
         self.expect(&Token::Slash)?;
         let len = self.expect_narrow("prefix length")?;
@@ -228,7 +228,7 @@ impl Parser {
     }
 
     /// Parses a complete `filter name { ... }` definition.
-    pub fn parse_filter(&mut self) -> Result<FilterDef, ParseError> {
+    pub(crate) fn parse_filter(&mut self) -> Result<FilterDef, ParseError> {
         self.expect_keyword("filter")?;
         let name = self.expect_ident()?;
         self.next_branch_id = 0;
@@ -323,11 +323,6 @@ impl Parser {
             Some(t) => Err(self.error(format!("expected statement, found `{t}`"))),
             None => Err(self.error("expected statement, found end of input")),
         }
-    }
-
-    /// Parses a condition expression.
-    pub fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        Ok(self.parse_or_expr()?.0)
     }
 
     /// Parses an `expr`. Like the productions under it, returns the

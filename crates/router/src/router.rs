@@ -131,60 +131,14 @@ impl BgpRouter {
         &self.rib
     }
 
-    /// Bulk-loads routes straight into the RIB, fanned out across
-    /// `workers` threads over disjoint shards ([`Rib::load_parallel`];
-    /// `0` uses the machine's available parallelism). Returns the number
-    /// of routes applied.
-    ///
-    /// This is the table-dump fast path: import policy and propagation are
-    /// bypassed (the routes are installed exactly as given), matching how
-    /// an operator preloads a full table before bringing sessions up.
-    pub fn load_routes(&mut self, routes: Vec<Route>, workers: usize) -> usize {
-        let loaded = self.rib.load_parallel(routes, workers);
-        self.stats.prefixes_announced += loaded as u64;
-        self.stats.routes_accepted += loaded as u64;
-        loaded
-    }
-
-    /// Bulk-loads routes through each route's import policy, with policy
-    /// evaluation running on the same worker threads that fan the inserts
-    /// out across disjoint RIB shards ([`Rib::load_parallel_filtered`]).
-    ///
-    /// Semantics per route match [`BgpRouter::apply_import`] keyed by
-    /// [`Route::learned_from`]: unknown peers and references to missing
-    /// filters reject (fail closed), peers without an import filter accept
-    /// as-is, and accepted routes carry the filter's attribute
-    /// modifications. Propagation is still bypassed and per-peer counters
-    /// are not updated, exactly like [`BgpRouter::load_routes`]. Returns
-    /// the number of routes accepted.
-    pub fn load_routes_filtered(&mut self, routes: Vec<Route>, workers: usize) -> usize {
-        let total = routes.len();
-        let config = &self.config;
-        let peers = &self.peers;
-        let import = |route: Route| -> Option<Route> {
-            let peer = peers.get(&route.learned_from)?;
-            let Some(filter_name) = &peer.import_filter else {
-                return Some(route);
-            };
-            let filter = config.filter(filter_name)?;
-            let mut ctx = ExecCtx::new();
-            let outcome = eval_filter(filter, &RouteView::concrete(&route), &mut ctx);
-            Self::apply_outcome(route, &outcome)
-        };
-        let accepted = self.rib.load_parallel_filtered(routes, workers, import);
-        self.stats.prefixes_announced += total as u64;
-        self.stats.routes_accepted += accepted as u64;
-        self.stats.routes_rejected += (total - accepted) as u64;
-        accepted
-    }
-
     /// Router-wide counters.
     pub fn stats(&self) -> &RouterStats {
         &self.stats
     }
 
     /// Resets the counters (used between measurement windows).
-    pub fn reset_stats(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = RouterStats::default();
         for p in self.peers.values_mut() {
             p.stats = Default::default();
@@ -323,7 +277,7 @@ impl BgpRouter {
 
     /// Applies the import policy of `from` to a candidate route, returning
     /// the (possibly modified) route if it is accepted.
-    pub fn apply_import(&self, from: PeerId, route: Route) -> Option<Route> {
+    pub(crate) fn apply_import(&self, from: PeerId, route: Route) -> Option<Route> {
         let peer = self.peers.get(&from)?;
         let Some(filter_name) = &peer.import_filter else {
             return Some(route);
@@ -338,7 +292,7 @@ impl BgpRouter {
     }
 
     /// Applies a filter outcome's attribute modifications to a route.
-    pub fn apply_outcome(mut route: Route, outcome: &FilterOutcome) -> Option<Route> {
+    pub(crate) fn apply_outcome(mut route: Route, outcome: &FilterOutcome) -> Option<Route> {
         if !outcome.is_accept() {
             return None;
         }
@@ -355,7 +309,8 @@ impl BgpRouter {
     }
 
     /// Originates a prefix locally and returns the announcements to send.
-    pub fn originate(&mut self, prefix: Ipv4Prefix, next_hop: Ipv4Addr) -> Vec<Outgoing> {
+    #[cfg(test)]
+    pub(crate) fn originate(&mut self, prefix: Ipv4Prefix, next_hop: Ipv4Addr) -> Vec<Outgoing> {
         let attrs = RouteAttrs {
             next_hop,
             ..Default::default()
@@ -408,7 +363,7 @@ impl BgpRouter {
     /// Builds the UPDATE sent to `to` for a best-route change, applying the
     /// export filter. Returns `None` when the export policy rejects the
     /// route or the peer is not established.
-    pub fn export_route(&self, to: &Peer, route: &Route) -> Option<UpdateMessage> {
+    pub(crate) fn export_route(&self, to: &Peer, route: &Route) -> Option<UpdateMessage> {
         if !to.is_established() {
             return None;
         }
@@ -686,21 +641,15 @@ mod tests {
             .expect("peer");
         live.handle_update(customer, &update("208.65.152.0/22", &[17557, 36561]));
 
-        // A checkpoint clone shares every untouched RIB shard...
+        // A checkpoint clone shares the RIB...
         let checkpoint = live.clone();
-        let (shared, total) = checkpoint.rib().cow_shard_sharing(live.rib());
-        assert_eq!(shared, total);
-        // ...and live writes after the checkpoint copy only what changed,
-        // never leaking into the checkpoint.
+        assert_eq!(checkpoint.rib().cow_shard_sharing(live.rib()), (1, 1));
+        // ...until a live write copies it, which never leaks into the
+        // checkpoint.
         live.handle_update(customer, &update("208.65.154.0/24", &[17557, 36561]));
         assert_eq!(live.rib().prefix_count(), 2);
         assert_eq!(checkpoint.rib().prefix_count(), 1);
-        let (shared_after, _) = checkpoint.rib().cow_shard_sharing(live.rib());
-        assert!(shared_after < total);
-        assert!(
-            shared_after >= total - 2,
-            "at most the touched shards copied"
-        );
+        assert_eq!(checkpoint.rib().cow_shard_sharing(live.rib()), (0, 1));
 
         // A router fed the same updates holds the same table and shares
         // none of it.
@@ -710,102 +659,6 @@ mod tests {
         }
         assert_eq!(rebuilt.rib().cow_shard_sharing(live.rib()).0, 0);
         assert_eq!(rebuilt.rib().prefix_count(), live.rib().prefix_count());
-    }
-
-    #[test]
-    fn load_routes_installs_without_filtering_or_propagation() {
-        let mut r = provider();
-        let routes: Vec<Route> = (0..100u32)
-            .map(|i| {
-                let mut attrs = RouteAttrs::default();
-                attrs.as_path = AsPath::from_sequence([1299, 100_000 + i]);
-                attrs.next_hop = Ipv4Addr::new(10, 0, 2, 1);
-                Route::new(
-                    Ipv4Prefix::new((20 << 24) | (i << 8), 24).expect("valid"),
-                    attrs,
-                    PeerId(2),
-                    2,
-                )
-            })
-            .collect();
-        let loaded = r.load_routes(routes, 0);
-        assert_eq!(loaded, 100);
-        assert_eq!(r.rib().prefix_count(), 100);
-        assert_eq!(r.stats().routes_accepted, 100);
-        // Nothing was queued toward peers: the fast path skips propagation.
-        assert_eq!(r.stats().messages_sent, 0);
-    }
-
-    #[test]
-    fn load_routes_filtered_matches_serial_import() {
-        // A mixed batch: customer routes inside and outside the allowed
-        // block, transit routes (accept-all filter), and routes from an
-        // unknown peer (fail closed). The parallel filtered ingest must
-        // land exactly the table the serial apply_import path produces.
-        let template = provider();
-        let customer = template
-            .peer_by_address(Ipv4Addr::new(10, 0, 1, 1))
-            .expect("peer");
-        let transit = template
-            .peer_by_address(Ipv4Addr::new(10, 0, 2, 1))
-            .expect("peer");
-        let mut routes: Vec<Route> = Vec::new();
-        for i in 0..200u32 {
-            let (peer, prefix) = match i % 4 {
-                // In the customer's allocation: accepted by customer_in.
-                0 => (
-                    customer,
-                    Ipv4Prefix::new((208 << 24) | (65 << 16) | (152 << 8), 24),
-                ),
-                // Outside it: rejected by customer_in.
-                1 => (customer, Ipv4Prefix::new((8 << 24) | (i << 8), 24)),
-                // Transit: accept-all.
-                2 => (transit, Ipv4Prefix::new((20 << 24) | (i << 8), 24)),
-                // Unknown peer: fail closed.
-                _ => (PeerId(999), Ipv4Prefix::new((30 << 24) | (i << 8), 24)),
-            };
-            let mut attrs = RouteAttrs::default();
-            attrs.as_path = AsPath::from_sequence([1299, 100_000 + i]);
-            attrs.next_hop = Ipv4Addr::new(10, 0, 2, 1);
-            routes.push(Route::new(prefix.expect("valid"), attrs, peer, peer.0));
-        }
-
-        let mut serial = provider();
-        let mut accepted_serial = 0usize;
-        for route in routes.clone() {
-            if let Some(imported) = serial.apply_import(route.learned_from, route) {
-                serial.rib.announce(imported);
-                accepted_serial += 1;
-            }
-        }
-        assert!(
-            accepted_serial < routes.len(),
-            "some routes must be rejected"
-        );
-
-        for workers in [0usize, 1, 4] {
-            let mut parallel = provider();
-            let accepted = parallel.load_routes_filtered(routes.clone(), workers);
-            assert_eq!(accepted, accepted_serial, "workers={workers}");
-            let a: Vec<(Ipv4Prefix, Route)> = parallel
-                .rib()
-                .loc_rib()
-                .map(|(p, r)| (p, r.clone()))
-                .collect();
-            let b: Vec<(Ipv4Prefix, Route)> = serial
-                .rib()
-                .loc_rib()
-                .map(|(p, r)| (p, r.clone()))
-                .collect();
-            assert_eq!(a, b, "workers={workers}");
-            assert_eq!(parallel.stats().routes_accepted, accepted as u64);
-            assert_eq!(
-                parallel.stats().routes_rejected,
-                (routes.len() - accepted) as u64
-            );
-            // Still the table-dump fast path: nothing queued toward peers.
-            assert_eq!(parallel.stats().messages_sent, 0);
-        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ struct Chunk<T> {
 /// # Examples
 ///
 /// ```
-/// use dice_router::trie::PrefixMap;
+/// use dice_router::PrefixMap;
 /// use dice_bgp::prefix::Ipv4Prefix;
 ///
 /// let mut map = PrefixMap::new();

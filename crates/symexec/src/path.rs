@@ -123,7 +123,8 @@ impl ExecTrace {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
-    pub fn negation_query(&mut self, index: usize) -> Vec<TermId> {
+    #[cfg(test)]
+    fn negation_query(&mut self, index: usize) -> Vec<TermId> {
         assert!(index < self.branches.len(), "branch index out of bounds");
         let ExecTrace {
             arena, branches, ..

@@ -101,8 +101,12 @@ fn exploration_is_isolated_from_the_live_router() {
 #[test]
 fn checkpoint_of_loaded_router_shares_memory_with_live_process() {
     // §4.1 asks how much of the node a checkpoint duplicates. Here the
-    // checkpoint is a copy-on-write fork of the router, and the answer is
-    // the share of RIB units it still shares with the live router.
+    // checkpoint is a copy-on-write fork of the router: the live router's
+    // first write copies the RIB's one unit (its counters and chunk
+    // directory), and each write copies only the 128-prefix chunk it lands
+    // in, so the two still share every chunk neither side has written
+    // (`rib.rs`'s `first_write_after_a_fork_copies_one_chunk` counts the
+    // chunks).
     let (mut router, _, _) = provider_scenario(CustomerFilterMode::Erroneous);
     let trace = generate_trace(
         &TraceGenConfig {
@@ -126,8 +130,11 @@ fn checkpoint_of_loaded_router_shares_memory_with_live_process() {
         router.handle_update(peer, &event.update);
     }
     let stats = checkpoint.cow_stats_vs(&router);
-    assert!(stats.units_copied() > 0, "the replay wrote to the table");
-    assert!(stats.shared_fraction() > 0.0, "{stats}");
+    assert_eq!(
+        (stats.units_copied(), stats.units_total),
+        (1, 1),
+        "the replay wrote to the table: {stats}"
+    );
     assert_eq!(
         checkpoint.rib().prefix_count(),
         before,

@@ -188,10 +188,9 @@ fn multi_round_live_run_detects_an_oscillation_a_single_round_misses() {
 }
 
 /// One scripted live run for the copy-on-write tests: customer and
-/// upstream traffic spread over both halves of the address space (so some
-/// windows write one RIB shard and some several), a re-announcement, an
-/// effective and a no-op withdrawal, and a quiet epoch that executes no
-/// round and so leaves its window open.
+/// upstream traffic (so some windows write some nodes' tables and leave
+/// others alone), a re-announcement, an effective and a no-op withdrawal,
+/// and a quiet epoch that executes no round and so leaves its window open.
 fn scripted_epoch(sim: &mut Simulator, provider: NodeId, epoch: usize) -> bool {
     let customer =
         |prefix: &str| announcement(prefix, &[asn::CUSTOMER, asn::CUSTOMER], addr::CUSTOMER);
@@ -224,14 +223,14 @@ fn scripted_epoch(sim: &mut Simulator, provider: NodeId, epoch: usize) -> bool {
 }
 
 /// The structural regression test for "a fork outlives a write": whenever
-/// the driver is about to write, no RIB shard of any node is shared with
-/// any clone of its table — whatever exploration forked has been released.
+/// the driver is about to write, no node's RIB is shared with any clone
+/// of it — whatever exploration forked has been released.
 #[test]
 fn no_fork_is_alive_when_the_driver_writes() {
     let topo = figure2_topology(CustomerFilterMode::Erroneous);
     let provider = topo.node_by_name("Provider").expect("node");
     let mut sim = Simulator::new(&topo);
-    let shared_shards = |sim: &Simulator| -> Vec<usize> {
+    let shared_tables = |sim: &Simulator| -> Vec<usize> {
         (0..sim.len())
             .map(|n| sim.router(NodeId(n)).rib().shards_shared_with_a_fork())
             .collect()
@@ -240,9 +239,9 @@ fn no_fork_is_alive_when_the_driver_writes() {
     let mut epochs = 0;
     let live = LiveOrchestrator::new(two_checker_session()).run(&mut sim, |sim, epoch| {
         assert!(
-            shared_shards(sim).iter().all(|&shared| shared == 0),
+            shared_tables(sim).iter().all(|&shared| shared == 0),
             "epoch {epoch}: a fork is alive across drive: {:?}",
-            shared_shards(sim)
+            shared_tables(sim)
         );
         epochs += 1;
         scripted_epoch(sim, provider, epoch)
@@ -250,16 +249,16 @@ fn no_fork_is_alive_when_the_driver_writes() {
     assert_eq!(epochs, 7);
     assert_eq!(live.rounds.len(), 6, "the quiet epoch runs no round");
     assert!(live.has_faults());
-    assert!(shared_shards(&sim).iter().all(|&shared| shared == 0));
+    assert!(shared_tables(&sim).iter().all(|&shared| shared == 0));
 
     // The probe does see a fork when there is one.
     let held = RoundCheckpoint::capture(sim.router(provider));
     let rib = sim.router(provider).rib();
-    assert_eq!(rib.shards_shared_with_a_fork(), rib.shard_count() + 1);
+    assert_eq!(rib.shards_shared_with_a_fork(), 1);
     drop(held);
 }
 
-/// The cow line of the control snapshot is computed from shard write
+/// The cow line of the control snapshot is computed from table write
 /// generations, with no fork held. This runs the same scripted epochs a
 /// second time with the test itself holding a checkpoint per node across
 /// every window, the way the orchestrator used to, and sums
@@ -318,12 +317,10 @@ fn generation_counted_cow_sharing_equals_what_held_forks_report() {
         "generation-counted sharing must equal the held-fork sums"
     );
     assert_eq!(held_plane.sample().cow, counted);
-    let units_per_window: usize = (0..sim.len())
-        .map(|n| sim.router(NodeId(n)).rib().shard_count() + 1)
-        .sum();
-    assert_eq!(units_total, 6 * units_per_window);
+    // One unit per node: its table.
+    assert_eq!(units_total, 6 * sim.len());
     assert!(
         0 < units_shared && units_shared < units_total,
-        "the script must leave some shards shared and copy others: {units_shared}/{units_total}"
+        "the script must leave some tables shared and copy others: {units_shared}/{units_total}"
     );
 }

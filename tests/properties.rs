@@ -11,7 +11,6 @@ use dice_router::policy::{
     eval_filter, eval_filter_at, parse_filter, CmpOp, Expr, Field, FilterDef, FilterSites,
     PrefixPattern, RouteView, Stmt,
 };
-use dice_router::rib::canonical_cmp;
 use dice_router::PrefixMap;
 use dice_solver::{IncrementalSolver, TermArena};
 use dice_symexec::{ExecCtx, SiteId, CU32};
@@ -648,76 +647,147 @@ proptest! {
         }
     }
 
-    /// A sharded RIB is observationally identical to an unsharded one:
-    /// for any interleaving of announcements and withdrawals, every shard
-    /// count reports the same per-operation changes, the same counters,
-    /// the same Loc-RIB contents *in the same canonical order*, and the
-    /// same longest-prefix-match answers. Sharding is purely a
-    /// parallelism/copy-on-write optimisation.
+    /// The RIB against a naive model: a `BTreeMap` from prefix to its
+    /// candidates (one per peer), with the best picked by
+    /// `decision::best_of` and covers found by linear scans. For any
+    /// interleaving of announcements and withdrawals, every operation's
+    /// `RibChange`, the counters, the Loc-RIB contents *in canonical
+    /// order* and the longest-prefix-match answers agree with the model.
+    /// A clone taken mid-sequence keeps reading what the model read at
+    /// that moment while the original is written.
     #[test]
-    fn sharded_rib_is_observationally_identical_to_one_shard(
+    fn rib_matches_a_naive_model(
         ops in prop::collection::vec(
             // (announce?, prefix selector, length selector, peer, path tail)
             (any::<bool>(), any::<u32>(), 0u8..=32, 1u32..5, 1u32..50),
             1..80,
         ),
+        fork_sel in any::<u32>(),
         probe_ips in prop::collection::vec(any::<u32>(), 1..8),
     ) {
+        use std::collections::BTreeMap;
+
+        use dice_router::decision::best_of;
         use dice_router::{Rib, RibChange};
+
+        type Model = BTreeMap<(u32, u8), Vec<Route>>;
+        type LocRib = Vec<(Ipv4Prefix, Route)>;
+        let best = |candidates: &[Route]| best_of(candidates).cloned();
+        let loc_rib_of = |model: &Model| -> LocRib {
+            let mut loc: LocRib = model
+                .iter()
+                .filter_map(|(&(addr, len), c)| Some((Ipv4Prefix::must(addr, len), best(c)?)))
+                .collect();
+            loc.sort_by(|a, b| canonical_cmp(a.0, b.0));
+            loc
+        };
+        // The model's best route among the prefixes `covers` accepts,
+        // most specific first.
+        let scan = |model: &Model, covers: &dyn Fn(&Ipv4Prefix) -> bool| {
+            model
+                .iter()
+                .map(|(&(addr, len), c)| (Ipv4Prefix::must(addr, len), c))
+                .filter(|(p, _)| covers(p))
+                .max_by_key(|(p, _)| p.len())
+                .and_then(|(_, c)| best(c))
+        };
+        let read = |found: Option<&Route>| found.cloned();
 
         // A small prefix pool (coarse address grid) so withdrawals and
         // re-announcements frequently hit existing entries.
         let materialize = |sel: u32, len: u8| {
             Ipv4Prefix::new((sel % 64) << 26 | (sel % 7) << 13, len).expect("len <= 32")
         };
-        let mut reference = Rib::with_shard_count(1);
-        let mut sharded: Vec<Rib> = [4usize, 64].iter().map(|&n| Rib::with_shard_count(n)).collect();
-        sharded.push(Rib::new()); // the core-sized default
+        let fork_step = fork_sel as usize % ops.len();
+        let mut rib = Rib::new();
+        let mut model = Model::new();
+        let mut fork: Option<(Rib, LocRib, usize, usize)> = None;
 
-        for &(announce, sel, len, peer, tail) in &ops {
+        for (step, &(announce, sel, len, peer, tail)) in ops.iter().enumerate() {
+            if step == fork_step {
+                fork = Some((
+                    rib.clone(),
+                    loc_rib_of(&model),
+                    rib.prefix_count(),
+                    rib.route_count(),
+                ));
+            }
             let prefix = materialize(sel, len);
-            if announce {
+            let key = (prefix.addr(), prefix.len());
+            let old_best = model.get(&key).and_then(|c| best(c));
+            let change = if announce {
                 let mut attrs = RouteAttrs::default();
                 attrs.as_path = AsPath::from_sequence([1299, 100_000 + tail]);
                 attrs.next_hop = std::net::Ipv4Addr::new(10, 0, 2, 1);
                 let route = Route::new(prefix, attrs, PeerId(peer), peer);
-                let expected = reference.announce(route.clone());
-                for rib in &mut sharded {
-                    prop_assert_eq!(&rib.announce(route.clone()), &expected);
-                }
+                let candidates = model.entry(key).or_default();
+                candidates.retain(|r| r.learned_from != route.learned_from);
+                candidates.push(route.clone());
+                candidates.sort_by_key(|r| r.learned_from);
+                rib.announce(route)
             } else {
-                let expected = reference.withdraw(&prefix, PeerId(peer));
-                for rib in &mut sharded {
-                    prop_assert_eq!(&rib.withdraw(&prefix, PeerId(peer)), &expected);
+                if let Some(candidates) = model.get_mut(&key) {
+                    candidates.retain(|r| r.learned_from != PeerId(peer));
+                    if candidates.is_empty() {
+                        model.remove(&key);
+                    }
                 }
-            }
-            // Exercised inline so RibChange is used even when all ops are
-            // announcements.
-            let _ = RibChange::Unchanged.is_change();
+                rib.withdraw(&prefix, PeerId(peer))
+            };
+            let new_best = model.get(&key).and_then(|c| best(c));
+            let expected = match (old_best, new_best) {
+                (old, Some(new)) if old.as_ref() != Some(&new) => RibChange::Updated(new),
+                (Some(_), None) => RibChange::Removed(prefix),
+                _ => RibChange::Unchanged,
+            };
+            prop_assert_eq!(&change, &expected, "step {}", step);
+            prop_assert_eq!(change.is_change(), expected != RibChange::Unchanged);
+
+            prop_assert_eq!(rib.prefix_count(), model.len());
+            prop_assert_eq!(rib.route_count(), model.values().map(Vec::len).sum::<usize>());
+            let candidates: Vec<Route> = rib.candidates(&prefix).cloned().collect();
+            prop_assert_eq!(&candidates, model.get(&key).unwrap_or(&Vec::new()));
         }
 
-        let expected_loc: Vec<(Ipv4Prefix, Route)> =
-            reference.loc_rib().map(|(p, r)| (p, r.clone())).collect();
-        for rib in &sharded {
-            prop_assert_eq!(rib.prefix_count(), reference.prefix_count());
-            prop_assert_eq!(rib.route_count(), reference.route_count());
-            prop_assert_eq!(rib.approx_size_bytes(), reference.approx_size_bytes());
-            let loc: Vec<(Ipv4Prefix, Route)> =
-                rib.loc_rib().map(|(p, r)| (p, r.clone())).collect();
-            prop_assert_eq!(&loc, &expected_loc, "canonical order diverged at {} shards", rib.shard_count());
-            for &ip in &probe_ips {
-                prop_assert_eq!(
-                    rib.lookup_ip(ip).map(|r| (r.prefix, r.learned_from)),
-                    reference.lookup_ip(ip).map(|r| (r.prefix, r.learned_from))
-                );
-                let probe = Ipv4Prefix::new(ip, 26).expect("len <= 32");
-                prop_assert_eq!(
-                    rib.best_covering_route(&probe).map(|r| r.prefix),
-                    reference.best_covering_route(&probe).map(|r| r.prefix)
-                );
-            }
+        let loc: LocRib = rib.loc_rib().map(|(p, r)| (p, r.clone())).collect();
+        prop_assert_eq!(&loc, &loc_rib_of(&model), "canonical order");
+        for &ip in &probe_ips {
+            prop_assert_eq!(read(rib.lookup_ip(ip)), scan(&model, &|p| p.contains_ip(ip)));
+            let probe = Ipv4Prefix::new(ip, 26).expect("len <= 32");
+            prop_assert_eq!(
+                read(rib.best_covering_route(&probe)),
+                scan(&model, &|p| p.contains(&probe))
+            );
+            prop_assert_eq!(
+                read(rib.best_route(&probe)),
+                model.get(&(probe.addr(), probe.len())).and_then(|c| best(c))
+            );
+        }
+
+        // The clone reads the table it was taken from.
+        let (fork, then, prefixes, routes) = fork.expect("fork_step < ops.len()");
+        let listed: LocRib = fork.loc_rib().map(|(p, r)| (p, r.clone())).collect();
+        prop_assert_eq!(&listed, &then);
+        prop_assert_eq!((fork.prefix_count(), fork.route_count()), (prefixes, routes));
+        for (prefix, route) in &then {
+            prop_assert_eq!(fork.best_route(prefix), Some(route));
         }
     }
+}
+
+/// The canonical table order: lexicographic over prefix bit strings, with
+/// a prefix sorting before anything it covers. The models above sort by
+/// it; `PrefixMap` and `Rib::loc_rib` must iterate in it.
+fn canonical_cmp(a: Ipv4Prefix, b: Ipv4Prefix) -> std::cmp::Ordering {
+    let common = a.len().min(b.len());
+    let mask = if common == 0 {
+        0
+    } else {
+        u32::MAX << (32 - common)
+    };
+    (a.addr() & mask)
+        .cmp(&(b.addr() & mask))
+        .then(a.len().cmp(&b.len()))
 }
 
 /// Deterministic fault-injection properties: a [`FaultPlan`] is a pure
