@@ -795,6 +795,84 @@ mod tests {
         assert_eq!(live.total_runs(), fleet.total_runs());
     }
 
+    /// The round pass of one round: its fleet-deduplicated faults.
+    fn round_pass(
+        faults: &mut Vec<LiveFault>,
+        index: &mut HashMap<FaultKey, usize>,
+        sightings: &[crate::FleetFault],
+        round: usize,
+    ) {
+        let fleet = FleetReport {
+            faults: sightings.to_vec(),
+            ..FleetReport::default()
+        };
+        LiveOrchestrator::merge_round_faults(faults, index, &fleet, round);
+    }
+
+    /// The temporal pass of one round: what the folds show.
+    fn temporal_pass(
+        faults: &mut Vec<LiveFault>,
+        index: &mut HashMap<FaultKey, usize>,
+        found: &[Fault],
+        round: usize,
+    ) {
+        LiveOrchestrator::merge_temporal_faults(faults, index, found, round);
+    }
+
+    #[test]
+    fn the_fault_ledger_records_each_round_once_per_key() {
+        use crate::FaultKind;
+        let prefix: dice_bgp::Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
+        let flap = |node: usize, transitions: usize| {
+            Fault::new(
+                "cross-round-flap",
+                FaultKind::CrossRoundFlap {
+                    announced: prefix,
+                    transitions,
+                },
+            )
+            .with_node(NodeId(node))
+        };
+        let hijack = crate::FleetFault {
+            fault: Fault::new(
+                "origin-hijack",
+                FaultKind::PotentialHijack {
+                    announced: prefix,
+                    claimed_origin: dice_bgp::Asn(64_512),
+                    existing_prefix: prefix,
+                    existing_origin: dice_bgp::Asn(17_557),
+                },
+            )
+            .with_node(NodeId(1)),
+            nodes: vec![NodeId(1), NodeId(2)],
+        };
+
+        let mut faults = Vec::new();
+        let mut index = HashMap::new();
+        // Round 0: the round pass sees the hijack on nodes 1 and 2; the
+        // folds show one flap key on nodes 2 and then 0.
+        round_pass(&mut faults, &mut index, &[hijack.clone()], 0);
+        temporal_pass(&mut faults, &mut index, &[flap(2, 2), flap(0, 3)], 0);
+        assert_eq!(faults.len(), 2);
+        assert_eq!(faults[1].fault, flap(2, 2), "the first sighting is kept");
+        assert_eq!(faults[1].nodes, vec![NodeId(2), NodeId(0)]);
+        assert_eq!(faults[1].rounds, vec![0], "one round, recorded once");
+
+        // Round 1: the hijack again, now also on node 0, and the flap.
+        let again = crate::FleetFault {
+            nodes: vec![NodeId(2), NodeId(0)],
+            ..hijack
+        };
+        round_pass(&mut faults, &mut index, &[again], 1);
+        temporal_pass(&mut faults, &mut index, &[flap(0, 4)], 1);
+        assert_eq!(faults.len(), 2);
+        assert_eq!(faults[0].fault.node, Some(NodeId(1)));
+        assert_eq!(faults[0].nodes, vec![NodeId(1), NodeId(2), NodeId(0)]);
+        assert_eq!(faults[0].rounds, vec![0, 1]);
+        assert_eq!(faults[1].nodes, vec![NodeId(2), NodeId(0)]);
+        assert_eq!(faults[1].rounds, vec![0, 1]);
+    }
+
     #[test]
     fn rounds_harvest_disjoint_incremental_windows() {
         let topo = figure2_topology(CustomerFilterMode::Erroneous);

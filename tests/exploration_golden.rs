@@ -6,8 +6,8 @@
 //! fail only there. These tests pin the same things inside tier-1, at small
 //! sizes: the sixteen-arm `customer_in` filter of the `explore_heavy`
 //! workload (its source text is copied here; the test does not depend on
-//! `dice_benchmark`), one short `LiveOrchestrator` script and one seeded
-//! `FaultPlanSearch`.
+//! `dice_benchmark`), one Figure 2 `FleetExplorer` round, one short
+//! `LiveOrchestrator` script and one seeded `FaultPlanSearch`.
 //!
 //! **Every constant below was generated on the parent of the change that
 //! added it, before any other file of that change was touched**, and the
@@ -358,6 +358,46 @@ fn short_live_script_is_pinned() {
     pin("live.rounds", live.rounds.len(), 3usize);
     pin("live.total_runs", live.total_runs(), 170usize);
     pin("live.faults", live.faults.len(), 4usize);
+}
+
+/// The Figure 2 leak seen by a fleet round: the Internet announces the
+/// victim /22, the customer its routine /16, and every node is explored
+/// through a two-checker session.
+#[test]
+fn figure2_fleet_round_is_pinned() {
+    let topology = figure2_topology(CustomerFilterMode::Erroneous);
+    let provider = topology.node_by_name("Provider").expect("node");
+    let mut sim = Simulator::new(&topology);
+    sim.inject(
+        provider,
+        addr::INTERNET,
+        BgpMessage::Update(victim_announcement()),
+    );
+    sim.run_to_quiescence(100);
+    let routine = customer_announcement(
+        "41.1.0.0/16".parse().expect("valid"),
+        &[asn::CUSTOMER, asn::CUSTOMER],
+        None,
+    );
+    sim.inject(provider, addr::CUSTOMER, BgpMessage::Update(routine));
+    sim.run_to_quiescence(100);
+
+    let session = DiceBuilder::new()
+        .checker(Box::new(OriginHijackChecker::new()))
+        .checker(Box::new(ForwardingLoopChecker::new()))
+        .build();
+    let fleet = FleetExplorer::new(session).explore(&sim);
+    let sightings: Vec<Vec<usize>> = fleet
+        .faults
+        .iter()
+        .map(|f| f.nodes.iter().map(|node| node.0).collect())
+        .collect();
+    pin(
+        "fleet.digest",
+        fnv1a(&fleet.digest()),
+        0x15ba_1e3a_fbbf_4c2cu64,
+    );
+    pin("fleet.fault_nodes", sightings, vec![vec![1]]);
 }
 
 /// A flapping-customer scenario under the sixteen-arm filter, searched from
