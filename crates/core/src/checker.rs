@@ -208,7 +208,7 @@ impl Fault {
     }
 
     /// Stamps the topology node whose exploration found the fault.
-    pub fn with_node(mut self, node: NodeId) -> Self {
+    pub(crate) fn with_node(mut self, node: NodeId) -> Self {
         self.node = Some(node);
         self
     }
@@ -270,7 +270,7 @@ pub struct FaultKey {
 
 impl FaultKey {
     /// The name of the checker that reported the fault.
-    pub fn checker(&self) -> &str {
+    pub(crate) fn checker(&self) -> &str {
         &self.checker
     }
 }
@@ -454,13 +454,13 @@ pub trait FaultChecker: Send + Sync {
 
 /// How many history entries ([`RoundOutcomes`]) a live run's cross-round
 /// checkers judge: after each round, the oldest beyond this many expire.
-pub const LIVE_WINDOW: usize = 64;
+pub(crate) const LIVE_WINDOW: usize = 64;
 
 /// One cross-round checker's state over a live run's history, folded one
 /// entry ([`RoundOutcomes`]) at a time ([`FaultChecker::live_fold`]).
 ///
 /// After each round a live orchestrator pushes the round's entries,
-/// expires the oldest until at most [`LIVE_WINDOW`] are held, and reads
+/// expires the oldest until at most 64 are held, and reads
 /// the faults the held entries show. Every entry is reduced once into the
 /// window's [`ObservedTimelines`], which every fold is handed after the
 /// change; a fold keeps only what its checker judges, so a round costs
@@ -763,7 +763,7 @@ impl RouteLeakChecker {
     }
 
     /// Classifies `asn` with the given relationship.
-    pub fn with_relationship(mut self, asn: u32, relationship: AsRelationship) -> Self {
+    pub(crate) fn with_relationship(mut self, asn: u32, relationship: AsRelationship) -> Self {
         self.relationships.insert(asn, relationship);
         self
     }
@@ -1073,7 +1073,8 @@ pub struct ObservedTimelines {
 impl ObservedTimelines {
     /// How many per-entry summaries the window holds: what its memory
     /// grows with, bounded by what [`LIVE_WINDOW`] entries observed.
-    pub fn held_summaries(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn held_summaries(&self) -> usize {
         self.summaries.len()
     }
 

@@ -48,7 +48,7 @@ impl RoundCheckpoint {
     }
 
     /// The checkpointed router state.
-    pub fn router(&self) -> &BgpRouter {
+    pub(crate) fn router(&self) -> &BgpRouter {
         &self.router
     }
 

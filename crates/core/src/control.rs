@@ -29,19 +29,6 @@ use dice_obs::HistogramSummary;
 /// Schema version of [`ControlSnapshot`]. Bumped whenever a field is
 /// added, removed or changes meaning; consumers should check it before
 /// interpreting the rest of the snapshot.
-///
-/// **v1 → v2:** every v1 field is preserved with its meaning and rendered
-/// position unchanged; v2 appends latency *distributions* — histogram
-/// summaries (count/p50/p90/p99/max) for round latency, solver wave
-/// latency, and per-epoch ingest decode time — where v1 only carried
-/// last/mean scalars.
-///
-/// **v2 → v3:** every v2 field line is preserved byte-identically; v3
-/// appends the fault-trace identity (event count plus the FNV-1a
-/// fingerprint of [`dice_netsim::FaultTrace::digest`], so two runs with
-/// equal injected counts but different event sequences stay
-/// distinguishable) and the fault-plan search counters
-/// ([`SearchCounters`], all zero for plain no-search runs).
 pub const CONTROL_SCHEMA_VERSION: u32 = 3;
 
 /// Wire-ingest counters, mirrored from
@@ -63,7 +50,7 @@ pub struct IngestCounters {
     pub bytes_consumed: u64,
     /// Decode throughput in updates/s (0 before any frame).
     pub updates_per_second: f64,
-    /// Distribution of per-epoch frame-decode time (schema v2).
+    /// Distribution of per-epoch frame-decode time.
     pub decode_latency: HistogramSummary,
 }
 
@@ -82,8 +69,8 @@ impl From<&IngestStats> for IngestCounters {
     }
 }
 
-/// Fault-plan search counters in the control plane's stable schema
-/// (schema v3), mirrored from the [`crate::SearchSummary`] a
+/// Fault-plan search counters in the control plane's stable schema,
+/// mirrored from the [`crate::SearchSummary`] a
 /// [`crate::FaultPlanSearch`] attaches to its report. All zero for plain
 /// runs that never searched.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -158,19 +145,21 @@ pub struct ControlSnapshot {
     /// Wire-ingest counters; all zero when the run is not fed from a wire
     /// trace.
     pub ingest: IngestCounters,
-    /// Distribution of round wall-clock latency across the run (schema
-    /// v2; one sample per executed round).
+    /// Distribution of round wall-clock latency across the run (one sample
+    /// per executed round).
     pub round_latency: HistogramSummary,
     /// Distribution of batched solver-wave latency across all rounds and
-    /// inputs (schema v2; empty when exploration runs sequentially).
+    /// inputs (empty when exploration runs sequentially).
     pub wave_latency: HistogramSummary,
     /// Events in the simulator's fault trace, including structural
-    /// delivery errors (schema v3).
+    /// delivery errors.
     pub fault_trace_events: u64,
-    /// FNV-1a fingerprint of the fault-trace digest, `0` for an empty
-    /// trace (schema v3).
+    /// FNV-1a fingerprint of the fault-trace digest
+    /// ([`dice_netsim::FaultTrace::digest`]), `0` for an empty trace: two
+    /// runs with equal injected counts but different event sequences
+    /// differ here.
     pub fault_trace_fingerprint: u64,
-    /// Fault-plan search counters; all zero without a search (schema v3).
+    /// Fault-plan search counters; all zero without a search.
     pub search: SearchCounters,
 }
 
@@ -205,7 +194,7 @@ impl ControlSnapshot {
     /// Mean round latency from a running total, guarding the zero-round
     /// state: before the first round completes there is nothing to divide
     /// by, and the mean is defined as `Duration::ZERO`.
-    pub fn mean_latency(latency_total: Duration, rounds: usize) -> Duration {
+    pub(crate) fn mean_latency(latency_total: Duration, rounds: usize) -> Duration {
         if rounds == 0 {
             return Duration::ZERO;
         }
@@ -214,12 +203,12 @@ impl ControlSnapshot {
         latency_total / u32::try_from(rounds).unwrap_or(u32::MAX)
     }
 
-    /// The stable rendered form, one field group per line. This is the
+    /// The stable rendered form, one field group per line: counters,
+    /// latencies, solver, policy coverage, CoW sharing and ingest first,
+    /// then the three latency distributions (count, p50, p90, p99, max),
+    /// the fault-trace identity and the search counters. This is the
     /// serialized surface consumers scrape; its shape is pinned by golden
-    /// tests and changes only with [`CONTROL_SCHEMA_VERSION`]. The v1
-    /// lines render first, byte-identical to schema v1; the v2 latency
-    /// distributions follow, then the v3 fault-trace identity and search
-    /// counters.
+    /// tests and changes only with [`CONTROL_SCHEMA_VERSION`].
     pub fn render(&self) -> String {
         format!(
             "control-snapshot v{}\n\
@@ -508,6 +497,8 @@ mod tests {
         }
     }
 
+    /// Pins every line of the render in full, so a consumer scraping by
+    /// line prefix sees each field line byte-identical.
     #[test]
     fn golden_render_of_a_populated_snapshot() {
         assert_eq!(
@@ -544,29 +535,6 @@ mod tests {
              decode-latency n=0\n\
              fault-trace events=0 fingerprint=0000000000000000\n\
              search plans=0 novel=0 repros=0\n"
-        );
-    }
-
-    #[test]
-    fn v2_field_lines_survive_the_v3_bump_byte_identically() {
-        // The migration contract: a v2 consumer scraping by line prefix
-        // keeps working — every v2 field line is byte-identical, and the
-        // v3 additions strictly append after the last v2 line.
-        let rendered = populated().render();
-        let v2_lines = "rounds=3 runs=120 faults=2 injected=1 delivered=42 watermark=9\n\
-             latency last=12ms mean=10ms\n\
-             solver queries=400 incremental=350 reuse=62.5%\n\
-             policy coverage=75.0%\n\
-             cow shards 7/8 shared\n\
-             ingest frames=100 decoded=98 injected=98 errors=2 mismatches=0 bytes=5400 rate=1234/s\n\
-             round-latency n=3 p50=10ms p90=12ms p99=12ms max=12ms\n\
-             wave-latency n=40 p50=60µs p90=110µs p99=140µs max=140µs\n\
-             decode-latency n=3 p50=200µs p90=350µs p99=350µs max=350µs\n";
-        assert!(rendered.contains(v2_lines));
-        let after = rendered.split(v2_lines).nth(1).expect("v2 block present");
-        assert_eq!(
-            after,
-            "fault-trace events=2 fingerprint=00abcdef01234567\nsearch plans=16 novel=5 repros=1\n"
         );
     }
 

@@ -29,8 +29,8 @@
 //! empty-plan baseline are byte-identical to a plain orchestrator run, and
 //! the search's counters surface only in appended fields — the
 //! [`crate::LiveReport`] search line renders only when a search actually
-//! ran, and the [`crate::ControlSnapshot`] v3 lines append after the v2
-//! block.
+//! ran, and the [`crate::ControlSnapshot`] search counters read zero
+//! without one.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
@@ -322,7 +322,7 @@ pub struct SearchReport {
 impl SearchReport {
     /// The counters the report carries, in the form the control plane and
     /// [`crate::LiveReport`] export.
-    pub fn summary(&self) -> SearchSummary {
+    pub(crate) fn summary(&self) -> SearchSummary {
         SearchSummary {
             plans_tried: self.plans_tried as u64,
             novel_plans: self.novel_plans as u64,

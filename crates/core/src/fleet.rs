@@ -7,19 +7,24 @@
 //! reproduces that over the deterministic [`Simulator`]:
 //!
 //! 1. **harvest** — each node's observed inputs are taken from the
-//!    simulation's delivery log ([`Simulator::observed_inputs`]): exactly
+//!    simulation's delivery log ([`Simulator::observed_log`]): exactly
 //!    the UPDATEs the node's local DiCE instance would have seen;
-//! 2. **explore** — one exploration round runs per node, the nodes in
-//!    order on the calling thread, each node's inputs on that thread too.
-//!    Each node's round captures one copy-on-write
-//!    [`crate::RoundCheckpoint`] and shares it across every observed input
-//!    of that round;
+//! 2. **explore** — one node round ([`DiceSession::explore`]'s function)
+//!    runs per node, the nodes in order on the calling thread, each node's
+//!    inputs on that thread too. Each node's round captures one
+//!    copy-on-write [`crate::RoundCheckpoint`] and shares it across every
+//!    observed input of that round;
 //! 3. **merge** — per-node [`ExplorationReport`]s are collected in
 //!    topology order into a [`FleetReport`], and faults are deduplicated
 //!    fleet-wide by their typed key ([`Fault::fleet_key`]: the checker and
 //!    what it found, compared by value, no string rendered) — the same
 //!    leak observed from three vantage points is one fleet fault with
 //!    three sightings.
+//!
+//! Steps 2 and 3 are the fleet round, one function of the session, the
+//! simulator and the per-node windows. [`FleetExplorer::explore`] runs it
+//! over a whole harvest; [`crate::LiveOrchestrator`] runs it over each
+//! epoch window.
 //!
 //! A round is a single-threaded function of the nodes' checkpoints and
 //! windows. Fanning nodes out across threads cost more than it saved: a
@@ -34,7 +39,7 @@
 //! order, so the same simulation state yields byte-identical
 //! [`FleetReport::digest`]s.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -43,9 +48,10 @@ use dice_bgp::route::PeerId;
 use dice_netsim::topology::NodeId;
 use dice_netsim::Simulator;
 
-use crate::checker::{Fault, FaultKey};
+use crate::checker::Fault;
 use crate::handler::HandlerOutcome;
-use crate::report::ExplorationReport;
+use crate::live::FaultLedger;
+use crate::report::{policy_coverage, ExplorationReport};
 use crate::session::DiceSession;
 
 /// One node's harvest window: the `(peer, update)` inputs its round
@@ -118,7 +124,7 @@ impl FleetReport {
     /// Solver-wave latency distribution merged across every node's report
     /// ([`ExplorationReport::wave_latency`]). Purely observational — never
     /// part of [`FleetReport::digest`].
-    pub fn wave_latency(&self) -> dice_obs::Histogram {
+    pub(crate) fn wave_latency(&self) -> dice_obs::Histogram {
         let mut merged = dice_obs::Histogram::new();
         for n in &self.nodes {
             merged.merge(&n.report.wave_latency);
@@ -128,24 +134,19 @@ impl FleetReport {
 
     /// Total policy branch sites registered across the fleet (filter arms,
     /// summed over nodes; an arm each of two nodes evaluates counts twice).
-    pub fn total_policy_sites(&self) -> usize {
+    pub(crate) fn total_policy_sites(&self) -> usize {
         self.nodes.iter().map(|n| n.report.policy_sites).sum()
     }
 
     /// Total policy (site, direction) pairs exercised across the fleet.
-    pub fn total_policy_directions(&self) -> usize {
+    pub(crate) fn total_policy_directions(&self) -> usize {
         self.nodes.iter().map(|n| n.report.policy_directions).sum()
     }
 
     /// Fleet-wide policy-branch coverage over registered filter arms, in
     /// `[0, 1]`; `1.0` when no node registered any policy site.
-    pub fn policy_branch_coverage(&self) -> f64 {
-        let sites = self.total_policy_sites();
-        if sites == 0 {
-            1.0
-        } else {
-            self.total_policy_directions() as f64 / (2 * sites) as f64
-        }
+    fn policy_branch_coverage(&self) -> f64 {
+        policy_coverage(self.total_policy_sites(), self.total_policy_directions())
     }
 
     /// A canonical rendering of every deterministic field — per-node
@@ -235,40 +236,26 @@ impl fmt::Display for FleetReport {
 /// present in any input report is represented in the output — nothing is
 /// dropped, which `tests/properties.rs` asserts by property.
 pub fn dedup_fleet_faults(reports: &[(NodeId, &ExplorationReport)]) -> Vec<FleetFault> {
-    let mut out: Vec<FleetFault> = Vec::new();
-    let mut index: HashMap<FaultKey, usize> = HashMap::new();
+    let mut ledger = FaultLedger::default();
     for (node, report) in reports {
         for fault in &report.faults {
-            match index.entry(fault.fleet_key()) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    let existing = &mut out[*slot.get()];
-                    if !existing.nodes.contains(node) {
-                        existing.nodes.push(*node);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(out.len());
-                    out.push(FleetFault {
-                        fault: fault.clone().with_node(*node),
-                        nodes: vec![*node],
-                    });
-                }
-            }
+            ledger.record(fault, &[*node], 0);
         }
     }
-    out
+    ledger
+        .into_faults()
+        .into_iter()
+        .map(|f| FleetFault {
+            fault: f.fault,
+            nodes: f.nodes,
+        })
+        .collect()
 }
 
 /// Runs one exploration round beside every node of a simulated topology.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetExplorer {
     session: DiceSession,
-}
-
-impl Default for FleetExplorer {
-    fn default() -> Self {
-        FleetExplorer::new(DiceSession::default())
-    }
 }
 
 impl FleetExplorer {
@@ -286,120 +273,80 @@ impl FleetExplorer {
         self
     }
 
-    /// The session driving every node round.
-    pub fn session(&self) -> &DiceSession {
-        &self.session
-    }
-
     /// Explores every node of the simulation, harvesting each node's
     /// observed inputs from the delivery log.
     pub fn explore(&self, sim: &Simulator) -> FleetReport {
-        let nodes: Vec<NodeId> = (0..sim.len()).map(NodeId).collect();
-        self.explore_nodes(sim, &nodes)
-    }
-
-    /// Explores the given nodes only (e.g. just the DiCE-enabled ones).
-    /// Duplicate ids are explored once: the report has one entry per
-    /// distinct node, in first-occurrence order.
-    pub fn explore_nodes(&self, sim: &Simulator, nodes: &[NodeId]) -> FleetReport {
-        let mut seen = std::collections::HashSet::new();
-        let nodes: Vec<NodeId> = nodes
-            .iter()
-            .copied()
-            .filter(|node| seen.insert(*node))
-            .collect();
-
-        // Harvest in one pass over the delivery log, grouping entries by
-        // requested node (cloning only what an explored node observed).
         let mut harvest_span = dice_obs::span("core", "fleet.harvest");
-        let mut by_node: HashMap<NodeId, Vec<_>> = HashMap::new();
+        let mut windows: Vec<NodeWindow> =
+            (0..sim.len()).map(|n| (NodeId(n), Vec::new())).collect();
         for entry in sim.observed_log() {
-            if seen.contains(&entry.node) {
-                by_node
-                    .entry(entry.node)
-                    .or_default()
-                    .push((entry.peer, entry.update.clone()));
-            }
+            windows[entry.node.0]
+                .1
+                .push((entry.peer, entry.update.clone()));
         }
-        let harvested: Vec<_> = nodes
-            .iter()
-            .map(|&node| (node, by_node.remove(&node).unwrap_or_default()))
-            .collect();
-        harvest_span.set_detail(harvested.iter().map(|(_, w)| w.len() as u64).sum());
+        harvest_span.set_detail(windows.iter().map(|(_, w)| w.len() as u64).sum());
         drop(harvest_span);
-        self.explore_window_slice(sim, &harvested).0
+        fleet_round(&self.session, sim, &windows).0
     }
 
-    /// Runs one round over explicit per-node input windows — the
-    /// continuous-orchestration entry point: [`crate::LiveOrchestrator`]
-    /// harvests an incremental epoch window per node
-    /// ([`Simulator::observed_inputs_in`]) and hands it here, so each round
-    /// explores only what arrived since the previous one.
+    /// Runs one round over explicit per-node input windows, and also
+    /// returns every node's explored outcome sequence (in window order,
+    /// each node's outcomes concatenated in input order).
     ///
-    /// Duplicate node ids collapse to their first occurrence. Nodes are
-    /// explored in window order on the calling thread; for identical
-    /// windows the report digest is byte-identical to
-    /// [`FleetExplorer::explore_nodes`].
-    pub fn explore_windows(&self, sim: &Simulator, windows: Vec<NodeWindow>) -> FleetReport {
-        self.explore_window_slice(sim, &windows).0
-    }
-
-    /// Like [`FleetExplorer::explore_windows`], but also returns every
-    /// node's explored outcome sequence (in window order, each node's
-    /// outcomes concatenated in input order) — what a live orchestrator
-    /// stitches into [`crate::checker::RoundOutcomes`] for the cross-round
-    /// ([`crate::FaultChecker::live_fold`]) pass.
+    /// Duplicate node ids collapse to their first occurrence. For windows
+    /// that hold every node's whole observed log, the report digest is
+    /// byte-identical to [`FleetExplorer::explore`].
     pub fn explore_windows_collecting(
         &self,
         sim: &Simulator,
         windows: Vec<NodeWindow>,
     ) -> (FleetReport, Vec<(NodeId, Vec<HandlerOutcome>)>) {
-        self.explore_window_slice(sim, &windows)
+        fleet_round(&self.session, sim, &windows)
     }
+}
 
-    /// [`FleetExplorer::explore_windows_collecting`] over borrowed windows,
-    /// so a caller that keeps its windows afterwards copies none of them.
-    /// Returns one outcome entry per distinct node, in window order.
-    pub(crate) fn explore_window_slice(
-        &self,
-        sim: &Simulator,
-        windows: &[NodeWindow],
-    ) -> (FleetReport, Vec<(NodeId, Vec<HandlerOutcome>)>) {
-        let started = Instant::now();
-        let mut seen = std::collections::HashSet::new();
-        let windows: Vec<&NodeWindow> = windows
-            .iter()
-            .filter(|(node, _)| seen.insert(*node))
-            .collect();
+/// The fleet round: one node round per distinct node of `windows`, in
+/// window order on the calling thread, merged into a [`FleetReport`] with
+/// fleet-wide fault dedup. Also returns each node's explored outcomes —
+/// what a live run stitches into [`crate::RoundOutcomes`] for the
+/// cross-round pass — one entry per distinct node, in window order.
+pub(crate) fn fleet_round(
+    session: &DiceSession,
+    sim: &Simulator,
+    windows: &[NodeWindow],
+) -> (FleetReport, Vec<(NodeId, Vec<HandlerOutcome>)>) {
+    let started = Instant::now();
+    let mut seen = HashSet::new();
+    let windows: Vec<&NodeWindow> = windows
+        .iter()
+        .filter(|(node, _)| seen.insert(*node))
+        .collect();
 
-        let session = self.session.with_workers(1);
-        let mut explore_span = dice_obs::span("core", "fleet.explore");
-        explore_span.set_detail(windows.len() as u64);
-        let mut node_reports: Vec<NodeReport> = Vec::with_capacity(windows.len());
-        let mut node_outcomes: Vec<(NodeId, Vec<HandlerOutcome>)> =
-            Vec::with_capacity(windows.len());
-        for (node, observed) in windows {
-            let (report, outcomes) = session.explore_collecting(sim.router(*node), observed);
-            node_reports.push(NodeReport {
-                node: *node,
-                name: sim.name(*node).to_string(),
-                report,
-            });
-            node_outcomes.push((*node, outcomes));
-        }
-        drop(explore_span);
-        let keyed: Vec<(NodeId, &ExplorationReport)> =
-            node_reports.iter().map(|n| (n.node, &n.report)).collect();
-        let faults = dedup_fleet_faults(&keyed);
-
-        let report = FleetReport {
-            nodes: node_reports,
-            faults,
-            injected_faults: sim.injected_fault_count() as u64,
-            elapsed: started.elapsed(),
-        };
-        (report, node_outcomes)
+    let mut explore_span = dice_obs::span("core", "fleet.explore");
+    explore_span.set_detail(windows.len() as u64);
+    let mut node_reports: Vec<NodeReport> = Vec::with_capacity(windows.len());
+    let mut node_outcomes: Vec<(NodeId, Vec<HandlerOutcome>)> = Vec::with_capacity(windows.len());
+    for (node, observed) in windows {
+        let (report, outcomes) = session.node_round(sim.router(*node), observed, 1);
+        node_reports.push(NodeReport {
+            node: *node,
+            name: sim.name(*node).to_string(),
+            report,
+        });
+        node_outcomes.push((*node, outcomes));
     }
+    drop(explore_span);
+    let keyed: Vec<(NodeId, &ExplorationReport)> =
+        node_reports.iter().map(|n| (n.node, &n.report)).collect();
+    let faults = dedup_fleet_faults(&keyed);
+
+    let report = FleetReport {
+        nodes: node_reports,
+        faults,
+        injected_faults: sim.injected_fault_count() as u64,
+        elapsed: started.elapsed(),
+    };
+    (report, node_outcomes)
 }
 
 #[cfg(test)]
@@ -459,7 +406,8 @@ mod tests {
         let topo = figure2_topology(CustomerFilterMode::Erroneous);
         let provider = topo.node_by_name("Provider").expect("node");
 
-        let fleet = FleetExplorer::default().explore_nodes(&sim, &[provider]);
+        let (fleet, _) = FleetExplorer::default()
+            .explore_windows_collecting(&sim, vec![(provider, sim.observed_inputs(provider))]);
         let direct =
             DiceSession::default().explore(sim.router(provider), &sim.observed_inputs(provider));
 
@@ -552,18 +500,18 @@ mod tests {
     }
 
     #[test]
-    fn explore_windows_on_full_windows_matches_explore_nodes() {
+    fn explore_windows_collecting_on_full_windows_matches_explore() {
         let sim = simulated_figure2(CustomerFilterMode::Erroneous);
         let nodes: Vec<NodeId> = (0..sim.len()).map(NodeId).collect();
         let explorer = FleetExplorer::default();
 
-        let via_nodes = explorer.explore_nodes(&sim, &nodes);
+        let via_nodes = explorer.explore(&sim);
         let head = sim.observed_cursor();
         let windows: Vec<_> = nodes
             .iter()
             .map(|&n| (n, sim.observed_inputs_in(n, 0, head)))
             .collect();
-        let via_windows = explorer.explore_windows(&sim, windows.clone());
+        let (via_windows, _) = explorer.explore_windows_collecting(&sim, windows.clone());
         assert_eq!(via_windows.digest(), via_nodes.digest());
 
         // Duplicate window entries collapse to the first occurrence, and
@@ -576,7 +524,7 @@ mod tests {
         let outcome_nodes: Vec<NodeId> = outcomes.iter().map(|(n, _)| *n).collect();
         assert_eq!(outcome_nodes, nodes);
         // An empty window set yields an empty report.
-        let empty = explorer.explore_windows(&sim, Vec::new());
+        let (empty, _) = explorer.explore_windows_collecting(&sim, Vec::new());
         assert!(empty.nodes.is_empty());
         assert!(!empty.has_faults());
     }
@@ -587,8 +535,11 @@ mod tests {
         let topo = figure2_topology(CustomerFilterMode::Erroneous);
         let provider = topo.node_by_name("Provider").expect("node");
 
-        let once = FleetExplorer::default().explore_nodes(&sim, &[provider]);
-        let duplicated = FleetExplorer::default().explore_nodes(&sim, &[provider, provider]);
+        let window = (provider, sim.observed_inputs(provider));
+        let explorer = FleetExplorer::default();
+        let (once, _) = explorer.explore_windows_collecting(&sim, vec![window.clone()]);
+        let (duplicated, _) =
+            explorer.explore_windows_collecting(&sim, vec![window.clone(), window]);
         assert_eq!(duplicated.nodes.len(), 1, "duplicates collapse");
         assert_eq!(duplicated.digest(), once.digest());
     }

@@ -5,7 +5,8 @@
 //! over symbolic route fields (recording constraints), the acceptance
 //! decision is taken, and any messages the node would emit are intercepted
 //! rather than sent (§2.3: "DiCE intercepts the messages generated during
-//! exploration").
+//! exploration"): each run records them in
+//! [`HandlerOutcome::intercepted`], and nothing reaches a live peer.
 
 use std::sync::Arc;
 
@@ -17,7 +18,6 @@ use dice_router::{BgpRouter, FilterOutcome};
 use dice_symexec::{ExecCtx, InputValues, SymbolicProgram};
 
 use crate::checkpoint::RoundCheckpoint;
-use crate::isolation::MessageInterceptor;
 use crate::symbolic_input::UpdateTemplate;
 
 /// The application-level outcome of one exploratory execution.
@@ -60,7 +60,6 @@ pub struct SymbolicUpdateHandler {
     /// hands them in (`None` when the peer has no import filter, or names
     /// one the configuration lacks).
     import_sites: Option<Arc<FilterSites>>,
-    interceptor: MessageInterceptor,
 }
 
 impl SymbolicUpdateHandler {
@@ -97,28 +96,7 @@ impl SymbolicUpdateHandler {
             peer,
             template,
             import_sites,
-            interceptor: MessageInterceptor::new(),
         }
-    }
-
-    /// The checkpoint the handler executes over.
-    pub fn checkpoint(&self) -> &BgpRouter {
-        self.checkpoint.router()
-    }
-
-    /// The input template.
-    pub fn template(&self) -> &UpdateTemplate {
-        &self.template
-    }
-
-    /// The messages intercepted across all executions so far.
-    pub fn interceptor(&self) -> &MessageInterceptor {
-        &self.interceptor
-    }
-
-    /// Consumes the handler, returning its interceptor.
-    pub fn into_interceptor(self) -> MessageInterceptor {
-        self.interceptor
     }
 }
 
@@ -169,7 +147,6 @@ impl SymbolicProgram for SymbolicUpdateHandler {
         if let Some(exploratory) = exploratory {
             for p in router.peers() {
                 if p.id != self.peer && p.is_established() {
-                    self.interceptor.capture(p.id, exploratory.clone());
                     intercepted.push((p.id, exploratory.clone()));
                 }
             }
@@ -226,14 +203,13 @@ mod tests {
         let mut handler =
             SymbolicUpdateHandler::new(RoundCheckpoint::capture(&router), peer, template);
         let mut ctx = ExecCtx::new();
-        let seed = handler.template().seed();
+        let seed = handler.template.seed();
         let outcome = handler.run(&mut ctx, &seed);
         assert!(outcome.accepted, "missing filter accepts everything");
         // The message toward the transit peer was intercepted, not sent.
         assert_eq!(outcome.intercepted.len(), 1);
         assert_eq!(outcome.intercepted[0].1.nlri, vec![outcome.prefix]);
         assert!(outcome.intercepted[0].1.withdrawn.is_empty());
-        assert_eq!(handler.interceptor().len(), 1);
     }
 
     #[test]
@@ -255,7 +231,7 @@ mod tests {
         let mut ctx = ExecCtx::new();
         // Same prefix, wrong origin AS: the correct filter rejects it.
         let rejected = handler
-            .template()
+            .template
             .seed()
             .with(crate::symbolic_input::fields::SOURCE_AS, 64_999);
         let outcome = handler.run(&mut ctx, &rejected);
@@ -269,7 +245,7 @@ mod tests {
         // revokes nothing.
         let mut ctx = ExecCtx::new();
         let foreign = handler
-            .template()
+            .template
             .seed()
             .with(
                 crate::symbolic_input::fields::NLRI_ADDR,
@@ -290,7 +266,7 @@ mod tests {
         let mut handler =
             SymbolicUpdateHandler::new(RoundCheckpoint::capture(&router), peer, template);
         let mut ctx = ExecCtx::new();
-        let seed = handler.template().seed();
+        let seed = handler.template.seed();
         let outcome = handler.run(&mut ctx, &seed);
         // Observed announcement: 41.1.0.0/16 with origin 17557 → accepted.
         assert!(outcome.accepted);

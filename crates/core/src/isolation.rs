@@ -2,70 +2,32 @@
 //!
 //! "We want the exploratory execution over a node checkpoint to work
 //! alongside the running system. Therefore, DiCE intercepts the messages
-//! generated during exploration" (§2.3). The interceptor collects every
-//! message an exploratory execution would have sent; nothing reaches the
-//! live peers, and the live router object is never touched.
+//! generated during exploration" (§2.3). Every message an exploratory
+//! execution would have sent is recorded in its
+//! [`crate::HandlerOutcome::intercepted`] and never reaches a live peer;
+//! the live router object is never touched, which a round checks with a
+//! [`LiveStateFingerprint`] taken before and after it.
 
-use dice_bgp::message::UpdateMessage;
-use dice_bgp::route::PeerId;
 use dice_router::BgpRouter;
-
-/// Captures messages generated during exploration instead of sending them.
-#[derive(Debug, Clone, Default)]
-pub struct MessageInterceptor {
-    captured: Vec<(PeerId, UpdateMessage)>,
-}
-
-impl MessageInterceptor {
-    /// Creates an empty interceptor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a message that would have been sent to `peer`.
-    pub fn capture(&mut self, peer: PeerId, message: UpdateMessage) {
-        self.captured.push((peer, message));
-    }
-
-    /// Number of intercepted messages.
-    pub fn len(&self) -> usize {
-        self.captured.len()
-    }
-
-    /// Returns true if nothing was intercepted.
-    pub fn is_empty(&self) -> bool {
-        self.captured.is_empty()
-    }
-
-    /// The intercepted messages, in capture order.
-    pub fn messages(&self) -> &[(PeerId, UpdateMessage)] {
-        &self.captured
-    }
-
-    /// Drains the intercepted messages.
-    pub fn drain(&mut self) -> Vec<(PeerId, UpdateMessage)> {
-        std::mem::take(&mut self.captured)
-    }
-}
 
 /// A fingerprint of the externally visible state of the live router, taken
 /// before exploration and compared afterwards to assert that exploration
 /// ran in isolation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LiveStateFingerprint {
+pub(crate) struct LiveStateFingerprint {
     /// Prefixes in the Loc-RIB.
-    pub rib_prefixes: usize,
+    rib_prefixes: usize,
     /// Candidate routes across all peers.
-    pub rib_routes: usize,
+    rib_routes: usize,
     /// UPDATE messages the live router has processed.
-    pub updates_processed: u64,
+    updates_processed: u64,
     /// Messages the live router has queued for sending.
-    pub messages_sent: u64,
+    messages_sent: u64,
 }
 
 impl LiveStateFingerprint {
     /// Captures the fingerprint of a router.
-    pub fn capture(router: &BgpRouter) -> Self {
+    pub(crate) fn capture(router: &BgpRouter) -> Self {
         LiveStateFingerprint {
             rib_prefixes: router.rib().prefix_count(),
             rib_routes: router.rib().route_count(),
@@ -75,7 +37,7 @@ impl LiveStateFingerprint {
     }
 
     /// Returns true if the router's externally visible state is unchanged.
-    pub fn matches(&self, router: &BgpRouter) -> bool {
+    pub(crate) fn matches(&self, router: &BgpRouter) -> bool {
         *self == Self::capture(router)
     }
 }
@@ -84,23 +46,9 @@ impl LiveStateFingerprint {
 mod tests {
     use super::*;
     use dice_bgp::attributes::RouteAttrs;
+    use dice_bgp::message::UpdateMessage;
     use dice_router::{NeighborConfig, RouterConfig};
     use std::net::Ipv4Addr;
-
-    #[test]
-    fn interceptor_accumulates_and_drains() {
-        let mut interceptor = MessageInterceptor::new();
-        assert!(interceptor.is_empty());
-        let attrs = RouteAttrs::originated(65001, Ipv4Addr::new(10, 0, 0, 1));
-        let msg = UpdateMessage::announce(vec!["203.0.113.0/24".parse().expect("valid")], &attrs);
-        interceptor.capture(PeerId(1), msg.clone());
-        interceptor.capture(PeerId(2), msg);
-        assert_eq!(interceptor.len(), 2);
-        assert_eq!(interceptor.messages()[0].0, PeerId(1));
-        let drained = interceptor.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(interceptor.is_empty());
-    }
 
     #[test]
     fn fingerprint_detects_live_state_changes() {

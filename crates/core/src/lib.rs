@@ -18,8 +18,10 @@
 //!   ([`SymbolicUpdateHandler`], `dice-symexec`) that records branch
 //!   constraints — from code and from interpreted configuration — negates
 //!   them one at a time and solves for inputs that take the other side,
-//! * keeping exploration **isolated** from the deployed system
-//!   ([`MessageInterceptor`], [`LiveStateFingerprint`]), and
+//! * keeping exploration **isolated** from the deployed system: every
+//!   message a run would send is intercepted into
+//!   [`HandlerOutcome::intercepted`], and each round checks that the live
+//!   router's visible state did not change, and
 //! * applying **fault checkers** to every explored state; the showcase
 //!   checker flags origin misconfiguration / route leaks
 //!   ([`OriginHijackChecker`]), joined by an adversarial-scenario library:
@@ -29,19 +31,20 @@
 //!   ([`BlackholeChecker`]) and cross-round route flaps
 //!   ([`CrossRoundFlapChecker`], via [`FaultChecker::live_fold`]).
 //!
-//! Three entry points drive rounds:
+//! One node round does all of that for one node: checkpoint, explore the
+//! observed inputs, check. Three entry points are loops over it:
 //!
 //! * [`DiceBuilder`] → [`DiceSession`] — one node, explicit observed
 //!   inputs, pluggable checker registry ([`FaultChecker`] is object-safe
-//!   and `Send + Sync`).
+//!   and `Send + Sync`). [`DiceSession::explore`] is one node round.
 //! * [`FleetExplorer`] — the paper's federated setting: harvests each
-//!   node's observed inputs from a simulated topology and runs one round
-//!   beside every node in turn, merging results into a [`FleetReport`]
-//!   with fleet-wide fault deduplication.
+//!   node's observed inputs from a simulated topology and runs the fleet
+//!   round, one node round beside every node in turn, merging results into
+//!   a [`FleetReport`] with fleet-wide fault deduplication.
 //! * [`LiveOrchestrator`] — the paper's *continuous* operating mode:
-//!   interleaves live simulation progress with exploration rounds, each
-//!   harvesting an incremental epoch window of newly observed inputs, and
-//!   accumulates a [`LiveReport`] with cross-round fault deduplication.
+//!   interleaves live simulation progress with fleet rounds, each over an
+//!   incremental epoch window of newly observed inputs, and accumulates a
+//!   [`LiveReport`] with cross-round fault deduplication.
 //!   Sequence-aware checkers ([`RouteOscillationChecker`]) exploit the
 //!   per-run intercepted message sequences continuous rounds record, and a
 //!   deterministic [`FaultPlan`] ([`LiveOrchestrator::with_fault_plan`])
@@ -86,24 +89,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checker;
-pub mod checkpoint;
-pub mod control;
-pub mod fault_search;
-pub mod fleet;
-pub mod handler;
-pub mod isolation;
-pub mod live;
+mod checker;
+mod checkpoint;
+mod control;
+mod fault_search;
+mod fleet;
+mod handler;
+mod isolation;
+mod live;
 mod parallel;
-pub mod report;
-pub mod session;
-pub mod symbolic_input;
+mod report;
+mod session;
+mod symbolic_input;
 
 pub use checker::{
     AsRelationship, BgpWedgieChecker, BlackholeChecker, CrossRoundFlapChecker, Fault, FaultChecker,
     FaultKey, FaultKind, ForwardingLoopChecker, LiveFold, MoreSpecificHijackChecker,
     ObservedTimelines, OriginHijackChecker, RoundOutcomes, RouteLeakChecker,
-    RouteOscillationChecker, LIVE_WINDOW,
+    RouteOscillationChecker,
 };
 pub use checkpoint::RoundCheckpoint;
 pub use control::{
@@ -117,11 +120,10 @@ pub use fleet::{
     dedup_fleet_faults, FleetExplorer, FleetFault, FleetReport, NodeReport, NodeWindow,
 };
 pub use handler::{HandlerOutcome, SymbolicUpdateHandler};
-pub use isolation::{LiveStateFingerprint, MessageInterceptor};
 pub use live::{LiveFault, LiveOrchestrator, LiveReport, LiveRound, SearchSummary};
 pub use report::ExplorationReport;
 pub use session::{DiceBuilder, DiceConfig, DiceSession};
-pub use symbolic_input::{fields, UpdateTemplate};
+pub use symbolic_input::UpdateTemplate;
 
 // Re-exported so examples and tests can select the misconfiguration mode
 // and build fault plans without importing dice-netsim directly.

@@ -16,29 +16,29 @@
 //!    (the default) the window is taken out of the log
 //!    ([`Simulator::take_observed_in`]) instead of copied, since step 6
 //!    drops it anyway;
-//! 3. **explore** — one fleet round runs over the window
-//!    ([`FleetExplorer::explore_windows`]), every node in turn on the
-//!    calling thread;
+//! 3. **explore** — one fleet round runs over the window, every node in
+//!    turn on the calling thread: the same function
+//!    [`crate::FleetExplorer`] runs over a whole harvest;
 //! 4. **check across rounds** — each node's window and outcomes become one
 //!    history entry ([`crate::RoundOutcomes`]), reduced once into the
 //!    window's [`crate::ObservedTimelines`] and folded into every temporal
 //!    checker's [`crate::LiveFold`]; the entry itself is then dropped. The
-//!    folds judge the last [`crate::LIVE_WINDOW`] entries:
-//!    after each round the oldest beyond that expire, so the pass costs
-//!    what the round observed, not what the window holds;
+//!    folds judge the last 64 entries: after each round the oldest beyond
+//!    that expire, so the pass costs what the round observed, not what the
+//!    window holds;
 //! 5. **accumulate** — every round's [`FleetReport`] and the faults the
 //!    folds show land in a [`LiveReport`], deduplicated *across rounds* by
-//!    their typed key ([`Fault::fleet_key`], compared by value): the same
-//!    leak re-detected every round is one live fault with every sighting
-//!    round recorded;
+//!    their typed key ([`Fault::fleet_key`], compared by value) in the same
+//!    fault ledger fleet dedup uses: the same leak re-detected every round
+//!    is one live fault with every sighting round recorded;
 //! 6. **compact** — once the round's window is harvested, the delivery log
 //!    below the cursor is dropped ([`Simulator::trim_observed_below`];
 //!    disable via [`LiveOrchestrator::with_log_compaction`]), bounding a
 //!    long live session's memory by the unharvested tail.
 //!
 //! Memory stays bounded on a run of any length: the log by the
-//! unharvested tail, the temporal folds by what [`crate::LIVE_WINDOW`]
-//! entries observed ([`crate::ObservedTimelines::held_summaries`]).
+//! unharvested tail, the temporal folds by what the last 64 entries
+//! observed.
 //!
 //! A deterministic [`FaultPlan`] ([`LiveOrchestrator::with_fault_plan`])
 //! rides on the loop, perturbing the network between epochs — link flaps,
@@ -67,8 +67,9 @@
 //!
 //! Reports stay deterministic: a single-round run over a quiesced
 //! simulator is byte-identical (per [`FleetReport::digest`]) to
-//! [`FleetExplorer::explore`] over the same state.
+//! [`crate::FleetExplorer::explore`] over the same state.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -80,7 +81,8 @@ use dice_solver::SolverStats;
 
 use crate::checker::{Fault, FaultKey, RoundOutcomes, LIVE_WINDOW};
 use crate::control::{ControlPlane, ControlSnapshot, IngestCounters};
-use crate::fleet::{FleetExplorer, FleetReport};
+use crate::fleet::{fleet_round, FleetReport};
+use crate::report::policy_coverage;
 use crate::session::DiceSession;
 
 /// One executed exploration round of a live run.
@@ -105,6 +107,58 @@ pub struct LiveFault {
     pub nodes: Vec<NodeId>,
     /// Every executed round that re-detected the fault, in round order.
     pub rounds: Vec<usize>,
+}
+
+/// Faults keyed by [`Fault::fleet_key`], in first-sighting order, each with
+/// the nodes and rounds that saw it: the one merge behind fleet dedup
+/// ([`crate::dedup_fleet_faults`]) and a live run's cross-round fault list.
+#[derive(Debug, Default)]
+pub(crate) struct FaultLedger {
+    index: HashMap<FaultKey, usize>,
+    faults: Vec<LiveFault>,
+}
+
+impl FaultLedger {
+    /// Records that `nodes` saw `fault` in `round`. A new key is appended,
+    /// its fault stamped with the first of `nodes`; a known key gains the
+    /// nodes it lacks, in order, and the round once.
+    pub(crate) fn record(&mut self, fault: &Fault, nodes: &[NodeId], round: usize) {
+        match self.index.entry(fault.fleet_key()) {
+            Entry::Occupied(slot) => {
+                let known = &mut self.faults[*slot.get()];
+                for node in nodes {
+                    if !known.nodes.contains(node) {
+                        known.nodes.push(*node);
+                    }
+                }
+                if known.rounds.last() != Some(&round) {
+                    known.rounds.push(round);
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.faults.len());
+                let fault = match nodes.first() {
+                    Some(&first) => fault.clone().with_node(first),
+                    None => fault.clone(),
+                };
+                self.faults.push(LiveFault {
+                    fault,
+                    nodes: nodes.to_vec(),
+                    rounds: vec![round],
+                });
+            }
+        }
+    }
+
+    /// The number of distinct keys recorded.
+    pub(crate) fn len(&self) -> usize {
+        self.faults.len()
+    }
+
+    /// The recorded faults, in first-sighting order.
+    pub(crate) fn into_faults(self) -> Vec<LiveFault> {
+        self.faults
+    }
 }
 
 /// The accumulated result of a continuous exploration run.
@@ -134,7 +188,7 @@ pub struct LiveReport {
 
 /// Aggregate counters of a fault-plan search, attached to the
 /// [`LiveReport`] a [`FaultPlanSearch`](crate::FaultPlanSearch) returns
-/// and exported through the schema-v3 [`crate::ControlSnapshot`].
+/// and exported through the [`crate::ControlSnapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchSummary {
     /// Candidate plans evaluated (the empty-plan baseline and shrinker
@@ -166,13 +220,8 @@ impl LiveReport {
         self.rounds.iter().map(|r| r.report.total_sightings()).sum()
     }
 
-    /// The last executed round, if any ran.
-    pub fn last_round(&self) -> Option<&LiveRound> {
-        self.rounds.last()
-    }
-
     /// Total policy branch sites registered across all rounds and nodes.
-    pub fn total_policy_sites(&self) -> usize {
+    fn total_policy_sites(&self) -> usize {
         self.rounds
             .iter()
             .map(|r| r.report.total_policy_sites())
@@ -180,7 +229,7 @@ impl LiveReport {
     }
 
     /// Total policy (site, direction) pairs exercised across all rounds.
-    pub fn total_policy_directions(&self) -> usize {
+    fn total_policy_directions(&self) -> usize {
         self.rounds
             .iter()
             .map(|r| r.report.total_policy_directions())
@@ -189,7 +238,7 @@ impl LiveReport {
 
     /// Run-wide policy-branch coverage over registered filter arms, in
     /// `[0, 1]`; `1.0` when no round registered any policy site.
-    pub fn policy_branch_coverage(&self) -> f64 {
+    fn policy_branch_coverage(&self) -> f64 {
         policy_coverage(self.total_policy_sites(), self.total_policy_directions())
     }
 
@@ -241,24 +290,41 @@ impl LiveReport {
     }
 }
 
-/// Explored share of `2 * sites` filter-arm directions; `1.0` with no
-/// site registered.
-fn policy_coverage(sites: usize, directions: usize) -> f64 {
-    if sites == 0 {
-        1.0
-    } else {
-        directions as f64 / (2 * sites) as f64
-    }
-}
-
-/// Sums over a run's executed rounds that every [`ControlSnapshot`]
-/// reports, carried along by [`LiveOrchestrator::run`] so that publishing
-/// one does not walk all the rounds before it.
-#[derive(Debug, Clone, Copy, Default)]
+/// What every [`ControlSnapshot`] reports of a run's executed rounds,
+/// accumulated by [`LiveOrchestrator::run`] as the rounds execute so that
+/// publishing one does not walk all the rounds before it.
+#[derive(Debug, Default)]
 struct RunTotals {
     runs: usize,
     policy_sites: usize,
     policy_directions: usize,
+    /// Solver counters merged over every node round.
+    solver: SolverStats,
+    /// Wall-clock latency of the last round, and its sum over all rounds.
+    last_latency: Duration,
+    latency_total: Duration,
+    round_latency: dice_obs::Histogram,
+    wave_latency: dice_obs::Histogram,
+    /// The table-level CoW sharing a fork held across each epoch window
+    /// would show, counted when the window closes.
+    cow: CowForkStats,
+}
+
+impl RunTotals {
+    /// Adds one executed round: its fleet report and its wall-clock
+    /// latency.
+    fn add_round(&mut self, fleet: &FleetReport, latency: Duration) {
+        for node in &fleet.nodes {
+            self.solver.merge(&node.report.solver_stats);
+        }
+        self.wave_latency.merge(&fleet.wave_latency());
+        self.runs += fleet.total_runs();
+        self.policy_sites += fleet.total_policy_sites();
+        self.policy_directions += fleet.total_policy_directions();
+        self.last_latency = latency;
+        self.latency_total += latency;
+        self.round_latency.record_duration(latency);
+    }
 }
 
 impl fmt::Display for LiveReport {
@@ -329,14 +395,14 @@ impl fmt::Display for LiveReport {
 /// rounds.
 ///
 /// Construct from a [`DiceSession`] (shared checker registry and engine
-/// settings, like [`FleetExplorer`]), then [`LiveOrchestrator::run`] with a
+/// settings, like [`crate::FleetExplorer`]), then [`LiveOrchestrator::run`] with a
 /// traffic driver. The driver is called once per epoch to push the next
 /// stretch of live traffic into the simulator and returns whether more may
 /// come; after each epoch the simulator runs to quiescence and the newly
 /// observed window is explored.
 #[derive(Debug, Clone)]
 pub struct LiveOrchestrator {
-    explorer: FleetExplorer,
+    session: DiceSession,
     quiesce_steps: u64,
     max_rounds: usize,
     compact_log: bool,
@@ -356,7 +422,7 @@ impl LiveOrchestrator {
     /// session.
     pub fn new(session: DiceSession) -> Self {
         LiveOrchestrator {
-            explorer: FleetExplorer::new(session),
+            session,
             quiesce_steps: 100,
             max_rounds: 64,
             compact_log: true,
@@ -398,7 +464,7 @@ impl LiveOrchestrator {
     /// session holds only the unharvested tail instead of the unbounded
     /// full history. Disable it when something else re-harvests the same
     /// simulator after the run (e.g. a comparative one-shot
-    /// [`FleetExplorer::explore`] over the full log).
+    /// [`crate::FleetExplorer::explore`] over the full log).
     pub fn with_log_compaction(mut self, enabled: bool) -> Self {
         self.compact_log = enabled;
         self
@@ -444,11 +510,6 @@ impl LiveOrchestrator {
         self.control.clone()
     }
 
-    /// The fleet explorer driving each round.
-    pub fn explorer(&self) -> &FleetExplorer {
-        &self.explorer
-    }
-
     /// Runs continuous exploration against the simulation.
     ///
     /// Per epoch: `drive(sim, epoch)` injects the next stretch of live
@@ -463,7 +524,7 @@ impl LiveOrchestrator {
     /// With a driver that immediately returns `false` over an already
     /// quiesced simulator this degenerates to exactly one round over the
     /// full log — byte-identical, per [`FleetReport::digest`], to
-    /// [`FleetExplorer::explore`] on the same state (the equivalence
+    /// [`crate::FleetExplorer::explore`] on the same state (the equivalence
     /// anchor asserted in `tests/live_orchestrator.rs`).
     pub fn run<F>(&self, sim: &mut Simulator, mut drive: F) -> LiveReport
     where
@@ -475,21 +536,11 @@ impl LiveOrchestrator {
         }
         let nodes: Vec<NodeId> = (0..sim.len()).map(NodeId).collect();
         let mut report = LiveReport::default();
-        let mut index: HashMap<FaultKey, usize> = HashMap::new();
+        let mut ledger = FaultLedger::default();
         let mut cursor = 0u64;
-        let mut temporal = self.explorer.session().live_window(LIVE_WINDOW);
-
-        // Control-plane accumulators: per-round latency, merged solver
-        // counters, running report totals, and the table-level CoW sharing
-        // a fork held across each window would show, counted when the
-        // window closes from the table generations read when it opened.
-        let mut solver = SolverStats::default();
-        let mut last_latency = Duration::ZERO;
-        let mut latency_total = Duration::ZERO;
-        let mut round_latency = dice_obs::Histogram::new();
-        let mut wave_latency = dice_obs::Histogram::new();
-        let mut cow = CowForkStats::default();
+        let mut temporal = self.session.live_window(LIVE_WINDOW);
         let mut totals = RunTotals::default();
+        // Each node's table generation when the current window opened.
         let mut generations: Vec<u64> = nodes
             .iter()
             .map(|&node| sim.router(node).rib().generation())
@@ -521,9 +572,11 @@ impl LiveOrchestrator {
                 };
                 harvest_span.set_detail(windows.iter().map(|(_, w)| w.len() as u64).sum());
                 drop(harvest_span);
-                let (fleet, outcomes) = self.explorer.explore_window_slice(sim, &windows);
+                let (fleet, outcomes) = fleet_round(&self.session, sim, &windows);
                 let round_index = report.rounds.len();
-                Self::merge_round_faults(&mut report.faults, &mut index, &fleet, round_index);
+                for sighting in &fleet.faults {
+                    ledger.record(&sighting.fault, &sighting.nodes, round_index);
+                }
 
                 // Each node that saw anything adds one history entry, folded
                 // into the temporal checkers and then dropped. The nodes
@@ -546,15 +599,12 @@ impl LiveOrchestrator {
                 let found = temporal.fold_round(&entries);
                 check_span.set_detail(temporal.held_entries() as u64);
                 drop(check_span);
-                Self::merge_temporal_faults(&mut report.faults, &mut index, &found, round_index);
-
-                for node in &fleet.nodes {
-                    solver.merge(&node.report.solver_stats);
+                // The folds show every fault the window still holds, every
+                // round; the ledger records a known key's round once.
+                for fault in &found {
+                    ledger.record(fault, fault.node.as_slice(), round_index);
                 }
-                wave_latency.merge(&fleet.wave_latency());
-                totals.runs += fleet.total_runs();
-                totals.policy_sites += fleet.total_policy_sites();
-                totals.policy_directions += fleet.total_policy_directions();
+
                 report.rounds.push(LiveRound {
                     index: round_index,
                     window: (cursor, head),
@@ -572,25 +622,13 @@ impl LiveOrchestrator {
                 // still share. The same reading opens the next window.
                 for (opened, &node) in generations.iter_mut().zip(&nodes) {
                     let closed = sim.router(node).rib().generation();
-                    cow.units_total += 1;
-                    cow.units_shared += usize::from(*opened == closed);
+                    totals.cow.units_total += 1;
+                    totals.cow.units_shared += usize::from(*opened == closed);
                     *opened = closed;
                 }
-                last_latency = epoch_started.elapsed();
-                latency_total += last_latency;
-                round_latency.record_duration(last_latency);
-                self.control.publish(self.assemble_snapshot(
-                    &report,
-                    totals,
-                    sim,
-                    &solver,
-                    last_latency,
-                    latency_total,
-                    round_latency.summary(),
-                    wave_latency.summary(),
-                    cow,
-                    cursor,
-                ));
+                totals.add_round(&report.rounds[round_index].report, epoch_started.elapsed());
+                self.control
+                    .publish(self.snapshot(&report, ledger.len(), &totals, sim, cursor));
             }
             if !more {
                 break;
@@ -599,55 +637,40 @@ impl LiveOrchestrator {
 
         report.injected_faults = sim.injected_fault_count() as u64;
         report.elapsed = started.elapsed();
-        self.control.publish(self.assemble_snapshot(
-            &report,
-            totals,
-            sim,
-            &solver,
-            last_latency,
-            latency_total,
-            round_latency.summary(),
-            wave_latency.summary(),
-            cow,
-            cursor,
-        ));
+        self.control
+            .publish(self.snapshot(&report, ledger.len(), &totals, sim, cursor));
+        report.faults = ledger.into_faults();
         report
     }
 
     /// Builds the [`ControlSnapshot`] published after each executed round
-    /// (and once more at run end) from the in-progress report, the
-    /// simulator, and the run's accumulated counters.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_snapshot(
+    /// (and once more at run end) from the in-progress report, its count of
+    /// distinct faults, the run's totals and the simulator.
+    fn snapshot(
         &self,
         report: &LiveReport,
-        totals: RunTotals,
+        distinct_faults: usize,
+        totals: &RunTotals,
         sim: &Simulator,
-        solver: &SolverStats,
-        last_latency: Duration,
-        latency_total: Duration,
-        round_latency: dice_obs::HistogramSummary,
-        wave_latency: dice_obs::HistogramSummary,
-        cow: CowForkStats,
         watermark: u64,
     ) -> ControlSnapshot {
         let rounds = report.rounds.len();
         ControlSnapshot {
             rounds,
             total_runs: totals.runs,
-            distinct_faults: report.faults.len(),
+            distinct_faults,
             injected_faults: sim.injected_fault_count() as u64,
             fault_trace_events: sim.fault_trace().len() as u64,
             fault_trace_fingerprint: sim.fault_trace().fingerprint(),
-            last_round_latency: last_latency,
-            mean_round_latency: ControlSnapshot::mean_latency(latency_total, rounds),
-            round_latency,
-            wave_latency,
-            solver_queries: solver.queries,
-            solver_incremental_queries: solver.incremental_queries,
-            solver_reuse_rate: solver.reuse_rate(),
+            last_round_latency: totals.last_latency,
+            mean_round_latency: ControlSnapshot::mean_latency(totals.latency_total, rounds),
+            round_latency: totals.round_latency.summary(),
+            wave_latency: totals.wave_latency.summary(),
+            solver_queries: totals.solver.queries,
+            solver_incremental_queries: totals.solver.incremental_queries,
+            solver_reuse_rate: totals.solver.reuse_rate(),
             policy_coverage: policy_coverage(totals.policy_sites, totals.policy_directions),
-            cow,
+            cow: totals.cow,
             compaction_watermark: watermark,
             delivered: sim.stats().delivered,
             ingest: self
@@ -658,80 +681,13 @@ impl LiveOrchestrator {
             ..ControlSnapshot::default()
         }
     }
-
-    /// Folds the temporal pass's faults (everything the
-    /// [`crate::LiveFold`]s show over the window) into the cross-round
-    /// list. The folds report every fault the window still shows, every
-    /// round, so an already known key only records the new round once (and
-    /// any new node); fresh keys append in first-sighting order.
-    fn merge_temporal_faults(
-        faults: &mut Vec<LiveFault>,
-        index: &mut HashMap<FaultKey, usize>,
-        found: &[Fault],
-        round: usize,
-    ) {
-        for fault in found {
-            match index.entry(fault.fleet_key()) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    let existing = &mut faults[*slot.get()];
-                    if let Some(node) = fault.node {
-                        if !existing.nodes.contains(&node) {
-                            existing.nodes.push(node);
-                        }
-                    }
-                    if existing.rounds.last() != Some(&round) {
-                        existing.rounds.push(round);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(faults.len());
-                    faults.push(LiveFault {
-                        fault: fault.clone(),
-                        nodes: fault.node.into_iter().collect(),
-                        rounds: vec![round],
-                    });
-                }
-            }
-        }
-    }
-
-    /// Folds one round's fleet-deduplicated faults into the cross-round
-    /// list: keys ([`Fault::fleet_key`]) already present collect the new
-    /// sighting's nodes and round; new keys append in first-sighting
-    /// order. Nothing is ever dropped.
-    fn merge_round_faults(
-        faults: &mut Vec<LiveFault>,
-        index: &mut HashMap<FaultKey, usize>,
-        fleet: &FleetReport,
-        round: usize,
-    ) {
-        for sighting in &fleet.faults {
-            match index.entry(sighting.fault.fleet_key()) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    let existing = &mut faults[*slot.get()];
-                    for node in &sighting.nodes {
-                        if !existing.nodes.contains(node) {
-                            existing.nodes.push(*node);
-                        }
-                    }
-                    existing.rounds.push(round);
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(faults.len());
-                    faults.push(LiveFault {
-                        fault: sighting.fault.clone(),
-                        nodes: sighting.nodes.clone(),
-                        rounds: vec![round],
-                    });
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::DiceBuilder;
+    use crate::FleetExplorer;
     use dice_bgp::attributes::RouteAttrs;
     use dice_bgp::message::{BgpMessage, UpdateMessage};
     use dice_bgp::AsPath;
@@ -796,27 +752,17 @@ mod tests {
     }
 
     /// The round pass of one round: its fleet-deduplicated faults.
-    fn round_pass(
-        faults: &mut Vec<LiveFault>,
-        index: &mut HashMap<FaultKey, usize>,
-        sightings: &[crate::FleetFault],
-        round: usize,
-    ) {
-        let fleet = FleetReport {
-            faults: sightings.to_vec(),
-            ..FleetReport::default()
-        };
-        LiveOrchestrator::merge_round_faults(faults, index, &fleet, round);
+    fn round_pass(ledger: &mut FaultLedger, sightings: &[crate::FleetFault], round: usize) {
+        for sighting in sightings {
+            ledger.record(&sighting.fault, &sighting.nodes, round);
+        }
     }
 
     /// The temporal pass of one round: what the folds show.
-    fn temporal_pass(
-        faults: &mut Vec<LiveFault>,
-        index: &mut HashMap<FaultKey, usize>,
-        found: &[Fault],
-        round: usize,
-    ) {
-        LiveOrchestrator::merge_temporal_faults(faults, index, found, round);
+    fn temporal_pass(ledger: &mut FaultLedger, found: &[Fault], round: usize) {
+        for fault in found {
+            ledger.record(fault, fault.node.as_slice(), round);
+        }
     }
 
     #[test]
@@ -847,13 +793,13 @@ mod tests {
             nodes: vec![NodeId(1), NodeId(2)],
         };
 
-        let mut faults = Vec::new();
-        let mut index = HashMap::new();
+        let mut ledger = FaultLedger::default();
         // Round 0: the round pass sees the hijack on nodes 1 and 2; the
         // folds show one flap key on nodes 2 and then 0.
-        round_pass(&mut faults, &mut index, &[hijack.clone()], 0);
-        temporal_pass(&mut faults, &mut index, &[flap(2, 2), flap(0, 3)], 0);
-        assert_eq!(faults.len(), 2);
+        round_pass(&mut ledger, std::slice::from_ref(&hijack), 0);
+        temporal_pass(&mut ledger, &[flap(2, 2), flap(0, 3)], 0);
+        assert_eq!(ledger.len(), 2);
+        let faults = &ledger.faults;
         assert_eq!(faults[1].fault, flap(2, 2), "the first sighting is kept");
         assert_eq!(faults[1].nodes, vec![NodeId(2), NodeId(0)]);
         assert_eq!(faults[1].rounds, vec![0], "one round, recorded once");
@@ -863,8 +809,9 @@ mod tests {
             nodes: vec![NodeId(2), NodeId(0)],
             ..hijack
         };
-        round_pass(&mut faults, &mut index, &[again], 1);
-        temporal_pass(&mut faults, &mut index, &[flap(0, 4)], 1);
+        round_pass(&mut ledger, &[again], 1);
+        temporal_pass(&mut ledger, &[flap(0, 4)], 1);
+        let faults = ledger.into_faults();
         assert_eq!(faults.len(), 2);
         assert_eq!(faults[0].fault.node, Some(NodeId(1)));
         assert_eq!(faults[0].nodes, vec![NodeId(1), NodeId(2), NodeId(0)]);
@@ -1077,7 +1024,7 @@ mod tests {
         let provider = topo.node_by_name("Provider").expect("node");
         let mut sim = Simulator::new(&topo);
         let logs: [std::sync::Arc<std::sync::Mutex<ProbeLog>>; 2] = Default::default();
-        let session = DiceSession::builder()
+        let session = DiceBuilder::new()
             .engine(dice_symexec::EngineConfig::default().with_max_runs(1))
             .checker(Box::new(Probe {
                 inner: crate::CrossRoundFlapChecker::new(),
@@ -1115,10 +1062,10 @@ mod tests {
         assert!(live.has_faults(), "the blocks flap");
 
         let oneshot = [
-            DiceSession::builder()
+            DiceBuilder::new()
                 .checker(Box::new(crate::CrossRoundFlapChecker::new()))
                 .build(),
-            DiceSession::builder()
+            DiceBuilder::new()
                 .checker(Box::new(crate::BgpWedgieChecker::new()))
                 .build(),
         ];
@@ -1161,7 +1108,6 @@ mod tests {
         assert!(idle.rounds.is_empty());
         assert!(!idle.has_faults());
         assert_eq!(idle.total_runs(), 0);
-        assert!(idle.last_round().is_none());
         assert_eq!(idle.digest(), "");
         assert!(idle.to_string().contains("no faults detected"));
 

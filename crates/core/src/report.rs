@@ -9,6 +9,16 @@ use dice_solver::SolverStats;
 
 use crate::checker::Fault;
 
+/// The explored share of `2 * sites` filter-arm directions, in `[0, 1]`;
+/// `1.0` when no policy site is registered.
+pub(crate) fn policy_coverage(sites: usize, directions: usize) -> f64 {
+    if sites == 0 {
+        1.0
+    } else {
+        directions as f64 / (2 * sites) as f64
+    }
+}
+
 /// Summary of one DiCE exploration round.
 #[derive(Debug, Clone, Default)]
 pub struct ExplorationReport {
@@ -70,26 +80,13 @@ impl ExplorationReport {
         set.into_iter().collect()
     }
 
-    /// Branch coverage over observed sites, in `[0, 1]`.
-    pub fn branch_coverage(&self) -> f64 {
-        if self.branch_sites == 0 {
-            1.0
-        } else {
-            self.complete_sites as f64 / self.branch_sites as f64
-        }
-    }
-
     /// Policy-branch coverage over *registered* filter arms, in `[0, 1]`:
     /// exercised (site, direction) pairs divided by `2 * policy_sites`.
-    /// Unlike [`ExplorationReport::branch_coverage`], the denominator counts
-    /// arms that never executed, so dead filter arms drag the number down.
+    /// Unlike the branch-site counts, the denominator counts arms that never
+    /// executed, so dead filter arms drag the number down.
     /// `1.0` when no policy sites are registered.
     pub fn policy_branch_coverage(&self) -> f64 {
-        if self.policy_sites == 0 {
-            1.0
-        } else {
-            self.policy_directions as f64 / (2 * self.policy_sites) as f64
-        }
+        policy_coverage(self.policy_sites, self.policy_directions)
     }
 
     /// A canonical rendering of every deterministic field of the report —
@@ -258,9 +255,8 @@ mod tests {
             ..ExplorationReport::default()
         };
         assert!(batched.to_string().contains("batching: 3 wave(s)"));
-        assert!((report.branch_coverage() - 0.75).abs() < 1e-9);
+        assert!(text.contains("coverage: 3/4 branch sites complete"));
         let empty = ExplorationReport::default();
-        assert_eq!(empty.branch_coverage(), 1.0);
         assert!(empty.to_string().contains("no faults"));
     }
 

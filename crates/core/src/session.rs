@@ -34,9 +34,12 @@
 //! constructed exactly once at `build()` time and shared by reference
 //! across the worker threads of every exploration round. A session with no
 //! registered checkers defaults to the paper's showcase
-//! [`OriginHijackChecker`], configured from
-//! [`DiceConfig::anycast_whitelist`]. For multi-node topologies, see
-//! [`crate::FleetExplorer`].
+//! [`OriginHijackChecker`].
+//!
+//! A node round is one function of the session, the live router, the
+//! observed inputs and a worker count. [`DiceSession::explore`] runs it
+//! over [`DiceConfig::workers`] threads; a fleet round
+//! ([`crate::FleetExplorer`]) runs it once per node on the calling thread.
 
 use std::fmt;
 use std::sync::Arc;
@@ -70,8 +73,6 @@ pub struct DiceConfig {
     pub engine: EngineConfig,
     /// Maximum number of observed inputs explored per round.
     pub max_observed_inputs: usize,
-    /// Anycast prefixes excluded from hijack reports.
-    pub anycast_whitelist: Vec<dice_bgp::Ipv4Prefix>,
     /// Worker threads exploring observed inputs concurrently.
     ///
     /// `0` (the default) uses the machine's available parallelism; `1`
@@ -91,7 +92,6 @@ impl Default for DiceConfig {
         DiceConfig {
             engine: EngineConfig::default().with_max_runs(64),
             max_observed_inputs: 16,
-            anycast_whitelist: Vec::new(),
             workers: 0,
             symbolic_policy_fields: true,
         }
@@ -140,18 +140,11 @@ impl DiceBuilder {
         self
     }
 
-    /// Sets the anycast whitelist applied by the default
-    /// [`OriginHijackChecker`] (ignored once any checker is registered
-    /// explicitly — configure explicit checkers directly).
-    pub fn anycast_whitelist(mut self, prefixes: Vec<dice_bgp::Ipv4Prefix>) -> Self {
-        self.config.anycast_whitelist = prefixes;
-        self
-    }
-
     /// Registers a fault checker. Checkers run against every explored
     /// outcome in registration order. Registering any checker replaces the
     /// default [`OriginHijackChecker`]; re-register it explicitly alongside
-    /// others to keep hijack detection.
+    /// others to keep hijack detection, or to configure it (for example
+    /// [`OriginHijackChecker::with_anycast_whitelist`]).
     pub fn checker(mut self, checker: Box<dyn FaultChecker>) -> Self {
         self.checkers.push(Arc::from(checker));
         self
@@ -161,10 +154,7 @@ impl DiceBuilder {
     pub fn build(self) -> DiceSession {
         let mut checkers = self.checkers;
         if checkers.is_empty() {
-            checkers
-                .push(Arc::new(OriginHijackChecker::new().with_anycast_whitelist(
-                    self.config.anycast_whitelist.clone(),
-                )));
+            checkers.push(Arc::new(OriginHijackChecker::new()));
         }
         DiceSession {
             config: self.config,
@@ -231,11 +221,6 @@ impl fmt::Debug for DiceSession {
 }
 
 impl DiceSession {
-    /// Starts building a session.
-    pub fn builder() -> DiceBuilder {
-        DiceBuilder::new()
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &DiceConfig {
         &self.config
@@ -244,19 +229,6 @@ impl DiceSession {
     /// The registered checker names, in application order.
     pub fn checker_names(&self) -> Vec<&str> {
         self.checkers.iter().map(|c| c.name()).collect()
-    }
-
-    /// Returns a session sharing this session's checker registry but using
-    /// `workers` exploration threads — how a fleet round keeps every node's
-    /// inputs on the calling thread (`with_workers(1)`) without rebuilding
-    /// checkers.
-    pub fn with_workers(&self, workers: usize) -> DiceSession {
-        let mut config = self.config.clone();
-        config.workers = workers;
-        DiceSession {
-            config,
-            checkers: Arc::clone(&self.checkers),
-        }
     }
 
     /// Runs one exploration round over the live router, seeding from the
@@ -274,19 +246,23 @@ impl DiceSession {
         live: &BgpRouter,
         observed: &[(PeerId, UpdateMessage)],
     ) -> ExplorationReport {
-        self.explore_collecting(live, observed).0
+        let explored = observed.len().min(self.config.max_observed_inputs);
+        self.node_round(live, observed, self.effective_workers(explored))
+            .0
     }
 
-    /// Like [`DiceSession::explore`], but also returns every explored
-    /// outcome of the round, concatenated in input order (each input's runs
-    /// in execution order) — the same sequence the round-level checker pass
-    /// replays. Orchestrators stitch these into
-    /// [`crate::checker::RoundOutcomes`] history entries for the
-    /// cross-round ([`FaultChecker::live_fold`]) pass.
-    pub fn explore_collecting(
+    /// The node round: [`DiceSession::explore`] over `workers` threads,
+    /// also returning every explored outcome of the round, concatenated in
+    /// input order (each input's runs in execution order) — the same
+    /// sequence the round-level checker pass replays, and what a live run
+    /// stitches into [`crate::RoundOutcomes`] history entries for the
+    /// cross-round ([`FaultChecker::live_fold`]) pass. The report is the
+    /// same for every worker count.
+    pub(crate) fn node_round(
         &self,
         live: &BgpRouter,
         observed: &[(PeerId, UpdateMessage)],
+        workers: usize,
     ) -> (ExplorationReport, Vec<HandlerOutcome>) {
         let started = Instant::now();
         let fingerprint = LiveStateFingerprint::capture(live);
@@ -312,7 +288,6 @@ impl DiceSession {
 
         // Work-stealing fan-out over inputs; outcomes land in input order,
         // so the merged report is identical to a sequential round.
-        let workers = self.effective_workers(inputs.len());
         let outcomes: Vec<Option<InputOutcome>> =
             crate::parallel::fan_out(inputs, workers, |(peer, update)| {
                 let sites = import_sites
@@ -386,7 +361,9 @@ impl DiceSession {
         let mut exploration = engine.explore(&mut handler, &[seed]);
 
         let mut faults = Vec::new();
+        let mut intercepted_messages = 0;
         for run in &exploration.runs {
+            intercepted_messages += run.output.intercepted.len();
             for fault in self.check_outcome(&run.output, checkpoint.router().rib()) {
                 if !faults.contains(&fault) {
                     faults.push(fault);
@@ -402,7 +379,7 @@ impl DiceSession {
             wave_latency: exploration.wave_latency,
             solver_stats: exploration.solver_stats,
             coverage: std::mem::replace(&mut exploration.coverage, Coverage::new()),
-            intercepted_messages: handler.interceptor().len(),
+            intercepted_messages,
             faults,
             outcomes: exploration.into_outputs(),
         })
@@ -410,7 +387,7 @@ impl DiceSession {
 
     /// Applies every registered checker to one already-computed outcome, in
     /// registration order.
-    pub fn check_outcome(&self, outcome: &HandlerOutcome, rib: &dice_router::Rib) -> Vec<Fault> {
+    fn check_outcome(&self, outcome: &HandlerOutcome, rib: &dice_router::Rib) -> Vec<Fault> {
         self.checkers
             .iter()
             .filter_map(|checker| checker.check(outcome, rib))
@@ -419,9 +396,9 @@ impl DiceSession {
 
     /// Applies every registered checker's round-level hook
     /// ([`FaultChecker::check_round`]) to a whole round's outcome sequence,
-    /// in registration order. [`DiceSession::explore`] calls this once per
-    /// round, after the per-outcome pass.
-    pub fn check_round(&self, outcomes: &[HandlerOutcome], rib: &dice_router::Rib) -> Vec<Fault> {
+    /// in registration order. The node round calls this once, after the
+    /// per-outcome pass.
+    fn check_round(&self, outcomes: &[HandlerOutcome], rib: &dice_router::Rib) -> Vec<Fault> {
         self.checkers
             .iter()
             .flat_map(|checker| checker.check_round(outcomes, rib))
@@ -432,9 +409,8 @@ impl DiceSession {
     /// checker's [`crate::LiveFold`] ([`FaultChecker::live_fold`]) folds in
     /// every entry of `rounds`, in order, with none expired, and reports,
     /// in registration order. A live orchestrator runs the same folds
-    /// round by round instead, expiring entries beyond
-    /// [`crate::LIVE_WINDOW`]. Sessions without temporal checkers report
-    /// nothing.
+    /// round by round instead, keeping only the last 64 entries. Sessions
+    /// without temporal checkers report nothing.
     pub fn check_live(&self, rounds: &[crate::checker::RoundOutcomes]) -> Vec<Fault> {
         self.live_window(rounds.len()).fold_round(rounds)
     }
@@ -592,23 +568,12 @@ mod tests {
             .engine(EngineConfig::default().with_max_runs(7))
             .workers(3)
             .max_observed_inputs(5)
-            .anycast_whitelist(vec!["0.0.0.0/0".parse().expect("valid")])
             .symbolic_policy_fields(false)
             .build();
         assert_eq!(session.config().engine.max_runs, 7);
         assert!(!session.config().symbolic_policy_fields);
         assert_eq!(session.config().workers, 3);
         assert_eq!(session.config().max_observed_inputs, 5);
-        assert_eq!(session.config().anycast_whitelist.len(), 1);
-    }
-
-    #[test]
-    fn with_workers_shares_the_checker_registry() {
-        let session = DiceBuilder::new().workers(1).build();
-        let wide = session.with_workers(4);
-        assert_eq!(wide.config().workers, 4);
-        assert_eq!(session.config().workers, 1);
-        assert!(Arc::ptr_eq(&session.checkers[0], &wide.checkers[0]));
     }
 
     #[test]
@@ -762,15 +727,18 @@ mod tests {
 
     #[test]
     fn anycast_whitelist_suppresses_reports() {
-        let (router, customer, observed) = scenario(CustomerFilterMode::Missing);
-        let session = DiceBuilder::new()
-            .anycast_whitelist(vec!["0.0.0.0/0".parse().expect("valid")])
-            .build();
+        let (router, customer, observed) = scenario(CustomerFilterMode::Erroneous);
+        let whitelisted = OriginHijackChecker::new()
+            .with_anycast_whitelist(vec!["0.0.0.0/0".parse().expect("valid")]);
+        let session = DiceBuilder::new().checker(Box::new(whitelisted)).build();
         let report = explore_one(&session, &router, customer, &observed);
         assert!(
             !report.has_faults(),
             "whitelisting everything suppresses all reports"
         );
+        // The same round through the default checker reports the leak.
+        let report = explore_one(&DiceSession::default(), &router, customer, &observed);
+        assert!(report.has_faults());
     }
 
     #[test]

@@ -9,35 +9,35 @@
 //! symbolic fields as an input assignment, and rebuilds a valid UPDATE from
 //! any assignment the solver produces.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use dice_bgp::attributes::{Community, Origin, RouteAttrs};
 use dice_bgp::message::UpdateMessage;
 use dice_bgp::prefix::Ipv4Prefix;
 use dice_bgp::{AsPath, AsPathSegment, Asn};
 use dice_router::policy::RouteView;
-use dice_symexec::{Concolic, ExecCtx, InputSpec, InputValues};
+use dice_symexec::{Concolic, ExecCtx, InputValues};
 
 /// Names of the symbolic input fields.
-pub mod fields {
+pub(crate) mod fields {
     /// Network address of the announced NLRI prefix (32 bits).
-    pub const NLRI_ADDR: &str = "nlri.addr";
+    pub(crate) const NLRI_ADDR: &str = "nlri.addr";
     /// Netmask length of the announced NLRI prefix (8 bits).
-    pub const NLRI_LEN: &str = "nlri.len";
+    pub(crate) const NLRI_LEN: &str = "nlri.len";
     /// ORIGIN attribute code (8 bits).
-    pub const ORIGIN: &str = "attr.origin";
+    pub(crate) const ORIGIN: &str = "attr.origin";
     /// MULTI_EXIT_DISC (32 bits).
-    pub const MED: &str = "attr.med";
+    pub(crate) const MED: &str = "attr.med";
     /// LOCAL_PREF (32 bits).
-    pub const LOCAL_PREF: &str = "attr.local_pref";
+    pub(crate) const LOCAL_PREF: &str = "attr.local_pref";
     /// Origin AS — the last AS on the path (32 bits).
-    pub const SOURCE_AS: &str = "attr.source_as";
+    pub(crate) const SOURCE_AS: &str = "attr.source_as";
     /// An extra COMMUNITIES attribute slot the solver may fill, encoded as
     /// `asn << 16 | value` (32 bits). Zero means "no extra community"; the
     /// `(0, 0)` community therefore cannot be synthesized through this slot.
-    pub const COMMUNITY: &str = "attr.community";
+    pub(crate) const COMMUNITY: &str = "attr.community";
     /// AS-path length (32 bits, clamped to `1..=64` on materialization).
-    pub const PATH_LEN: &str = "attr.path_len";
+    pub(crate) const PATH_LEN: &str = "attr.path_len";
 }
 
 /// Every symbolic field with its bit width, in declaration order. The two
@@ -85,9 +85,6 @@ pub struct UpdateTemplate {
     /// The observed value of every field in [`FIELDS`], policy fields
     /// included whether enabled or not.
     observed: [u64; 8],
-    /// The declared fields, built the first time they are asked for.
-    /// Exploration reads `observed` and never needs them.
-    spec: OnceLock<InputSpec>,
 }
 
 impl UpdateTemplate {
@@ -111,16 +108,12 @@ impl UpdateTemplate {
             observed_attrs: attrs,
             policy_fields: true,
             observed,
-            spec: OnceLock::new(),
         })
     }
 
     /// Enables or disables the policy-oriented symbolic fields.
-    pub fn with_policy_fields(mut self, enabled: bool) -> Self {
-        if self.policy_fields != enabled {
-            self.policy_fields = enabled;
-            self.spec = OnceLock::new();
-        }
+    pub(crate) fn with_policy_fields(mut self, enabled: bool) -> Self {
+        self.policy_fields = enabled;
         self
     }
 
@@ -133,37 +126,22 @@ impl UpdateTemplate {
         }
     }
 
-    /// Whether the policy-oriented symbolic fields are enabled.
-    pub fn policy_fields(&self) -> bool {
-        self.policy_fields
-    }
-
-    /// The prefix of the observed announcement.
-    pub fn observed_prefix(&self) -> Ipv4Prefix {
-        self.observed_prefix
-    }
-
-    /// The attributes of the observed announcement.
-    pub fn observed_attrs(&self) -> &RouteAttrs {
-        &self.observed_attrs
-    }
-
     /// The declared symbolic input fields with their observed values as
     /// defaults.
-    pub fn input_spec(&self) -> &InputSpec {
-        self.spec.get_or_init(|| {
-            FIELDS
-                .iter()
-                .zip(self.observed)
-                .take(self.field_count())
-                .fold(InputSpec::new(), |spec, (&(name, width), value)| {
-                    spec.field(name, width, value)
-                })
-        })
+    #[cfg(test)]
+    fn input_spec(&self) -> dice_symexec::InputSpec {
+        FIELDS
+            .iter()
+            .zip(self.observed)
+            .take(self.field_count())
+            .fold(
+                dice_symexec::InputSpec::new(),
+                |spec, (&(name, width), value)| spec.field(name, width, value),
+            )
     }
 
-    /// The seed input: the values observed on the wire, the same assignment
-    /// as the defaults of [`UpdateTemplate::input_spec`].
+    /// The seed input: the values observed on the wire, each field at its
+    /// declared width.
     pub fn seed(&self) -> InputValues {
         FIELD_NAMES.with(|names| {
             names
@@ -186,7 +164,7 @@ impl UpdateTemplate {
 
     /// Returns the concrete prefix and attributes described by an input
     /// assignment.
-    pub fn materialize(&self, values: &InputValues) -> (Ipv4Prefix, RouteAttrs) {
+    pub(crate) fn materialize(&self, values: &InputValues) -> (Ipv4Prefix, RouteAttrs) {
         let len = values
             .get_or(fields::NLRI_LEN, self.observed_prefix.len() as u64)
             .min(32) as u8;
@@ -219,7 +197,7 @@ impl UpdateTemplate {
     /// the selected fields are registered as symbolic variables in `ctx`
     /// with the assignment's concrete values; everything else stays
     /// concrete from the observed message.
-    pub fn symbolic_view(&self, ctx: &mut ExecCtx, values: &InputValues) -> RouteView {
+    pub(crate) fn symbolic_view(&self, ctx: &mut ExecCtx, values: &InputValues) -> RouteView {
         FIELD_NAMES.with(|names| {
             // An assignment the engine generated names every field; the
             // observed value stands in for one a hand-written assignment

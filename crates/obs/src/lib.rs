@@ -18,7 +18,7 @@
 //!   `dice_netsim`, `dice_solver`, `dice_symexec`, and `dice_core`.
 //! - [`Histogram`] — a fixed-bucket log2 latency histogram with deterministic
 //!   p50/p90/p99/max quantiles and a `Copy`-able [`HistogramSummary`] that the
-//!   control plane embeds in `ControlSnapshot` (schema v2).
+//!   control plane embeds in `ControlSnapshot`.
 //! - Exporters: [`PrometheusText`] renders the Prometheus text exposition
 //!   format (validated line-by-line by [`validate_prometheus_text`]), and
 //!   [`chrome_trace_jsonl`] renders Chrome Trace Event Format JSONL loadable

@@ -5,7 +5,7 @@
 //! the captured telemetry into the two export formats the stack speaks:
 //! a Chrome Trace Event JSONL (load it at <https://ui.perfetto.dev> or
 //! `chrome://tracing`) and a Prometheus text exposition sampled from the
-//! v2 control snapshot. Tracing is out-of-band by construction — the run's
+//! control snapshot. Tracing is out-of-band by construction — the run's
 //! report digest is byte-identical with and without the recorder, which
 //! the example asserts at the end.
 //!
@@ -68,7 +68,7 @@ fn main() {
         println!("{line}");
     }
 
-    // 3. Prometheus text exposition from the v2 control snapshot: counters
+    // 3. Prometheus text exposition from the control snapshot: counters
     //    and gauges plus quantile-labelled latency summaries.
     let exposition = snapshot.prometheus();
     validate_prometheus_text(&exposition).expect("exposition parses against the grammar");
@@ -76,7 +76,7 @@ fn main() {
     print!("{exposition}");
 
     // 4. Latency distributions, straight from the snapshot's histogram
-    //    summaries (schema v2 appends them after the v1 fields).
+    //    summaries.
     println!("--- latency summaries ---");
     println!("round latency:  {}", snapshot.round_latency);
     println!("wave latency:   {}", snapshot.wave_latency);

@@ -80,8 +80,7 @@ mod tests {
             .checker(Box::new(ForwardingLoopChecker::new()))
             .build();
         let _: &DiceConfig = session.config();
-        let fleet = FleetExplorer::new(session);
-        let _: &DiceSession = fleet.session();
+        let _ = FleetExplorer::new(session);
         let _: Option<FleetFault> = None;
         let _ = FleetReport::default();
         let _ = RouteOscillationChecker::new().with_min_transitions(3);
@@ -108,11 +107,10 @@ mod tests {
         let _: Option<InjectedFault> = None;
         let _: Option<InjectedFaultKind> = None;
         let _: Option<DeliveryError> = None;
-        let live = LiveOrchestrator::default()
+        let _ = LiveOrchestrator::default()
             .with_quiesce_steps(50)
             .with_max_rounds(2)
             .with_fault_plan(plan);
-        let _: &FleetExplorer = live.explorer();
         let _: Option<LiveFault> = None;
         let _: Option<LiveRound> = None;
         let _ = LiveReport::default();

@@ -241,7 +241,8 @@ fn fleet_exploration_detects_the_leak_from_harvested_inputs() {
 
     // The single-node fleet path is byte-identical to a plain session
     // round over the same harvested inputs.
-    let single = FleetExplorer::default().explore_nodes(&sim, &[provider]);
+    let (single, _) = FleetExplorer::default()
+        .explore_windows_collecting(&sim, vec![(provider, sim.observed_inputs(provider))]);
     let direct =
         DiceSession::default().explore(sim.router(provider), &sim.observed_inputs(provider));
     assert_eq!(single.nodes[0].report.digest(), direct.digest());

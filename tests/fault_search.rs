@@ -185,7 +185,7 @@ fn a_search_is_deterministic_end_to_end() {
 fn runs_without_search_render_no_search_fields() {
     // A plain orchestrator run must be byte-identical to what it was
     // before the search existed: no search line in the live digest, zeroed
-    // appended counters in the snapshot, v2 field lines intact.
+    // search counters in the snapshot, every other field line intact.
     let orchestrator = wedgie_orchestrator();
     let plane = orchestrator.control_plane();
     let mut sim = WedgieScenario.build();
@@ -199,7 +199,7 @@ fn runs_without_search_render_no_search_fields() {
     let rendered = snapshot.render();
     assert!(rendered.contains("search plans=0 novel=0 repros=0"));
     assert!(rendered.starts_with("control-snapshot v3\n"));
-    // The v2 field block still leads the render, byte-for-byte.
+    // The counters line still leads the render, byte-for-byte.
     assert!(rendered.contains(&format!(
         "rounds={} runs={} faults={} injected={} delivered={} watermark={}\n",
         snapshot.rounds,

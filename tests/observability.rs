@@ -1,6 +1,6 @@
 //! End-to-end observability: a live run traced through the buffered
 //! recorder produces a loadable Chrome trace and a valid Prometheus
-//! exposition, publishes v2 latency summaries on the control plane, and —
+//! exposition, publishes latency summaries on the control plane, and —
 //! the tentpole invariant — reports byte-identical to an untraced run.
 
 use std::collections::BTreeSet;
@@ -87,7 +87,7 @@ fn traced_live_run_exports_chrome_and_prometheus_without_touching_reports() {
     let parsed = validate_chrome_trace_jsonl(&jsonl).expect("exported trace validates");
     assert_eq!(parsed.len(), events.len());
 
-    // The control plane published the latency summaries (v2 lines, intact under v3)...
+    // The control plane published the latency summaries...
     assert_eq!(snapshot.schema_version, CONTROL_SCHEMA_VERSION);
     assert_eq!(snapshot.round_latency.count, snapshot.rounds as u64);
     assert!(snapshot.round_latency.max >= snapshot.round_latency.p50);
