@@ -16,11 +16,6 @@ impl Asn {
     pub fn value(self) -> u32 {
         self.0
     }
-
-    /// Returns true if the ASN is in one of the private-use ranges.
-    pub fn is_private(self) -> bool {
-        (64512..=65534).contains(&self.0) || (4_200_000_000..=4_294_967_294).contains(&self.0)
-    }
 }
 
 impl fmt::Display for Asn {
@@ -53,7 +48,7 @@ impl AsPathSegment {
     }
 
     /// The RFC 4271 segment type code (1 = AS_SET, 2 = AS_SEQUENCE).
-    pub fn type_code(&self) -> u8 {
+    pub(crate) fn type_code(&self) -> u8 {
         match self {
             AsPathSegment::Set(_) => 1,
             AsPathSegment::Sequence(_) => 2,
@@ -62,7 +57,7 @@ impl AsPathSegment {
 
     /// Contribution of this segment to the AS path length used by the
     /// decision process: a set counts as one hop regardless of size.
-    pub fn path_length(&self) -> usize {
+    pub(crate) fn path_length(&self) -> usize {
         match self {
             AsPathSegment::Sequence(v) => v.len(),
             AsPathSegment::Set(v) => usize::from(!v.is_empty()),
@@ -96,7 +91,7 @@ impl AsPath {
     }
 
     /// Creates a path from raw segments.
-    pub fn from_segments(segments: Vec<AsPathSegment>) -> Self {
+    pub(crate) fn from_segments(segments: Vec<AsPathSegment>) -> Self {
         AsPath {
             segments: (!segments.is_empty()).then(|| segments.into()),
         }
@@ -105,11 +100,6 @@ impl AsPath {
     /// The path segments.
     pub fn segments(&self) -> &[AsPathSegment] {
         self.segments.as_deref().unwrap_or(&[])
-    }
-
-    /// True if the path has no segments or only empty segments.
-    pub fn is_empty(&self) -> bool {
-        self.segments().iter().all(|s| s.asns().is_empty())
     }
 
     /// The length used by the decision process (AS_SET counts as 1).
@@ -203,10 +193,6 @@ mod tests {
     #[test]
     fn asn_display_and_private_ranges() {
         assert_eq!(Asn(3356).to_string(), "AS3356");
-        assert!(Asn(64512).is_private());
-        assert!(Asn(65534).is_private());
-        assert!(!Asn(65535).is_private());
-        assert!(!Asn(3356).is_private());
         assert_eq!(Asn::from(17557).value(), 17557);
     }
 
@@ -218,7 +204,7 @@ mod tests {
         ]);
         assert_eq!(path.length(), 4);
         assert_eq!(AsPath::empty().length(), 0);
-        assert!(AsPath::empty().is_empty());
+        assert!(AsPath::empty().segments().is_empty());
     }
 
     #[test]

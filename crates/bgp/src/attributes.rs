@@ -68,11 +68,6 @@ impl Community {
     pub fn value_part(self) -> u16 {
         self.0 as u16
     }
-
-    /// The well-known NO_EXPORT community.
-    pub const NO_EXPORT: Community = Community(0xFFFF_FF01);
-    /// The well-known NO_ADVERTISE community.
-    pub const NO_ADVERTISE: Community = Community(0xFFFF_FF02);
 }
 
 impl fmt::Display for Community {
@@ -93,7 +88,7 @@ pub struct Aggregator {
 /// Attribute type codes defined by RFC 4271 and RFC 1997.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
-pub enum AttrCode {
+pub(crate) enum AttrCode {
     /// ORIGIN (type 1).
     Origin = 1,
     /// AS_PATH (type 2).
@@ -114,7 +109,7 @@ pub enum AttrCode {
 
 impl AttrCode {
     /// Parses a type code.
-    pub fn from_code(code: u8) -> Option<AttrCode> {
+    pub(crate) fn from_code(code: u8) -> Option<AttrCode> {
         match code {
             1 => Some(AttrCode::Origin),
             2 => Some(AttrCode::AsPath),
@@ -130,7 +125,7 @@ impl AttrCode {
 
     /// RFC 4271 attribute flags (optional/transitive bits) used when
     /// encoding the attribute.
-    pub fn default_flags(self) -> u8 {
+    pub(crate) fn default_flags(self) -> u8 {
         match self {
             // Well-known mandatory / discretionary: transitive only.
             AttrCode::Origin
@@ -147,15 +142,13 @@ impl AttrCode {
 }
 
 /// Attribute flag bits (the high nibble of the flags octet).
-pub mod flags {
+pub(crate) mod flags {
     /// The attribute is optional (not well-known).
-    pub const OPTIONAL: u8 = 0x80;
+    pub(crate) const OPTIONAL: u8 = 0x80;
     /// The attribute is transitive.
-    pub const TRANSITIVE: u8 = 0x40;
-    /// A partial optional-transitive attribute.
-    pub const PARTIAL: u8 = 0x20;
+    pub(crate) const TRANSITIVE: u8 = 0x40;
     /// The length field is two octets.
-    pub const EXTENDED_LENGTH: u8 = 0x10;
+    pub(crate) const EXTENDED_LENGTH: u8 = 0x10;
 }
 
 /// A single decoded path attribute.
@@ -181,7 +174,7 @@ pub enum PathAttribute {
 
 impl PathAttribute {
     /// The attribute's type code.
-    pub fn code(&self) -> AttrCode {
+    pub(crate) fn code(&self) -> AttrCode {
         match self {
             PathAttribute::Origin(_) => AttrCode::Origin,
             PathAttribute::AsPath(_) => AttrCode::AsPath,
@@ -198,8 +191,10 @@ impl PathAttribute {
 /// The complete, typed attribute set attached to a route.
 ///
 /// This is the in-memory representation the router and the DiCE symbolic
-/// handler operate on; [`RouteAttrs::to_attributes`] /
-/// [`RouteAttrs::from_attributes`] convert to and from the wire-level list.
+/// handler operate on; [`RouteAttrs::to_attributes`] converts it to the
+/// wire-level list and [`UpdateMessage::route_attrs`] back.
+///
+/// [`UpdateMessage::route_attrs`]: crate::message::UpdateMessage::route_attrs
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteAttrs {
     /// ORIGIN (mandatory).
@@ -296,7 +291,7 @@ impl RouteAttrs {
     /// Builds typed attributes from a wire-level list. Later duplicates
     /// overwrite earlier ones; unknown attributes are not representable
     /// here and must be filtered by the caller.
-    pub fn from_attributes(attrs: &[PathAttribute]) -> Self {
+    pub(crate) fn from_attributes(attrs: &[PathAttribute]) -> Self {
         let mut out = RouteAttrs::default();
         for a in attrs {
             match a {
@@ -333,7 +328,7 @@ mod tests {
         assert_eq!(c.asn_part(), 65000);
         assert_eq!(c.value_part(), 120);
         assert_eq!(c.to_string(), "65000:120");
-        assert_eq!(Community::NO_EXPORT.asn_part(), 0xffff);
+        assert_eq!(Community(0xFFFF_FF01).asn_part(), 0xffff);
     }
 
     #[test]
@@ -364,7 +359,7 @@ mod tests {
                 asn: Asn(17557),
                 router_id: 0x0a000001,
             }),
-            communities: vec![Community::new(3491, 100), Community::NO_EXPORT],
+            communities: vec![Community::new(3491, 100), Community(0xFFFF_FF01)],
         };
         let list = attrs.to_attributes();
         assert_eq!(list.len(), 8);

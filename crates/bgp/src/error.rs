@@ -22,7 +22,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Parses the wire code.
-    pub fn from_code(code: u8) -> Option<ErrorCode> {
+    pub(crate) fn from_code(code: u8) -> Option<ErrorCode> {
         match code {
             1 => Some(ErrorCode::MessageHeader),
             2 => Some(ErrorCode::OpenMessage),
@@ -70,17 +70,6 @@ pub struct NotificationData {
     pub subcode: u8,
     /// Diagnostic data.
     pub data: Vec<u8>,
-}
-
-impl NotificationData {
-    /// Creates a NOTIFICATION payload with no diagnostic data.
-    pub fn new(code: ErrorCode, subcode: u8) -> Self {
-        NotificationData {
-            code,
-            subcode,
-            data: Vec::new(),
-        }
-    }
 }
 
 impl fmt::Display for NotificationData {
@@ -144,28 +133,6 @@ impl fmt::Display for BgpError {
 
 impl std::error::Error for BgpError {}
 
-impl BgpError {
-    /// Maps the error to the NOTIFICATION it should trigger.
-    pub fn to_notification(&self) -> NotificationData {
-        match self {
-            BgpError::Truncated { .. } | BgpError::BadLength(_) => {
-                NotificationData::new(ErrorCode::MessageHeader, 2)
-            }
-            BgpError::BadMarker => NotificationData::new(ErrorCode::MessageHeader, 1),
-            BgpError::UnknownMessageType(_) => NotificationData::new(ErrorCode::MessageHeader, 3),
-            BgpError::BadPrefixLength(_) => NotificationData::new(
-                ErrorCode::UpdateMessage,
-                UpdateErrorSubcode::InvalidNetworkField as u8,
-            ),
-            BgpError::BadAttribute { .. } => NotificationData::new(
-                ErrorCode::UpdateMessage,
-                UpdateErrorSubcode::AttributeLengthError as u8,
-            ),
-            BgpError::Update(sub) => NotificationData::new(ErrorCode::UpdateMessage, *sub as u8),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,22 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn notification_mapping() {
-        let e = BgpError::BadMarker;
-        let n = e.to_notification();
-        assert_eq!(n.code, ErrorCode::MessageHeader);
-        assert_eq!(n.subcode, 1);
-
-        let e = BgpError::BadPrefixLength(40);
-        let n = e.to_notification();
-        assert_eq!(n.code, ErrorCode::UpdateMessage);
-        assert_eq!(n.subcode, UpdateErrorSubcode::InvalidNetworkField as u8);
-
-        let e = BgpError::Update(UpdateErrorSubcode::MalformedAsPath);
-        assert_eq!(e.to_notification().subcode, 11);
-    }
-
-    #[test]
     fn errors_display() {
         let e = BgpError::Truncated {
             expected: 23,
@@ -204,9 +155,11 @@ mod tests {
         };
         assert!(e.to_string().contains("23"));
         assert!(BgpError::UnknownMessageType(9).to_string().contains('9'));
-        assert_eq!(
-            NotificationData::new(ErrorCode::Cease, 0).to_string(),
-            "Cease/0"
-        );
+        let cease = NotificationData {
+            code: ErrorCode::Cease,
+            subcode: 0,
+            data: Vec::new(),
+        };
+        assert_eq!(cease.to_string(), "Cease/0");
     }
 }

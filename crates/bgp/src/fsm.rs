@@ -57,23 +57,6 @@ pub enum SessionEvent {
     HoldTimerExpired,
 }
 
-/// Actions the router should perform as a result of a transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SessionAction {
-    /// Do nothing.
-    None,
-    /// Initiate the transport connection.
-    StartTransport,
-    /// Send an OPEN message.
-    SendOpen,
-    /// Send a KEEPALIVE message.
-    SendKeepalive,
-    /// Process the received UPDATE.
-    ProcessUpdate,
-    /// Tear the session down and release resources.
-    TearDown,
-}
-
 /// The session FSM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionFsm {
@@ -104,49 +87,31 @@ impl SessionFsm {
         self.state == SessionState::Established
     }
 
-    /// Applies an event, returning the action the router should take.
-    pub fn handle(&mut self, event: SessionEvent) -> SessionAction {
-        use SessionAction as A;
+    /// Applies an event, moving to the state RFC 4271 §8 prescribes;
+    /// events a state does not act on leave it unchanged.
+    pub fn handle(&mut self, event: SessionEvent) {
         use SessionEvent as E;
         use SessionState as S;
-        let (next, action) = match (self.state, event) {
-            (S::Idle, E::ManualStart) => (S::Connect, A::StartTransport),
-            (S::Idle, _) => (S::Idle, A::None),
+        self.state = match (self.state, event) {
+            (S::Idle, E::ManualStart) => S::Connect,
 
-            (S::Connect, E::TransportConnected) => (S::OpenSent, A::SendOpen),
-            (S::Connect, E::TransportFailed) => (S::Active, A::None),
-            (S::Connect, E::ManualStop) => (S::Idle, A::TearDown),
-            (S::Connect, _) => (S::Connect, A::None),
+            (S::Connect | S::Active, E::TransportConnected) => S::OpenSent,
+            (S::Connect, E::TransportFailed) => S::Active,
+            (S::Connect | S::Active, E::ManualStop) => S::Idle,
+            (S::Active, E::HoldTimerExpired) => S::Idle,
 
-            (S::Active, E::TransportConnected) => (S::OpenSent, A::SendOpen),
-            (S::Active, E::ManualStop) => (S::Idle, A::TearDown),
-            (S::Active, E::HoldTimerExpired) => (S::Idle, A::TearDown),
-            (S::Active, _) => (S::Active, A::None),
+            (S::OpenSent, E::OpenReceived) => S::OpenConfirm,
+            (S::OpenSent, E::TransportFailed) => S::Active,
+            (S::OpenSent, E::ManualStop | E::NotificationReceived | E::HoldTimerExpired) => S::Idle,
 
-            (S::OpenSent, E::OpenReceived) => (S::OpenConfirm, A::SendKeepalive),
-            (S::OpenSent, E::TransportFailed) => (S::Active, A::None),
-            (S::OpenSent, E::ManualStop | E::NotificationReceived | E::HoldTimerExpired) => {
-                (S::Idle, A::TearDown)
-            }
-            (S::OpenSent, _) => (S::OpenSent, A::None),
-
-            (S::OpenConfirm, E::KeepaliveReceived) => (S::Established, A::None),
+            (S::OpenConfirm, E::KeepaliveReceived) => S::Established,
             (
-                S::OpenConfirm,
+                S::OpenConfirm | S::Established,
                 E::ManualStop | E::NotificationReceived | E::HoldTimerExpired | E::TransportFailed,
-            ) => (S::Idle, A::TearDown),
-            (S::OpenConfirm, _) => (S::OpenConfirm, A::None),
+            ) => S::Idle,
 
-            (S::Established, E::UpdateReceived) => (S::Established, A::ProcessUpdate),
-            (S::Established, E::KeepaliveReceived) => (S::Established, A::None),
-            (
-                S::Established,
-                E::ManualStop | E::NotificationReceived | E::HoldTimerExpired | E::TransportFailed,
-            ) => (S::Idle, A::TearDown),
-            (S::Established, _) => (S::Established, A::None),
+            (state, _) => state,
         };
-        self.state = next;
-        action
     }
 
     /// Drives the FSM through the happy path to `Established`.
@@ -166,22 +131,13 @@ mod tests {
     fn happy_path_reaches_established() {
         let mut fsm = SessionFsm::new();
         assert_eq!(fsm.state(), SessionState::Idle);
-        assert_eq!(
-            fsm.handle(SessionEvent::ManualStart),
-            SessionAction::StartTransport
-        );
-        assert_eq!(
-            fsm.handle(SessionEvent::TransportConnected),
-            SessionAction::SendOpen
-        );
-        assert_eq!(
-            fsm.handle(SessionEvent::OpenReceived),
-            SessionAction::SendKeepalive
-        );
-        assert_eq!(
-            fsm.handle(SessionEvent::KeepaliveReceived),
-            SessionAction::None
-        );
+        fsm.handle(SessionEvent::ManualStart);
+        assert_eq!(fsm.state(), SessionState::Connect);
+        fsm.handle(SessionEvent::TransportConnected);
+        assert_eq!(fsm.state(), SessionState::OpenSent);
+        fsm.handle(SessionEvent::OpenReceived);
+        assert_eq!(fsm.state(), SessionState::OpenConfirm);
+        fsm.handle(SessionEvent::KeepaliveReceived);
         assert!(fsm.is_established());
     }
 
@@ -195,33 +151,23 @@ mod tests {
     #[test]
     fn updates_only_processed_when_established() {
         let mut fsm = SessionFsm::new();
-        assert_eq!(
-            fsm.handle(SessionEvent::UpdateReceived),
-            SessionAction::None
-        );
+        fsm.handle(SessionEvent::UpdateReceived);
+        assert_eq!(fsm.state(), SessionState::Idle);
         fsm.establish();
-        assert_eq!(
-            fsm.handle(SessionEvent::UpdateReceived),
-            SessionAction::ProcessUpdate
-        );
+        fsm.handle(SessionEvent::UpdateReceived);
+        assert!(fsm.is_established());
     }
 
     #[test]
     fn errors_tear_the_session_down() {
         let mut fsm = SessionFsm::new();
         fsm.establish();
-        assert_eq!(
-            fsm.handle(SessionEvent::NotificationReceived),
-            SessionAction::TearDown
-        );
+        fsm.handle(SessionEvent::NotificationReceived);
         assert_eq!(fsm.state(), SessionState::Idle);
 
         let mut fsm2 = SessionFsm::new();
         fsm2.establish();
-        assert_eq!(
-            fsm2.handle(SessionEvent::HoldTimerExpired),
-            SessionAction::TearDown
-        );
+        fsm2.handle(SessionEvent::HoldTimerExpired);
         assert_eq!(fsm2.state(), SessionState::Idle);
     }
 
@@ -229,16 +175,11 @@ mod tests {
     fn connect_failure_falls_back_to_active() {
         let mut fsm = SessionFsm::new();
         fsm.handle(SessionEvent::ManualStart);
-        assert_eq!(
-            fsm.handle(SessionEvent::TransportFailed),
-            SessionAction::None
-        );
+        fsm.handle(SessionEvent::TransportFailed);
         assert_eq!(fsm.state(), SessionState::Active);
         // A later successful connection still reaches Established.
-        assert_eq!(
-            fsm.handle(SessionEvent::TransportConnected),
-            SessionAction::SendOpen
-        );
+        fsm.handle(SessionEvent::TransportConnected);
+        assert_eq!(fsm.state(), SessionState::OpenSent);
         fsm.handle(SessionEvent::OpenReceived);
         fsm.handle(SessionEvent::KeepaliveReceived);
         assert!(fsm.is_established());
@@ -253,7 +194,7 @@ mod tests {
             SessionEvent::OpenReceived,
             SessionEvent::TransportConnected,
         ] {
-            assert_eq!(fsm.handle(e), SessionAction::None);
+            fsm.handle(e);
             assert_eq!(fsm.state(), SessionState::Idle);
         }
     }

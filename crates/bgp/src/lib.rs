@@ -11,10 +11,18 @@
 //! values) to derive exploratory messages that are always syntactically
 //! valid.
 //!
+//! Each type has one path: the AS number and path types ([`Asn`],
+//! [`AsPath`], [`AsPathSegment`]) sit at the crate root, everything else in
+//! its module — [`prefix`], [`attributes`], [`route`], [`message`],
+//! [`wire`] (the codec), [`fsm`] and [`error`].
+//!
 //! ## Example
 //!
 //! ```
-//! use dice_bgp::prelude::*;
+//! use dice_bgp::attributes::RouteAttrs;
+//! use dice_bgp::message::{BgpMessage, UpdateMessage};
+//! use dice_bgp::prefix::Ipv4Prefix;
+//! use dice_bgp::wire;
 //! use std::net::Ipv4Addr;
 //!
 //! // Build the (in)famous /24 announcement from the YouTube hijack.
@@ -29,7 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod asn;
+mod asn;
 pub mod attributes;
 pub mod error;
 pub mod fsm;
@@ -39,21 +47,3 @@ pub mod route;
 pub mod wire;
 
 pub use asn::{AsPath, AsPathSegment, Asn};
-pub use attributes::{Aggregator, AttrCode, Community, Origin, PathAttribute, RouteAttrs};
-pub use error::{BgpError, ErrorCode, NotificationData, UpdateErrorSubcode};
-pub use fsm::{SessionAction, SessionEvent, SessionFsm, SessionState};
-pub use message::{
-    BgpMessage, KeepaliveMessage, MessageType, NotificationMessage, OpenMessage, UpdateMessage,
-};
-pub use prefix::{Ipv4Prefix, PrefixError};
-pub use route::{PeerId, Route};
-
-/// Commonly used items, for glob import in examples and tests.
-pub mod prelude {
-    pub use crate::asn::{AsPath, Asn};
-    pub use crate::attributes::{Community, Origin, PathAttribute, RouteAttrs};
-    pub use crate::message::{BgpMessage, UpdateMessage};
-    pub use crate::prefix::Ipv4Prefix;
-    pub use crate::route::{PeerId, Route};
-    pub use crate::wire;
-}

@@ -10,7 +10,7 @@ use crate::prefix::Ipv4Prefix;
 /// BGP message type codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
-pub enum MessageType {
+pub(crate) enum MessageType {
     /// OPEN (type 1).
     Open = 1,
     /// UPDATE (type 2).
@@ -23,7 +23,7 @@ pub enum MessageType {
 
 impl MessageType {
     /// Parses a wire type code.
-    pub fn from_code(code: u8) -> Option<MessageType> {
+    pub(crate) fn from_code(code: u8) -> Option<MessageType> {
         match code {
             1 => Some(MessageType::Open),
             2 => Some(MessageType::Update),
@@ -92,11 +92,6 @@ impl UpdateMessage {
         }
     }
 
-    /// Returns true if the message neither announces nor withdraws routes.
-    pub fn is_empty(&self) -> bool {
-        self.withdrawn.is_empty() && self.nlri.is_empty()
-    }
-
     /// The typed view of the attribute list.
     pub fn route_attrs(&self) -> RouteAttrs {
         RouteAttrs::from_attributes(&self.attributes)
@@ -129,7 +124,7 @@ pub enum BgpMessage {
 
 impl BgpMessage {
     /// The message type code.
-    pub fn message_type(&self) -> MessageType {
+    pub(crate) fn message_type(&self) -> MessageType {
         match self {
             BgpMessage::Open(_) => MessageType::Open,
             BgpMessage::Update(_) => MessageType::Update,
@@ -189,7 +184,7 @@ mod tests {
         let p: Ipv4Prefix = "203.0.113.0/24".parse().expect("valid");
         let ann = UpdateMessage::announce(vec![p], &attrs);
         assert_eq!(ann.nlri, vec![p]);
-        assert!(!ann.is_empty());
+        assert!(ann.withdrawn.is_empty());
         assert_eq!(
             ann.route_attrs().origin_as().map(|a| a.value()),
             Some(65001)
@@ -197,8 +192,7 @@ mod tests {
 
         let wd = UpdateMessage::withdraw(vec![p]);
         assert_eq!(wd.withdrawn, vec![p]);
-        assert!(wd.nlri.is_empty());
-        assert!(UpdateMessage::default().is_empty());
+        assert!(wd.nlri.is_empty() && wd.attributes.is_empty());
     }
 
     #[test]

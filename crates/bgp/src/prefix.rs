@@ -49,9 +49,6 @@ pub struct Ipv4Prefix {
 }
 
 impl Ipv4Prefix {
-    /// The default route `0.0.0.0/0`.
-    pub const DEFAULT: Ipv4Prefix = Ipv4Prefix { addr: 0, len: 0 };
-
     /// Creates a prefix from a raw address and length, masking host bits.
     ///
     /// Returns an error if `len > 32`.
@@ -74,18 +71,13 @@ impl Ipv4Prefix {
         Self::new(addr, len).expect("valid prefix length")
     }
 
-    /// Creates a prefix from dotted-quad octets and a length.
-    pub fn from_octets(a: u8, b: u8, c: u8, d: u8, len: u8) -> Result<Self, PrefixError> {
-        Self::new(u32::from_be_bytes([a, b, c, d]), len)
-    }
-
     /// The network address as a raw big-endian integer.
     pub fn addr(&self) -> u32 {
         self.addr
     }
 
     /// The network address as an [`Ipv4Addr`].
-    pub fn network(&self) -> Ipv4Addr {
+    pub(crate) fn network(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.addr)
     }
 
@@ -95,16 +87,6 @@ impl Ipv4Prefix {
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> u8 {
         self.len
-    }
-
-    /// Returns true for the zero-length default route.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The netmask as a raw integer.
-    pub fn netmask(&self) -> u32 {
-        mask(self.len)
     }
 
     /// The last address covered by the prefix.
@@ -127,47 +109,8 @@ impl Ipv4Prefix {
         self.contains(other) || other.contains(self)
     }
 
-    /// Returns the bit at position `i` (0 = most significant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 32`.
-    pub fn bit(&self, i: u8) -> bool {
-        assert!(i < 32);
-        (self.addr >> (31 - i)) & 1 == 1
-    }
-
-    /// The two halves obtained by extending the prefix by one bit, or
-    /// `None` for a /32.
-    pub fn split(&self) -> Option<(Ipv4Prefix, Ipv4Prefix)> {
-        if self.len >= 32 {
-            return None;
-        }
-        let left = Ipv4Prefix {
-            addr: self.addr,
-            len: self.len + 1,
-        };
-        let right = Ipv4Prefix {
-            addr: self.addr | (1 << (31 - self.len)),
-            len: self.len + 1,
-        };
-        Some((left, right))
-    }
-
-    /// The immediate covering prefix (one bit shorter), or `None` for /0.
-    pub fn parent(&self) -> Option<Ipv4Prefix> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(Ipv4Prefix {
-                addr: self.addr & mask(self.len - 1),
-                len: self.len - 1,
-            })
-        }
-    }
-
     /// Number of bytes needed to encode the prefix on the wire.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         (self.len as usize).div_ceil(8)
     }
 }
@@ -205,6 +148,54 @@ impl FromStr for Ipv4Prefix {
     }
 }
 
+/// Prefix arithmetic only the tests below use.
+#[cfg(test)]
+impl Ipv4Prefix {
+    /// The netmask as a raw integer.
+    fn netmask(&self) -> u32 {
+        mask(self.len)
+    }
+
+    /// Returns the bit at position `i` (0 = most significant).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= 32`.
+    fn bit(&self, i: u8) -> bool {
+        assert!(i < 32);
+        (self.addr >> (31 - i)) & 1 == 1
+    }
+
+    /// The two halves obtained by extending the prefix by one bit, or
+    /// `None` for a /32.
+    fn split(&self) -> Option<(Ipv4Prefix, Ipv4Prefix)> {
+        if self.len >= 32 {
+            return None;
+        }
+        let left = Ipv4Prefix {
+            addr: self.addr,
+            len: self.len + 1,
+        };
+        let right = Ipv4Prefix {
+            addr: self.addr | (1 << (31 - self.len)),
+            len: self.len + 1,
+        };
+        Some((left, right))
+    }
+
+    /// The immediate covering prefix (one bit shorter), or `None` for /0.
+    fn parent(&self) -> Option<Ipv4Prefix> {
+        if self.len == 0 {
+            None
+        } else {
+            Some(Ipv4Prefix {
+                addr: self.addr & mask(self.len - 1),
+                len: self.len - 1,
+            })
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +213,7 @@ mod tests {
 
     #[test]
     fn host_bits_are_masked() {
-        let p = Ipv4Prefix::from_octets(10, 1, 2, 3, 16).expect("valid");
+        let p = Ipv4Prefix::new(u32::from(Ipv4Addr::new(10, 1, 2, 3)), 16).expect("valid");
         assert_eq!(p.to_string(), "10.1.0.0/16");
         assert_eq!(
             Ipv4Prefix::must(0xffff_ffff, 8).network(),
@@ -241,7 +232,7 @@ mod tests {
         assert!(!p8.overlaps(&other));
         assert!(p8.contains_ip(u32::from(Ipv4Addr::new(10, 200, 1, 1))));
         assert!(!p8.contains_ip(u32::from(Ipv4Addr::new(11, 0, 0, 1))));
-        assert!(Ipv4Prefix::DEFAULT.contains(&other));
+        assert!(Ipv4Prefix::must(0, 0).contains(&other));
     }
 
     #[test]
@@ -254,7 +245,7 @@ mod tests {
         assert_eq!(r.parent(), Some(p));
         let host: Ipv4Prefix = "1.2.3.4/32".parse().expect("valid");
         assert!(host.split().is_none());
-        assert!(Ipv4Prefix::DEFAULT.parent().is_none());
+        assert!(Ipv4Prefix::must(0, 0).parent().is_none());
     }
 
     #[test]

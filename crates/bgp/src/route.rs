@@ -14,10 +14,10 @@ pub struct PeerId(pub u32);
 
 impl PeerId {
     /// The local router itself (static / originated routes).
-    pub const LOCAL: PeerId = PeerId(0);
+    pub(crate) const LOCAL: PeerId = PeerId(0);
 
     /// Returns true for locally-originated routes.
-    pub fn is_local(self) -> bool {
+    pub(crate) fn is_local(self) -> bool {
         self == PeerId::LOCAL
     }
 }

@@ -1,7 +1,7 @@
 //! RFC 4271 wire encoding and decoding of BGP messages.
 //!
 //! The codec is strict on decode: syntactically invalid messages produce a
-//! [`BgpError`] that maps to the NOTIFICATION the router would send. The
+//! structured [`BgpError`] naming what is wrong, never a panic. The
 //! DiCE symbolic-input layer deliberately generates only *syntactically
 //! valid* messages (paper §3.2), so this layer is exercised by the live
 //! message path and by tests, not by exploration.
@@ -23,6 +23,13 @@ pub const HEADER_LEN: usize = 19;
 pub const MAX_MESSAGE_LEN: usize = 4096;
 
 /// Encodes a message into a fresh byte buffer of exactly its size.
+///
+/// An AS_SEQUENCE longer than 255 ASNs is written as consecutive
+/// AS_SEQUENCE segments of at most 255 (RFC 4271 §5.1.2), which decode to
+/// the same path order, length, origin and neighbor AS. The message is
+/// not split: an UPDATE longer than [`MAX_MESSAGE_LEN`] encodes, but
+/// [`decode`] rejects it with [`BgpError::BadLength`], so keeping each
+/// UPDATE within 4,096 bytes is the caller's job.
 pub fn encode(msg: &BgpMessage) -> Bytes {
     let mut out = Vec::new();
     encode_into(msg, &mut out);
@@ -171,11 +178,32 @@ fn decode_prefixes(mut buf: &[u8]) -> Result<Vec<Ipv4Prefix>, BgpError> {
     Ok(out)
 }
 
+/// The most ASNs one AS_PATH segment can carry: its count is one octet.
+const MAX_SEGMENT_ASNS: usize = u8::MAX as usize;
+
+/// The ASN runs an AS_PATH segment is written as, each behind its own
+/// segment header: a sequence longer than [`MAX_SEGMENT_ASNS`] becomes
+/// consecutive sequences of at most that many; anything else — an empty
+/// segment included — is one run. (Nothing builds an AS_SET that long.)
+fn wire_segments(seg: &AsPathSegment) -> impl Iterator<Item = &[Asn]> {
+    let asns = seg.asns();
+    let run = match seg {
+        AsPathSegment::Sequence(_) => MAX_SEGMENT_ASNS,
+        AsPathSegment::Set(_) => asns.len().max(1),
+    };
+    asns.chunks(run).chain(asns.is_empty().then_some(asns))
+}
+
 /// Length of an attribute's value on the wire.
 fn attribute_value_len(attr: &PathAttribute) -> usize {
     match attr {
         PathAttribute::Origin(_) => 1,
-        PathAttribute::AsPath(path) => path.segments().iter().map(|s| 2 + 4 * s.asns().len()).sum(),
+        PathAttribute::AsPath(path) => path
+            .segments()
+            .iter()
+            .flat_map(wire_segments)
+            .map(|asns| 2 + 4 * asns.len())
+            .sum(),
         PathAttribute::NextHop(_) | PathAttribute::Med(_) | PathAttribute::LocalPref(_) => 4,
         PathAttribute::AtomicAggregate => 0,
         PathAttribute::Aggregator(_) => 8,
@@ -209,10 +237,12 @@ fn encode_attribute(attr: &PathAttribute, out: &mut Vec<u8>) {
         PathAttribute::Origin(o) => out.put_u8(o.code()),
         PathAttribute::AsPath(path) => {
             for seg in path.segments() {
-                out.put_u8(seg.type_code());
-                out.put_u8(seg.asns().len() as u8);
-                for asn in seg.asns() {
-                    out.put_u32(asn.value());
+                for asns in wire_segments(seg) {
+                    out.put_u8(seg.type_code());
+                    out.put_u8(asns.len() as u8);
+                    for asn in asns {
+                        out.put_u32(asn.value());
+                    }
                 }
             }
         }
@@ -841,5 +871,36 @@ mod tests {
         let msg = BgpMessage::Update(UpdateMessage::default());
         let (decoded, _) = decode(&encode(&msg)).expect("decodes");
         assert_eq!(decoded, msg);
+    }
+
+    #[test]
+    fn long_as_sequences_are_split_into_segments_decode_accepts() {
+        let origin = Ipv4Addr::new(10, 0, 0, 1);
+        let mut long = RouteAttrs::originated(65001, origin);
+        long.as_path = AsPath::from_sequence(1..=300);
+        // An export filter's `prepend` grows the leading sequence past 255.
+        let mut prepended = RouteAttrs::originated(65001, origin);
+        prepended.as_path = AsPath::from_sequence([64_512, 65001]).prepend(Asn(3491), 400);
+        for attrs in [long, prepended] {
+            let msg = BgpMessage::Update(UpdateMessage::announce(
+                vec!["10.0.0.0/8".parse().expect("valid")],
+                &attrs,
+            ));
+            let bytes = encode(&msg);
+            let (decoded, used) = decode(&bytes).expect("decodes");
+            assert_eq!(used, bytes.len());
+            let path = decoded.as_update().expect("update").route_attrs().as_path;
+            let sent = &attrs.as_path;
+            assert!(path.segments().iter().all(|s| s.asns().len() <= 255));
+            assert_eq!(path.flatten(), sent.flatten());
+            assert_eq!(path.length(), sent.length());
+            assert_eq!(path.origin_as(), sent.origin_as());
+            assert_eq!(path.neighbor_as(), sent.neighbor_as());
+            assert_eq!(
+                encode(&decoded)[..],
+                bytes[..],
+                "re-encoding is byte-identical"
+            );
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! the orchestrator assembles a [`ControlSnapshot`] (round latencies,
 //! solver reuse rates, policy coverage, injected-fault counts, CoW fork
 //! sharing, the delivery-log compaction watermark, and — when the run is
-//! fed by a [`dice_netsim::ingest::WireReplayDriver`] — wire-ingest
+//! fed by a [`dice_netsim::WireReplayDriver`] — wire-ingest
 //! decode/error counters) and publishes it behind an `Arc` swap. Sampling
 //! from another thread is one brief mutex lock and an `Arc` clone, never a
 //! copy of the snapshot itself, so a sidecar can poll mid-run without

@@ -127,4 +127,5 @@ pub use symbolic_input::UpdateTemplate;
 
 // Re-exported so examples and tests can select the misconfiguration mode
 // and build fault plans without importing dice-netsim directly.
-pub use dice_netsim::{CustomerFilterMode, FaultPlan, FaultSpec, FaultTrace};
+pub use dice_netsim::topology::CustomerFilterMode;
+pub use dice_netsim::{FaultPlan, FaultSpec, FaultTrace};

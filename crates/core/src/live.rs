@@ -676,7 +676,7 @@ impl LiveOrchestrator {
             ingest: self
                 .ingest_stats
                 .as_ref()
-                .map(|stats| IngestCounters::from(&stats.snapshot()))
+                .map(|stats| stats.read(|stats| IngestCounters::from(stats)))
                 .unwrap_or_default(),
             ..ControlSnapshot::default()
         }
@@ -768,7 +768,7 @@ mod tests {
     #[test]
     fn the_fault_ledger_records_each_round_once_per_key() {
         use crate::FaultKind;
-        let prefix: dice_bgp::Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
+        let prefix: dice_bgp::prefix::Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
         let flap = |node: usize, transitions: usize| {
             Fault::new(
                 "cross-round-flap",

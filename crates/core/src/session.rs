@@ -823,7 +823,8 @@ mod tests {
                 let mut attrs = RouteAttrs::default();
                 attrs.as_path = AsPath::from_sequence([asn::INTERNET, 100_000 + i]);
                 attrs.next_hop = Ipv4Addr::new(10, 0, 2, 1);
-                let prefix = dice_bgp::Ipv4Prefix::new((60 << 24) | (i << 8), 24).expect("valid");
+                let prefix =
+                    dice_bgp::prefix::Ipv4Prefix::new((60 << 24) | (i << 8), 24).expect("valid");
                 UpdateMessage::announce(vec![prefix], &attrs)
             })
             .collect();

@@ -349,7 +349,7 @@ mod tests {
         let prefix = update.nlri[0];
         assert!(prefix.len() <= 32);
         // Wire round-trip proves syntactic validity.
-        let bytes = dice_bgp::wire::encode(&dice_bgp::BgpMessage::Update(update.clone()));
+        let bytes = dice_bgp::wire::encode(&dice_bgp::message::BgpMessage::Update(update.clone()));
         let (decoded, _) = dice_bgp::wire::decode(&bytes).expect("valid on the wire");
         assert_eq!(decoded.as_update(), Some(&update));
         let attrs = update.route_attrs();

@@ -119,7 +119,7 @@ impl FaultSpec {
     /// `(b, a)` compare equal. `None` for the multi-link variants
     /// ([`FaultSpec::Partition`] / [`FaultSpec::Heal`]), whose affected
     /// links depend on the topology.
-    pub fn link(&self) -> Option<(NodeId, NodeId)> {
+    pub(crate) fn link(&self) -> Option<(NodeId, NodeId)> {
         let (a, b) = match *self {
             FaultSpec::LinkFlap { a, b, .. }
             | FaultSpec::SessionReset { a, b, .. }
@@ -499,13 +499,8 @@ impl FaultTrace {
     /// Number of *injected* faults: every event except structural
     /// [`InjectedFaultKind::DeliveryError`]s, which diagnose the topology
     /// rather than perturb it.
-    pub fn injected_count(&self) -> usize {
+    pub(crate) fn injected_count(&self) -> usize {
         self.injected
-    }
-
-    /// Number of recorded structural delivery errors.
-    pub fn delivery_error_count(&self) -> usize {
-        self.events.len() - self.injected_count()
     }
 
     /// A canonical one-line-per-event rendering, stable across runs of the
@@ -893,7 +888,7 @@ mod tests {
             "t5 link-down node0<->node1 epoch=1\nt15 link-up node0<->node1 epoch=3\n"
         );
         assert_eq!(rt.trace().injected_count(), 2);
-        assert_eq!(rt.trace().delivery_error_count(), 0);
+        assert_eq!(rt.trace().len() - rt.trace().injected_count(), 0);
     }
 
     #[test]
@@ -1014,7 +1009,7 @@ mod tests {
             assert_eq!(trace.injected_count(), injected, "after {at}");
             assert_eq!(trace.clone(), *trace);
         }
-        assert_eq!(rt.trace().delivery_error_count(), 4);
+        assert_eq!(rt.trace().len() - rt.trace().injected_count(), 4);
     }
 
     #[test]
@@ -1029,7 +1024,6 @@ mod tests {
         );
         assert_eq!(rt.trace().len(), 1);
         assert_eq!(rt.trace().injected_count(), 0);
-        assert_eq!(rt.trace().delivery_error_count(), 1);
         assert_eq!(
             rt.trace().digest(),
             "t4 delivery-error unknown source address 192.0.2.99 injected at node1\n"

@@ -21,8 +21,7 @@
 //! * malformed frames never panic: every failure becomes a structured
 //!   [`IngestError`] recorded in [`IngestStats::events`] (and counted), and
 //!   replay continues with the next frame;
-//! * decode throughput is metered ([`crate::ThroughputMeter`], folded in
-//!   here rather than living as an orphan module) and surfaces as
+//! * decode throughput is metered ([`ThroughputMeter`]) and surfaces as
 //!   updates/s decoded through [`IngestStats`] — which a control plane can
 //!   sample mid-run via the [`SharedIngestStats`] handle.
 
@@ -42,9 +41,9 @@ use crate::topology::NodeId;
 use crate::trace::{generate_trace, TraceGenConfig};
 
 /// Magic bytes opening a serialized [`WireTrace`].
-pub const WIRE_TRACE_MAGIC: [u8; 8] = *b"DICEWIRE";
+const WIRE_TRACE_MAGIC: [u8; 8] = *b"DICEWIRE";
 /// Serialization format version written by [`WireTrace::to_bytes`].
-pub const WIRE_TRACE_VERSION: u16 = 1;
+const WIRE_TRACE_VERSION: u16 = 1;
 
 /// One framed trace entry: a raw BGP message as captured on the wire,
 /// stamped with when it arrived and which peer of which node sent it.
@@ -216,7 +215,7 @@ pub fn synthesize_wire_trace(
 /// and counted in [`IngestStats`]), never a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
-    /// The serialized trace does not start with [`WIRE_TRACE_MAGIC`].
+    /// The serialized trace does not start with the `DICEWIRE` magic.
     BadMagic,
     /// The serialized trace declares a format version this build cannot
     /// read.
@@ -320,11 +319,6 @@ impl IngestStats {
     pub fn updates_per_second(&self) -> f64 {
         self.meter.updates_per_second()
     }
-
-    /// Total failures of any class.
-    pub fn error_count(&self) -> usize {
-        self.events.len()
-    }
 }
 
 /// A clone-cheap, thread-shareable handle on one driver's [`IngestStats`]
@@ -336,17 +330,20 @@ pub struct SharedIngestStats {
 }
 
 impl SharedIngestStats {
-    /// Creates a handle around zeroed stats.
-    pub fn new() -> Self {
-        Self::default()
+    /// A point-in-time copy of the stats, [`IngestStats::events`]
+    /// included.
+    pub fn snapshot(&self) -> IngestStats {
+        self.read(IngestStats::clone)
     }
 
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> IngestStats {
-        self.inner
+    /// Runs `f` on the stats under the lock: a reader that needs only the
+    /// counters takes them without copying the event list, which grows
+    /// for the whole run.
+    pub fn read<R>(&self, f: impl FnOnce(&IngestStats) -> R) -> R {
+        f(&self
+            .inner
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone()
+            .unwrap_or_else(|poisoned| poisoned.into_inner()))
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut IngestStats) -> R) -> R {
@@ -399,7 +396,7 @@ impl WireReplayDriver {
             cursor: 0,
             split: EpochSplit::AllAtOnce,
             window_end_ms: 0,
-            stats: SharedIngestStats::new(),
+            stats: SharedIngestStats::default(),
             reencoded: Vec::new(),
         }
     }

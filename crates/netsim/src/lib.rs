@@ -10,30 +10,37 @@
 //! * [`topology::figure2_topology`] — the Customer / Provider / Rest-of-
 //!   Internet topology of Figure 2, with selectable customer-filter
 //!   misconfiguration;
-//! * [`Simulator`] — step-driven message delivery between the routers;
-//! * [`trace::generate_trace`] — synthetic full-table and update traces
-//!   with realistic prefix-length and AS-path distributions;
-//! * [`Replayer`] and [`ThroughputMeter`] — the updates/second measurement
-//!   used by the CPU-overhead experiment;
-//! * [`faults::FaultPlan`] — deterministic, seeded fault injection (link
-//!   flaps, session resets, message drop/duplicate/reorder) the simulator
-//!   consults at enqueue and delivery time, with every injected event
-//!   recorded in a replayable [`faults::FaultTrace`];
-//! * [`ingest::WireTrace`] and [`ingest::WireReplayDriver`] — MRT-style
-//!   wire-level replay: framed raw BGP message bytes decoded strictly
-//!   through `dice_bgp::wire::decode` (with per-message byte-identity
-//!   checks) and driven into the simulator epoch by epoch.
+//! * [`Simulator`] — step-driven message delivery between the routers,
+//!   each message arriving one tick after it was sent;
+//! * [`generate_trace`] — synthetic full-table and update traces with
+//!   realistic prefix-length and AS-path distributions;
+//! * [`Replayer`] — feeds a trace into one router and reports the
+//!   updates/second the CPU-overhead experiment measures
+//!   ([`slowdown_percent`] compares two such readings);
+//! * [`FaultPlan`] — deterministic, seeded fault injection (link flaps,
+//!   session resets, partitions, message drop/duplicate/reorder) the
+//!   simulator consults at enqueue and delivery time, with every injected
+//!   event recorded in a replayable [`FaultTrace`];
+//! * [`WireTrace`] and [`WireReplayDriver`] — MRT-style wire-level replay:
+//!   framed raw BGP message bytes decoded strictly through
+//!   `dice_bgp::wire::decode` (with per-message byte-identity checks),
+//!   driven into the simulator epoch by epoch, and counted in
+//!   [`IngestStats`].
+//!
+//! [`topology`] is the one public module (its `asn` and `addr` constants
+//! name the Figure 2 nodes); every other public item has its one path at
+//! the crate root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod faults;
-pub mod ingest;
-pub mod metrics;
-pub mod replay;
-pub mod sim;
+mod faults;
+mod ingest;
+mod metrics;
+mod replay;
+mod sim;
 pub mod topology;
-pub mod trace;
+mod trace;
 
 pub use faults::{
     DeliveryError, FaultPlan, FaultSpec, FaultTrace, InjectedFault, InjectedFaultKind,
@@ -42,13 +49,7 @@ pub use ingest::{
     synthesize_wire_trace, IngestError, IngestStats, SharedIngestStats, WireRecord,
     WireReplayDriver, WireTrace,
 };
-pub use metrics::{slowdown_percent, MeasuredRegion, ThroughputMeter};
+pub use metrics::{slowdown_percent, ThroughputMeter};
 pub use replay::{ReplayStats, Replayer};
 pub use sim::{ObservedInput, SimStats, Simulator};
-pub use topology::{
-    figure2_topology, figure2_topology_with_customer_filter, CustomerFilterMode, NodeId, NodeSpec,
-    Topology,
-};
-pub use trace::{
-    generate_trace, BgpTrace, TraceEvent, TraceGenConfig, PAPER_TABLE_SIZE, PAPER_TRACE_SECONDS,
-};
+pub use trace::{generate_trace, BgpTrace, TraceEvent, TraceGenConfig, PAPER_TABLE_SIZE};

@@ -5,7 +5,7 @@
 //! while running exploration" (§4.1). The meter accumulates processed
 //! counts and elapsed time, either wall-clock or virtual.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Accumulates a count of processed updates over measured time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -15,75 +15,27 @@ pub struct ThroughputMeter {
 }
 
 impl ThroughputMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records `updates` processed over `elapsed`.
     pub fn record(&mut self, updates: u64, elapsed: Duration) {
         self.updates += updates;
         self.elapsed += elapsed;
     }
 
-    /// Total updates recorded.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
-    /// Total time recorded.
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    /// Folds another meter into this one, summing counts and elapsed time.
-    ///
-    /// Per-shard and per-worker meters are accumulated independently and
-    /// merged into the control plane's meter at publication points; the
-    /// result is identical to having recorded every region on one meter.
-    pub fn merge(&mut self, other: &ThroughputMeter) {
+    /// Folds another meter into this one, summing counts and elapsed time:
+    /// the same as having recorded both meters' regions on this one.
+    pub(crate) fn merge(&mut self, other: &ThroughputMeter) {
         self.updates += other.updates;
         self.elapsed += other.elapsed;
     }
 
     /// Updates per second; 0 when no time has been recorded.
-    pub fn updates_per_second(&self) -> f64 {
+    pub(crate) fn updates_per_second(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs == 0.0 {
             0.0
         } else {
             self.updates as f64 / secs
         }
-    }
-}
-
-/// A stopwatch that measures one region of work and feeds a meter.
-#[derive(Debug)]
-pub struct MeasuredRegion<'a> {
-    meter: &'a mut ThroughputMeter,
-    started: Instant,
-    updates: u64,
-}
-
-impl<'a> MeasuredRegion<'a> {
-    /// Starts measuring.
-    pub fn start(meter: &'a mut ThroughputMeter) -> Self {
-        MeasuredRegion {
-            meter,
-            started: Instant::now(),
-            updates: 0,
-        }
-    }
-
-    /// Counts processed updates inside the region.
-    pub fn add_updates(&mut self, n: u64) {
-        self.updates += n;
-    }
-
-    /// Stops measuring, committing to the meter.
-    pub fn finish(self) {
-        let elapsed = self.started.elapsed();
-        self.meter.record(self.updates, elapsed);
     }
 }
 
@@ -101,50 +53,40 @@ pub fn slowdown_percent(baseline_ups: f64, loaded_ups: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn recorded(updates: u64, secs: u64) -> ThroughputMeter {
+        let mut meter = ThroughputMeter::default();
+        meter.record(updates, Duration::from_secs(secs));
+        meter
+    }
+
     #[test]
     fn updates_per_second_arithmetic() {
-        let mut meter = ThroughputMeter::new();
+        let mut meter = ThroughputMeter::default();
         assert_eq!(meter.updates_per_second(), 0.0);
         meter.record(151, Duration::from_secs(10));
         assert!((meter.updates_per_second() - 15.1).abs() < 1e-9);
         meter.record(149, Duration::from_secs(10));
         assert!((meter.updates_per_second() - 15.0).abs() < 1e-9);
-        assert_eq!(meter.updates(), 300);
-        assert_eq!(meter.elapsed(), Duration::from_secs(20));
+        assert_eq!(meter, recorded(300, 20));
     }
 
     #[test]
     fn merge_folds_counts_and_elapsed_time() {
-        let mut total = ThroughputMeter::new();
-        let mut shard_a = ThroughputMeter::new();
-        let mut shard_b = ThroughputMeter::new();
-        shard_a.record(100, Duration::from_secs(4));
-        shard_b.record(50, Duration::from_secs(6));
-        total.merge(&shard_a);
-        total.merge(&shard_b);
-        assert_eq!(total.updates(), 150);
-        assert_eq!(total.elapsed(), Duration::from_secs(10));
+        let mut total = ThroughputMeter::default();
+        total.merge(&recorded(100, 4));
+        total.merge(&recorded(50, 6));
+        assert_eq!(total, recorded(150, 10));
         assert!((total.updates_per_second() - 15.0).abs() < 1e-9);
 
         // Merging is equivalent to recording every region on one meter.
-        let mut direct = ThroughputMeter::new();
+        let mut direct = ThroughputMeter::default();
         direct.record(100, Duration::from_secs(4));
         direct.record(50, Duration::from_secs(6));
         assert_eq!(total, direct);
 
         // Merging an empty meter is a no-op.
-        total.merge(&ThroughputMeter::new());
+        total.merge(&ThroughputMeter::default());
         assert_eq!(total, direct);
-    }
-
-    #[test]
-    fn measured_region_commits_on_finish() {
-        let mut meter = ThroughputMeter::new();
-        let mut region = MeasuredRegion::start(&mut meter);
-        region.add_updates(42);
-        region.finish();
-        assert_eq!(meter.updates(), 42);
-        assert!(meter.elapsed() > Duration::ZERO);
     }
 
     #[test]

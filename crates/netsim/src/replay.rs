@@ -47,7 +47,7 @@ impl<'a> Replayer<'a> {
         let Some(peer) = self.peer(router) else {
             return ReplayStats::default();
         };
-        let mut meter = ThroughputMeter::new();
+        let mut meter = ThroughputMeter::default();
         let started = Instant::now();
         let mut fed = 0u64;
         for update in &self.trace.table {
@@ -73,7 +73,7 @@ impl<'a> Replayer<'a> {
         let Some(peer) = self.peer(router) else {
             return ReplayStats::default();
         };
-        let mut meter = ThroughputMeter::new();
+        let mut meter = ThroughputMeter::default();
         let started = Instant::now();
         let mut fed = 0u64;
         for event in &self.trace.updates {
@@ -87,17 +87,6 @@ impl<'a> Replayer<'a> {
             rib_prefixes: router.rib().prefix_count(),
             updates_per_second: meter.updates_per_second(),
         }
-    }
-
-    /// Returns the UPDATE messages of the table dump followed by the
-    /// incremental updates, flattened (the "observed inputs" DiCE samples
-    /// from).
-    pub fn all_updates(&self) -> Vec<&dice_bgp::message::UpdateMessage> {
-        self.trace
-            .table
-            .iter()
-            .chain(self.trace.updates.iter().map(|e| &e.update))
-            .collect()
     }
 }
 
@@ -160,17 +149,5 @@ mod tests {
         let stats = Replayer::new(&trace, Ipv4Addr::new(192, 0, 2, 77)).load_table(&mut router);
         assert_eq!(stats.updates_fed, 0);
         assert_eq!(stats.rib_prefixes, 0);
-    }
-
-    #[test]
-    fn all_updates_flattens_table_and_updates() {
-        let cfg = TraceGenConfig {
-            prefix_count: 10,
-            update_count: 5,
-            ..Default::default()
-        };
-        let trace = generate_trace(&cfg, 1299, addr::INTERNET);
-        let replayer = Replayer::new(&trace, addr::INTERNET);
-        assert_eq!(replayer.all_updates().len(), 15);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The simulator plays the role of the paper's testbed (multiple BIRD
 //! instances wired over virtual interfaces): each node is a [`BgpRouter`],
-//! links are message queues with a configurable delay in ticks, and the
-//! run loop delivers messages in timestamp order until quiescence.
+//! links are message queues that deliver [`LINK_DELAY`] tick after sending,
+//! and the run loop delivers messages in timestamp order until quiescence.
 
 use std::collections::VecDeque;
 
@@ -16,6 +16,10 @@ use crate::faults::{
     InjectedFaultKind,
 };
 use crate::topology::{NodeId, Topology};
+
+/// Ticks a message spends on a link before it is delivered (injected
+/// faults may add more).
+const LINK_DELAY: u64 = 1;
 
 /// One UPDATE observed by a node during simulation: the raw material DiCE
 /// exploration seeds from ("previously observed inputs", §2.3).
@@ -90,7 +94,6 @@ impl std::fmt::Display for SimStats {
 pub struct Simulator {
     routers: Vec<BgpRouter>,
     names: Vec<String>,
-    link_delay: u64,
     queue: VecDeque<InFlight>,
     stats: SimStats,
     observed: Vec<ObservedInput>,
@@ -102,7 +105,7 @@ pub struct Simulator {
 
 impl Simulator {
     /// Instantiates every node of the topology and establishes all
-    /// sessions. Link delay defaults to one tick.
+    /// sessions.
     pub fn new(topology: &Topology) -> Self {
         let mut routers = Vec::new();
         let mut names = Vec::new();
@@ -115,19 +118,12 @@ impl Simulator {
         Simulator {
             routers,
             names,
-            link_delay: 1,
             queue: VecDeque::new(),
             stats: SimStats::default(),
             observed: Vec::new(),
             observed_seq: 0,
             faults: FaultRuntime::new(FaultPlan::default()),
         }
-    }
-
-    /// Sets the link delay in ticks.
-    pub fn with_link_delay(mut self, ticks: u64) -> Self {
-        self.link_delay = ticks.max(1);
-        self
     }
 
     /// Installs a fault plan (builder form). See
@@ -143,11 +139,6 @@ impl Simulator {
     /// with no plan installed.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = FaultRuntime::new(plan);
-    }
-
-    /// The installed fault plan (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
     }
 
     /// The record of every event the fault layer injected or diagnosed so
@@ -347,11 +338,6 @@ impl Simulator {
         &self.routers[node.0]
     }
 
-    /// Mutable access to a node's router.
-    pub fn router_mut(&mut self, node: NodeId) -> &mut BgpRouter {
-        &mut self.routers[node.0]
-    }
-
     /// The node's name.
     pub fn name(&self, node: NodeId) -> &str {
         &self.names[node.0]
@@ -360,11 +346,6 @@ impl Simulator {
     /// Simulation counters.
     pub fn stats(&self) -> SimStats {
         self.stats
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> u64 {
-        self.stats.now
     }
 
     /// Number of messages currently in flight.
@@ -486,23 +467,6 @@ impl Simulator {
         windows
     }
 
-    /// Removes and returns `node`'s entries from the observation log, in
-    /// delivery order, leaving every other node's pending inputs — and all
-    /// sequence numbers — intact. This is the per-node replacement for the
-    /// global `clear_observed` wipe removed after its deprecation cycle.
-    pub fn drain_observed(&mut self, node: NodeId) -> Vec<(PeerId, UpdateMessage)> {
-        let mut drained = Vec::new();
-        self.observed.retain(|o| {
-            if o.node == node {
-                drained.push((o.peer, o.update.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        drained
-    }
-
     /// Removes every observation-log entry with a sequence number below
     /// `seq`, returning the number of entries dropped — log compaction for
     /// long-running simulations, whose epoch-tagged delivery log otherwise
@@ -534,7 +498,7 @@ impl Simulator {
                         }
                         EnqueueVerdict::Unperturbed => {
                             self.queue.push_back(InFlight {
-                                deliver_at: now + self.link_delay,
+                                deliver_at: now + LINK_DELAY,
                                 from_node,
                                 to_node,
                                 from_peer,
@@ -545,7 +509,7 @@ impl Simulator {
                             self.stats.duplicated += extra_delays.len() as u64 - 1;
                             self.stats.reordered +=
                                 extra_delays.iter().filter(|d| **d > 0).count() as u64;
-                            let deliver_at = self.stats.now + self.link_delay;
+                            let deliver_at = self.stats.now + LINK_DELAY;
                             let in_flight = |extra: u64, message| InFlight {
                                 deliver_at: deliver_at + extra,
                                 from_node,
@@ -609,7 +573,7 @@ impl Simulator {
 
     /// Advances virtual time by one tick, delivering everything due.
     /// Returns the number of messages delivered.
-    pub fn step(&mut self) -> usize {
+    pub(crate) fn step(&mut self) -> usize {
         let mut span = dice_obs::span("netsim", "sim.step");
         self.stats.now += 1;
         let now = self.stats.now;
@@ -768,25 +732,22 @@ mod tests {
     #[test]
     fn link_delay_defers_delivery() {
         let topo = figure2_topology(CustomerFilterMode::Correct);
-        let mut sim = Simulator::new(&topo).with_link_delay(5);
+        let mut sim = Simulator::new(&topo);
         let provider = topo.node_by_name("Provider").expect("node");
         let customer = topo.node_by_name("Customer").expect("node");
+        let prefix = "8.8.0.0/16".parse().expect("valid");
         sim.inject(
             provider,
             addr::INTERNET,
             announcement("8.8.0.0/16", &[asn::INTERNET], addr::INTERNET),
         );
+        // The re-advertisement to the customer is in flight, not delivered:
+        // it arrives on the next tick.
         assert_eq!(sim.pending(), 1);
-        for _ in 0..4 {
-            assert_eq!(sim.step(), 0);
-        }
+        assert!(sim.router(customer).rib().best_route(&prefix).is_none());
         assert_eq!(sim.step(), 1);
-        assert!(sim
-            .router(customer)
-            .rib()
-            .best_route(&"8.8.0.0/16".parse().expect("valid"))
-            .is_some());
-        assert_eq!(sim.now(), 5);
+        assert!(sim.router(customer).rib().best_route(&prefix).is_some());
+        assert_eq!(sim.stats().now, LINK_DELAY);
     }
 
     #[test]
@@ -867,11 +828,8 @@ mod tests {
         );
         assert_eq!(sim.observed_log().len(), 2);
 
-        // Per-node drains empty the log without a global wipe (which
-        // would also have dropped other nodes' entries).
-        for node in [provider, customer, internet] {
-            sim.drain_observed(node);
-        }
+        // Trimming below the cursor empties the log for every node.
+        sim.trim_observed_below(sim.observed_cursor());
         assert!(sim.observed_log().is_empty());
         assert!(sim.observed_inputs(provider).is_empty());
     }
@@ -1001,44 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn per_node_drain_leaves_other_nodes_pending_inputs() {
-        let topo = figure2_topology(CustomerFilterMode::Missing);
-        let mut sim = Simulator::new(&topo);
-        let provider = topo.node_by_name("Provider").expect("node");
-        let internet = topo.node_by_name("RestOfInternet").expect("node");
-
-        sim.inject(
-            provider,
-            addr::CUSTOMER,
-            announcement("41.1.0.0/16", &[asn::CUSTOMER], addr::CUSTOMER),
-        );
-        sim.run_to_quiescence(100);
-        assert_eq!(sim.observed_inputs(provider).len(), 1);
-        assert_eq!(sim.observed_inputs(internet).len(), 1);
-
-        // The regression clear_observed() caused: harvesting one node must
-        // not drop the other node's pending inputs.
-        let expected = sim.observed_inputs(provider);
-        let drained = sim.drain_observed(provider);
-        assert_eq!(drained, expected);
-        assert_eq!(drained.len(), 1);
-        assert!(sim.observed_inputs(provider).is_empty());
-        assert_eq!(
-            sim.observed_inputs(internet).len(),
-            1,
-            "other nodes' observations survive a per-node drain"
-        );
-        // Sequence numbers are never reused after a drain.
-        let before = sim.observed_cursor();
-        sim.inject(
-            provider,
-            addr::CUSTOMER,
-            announcement("41.128.0.0/12", &[asn::CUSTOMER], addr::CUSTOMER),
-        );
-        assert_eq!(sim.observed_log().last().map(|o| o.seq), Some(before));
-    }
-
-    #[test]
     fn unknown_source_address_is_counted_and_diagnosable() {
         let topo = figure2_topology(CustomerFilterMode::Correct);
         let mut sim = Simulator::new(&topo);
@@ -1053,7 +973,6 @@ mod tests {
         // The silent counter bump now has a structured, diagnosable form
         // in the fault trace — without counting as an *injected* fault.
         assert_eq!(sim.fault_trace().len(), 1);
-        assert_eq!(sim.fault_trace().delivery_error_count(), 1);
         assert_eq!(sim.injected_fault_count(), 0);
         match &sim.fault_trace().events()[0].kind {
             InjectedFaultKind::DeliveryError(DeliveryError::UnknownSourceAddress {

@@ -1,7 +1,5 @@
 //! Topology descriptions, including the paper's Figure 2 testbed.
 
-use std::net::Ipv4Addr;
-
 use dice_router::policy::parse_filter;
 use dice_router::{NeighborConfig, RouterConfig};
 
@@ -32,7 +30,7 @@ impl Topology {
     }
 
     /// Adds a node and returns its id.
-    pub fn add_node(&mut self, name: impl Into<String>, config: RouterConfig) -> NodeId {
+    pub(crate) fn add_node(&mut self, name: impl Into<String>, config: RouterConfig) -> NodeId {
         self.nodes.push(NodeSpec {
             name: name.into(),
             config,
@@ -45,27 +43,9 @@ impl Topology {
         &self.nodes
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns true if the topology has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Looks up a node by name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.nodes.iter().position(|n| n.name == name).map(NodeId)
-    }
-
-    /// Looks up a node by its router id.
-    pub fn node_by_router_id(&self, router_id: Ipv4Addr) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.config.router_id == router_id)
-            .map(NodeId)
     }
 }
 
@@ -74,7 +54,7 @@ pub mod asn {
     /// The customer AS (Pakistan Telecom in the motivating incident).
     pub const CUSTOMER: u32 = 17557;
     /// The provider AS running DiCE (PCCW in the incident).
-    pub const PROVIDER: u32 = 3491;
+    pub(crate) const PROVIDER: u32 = 3491;
     /// The aggregate "rest of the Internet" AS.
     pub const INTERNET: u32 = 1299;
     /// The legitimate origin of the victim prefix (YouTube).
@@ -88,7 +68,7 @@ pub mod addr {
     /// The customer router.
     pub const CUSTOMER: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 1);
     /// The provider (DiCE-enabled) router.
-    pub const PROVIDER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+    pub(crate) const PROVIDER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
     /// The "rest of the Internet" router.
     pub const INTERNET: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 1);
 }
@@ -203,7 +183,7 @@ mod tests {
     #[test]
     fn figure2_has_three_nodes_with_expected_roles() {
         let topo = figure2_topology(CustomerFilterMode::Correct);
-        assert_eq!(topo.len(), 3);
+        assert_eq!(topo.nodes().len(), 3);
         let provider = topo.node_by_name("Provider").expect("provider");
         let spec = &topo.nodes()[provider.0];
         assert_eq!(spec.config.local_as, asn::PROVIDER);
@@ -211,7 +191,7 @@ mod tests {
         assert!(topo.node_by_name("Customer").is_some());
         assert!(topo.node_by_name("RestOfInternet").is_some());
         assert!(topo.node_by_name("nonexistent").is_none());
-        assert_eq!(topo.node_by_router_id(addr::PROVIDER), Some(provider));
+        assert_eq!(spec.config.router_id, addr::PROVIDER);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use dice_bgp::AsPath;
 /// The prefix count of the paper's table dump.
 pub const PAPER_TABLE_SIZE: usize = 319_355;
 /// The paper's update-trace duration (15 minutes).
-pub const PAPER_TRACE_SECONDS: u64 = 15 * 60;
+const PAPER_TRACE_SECONDS: u64 = 15 * 60;
 
 /// One timestamped incremental update.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,11 +49,6 @@ impl BgpTrace {
     /// Number of incremental updates.
     pub fn update_count(&self) -> usize {
         self.updates.len()
-    }
-
-    /// Duration covered by the incremental updates, in milliseconds.
-    pub fn duration_ms(&self) -> u64 {
-        self.updates.last().map(|e| e.at_ms).unwrap_or(0)
     }
 }
 
@@ -218,7 +213,8 @@ mod tests {
         let trace = generate_trace(&cfg, 1299, Ipv4Addr::new(10, 0, 2, 1));
         assert_eq!(trace.table_size(), 500);
         assert_eq!(trace.update_count(), 100);
-        assert!(trace.duration_ms() <= cfg.duration_secs * 1000 + 50);
+        let last_ms = trace.updates.last().map(|e| e.at_ms).unwrap_or(0);
+        assert!(last_ms <= cfg.duration_secs * 1000 + 50);
     }
 
     #[test]

@@ -20,7 +20,6 @@ const BUCKETS: usize = 65;
 pub struct Histogram {
     counts: [u64; BUCKETS],
     count: u64,
-    sum: u64,
     max: u64,
 }
 
@@ -29,7 +28,6 @@ impl Default for Histogram {
         Self {
             counts: [0; BUCKETS],
             count: 0,
-            sum: 0,
             max: 0,
         }
     }
@@ -60,7 +58,6 @@ impl Histogram {
     pub fn record(&mut self, value: u64) {
         self.counts[Self::bucket_of(value)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
     }
 
@@ -76,34 +73,13 @@ impl Histogram {
             *mine += theirs;
         }
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Saturating sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// The quantile `q` in `[0, 1]`: the upper bound of the first bucket at
     /// which the cumulative count reaches `ceil(q * count)`, clamped to the
     /// recorded maximum. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -118,18 +94,19 @@ impl Histogram {
         self.max
     }
 
-    /// Median (see [`Histogram::quantile`]).
+    /// Median: the upper bound of the bucket holding the middle sample,
+    /// clamped to the recorded maximum (0 when empty).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
     /// 90th percentile.
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 
     /// 99th percentile.
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
 
@@ -142,17 +119,6 @@ impl Histogram {
             p99: self.p99(),
             max: self.max,
         }
-    }
-
-    /// Iterate `(inclusive_upper_bound, count)` for every non-empty bucket,
-    /// in increasing bound order. Exporters build cumulative series from
-    /// this.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &count)| count > 0)
-            .map(|(index, &count)| (Self::bucket_upper(index), count))
     }
 }
 
@@ -196,13 +162,10 @@ mod tests {
     #[test]
     fn empty_histogram_reports_zeros() {
         let h = Histogram::new();
-        assert!(h.is_empty());
         assert_eq!(h.p50(), 0);
         assert_eq!(h.p99(), 0);
-        assert_eq!(h.max(), 0);
         assert_eq!(h.summary(), HistogramSummary::default());
         assert_eq!(h.summary().to_string(), "n=0");
-        assert_eq!(h.buckets().count(), 0);
     }
 
     #[test]
@@ -211,9 +174,8 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.sum(), 5050);
-        assert_eq!(h.max(), 100);
+        assert_eq!(h.summary().count, 100);
+        assert_eq!(h.summary().max, 100);
         // Cumulative counts: 1 (≤1), 3 (≤3), 7 (≤7), 15 (≤15), 31 (≤31),
         // 63 (≤63), 100 (≤127 clamped to 100).
         assert_eq!(h.p50(), 63);
@@ -228,13 +190,12 @@ mod tests {
         let mut h = Histogram::new();
         h.record(0);
         h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
+        assert_eq!(h.summary().count, 2);
         assert_eq!(h.p50(), 0);
         assert_eq!(h.quantile(1.0), u64::MAX);
-        assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.sum(), u64::MAX, "sum saturates");
-        let buckets: Vec<(u64, u64)> = h.buckets().collect();
-        assert_eq!(buckets, vec![(0, 1), (u64::MAX, 1)]);
+        assert_eq!(h.summary().max, u64::MAX);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[BUCKETS - 1], 1);
     }
 
     #[test]
@@ -259,7 +220,7 @@ mod tests {
     fn record_duration_uses_nanoseconds() {
         let mut h = Histogram::new();
         h.record_duration(Duration::from_micros(3));
-        assert_eq!(h.max(), 3_000);
+        assert_eq!(h.summary().max, 3_000);
         assert_eq!(
             h.summary().to_string(),
             "n=1 p50=3µs p90=3µs p99=3µs max=3µs"

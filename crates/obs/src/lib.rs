@@ -9,11 +9,13 @@
 //! The pieces:
 //!
 //! - [`TraceSink`] — the recording interface. The process-global default is a
-//!   no-op: until [`install`] is called, [`span`]/[`event`] cost a single
-//!   relaxed atomic load and branch, which the optimizer hoists out of hot
-//!   loops. [`BufferedRecorder`] is the shipped sink: sharded, lock-cheap
-//!   per-thread buffers stamped with monotonic sequence IDs so replayed runs
-//!   produce stable event orders.
+//!   no-op: until a sink is installed with [`SinkGuard::install`] (which
+//!   removes it again when the guard drops), [`span`]/[`event`] cost a
+//!   single relaxed atomic load and branch, which the optimizer hoists out
+//!   of hot loops. [`BufferedRecorder`] is the shipped sink: sharded,
+//!   lock-cheap per-thread buffers stamped with monotonic sequence IDs so
+//!   replayed runs produce stable event orders; [`now_ns`] is the clock
+//!   every timestamp shares.
 //! - [`Span`] / [`span`] / [`event`] — RAII instrumentation helpers used by
 //!   `dice_netsim`, `dice_solver`, `dice_symexec`, and `dice_core`.
 //! - [`Histogram`] — a fixed-bucket log2 latency histogram with deterministic
@@ -37,8 +39,5 @@ mod span;
 pub use chrome::{chrome_trace_jsonl, validate_chrome_trace_jsonl, ChromeEvent};
 pub use histogram::{Histogram, HistogramSummary};
 pub use prometheus::{validate_prometheus_text, PrometheusText};
-pub use sink::{
-    enabled, install, now_ns, uninstall, BufferedRecorder, NoopSink, SinkGuard, TraceEvent,
-    TraceRecord, TraceSink,
-};
+pub use sink::{now_ns, BufferedRecorder, NoopSink, SinkGuard, TraceEvent, TraceRecord, TraceSink};
 pub use span::{event, span, Span};

@@ -1,15 +1,10 @@
 //! Prometheus text exposition format: a builder and a line-by-line
 //! grammar validator.
 
-use crate::histogram::Histogram;
-
 /// Builder for the Prometheus text exposition format (version 0.0.4).
 ///
-/// Metric families are appended in call order; the output of a
-/// deterministic run is itself deterministic. Histograms are exported with
-/// cumulative `_bucket{le="..."}` series (bounds in seconds, converted from
-/// the histogram's nanosecond samples), `_sum`, and `_count`, exactly as a
-/// Prometheus scraper expects.
+/// Metric families (counters and gauges) are appended in call order; the
+/// output of a deterministic run is itself deterministic.
 #[derive(Debug, Default)]
 pub struct PrometheusText {
     out: String,
@@ -50,35 +45,6 @@ impl PrometheusText {
         self.out.push_str(name);
         self.out.push(' ');
         self.out.push_str(&format_value(value));
-        self.out.push('\n');
-    }
-
-    /// Append a histogram whose samples are nanoseconds; bucket bounds are
-    /// exported in seconds per Prometheus convention.
-    pub fn histogram_ns(&mut self, name: &str, help: &str, histogram: &Histogram) {
-        self.header(name, help, "histogram");
-        let mut cumulative = 0u64;
-        for (upper_ns, count) in histogram.buckets() {
-            cumulative += count;
-            self.out.push_str(name);
-            self.out.push_str("_bucket{le=\"");
-            self.out.push_str(&format_value(upper_ns as f64 / 1e9));
-            self.out.push_str("\"} ");
-            self.out.push_str(&cumulative.to_string());
-            self.out.push('\n');
-        }
-        self.out.push_str(name);
-        self.out.push_str("_bucket{le=\"+Inf\"} ");
-        self.out.push_str(&histogram.count().to_string());
-        self.out.push('\n');
-        self.out.push_str(name);
-        self.out.push_str("_sum ");
-        self.out
-            .push_str(&format_value(histogram.sum() as f64 / 1e9));
-        self.out.push('\n');
-        self.out.push_str(name);
-        self.out.push_str("_count ");
-        self.out.push_str(&histogram.count().to_string());
         self.out.push('\n');
     }
 
@@ -280,49 +246,16 @@ mod tests {
 
     #[test]
     fn builder_output_passes_the_grammar_validator() {
-        let mut h = Histogram::new();
-        for v in [120u64, 4_500, 4_500, 90_000, 1_000_000] {
-            h.record(v);
-        }
         let mut text = PrometheusText::new();
         text.counter("dice_rounds_total", "Exploration rounds completed.", 12);
         text.gauge("dice_policy_coverage", "Policy branch coverage.", 0.875);
         text.gauge("dice_updates_per_second", "Ingest rate.", 15000.0);
-        text.histogram_ns("dice_round_latency_seconds", "Round latency.", &h);
         let doc = text.finish();
         validate_prometheus_text(&doc).expect("builder output is valid");
-        assert!(doc.contains("# TYPE dice_round_latency_seconds histogram"));
-        assert!(doc.contains("dice_round_latency_seconds_bucket{le=\"+Inf\"} 5"));
-        assert!(doc.contains("dice_round_latency_seconds_count 5"));
+        assert!(doc.contains("# TYPE dice_rounds_total counter"));
         assert!(doc.contains("dice_rounds_total 12"));
         assert!(doc.contains("dice_policy_coverage 0.875"));
         assert!(doc.contains("dice_updates_per_second 15000"));
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative() {
-        let mut h = Histogram::new();
-        h.record(1); // bucket ≤ 1
-        h.record(3); // bucket ≤ 3
-        h.record(3);
-        let mut text = PrometheusText::new();
-        text.histogram_ns("lat", "Latency.", &h);
-        let doc = text.finish();
-        assert!(doc.contains("lat_bucket{le=\"0.000000001\"} 1"));
-        assert!(doc.contains("lat_bucket{le=\"0.000000003\"} 3"));
-        assert!(doc.contains("lat_bucket{le=\"+Inf\"} 3"));
-        validate_prometheus_text(&doc).expect("valid");
-    }
-
-    #[test]
-    fn empty_histogram_still_exports_a_complete_family() {
-        let mut text = PrometheusText::new();
-        text.histogram_ns("lat", "Latency.", &Histogram::new());
-        let doc = text.finish();
-        validate_prometheus_text(&doc).expect("valid");
-        assert!(doc.contains("lat_bucket{le=\"+Inf\"} 0"));
-        assert!(doc.contains("lat_sum 0"));
-        assert!(doc.contains("lat_count 0"));
     }
 
     #[test]

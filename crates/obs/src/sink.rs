@@ -70,47 +70,35 @@ impl TraceSink for NoopSink {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: RwLock<Option<Arc<dyn TraceSink>>> = RwLock::new(None);
 
-/// Install `sink` as the process-global trace sink and enable dispatch.
+/// Keeps a sink installed as the process-global trace sink for the
+/// guard's lifetime, then returns dispatch to the no-op default.
 ///
-/// Replaces any previously installed sink. Instrumented code observes the
-/// change on its next span/event.
-pub fn install(sink: Arc<dyn TraceSink>) {
-    *SINK.write().expect("trace sink lock poisoned") = Some(sink);
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Remove the installed sink, returning dispatch to the no-op default.
-pub fn uninstall() {
-    ENABLED.store(false, Ordering::Release);
-    *SINK.write().expect("trace sink lock poisoned") = None;
-}
-
-/// Install `sink` for the lifetime of the returned guard, then uninstall.
-///
-/// The RAII form tests and benches should prefer: the sink is removed even
-/// if the enclosed code panics, so one test's recorder never leaks into the
-/// next.
+/// The sink is removed even if the enclosed code panics, so one test's
+/// recorder never leaks into the next.
 #[must_use = "the sink is uninstalled when the guard drops"]
 pub struct SinkGuard(());
 
 impl SinkGuard {
-    /// Install `sink` and return the guard that will uninstall it.
+    /// Install `sink`, replacing any installed one, and enable dispatch:
+    /// instrumented code sees it on its next span or event.
     pub fn install(sink: Arc<dyn TraceSink>) -> Self {
-        install(sink);
+        *SINK.write().expect("trace sink lock poisoned") = Some(sink);
+        ENABLED.store(true, Ordering::Release);
         SinkGuard(())
     }
 }
 
 impl Drop for SinkGuard {
     fn drop(&mut self) {
-        uninstall();
+        ENABLED.store(false, Ordering::Release);
+        *SINK.write().expect("trace sink lock poisoned") = None;
     }
 }
 
 /// Whether a sink is currently installed. This is the entire cost of the
 /// disabled path: one relaxed atomic load.
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -185,33 +173,11 @@ impl BufferedRecorder {
     }
 
     /// Total number of buffered events across all shards.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().expect("recorder shard poisoned").len())
             .sum()
-    }
-
-    /// Whether no events have been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy out all buffered events, sorted by sequence ID, without
-    /// clearing the buffers.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut all = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(
-                shard
-                    .lock()
-                    .expect("recorder shard poisoned")
-                    .iter()
-                    .copied(),
-            );
-        }
-        all.sort_by_key(|e| e.seq);
-        all
     }
 
     /// Move out all buffered events, sorted by sequence ID, leaving the
@@ -297,7 +263,7 @@ mod tests {
         assert_eq!(seqs, sorted, "drain returns sequence order");
         let details: Vec<u64> = events.iter().map(|e| e.detail).collect();
         assert_eq!(details, (0..10).collect::<Vec<_>>());
-        assert!(recorder.is_empty(), "drain cleared the buffers");
+        assert!(recorder.drain().is_empty(), "drain cleared the buffers");
     }
 
     #[test]
@@ -320,7 +286,7 @@ mod tests {
                 });
             }
         });
-        let events = recorder.events();
+        let events = recorder.drain();
         assert_eq!(events.len(), 100);
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         let mut expect = seqs.clone();

@@ -115,6 +115,6 @@ mod tests {
             span.set_detail(9);
             event("test", "silent-event", 1);
         }
-        assert!(recorder.is_empty());
+        assert!(recorder.drain().is_empty());
     }
 }

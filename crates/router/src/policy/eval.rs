@@ -728,7 +728,7 @@ mod tests {
         assert!(eval_filter(&filter, &RouteView::concrete(&r), &mut ctx).is_accept());
         r.attrs
             .communities
-            .push(dice_bgp::Community::new(65000, 666));
+            .push(dice_bgp::attributes::Community::new(65000, 666));
         assert!(!eval_filter(&filter, &RouteView::concrete(&r), &mut ctx).is_accept());
     }
 
