@@ -4,10 +4,13 @@
 //! Checkers implement [`FaultChecker`], an object-safe `Send + Sync` trait,
 //! and are registered on a [`crate::DiceSession`] through
 //! [`crate::DiceBuilder::checker`]; the session applies every registered
-//! checker to every explored outcome.
+//! checker to every explored outcome, against the checkpointed node.
 //!
-//! The shipped corpus spans three tiers, mirroring the cheap-per-event vs.
-//! windowed-pattern split of production detection pipelines:
+//! The shipped corpus spans two tiers, mirroring the cheap-per-event vs.
+//! windowed-pattern split of production detection pipelines. The runs of
+//! one round are alternative executions from one checkpoint, not a
+//! timeline, so only what was *observed* across live rounds is judged as
+//! a sequence.
 //!
 //! Per-event ([`FaultChecker::check`]):
 //!
@@ -30,15 +33,8 @@
 //!   different neighbor: the sub-prefix hijack shape that evades
 //!   origin-only checks.
 //! * [`BlackholeChecker`] — accepted routes whose next hop resolves through
-//!   neither the checkpointed table nor a directly-connected address:
-//!   installing them silently discards traffic.
-//!
-//! Per-round ([`FaultChecker::check_round`]):
-//!
-//! * [`RouteOscillationChecker`] — replays the intercepted message
-//!   sequences of a whole round's runs and flags prefixes the node would
-//!   alternately announce and withdraw — the route-flapping signature that
-//!   per-outcome checks cannot see.
+//!   neither the checkpointed table nor one of the node's own peer
+//!   addresses: installing them silently discards traffic.
 //!
 //! Cross-round ([`FaultChecker::live_fold`]):
 //!
@@ -46,7 +42,7 @@
 //!   live orchestrator produces ([`RoundOutcomes`]) into one
 //!   announce/withdraw timeline per `(node, prefix)` and flags flaps
 //!   *slower than one epoch window* — each individual round sees at most
-//!   one direction, so neither per-event nor per-round checkers can fire.
+//!   one direction, so no per-event checker can fire.
 //! * [`BgpWedgieChecker`] — flags BGP wedgies: a prefix a node held in its
 //!   pre-fault steady state is withdrawn (typically when a partition's
 //!   session resets flush it) and never re-announced even though later
@@ -73,7 +69,7 @@ use dice_bgp::prefix::Ipv4Prefix;
 use dice_bgp::route::PeerId;
 use dice_bgp::Asn;
 use dice_netsim::topology::NodeId;
-use dice_router::Rib;
+use dice_router::BgpRouter;
 
 use crate::handler::HandlerOutcome;
 
@@ -121,20 +117,6 @@ pub enum FaultKind {
         /// The next hop that would resolve through the announcement.
         next_hop: Ipv4Addr,
     },
-    /// Across one round's exploratory runs the node alternately announced
-    /// and withdrew the same prefix: inputs within the observed envelope
-    /// flip the import verdict back and forth, so the deployment would
-    /// flap the route.
-    RouteOscillation {
-        /// The prefix the node would flap.
-        announced: Ipv4Prefix,
-        /// Announce↔withdraw transitions observed across the round's runs.
-        /// Deliberately excluded from the [`fmt::Display`] rendering and
-        /// from the fleet/cross-round dedup key ([`Fault::fleet_key`]), so
-        /// the key stays stable when later rounds observe more flips of the
-        /// same prefix.
-        transitions: usize,
-    },
     /// A Gao-Rexford valley-free violation: a route learned from a
     /// customer AS transited a peer or provider AS, so it has already
     /// descended the economic hierarchy once and is now climbing back up —
@@ -160,9 +142,9 @@ pub enum FaultKind {
         origin: Asn,
     },
     /// An accepted route whose BGP next hop has no forwarding path: the
-    /// checkpointed table cannot resolve it and it is not a
-    /// directly-connected address, so installing the route silently
-    /// discards the covered traffic.
+    /// checkpointed table cannot resolve it and it is not the address of
+    /// one of the node's peers, so installing the route silently discards
+    /// the covered traffic.
     Blackhole {
         /// The prefix the exploratory message announced.
         announced: Ipv4Prefix,
@@ -175,10 +157,10 @@ pub enum FaultKind {
     CrossRoundFlap {
         /// The flapping prefix.
         announced: Ipv4Prefix,
-        /// Direction changes across the stitched round timeline. Excluded
-        /// from the [`fmt::Display`] rendering and the dedup key (like
-        /// [`FaultKind::RouteOscillation`]) so the key stays stable as
-        /// later rounds extend the timeline.
+        /// Direction changes across the stitched round timeline.
+        /// Deliberately excluded from the [`fmt::Display`] rendering and
+        /// from the fleet/cross-round dedup key ([`Fault::fleet_key`]), so
+        /// the key stays stable as later rounds extend the timeline.
         transitions: usize,
     },
     /// A BGP wedgie: after a fault (typically a partition that healed) a
@@ -226,8 +208,7 @@ impl Fault {
     pub fn fleet_key(&self) -> FaultKey {
         let mut kind = self.kind.clone();
         match &mut kind {
-            FaultKind::RouteOscillation { transitions, .. }
-            | FaultKind::CrossRoundFlap { transitions, .. } => *transitions = 0,
+            FaultKind::CrossRoundFlap { transitions, .. } => *transitions = 0,
             FaultKind::BgpWedgie { stuck_rounds, .. } => *stuck_rounds = 0,
             _ => {}
         }
@@ -244,7 +225,6 @@ impl FaultKind {
         match self {
             FaultKind::PotentialHijack { announced, .. } => *announced,
             FaultKind::ForwardingLoop { announced, .. } => *announced,
-            FaultKind::RouteOscillation { announced, .. } => *announced,
             FaultKind::RouteLeak { announced, .. } => *announced,
             FaultKind::MoreSpecificHijack { announced, .. } => *announced,
             FaultKind::Blackhole { announced, .. } => *announced,
@@ -310,16 +290,6 @@ impl fmt::Display for FaultKind {
                     "forwarding loop: {announced} covers its own next hop {next_hop}"
                 )
             }
-            FaultKind::RouteOscillation { announced, .. } => {
-                // The transition count is intentionally not rendered: the
-                // rendering names the dedup key, and the same flapping
-                // prefix must collapse across rounds that saw different
-                // counts.
-                write!(
-                    f,
-                    "route oscillation: {announced} alternates between announce and withdraw"
-                )
-            }
             FaultKind::RouteLeak {
                 announced,
                 customer_as,
@@ -350,8 +320,10 @@ impl fmt::Display for FaultKind {
                 )
             }
             FaultKind::CrossRoundFlap { announced, .. } => {
-                // Like RouteOscillation, the transition count stays out of
-                // the rendering so the dedup key is round-count stable.
+                // The transition count is intentionally not rendered: the
+                // rendering names the dedup key, and the same flapping
+                // prefix must collapse across rounds that saw different
+                // counts.
                 write!(
                     f,
                     "cross-round flap: {announced} alternates between announce and withdraw across live rounds"
@@ -411,34 +383,18 @@ pub trait FaultChecker: Send + Sync {
     /// Short name used in reports and fleet-wide deduplication keys.
     fn name(&self) -> &str;
 
-    /// Inspects one outcome against the checkpointed routing table taken
-    /// before exploration started.
-    fn check(&self, outcome: &HandlerOutcome, checkpoint_rib: &Rib) -> Option<Fault>;
-
-    /// Inspects a whole round's outcomes *as a sequence*, in execution
-    /// order (seed runs first, then generated runs, concatenated over
-    /// observed inputs in input order), against the checkpointed routing
-    /// table.
-    ///
-    /// The default implementation reports nothing — per-outcome checkers
-    /// need not care. Sequence-aware checkers such as
-    /// [`RouteOscillationChecker`] override it to detect misbehaviour that
-    /// only shows across runs (flapping, churn). The session applies it
-    /// once per exploration round, after the per-outcome pass.
-    fn check_round(&self, outcomes: &[HandlerOutcome], checkpoint_rib: &Rib) -> Vec<Fault> {
-        let _ = (outcomes, checkpoint_rib);
-        Vec::new()
-    }
+    /// Inspects one outcome against the node as checkpointed before
+    /// exploration started: its routing table, peers and configuration.
+    fn check(&self, outcome: &HandlerOutcome, node: &BgpRouter) -> Option<Fault>;
 
     /// A fresh cross-round fold: the temporal tier above
-    /// [`FaultChecker::check_round`], which sees *multiple live rounds*.
+    /// [`FaultChecker::check`], which sees *multiple live rounds*.
     ///
-    /// The default returns `None`, mirroring the `check_round` pattern:
-    /// per-event and per-round checkers need not care. Cross-round checkers
-    /// such as [`CrossRoundFlapChecker`] return a [`LiveFold`] that stitches
-    /// per-round sequences and catches misbehaviour slower than one epoch
-    /// window. A live orchestrator makes one per run and folds every
-    /// executed round into it.
+    /// The default returns `None`: per-event checkers need not care.
+    /// Cross-round checkers such as [`CrossRoundFlapChecker`] return a
+    /// [`LiveFold`] that stitches per-round observed windows and catches
+    /// misbehaviour slower than one epoch window. A live orchestrator
+    /// makes one per run and folds every executed round into it.
     fn live_fold(&self) -> Option<Box<dyn LiveFold>> {
         None
     }
@@ -560,7 +516,7 @@ impl FaultChecker for OriginHijackChecker {
         "origin-hijack"
     }
 
-    fn check(&self, outcome: &HandlerOutcome, checkpoint_rib: &Rib) -> Option<Fault> {
+    fn check(&self, outcome: &HandlerOutcome, node: &BgpRouter) -> Option<Fault> {
         if !outcome.accepted {
             return None;
         }
@@ -570,7 +526,7 @@ impl FaultChecker for OriginHijackChecker {
         // The route the announcement would compete with: the most specific
         // installed route covering the announced prefix. (Existing routes
         // are assumed trustworthy, as in the paper.)
-        let existing = checkpoint_rib.best_covering_route(&outcome.prefix)?;
+        let existing = node.rib().best_covering_route(&outcome.prefix)?;
         let existing_origin = existing.origin_as()?;
         if existing_origin.value() == outcome.origin_as {
             return None;
@@ -608,7 +564,7 @@ impl FaultChecker for ForwardingLoopChecker {
         "forwarding-loop"
     }
 
-    fn check(&self, outcome: &HandlerOutcome, checkpoint_rib: &Rib) -> Option<Fault> {
+    fn check(&self, outcome: &HandlerOutcome, node: &BgpRouter) -> Option<Fault> {
         if !outcome.accepted {
             return None;
         }
@@ -620,7 +576,7 @@ impl FaultChecker for ForwardingLoopChecker {
         // resolution off the announced route: an equal-length route is the
         // very prefix the announcement competes to replace, so it cannot be
         // relied on to resolve the next hop.
-        if let Some(existing) = checkpoint_rib.lookup_ip(next_hop) {
+        if let Some(existing) = node.rib().lookup_ip(next_hop) {
             if existing.prefix.len() > outcome.prefix.len() {
                 return None;
             }
@@ -632,94 +588,6 @@ impl FaultChecker for ForwardingLoopChecker {
                 next_hop: outcome.next_hop,
             },
         ))
-    }
-}
-
-/// Flags prefixes the node would alternately announce and withdraw across
-/// one round's exploratory runs — route flapping driven by inputs inside
-/// the observed envelope.
-///
-/// The checker is sequence-aware: it implements
-/// [`FaultChecker::check_round`] over the round's [`HandlerOutcome`]s in
-/// execution order, derives one announce/withdraw event per run and prefix
-/// from the recorded intercepted message sequence
-/// ([`HandlerOutcome::intercepted`]), and reports every prefix whose event
-/// sequence flips direction at least
-/// [`min_transitions`](RouteOscillationChecker::with_min_transitions)
-/// times (default 2 — a full announce→withdraw→announce cycle). The
-/// per-outcome [`FaultChecker::check`] hook reports nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct RouteOscillationChecker {
-    min_transitions: usize,
-}
-
-impl Default for RouteOscillationChecker {
-    fn default() -> Self {
-        RouteOscillationChecker { min_transitions: 2 }
-    }
-}
-
-impl RouteOscillationChecker {
-    /// Creates the checker with the default threshold of two transitions
-    /// (one full announce/withdraw cycle).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets how many announce↔withdraw transitions a prefix's event
-    /// sequence needs before it is reported (clamped to at least 1).
-    pub fn with_min_transitions(mut self, transitions: usize) -> Self {
-        self.min_transitions = transitions.max(1);
-        self
-    }
-}
-
-impl FaultChecker for RouteOscillationChecker {
-    fn name(&self) -> &str {
-        "route-oscillation"
-    }
-
-    fn check(&self, _outcome: &HandlerOutcome, _checkpoint_rib: &Rib) -> Option<Fault> {
-        None
-    }
-
-    fn check_round(&self, outcomes: &[HandlerOutcome], _checkpoint_rib: &Rib) -> Vec<Fault> {
-        use std::collections::{BTreeMap, BTreeSet};
-
-        // One event per (run, prefix, direction): a run announcing the same
-        // prefix to three peers is one announce event, not three.
-        let mut events: BTreeMap<Ipv4Prefix, Vec<bool>> = BTreeMap::new();
-        for outcome in outcomes {
-            let mut announced: BTreeSet<Ipv4Prefix> = BTreeSet::new();
-            let mut withdrawn: BTreeSet<Ipv4Prefix> = BTreeSet::new();
-            for (_, update) in &outcome.intercepted {
-                announced.extend(update.nlri.iter().copied());
-                withdrawn.extend(update.withdrawn.iter().copied());
-            }
-            for prefix in announced {
-                events.entry(prefix).or_default().push(true);
-            }
-            for prefix in withdrawn {
-                events.entry(prefix).or_default().push(false);
-            }
-        }
-
-        // BTreeMap iteration keeps the report order deterministic.
-        events
-            .into_iter()
-            .filter_map(|(prefix, sequence)| {
-                let transitions = sequence.windows(2).filter(|w| w[0] != w[1]).count();
-                (transitions >= self.min_transitions).then(|| {
-                    Fault::new(
-                        self.name(),
-                        FaultKind::RouteOscillation {
-                            announced: prefix,
-                            transitions,
-                        },
-                    )
-                })
-            })
-            .collect()
     }
 }
 
@@ -789,7 +657,7 @@ impl FaultChecker for RouteLeakChecker {
         "route-leak"
     }
 
-    fn check(&self, outcome: &HandlerOutcome, _checkpoint_rib: &Rib) -> Option<Fault> {
+    fn check(&self, outcome: &HandlerOutcome, _node: &BgpRouter) -> Option<Fault> {
         if !outcome.accepted {
             return None;
         }
@@ -849,7 +717,7 @@ impl FaultChecker for MoreSpecificHijackChecker {
         "more-specific-hijack"
     }
 
-    fn check(&self, outcome: &HandlerOutcome, checkpoint_rib: &Rib) -> Option<Fault> {
+    fn check(&self, outcome: &HandlerOutcome, node: &BgpRouter) -> Option<Fault> {
         if !outcome.accepted {
             return None;
         }
@@ -860,7 +728,7 @@ impl FaultChecker for MoreSpecificHijackChecker {
         {
             return None;
         }
-        let existing = checkpoint_rib.best_covering_route(&outcome.prefix)?;
+        let existing = node.rib().best_covering_route(&outcome.prefix)?;
         if outcome.prefix.len() <= existing.prefix.len() {
             return None;
         }
@@ -890,30 +758,20 @@ impl FaultChecker for MoreSpecificHijackChecker {
 
 /// Flags accepted routes whose next hop has no forwarding path.
 ///
-/// A next hop is resolvable if the checkpointed table covers it or it is a
-/// directly-connected address (configure those with
-/// [`BlackholeChecker::with_connected`] — typically the node's peer
-/// addresses). An accepted route failing both silently discards the
+/// A next hop is resolvable if the checkpointed table covers it or it is
+/// the address of one of the node's own peers, which is directly
+/// connected. An accepted route failing both silently discards the
 /// covered traffic once installed: the blackhole a session reset leaves
 /// behind when the route that used to resolve the next hop was withdrawn.
 /// Announcements covering their *own* next hop are left to
 /// [`ForwardingLoopChecker`], which owns that shape.
-#[derive(Debug, Clone, Default)]
-pub struct BlackholeChecker {
-    connected: Vec<Ipv4Addr>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlackholeChecker;
 
 impl BlackholeChecker {
-    /// Creates a checker with no connected addresses configured.
+    /// Creates the checker.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declares directly-connected next-hop addresses that always resolve
-    /// (typically the node's configured peer addresses).
-    pub fn with_connected(mut self, addresses: Vec<Ipv4Addr>) -> Self {
-        self.connected = addresses;
-        self
+        Self
     }
 }
 
@@ -922,7 +780,7 @@ impl FaultChecker for BlackholeChecker {
         "blackhole"
     }
 
-    fn check(&self, outcome: &HandlerOutcome, checkpoint_rib: &Rib) -> Option<Fault> {
+    fn check(&self, outcome: &HandlerOutcome, node: &BgpRouter) -> Option<Fault> {
         if !outcome.accepted {
             return None;
         }
@@ -934,10 +792,10 @@ impl FaultChecker for BlackholeChecker {
             // Self-covering next hop: ForwardingLoopChecker's case.
             return None;
         }
-        if self.connected.contains(&outcome.next_hop) {
+        if node.peers().any(|peer| peer.address == outcome.next_hop) {
             return None;
         }
-        if checkpoint_rib.lookup_ip(next_hop).is_some() {
+        if node.rib().lookup_ip(next_hop).is_some() {
             return None;
         }
         Some(Fault::new(
@@ -960,9 +818,8 @@ impl FaultChecker for BlackholeChecker {
 /// `(node, prefix)` and counts direction changes. A prefix announced in
 /// round 0, withdrawn in round 1 and announced again in round 2 flips
 /// twice — yet every individual round saw a single direction, so
-/// [`FaultChecker::check`] and [`FaultChecker::check_round`] are
-/// structurally unable to catch it. Only its [`LiveFold`]
-/// ([`FaultChecker::live_fold`]) fires.
+/// [`FaultChecker::check`] is structurally unable to catch it. Only its
+/// [`LiveFold`] ([`FaultChecker::live_fold`]) fires.
 #[derive(Debug, Clone, Copy)]
 pub struct CrossRoundFlapChecker {
     min_transitions: usize,
@@ -994,7 +851,7 @@ impl FaultChecker for CrossRoundFlapChecker {
         "cross-round-flap"
     }
 
-    fn check(&self, _outcome: &HandlerOutcome, _checkpoint_rib: &Rib) -> Option<Fault> {
+    fn check(&self, _outcome: &HandlerOutcome, _node: &BgpRouter) -> Option<Fault> {
         None
     }
 
@@ -1305,7 +1162,7 @@ impl FaultChecker for BgpWedgieChecker {
         "bgp-wedgie"
     }
 
-    fn check(&self, _outcome: &HandlerOutcome, _checkpoint_rib: &Rib) -> Option<Fault> {
+    fn check(&self, _outcome: &HandlerOutcome, _node: &BgpRouter) -> Option<Fault> {
         None
     }
 
@@ -1370,23 +1227,50 @@ mod tests {
     use super::*;
     use dice_bgp::attributes::RouteAttrs;
     use dice_bgp::message::UpdateMessage;
-    use dice_bgp::route::{PeerId, Route};
+    use dice_bgp::route::PeerId;
     use dice_bgp::AsPath;
-    use dice_router::FilterOutcome;
+    use dice_router::{FilterOutcome, NeighborConfig, RouterConfig};
     use std::net::Ipv4Addr;
 
-    fn rib_with_youtube() -> Rib {
-        let mut rib = Rib::new();
+    /// A node with no peers and an empty table.
+    fn bare_router() -> BgpRouter {
+        BgpRouter::new(RouterConfig::new(Ipv4Addr::new(10, 0, 0, 1), 3491))
+    }
+
+    /// A node with one unfiltered peer at 10.0.2.1 (AS 1299), session up.
+    fn router_with_peer() -> BgpRouter {
+        let mut router = BgpRouter::new(
+            RouterConfig::new(Ipv4Addr::new(10, 0, 0, 1), 3491).with_neighbor(NeighborConfig {
+                address: Ipv4Addr::new(10, 0, 2, 1),
+                remote_as: 1299,
+                import_filter: None,
+                export_filter: None,
+            }),
+        );
+        router.start();
+        router
+    }
+
+    /// Installs `prefix` with `path` as sent by the node's peer.
+    fn install(router: &mut BgpRouter, prefix: &str, path: &[u32]) {
+        let peer = router.peers().next().expect("a peer");
+        let (id, address) = (peer.id, peer.address);
         let mut attrs = RouteAttrs::default();
-        attrs.as_path = AsPath::from_sequence([1299, 3356, 36561]);
-        attrs.next_hop = Ipv4Addr::new(10, 0, 2, 1);
-        rib.announce(Route::new(
-            "208.65.152.0/22".parse().expect("valid"),
-            attrs,
-            PeerId(2),
-            2,
-        ));
-        rib
+        attrs.as_path = AsPath::from_sequence(path.iter().copied());
+        attrs.next_hop = address;
+        let update = UpdateMessage::announce(vec![prefix.parse().expect("valid")], &attrs);
+        router.handle_update(id, &update);
+        assert!(router
+            .rib()
+            .best_route(&prefix.parse().expect("valid"))
+            .is_some());
+    }
+
+    /// The node holding YouTube's /22, learned via neighbor 1299.
+    fn router_with_youtube() -> BgpRouter {
+        let mut router = router_with_peer();
+        install(&mut router, "208.65.152.0/22", &[1299, 3356, 36561]);
+        router
     }
 
     fn outcome(prefix: &str, origin_as: u32, accepted: bool) -> HandlerOutcome {
@@ -1413,27 +1297,13 @@ mod tests {
         o
     }
 
-    /// An outcome that would have emitted one announce (or withdraw) of
-    /// `prefix` toward a single peer.
-    fn outcome_emitting(prefix: &str, announce: bool) -> HandlerOutcome {
-        let mut o = outcome(prefix, 17557, announce);
-        let parsed: Ipv4Prefix = prefix.parse().expect("valid");
-        let update = if announce {
-            UpdateMessage::announce(vec![parsed], &RouteAttrs::default())
-        } else {
-            UpdateMessage::withdraw(vec![parsed])
-        };
-        o.intercepted = vec![(PeerId(9), update)];
-        o
-    }
-
     #[test]
     fn detects_the_youtube_hijack() {
-        let rib = rib_with_youtube();
+        let node = router_with_youtube();
         let checker = OriginHijackChecker::new();
         // Pakistan Telecom (17557) announces the more-specific /24.
         let fault = checker
-            .check(&outcome("208.65.153.0/24", 17557, true), &rib)
+            .check(&outcome("208.65.153.0/24", 17557, true), &node)
             .expect("hijack detected");
         match &fault.kind {
             FaultKind::PotentialHijack {
@@ -1458,9 +1328,9 @@ mod tests {
 
     #[test]
     fn node_provenance_is_stamped_and_displayed() {
-        let rib = rib_with_youtube();
+        let node = router_with_youtube();
         let fault = OriginHijackChecker::new()
-            .check(&outcome("208.65.153.0/24", 17557, true), &rib)
+            .check(&outcome("208.65.153.0/24", 17557, true), &node)
             .expect("hijack detected")
             .with_node(NodeId(1));
         assert_eq!(fault.node, Some(NodeId(1)));
@@ -1468,7 +1338,7 @@ mod tests {
         // The fleet key ignores provenance: the same misbehaviour seen on
         // two nodes deduplicates.
         let unstamped = OriginHijackChecker::new()
-            .check(&outcome("208.65.153.0/24", 17557, true), &rib)
+            .check(&outcome("208.65.153.0/24", 17557, true), &node)
             .expect("hijack detected");
         assert_eq!(fault.fleet_key(), unstamped.fleet_key());
         assert_ne!(fault, unstamped, "provenance still distinguishes values");
@@ -1476,38 +1346,38 @@ mod tests {
 
     #[test]
     fn rejected_routes_are_not_faults() {
-        let rib = rib_with_youtube();
+        let node = router_with_youtube();
         let checker = OriginHijackChecker::new();
         assert!(checker
-            .check(&outcome("208.65.153.0/24", 17557, false), &rib)
+            .check(&outcome("208.65.153.0/24", 17557, false), &node)
             .is_none());
     }
 
     #[test]
     fn same_origin_is_not_a_fault() {
-        let rib = rib_with_youtube();
+        let node = router_with_youtube();
         let checker = OriginHijackChecker::new();
         assert!(checker
-            .check(&outcome("208.65.153.0/24", 36561, true), &rib)
+            .check(&outcome("208.65.153.0/24", 36561, true), &node)
             .is_none());
     }
 
     #[test]
     fn uncovered_prefixes_are_not_faults() {
-        let rib = rib_with_youtube();
+        let node = router_with_youtube();
         let checker = OriginHijackChecker::new();
         assert!(checker
-            .check(&outcome("1.2.3.0/24", 17557, true), &rib)
+            .check(&outcome("1.2.3.0/24", 17557, true), &node)
             .is_none());
     }
 
     #[test]
     fn anycast_whitelist_suppresses_false_positives() {
-        let rib = rib_with_youtube();
+        let node = router_with_youtube();
         let checker = OriginHijackChecker::new()
             .with_anycast_whitelist(vec!["208.65.152.0/22".parse().expect("valid")]);
         assert!(checker
-            .check(&outcome("208.65.153.0/24", 17557, true), &rib)
+            .check(&outcome("208.65.153.0/24", 17557, true), &node)
             .is_none());
     }
 
@@ -1516,100 +1386,24 @@ mod tests {
         let checkers: Vec<std::sync::Arc<dyn FaultChecker>> = vec![
             std::sync::Arc::new(OriginHijackChecker::new()),
             std::sync::Arc::new(ForwardingLoopChecker::new()),
-            std::sync::Arc::new(RouteOscillationChecker::new()),
+            std::sync::Arc::new(BlackholeChecker::new()),
         ];
         let names: Vec<&str> = checkers.iter().map(|c| c.name()).collect();
-        assert_eq!(
-            names,
-            ["origin-hijack", "forwarding-loop", "route-oscillation"]
-        );
+        assert_eq!(names, ["origin-hijack", "forwarding-loop", "blackhole"]);
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
         assert_send_sync(&checkers);
-        // The default round hook reports nothing for per-outcome checkers.
-        let rib = Rib::new();
-        let round = [outcome("10.0.0.0/8", 17557, true)];
-        assert!(checkers[0].check_round(&round, &rib).is_empty());
-    }
-
-    #[test]
-    fn oscillation_flags_a_full_announce_withdraw_cycle() {
-        let checker = RouteOscillationChecker::new();
-        let rib = rib_with_youtube();
-        let round = [
-            outcome_emitting("41.1.0.0/16", true),
-            outcome_emitting("41.1.0.0/16", false),
-            outcome_emitting("41.1.0.0/16", true),
-        ];
-        let faults = checker.check_round(&round, &rib);
-        assert_eq!(faults.len(), 1);
-        let fault = &faults[0];
-        assert_eq!(fault.checker, "route-oscillation");
-        assert_eq!(fault.leaked_prefix().to_string(), "41.1.0.0/16");
-        match fault.kind {
-            FaultKind::RouteOscillation { transitions, .. } => assert_eq!(transitions, 2),
-            ref other => panic!("unexpected fault kind {other:?}"),
-        }
-        assert!(fault.to_string().contains("route oscillation"));
-        // The per-outcome hook stays silent by design.
-        assert!(checker.check(&round[0], &rib).is_none());
-    }
-
-    #[test]
-    fn oscillation_needs_enough_transitions_and_matching_prefixes() {
-        let checker = RouteOscillationChecker::new();
-        let rib = Rib::new();
-        // Announce then withdraw is one transition — half a cycle.
-        let half = [
-            outcome_emitting("41.1.0.0/16", true),
-            outcome_emitting("41.1.0.0/16", false),
-        ];
-        assert!(checker.check_round(&half, &rib).is_empty());
-        // Flips across *different* prefixes never alternate.
-        let disjoint = [
-            outcome_emitting("41.1.0.0/16", true),
-            outcome_emitting("41.64.0.0/12", false),
-            outcome_emitting("41.1.0.0/16", true),
-        ];
-        assert!(checker.check_round(&disjoint, &rib).is_empty());
-        // A lowered threshold reports the half cycle.
-        let eager = RouteOscillationChecker::new().with_min_transitions(0);
-        assert_eq!(eager.check_round(&half, &rib).len(), 1);
-        // Runs that intercept nothing contribute no events.
-        let quiet = [outcome("41.1.0.0/16", 17557, false)];
-        assert!(checker.check_round(&quiet, &rib).is_empty());
-    }
-
-    #[test]
-    fn oscillation_fleet_key_is_stable_across_transition_counts() {
-        // Rounds of different lengths see different flip counts for the
-        // same flapping prefix; dedup across rounds must still collapse
-        // them into one fault.
-        let few = Fault::new(
-            "route-oscillation",
-            FaultKind::RouteOscillation {
-                announced: "41.1.0.0/16".parse().expect("valid"),
-                transitions: 2,
-            },
-        );
-        let many = Fault::new(
-            "route-oscillation",
-            FaultKind::RouteOscillation {
-                announced: "41.1.0.0/16".parse().expect("valid"),
-                transitions: 7,
-            },
-        );
-        assert_eq!(few.fleet_key(), many.fleet_key());
-        assert_ne!(few, many, "the counts still distinguish values");
+        // Per-outcome checkers keep the default, fold-less temporal hook.
+        assert!(checkers.iter().all(|c| c.live_fold().is_none()));
     }
 
     #[test]
     fn forwarding_loop_fires_when_prefix_covers_next_hop() {
         let checker = ForwardingLoopChecker::new();
-        let rib = Rib::new();
+        let node = bare_router();
         // 10.0.0.0/8 with next hop 10.0.1.1: the route covers its own next
         // hop and nothing more specific resolves it.
         let fault = checker
-            .check(&outcome("10.0.0.0/8", 17557, true), &rib)
+            .check(&outcome("10.0.0.0/8", 17557, true), &node)
             .expect("loop detected");
         match &fault.kind {
             FaultKind::ForwardingLoop {
@@ -1628,14 +1422,14 @@ mod tests {
     #[test]
     fn forwarding_loop_needs_acceptance_and_coverage() {
         let checker = ForwardingLoopChecker::new();
-        let rib = Rib::new();
+        let node = bare_router();
         // Rejected: no fault even though the prefix covers the next hop.
         assert!(checker
-            .check(&outcome("10.0.0.0/8", 17557, false), &rib)
+            .check(&outcome("10.0.0.0/8", 17557, false), &node)
             .is_none());
         // Accepted but the next hop (10.0.1.1) lies outside the prefix.
         assert!(checker
-            .check(&outcome("41.1.0.0/16", 17557, true), &rib)
+            .check(&outcome("41.1.0.0/16", 17557, true), &node)
             .is_none());
     }
 
@@ -1646,11 +1440,11 @@ mod tests {
             .with_customer(17557)
             .with_peer(1299)
             .with_provider(3356);
-        let rib = Rib::new();
+        let node = bare_router();
         // The customer re-exports a route it learned from its own transit
         // (1299): customer-learned but peer-transited — a valley.
         let leaked = outcome_with_path("41.1.0.0/16", &[17557, 1299, 15169]);
-        let fault = checker.check(&leaked, &rib).expect("leak detected");
+        let fault = checker.check(&leaked, &node).expect("leak detected");
         assert_eq!(fault.checker, "route-leak");
         match &fault.kind {
             FaultKind::RouteLeak {
@@ -1670,7 +1464,7 @@ mod tests {
         assert!(checker
             .check(
                 &outcome_with_path("41.1.0.0/16", &[17557, 3356, 15169]),
-                &rib
+                &node
             )
             .is_some());
     }
@@ -1678,42 +1472,42 @@ mod tests {
     #[test]
     fn route_leak_stays_quiet_without_a_valley() {
         let checker = RouteLeakChecker::new().with_customer(17557).with_peer(1299);
-        let rib = Rib::new();
+        let node = bare_router();
         // The customer originating its own space is valley-free.
         assert!(checker
-            .check(&outcome_with_path("41.1.0.0/16", &[17557, 17557]), &rib)
+            .check(&outcome_with_path("41.1.0.0/16", &[17557, 17557]), &node)
             .is_none());
         // Routes learned from the peer are unconstrained on import.
         assert!(checker
-            .check(&outcome_with_path("8.8.0.0/16", &[1299, 15169]), &rib)
+            .check(&outcome_with_path("8.8.0.0/16", &[1299, 15169]), &node)
             .is_none());
         // Unclassified neighbor: no relationship knowledge, no report.
         assert!(checker
-            .check(&outcome_with_path("8.8.0.0/16", &[64_512, 1299]), &rib)
+            .check(&outcome_with_path("8.8.0.0/16", &[64_512, 1299]), &node)
             .is_none());
         // Rejected routes are never faults.
         let mut rejected = outcome_with_path("41.1.0.0/16", &[17557, 1299, 15169]);
         rejected.accepted = false;
-        assert!(checker.check(&rejected, &rib).is_none());
+        assert!(checker.check(&rejected, &node).is_none());
         // An empty relationship map reports nothing at all.
         assert!(RouteLeakChecker::new()
-            .check(&outcome_with_path("41.1.0.0/16", &[17557, 1299]), &rib)
+            .check(&outcome_with_path("41.1.0.0/16", &[17557, 1299]), &node)
             .is_none());
     }
 
     #[test]
     fn more_specific_hijack_detects_spoofed_origin_via_other_neighbor() {
-        let rib = rib_with_youtube(); // /22 via neighbor 1299, origin 36561
+        let node = router_with_youtube(); // /22 via neighbor 1299, origin 36561
         let checker = MoreSpecificHijackChecker::new();
         // A /24 inside the /22 claiming the victim's own origin (36561) but
         // arriving via the customer (17557): origin-hijack sees nothing
         // (origins match) — this checker fires.
         let spoofed = outcome_with_path("208.65.153.0/24", &[17557, 36561]);
         assert!(
-            OriginHijackChecker::new().check(&spoofed, &rib).is_none(),
+            OriginHijackChecker::new().check(&spoofed, &node).is_none(),
             "origin check is blind to a spoofed origin"
         );
-        let fault = checker.check(&spoofed, &rib).expect("hijack detected");
+        let fault = checker.check(&spoofed, &node).expect("hijack detected");
         assert_eq!(fault.checker, "more-specific-hijack");
         match &fault.kind {
             FaultKind::MoreSpecificHijack {
@@ -1730,40 +1524,49 @@ mod tests {
 
     #[test]
     fn more_specific_hijack_allows_legitimate_deaggregation() {
-        let rib = rib_with_youtube();
+        let node = router_with_youtube();
         let checker = MoreSpecificHijackChecker::new();
         // Same origin AND same neighbor (1299): the victim de-aggregating
         // its own block over the same adjacency.
         assert!(checker
             .check(
                 &outcome_with_path("208.65.153.0/24", &[1299, 3356, 36561]),
-                &rib
+                &node
             )
             .is_none());
         // A different origin is OriginHijackChecker's case, not ours.
         assert!(checker
-            .check(&outcome_with_path("208.65.153.0/24", &[17557, 17557]), &rib)
+            .check(
+                &outcome_with_path("208.65.153.0/24", &[17557, 17557]),
+                &node
+            )
             .is_none());
         // Equal-length announcements are not "more specific".
         assert!(checker
-            .check(&outcome_with_path("208.65.152.0/22", &[17557, 36561]), &rib)
+            .check(
+                &outcome_with_path("208.65.152.0/22", &[17557, 36561]),
+                &node
+            )
             .is_none());
         // Whitelisted ranges are suppressed.
         let lenient = MoreSpecificHijackChecker::new()
             .with_anycast_whitelist(vec!["208.65.152.0/22".parse().expect("valid")]);
         assert!(lenient
-            .check(&outcome_with_path("208.65.153.0/24", &[17557, 36561]), &rib)
+            .check(
+                &outcome_with_path("208.65.153.0/24", &[17557, 36561]),
+                &node
+            )
             .is_none());
     }
 
     #[test]
     fn blackhole_fires_on_unresolvable_next_hop() {
         let checker = BlackholeChecker::new();
-        let rib = Rib::new();
+        let node = bare_router();
         // 41.1.0.0/16 with next hop 10.0.1.1: the empty table cannot
-        // resolve it and it is not declared connected.
+        // resolve it and the node has no peer there.
         let fault = checker
-            .check(&outcome("41.1.0.0/16", 17557, true), &rib)
+            .check(&outcome("41.1.0.0/16", 17557, true), &node)
             .expect("blackhole detected");
         assert_eq!(fault.checker, "blackhole");
         match &fault.kind {
@@ -1777,29 +1580,30 @@ mod tests {
 
     #[test]
     fn blackhole_resolvable_next_hops_are_fine() {
-        let rib = rib_with_youtube();
+        let node = router_with_youtube();
         let checker = BlackholeChecker::new();
         // Covered by an installed route? Use a next hop inside the /22.
         let mut covered = outcome("41.1.0.0/16", 17557, true);
         covered.next_hop = Ipv4Addr::new(208, 65, 152, 7);
-        assert!(checker.check(&covered, &rib).is_none());
-        // Declared directly connected.
-        let connected = BlackholeChecker::new().with_connected(vec![Ipv4Addr::new(10, 0, 1, 1)]);
-        assert!(connected
-            .check(&outcome("41.1.0.0/16", 17557, true), &rib)
-            .is_none());
+        assert!(checker.check(&covered, &node).is_none());
+        // The node's own peer is directly connected; the same next hop
+        // on a node without that peer is a blackhole.
+        let mut connected = outcome("41.1.0.0/16", 17557, true);
+        connected.next_hop = Ipv4Addr::new(10, 0, 2, 1);
+        assert!(checker.check(&connected, &node).is_none());
+        assert!(checker.check(&connected, &bare_router()).is_some());
         // Self-covering next hop is ForwardingLoopChecker's shape.
         assert!(checker
-            .check(&outcome("10.0.0.0/8", 17557, true), &rib)
+            .check(&outcome("10.0.0.0/8", 17557, true), &node)
             .is_none());
         // Rejected routes are never faults.
         assert!(checker
-            .check(&outcome("41.1.0.0/16", 17557, false), &rib)
+            .check(&outcome("41.1.0.0/16", 17557, false), &node)
             .is_none());
         // A zero next hop carries no forwarding claim.
         let mut zero = outcome("41.1.0.0/16", 17557, true);
         zero.next_hop = Ipv4Addr::new(0, 0, 0, 0);
-        assert!(checker.check(&zero, &rib).is_none());
+        assert!(checker.check(&zero, &node).is_none());
     }
 
     fn live_round(round: usize, node: usize, events: &[(&str, bool)]) -> RoundOutcomes {
@@ -1852,7 +1656,7 @@ mod tests {
         // The per-event hook stays silent by design; the dedup key is
         // stable as the timeline grows.
         assert!(checker
-            .check(&outcome("41.1.0.0/16", 17557, true), &Rib::new())
+            .check(&outcome("41.1.0.0/16", 17557, true), &bare_router())
             .is_none());
         let longer = [
             rounds[0].clone(),
@@ -2158,8 +1962,7 @@ mod tests {
             // More rounds seen from another node: still the same fault.
             let mut later = a.clone().with_node(NodeId(7));
             match &mut later.kind {
-                FaultKind::RouteOscillation { transitions, .. }
-                | FaultKind::CrossRoundFlap { transitions, .. } => *transitions += 1,
+                FaultKind::CrossRoundFlap { transitions, .. } => *transitions += 1,
                 FaultKind::BgpWedgie { stuck_rounds, .. } => *stuck_rounds += 1,
                 _ => {}
             }
@@ -2215,12 +2018,6 @@ mod tests {
                     next_hop,
                 }
             }),
-            (prefix.clone(), count.clone()).prop_map(|(announced, transitions)| {
-                FaultKind::RouteOscillation {
-                    announced,
-                    transitions,
-                }
-            }),
             (prefix.clone(), asn.clone(), asn.clone()).prop_map(
                 |(announced, customer_as, via_as)| FaultKind::RouteLeak {
                     announced,
@@ -2264,31 +2061,23 @@ mod tests {
     #[test]
     fn forwarding_loop_suppressed_by_more_specific_route() {
         let checker = ForwardingLoopChecker::new();
-        let mut rib = Rib::new();
         // A /24 covering the next hop already installed: resolution never
         // recurses through the announced /8.
-        let mut attrs = RouteAttrs::default();
-        attrs.as_path = AsPath::from_sequence([1299, 64_500]);
-        attrs.next_hop = Ipv4Addr::new(10, 0, 2, 1);
-        rib.announce(Route::new(
-            "10.0.1.0/24".parse().expect("valid"),
-            attrs,
-            PeerId(2),
-            2,
-        ));
+        let mut node = router_with_peer();
+        install(&mut node, "10.0.1.0/24", &[1299, 64_500]);
         assert!(checker
-            .check(&outcome("10.0.0.0/8", 17557, true), &rib)
+            .check(&outcome("10.0.0.0/8", 17557, true), &node)
             .is_none());
         // A covering route *broader* than the announcement does not help:
         // the announced route stays the most specific match for its own
         // next hop.
         assert!(checker
-            .check(&outcome("10.0.1.0/25", 17557, true), &rib)
+            .check(&outcome("10.0.1.0/25", 17557, true), &node)
             .is_some());
         // Neither does an *equal-length* covering route: it is the very
         // prefix the announcement competes to replace.
         assert!(checker
-            .check(&outcome("10.0.1.0/24", 17557, true), &rib)
+            .check(&outcome("10.0.1.0/24", 17557, true), &node)
             .is_some());
     }
 

@@ -38,9 +38,7 @@ pub struct HandlerOutcome {
     /// The filter outcome (attribute modifications requested).
     pub filter: FilterOutcome,
     /// The messages this execution would have emitted, in emission order —
-    /// all intercepted, never sent. Sequence-aware checkers (e.g.
-    /// [`crate::RouteOscillationChecker`]) read announce/withdraw events
-    /// from here across a round's runs.
+    /// all intercepted, never sent.
     pub intercepted: Vec<(PeerId, UpdateMessage)>,
 }
 
@@ -132,7 +130,7 @@ impl SymbolicProgram for SymbolicUpdateHandler {
         // route for the very same prefix learned from the same peer, the
         // node would instead revoke it (treat-as-withdraw). Either way the
         // exploratory messages are intercepted, never sent — and recorded
-        // in emission order so sequence-aware checkers can replay them.
+        // in emission order.
         let exploratory = if accepted {
             Some(UpdateMessage::announce(vec![prefix], &attrs))
         } else {

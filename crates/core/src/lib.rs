@@ -45,11 +45,11 @@
 //!   interleaves live simulation progress with fleet rounds, each over an
 //!   incremental epoch window of newly observed inputs, and accumulates a
 //!   [`LiveReport`] with cross-round fault deduplication.
-//!   Sequence-aware checkers ([`RouteOscillationChecker`]) exploit the
-//!   per-run intercepted message sequences continuous rounds record, and a
-//!   deterministic [`FaultPlan`] ([`LiveOrchestrator::with_fault_plan`])
-//!   perturbs the network between epochs so exploration also covers the
-//!   faulty-network behaviours a quiescent run can never exhibit.
+//!   Cross-round checkers ([`CrossRoundFlapChecker`]) judge the observed
+//!   windows continuous rounds record, and a deterministic [`FaultPlan`]
+//!   ([`LiveOrchestrator::with_fault_plan`]) perturbs the network between
+//!   epochs so exploration also covers the faulty-network behaviours a
+//!   quiescent run can never exhibit.
 //!
 //! ## Example
 //!
@@ -106,7 +106,6 @@ pub use checker::{
     AsRelationship, BgpWedgieChecker, BlackholeChecker, CrossRoundFlapChecker, Fault, FaultChecker,
     FaultKey, FaultKind, ForwardingLoopChecker, LiveFold, MoreSpecificHijackChecker,
     ObservedTimelines, OriginHijackChecker, RoundOutcomes, RouteLeakChecker,
-    RouteOscillationChecker,
 };
 pub use checkpoint::RoundCheckpoint;
 pub use control::{

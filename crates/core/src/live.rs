@@ -62,8 +62,8 @@
 //! Because each round checkpoints the node state *as it was when the round
 //! ran*, continuous rounds see behaviour that a single end-of-run harvest
 //! cannot: a route that was installed during the run but withdrawn before
-//! the end only flaps in the mid-run checkpoint (see the route-oscillation
-//! end-to-end test in `tests/live_orchestrator.rs`).
+//! the end can only be hijacked in a mid-run checkpoint (see the mid-run
+//! hijack end-to-end test in `tests/live_orchestrator.rs`).
 //!
 //! Reports stay deterministic: a single-round run over a quiesced
 //! simulator is byte-identical (per [`FleetReport::digest`]) to
@@ -964,7 +964,7 @@ mod tests {
         fn check(
             &self,
             _outcome: &crate::HandlerOutcome,
-            _checkpoint_rib: &dice_router::Rib,
+            _node: &dice_router::BgpRouter,
         ) -> Option<Fault> {
             None
         }

@@ -40,9 +40,9 @@ pub struct ExplorationReport {
     pub intercepted_messages: usize,
     /// Whether the live node state was verified unchanged by exploration.
     pub isolation_preserved: bool,
-    /// Faults found, in discovery order: the per-outcome checker pass
-    /// first, then the round-level sequence pass
-    /// ([`crate::FaultChecker::check_round`]).
+    /// Faults found, in discovery order: observed inputs in input order,
+    /// each input's runs in execution order, checkers in registration
+    /// order.
     pub faults: Vec<Fault>,
     /// Cumulative solver statistics (including incremental-session
     /// counters: batched queries, prefix reuse, push/pop volume).

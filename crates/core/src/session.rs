@@ -12,7 +12,7 @@
 //!    time and re-executes generated inputs;
 //! 3. intercept every message the exploratory executions produce;
 //! 4. apply the fault checkers to every explored outcome against the
-//!    checkpointed routing table.
+//!    checkpointed node.
 //!
 //! [`DiceBuilder`] composes a session — its [`DiceConfig`] plus a pluggable
 //! checker registry — once, and the session is reused across rounds:
@@ -191,9 +191,7 @@ struct InputOutcome {
     coverage: Coverage,
     intercepted_messages: usize,
     faults: Vec<Fault>,
-    /// Every run's application-level outcome, in execution order — the
-    /// sequence the round-level checker pass ([`FaultChecker::check_round`])
-    /// replays after per-input outcomes are merged in input order.
+    /// Every run's application-level outcome, in execution order.
     outcomes: Vec<HandlerOutcome>,
 }
 
@@ -253,9 +251,8 @@ impl DiceSession {
 
     /// The node round: [`DiceSession::explore`] over `workers` threads,
     /// also returning every explored outcome of the round, concatenated in
-    /// input order (each input's runs in execution order) — the same
-    /// sequence the round-level checker pass replays, and what a live run
-    /// stitches into [`crate::RoundOutcomes`] history entries for the
+    /// input order (each input's runs in execution order) — what a live
+    /// run stitches into [`crate::RoundOutcomes`] history entries for the
     /// cross-round ([`FaultChecker::live_fold`]) pass. The report is the
     /// same for every worker count.
     pub(crate) fn node_round(
@@ -316,15 +313,6 @@ impl DiceSession {
             round_outcomes.extend(outcome.outcomes);
         }
 
-        // Round-level pass: sequence-aware checkers see the whole round's
-        // outcomes, concatenated in input order (each input's runs already
-        // in execution order) — deterministic for every worker count.
-        for fault in self.check_round(&round_outcomes, checkpoint.router().rib()) {
-            if !report.faults.contains(&fault) {
-                report.faults.push(fault);
-            }
-        }
-
         report.branch_sites = coverage.site_count();
         report.complete_sites = coverage.complete_sites();
         report.policy_sites = coverage.policy_site_count();
@@ -364,7 +352,7 @@ impl DiceSession {
         let mut intercepted_messages = 0;
         for run in &exploration.runs {
             intercepted_messages += run.output.intercepted.len();
-            for fault in self.check_outcome(&run.output, checkpoint.router().rib()) {
+            for fault in self.check_outcome(&run.output, checkpoint.router()) {
                 if !faults.contains(&fault) {
                     faults.push(fault);
                 }
@@ -385,23 +373,12 @@ impl DiceSession {
         })
     }
 
-    /// Applies every registered checker to one already-computed outcome, in
-    /// registration order.
-    fn check_outcome(&self, outcome: &HandlerOutcome, rib: &dice_router::Rib) -> Vec<Fault> {
+    /// Applies every registered checker to one already-computed outcome,
+    /// against the checkpointed node, in registration order.
+    fn check_outcome(&self, outcome: &HandlerOutcome, node: &BgpRouter) -> Vec<Fault> {
         self.checkers
             .iter()
-            .filter_map(|checker| checker.check(outcome, rib))
-            .collect()
-    }
-
-    /// Applies every registered checker's round-level hook
-    /// ([`FaultChecker::check_round`]) to a whole round's outcome sequence,
-    /// in registration order. The node round calls this once, after the
-    /// per-outcome pass.
-    fn check_round(&self, outcomes: &[HandlerOutcome], rib: &dice_router::Rib) -> Vec<Fault> {
-        self.checkers
-            .iter()
-            .flat_map(|checker| checker.check_round(outcomes, rib))
+            .filter_map(|checker| checker.check(outcome, node))
             .collect()
     }
 
@@ -574,60 +551,6 @@ mod tests {
         assert!(!session.config().symbolic_policy_fields);
         assert_eq!(session.config().workers, 3);
         assert_eq!(session.config().max_observed_inputs, 5);
-    }
-
-    #[test]
-    fn route_oscillation_checker_fires_through_a_session_round() {
-        // A customer import filter gated on *attributes only* (origin AS,
-        // MED): every exploratory variant keeps the announced prefix, so
-        // generated inputs alternate between acceptance (re-announce) and
-        // rejection (revoke the installed route) of the very same prefix —
-        // the node would flap it. Only the round-level sequence pass can
-        // see that.
-        let filter = dice_router::policy::parse_filter(
-            r#"filter customer_in {
-                if source_as = 17557 then accept;
-                if med > 100 then accept;
-                reject;
-            }"#,
-        )
-        .expect("valid filter");
-        let topo = dice_netsim::topology::figure2_topology_with_customer_filter(filter);
-        let spec = &topo.nodes()[topo.node_by_name("Provider").expect("node").0];
-        let mut router = BgpRouter::new(spec.config.clone());
-        router.start();
-
-        let customer = router.peer_by_address(addr::CUSTOMER).expect("peer");
-        let mut attrs = RouteAttrs::default();
-        attrs.as_path = AsPath::from_sequence([17557, 17557]);
-        attrs.next_hop = Ipv4Addr::new(10, 0, 1, 1);
-        let observed = UpdateMessage::announce(vec!["41.1.0.0/16".parse().expect("valid")], &attrs);
-        router.handle_update(customer, &observed);
-        assert!(router
-            .rib()
-            .best_route(&"41.1.0.0/16".parse().expect("valid"))
-            .is_some());
-
-        let session = DiceBuilder::new()
-            .checker(Box::new(crate::checker::RouteOscillationChecker::new()))
-            .build();
-        let report = session.explore(&router, &[(customer, observed.clone())]);
-        let fault = report
-            .faults
-            .iter()
-            .find(|f| f.checker == "route-oscillation")
-            .unwrap_or_else(|| panic!("oscillation must be flagged:\n{report}"));
-        assert_eq!(fault.leaked_prefix().to_string(), "41.1.0.0/16");
-        assert!(report.isolation_preserved);
-
-        // Per-outcome checkers alone cannot: the same round through the
-        // default (hijack-only) session stays clean.
-        let hijack_only = DiceBuilder::new().build();
-        let report = hijack_only.explore(&router, &[(customer, observed)]);
-        assert!(report
-            .faults
-            .iter()
-            .all(|f| f.checker != "route-oscillation"));
     }
 
     #[test]

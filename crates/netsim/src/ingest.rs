@@ -136,8 +136,8 @@ impl WireTrace {
     }
 
     /// Parses a serialized trace. Framing problems (bad magic, unsupported
-    /// version, truncated records, frames longer than a BGP message can be)
-    /// are reported as structured [`IngestError`]s; message *contents* are
+    /// version, truncated records) are reported as structured
+    /// [`IngestError`]s; message *contents*, a frame's length included, are
     /// not validated here — that is the replay driver's job, per frame.
     pub fn from_bytes(buf: &[u8]) -> Result<WireTrace, IngestError> {
         let take = |offset: &mut usize, n: usize| -> Result<usize, IngestError> {
@@ -165,18 +165,12 @@ impl WireTrace {
         let at = take(&mut offset, 4)?;
         let count = u32::from_be_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize;
         let mut records = Vec::with_capacity(count.min(1 << 16));
-        for record in 0..count {
+        for _ in 0..count {
             let at = take(&mut offset, 18)?;
             let at_ms = u64::from_be_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
             let node = u32::from_be_bytes(buf[at + 8..at + 12].try_into().expect("4 bytes"));
             let peer = u32::from_be_bytes(buf[at + 12..at + 16].try_into().expect("4 bytes"));
             let len = u16::from_be_bytes([buf[at + 16], buf[at + 17]]) as usize;
-            if len > wire::MAX_MESSAGE_LEN {
-                return Err(IngestError::OversizedFrame {
-                    record,
-                    declared: len,
-                });
-            }
             let at = take(&mut offset, len)?;
             records.push(WireRecord {
                 at_ms,
@@ -229,13 +223,6 @@ pub enum IngestError {
         /// Bytes actually remaining.
         available: usize,
     },
-    /// A frame declares a length beyond [`wire::MAX_MESSAGE_LEN`].
-    OversizedFrame {
-        /// Index of the offending record.
-        record: usize,
-        /// The declared frame length.
-        declared: usize,
-    },
     /// A frame's bytes failed [`wire::decode`] — truncated message, bad
     /// marker, unknown attribute flags, malformed lengths, ...
     Decode {
@@ -272,9 +259,6 @@ impl fmt::Display for IngestError {
                 f,
                 "truncated trace at offset {offset}: need {needed} bytes, have {available}"
             ),
-            IngestError::OversizedFrame { record, declared } => {
-                write!(f, "record {record}: oversized frame ({declared} bytes)")
-            }
             IngestError::Decode { record, error } => {
                 write!(f, "record {record}: decode failed: {error}")
             }
@@ -516,6 +500,7 @@ mod tests {
     use super::*;
     use crate::topology::{addr, asn, figure2_topology, CustomerFilterMode};
     use dice_bgp::attributes::RouteAttrs;
+    use dice_bgp::prefix::Ipv4Prefix;
     use dice_bgp::AsPath;
 
     fn announcement(prefix: &str, path: &[u32], next_hop: Ipv4Addr) -> BgpMessage {
@@ -595,13 +580,18 @@ mod tests {
             Err(IngestError::TruncatedTrace { .. })
         ));
 
-        // Oversize the first record's declared frame length.
+        // A declared frame length beyond what the buffer holds is a
+        // truncated trace, whatever the length.
         let mut oversized = bytes.clone();
         oversized[30] = 0xff;
         oversized[31] = 0xff;
         assert!(matches!(
             WireTrace::from_bytes(&oversized),
-            Err(IngestError::OversizedFrame { record: 0, .. })
+            Err(IngestError::TruncatedTrace {
+                offset: 32,
+                needed: 0xffff,
+                ..
+            })
         ));
         assert!(IngestError::BadMagic.to_string().contains("magic"));
     }
@@ -701,6 +691,50 @@ mod tests {
             }
         ));
         assert!(s.events[1].to_string().contains("trailing"));
+    }
+
+    #[test]
+    fn an_oversized_frame_fails_alone_on_replay() {
+        let topo = figure2_topology(CustomerFilterMode::Correct);
+        let provider = topo.node_by_name("Provider").expect("node");
+        // A 1,200-prefix UPDATE encodes, but longer than a BGP message may
+        // be; it sits between the two frames of the sample trace.
+        let prefixes = (0..1200u32)
+            .map(|i| Ipv4Prefix::new((60 << 24) | (i << 8), 24).expect("a /24"))
+            .collect();
+        let mut attrs = RouteAttrs::default();
+        attrs.as_path = AsPath::from_sequence([asn::CUSTOMER]);
+        attrs.next_hop = addr::CUSTOMER;
+        let oversized = UpdateMessage::announce(prefixes, &attrs);
+        let mut trace = sample_trace(provider);
+        let last = trace.records.pop().expect("two frames");
+        trace.push_update(500, provider, addr::CUSTOMER, &oversized);
+        trace.records.push(last);
+        assert_eq!(trace.records[1].bytes.len(), 4843);
+
+        let parsed = WireTrace::from_bytes(&trace.to_bytes()).expect("the trace parses");
+        assert_eq!(parsed, trace);
+
+        let mut sim = Simulator::new(&topo);
+        let mut driver = WireReplayDriver::new(parsed);
+        assert!(!driver.drive(&mut sim, 0));
+        sim.run_to_quiescence(100);
+        let s = driver.stats().snapshot();
+        assert_eq!(s.frames, 3);
+        assert_eq!(s.decode_errors, 1);
+        assert_eq!(s.injected_updates, 2, "the other two frames are delivered");
+        assert_eq!(
+            s.events,
+            [IngestError::Decode {
+                record: 1,
+                error: BgpError::BadLength(4843),
+            }]
+        );
+        assert!(sim
+            .router(provider)
+            .rib()
+            .best_route(&"41.1.0.0/16".parse().expect("valid"))
+            .is_some());
     }
 
     #[test]

@@ -122,9 +122,9 @@ pub fn figure2_topology(mode: CustomerFilterMode) -> Topology {
 /// The Figure 2 wiring with an arbitrary Provider customer import filter
 /// (referenced by the filter's own name). This is the hook scenario tests
 /// use to install bespoke policies — e.g. an attribute-gated filter whose
-/// exploratory variants alternately accept and revoke the same prefix, the
-/// route-flapping setup the live orchestrator's oscillation checker
-/// detects.
+/// exploratory variants keep the announced prefix under another origin,
+/// the setup in which a mid-run live round flags a hijack of a route that
+/// is installed only mid-run.
 pub fn figure2_topology_with_customer_filter(
     customer_in: dice_router::policy::FilterDef,
 ) -> Topology {

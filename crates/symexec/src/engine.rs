@@ -191,10 +191,9 @@ impl<O> Exploration<O> {
     /// output, preserving execution order (seed runs first, generated runs
     /// in the order they were committed).
     ///
-    /// This is the plumbing surface for *sequence-aware* fault checkers:
-    /// outputs carry whatever the program recorded per run (in DiCE, the
-    /// intercepted message sequence), and the order they are returned in is
-    /// the order the round executed them.
+    /// Outputs carry whatever the program recorded per run (in DiCE, the
+    /// handler outcome with its intercepted messages), and the order they
+    /// are returned in is the order the round executed them.
     pub fn into_outputs(self) -> Vec<O> {
         self.runs.into_iter().map(|r| r.output).collect()
     }

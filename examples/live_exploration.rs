@@ -12,10 +12,10 @@
 //!
 //! The scenario also shows why continuous rounds matter: the customer
 //! announces its block (installed at the provider), a mid-run round
-//! explores *while it is installed* and catches that exploratory variants
-//! would make the provider flap the route (announce/withdraw oscillation),
-//! and then the customer withdraws it — after which a single end-of-run
-//! round can no longer see the fault.
+//! explores *while it is installed* and catches that an exploratory
+//! variant claiming another origin would hijack it, and then the customer
+//! withdraws it — after which a single end-of-run round can no longer see
+//! the fault.
 //!
 //! Run with `cargo run --release --example live_exploration`.
 
@@ -27,7 +27,7 @@ fn main() {
     //    filter on the Provider: the customer's routes are accepted when
     //    the origin AS matches (or a MED escape hatch fires) and rejected
     //    otherwise — so exploratory variants of one observed announcement
-    //    keep the prefix but flip the verdict.
+    //    keep the prefix, and the MED escape hatch accepts any origin.
     let filter = parse_filter(
         r#"filter customer_in {
             if source_as = 17557 then accept;
@@ -40,23 +40,23 @@ fn main() {
     let provider = topo.node_by_name("Provider").expect("Figure 2 node");
     let mut sim = Simulator::new(&topo);
 
-    // 2. The session shared by every round: the showcase hijack checker
-    //    plus the sequence-aware route-oscillation checker, which replays
-    //    each round's intercepted announce/withdraw message sequences.
-    let session = DiceBuilder::new()
-        .checker(Box::new(OriginHijackChecker::new()))
-        .checker(Box::new(RouteOscillationChecker::new()))
-        .build();
+    // 2. The session shared by every round: the showcase hijack checker,
+    //    judging each explored route against the round's checkpoint.
+    let session = || {
+        DiceBuilder::new()
+            .checker(Box::new(OriginHijackChecker::new()))
+            .build()
+    };
 
     // 3. Drive the simulation and explore continuously. The driver is
     //    called once per epoch to inject the next stretch of live traffic;
     //    the orchestrator quiesces the simulator, harvests the new window
     //    and runs one round over every node.
-    let flap_prefix: Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
+    let mid_run_prefix: Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
     // Compaction (on by default) would drop the harvested log after each
     // round; this example re-harvests the same simulator at the end for
     // the one-shot comparison, so the full history is retained.
-    let orchestrator = LiveOrchestrator::new(session)
+    let orchestrator = LiveOrchestrator::new(session())
         .with_max_rounds(8)
         .with_log_compaction(false);
     let report = orchestrator.run(&mut sim, |sim, epoch| {
@@ -70,7 +70,7 @@ fn main() {
                 sim.inject(
                     provider,
                     addr::CUSTOMER,
-                    BgpMessage::Update(UpdateMessage::announce(vec![flap_prefix], &attrs)),
+                    BgpMessage::Update(UpdateMessage::announce(vec![mid_run_prefix], &attrs)),
                 );
                 true
             }
@@ -88,12 +88,12 @@ fn main() {
             }
             // Epoch 2: the customer withdraws the first block — from now
             // on no checkpoint holds it, so no later round could catch
-            // the oscillation. The driver reports completion.
+            // its hijack. Returning false ends the run.
             _ => {
                 sim.inject(
                     provider,
                     addr::CUSTOMER,
-                    BgpMessage::Update(UpdateMessage::withdraw(vec![flap_prefix])),
+                    BgpMessage::Update(UpdateMessage::withdraw(vec![mid_run_prefix])),
                 );
                 false
             }
@@ -112,34 +112,31 @@ fn main() {
     }
 
     // 4. The mid-run round caught the temporal fault...
-    let oscillation = report
+    let hijack = report
         .faults
         .iter()
-        .find(|f| f.fault.checker == "route-oscillation")
-        .expect("the mid-run round catches the flap");
-    assert_eq!(oscillation.fault.leaked_prefix(), flap_prefix);
+        .find(|f| f.fault.leaked_prefix() == mid_run_prefix)
+        .expect("the mid-run round catches the hijack");
+    assert_eq!(hijack.fault.checker, "origin-hijack");
+    assert_eq!(hijack.rounds, vec![0]);
     println!(
         "\ncaught while installed: {} (round(s) {:?})",
-        oscillation.fault, oscillation.rounds
+        hijack.fault, hijack.rounds
     );
 
     // ...which a single end-of-run harvest provably misses: the same
     // session over the same final simulator state checkpoints a table the
-    // withdrawn route is long gone from, so nothing oscillates on that
+    // withdrawn route is long gone from, so nothing is hijacked on that
     // prefix. (The second block is still installed and still flags — the
     // *temporal* fault is exactly the one the single round loses.)
-    let one_shot = FleetExplorer::new(
-        DiceBuilder::new()
-            .checker(Box::new(OriginHijackChecker::new()))
-            .checker(Box::new(RouteOscillationChecker::new()))
-            .build(),
-    )
-    .explore(&sim);
-    assert!(one_shot.faults.iter().all(|f| {
-        f.fault.checker != "route-oscillation" || f.fault.leaked_prefix() != flap_prefix
-    }));
+    let one_shot = FleetExplorer::new(session()).explore(&sim);
+    assert!(one_shot.has_faults());
+    assert!(one_shot
+        .faults
+        .iter()
+        .all(|f| f.fault.leaked_prefix() != mid_run_prefix));
     println!(
-        "a single end-of-run round over the same state misses the {flap_prefix} oscillation — continuous rounds were required"
+        "a single end-of-run round over the same state misses the {mid_run_prefix} hijack — continuous rounds were required"
     );
     assert!(report.rounds.iter().all(|r| r
         .report

@@ -34,9 +34,8 @@ pub mod prelude {
         FaultScenario, FleetExplorer, FleetFault, FleetReport, ForwardingLoopChecker,
         IngestCounters, LiveFault, LiveFold, LiveOrchestrator, LiveReport, LiveRound,
         MoreSpecificHijackChecker, ObservedTimelines, OriginHijackChecker, ReproBundle,
-        ReproReplay, RoundCheckpoint, RoundOutcomes, RouteLeakChecker, RouteOscillationChecker,
-        SearchCounters, SearchReport, SearchSummary, SpecKindMask, UpdateTemplate,
-        CONTROL_SCHEMA_VERSION,
+        ReproReplay, RoundCheckpoint, RoundOutcomes, RouteLeakChecker, SearchCounters,
+        SearchReport, SearchSummary, SpecKindMask, UpdateTemplate, CONTROL_SCHEMA_VERSION,
     };
     pub use dice_netsim::topology::{
         addr, asn, figure2_topology, figure2_topology_with_customer_filter, NodeId, Topology,
@@ -83,7 +82,6 @@ mod tests {
         let _ = FleetExplorer::new(session);
         let _: Option<FleetFault> = None;
         let _ = FleetReport::default();
-        let _ = RouteOscillationChecker::new().with_min_transitions(3);
         let _ = RouteLeakChecker::new()
             .with_customer(17_557)
             .with_peer(1_299)

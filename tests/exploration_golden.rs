@@ -333,7 +333,6 @@ fn short_live_script_is_pinned() {
 
     let session = DiceBuilder::new()
         .checker(Box::new(OriginHijackChecker::new()))
-        .checker(Box::new(RouteOscillationChecker::new()))
         .build();
     let live = LiveOrchestrator::new(session).run(&mut sim, |sim, epoch| {
         // Three epochs, two customer announcements each, on both sides

@@ -1,9 +1,10 @@
 //! End-to-end tests of continuous ("live") exploration: the
 //! `LiveOrchestrator` interleaving simulation progress with exploration
-//! rounds, its equivalence anchor against `FleetExplorer`, and the class
-//! of temporal faults — route oscillation — that only continuous rounds
-//! can catch.
+//! rounds, its equivalence anchor against `FleetExplorer`, and the faults
+//! only continuous rounds can catch — a hijack of a route that was
+//! installed only mid-run.
 
+use dice::bgp::Asn;
 use dice::prelude::*;
 use dice::router::policy::parse_filter;
 use std::net::Ipv4Addr;
@@ -18,10 +19,9 @@ fn announcement(prefix: &str, path: &[u32], next_hop: Ipv4Addr) -> BgpMessage {
     ))
 }
 
-fn two_checker_session() -> DiceSession {
+fn hijack_session() -> DiceSession {
     DiceBuilder::new()
         .checker(Box::new(OriginHijackChecker::new()))
-        .checker(Box::new(RouteOscillationChecker::new()))
         .build()
 }
 
@@ -55,7 +55,7 @@ fn single_round_live_run_matches_fleet_exploration_byte_for_byte() {
     );
     sim.run_to_quiescence(100);
 
-    let session = two_checker_session();
+    let session = hijack_session();
     let fleet = FleetExplorer::new(session.clone()).explore(&sim);
     let live = LiveOrchestrator::new(session).run(&mut sim, |_, _| false);
 
@@ -72,14 +72,15 @@ fn single_round_live_run_matches_fleet_exploration_byte_for_byte() {
 
 /// The temporal-fault acceptance test: live traffic installs a route,
 /// exploration runs a round *while it is installed*, then the route is
-/// withdrawn. The mid-run round sees the node alternately announce and
-/// revoke the prefix (route oscillation); a single harvested round over
-/// the final state — where the route is long gone — cannot.
+/// withdrawn. The mid-run round checkpoints a table holding the customer's
+/// route, so an exploratory variant claiming another origin for the same
+/// prefix is a hijack of it; a single harvested round over the final
+/// state — where the route is long gone — has nothing to hijack.
 #[test]
-fn multi_round_live_run_detects_an_oscillation_a_single_round_misses() {
+fn a_mid_run_round_flags_a_hijack_of_a_route_installed_only_mid_run() {
     // A customer import filter gated on attributes only: exploratory
-    // variants keep the announced prefix but flip the verdict, so with the
-    // route installed the node would flap it.
+    // variants keep the announced prefix, and the MED escape hatch accepts
+    // them under any origin AS.
     let filter = parse_filter(
         r#"filter customer_in {
             if source_as = 17557 then accept;
@@ -92,11 +93,11 @@ fn multi_round_live_run_detects_an_oscillation_a_single_round_misses() {
     let provider = topo.node_by_name("Provider").expect("node");
     let mut sim = Simulator::new(&topo);
 
-    let flap_prefix: Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
+    let mid_run_prefix: Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
     // Log compaction is disabled because this test deliberately
     // re-harvests the same simulator afterwards with a one-shot fleet
     // round, which needs the full delivery log.
-    let live = LiveOrchestrator::new(two_checker_session())
+    let live = LiveOrchestrator::new(hijack_session())
         .with_log_compaction(false)
         .run(&mut sim, |sim, epoch| {
             match epoch {
@@ -120,7 +121,7 @@ fn multi_round_live_run_detects_an_oscillation_a_single_round_misses() {
                     sim.inject(
                         provider,
                         addr::CUSTOMER,
-                        BgpMessage::Update(UpdateMessage::withdraw(vec![flap_prefix])),
+                        BgpMessage::Update(UpdateMessage::withdraw(vec![mid_run_prefix])),
                     );
                     false
                 }
@@ -131,28 +132,30 @@ fn multi_round_live_run_detects_an_oscillation_a_single_round_misses() {
     assert!(sim
         .router(provider)
         .rib()
-        .best_route(&flap_prefix)
+        .best_route(&mid_run_prefix)
         .is_none());
-    // ...but the round that ran while it was installed caught the flap.
-    let oscillation = live
-        .faults
-        .iter()
-        .find(|f| f.fault.checker == "route-oscillation")
-        .unwrap_or_else(|| panic!("live run must catch the oscillation:\n{live}"));
-    assert_eq!(oscillation.fault.leaked_prefix(), flap_prefix);
-    assert_eq!(oscillation.rounds, vec![0], "caught by the mid-run round");
-    assert!(oscillation.nodes.contains(&provider));
+    // ...but the round that ran while it was installed flagged the hijack.
+    assert_eq!(live.faults.len(), 1, "exactly the mid-run hijack:\n{live}");
+    let hijack = &live.faults[0];
+    assert_eq!(
+        hijack.fault.kind,
+        FaultKind::PotentialHijack {
+            announced: mid_run_prefix,
+            claimed_origin: Asn(17_558),
+            existing_prefix: mid_run_prefix,
+            existing_origin: Asn(asn::CUSTOMER),
+        }
+    );
+    assert_eq!(hijack.rounds, vec![0], "caught by the mid-run round");
+    assert_eq!(hijack.nodes, vec![provider]);
 
     // A single harvested round over the very same (final) simulator state
     // explores the same observed inputs but checkpoints a table without
-    // the route: rejected variants revoke nothing, no announce/withdraw
-    // alternation exists, the oscillation is invisible.
-    let one_shot = FleetExplorer::new(two_checker_session()).explore(&sim);
+    // the route: no installed route covers the prefix, so nothing is
+    // hijacked.
+    let one_shot = FleetExplorer::new(hijack_session()).explore(&sim);
     assert!(
-        one_shot
-            .faults
-            .iter()
-            .all(|f| f.fault.checker != "route-oscillation"),
+        one_shot.faults.is_empty(),
         "a single end-of-run round cannot see the temporal fault:\n{one_shot}"
     );
     // Not because nothing was explored: the announcement is still in the
@@ -161,29 +164,28 @@ fn multi_round_live_run_detects_an_oscillation_a_single_round_misses() {
 
     // The live run's digest is stable across identical reruns.
     let mut sim2 = Simulator::new(&topo);
-    let rerun =
-        LiveOrchestrator::new(two_checker_session()).run(&mut sim2, |sim, epoch| match epoch {
-            0 => {
-                sim.inject(
-                    provider,
+    let rerun = LiveOrchestrator::new(hijack_session()).run(&mut sim2, |sim, epoch| match epoch {
+        0 => {
+            sim.inject(
+                provider,
+                addr::CUSTOMER,
+                announcement(
+                    "41.1.0.0/16",
+                    &[asn::CUSTOMER, asn::CUSTOMER],
                     addr::CUSTOMER,
-                    announcement(
-                        "41.1.0.0/16",
-                        &[asn::CUSTOMER, asn::CUSTOMER],
-                        addr::CUSTOMER,
-                    ),
-                );
-                true
-            }
-            _ => {
-                sim.inject(
-                    provider,
-                    addr::CUSTOMER,
-                    BgpMessage::Update(UpdateMessage::withdraw(vec![flap_prefix])),
-                );
-                false
-            }
-        });
+                ),
+            );
+            true
+        }
+        _ => {
+            sim.inject(
+                provider,
+                addr::CUSTOMER,
+                BgpMessage::Update(UpdateMessage::withdraw(vec![mid_run_prefix])),
+            );
+            false
+        }
+    });
     assert_eq!(rerun.digest(), live.digest());
 }
 
@@ -237,7 +239,7 @@ fn no_fork_is_alive_when_the_driver_writes() {
     };
 
     let mut epochs = 0;
-    let live = LiveOrchestrator::new(two_checker_session()).run(&mut sim, |sim, epoch| {
+    let live = LiveOrchestrator::new(hijack_session()).run(&mut sim, |sim, epoch| {
         assert!(
             shared_tables(sim).iter().all(|&shared| shared == 0),
             "epoch {epoch}: a fork is alive across drive: {:?}",
@@ -271,7 +273,7 @@ fn generation_counted_cow_sharing_equals_what_held_forks_report() {
 
     let mut sim = Simulator::new(&topo);
     let plane = ControlPlane::new();
-    let report = LiveOrchestrator::new(two_checker_session())
+    let report = LiveOrchestrator::new(hijack_session())
         .with_control_plane(plane.clone())
         .run(&mut sim, |sim, epoch| scripted_epoch(sim, provider, epoch));
     let counted = plane.sample().cow;
@@ -300,7 +302,7 @@ fn generation_counted_cow_sharing_equals_what_held_forks_report() {
         }
         forks = capture(sim);
     };
-    let held_report = LiveOrchestrator::new(two_checker_session())
+    let held_report = LiveOrchestrator::new(hijack_session())
         .with_control_plane(held_plane.clone())
         .run(&mut held_sim, |sim, epoch| {
             close_window(sim, held_plane.sample().rounds);
