@@ -137,8 +137,7 @@ pub struct ControlSnapshot {
     /// "cow shards".
     pub cow: CowForkStats,
     /// The delivery-log compaction watermark: every log entry below this
-    /// sequence number has been harvested (and dropped, when compaction is
-    /// on).
+    /// sequence number has been harvested and dropped.
     pub compaction_watermark: u64,
     /// Messages the simulator has delivered.
     pub delivered: u64,
@@ -401,10 +400,9 @@ impl fmt::Display for ControlSnapshot {
 
 /// The shared handle a run publishes through and observers sample from.
 ///
-/// Cloning shares the same slot: hand one clone to
-/// [`crate::LiveOrchestrator::with_control_plane`] (or take the
-/// orchestrator's own via [`crate::LiveOrchestrator::control_plane`]) and
-/// keep another wherever status is served from. [`ControlPlane::sample`]
+/// Cloning shares the same slot: take the orchestrator's own via
+/// [`crate::LiveOrchestrator::control_plane`] and keep a clone wherever
+/// status is served from. [`ControlPlane::sample`]
 /// is a brief lock and an `Arc` bump — cheap enough to call from a status
 /// endpoint at any rate — and never blocks on snapshot assembly, which
 /// happens outside the lock.

@@ -12,10 +12,9 @@
 //!    ([`dice_netsim::ObservedInput::seq`]), so the round harvests exactly
 //!    the inputs that arrived since the previous round
 //!    ([`Simulator::observed_inputs_in`]) — no global wipe, no node ever
-//!    loses another node's pending observations. With log compaction on
-//!    (the default) the window is taken out of the log
-//!    ([`Simulator::take_observed_in`]) instead of copied, since step 6
-//!    drops it anyway;
+//!    loses another node's pending observations. The window is taken out
+//!    of the log ([`Simulator::take_observed_in`]) instead of copied,
+//!    since step 6 drops it anyway;
 //! 3. **explore** — one fleet round runs over the window, every node in
 //!    turn on the calling thread: the same function
 //!    [`crate::FleetExplorer`] runs over a whole harvest;
@@ -32,9 +31,11 @@
 //!    fault ledger fleet dedup uses: the same leak re-detected every round
 //!    is one live fault with every sighting round recorded;
 //! 6. **compact** — once the round's window is harvested, the delivery log
-//!    below the cursor is dropped ([`Simulator::trim_observed_below`];
-//!    disable via [`LiveOrchestrator::with_log_compaction`]), bounding a
-//!    long live session's memory by the unharvested tail.
+//!    below the cursor is dropped ([`Simulator::trim_observed_below`]),
+//!    bounding a long live session's memory by the unharvested tail. A
+//!    caller that wants to explore the same traffic again drives a second
+//!    simulator through the same script: exploration never writes live
+//!    state, so the two end in the same state.
 //!
 //! Memory stays bounded on a run of any length: the log by the
 //! unharvested tail, the temporal folds by what the last 64 entries
@@ -405,7 +406,6 @@ pub struct LiveOrchestrator {
     session: DiceSession,
     quiesce_steps: u64,
     max_rounds: usize,
-    compact_log: bool,
     fault_plan: Option<FaultPlan>,
     control: ControlPlane,
     ingest_stats: Option<SharedIngestStats>,
@@ -425,7 +425,6 @@ impl LiveOrchestrator {
             session,
             quiesce_steps: 100,
             max_rounds: 64,
-            compact_log: true,
             fault_plan: None,
             control: ControlPlane::new(),
             ingest_stats: None,
@@ -456,20 +455,6 @@ impl LiveOrchestrator {
         self
     }
 
-    /// Enables or disables delivery-log compaction (default: enabled).
-    ///
-    /// After each executed round — once the orchestrator's cursor has
-    /// passed the harvested window — the simulator log below the cursor is
-    /// dropped ([`Simulator::trim_observed_below`]), so a long-running live
-    /// session holds only the unharvested tail instead of the unbounded
-    /// full history. Disable it when something else re-harvests the same
-    /// simulator after the run (e.g. a comparative one-shot
-    /// [`crate::FleetExplorer::explore`] over the full log).
-    pub fn with_log_compaction(mut self, enabled: bool) -> Self {
-        self.compact_log = enabled;
-        self
-    }
-
     /// Installs a deterministic [`FaultPlan`] driven alongside the run: the
     /// plan is installed into the simulator when [`LiveOrchestrator::run`]
     /// starts (resetting the fault runtime and reseeding its RNG from the
@@ -480,15 +465,6 @@ impl LiveOrchestrator {
     /// run without a plan.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Publishes run status through an externally owned [`ControlPlane`]
-    /// instead of the orchestrator's own: hand one clone of the plane to
-    /// whatever serves status and the other here. Equivalent to sampling
-    /// [`LiveOrchestrator::control_plane`].
-    pub fn with_control_plane(mut self, plane: ControlPlane) -> Self {
-        self.control = plane;
         self
     }
 
@@ -556,20 +532,13 @@ impl LiveOrchestrator {
             let head = sim.observed_cursor();
             if head > cursor {
                 let mut harvest_span = dice_obs::span("core", "live.harvest");
-                let windows: Vec<_> = if self.compact_log {
-                    // The log below `head` is trimmed once the round is
-                    // done, so the window is taken out of it, not copied.
-                    nodes
-                        .iter()
-                        .copied()
-                        .zip(sim.take_observed_in(cursor, head))
-                        .collect()
-                } else {
-                    nodes
-                        .iter()
-                        .map(|&node| (node, sim.observed_inputs_in(node, cursor, head)))
-                        .collect()
-                };
+                // The log below `head` is trimmed once the round is done,
+                // so the window is taken out of it, not copied.
+                let windows: Vec<_> = nodes
+                    .iter()
+                    .copied()
+                    .zip(sim.take_observed_in(cursor, head))
+                    .collect();
                 harvest_span.set_detail(windows.iter().map(|(_, w)| w.len() as u64).sum());
                 drop(harvest_span);
                 let (fleet, outcomes) = fleet_round(&self.session, sim, &windows);
@@ -611,11 +580,9 @@ impl LiveOrchestrator {
                     report: fleet,
                 });
                 cursor = head;
-                if self.compact_log {
-                    // Every cursor of this run has passed `cursor`, so the
-                    // log below it can never be harvested again: drop it.
-                    sim.trim_observed_below(cursor);
-                }
+                // Every cursor of this run has passed `cursor`, so the log
+                // below it can never be harvested again: drop it.
+                sim.trim_observed_below(cursor);
 
                 // The window closes: a table whose generation has not
                 // moved since it opened is one a fork held across it would
@@ -911,8 +878,8 @@ mod tests {
             epoch + 1 < blocks.len()
         };
 
-        // Default: the log is trimmed up to the cursor after each round —
-        // a fully harvested run leaves an empty log.
+        // The log is trimmed up to the cursor after each round — a fully
+        // harvested run leaves an empty log.
         let mut compacted_sim = Simulator::new(&topo);
         inject_victim_table(&mut compacted_sim, provider);
         let compacted = LiveOrchestrator::default().run(&mut compacted_sim, drive);
@@ -924,19 +891,6 @@ mod tests {
             let last = compacted.rounds.last().expect("rounds ran");
             last.window.1
         });
-
-        // Compaction never changes what exploration reports.
-        let mut retained_sim = Simulator::new(&topo);
-        inject_victim_table(&mut retained_sim, provider);
-        let retained = LiveOrchestrator::default()
-            .with_log_compaction(false)
-            .run(&mut retained_sim, drive);
-        assert_eq!(retained.digest(), compacted.digest());
-        assert_eq!(
-            retained_sim.observed_log().len() as u64,
-            retained_sim.observed_cursor(),
-            "without compaction the full history is retained"
-        );
         assert!(compacted.has_faults());
     }
 

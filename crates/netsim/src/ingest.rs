@@ -43,7 +43,7 @@ use crate::trace::{generate_trace, TraceGenConfig};
 /// Magic bytes opening a serialized [`WireTrace`].
 const WIRE_TRACE_MAGIC: [u8; 8] = *b"DICEWIRE";
 /// Serialization format version written by [`WireTrace::to_bytes`].
-const WIRE_TRACE_VERSION: u16 = 1;
+const WIRE_TRACE_VERSION: u16 = 2;
 
 /// One framed trace entry: a raw BGP message as captured on the wire,
 /// stamped with when it arrived and which peer of which node sent it.
@@ -117,10 +117,11 @@ impl WireTrace {
     }
 
     /// Serializes the trace: magic, version, record count, then each
-    /// record as `at_ms:u64 | node:u32 | peer:u32 | len:u16 | bytes`, all
-    /// big-endian.
+    /// record as `at_ms:u64 | node:u32 | peer:u32 | len:u32 | bytes`, all
+    /// big-endian. Version 1 framed `len` as a `u16`, which wrapped the
+    /// length of a frame over 65,535 bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload: usize = self.records.iter().map(|r| 18 + r.bytes.len()).sum();
+        let payload: usize = self.records.iter().map(|r| 20 + r.bytes.len()).sum();
         let mut out = Vec::with_capacity(14 + payload);
         out.extend_from_slice(&WIRE_TRACE_MAGIC);
         out.extend_from_slice(&WIRE_TRACE_VERSION.to_be_bytes());
@@ -129,7 +130,8 @@ impl WireTrace {
             out.extend_from_slice(&r.at_ms.to_be_bytes());
             out.extend_from_slice(&(r.node.0 as u32).to_be_bytes());
             out.extend_from_slice(&u32::from(r.peer).to_be_bytes());
-            out.extend_from_slice(&(r.bytes.len() as u16).to_be_bytes());
+            let len = u32::try_from(r.bytes.len()).expect("a frame is shorter than 4 GiB");
+            out.extend_from_slice(&len.to_be_bytes());
             out.extend_from_slice(&r.bytes);
         }
         out
@@ -166,11 +168,12 @@ impl WireTrace {
         let count = u32::from_be_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize;
         let mut records = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            let at = take(&mut offset, 18)?;
+            let at = take(&mut offset, 20)?;
             let at_ms = u64::from_be_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
             let node = u32::from_be_bytes(buf[at + 8..at + 12].try_into().expect("4 bytes"));
             let peer = u32::from_be_bytes(buf[at + 12..at + 16].try_into().expect("4 bytes"));
-            let len = u16::from_be_bytes([buf[at + 16], buf[at + 17]]) as usize;
+            let len =
+                u32::from_be_bytes(buf[at + 16..at + 20].try_into().expect("4 bytes")) as usize;
             let at = take(&mut offset, len)?;
             records.push(WireRecord {
                 at_ms,
@@ -583,13 +586,12 @@ mod tests {
         // A declared frame length beyond what the buffer holds is a
         // truncated trace, whatever the length.
         let mut oversized = bytes.clone();
-        oversized[30] = 0xff;
-        oversized[31] = 0xff;
+        oversized[30..34].copy_from_slice(&[0xff; 4]);
         assert!(matches!(
             WireTrace::from_bytes(&oversized),
             Err(IngestError::TruncatedTrace {
-                offset: 32,
-                needed: 0xffff,
+                offset: 34,
+                needed: 0xffff_ffff,
                 ..
             })
         ));
@@ -735,6 +737,33 @@ mod tests {
             .rib()
             .best_route(&"41.1.0.0/16".parse().expect("valid"))
             .is_some());
+    }
+
+    #[test]
+    fn a_frame_over_65535_bytes_keeps_its_length() {
+        let topo = figure2_topology(CustomerFilterMode::Correct);
+        let provider = topo.node_by_name("Provider").expect("node");
+        let mut trace = WireTrace::new();
+        trace.push_raw(0, provider, addr::CUSTOMER, vec![0xff; 70_000]);
+        let keepalive = BgpMessage::Keepalive(dice_bgp::message::KeepaliveMessage);
+        trace.push_message(1, provider, addr::CUSTOMER, &keepalive);
+
+        let parsed = WireTrace::from_bytes(&trace.to_bytes()).expect("the trace parses");
+        let lengths: Vec<usize> = parsed.records.iter().map(|r| r.bytes.len()).collect();
+        assert_eq!(lengths, [70_000, 19]);
+        assert_eq!(parsed, trace);
+
+        let mut sim = Simulator::new(&topo);
+        let mut driver = WireReplayDriver::new(parsed);
+        assert!(!driver.drive(&mut sim, 0));
+        let s = driver.stats().snapshot();
+        assert_eq!(s.frames, 2);
+        assert_eq!(s.decode_errors, 1);
+        assert_eq!(s.decoded, 1, "the keepalive decodes");
+        assert!(matches!(
+            s.events[..],
+            [IngestError::Decode { record: 0, .. }]
+        ));
     }
 
     #[test]

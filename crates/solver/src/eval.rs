@@ -1,4 +1,4 @@
-//! Concrete evaluation of terms: the one core under [`Model::eval`], the
+//! Concrete evaluation of terms: the one core under [`Model::holds`], the
 //! enumeration phase and local search.
 //!
 //! Evaluation is split by sort — [`eval_int`] yields a `u64`, [`eval_bool`] a
@@ -42,24 +42,6 @@ pub(crate) fn eval_int<A: Assignment + ?Sized>(arena: &TermArena, values: &A, te
     match node.kind {
         TermKind::ConstInt { value, .. } => value,
         TermKind::Var(v) => mask(values.value(v), node.sort.width()),
-        TermKind::Bin { op, lhs, rhs } => {
-            let a = eval_int(arena, values, lhs);
-            let b = eval_int(arena, values, rhs);
-            TermArena::eval_bin(op, a, b, node.sort.width())
-        }
-        TermKind::BitNot(x) => mask(!eval_int(arena, values, x), node.sort.width()),
-        TermKind::Ite {
-            cond,
-            then_t,
-            else_t,
-        } => {
-            if eval_bool(arena, values, cond) {
-                eval_int(arena, values, then_t)
-            } else {
-                eval_int(arena, values, else_t)
-            }
-        }
-        TermKind::Resize { term: inner, width } => mask(eval_int(arena, values, inner), width),
         TermKind::ConstBool(_)
         | TermKind::Cmp { .. }
         | TermKind::BoolBin { .. }
@@ -88,25 +70,22 @@ pub(crate) fn eval_bool<A: Assignment + ?Sized>(
             // it suffices gives the value both operands would.
             match (op, a) {
                 (BoolOp::And, false) => false,
-                (BoolOp::Or, true) | (BoolOp::Implies, false) => true,
-                _ => op.eval(a, eval_bool(arena, values, rhs)),
+                (BoolOp::Or, true) => true,
+                _ => eval_bool(arena, values, rhs),
             }
         }
         TermKind::BoolNot(x) => !eval_bool(arena, values, x),
-        TermKind::ConstInt { .. }
-        | TermKind::Var(_)
-        | TermKind::Bin { .. }
-        | TermKind::BitNot(_)
-        | TermKind::Ite { .. }
-        | TermKind::Resize { .. } => panic!("expected boolean value, found integer"),
+        TermKind::ConstInt { .. } | TermKind::Var(_) => {
+            panic!("expected boolean value, found integer")
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Value;
     use crate::term::Sort;
+    use crate::testkit::Value;
     use crate::testkit::{any_term, kind_name, reference_eval, TermGen};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -144,7 +123,7 @@ mod tests {
             for index in 0..=root.index() {
                 let term = TermId(index as u32);
                 let expected = reference_eval(&model, &gen.arena, term);
-                prop_assert_eq!(model.eval(&gen.arena, term), expected);
+                prop_assert_eq!(eval(&gen.arena, &model, term), expected);
                 prop_assert_eq!(eval(&gen.arena, values.as_slice(), term), expected);
             }
         }
@@ -160,18 +139,7 @@ mod tests {
                 seen.insert(kind_name(&gen.arena.node(TermId(index as u32)).kind));
             }
         }
-        let all = [
-            "Bin",
-            "BitNot",
-            "BoolBin",
-            "BoolNot",
-            "Cmp",
-            "ConstBool",
-            "ConstInt",
-            "Ite",
-            "Resize",
-            "Var",
-        ];
+        let all = ["BoolBin", "BoolNot", "Cmp", "ConstBool", "ConstInt", "Var"];
         assert_eq!(seen.into_iter().collect::<Vec<_>>(), all);
     }
 
@@ -181,8 +149,12 @@ mod tests {
         let x = arena.declare_var("x", 8);
         let y = arena.declare_var("y", 8);
         let (xv, yv) = (arena.var(x), arena.var(y));
-        let sum = arena.add(xv, yv);
-        // Only `x` is covered; `y` reads as 0, as `Model::get` would answer.
-        assert_eq!(eval_int(&arena, [0x1ffu64].as_slice(), sum), 0xff);
+        // Only `x` is covered, and is read at its width; `y` reads as 0, as
+        // `Model::get` would answer.
+        let values = [0x1ffu64];
+        assert_eq!(eval_int(&arena, values.as_slice(), xv), 0xff);
+        assert_eq!(eval_int(&arena, values.as_slice(), yv), 0);
+        let less = arena.ult(yv, xv);
+        assert!(eval_bool(&arena, values.as_slice(), less));
     }
 }

@@ -108,8 +108,9 @@ struct Frame {
 ///
 /// Simplification results and propagated interval domains persist across
 /// queries, so sibling queries sharing an assertion prefix are decided as
-/// one batched session instead of N from-scratch solves. See the
-/// [module documentation](self) for the contract and an example.
+/// one batched session instead of N from-scratch solves, with results
+/// identical to solving each query from scratch. This module's
+/// documentation states the contract and walks through an example.
 #[derive(Debug, Clone)]
 pub struct IncrementalSolver {
     config: SolverConfig,
@@ -186,22 +187,6 @@ impl IncrementalSolver {
         self.frames.clear();
     }
 
-    /// Current stack depth (number of unmatched pushes).
-    pub fn depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Number of (simplified) constraints currently asserted.
-    pub fn assertion_count(&self) -> usize {
-        self.asserted.len()
-    }
-
-    /// Returns true if the asserted set is already known contradictory
-    /// without consulting the domains or search phases.
-    pub fn is_contradiction(&self) -> bool {
-        self.contradiction
-    }
-
     /// Saves the current assertion state; [`IncrementalSolver::pop`]
     /// restores it.
     ///
@@ -242,18 +227,18 @@ impl IncrementalSolver {
             self.stats.assertions_propagated += self.asserted.len() as u64;
             self.domains.clear();
             self.domains
-                .ensure_vars_with(arena, &self.sorted, &mut self.scratch.walk);
+                .ensure_vars(arena, &self.sorted, &mut self.scratch.walk);
         } else {
             self.stats.assertions_propagated += pending as u64;
-            self.domains.ensure_vars_with(
+            self.domains.ensure_vars(
                 arena,
                 &self.asserted[self.propagated_len..],
                 &mut self.scratch.walk,
             );
         }
-        let outcome =
-            self.domains
-                .propagate_counted(arena, &self.sorted, self.config.propagation_rounds);
+        let outcome = self
+            .domains
+            .propagate(arena, &self.sorted, self.config.propagation_rounds);
         self.propagated_len = self.asserted.len();
         self.converged = outcome.converged;
         self.stats.propagation_time_ns += start.elapsed().as_nanos() as u64;
@@ -422,13 +407,13 @@ mod tests {
 
         s.push(&arena);
         s.assert_term(&mut arena, ge5);
-        assert!(s.check(&arena, None).is_unsat());
+        assert_eq!(s.check(&arena, None), Verdict::Unsat);
         s.pop();
 
         // The contradiction was retracted with the frame.
         let m = s.check(&arena, None);
         assert!(m.model().is_some_and(|m| m.get(x) < 5));
-        assert_eq!(s.depth(), 0);
+        assert!(s.frames.is_empty());
         assert_eq!(s.stats().session_pushes, 1);
         assert_eq!(s.stats().session_pops, 1);
     }
@@ -449,7 +434,7 @@ mod tests {
         s.assert_term(&mut arena, ge20);
         s.push(&arena);
         s.assert_term(&mut arena, ge30);
-        assert_eq!(s.assertion_count(), 3);
+        assert_eq!(s.asserted.len(), 3);
         let m = s.check(&arena, None);
         assert!(m.model().is_some_and(|m| m.get(x) >= 30));
         s.pop();
@@ -470,9 +455,9 @@ mod tests {
         s.assert_term(&mut arena, lt5);
         s.push(&arena);
         s.assert_term(&mut arena, lt5);
-        assert_eq!(s.assertion_count(), 1);
+        assert_eq!(s.asserted.len(), 1);
         s.pop();
-        assert_eq!(s.assertion_count(), 1);
+        assert_eq!(s.asserted.len(), 1);
         assert!(s.check(&arena, None).is_sat());
     }
 
@@ -486,10 +471,10 @@ mod tests {
         s.assert_term(&mut arena, p);
         s.push(&arena);
         s.assert_term(&mut arena, np);
-        assert!(s.is_contradiction());
-        assert!(s.check(&arena, None).is_unsat());
+        assert!(s.contradiction);
+        assert_eq!(s.check(&arena, None), Verdict::Unsat);
         s.pop();
-        assert!(!s.is_contradiction());
+        assert!(!s.contradiction);
         assert!(s.check(&arena, None).is_sat());
     }
 
@@ -503,7 +488,7 @@ mod tests {
         let both = arena.and(a, b);
         let mut s = IncrementalSolver::new();
         s.assert_term(&mut arena, both);
-        assert_eq!(s.assertion_count(), 2);
+        assert_eq!(s.asserted.len(), 2);
         let m = s.check(&arena, None);
         let v = m.model().expect("sat").get(x);
         assert!((3..=7).contains(&v));
@@ -564,10 +549,10 @@ mod tests {
         used.assert_term(&mut arena, p);
         used.push(&arena);
         used.assert_term(&mut arena, np);
-        assert!(used.is_contradiction());
+        assert!(used.contradiction);
         used.reset();
-        assert_eq!((used.depth(), used.assertion_count()), (0, 0));
-        assert!(!used.is_contradiction());
+        assert!(used.frames.is_empty() && used.asserted.is_empty());
+        assert!(!used.contradiction);
 
         let mut fresh = IncrementalSolver::new();
         for s in [&mut used, &mut fresh] {
@@ -595,8 +580,9 @@ mod tests {
     // verdicts *and models* as N independent `Solver::solve` calls.
 
     /// Bit widths assigned to generated variables: small enough to exercise the
-    /// enumeration phase, large enough (16) to force local search.
-    const WIDTHS: [u32; 4] = [4, 6, 8, 16];
+    /// enumeration phase, large enough (16) to force local search, and one
+    /// repeated so that two variables can be compared.
+    const WIDTHS: [u32; 3] = [4, 16, 4];
 
     /// One generated comparison: `var_a op (const | var_b)`.
     ///
@@ -609,13 +595,17 @@ mod tests {
         let va = vars[a as usize % vars.len()];
         let width = arena.var_info(va).width;
         let lhs = arena.var(va);
-        let rhs = if kind % 3 == 2 && vars.len() > 1 {
-            // var-vs-var comparison; widths must match, so resize.
-            let vb = vars[(a as usize + 1) % vars.len()];
-            let rv = arena.var(vb);
-            arena.resize(rv, width)
-        } else {
-            arena.int_const(value as u64, width)
+        // A var-vs-var comparison needs another variable of the same width.
+        let other = (kind % 3 == 2)
+            .then(|| {
+                vars.iter()
+                    .copied()
+                    .find(|&v| v != va && arena.var_info(v).width == width)
+            })
+            .flatten();
+        let rhs = match other {
+            Some(vb) => arena.var(vb),
+            None => arena.int_const(value as u64, width),
         };
         let cmp = match op % 6 {
             0 => arena.eq(lhs, rhs),

@@ -10,21 +10,21 @@ use crate::term::{max_value, CmpOp, Leaf, TermArena, TermId, TermKind, TermWalk,
 
 /// A closed unsigned interval `[lo, hi]`; empty when `lo > hi`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interval {
+pub(crate) struct Interval {
     /// Inclusive lower bound.
-    pub lo: u64,
+    pub(crate) lo: u64,
     /// Inclusive upper bound.
-    pub hi: u64,
+    pub(crate) hi: u64,
 }
 
 impl Interval {
     /// Creates the interval `[lo, hi]`.
-    pub fn new(lo: u64, hi: u64) -> Self {
+    pub(crate) fn new(lo: u64, hi: u64) -> Self {
         Interval { lo, hi }
     }
 
     /// The full range of a `width`-bit unsigned integer.
-    pub fn full(width: u32) -> Self {
+    pub(crate) fn full(width: u32) -> Self {
         Interval {
             lo: 0,
             hi: max_value(width),
@@ -32,27 +32,27 @@ impl Interval {
     }
 
     /// A single-point interval.
-    pub fn point(v: u64) -> Self {
+    pub(crate) fn point(v: u64) -> Self {
         Interval { lo: v, hi: v }
     }
 
     /// An empty interval.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Interval { lo: 1, hi: 0 }
     }
 
     /// Returns true if the interval contains no values.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.lo > self.hi
     }
 
     /// Returns true if the interval contains exactly one value.
-    pub fn is_point(&self) -> bool {
+    pub(crate) fn is_point(&self) -> bool {
         self.lo == self.hi
     }
 
     /// Number of values contained (saturating at `u64::MAX`).
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         if self.is_empty() {
             0
         } else {
@@ -60,13 +60,8 @@ impl Interval {
         }
     }
 
-    /// Returns true if `v` lies in the interval.
-    pub fn contains(&self, v: u64) -> bool {
-        !self.is_empty() && v >= self.lo && v <= self.hi
-    }
-
     /// Intersection of two intervals.
-    pub fn intersect(&self, other: &Interval) -> Interval {
+    pub(crate) fn intersect(&self, other: &Interval) -> Interval {
         Interval {
             lo: self.lo.max(other.lo),
             hi: self.hi.min(other.hi),
@@ -78,13 +73,13 @@ impl Interval {
     /// # Panics
     ///
     /// Panics if the interval is empty.
-    pub fn clamp(&self, v: u64) -> u64 {
+    pub(crate) fn clamp(&self, v: u64) -> u64 {
         assert!(!self.is_empty(), "cannot clamp into an empty interval");
         v.clamp(self.lo, self.hi)
     }
 
     /// Narrows the interval so that `x op bound` holds for every remaining x.
-    pub fn refine_cmp_const(&self, op: CmpOp, bound: u64) -> Interval {
+    pub(crate) fn refine_cmp_const(&self, op: CmpOp, bound: u64) -> Interval {
         match op {
             CmpOp::Eq => self.intersect(&Interval::point(bound)),
             CmpOp::Ne => {
@@ -120,18 +115,18 @@ impl Interval {
 }
 
 /// The outcome of one propagation run, reported by
-/// [`Domains::propagate_counted`].
+/// [`Domains::propagate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Propagation {
+pub(crate) struct Propagation {
     /// `false` if an empty domain (contradiction) was derived.
-    pub consistent: bool,
+    pub(crate) consistent: bool,
     /// Number of full sweeps over the constraint set performed.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// `true` if a fixpoint was reached before the round budget ran out.
     /// When this holds, the domains are independent of the starting point:
     /// re-propagating the same constraints narrows nothing further, which
     /// is what lets an incremental session reuse them across queries.
-    pub converged: bool,
+    pub(crate) converged: bool,
 }
 
 /// Per-variable interval state for a constraint set.
@@ -143,29 +138,19 @@ pub struct Propagation {
 /// [`Domains::iter`] walks the vector, so it yields ascending [`VarId`]
 /// order; local search's move set is drawn in that order.
 #[derive(Debug, Clone, Default)]
-pub struct Domains {
+pub(crate) struct Domains {
     /// `slots[v]` is variable `v`'s interval, if it is tracked.
     slots: Vec<Option<Interval>>,
-    /// How many slots are tracked.
-    tracked: usize,
 }
 
 impl Domains {
     /// Creates an empty domain map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Initializes the domain of every variable appearing in `constraints`
-    /// to the full range of its declared width.
-    pub fn init(arena: &TermArena, constraints: &[TermId]) -> Self {
-        let mut domains = Domains::new();
-        domains.ensure_vars(arena, constraints);
-        domains
-    }
-
     /// Returns the interval for `var`, defaulting to the full width range.
-    pub fn get(&self, arena: &TermArena, var: VarId) -> Interval {
+    pub(crate) fn get(&self, arena: &TermArena, var: VarId) -> Interval {
         self.slots
             .get(var.index())
             .copied()
@@ -174,48 +159,35 @@ impl Domains {
     }
 
     /// Sets the interval for `var`.
-    pub fn set(&mut self, var: VarId, iv: Interval) {
+    pub(crate) fn set(&mut self, var: VarId, iv: Interval) {
         let index = var.index();
         if index >= self.slots.len() {
             self.slots.resize(index + 1, None);
         }
-        if self.slots[index].replace(iv).is_none() {
-            self.tracked += 1;
-        }
+        self.slots[index] = Some(iv);
     }
 
     /// Forgets every variable, keeping the allocation.
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
-        self.tracked = 0;
     }
 
     /// Returns true if any variable has an empty domain.
-    pub fn any_empty(&self) -> bool {
+    pub(crate) fn any_empty(&self) -> bool {
         self.slots.iter().flatten().any(Interval::is_empty)
     }
 
     /// Iterates over `(variable, interval)` pairs in ascending variable
     /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (VarId, Interval)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (VarId, Interval)> + '_ {
         self.slots
             .iter()
             .enumerate()
             .filter_map(|(index, iv)| iv.map(|iv| (VarId(index as u32), iv)))
     }
 
-    /// Number of tracked variables.
-    pub fn len(&self) -> usize {
-        self.tracked
-    }
-
-    /// Returns true if no variables are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.tracked == 0
-    }
-
     /// Product of domain sizes, saturating at `u64::MAX`.
-    pub fn search_space(&self) -> u64 {
+    pub(crate) fn search_space(&self) -> u64 {
         let mut acc: u64 = 1;
         for iv in self.slots.iter().flatten() {
             acc = acc.saturating_mul(iv.size());
@@ -229,15 +201,10 @@ impl Domains {
     /// Registers every variable appearing in `constraints` that is not yet
     /// tracked, initializing it to the full range of its declared width.
     /// Used by the incremental session when new assertions introduce new
-    /// variables on top of an already-propagated stack.
-    pub fn ensure_vars(&mut self, arena: &TermArena, constraints: &[TermId]) {
-        self.ensure_vars_with(arena, constraints, &mut TermWalk::default());
-    }
-
-    /// [`Domains::ensure_vars`] through the caller's walk marks, so a
-    /// session that registers variables query after query allocates them
-    /// once.
-    pub(crate) fn ensure_vars_with(
+    /// variables on top of an already-propagated stack; `walk` holds the
+    /// caller's marks, so a session that registers variables query after
+    /// query allocates them once.
+    pub(crate) fn ensure_vars(
         &mut self,
         arena: &TermArena,
         constraints: &[TermId],
@@ -255,7 +222,6 @@ impl Domains {
                     let slot = &mut self.slots[v.index()];
                     if slot.is_none() {
                         *slot = Some(Interval::full(arena.var_info(v).width));
-                        self.tracked += 1;
                     }
                 }
             });
@@ -263,21 +229,10 @@ impl Domains {
     }
 
     /// Runs interval propagation over the constraints until a fixpoint is
-    /// reached (bounded by `max_rounds`). Returns `false` if a contradiction
-    /// (empty domain) was derived.
-    pub fn propagate(
-        &mut self,
-        arena: &TermArena,
-        constraints: &[TermId],
-        max_rounds: usize,
-    ) -> bool {
-        self.propagate_counted(arena, constraints, max_rounds)
-            .consistent
-    }
-
-    /// Like [`Domains::propagate`], but additionally reports how many sweeps
-    /// ran and whether a fixpoint was reached before the round budget.
-    pub fn propagate_counted(
+    /// reached (bounded by `max_rounds`), and reports whether a
+    /// contradiction (empty domain) was derived, how many sweeps ran and
+    /// whether a fixpoint was reached before the round budget.
+    pub(crate) fn propagate(
         &mut self,
         arena: &TermArena,
         constraints: &[TermId],
@@ -428,6 +383,14 @@ mod tests {
     use crate::testkit::TermGen;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    /// The domains of every variable in `constraints`, each over the full
+    /// range of its declared width.
+    fn init(arena: &TermArena, constraints: &[TermId]) -> Domains {
+        let mut domains = Domains::new();
+        domains.ensure_vars(arena, constraints, &mut TermWalk::default());
+        domains
+    }
 
     /// `Domains` as it was before the dense layout: a `BTreeMap` keyed by
     /// variable, moved here verbatim but for the methods no test calls.
@@ -670,11 +633,11 @@ mod tests {
             let rounds = 1 + (seed >> 24) as usize % 16;
             let arena = &gen.arena;
 
-            let mut dense = Domains::init(arena, first);
+            let mut dense = init(arena, first);
             let mut map = MapDomains::init(arena, first);
             let same = |dense: &Domains, map: &MapDomains| {
                 prop_assert_eq!(dense.iter().collect::<Vec<_>>(), map.iter().collect::<Vec<_>>());
-                prop_assert_eq!(dense.len(), map.len());
+                prop_assert_eq!(dense.iter().count(), map.len());
                 prop_assert_eq!(dense.any_empty(), map.any_empty());
                 prop_assert_eq!(dense.search_space(), map.search_space());
                 for &(v, _) in &gen.vars {
@@ -683,15 +646,15 @@ mod tests {
             };
             same(&dense, &map);
             prop_assert_eq!(
-                dense.propagate_counted(arena, first, rounds),
+                dense.propagate(arena, first, rounds),
                 map.propagate_counted(arena, first, rounds)
             );
             same(&dense, &map);
-            dense.ensure_vars(arena, second);
+            dense.ensure_vars(arena, second, &mut TermWalk::default());
             map.ensure_vars(arena, second);
             same(&dense, &map);
             prop_assert_eq!(
-                dense.propagate_counted(arena, &constraints, rounds),
+                dense.propagate(arena, &constraints, rounds),
                 map.propagate_counted(arena, &constraints, rounds)
             );
             same(&dense, &map);
@@ -703,7 +666,9 @@ mod tests {
         let iv = Interval::new(3, 10);
         assert!(!iv.is_empty());
         assert_eq!(iv.size(), 8);
-        assert!(iv.contains(3) && iv.contains(10) && !iv.contains(11));
+        assert_eq!(iv.intersect(&Interval::point(3)), Interval::point(3));
+        assert_eq!(iv.intersect(&Interval::point(10)), Interval::point(10));
+        assert!(iv.intersect(&Interval::point(11)).is_empty());
         assert!(Interval::empty().is_empty());
         assert_eq!(Interval::full(8), Interval::new(0, 255));
         assert_eq!(iv.clamp(100), 10);
@@ -738,14 +703,14 @@ mod tests {
         let lo = arena.ugt(xv, c10);
         let hi = arena.ult(xv, c20);
 
-        let mut dom = Domains::init(&arena, &[lo, hi]);
-        assert!(dom.propagate(&arena, &[lo, hi], 8));
+        let mut dom = init(&arena, &[lo, hi]);
+        assert!(dom.propagate(&arena, &[lo, hi], 8).consistent);
         assert_eq!(dom.get(&arena, x), Interval::new(11, 19));
         assert_eq!(dom.search_space(), 9);
 
         let contradiction = arena.ult(xv, c10);
-        let mut dom2 = Domains::init(&arena, &[lo, contradiction]);
-        assert!(!dom2.propagate(&arena, &[lo, contradiction], 8));
+        let mut dom2 = init(&arena, &[lo, contradiction]);
+        assert!(!dom2.propagate(&arena, &[lo, contradiction], 8).consistent);
     }
 
     #[test]
@@ -760,8 +725,8 @@ mod tests {
         let c1 = arena.ule(yv, c5);
         let c2 = arena.ult(xv, yv);
         let cs = [c1, c2];
-        let mut dom = Domains::init(&arena, &cs);
-        assert!(dom.propagate(&arena, &cs, 8));
+        let mut dom = init(&arena, &cs);
+        assert!(dom.propagate(&arena, &cs, 8).consistent);
         assert_eq!(dom.get(&arena, x).hi, 4);
     }
 
@@ -774,8 +739,8 @@ mod tests {
         // 100 < x  =>  x > 100.
         let c = arena.ult(c100, xv);
         let cs = [c];
-        let mut dom = Domains::init(&arena, &cs);
-        assert!(dom.propagate(&arena, &cs, 4));
+        let mut dom = init(&arena, &cs);
+        assert!(dom.propagate(&arena, &cs, 4).consistent);
         assert_eq!(dom.get(&arena, x).lo, 101);
     }
 
@@ -790,8 +755,8 @@ mod tests {
         let b = arena.ule(xv, c7);
         let both = arena.and(a, b);
         let cs = [both];
-        let mut dom = Domains::init(&arena, &cs);
-        assert!(dom.propagate(&arena, &cs, 4));
+        let mut dom = init(&arena, &cs);
+        assert!(dom.propagate(&arena, &cs, 4).consistent);
         assert_eq!(dom.get(&arena, x), Interval::new(3, 7));
     }
 }

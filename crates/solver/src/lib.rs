@@ -11,8 +11,13 @@
 //! of one branch predicate, it produces a concrete input assignment that
 //! drives execution down the other side of that branch.
 //!
-//! Queries go through one entry point, the [`incremental`] module's
-//! [`IncrementalSolver`]: a push/pop assertion stack that keeps
+//! The constraint language is the one the router's filter interpreter
+//! records: comparisons of message fields against configured constants
+//! (or against each other), joined by `&&`, `||` and `!`. There is no
+//! integer arithmetic.
+//!
+//! Queries go through one entry point, [`IncrementalSolver`]: a push/pop
+//! assertion stack that keeps
 //! simplification results and propagated interval domains alive across
 //! queries, so the sibling negation candidates of one concolic run pay for
 //! their shared path prefix once. The crate's tests check it against a
@@ -42,22 +47,20 @@
 #![warn(missing_docs)]
 
 mod eval;
-pub mod hash;
-pub mod incremental;
-pub mod interval;
-pub mod model;
-pub mod simplify;
-pub mod solver;
-pub mod stats;
-pub mod term;
+mod hash;
+mod incremental;
+mod interval;
+mod model;
+mod simplify;
+mod solver;
+mod stats;
+mod term;
 #[cfg(test)]
 mod testkit;
 
-pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
+pub use hash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use incremental::IncrementalSolver;
-pub use interval::{Domains, Interval, Propagation};
-pub use model::{Model, Value};
-pub use simplify::{flatten_into, normalize, preprocess, Preprocessed};
+pub use model::Model;
 pub use solver::Verdict;
 pub use stats::SolverStats;
-pub use term::{BinOp, BoolOp, CmpOp, Sort, TermArena, TermId, TermKind, VarId};
+pub use term::{TermArena, TermId, VarId};

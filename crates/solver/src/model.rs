@@ -2,36 +2,8 @@
 
 use std::fmt;
 
-use crate::eval::{eval_bool, eval_int};
+use crate::eval::eval_bool;
 use crate::term::{Sort, TermArena, TermId, VarId};
-
-/// A concrete value produced by evaluating a term.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // Variant fields are self-describing.
-pub enum Value {
-    /// An unsigned integer of the given width.
-    Int { value: u64, width: u32 },
-    /// A boolean.
-    Bool(bool),
-}
-
-impl Value {
-    /// Returns the integer payload, panicking on booleans.
-    pub fn expect_int(self) -> u64 {
-        match self {
-            Value::Int { value, .. } => value,
-            Value::Bool(_) => panic!("expected integer value, found boolean"),
-        }
-    }
-
-    /// Returns the boolean payload, panicking on integers.
-    pub fn expect_bool(self) -> bool {
-        match self {
-            Value::Bool(b) => b,
-            Value::Int { .. } => panic!("expected boolean value, found integer"),
-        }
-    }
-}
 
 /// An assignment of concrete values to symbolic variables.
 ///
@@ -46,8 +18,6 @@ pub struct Model {
     /// ever unassigned, so two models with the same assignments have the
     /// same length.
     values: Vec<Option<u64>>,
-    /// How many entries of `values` are assigned.
-    assigned: usize,
 }
 
 impl Model {
@@ -68,11 +38,7 @@ impl Model {
         if index >= self.values.len() {
             self.values.resize(index + 1, None);
         }
-        let slot = &mut self.values[index];
-        if slot.is_none() {
-            self.assigned += 1;
-        }
-        *slot = Some(value);
+        self.values[index] = Some(value);
     }
 
     /// Returns the value assigned to `var`, or 0 if unassigned.
@@ -85,42 +51,12 @@ impl Model {
         self.values.get(var.index()).copied().flatten()
     }
 
-    /// Returns true if the variable has an explicit assignment.
-    pub fn contains(&self, var: VarId) -> bool {
-        self.get_opt(var).is_some()
-    }
-
-    /// Number of explicitly assigned variables.
-    pub fn len(&self) -> usize {
-        self.assigned
-    }
-
-    /// Returns true if no variable is explicitly assigned.
-    pub fn is_empty(&self) -> bool {
-        self.assigned == 0
-    }
-
     /// Iterates over explicit assignments in variable order.
-    pub fn iter(&self) -> impl Iterator<Item = (VarId, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (VarId, u64)> + '_ {
         self.values
             .iter()
             .enumerate()
             .filter_map(|(index, value)| Some((VarId(index as u32), (*value)?)))
-    }
-
-    /// Evaluates a term under this model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the term id does not belong to `arena`.
-    pub fn eval(&self, arena: &TermArena, term: TermId) -> Value {
-        match arena.sort(term) {
-            Sort::Bool => Value::Bool(eval_bool(arena, self, term)),
-            Sort::Int(width) => Value::Int {
-                value: eval_int(arena, self, term),
-                width,
-            },
-        }
     }
 
     /// Evaluates a boolean term, returning its truth value.
@@ -136,14 +72,6 @@ impl Model {
     /// Returns true if every constraint in the slice holds under this model.
     pub fn satisfies_all(&self, arena: &TermArena, constraints: &[TermId]) -> bool {
         constraints.iter().all(|&c| self.holds(arena, c))
-    }
-
-    /// Counts the constraints in the slice that do not hold under this model.
-    pub fn count_violations(&self, arena: &TermArena, constraints: &[TermId]) -> usize {
-        constraints
-            .iter()
-            .filter(|&&c| !self.holds(arena, c))
-            .count()
     }
 }
 
@@ -179,8 +107,11 @@ mod tests {
         let mut arena = TermArena::new();
         let x = arena.declare_var("x", 8);
         let xv = arena.var(x);
+        let zero = arena.int_const(0, 8);
+        let is_zero = arena.eq(xv, zero);
         let model = Model::new();
-        assert_eq!(model.eval(&arena, xv), Value::Int { value: 0, width: 8 });
+        assert_eq!(model.get(x), 0);
+        assert!(model.holds(&arena, is_zero));
     }
 
     #[test]
@@ -188,9 +119,12 @@ mod tests {
         let mut arena = TermArena::new();
         let x = arena.declare_var("x", 8);
         let xv = arena.var(x);
+        let max = arena.int_const(0xff, 8);
+        let is_max = arena.eq(xv, max);
         let mut model = Model::new();
         model.set(x, 0x1ff);
-        assert_eq!(model.eval(&arena, xv).expect_int(), 0xff);
+        assert_eq!(model.get(x), 0x1ff, "the raw value is kept");
+        assert!(model.holds(&arena, is_max));
     }
 
     #[test]
@@ -200,16 +134,23 @@ mod tests {
         let y = arena.declare_var("y", 16);
         let xv = arena.var(x);
         let yv = arena.var(y);
-        let sum = arena.add(xv, yv);
         let c = arena.int_const(100, 16);
-        let cond = arena.ult(sum, c);
+        let cond = arena.ult(xv, yv);
+        let below = arena.ult(yv, c);
+        let both = arena.and(cond, below);
+        let c40 = arena.int_const(40, 16);
+        let folded = arena.ult(c40, c);
 
         let mut model = Model::new();
         model.set(x, 40);
         model.set(y, 50);
-        assert!(model.holds(&arena, cond));
-        model.set(y, 70);
-        assert!(!model.holds(&arena, cond));
+        assert!(model.holds(&arena, both));
+        assert_eq!(
+            arena.as_const_bool(folded),
+            Some(model.holds(&arena, folded))
+        );
+        model.set(y, 170);
+        assert!(!model.holds(&arena, both));
     }
 
     #[test]
@@ -221,28 +162,38 @@ mod tests {
         let c9 = arena.int_const(9, 8);
         let c1 = arena.ugt(xv, c5);
         let c2 = arena.ult(xv, c9);
+        let violations = |model: &Model| {
+            [c1, c2]
+                .iter()
+                .filter(|&&c| !model.holds(&arena, c))
+                .count()
+        };
         let mut model = Model::new();
         model.set(x, 3);
-        assert_eq!(model.count_violations(&arena, &[c1, c2]), 1);
+        assert_eq!(violations(&model), 1);
+        assert!(!model.satisfies_all(&arena, &[c1, c2]));
         model.set(x, 7);
-        assert_eq!(model.count_violations(&arena, &[c1, c2]), 0);
+        assert_eq!(violations(&model), 0);
         assert!(model.satisfies_all(&arena, &[c1, c2]));
     }
 
     #[test]
-    fn ite_evaluates_correct_branch() {
+    fn connectives_evaluate_like_their_operands() {
         let mut arena = TermArena::new();
         let x = arena.declare_var("x", 8);
         let xv = arena.var(x);
         let zero = arena.int_const(0, 8);
-        let one = arena.int_const(1, 8);
         let two = arena.int_const(2, 8);
-        let cond = arena.eq(xv, zero);
-        let ite = arena.ite(cond, one, two);
+        let is_zero = arena.eq(xv, zero);
+        let above = arena.ugt(xv, two);
+        let either = arena.or(is_zero, above);
+        let neither = arena.not(either);
         let mut model = Model::new();
-        assert_eq!(model.eval(&arena, ite).expect_int(), 1);
+        assert!(model.holds(&arena, either) && !model.holds(&arena, neither));
+        model.set(x, 1);
+        assert!(!model.holds(&arena, either) && model.holds(&arena, neither));
         model.set(x, 5);
-        assert_eq!(model.eval(&arena, ite).expect_int(), 2);
+        assert!(model.holds(&arena, either) && !model.holds(&arena, neither));
     }
 
     #[test]
@@ -252,12 +203,12 @@ mod tests {
             .map(|i| arena.declare_var(format!("v{i}"), 8))
             .collect();
         let mut model = Model::new();
-        assert!(model.is_empty());
+        assert_eq!(model.iter().count(), 0);
         model.set(vars[2], 7);
         model.set(vars[0], 1);
         model.set(vars[2], 9);
-        assert_eq!(model.len(), 2);
-        assert!(model.contains(vars[0]) && !model.contains(vars[1]));
+        assert_eq!(model.iter().count(), 2);
+        assert!(model.get_opt(vars[0]).is_some() && model.get_opt(vars[1]).is_none());
         assert_eq!(model.get_opt(vars[3]), None);
         assert_eq!(model.get(vars[3]), 0);
         let assigned: Vec<(VarId, u64)> = model.iter().collect();

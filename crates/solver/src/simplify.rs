@@ -12,26 +12,19 @@ use crate::hash::FastHashSet;
 use crate::term::{BoolOp, Sort, TermArena, TermId, TermKind};
 
 /// The outcome of preprocessing a constraint set.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Preprocessed {
+pub(crate) enum Preprocessed {
     /// The set simplified to `false`: no model can satisfy it.
     Contradiction,
     /// The simplified, flattened, deduplicated constraints.
     Constraints(Vec<TermId>),
 }
 
-impl Preprocessed {
-    /// Returns the constraint list, or `None` for a contradiction.
-    pub fn constraints(&self) -> Option<&[TermId]> {
-        match self {
-            Preprocessed::Contradiction => None,
-            Preprocessed::Constraints(cs) => Some(cs),
-        }
-    }
-}
-
-/// Simplifies and flattens a conjunction of constraints.
-pub fn preprocess(arena: &mut TermArena, constraints: &[TermId]) -> Preprocessed {
+/// Simplifies and flattens a conjunction of constraints: phase 1 of the
+/// one-shot pipeline the incremental session is tested against.
+#[cfg(test)]
+pub(crate) fn preprocess(arena: &mut TermArena, constraints: &[TermId]) -> Preprocessed {
     let mut out = Vec::new();
     let mut seen = FastHashSet::default();
     for &c in constraints {
@@ -64,7 +57,7 @@ pub fn preprocess(arena: &mut TermArena, constraints: &[TermId]) -> Preprocessed
 /// [`crate::incremental::IncrementalSolver`]: across a batched session,
 /// `seen`/`out` persist, so each asserted term is simplified exactly once no
 /// matter how many queries share it.
-pub fn flatten_into(
+pub(crate) fn flatten_into(
     arena: &mut TermArena,
     constraint: TermId,
     seen: &mut FastHashSet<TermId>,
@@ -96,7 +89,7 @@ pub fn flatten_into(
 
 /// Normalizes a boolean term: pushes negations into comparisons and removes
 /// double negations. Non-boolean terms are returned unchanged.
-pub fn normalize(arena: &mut TermArena, term: TermId) -> TermId {
+pub(crate) fn normalize(arena: &mut TermArena, term: TermId) -> TermId {
     if arena.sort(term) != Sort::Bool {
         return term;
     }

@@ -2,10 +2,10 @@
 //!
 //! The solver answers satisfiability queries over conjunctions of the
 //! boolean terms produced by the concolic engine. It is deliberately an
-//! "SMT-lite" design tuned for the constraint shapes generated by BGP
-//! message handling and policy-filter interpretation: comparisons between
-//! small fixed-width integers, bit masks, and arithmetic over message
-//! fields. The pipeline is:
+//! "SMT-lite" design tuned for the constraint shapes the policy-filter
+//! interpreter records: comparisons of fixed-width message fields against
+//! configured constants (or against each other), joined by `and`, `or` and
+//! `not`. The pipeline is:
 //!
 //! 1. **Preprocess** — flatten conjunctions, drop tautologies, detect
 //!    literal contradictions ([`crate::simplify`]).
@@ -27,8 +27,8 @@
 //!    once, for the assignment that is returned. The buffers all this uses
 //!    belong to the solver, not the query.
 //!
-//! Phases 3 and 4 and [`Model::eval`] share one evaluation core
-//! (`crate::eval`): integer terms to `u64`, boolean terms to `bool`.
+//! Phases 3 and 4 and [`Model::holds`] share one evaluation core
+//! (`crate::eval`): integer leaves to `u64`, boolean terms to `bool`.
 //!
 //! Queries the pipeline cannot decide return [`Verdict::Unknown`]; the
 //! exploration engine treats those paths as unreachable for now, exactly as
@@ -77,13 +77,8 @@ impl Verdict {
     }
 
     /// Returns true if the verdict is `Sat`.
-    pub fn is_sat(&self) -> bool {
+    pub(crate) fn is_sat(&self) -> bool {
         matches!(self, Verdict::Sat(_))
-    }
-
-    /// Returns true if the verdict is `Unsat`.
-    pub fn is_unsat(&self) -> bool {
-        matches!(self, Verdict::Unsat)
     }
 }
 
@@ -182,8 +177,11 @@ impl Solver {
 
         // Phase 2: interval propagation.
         let prop_start = Instant::now();
-        let mut domains = Domains::init(arena, &simplified);
-        let consistent = domains.propagate(arena, &simplified, self.config.propagation_rounds);
+        let mut domains = Domains::new();
+        domains.ensure_vars(arena, &simplified, &mut self.scratch.walk);
+        let consistent = domains
+            .propagate(arena, &simplified, self.config.propagation_rounds)
+            .consistent;
         self.stats.propagation_time_ns += prop_start.elapsed().as_nanos() as u64;
         if !consistent {
             self.stats.decided_by_propagation += 1;
@@ -319,7 +317,7 @@ pub(crate) struct SearchScratch {
     jumps: Vec<u64>,
     /// Dedup set over `jumps`.
     jump_seen: FastHashSet<u64>,
-    /// Walk marks, shared with [`Domains::ensure_vars_with`].
+    /// Walk marks, shared with [`Domains::ensure_vars`].
     pub(crate) walk: TermWalk,
     /// The candidate assignment and its bookkeeping.
     state: StateBuffers,
@@ -378,7 +376,8 @@ enum Atom {
         span: u64,
         outside: bool,
     },
-    /// Any other boolean term that is not a connective, evaluated whole.
+    /// A comparison of two variables, or a whole constraint whose structure
+    /// would pass [`MAX_STEPS`], evaluated whole.
     Opaque(TermId),
 }
 
@@ -921,64 +920,73 @@ mod tests {
         let c3 = arena.eq(xv, c5);
         let mut s = solver();
         assert!(s.solve(&mut arena, &[c1], None).is_sat());
-        assert!(s.solve(&mut arena, &[c1, c2], None).is_unsat());
-        assert!(s.solve(&mut arena, &[c1, c2, c3], None).is_unsat());
+        assert_eq!(s.solve(&mut arena, &[c1, c2], None), Verdict::Unsat);
+        assert_eq!(s.solve(&mut arena, &[c1, c2, c3], None), Verdict::Unsat);
         let lt0 = {
             let zero = arena.int_const(0, 8);
             arena.ult(xv, zero)
         };
-        assert!(s.solve(&mut arena, &[lt0], None).is_unsat());
+        assert_eq!(s.solve(&mut arena, &[lt0], None), Verdict::Unsat);
     }
 
     #[test]
     fn masked_equality_found_by_search() {
-        // (x & 0xff00) == 0xab00 cannot be interval-propagated; local search
-        // or enumeration must find it.
+        // `(x & 0xff00) == 0xab00` is the range `0xab00 ..= 0xabff`, which
+        // is how the filter interpreter records such a test: propagation
+        // narrows the domain and enumeration finds a member.
         let mut arena = TermArena::new();
         let x = arena.declare_var("x", 16);
         let xv = arena.var(x);
-        let mask = arena.int_const(0xff00, 16);
-        let masked = arena.bitand(xv, mask);
-        let target = arena.int_const(0xab00, 16);
-        let eq = arena.eq(masked, target);
+        let lo = arena.int_const(0xab00, 16);
+        let hi = arena.int_const(0xabff, 16);
+        let above = arena.uge(xv, lo);
+        let below = arena.ule(xv, hi);
+        let in_range = arena.and(above, below);
         let mut s = solver();
-        let verdict = s.solve(&mut arena, &[eq], None);
+        let verdict = s.solve(&mut arena, &[in_range], None);
         let m = verdict.model().expect("expected sat");
         assert_eq!(m.get(x) & 0xff00, 0xab00);
     }
 
     #[test]
     fn seed_model_guides_search() {
+        // `x < y` relates two variables, so propagation leaves both domains
+        // wide and the answer comes from the seed clamped into them.
         let mut arena = TermArena::new();
         let x = arena.declare_var("x", 32);
         let y = arena.declare_var("y", 32);
         let xv = arena.var(x);
         let yv = arena.var(y);
-        let sum = arena.add(xv, yv);
         let c = arena.int_const(1000, 32);
-        let eq = arena.eq(sum, c);
+        let less = arena.ult(xv, yv);
+        let large = arena.uge(yv, c);
         let mut seed = Model::new();
         seed.set(x, 999);
-        seed.set(y, 0);
+        seed.set(y, 5);
         let mut s = solver();
-        let verdict = s.solve(&mut arena, &[eq], Some(&seed));
+        let verdict = s.solve(&mut arena, &[less, large], Some(&seed));
         let m = verdict.model().expect("expected sat");
-        assert_eq!(m.get(x).wrapping_add(m.get(y)) & 0xffff_ffff, 1000);
+        assert_eq!((m.get(x), m.get(y)), (999, 1000));
     }
 
     #[test]
     fn negated_branch_of_prefix_check() {
         // Mimics the route-filter constraint DiCE negates: the observed
-        // input had prefix != 10.0.0.0/8; ask for one that matches.
+        // input had a prefix outside 10.0.0.0/8; ask for one inside, as the
+        // range check the filter interpreter records.
         let mut arena = TermArena::new();
         let prefix = arena.declare_var("nlri.prefix", 32);
         let pv = arena.var(prefix);
-        let eight = arena.int_const(24, 32);
-        let shifted = arena.lshr(pv, eight);
-        let ten = arena.int_const(10, 32);
-        let matches = arena.eq(shifted, ten);
+        let network = arena.int_const(0x0a00_0000, 32);
+        let broadcast = arena.int_const(0x0aff_ffff, 32);
+        let above = arena.uge(pv, network);
+        let below = arena.ule(pv, broadcast);
+        let inside = arena.and(above, below);
+        let mut seed = Model::new();
+        seed.set(prefix, 0xc0a8_0000);
+        assert!(!seed.holds(&arena, inside));
         let mut s = solver();
-        let verdict = s.solve(&mut arena, &[matches], None);
+        let verdict = s.solve(&mut arena, &[inside], Some(&seed));
         let m = verdict.model().expect("expected sat");
         assert_eq!(m.get(prefix) >> 24, 10);
     }
@@ -1112,23 +1120,11 @@ mod tests {
                     }
                 }
                 TermKind::ConstBool(_) | TermKind::Var(_) => {}
-                TermKind::Bin { lhs, rhs, .. }
-                | TermKind::Cmp { lhs, rhs, .. }
-                | TermKind::BoolBin { lhs, rhs, .. } => {
+                TermKind::Cmp { lhs, rhs, .. } | TermKind::BoolBin { lhs, rhs, .. } => {
                     stack.push(*lhs);
                     stack.push(*rhs);
                 }
-                TermKind::BoolNot(x) | TermKind::BitNot(x) => stack.push(*x),
-                TermKind::Ite {
-                    cond,
-                    then_t,
-                    else_t,
-                } => {
-                    stack.push(*cond);
-                    stack.push(*then_t);
-                    stack.push(*else_t);
-                }
-                TermKind::Resize { term, .. } => stack.push(*term),
+                TermKind::BoolNot(x) => stack.push(*x),
             }
         }
         out
@@ -1142,9 +1138,11 @@ mod tests {
             Preprocessed::Constraints(cs) if !cs.is_empty() => cs,
             _ => return None,
         };
-        let mut domains = Domains::init(arena, &constraints);
+        let mut domains = Domains::new();
+        domains.ensure_vars(arena, &constraints, &mut TermWalk::default());
         domains
             .propagate(arena, &constraints, 16)
+            .consistent
             .then_some((constraints, domains))
     }
 
@@ -1230,7 +1228,7 @@ mod tests {
                     start,
                 );
                 let seed_in_domains = start.is_some_and(|m| {
-                    domains.iter().all(|(v, iv)| iv.contains(m.get(v)))
+                    domains.iter().all(|(v, iv)| (iv.lo..=iv.hi).contains(&m.get(v)))
                 });
                 let seed_holds = start.is_some_and(|m| {
                     reference_count_violations(m, &gen.arena, &constraints) == 0
@@ -1288,8 +1286,8 @@ mod tests {
     proptest! {
         /// A move rescored from cached atoms counts the violations that
         /// evaluating every constraint whole counts, over random terms of
-        /// every kind — unary comparisons, comparisons of arbitrary
-        /// integer terms, and connectives over them.
+        /// every kind — comparisons against a constant, comparisons of two
+        /// variables, and connectives over them.
         #[test]
         fn atom_scores_match_eval_bool(seed in any::<u64>()) {
             let mut gen = TermGen::new(seed, 1 + (seed % 6) as usize, 1..=64);

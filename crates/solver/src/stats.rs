@@ -51,9 +51,9 @@ pub struct SolverStats {
     /// Queries answered through an incremental session (`check` calls).
     pub incremental_queries: u64,
     /// Frames pushed on incremental assertion stacks.
-    pub session_pushes: u64,
+    pub(crate) session_pushes: u64,
     /// Frames popped from incremental assertion stacks.
-    pub session_pops: u64,
+    pub(crate) session_pops: u64,
     /// Constraints whose preprocessing and propagation results were reused
     /// from the assertion stack instead of being recomputed, summed over
     /// incremental queries.
@@ -73,7 +73,7 @@ pub struct SolverStats {
 
 impl SolverStats {
     /// Creates zeroed statistics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -103,24 +103,16 @@ impl SolverStats {
     }
 
     /// Records elapsed time for one query.
-    pub fn record_time(&mut self, d: Duration) {
+    pub(crate) fn record_time(&mut self, d: Duration) {
         self.total_time_ns += d.as_nanos() as u64;
     }
 
     /// Average time per query.
-    pub fn mean_query_time(&self) -> Duration {
+    pub(crate) fn mean_query_time(&self) -> Duration {
         match self.total_time_ns.checked_div(self.queries) {
             Some(mean) => Duration::from_nanos(mean),
             None => Duration::ZERO,
         }
-    }
-
-    /// Fraction of queries that produced a definite answer (sat or unsat).
-    pub fn decision_rate(&self) -> f64 {
-        if self.queries == 0 {
-            return 1.0;
-        }
-        (self.sat + self.unsat) as f64 / self.queries as f64
     }
 
     /// Fraction of constraint work reused from an assertion stack across
@@ -208,20 +200,6 @@ mod tests {
         assert_eq!(a.unknown, 1);
         assert_eq!(a.incremental_queries, 3);
         assert_eq!(a.assertions_reused, 5);
-    }
-
-    #[test]
-    fn decision_rate_handles_zero_queries() {
-        let s = SolverStats::new();
-        assert_eq!(s.decision_rate(), 1.0);
-        let s2 = SolverStats {
-            queries: 4,
-            sat: 1,
-            unsat: 1,
-            unknown: 2,
-            ..Default::default()
-        };
-        assert!((s2.decision_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

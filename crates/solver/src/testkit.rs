@@ -1,13 +1,40 @@
 //! Test-only oracles and generators shared by this crate's tests: the
-//! evaluator the crate had before [`crate::eval`] (kept verbatim, as the
-//! reference the new core is compared against), a random term generator
-//! that reaches every [`TermKind`], and exhaustive satisfiability.
+//! evaluator the crate had before [`crate::eval`] (kept, as the reference
+//! the new core is compared against), a random term generator that reaches
+//! every [`TermKind`], and exhaustive satisfiability.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::model::{Model, Value};
-use crate::term::{mask, BinOp, BoolOp, CmpOp, Sort, TermArena, TermId, TermKind, VarId};
+use crate::model::Model;
+use crate::term::{mask, BoolOp, CmpOp, Sort, TermArena, TermId, TermKind, VarId};
+
+/// A concrete value produced by evaluating a term.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Value {
+    /// An unsigned integer of the given width.
+    Int { value: u64, width: u32 },
+    /// A boolean.
+    Bool(bool),
+}
+
+impl Value {
+    /// Returns the integer payload, panicking on booleans.
+    pub fn expect_int(self) -> u64 {
+        match self {
+            Value::Int { value, .. } => value,
+            Value::Bool(_) => panic!("expected integer value, found boolean"),
+        }
+    }
+
+    /// Returns the boolean payload, panicking on integers.
+    pub fn expect_bool(self) -> bool {
+        match self {
+            Value::Bool(b) => b,
+            Value::Int { .. } => panic!("expected boolean value, found integer"),
+        }
+    }
+}
 
 /// `Model::eval` as it was before the evaluation core was split by sort:
 /// one recursion returning a [`Value`] enum, reading variables from the
@@ -26,15 +53,6 @@ pub(crate) fn reference_eval(model: &Model, arena: &TermArena, term: TermId) -> 
                 width,
             }
         }
-        TermKind::Bin { op, lhs, rhs } => {
-            let a = reference_eval(model, arena, *lhs).expect_int();
-            let b = reference_eval(model, arena, *rhs).expect_int();
-            let width = arena.sort(term).width();
-            Value::Int {
-                value: TermArena::eval_bin(*op, a, b, width),
-                width,
-            }
-        }
         TermKind::Cmp { op, lhs, rhs } => {
             let a = reference_eval(model, arena, *lhs).expect_int();
             let b = reference_eval(model, arena, *rhs).expect_int();
@@ -46,35 +64,11 @@ pub(crate) fn reference_eval(model: &Model, arena: &TermArena, term: TermId) -> 
             Value::Bool(op.eval(a, b))
         }
         TermKind::BoolNot(x) => Value::Bool(!reference_eval(model, arena, *x).expect_bool()),
-        TermKind::BitNot(x) => {
-            let width = arena.sort(term).width();
-            Value::Int {
-                value: mask(!reference_eval(model, arena, *x).expect_int(), width),
-                width,
-            }
-        }
-        TermKind::Ite {
-            cond,
-            then_t,
-            else_t,
-        } => {
-            if reference_eval(model, arena, *cond).expect_bool() {
-                reference_eval(model, arena, *then_t)
-            } else {
-                reference_eval(model, arena, *else_t)
-            }
-        }
-        TermKind::Resize { term: inner, width } => {
-            let v = reference_eval(model, arena, *inner).expect_int();
-            Value::Int {
-                value: mask(v, *width),
-                width: *width,
-            }
-        }
     }
 }
 
-/// `Model::count_violations` over [`reference_eval`].
+/// The number of constraints that do not hold under `model`, by
+/// [`reference_eval`].
 pub(crate) fn reference_count_violations(
     model: &Model,
     arena: &TermArena,
@@ -93,18 +87,6 @@ pub(crate) struct TermGen {
     pub vars: Vec<(VarId, u32)>,
 }
 
-const BIN_OPS: [BinOp; 10] = [
-    BinOp::Add,
-    BinOp::Sub,
-    BinOp::Mul,
-    BinOp::UDiv,
-    BinOp::URem,
-    BinOp::And,
-    BinOp::Or,
-    BinOp::Xor,
-    BinOp::Shl,
-    BinOp::Lshr,
-];
 const CMP_OPS: [CmpOp; 6] = [
     CmpOp::Eq,
     CmpOp::Ne,
@@ -113,19 +95,28 @@ const CMP_OPS: [CmpOp; 6] = [
     CmpOp::Ugt,
     CmpOp::Uge,
 ];
-const BOOL_OPS: [BoolOp; 4] = [BoolOp::And, BoolOp::Or, BoolOp::Implies, BoolOp::Xor];
+const BOOL_OPS: [BoolOp; 2] = [BoolOp::And, BoolOp::Or];
+
+/// Levels of [`TermGen::widely_shared`]: enough that the constraint's tree
+/// passes the solver's step limit for one compiled structure.
+const SHARED_LEVELS: u32 = 6;
 
 impl TermGen {
-    /// Declares `var_count` variables with widths drawn from `widths`.
+    /// Declares `var_count` variables with widths drawn from `widths`; about
+    /// half of them take the width of an earlier one, so that comparisons
+    /// of two variables occur.
     pub fn new(seed: u64, var_count: usize, widths: std::ops::RangeInclusive<u32>) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut arena = TermArena::new();
-        let vars = (0..var_count)
-            .map(|i| {
-                let width = rng.gen_range(widths.clone());
-                (arena.declare_var(format!("v{i}"), width), width)
-            })
-            .collect();
+        let mut vars: Vec<(VarId, u32)> = Vec::with_capacity(var_count);
+        for i in 0..var_count {
+            let width = if i > 0 && rng.gen_range(0..2u32) == 0 {
+                vars[rng.gen_range(0..i)].1
+            } else {
+                rng.gen_range(widths.clone())
+            };
+            vars.push((arena.declare_var(format!("v{i}"), width), width));
+        }
         TermGen { rng, arena, vars }
     }
 
@@ -157,46 +148,29 @@ impl TermGen {
         self.arena.int_const(value, width)
     }
 
-    /// A random integer term of `width` bits.
-    pub fn int_term(&mut self, width: u32, depth: u32) -> TermId {
-        let pick = if depth == 0 {
-            self.rng.gen_range(0..2u32)
-        } else {
-            self.rng.gen_range(0..7u32)
-        };
-        match pick {
-            0 => self.constant(width),
-            1 => {
-                let (v, w) = self.vars[self.rng.gen_range(0..self.vars.len())];
-                let term = self.arena.var(v);
-                if w == width {
-                    term
-                } else {
-                    self.arena.resize(term, width)
-                }
-            }
-            2 | 3 => {
-                let op = BIN_OPS[self.rng.gen_range(0..BIN_OPS.len())];
-                let lhs = self.int_term(width, depth - 1);
-                let rhs = self.int_term(width, depth - 1);
-                self.arena.bin(op, lhs, rhs)
-            }
-            4 => {
-                let inner = self.int_term(width, depth - 1);
-                self.arena.bitnot(inner)
-            }
-            5 => {
-                let cond = self.bool_term(depth - 1);
-                let then_t = self.int_term(width, depth - 1);
-                let else_t = self.int_term(width, depth - 1);
-                self.arena.ite(cond, then_t, else_t)
-            }
-            _ => {
-                let other = self.rng.gen_range(1..=64u32);
-                let inner = self.int_term(other, depth - 1);
-                self.arena.resize(inner, width)
-            }
+    /// A random integer leaf of `width` bits: a constant, or a variable of
+    /// that width when there is one.
+    pub fn int_term(&mut self, width: u32) -> TermId {
+        let same: Vec<VarId> = self
+            .vars
+            .iter()
+            .filter(|&&(_, w)| w == width)
+            .map(|&(v, _)| v)
+            .collect();
+        if same.is_empty() || self.rng.gen_range(0..2u32) == 0 {
+            return self.constant(width);
         }
+        let v = same[self.rng.gen_range(0..same.len())];
+        self.arena.var(v)
+    }
+
+    /// A comparison of two leaves of one variable's width.
+    fn comparison(&mut self) -> TermId {
+        let op = CMP_OPS[self.rng.gen_range(0..CMP_OPS.len())];
+        let width = self.vars[self.rng.gen_range(0..self.vars.len())].1;
+        let lhs = self.int_term(width);
+        let rhs = self.int_term(width);
+        self.arena.cmp(op, lhs, rhs)
     }
 
     /// A random boolean term.
@@ -211,13 +185,7 @@ impl TermGen {
                 let value = self.rng.gen_range(0..2u32) == 0;
                 self.arena.bool_const(value)
             }
-            0..=2 => {
-                let op = CMP_OPS[self.rng.gen_range(0..CMP_OPS.len())];
-                let width = self.vars[self.rng.gen_range(0..self.vars.len())].1;
-                let lhs = self.int_term(width, depth.saturating_sub(1));
-                let rhs = self.int_term(width, depth.saturating_sub(1));
-                self.arena.cmp(op, lhs, rhs)
-            }
+            0..=2 => self.comparison(),
             3 | 4 => {
                 let op = BOOL_OPS[self.rng.gen_range(0..BOOL_OPS.len())];
                 let lhs = self.bool_term(depth - 1);
@@ -231,18 +199,54 @@ impl TermGen {
         }
     }
 
-    /// A random constraint shaped like the ones the concolic engine emits:
-    /// mostly comparisons of one variable against a constant, sometimes
-    /// arbitrary structure.
-    pub fn constraint(&mut self, depth: u32) -> TermId {
-        if self.rng.gen_range(0..3u32) == 0 {
-            return self.bool_term(depth);
-        }
+    /// A comparison of a variable against a constant, which never folds.
+    fn unary(&mut self) -> TermId {
         let (v, width) = self.vars[self.rng.gen_range(0..self.vars.len())];
         let op = CMP_OPS[self.rng.gen_range(0..CMP_OPS.len())];
         let lhs = self.arena.var(v);
         let rhs = self.constant(width);
         self.arena.cmp(op, lhs, rhs)
+    }
+
+    /// A term equivalent to a random comparison `t` whose tree holds
+    /// `2^SHARED_LEVELS` copies of it: each level is `(t ∧ u) ∨ (t ∧ ¬u)`
+    /// over the level below and a fresh comparison `u`.
+    pub fn widely_shared(&mut self) -> TermId {
+        let mut term = self.unary();
+        for _ in 0..SHARED_LEVELS {
+            let split = self.unary();
+            let not_split = self.arena.not(split);
+            let with = self.arena.and(term, split);
+            let without = self.arena.and(term, not_split);
+            term = self.arena.or(with, without);
+        }
+        term
+    }
+
+    /// A random constraint shaped like the ones the concolic engine emits:
+    /// mostly comparisons of one variable against a constant or another
+    /// variable, sometimes arbitrary structure, now and then a widely
+    /// shared one.
+    pub fn constraint(&mut self, depth: u32) -> TermId {
+        match self.rng.gen_range(0..16u32) {
+            0 => return self.widely_shared(),
+            2..=6 => return self.bool_term(depth),
+            _ => {}
+        }
+        let (v, width) = self.vars[self.rng.gen_range(0..self.vars.len())];
+        let partner = self
+            .vars
+            .iter()
+            .find(|&&(u, w)| u != v && w == width)
+            .map(|&(u, _)| u);
+        match partner {
+            Some(u) if self.rng.gen_range(0..4u32) == 0 => {
+                let op = CMP_OPS[self.rng.gen_range(0..CMP_OPS.len())];
+                let (lhs, rhs) = (self.arena.var(v), self.arena.var(u));
+                self.arena.cmp(op, lhs, rhs)
+            }
+            _ => self.unary(),
+        }
     }
 }
 
@@ -265,7 +269,9 @@ pub(crate) fn exhaustively_satisfiable(
             model.set(v, packed & crate::term::max_value(width));
             packed >>= width;
         }
-        reference_count_violations(&model, arena, constraints) == 0
+        constraints
+            .iter()
+            .all(|&c| reference_eval(&model, arena, c).expect_bool())
     })
 }
 
@@ -276,24 +282,20 @@ pub(crate) fn kind_name(kind: &TermKind) -> &'static str {
         TermKind::ConstInt { .. } => "ConstInt",
         TermKind::ConstBool(_) => "ConstBool",
         TermKind::Var(_) => "Var",
-        TermKind::Bin { .. } => "Bin",
         TermKind::Cmp { .. } => "Cmp",
         TermKind::BoolBin { .. } => "BoolBin",
         TermKind::BoolNot(_) => "BoolNot",
-        TermKind::BitNot(_) => "BitNot",
-        TermKind::Ite { .. } => "Ite",
-        TermKind::Resize { .. } => "Resize",
     }
 }
 
-/// The sort-appropriate root for an evaluation test: half integer terms,
-/// half boolean.
+/// The sort-appropriate root for an evaluation test: half integer leaves,
+/// half boolean terms.
 pub(crate) fn any_term(gen: &mut TermGen, depth: u32) -> TermId {
     if gen.rng.gen_range(0..2u32) == 0 {
         gen.bool_term(depth)
     } else {
-        let width = gen.rng.gen_range(1..=64u32);
-        let term = gen.int_term(width, depth);
+        let width = gen.vars[gen.rng.gen_range(0..gen.vars.len())].1;
+        let term = gen.int_term(width);
         debug_assert_eq!(gen.arena.sort(term), Sort::Int(width));
         term
     }

@@ -20,21 +20,20 @@ use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::panic::Location;
 use std::sync::Arc;
 
 use dice_solver::{FastBuildHasher, FastHashMap, Model, TermArena, TermId, VarId};
 
 use crate::path::ExecTrace;
-use crate::value::{Concolic, ConcolicBool, ConcolicInt, CU32, CU64, CU8};
+use crate::value::{Concolic, ConcolicBool, ConcolicInt, CU32, CU8};
 
 /// A stable identifier of a branch site in the program under test.
 ///
-/// Sites created from Rust code use the caller's source location (via
-/// `#[track_caller]`), mirroring how CIL instrumentation identifies branches
-/// by static program location. Sites created by the policy-filter
-/// interpreter use the filter name and AST node index instead, so that the
-/// *configuration* contributes its own branch sites, as in the paper.
+/// Sites are hashes of labels: code names its branch sites, as CIL
+/// instrumentation identifies branches by static program location, and the
+/// policy-filter interpreter uses the filter name and AST node index, so
+/// that the *configuration* contributes its own branch sites, as in the
+/// paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub u64);
 
@@ -43,15 +42,6 @@ impl SiteId {
     pub fn from_label(label: &str) -> Self {
         let mut h = DefaultHasher::new();
         label.hash(&mut h);
-        SiteId(h.finish())
-    }
-
-    /// Builds a site id from a source location.
-    pub fn from_location(loc: &Location<'_>) -> Self {
-        let mut h = DefaultHasher::new();
-        loc.file().hash(&mut h);
-        loc.line().hash(&mut h);
-        loc.column().hash(&mut h);
         SiteId(h.finish())
     }
 }
@@ -100,11 +90,6 @@ impl SiteInfo {
         site
     }
 
-    /// Marks a site as a policy site without labelling it.
-    pub(crate) fn declare_policy(&mut self, site: SiteId) {
-        self.policy.insert(site);
-    }
-
     /// Adds everything `other` knows; known labels win.
     pub(crate) fn merge(&mut self, other: &SiteInfo) {
         for (&site, label) in &other.labels {
@@ -135,7 +120,7 @@ pub struct BranchRecord {
     /// The branch site.
     pub site: SiteId,
     /// The symbolic condition term (boolean sort).
-    pub condition: TermId,
+    pub(crate) condition: TermId,
     /// The direction the concrete execution took.
     pub taken: bool,
 }
@@ -171,7 +156,7 @@ impl BranchRecord {
 /// let med = ctx.symbolic_u32("med", 50);
 /// let threshold = dice_symexec::CU32::concrete(100);
 /// let cond = med.lt(&threshold, &mut ctx);
-/// let taken = ctx.branch(cond);
+/// let taken = ctx.branch_labeled("med-check", cond);
 /// assert!(taken);
 /// assert_eq!(ctx.branches().len(), 1);
 /// ```
@@ -184,7 +169,6 @@ pub struct ExecCtx {
     /// `None` until a site is labelled or declared: the fully concrete
     /// fast path builds a context per route and must not allocate for it.
     sites: Option<Arc<SiteInfo>>,
-    recording: bool,
     max_branches: usize,
 }
 
@@ -203,14 +187,13 @@ impl ExecCtx {
             concrete: Model::new(),
             branches: Vec::new(),
             sites: None,
-            recording: true,
             max_branches: 100_000,
         }
     }
 
     /// Limits the number of branch records kept for a single run (guards
     /// against pathological loops over symbolic data).
-    pub fn with_max_branches(mut self, max: usize) -> Self {
+    pub(crate) fn with_max_branches(mut self, max: usize) -> Self {
         self.max_branches = max;
         self
     }
@@ -218,7 +201,7 @@ impl ExecCtx {
     /// Makes room for a run the size of `like`: the engine passes the run
     /// before, so a run allocates its tables once instead of growing them
     /// through every power of two.
-    pub fn with_capacity_like(mut self, like: &ExecTrace) -> Self {
+    pub(crate) fn with_capacity_like(mut self, like: &ExecTrace) -> Self {
         self.arena.reserve(like.arena.len(), like.var_map.len());
         self.vars.reserve(like.var_map.len());
         self.concrete.reserve(like.var_map.len());
@@ -243,12 +226,12 @@ impl ExecCtx {
     }
 
     /// Mutable access to the term arena (used by [`Concolic`] operations).
-    pub fn arena_mut(&mut self) -> &mut TermArena {
+    pub(crate) fn arena_mut(&mut self) -> &mut TermArena {
         &mut self.arena
     }
 
     /// Consumes the context, returning its arena, branches and input model.
-    pub fn into_parts(self) -> (TermArena, Vec<BranchRecord>, Model, VarMap) {
+    pub(crate) fn into_parts(self) -> (TermArena, Vec<BranchRecord>, Model, VarMap) {
         (self.arena, self.branches, self.concrete, self.vars)
     }
 
@@ -297,30 +280,6 @@ impl ExecCtx {
         }
     }
 
-    /// Returns whether constraint recording is currently enabled.
-    pub fn is_recording(&self) -> bool {
-        self.recording
-    }
-
-    /// Enables or disables constraint recording.
-    ///
-    /// The paper disables recording around operations whose constraints the
-    /// solver cannot reverse (hash functions); handler code does the same by
-    /// bracketing such regions with `set_recording(false)` / `(true)`, or by
-    /// calling [`ExecCtx::without_recording`].
-    pub fn set_recording(&mut self, enabled: bool) {
-        self.recording = enabled;
-    }
-
-    /// Runs a closure with recording disabled, restoring the previous state.
-    pub fn without_recording<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let prev = self.recording;
-        self.recording = false;
-        let r = f(self);
-        self.recording = prev;
-        r
-    }
-
     fn declare<T: ConcolicInt>(&mut self, name: &str, concrete: T) -> Concolic<T> {
         let var = match self.vars.get(name) {
             Some(&v) => v,
@@ -363,28 +322,12 @@ impl ExecCtx {
         self.declare(name, concrete)
     }
 
-    /// Declares (or re-binds) a 64-bit symbolic input with a concrete value.
-    pub fn symbolic_u64(&mut self, name: &str, concrete: u64) -> CU64 {
-        self.declare(name, concrete)
-    }
-
-    /// Records a branch at the caller's source location and returns the
-    /// concrete outcome, which the caller should use to decide control flow.
-    #[track_caller]
-    pub fn branch(&mut self, cond: ConcolicBool) -> bool {
-        let loc = Location::caller();
-        let site = SiteId::from_location(loc);
-        self.note_site(site, false, || {
-            format!("{}:{}:{}", loc.file(), loc.line(), loc.column()).into()
-        });
-        self.branch_at(site, cond)
-    }
-
-    /// Records a branch at an explicitly-identified site (used by the
-    /// policy-filter interpreter, where the site is a configuration AST
-    /// node rather than a Rust source location).
+    /// Records a branch at an explicitly-identified site and returns the
+    /// concrete outcome, which the caller should use to decide control flow
+    /// (used by the policy-filter interpreter, where the site is a
+    /// configuration AST node).
     pub fn branch_at(&mut self, site: SiteId, cond: ConcolicBool) -> bool {
-        if self.recording && cond.is_symbolic() && self.branches.len() < self.max_branches {
+        if cond.is_symbolic() && self.branches.len() < self.max_branches {
             // The symbolic term is present by the `is_symbolic` check.
             let condition = cond.term().expect("symbolic condition has a term");
             self.branches.push(BranchRecord {
@@ -408,7 +351,7 @@ impl ExecCtx {
     /// is independent of execution: the filter interpreter declares every
     /// arm of a filter up front, so arms no run has reached still count in
     /// the policy-coverage denominator.
-    pub fn declare_policy_site(&mut self, label: &str) -> SiteId {
+    pub(crate) fn declare_policy_site(&mut self, label: &str) -> SiteId {
         let site = SiteId::from_label(label);
         self.note_site(site, true, || Arc::from(label));
         site
@@ -458,7 +401,7 @@ mod tests {
             for name in &names {
                 let b = borrowed.symbolic_u32(name, value + round);
                 let s = shared.symbolic_shared(name, value + round);
-                assert_eq!((b.value(), b.term()), (s.value(), s.term()));
+                assert_eq!(b, s);
             }
         }
         assert_eq!(borrowed.var_map(), shared.var_map());
@@ -490,16 +433,16 @@ mod tests {
         let x = ctx.symbolic_u32("x", 5);
         let c10 = CU32::concrete(10);
         let cond = x.lt(&c10, &mut ctx);
-        let taken = ctx.branch(cond);
+        let taken = ctx.branch_labeled("below-10", cond);
         assert!(taken);
         let c3 = CU32::concrete(3);
         let cond2 = x.lt(&c3, &mut ctx);
-        let taken2 = ctx.branch(cond2);
+        let taken2 = ctx.branch_labeled("below-3", cond2);
         assert!(!taken2);
         assert_eq!(ctx.branches().len(), 2);
         assert!(ctx.branches()[0].taken);
         assert!(!ctx.branches()[1].taken);
-        // The two branch sites must be distinct (different source lines).
+        // The two branch sites must be distinct (different labels).
         assert_ne!(ctx.branches()[0].site, ctx.branches()[1].site);
     }
 
@@ -509,24 +452,9 @@ mod tests {
         let a = CU32::concrete(1);
         let b = CU32::concrete(2);
         let cond = a.lt(&b, &mut ctx);
-        let taken = ctx.branch(cond);
+        let taken = ctx.branch_labeled("constant", cond);
         assert!(taken);
         assert!(ctx.branches().is_empty());
-    }
-
-    #[test]
-    fn recording_can_be_suppressed() {
-        let mut ctx = ExecCtx::new();
-        let x = ctx.symbolic_u32("x", 5);
-        let c = CU32::concrete(10);
-        let cond = x.lt(&c, &mut ctx);
-        ctx.without_recording(|ctx| {
-            let _ = ctx.branch(cond);
-        });
-        assert!(ctx.branches().is_empty());
-        assert!(ctx.is_recording());
-        let _ = ctx.branch(cond);
-        assert_eq!(ctx.branches().len(), 1);
     }
 
     #[test]
@@ -537,8 +465,8 @@ mod tests {
         let c3 = CU32::concrete(3);
         let c1 = x.lt(&c10, &mut ctx);
         let c2 = x.lt(&c3, &mut ctx);
-        ctx.branch(c1); // taken
-        ctx.branch(c2); // not taken
+        ctx.branch_labeled("below-10", c1); // taken
+        ctx.branch_labeled("below-3", c2); // not taken
         let constraints = ctx.path_constraints();
         assert_eq!(constraints.len(), 2);
         // The concrete model must satisfy the path constraints it generated.
@@ -657,7 +585,7 @@ mod tests {
         let c = CU32::concrete(10);
         for _ in 0..10 {
             let cond = x.lt(&c, &mut ctx);
-            ctx.branch(cond);
+            ctx.branch_labeled("loop", cond);
         }
         assert_eq!(ctx.branches().len(), 3);
     }
@@ -668,7 +596,7 @@ mod tests {
         let x = ctx.symbolic_u32("x", 5);
         let c = CU32::concrete(10);
         let cond = x.lt(&c, &mut ctx);
-        ctx.branch(cond);
+        ctx.branch_labeled("below-10", cond);
         let rec = ctx.branches()[0];
         let (mut arena, _, model, _) = ctx.into_parts();
         let taken = rec.taken_constraint(&mut arena);

@@ -14,16 +14,16 @@ use crate::context::{SiteId, SiteInfo};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SiteCoverage {
     /// The true/taken direction has been observed.
-    pub taken: bool,
+    pub(crate) taken: bool,
     /// The false/not-taken direction has been observed.
-    pub not_taken: bool,
+    pub(crate) not_taken: bool,
     /// Number of times the site was executed.
-    pub hits: u64,
+    pub(crate) hits: u64,
 }
 
 impl SiteCoverage {
     /// Returns true if both directions have been observed.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.taken && self.not_taken
     }
 }
@@ -34,8 +34,8 @@ pub struct Coverage {
     sites: FastHashMap<SiteId, SiteCoverage>,
     /// Labels, and the sites that live in router *configuration* (filter
     /// arms) rather than code. Registration is independent of execution,
-    /// so the denominator of [`Coverage::policy_branch_coverage`] includes
-    /// arms no run has reached.
+    /// so [`Coverage::policy_site_count`], the denominator of policy
+    /// coverage, includes arms no run has reached.
     info: SiteInfo,
     /// The table [`Coverage::register_sites`] folded in last. Runs of one
     /// filter all bring the same one, so after the first a run's sites are
@@ -50,7 +50,7 @@ impl Coverage {
     }
 
     /// Records one observation of a branch direction.
-    pub fn record(&mut self, site: SiteId, taken: bool) {
+    pub(crate) fn record(&mut self, site: SiteId, taken: bool) {
         let entry = self.sites.entry(site).or_default();
         entry.hits += 1;
         if taken {
@@ -61,8 +61,10 @@ impl Coverage {
     }
 
     /// Registers what a run knows about its sites: every label, and every
-    /// policy site (see [`Coverage::register_policy_site`]).
-    pub fn register_sites(&mut self, sites: &Arc<SiteInfo>) {
+    /// policy site (a filter arm). Registering a policy site does not mark
+    /// any direction covered — it only adds the site to the
+    /// policy-coverage denominator.
+    pub(crate) fn register_sites(&mut self, sites: &Arc<SiteInfo>) {
         if self
             .last_registered
             .as_ref()
@@ -79,11 +81,6 @@ impl Coverage {
         self.info.label(site)
     }
 
-    /// Returns the coverage entry for a site, if it was ever executed.
-    pub fn site(&self, site: SiteId) -> Option<SiteCoverage> {
-        self.sites.get(&site).copied()
-    }
-
     /// Number of distinct branch sites observed.
     pub fn site_count(&self) -> usize {
         self.sites.len()
@@ -92,31 +89,6 @@ impl Coverage {
     /// Number of sites for which both directions were observed.
     pub fn complete_sites(&self) -> usize {
         self.sites.values().filter(|c| c.is_complete()).count()
-    }
-
-    /// Number of `(site, direction)` pairs observed.
-    pub fn directions_covered(&self) -> usize {
-        self.sites
-            .values()
-            .map(|c| usize::from(c.taken) + usize::from(c.not_taken))
-            .sum()
-    }
-
-    /// Branch coverage ratio: observed directions over `2 * sites`.
-    ///
-    /// Returns 1.0 when no sites have been observed.
-    pub fn branch_coverage(&self) -> f64 {
-        if self.sites.is_empty() {
-            return 1.0;
-        }
-        self.directions_covered() as f64 / (2 * self.sites.len()) as f64
-    }
-
-    /// Registers a policy branch site (a filter arm). Registering a site
-    /// does not mark any direction covered — it only adds the site to the
-    /// policy-coverage denominator.
-    pub fn register_policy_site(&mut self, site: SiteId) {
-        self.info.declare_policy(site);
     }
 
     /// Returns true if the site was registered as a policy site.
@@ -148,19 +120,6 @@ impl Coverage {
             .sum()
     }
 
-    /// Policy-branch coverage ratio: observed policy directions over
-    /// `2 * registered policy sites`. Unlike [`Coverage::branch_coverage`],
-    /// the denominator counts *registered* sites, so arms no execution has
-    /// reached drag the ratio down.
-    ///
-    /// Returns 1.0 when no policy sites are registered.
-    pub fn policy_branch_coverage(&self) -> f64 {
-        if self.info.policy_sites().is_empty() {
-            return 1.0;
-        }
-        self.policy_directions_covered() as f64 / (2 * self.info.policy_sites().len()) as f64
-    }
-
     /// Iterates over `(site, coverage)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SiteId, SiteCoverage)> + '_ {
         self.sites.iter().map(|(&s, &c)| (s, c))
@@ -186,6 +145,15 @@ mod tests {
         SiteId(n)
     }
 
+    /// A filter's table of policy sites.
+    fn table(labels: &[&str]) -> Arc<SiteInfo> {
+        let mut info = SiteInfo::default();
+        for label in labels {
+            info.add_policy_site(label);
+        }
+        Arc::new(info)
+    }
+
     #[test]
     fn recording_accumulates_directions() {
         let mut cov = Coverage::new();
@@ -193,54 +161,55 @@ mod tests {
         cov.record(site(1), true);
         cov.record(site(2), false);
         assert_eq!(cov.site_count(), 2);
-        assert_eq!(cov.directions_covered(), 2);
         assert_eq!(cov.complete_sites(), 0);
-        assert!((cov.branch_coverage() - 0.5).abs() < 1e-9);
+        let entry = |cov: &Coverage, s| cov.sites.get(&s).copied().expect("seen");
+        assert!(entry(&cov, site(1)).taken && !entry(&cov, site(1)).not_taken);
+        assert!(!entry(&cov, site(2)).taken && entry(&cov, site(2)).not_taken);
         cov.record(site(1), false);
         assert_eq!(cov.complete_sites(), 1);
-        assert!(cov.site(site(1)).expect("seen").is_complete());
-        assert_eq!(cov.site(site(1)).expect("seen").hits, 3);
+        assert!(entry(&cov, site(1)).is_complete());
+        assert_eq!(entry(&cov, site(1)).hits, 3);
     }
 
     #[test]
     fn empty_coverage_is_fully_covered() {
         let cov = Coverage::new();
-        assert_eq!(cov.branch_coverage(), 1.0);
         assert_eq!(cov.site_count(), 0);
+        assert_eq!(cov.complete_sites(), cov.site_count());
+        assert_eq!(cov.policy_complete_sites(), cov.policy_site_count());
     }
 
     #[test]
     fn policy_sites_count_registered_arms_even_when_unexecuted() {
         let mut cov = Coverage::new();
-        assert_eq!(cov.policy_branch_coverage(), 1.0);
-        cov.register_policy_site(site(1));
-        cov.register_policy_site(site(2));
+        assert_eq!(cov.policy_site_count(), 0);
+        cov.register_sites(&table(&["f:if0", "f:if1"]));
+        let (if0, if1) = (SiteId::from_label("f:if0"), SiteId::from_label("f:if1"));
         assert_eq!(cov.policy_site_count(), 2);
-        assert!(cov.is_policy_site(site(1)));
+        assert!(cov.is_policy_site(if0));
         assert!(!cov.is_policy_site(site(3)));
-        // Nothing executed yet: 0 of 4 directions.
         assert_eq!(cov.policy_directions_covered(), 0);
-        assert_eq!(cov.policy_branch_coverage(), 0.0);
-        // One direction of one arm: 1/4. Message-field sites don't count.
-        cov.record(site(1), true);
+        cov.record(if0, true);
         cov.record(site(9), true);
         cov.record(site(9), false);
-        assert_eq!(cov.policy_directions_covered(), 1);
-        assert!((cov.policy_branch_coverage() - 0.25).abs() < 1e-9);
+        assert_eq!(
+            cov.policy_directions_covered(),
+            1,
+            "a code site is not counted"
+        );
         assert_eq!(cov.policy_complete_sites(), 0);
-        cov.record(site(1), false);
+        cov.record(if0, false);
         assert_eq!(cov.policy_complete_sites(), 1);
-        // Registration never marks directions covered by itself.
-        assert!(cov.site(site(2)).is_none());
+        assert!(!cov.sites.contains_key(&if1), "registered, never executed");
     }
 
     #[test]
     fn merge_unions_policy_registrations() {
         let mut a = Coverage::new();
-        a.register_policy_site(site(1));
+        a.register_sites(&table(&["f:if0"]));
         let mut b = Coverage::new();
-        b.register_policy_site(site(2));
-        b.record(site(2), true);
+        b.register_sites(&table(&["g:if0"]));
+        b.record(SiteId::from_label("g:if0"), true);
         a.merge(&b);
         assert_eq!(a.policy_site_count(), 2);
         assert_eq!(a.policy_directions_covered(), 1);
@@ -255,7 +224,11 @@ mod tests {
         cov.register_sites(&table);
         assert!(cov.is_policy_site(arm));
         assert_eq!(cov.label(arm), Some("filter:f:if0"));
-        assert_eq!(cov.policy_branch_coverage(), 0.0, "registered, not covered");
+        assert_eq!(
+            cov.policy_directions_covered(),
+            0,
+            "registered, not covered"
+        );
         // Every further run of the filter brings the same table.
         cov.register_sites(&table);
         assert_eq!(cov.policy_site_count(), 1);

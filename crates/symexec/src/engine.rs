@@ -43,7 +43,7 @@
 //! [`Coverage::register_sites`] folds in once per table, not per run.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dice_solver::{FastHashSet, IncrementalSolver, SolverStats, Verdict};
 
@@ -57,8 +57,8 @@ use crate::strategy::{Candidate, Worklist};
 ///
 /// Implementations create their symbolic inputs through the provided
 /// [`ExecCtx`] (typically by calling `ctx.symbolic_u32(name, value)` with
-/// values taken from `input`), branch through [`ExecCtx::branch`] /
-/// [`ExecCtx::branch_labeled`], and return an application-level outcome
+/// values taken from `input`), branch through [`ExecCtx::branch_labeled`]
+/// or [`ExecCtx::branch_at`], and return an application-level outcome
 /// that fault checkers can inspect.
 pub trait SymbolicProgram {
     /// Application-level outcome of one execution.
@@ -133,7 +133,7 @@ pub struct ExplorationStats {
     /// Number of negation candidates generated.
     pub candidates: usize,
     /// Of those, candidates targeting *policy* branch sites (filter arms).
-    pub policy_candidates: usize,
+    pub(crate) policy_candidates: usize,
     /// Candidates skipped because their target path had already been tried.
     pub skipped_duplicates: usize,
     /// Solver queries that produced a new input.
@@ -145,14 +145,7 @@ pub struct ExplorationStats {
     /// Worklist waves processed.
     pub waves: usize,
     /// Total wall-clock time of the exploration, in nanoseconds.
-    pub elapsed_ns: u64,
-}
-
-impl ExplorationStats {
-    /// Total exploration wall-clock time.
-    pub fn elapsed(&self) -> Duration {
-        Duration::from_nanos(self.elapsed_ns)
-    }
+    pub(crate) elapsed_ns: u64,
 }
 
 /// The result of an exploration.
@@ -275,19 +268,9 @@ pub struct ConcolicEngine {
 }
 
 impl ConcolicEngine {
-    /// Creates an engine with the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates an engine with the given configuration.
     pub fn with_config(config: EngineConfig) -> Self {
         ConcolicEngine { config }
-    }
-
-    /// Returns the engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// Explores the program starting from the given seed inputs.
@@ -589,7 +572,7 @@ mod tests {
 
     #[test]
     fn explores_all_paths_of_figure1() {
-        let engine = ConcolicEngine::new();
+        let engine = ConcolicEngine::default();
         let seeds = [InputValues::new().with("x", 5).with("y", 0)];
         let mut program = figure1_program;
         let result = engine.explore(&mut program, &seeds);
@@ -625,7 +608,7 @@ mod tests {
             let mut taken = 0;
             for step in 0..10_050 {
                 let c = x.gt_const(step, ctx);
-                if ctx.branch(c) {
+                if ctx.branch_labeled("step", c) {
                     taken += 1;
                 }
             }
@@ -656,7 +639,7 @@ mod tests {
                 0
             }
         }
-        let engine = ConcolicEngine::new();
+        let engine = ConcolicEngine::default();
         let seeds = [InputValues::new().with("x", 200)];
         let mut p = program;
         let result = engine.explore(&mut p, &seeds);
@@ -670,7 +653,7 @@ mod tests {
 
     #[test]
     fn into_outputs_preserves_execution_order() {
-        let engine = ConcolicEngine::new();
+        let engine = ConcolicEngine::default();
         let seeds = [InputValues::new().with("x", 5).with("y", 0)];
         let mut program = figure1_program;
         let result = engine.explore(&mut program, &seeds);
@@ -682,7 +665,7 @@ mod tests {
 
     #[test]
     fn generated_inputs_differ_from_seed() {
-        let engine = ConcolicEngine::new();
+        let engine = ConcolicEngine::default();
         let seed = InputValues::new().with("x", 5).with("y", 0);
         let mut program = figure1_program;
         let result = engine.explore(&mut program, std::slice::from_ref(&seed));
@@ -702,7 +685,7 @@ mod tests {
                 observed.push(hit);
                 hit
             };
-            let engine = ConcolicEngine::new();
+            let engine = ConcolicEngine::default();
             let result = engine.explore(&mut program, &[InputValues::new().with("v", 0)]);
             assert!(result.outputs().any(|&o| o));
         }
@@ -715,7 +698,7 @@ mod tests {
         // full coverage, since the previous runs might not have reached all
         // branches". The nested branch only exists on the x>100 path; it
         // must still be discovered starting from x=5.
-        let engine = ConcolicEngine::new();
+        let engine = ConcolicEngine::default();
         let seeds = [InputValues::new().with("x", 5).with("y", 0)];
         let mut program = figure1_program;
         let result = engine.explore(&mut program, &seeds);
@@ -726,7 +709,7 @@ mod tests {
 
     #[test]
     fn batched_mode_uses_incremental_sessions() {
-        let engine = ConcolicEngine::new();
+        let engine = ConcolicEngine::default();
         let seeds = [InputValues::new().with("x", 5).with("y", 0)];
         let mut program = figure1_program;
         let result = engine.explore(&mut program, &seeds);

@@ -16,14 +16,14 @@ use crate::context::VarMap;
 
 /// Description of one symbolic input field.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InputField {
+pub(crate) struct InputField {
     /// Field name (e.g. `"nlri.prefix"`).
-    pub name: String,
+    pub(crate) name: String,
     /// Bit width (1..=64).
-    pub width: u32,
+    pub(crate) width: u32,
     /// Default concrete value, used when a generated assignment leaves the
     /// field unconstrained.
-    pub default: u64,
+    pub(crate) default: u64,
 }
 
 /// The set of symbolic input fields for a program under test.
@@ -45,17 +45,12 @@ impl InputSpec {
     }
 
     /// Adds a field in place.
-    pub fn push(&mut self, name: impl Into<String>, width: u32, default: u64) {
+    pub(crate) fn push(&mut self, name: impl Into<String>, width: u32, default: u64) {
         self.fields.push(InputField {
             name: name.into(),
             width,
             default,
         });
-    }
-
-    /// The declared fields, in declaration order.
-    pub fn fields(&self) -> &[InputField] {
-        &self.fields
     }
 
     /// Number of fields.
@@ -66,11 +61,6 @@ impl InputSpec {
     /// Returns true if no fields are declared.
     pub fn is_empty(&self) -> bool {
         self.fields.is_empty()
-    }
-
-    /// Looks up a field by name.
-    pub fn get(&self, name: &str) -> Option<&InputField> {
-        self.fields.iter().find(|f| f.name == name)
     }
 
     /// Produces the default assignment (every field at its default value).
@@ -99,7 +89,7 @@ impl InputValues {
     }
 
     /// Sets a field value.
-    pub fn set(&mut self, name: &str, value: u64) {
+    pub(crate) fn set(&mut self, name: &str, value: u64) {
         match self.values.get_mut(name) {
             Some(slot) => *slot = value,
             None => {
@@ -134,18 +124,17 @@ impl InputValues {
         self.values.is_empty()
     }
 
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.values.iter().map(|(k, &v)| (&**k, v))
-    }
-
     /// Builds new input values from a solver model.
     ///
     /// Fields constrained by the model take the model's value; fields the
     /// model leaves unconstrained keep the value from `fallback` (usually
     /// the input of the run whose branch was negated), so that generated
     /// messages stay close to observed ones.
-    pub fn from_model(model: &Model, var_map: &VarMap, fallback: &InputValues) -> InputValues {
+    pub(crate) fn from_model(
+        model: &Model,
+        var_map: &VarMap,
+        fallback: &InputValues,
+    ) -> InputValues {
         let mut out = fallback.clone();
         for (name, &var) in var_map {
             if let Some(v) = model.get_opt(var) {
@@ -203,8 +192,9 @@ mod tests {
         let d = spec.defaults();
         assert_eq!(d.get("nlri.prefix"), Some(0x0a00_0000));
         assert_eq!(d.get("nlri.len"), Some(24));
-        assert_eq!(spec.get("nlri.len").map(|f| f.width), Some(8));
-        assert!(spec.get("missing").is_none());
+        let width = |name| spec.fields.iter().find(|f| f.name == name).map(|f| f.width);
+        assert_eq!(width("nlri.len"), Some(8));
+        assert!(width("missing").is_none());
     }
 
     #[test]

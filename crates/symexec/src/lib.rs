@@ -7,7 +7,7 @@
 //! on symbolic data records a constraint at run time. In Rust there is no
 //! equivalent source-instrumentation pipeline, so this crate uses a
 //! *library embedding*: code under test manipulates [`Concolic`] values and
-//! announces its branches through [`ExecCtx::branch`]. The observable
+//! announces its branches through [`ExecCtx::branch_labeled`]. The observable
 //! artifact is the same — a path condition per execution — and the
 //! exploration loop (negate a predicate, solve, re-execute) is identical to
 //! the one described in the paper's Figure 1.
@@ -28,7 +28,7 @@
 //!     }
 //! };
 //!
-//! let engine = ConcolicEngine::new();
+//! let engine = ConcolicEngine::default();
 //! let result = engine.explore(&mut handler, &[InputValues::new().with("ttl", 10)]);
 //! let outputs: std::collections::HashSet<_> = result.outputs().copied().collect();
 //! assert!(outputs.contains("drop") && outputs.contains("forward"));
@@ -37,22 +37,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod context;
-pub mod coverage;
-pub mod engine;
-pub mod input;
-pub mod path;
+mod context;
+mod coverage;
+mod engine;
+mod input;
+mod path;
 mod strategy;
-pub mod value;
+mod value;
 
 pub use context::{BranchRecord, ExecCtx, SiteId, SiteInfo, SiteLabels, VarMap};
 pub use coverage::{Coverage, SiteCoverage};
 pub use engine::{
     ConcolicEngine, EngineConfig, Exploration, ExplorationStats, RunRecord, SymbolicProgram,
 };
-pub use input::{InputField, InputSpec, InputValues};
-pub use path::{path_id, ExecTrace, PathId};
-pub use value::{Concolic, ConcolicBool, ConcolicInt, CU32, CU64, CU8};
+pub use input::{InputSpec, InputValues};
+pub use path::{ExecTrace, PathId};
+pub use value::{Concolic, ConcolicBool, ConcolicInt, CU32, CU8};
 
 // Solver handles that appear in this crate's public API (branch records and
 // policy arm traces carry `TermId` path constraints).

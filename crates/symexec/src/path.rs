@@ -9,7 +9,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use dice_solver::{Model, TermArena, TermId};
+use dice_solver::{Model, TermArena};
 
 use crate::context::{BranchRecord, ExecCtx, SiteId, SiteInfo, VarMap};
 use crate::input::InputValues;
@@ -24,20 +24,11 @@ fn hash_step(h: &mut DefaultHasher, site: SiteId, taken: bool) {
     taken.hash(h);
 }
 
-/// Computes the path identity of a branch sequence.
-pub fn path_id(branches: &[(SiteId, bool)]) -> PathId {
-    let mut h = DefaultHasher::new();
-    for &(site, taken) in branches {
-        hash_step(&mut h, site, taken);
-    }
-    PathId(h.finish())
-}
-
 /// The identity of a branch sequence and, for every index `k`, of the path
 /// negating branch `k` targets (the prefix up to `k` with `k`'s direction
 /// flipped) — all from one pass: the hasher that has absorbed the prefix
 /// `[0, k)` is cloned to finish the flipped variant, then absorbs `k`
-/// itself. The values are those [`path_id`] gives for each shape.
+/// itself. The values are those hashing each shape from scratch gives.
 fn path_ids(branches: &[BranchRecord]) -> (PathId, Vec<PathId>) {
     let mut prefix = DefaultHasher::new();
     let mut negated = Vec::with_capacity(branches.len());
@@ -64,7 +55,7 @@ pub struct ExecTrace {
     /// Concrete assignment of the symbolic inputs during the run.
     pub concrete: Model,
     /// Mapping from input field names to solver variables.
-    pub var_map: VarMap,
+    pub(crate) var_map: VarMap,
     /// The input values the run was started with.
     pub input: InputValues,
     /// Identity of the executed path, hashed when the trace was built.
@@ -75,7 +66,7 @@ pub struct ExecTrace {
 
 impl ExecTrace {
     /// Builds a trace from a finished execution context and its input.
-    pub fn from_ctx(mut ctx: ExecCtx, input: InputValues) -> Self {
+    pub(crate) fn from_ctx(mut ctx: ExecCtx, input: InputValues) -> Self {
         let sites = ctx.take_sites();
         let (arena, branches, concrete, var_map) = ctx.into_parts();
         let (path, negated) = path_ids(&branches);
@@ -91,16 +82,6 @@ impl ExecTrace {
         }
     }
 
-    /// Number of branches on the path.
-    pub fn depth(&self) -> usize {
-        self.branches.len()
-    }
-
-    /// The `(site, direction)` shape of the path.
-    pub fn shape(&self) -> Vec<(SiteId, bool)> {
-        self.branches.iter().map(|b| (b.site, b.taken)).collect()
-    }
-
     /// The path identity of the full trace.
     pub fn path_id(&self) -> PathId {
         self.path
@@ -112,7 +93,7 @@ impl ExecTrace {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
-    pub fn negated_path_id(&self, index: usize) -> PathId {
+    pub(crate) fn negated_path_id(&self, index: usize) -> PathId {
         self.negated[index]
     }
 
@@ -124,7 +105,7 @@ impl ExecTrace {
     ///
     /// Panics if `index` is out of bounds.
     #[cfg(test)]
-    fn negation_query(&mut self, index: usize) -> Vec<TermId> {
+    fn negation_query(&mut self, index: usize) -> Vec<dice_solver::TermId> {
         assert!(index < self.branches.len(), "branch index out of bounds");
         let ExecTrace {
             arena, branches, ..
@@ -136,21 +117,28 @@ impl ExecTrace {
         out.push(branches[index].negated_constraint(arena));
         out
     }
-
-    /// All constraints along the executed path.
-    pub fn path_constraints(&mut self) -> Vec<TermId> {
-        let ExecTrace {
-            arena, branches, ..
-        } = self;
-        branches.iter().map(|b| b.taken_constraint(arena)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::CU32;
+    use dice_solver::TermId;
     use proptest::prelude::*;
+
+    /// Computes the path identity of a branch sequence from scratch.
+    fn path_id(branches: &[(SiteId, bool)]) -> PathId {
+        let mut h = DefaultHasher::new();
+        for &(site, taken) in branches {
+            hash_step(&mut h, site, taken);
+        }
+        PathId(h.finish())
+    }
+
+    /// The `(site, direction)` shape of a trace's path.
+    fn shape(trace: &ExecTrace) -> Vec<(SiteId, bool)> {
+        trace.branches.iter().map(|b| (b.site, b.taken)).collect()
+    }
 
     fn trace_with_two_branches(x_val: u32) -> ExecTrace {
         let mut ctx = ExecCtx::new();
@@ -208,8 +196,8 @@ mod tests {
     #[test]
     fn trace_serves_the_ids_it_hashed_when_built() {
         let t = trace_with_two_branches(5);
-        assert_eq!(t.path_id(), path_id(&t.shape()));
-        for k in 0..t.depth() {
+        assert_eq!(t.path_id(), path_id(&shape(&t)));
+        for k in 0..t.branches.len() {
             assert_eq!(
                 t.negated_path_id(k),
                 reference_negated_path_id(&t.branches, k)
@@ -239,7 +227,7 @@ mod tests {
         let t1 = trace_with_two_branches(5);
         let t2 = trace_with_two_branches(50);
         let target = t1.negated_path_id(0);
-        let prefix: Vec<(SiteId, bool)> = t2.shape().into_iter().take(1).collect();
+        let prefix: Vec<(SiteId, bool)> = shape(&t2).into_iter().take(1).collect();
         assert_eq!(target, path_id(&prefix));
     }
 
@@ -258,7 +246,10 @@ mod tests {
     #[test]
     fn path_constraints_hold_for_own_input() {
         let mut t = trace_with_two_branches(42);
-        let cs = t.path_constraints();
+        let ExecTrace {
+            arena, branches, ..
+        } = &mut t;
+        let cs: Vec<TermId> = branches.iter().map(|b| b.taken_constraint(arena)).collect();
         assert_eq!(cs.len(), 2);
         assert!(t.concrete.satisfies_all(&t.arena, &cs));
     }
@@ -266,8 +257,8 @@ mod tests {
     #[test]
     fn depth_and_shape() {
         let t = trace_with_two_branches(5);
-        assert_eq!(t.depth(), 2);
-        let shape = t.shape();
+        assert_eq!(t.branches.len(), 2);
+        let shape = shape(&t);
         assert_eq!(shape.len(), 2);
         assert!(shape[0].1);
         assert!(shape[1].1);

@@ -13,18 +13,18 @@ use std::collections::BinaryHeap;
 /// A pending exploration candidate: negate branch `branch_index` of run
 /// `run_index`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
+pub(crate) struct Candidate {
     /// Index of the run (in the engine's run list) the branch belongs to.
-    pub run_index: usize,
+    pub(crate) run_index: usize,
     /// Index of the branch within that run's trace.
-    pub branch_index: usize,
+    pub(crate) branch_index: usize,
     /// Exploration generation of the run (seeds are generation 0).
-    pub generation: u32,
+    pub(crate) generation: u32,
     /// True when the branch site lives in router configuration (a policy
     /// filter arm) rather than code. Scheduling is identical either way;
     /// the flag attributes solver queries to policy exploration in
     /// [`dice_solver::SolverStats`]-style accounting.
-    pub is_policy: bool,
+    pub(crate) is_policy: bool,
 }
 
 /// A queued candidate and its place in the order: `(generation,
@@ -61,7 +61,7 @@ impl Ord for Queued {
 /// Insertion order breaks ties, so a run of candidates with equal keys
 /// pops in the order it was pushed.
 #[derive(Debug, Default)]
-pub struct Worklist {
+pub(crate) struct Worklist {
     heap: BinaryHeap<Reverse<Queued>>,
     /// Insertion counter, the last component of every key.
     pushed: u64,
@@ -69,12 +69,12 @@ pub struct Worklist {
 
 impl Worklist {
     /// Creates an empty worklist.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a candidate.
-    pub fn push(&mut self, candidate: Candidate) {
+    pub(crate) fn push(&mut self, candidate: Candidate) {
         let key = (candidate.generation, candidate.branch_index, self.pushed);
         self.pushed += 1;
         self.heap.push(Reverse(Queued { key, candidate }));
@@ -82,25 +82,25 @@ impl Worklist {
 
     /// Number of pending candidates.
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Returns true if no candidates are pending.
     #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
     /// Removes and returns the next candidate.
-    pub fn pop(&mut self) -> Option<Candidate> {
+    pub(crate) fn pop(&mut self) -> Option<Candidate> {
         self.heap.pop().map(|Reverse(queued)| queued.candidate)
     }
 
     /// Like [`Worklist::pop`], but lets the caller inspect the next
     /// candidate first: if `accept` returns false the candidate stays in
     /// the worklist and `None` is returned.
-    pub fn pop_if(&mut self, accept: impl FnOnce(&Candidate) -> bool) -> Option<Candidate> {
+    pub(crate) fn pop_if(&mut self, accept: impl FnOnce(&Candidate) -> bool) -> Option<Candidate> {
         let Reverse(next) = self.heap.peek()?;
         if !accept(&next.candidate) {
             return None;

@@ -2,14 +2,16 @@
 //! symbolic term.
 //!
 //! Code under test (the BGP UPDATE handler, the policy-filter interpreter)
-//! is written against [`Concolic<T>`] instead of plain integers. Every
-//! arithmetic or comparison operation computes the concrete result *and*,
-//! when any operand carries a symbolic term, builds the corresponding term
-//! in the execution context's arena. This is the library-level equivalent
-//! of the CIL source instrumentation used by the paper's Oasis engine.
+//! is written against [`Concolic<T>`] instead of plain integers. What the
+//! filter interpreter records is a comparison of a message field with a
+//! configured constant, or a `&&`, `||` or `!` over such comparisons, so
+//! those are the operations here: each computes the concrete result *and*,
+//! when an operand carries a symbolic term, builds the corresponding term in
+//! the execution context's arena. This is the library-level equivalent of
+//! the CIL source instrumentation used by the paper's Oasis engine.
 
 use crate::context::ExecCtx;
-use dice_solver::term::TermId;
+use dice_solver::TermId;
 
 /// Machine integer types that can be tracked concolically.
 pub trait ConcolicInt: Copy + Eq + Ord + std::fmt::Debug {
@@ -17,8 +19,6 @@ pub trait ConcolicInt: Copy + Eq + Ord + std::fmt::Debug {
     const WIDTH: u32;
     /// Converts to the canonical `u64` representation.
     fn to_u64(self) -> u64;
-    /// Converts from the canonical `u64` representation (truncating).
-    fn from_u64(v: u64) -> Self;
 }
 
 macro_rules! impl_concolic_int {
@@ -29,15 +29,12 @@ macro_rules! impl_concolic_int {
                 fn to_u64(self) -> u64 {
                     self as u64
                 }
-                fn from_u64(v: u64) -> Self {
-                    v as $t
-                }
             }
         )*
     };
 }
 
-impl_concolic_int!(u8 => 8, u16 => 16, u32 => 32, u64 => 64);
+impl_concolic_int!(u8 => 8, u32 => 32);
 
 /// A concolic integer: concrete value plus optional symbolic term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +47,6 @@ pub struct Concolic<T: ConcolicInt> {
 pub type CU8 = Concolic<u8>;
 /// 32-bit concolic integer.
 pub type CU32 = Concolic<u32>;
-/// 64-bit concolic integer.
-pub type CU64 = Concolic<u64>;
 
 impl<T: ConcolicInt> Concolic<T> {
     /// Wraps a purely concrete value (no symbolic part).
@@ -63,7 +58,7 @@ impl<T: ConcolicInt> Concolic<T> {
     }
 
     /// Creates a value with both concrete and symbolic parts.
-    pub fn with_term(value: T, term: TermId) -> Self {
+    pub(crate) fn with_term(value: T, term: TermId) -> Self {
         Concolic {
             concrete: value,
             sym: Some(term),
@@ -75,52 +70,15 @@ impl<T: ConcolicInt> Concolic<T> {
         self.concrete
     }
 
-    /// The symbolic term, if the value depends on symbolic input.
-    pub fn term(&self) -> Option<TermId> {
-        self.sym
-    }
-
     /// Returns true if the value carries a symbolic term.
     pub fn is_symbolic(&self) -> bool {
         self.sym.is_some()
-    }
-
-    /// Drops the symbolic part, keeping only the concrete value.
-    ///
-    /// This is the mechanism the paper uses for operations whose constraints
-    /// cannot be reversed by the solver (e.g. hash functions): execution
-    /// continues with the concrete result and no constraint is recorded.
-    pub fn concretize(&self) -> Self {
-        Concolic {
-            concrete: self.concrete,
-            sym: None,
-        }
     }
 
     fn term_or_const(&self, ctx: &mut ExecCtx) -> TermId {
         match self.sym {
             Some(t) => t,
             None => ctx.arena_mut().int_const(self.concrete.to_u64(), T::WIDTH),
-        }
-    }
-
-    fn binop(
-        &self,
-        other: &Self,
-        ctx: &mut ExecCtx,
-        concrete: u64,
-        build: impl FnOnce(&mut dice_solver::TermArena, TermId, TermId) -> TermId,
-    ) -> Self {
-        let concrete = T::from_u64(concrete);
-        if self.sym.is_none() && other.sym.is_none() {
-            return Concolic::concrete(concrete);
-        }
-        let a = self.term_or_const(ctx);
-        let b = other.term_or_const(ctx);
-        let t = build(ctx.arena_mut(), a, b);
-        Concolic {
-            concrete,
-            sym: Some(t),
         }
     }
 
@@ -141,75 +99,6 @@ impl<T: ConcolicInt> Concolic<T> {
             concrete,
             sym: Some(t),
         }
-    }
-
-    /// Wrapping addition.
-    pub fn add(&self, other: &Self, ctx: &mut ExecCtx) -> Self {
-        let c = dice_solver::term::mask(
-            self.concrete.to_u64().wrapping_add(other.concrete.to_u64()),
-            T::WIDTH,
-        );
-        self.binop(other, ctx, c, |a, x, y| a.add(x, y))
-    }
-
-    /// Wrapping subtraction.
-    pub fn sub(&self, other: &Self, ctx: &mut ExecCtx) -> Self {
-        let c = dice_solver::term::mask(
-            self.concrete.to_u64().wrapping_sub(other.concrete.to_u64()),
-            T::WIDTH,
-        );
-        self.binop(other, ctx, c, |a, x, y| a.sub(x, y))
-    }
-
-    /// Wrapping multiplication.
-    pub fn mul(&self, other: &Self, ctx: &mut ExecCtx) -> Self {
-        let c = dice_solver::term::mask(
-            self.concrete.to_u64().wrapping_mul(other.concrete.to_u64()),
-            T::WIDTH,
-        );
-        self.binop(other, ctx, c, |a, x, y| a.mul(x, y))
-    }
-
-    /// Bitwise and.
-    pub fn bitand(&self, other: &Self, ctx: &mut ExecCtx) -> Self {
-        let c = self.concrete.to_u64() & other.concrete.to_u64();
-        self.binop(other, ctx, c, |a, x, y| a.bitand(x, y))
-    }
-
-    /// Bitwise or.
-    pub fn bitor(&self, other: &Self, ctx: &mut ExecCtx) -> Self {
-        let c = self.concrete.to_u64() | other.concrete.to_u64();
-        self.binop(other, ctx, c, |a, x, y| a.bitor(x, y))
-    }
-
-    /// Bitwise xor.
-    pub fn bitxor(&self, other: &Self, ctx: &mut ExecCtx) -> Self {
-        let c = self.concrete.to_u64() ^ other.concrete.to_u64();
-        self.binop(other, ctx, c, |a, x, y| a.bitxor(x, y))
-    }
-
-    /// Logical shift left by a concrete amount.
-    pub fn shl_const(&self, amount: u32, ctx: &mut ExecCtx) -> Self {
-        let other = Concolic::concrete(T::from_u64(amount as u64));
-        let c = dice_solver::term::TermArena::eval_bin(
-            dice_solver::BinOp::Shl,
-            self.concrete.to_u64(),
-            amount as u64,
-            T::WIDTH,
-        );
-        self.binop(&other, ctx, c, |a, x, y| a.shl(x, y))
-    }
-
-    /// Logical shift right by a concrete amount.
-    pub fn shr_const(&self, amount: u32, ctx: &mut ExecCtx) -> Self {
-        let other = Concolic::concrete(T::from_u64(amount as u64));
-        let c = dice_solver::term::TermArena::eval_bin(
-            dice_solver::BinOp::Lshr,
-            self.concrete.to_u64(),
-            amount as u64,
-            T::WIDTH,
-        );
-        self.binop(&other, ctx, c, |a, x, y| a.lshr(x, y))
     }
 
     /// Equality comparison.
@@ -292,14 +181,6 @@ impl ConcolicBool {
         }
     }
 
-    /// Creates a boolean with both concrete and symbolic parts.
-    pub fn with_term(value: bool, term: TermId) -> Self {
-        ConcolicBool {
-            concrete: value,
-            sym: Some(term),
-        }
-    }
-
     /// The concrete truth value.
     pub fn value(&self) -> bool {
         self.concrete
@@ -311,7 +192,7 @@ impl ConcolicBool {
     }
 
     /// Returns true if the boolean carries a symbolic term.
-    pub fn is_symbolic(&self) -> bool {
+    pub(crate) fn is_symbolic(&self) -> bool {
         self.sym.is_some()
     }
 
@@ -387,59 +268,47 @@ mod tests {
         let mut ctx = ExecCtx::new();
         let a = CU32::concrete(5);
         let b = CU32::concrete(7);
-        let sum = a.add(&b, &mut ctx);
-        assert_eq!(sum.value(), 12);
-        assert!(!sum.is_symbolic());
         let cmp = a.lt(&b, &mut ctx);
         assert!(cmp.value());
         assert!(!cmp.is_symbolic());
+        let both = cmp.and(&a.ne(&b, &mut ctx), &mut ctx);
+        assert!(both.value());
+        assert!(!both.is_symbolic());
         assert_eq!(ctx.arena().len(), 0, "no terms should be allocated");
     }
 
     #[test]
     fn symbolic_ops_build_terms() {
         let mut ctx = ExecCtx::new();
-        let x = ctx.symbolic_u32("x", 10);
-        let c = CU32::concrete(32);
-        let sum = x.add(&c, &mut ctx);
-        assert_eq!(sum.value(), 42);
-        assert!(sum.is_symbolic());
-        let cmp = sum.gt(&CU32::concrete(40), &mut ctx);
+        let x = ctx.symbolic_u32("x", 42);
+        let c = CU32::concrete(40);
+        let cmp = x.gt(&c, &mut ctx);
         assert!(cmp.value());
         assert!(cmp.is_symbolic());
-    }
-
-    #[test]
-    fn wrapping_matches_machine_arithmetic() {
-        let mut ctx = ExecCtx::new();
-        let x = ctx.symbolic_u8("x", 250);
-        let y = CU8::concrete(10);
-        let sum = x.add(&y, &mut ctx);
-        assert_eq!(sum.value(), 250u8.wrapping_add(10));
-        let diff = y.sub(&x, &mut ctx);
-        assert_eq!(diff.value(), 10u8.wrapping_sub(250));
-    }
-
-    #[test]
-    fn concretize_drops_symbolic_part() {
-        let mut ctx = ExecCtx::new();
-        let x = ctx.symbolic_u32("x", 99);
-        assert!(x.is_symbolic());
-        let c = x.concretize();
-        assert!(!c.is_symbolic());
-        assert_eq!(c.value(), 99);
+        let term = cmp.term().expect("symbolic");
+        assert_eq!(ctx.arena().display(term), "(Ugt x 40:32)");
+        let flipped = c.ge(&x, &mut ctx);
+        assert!(!flipped.value());
+        assert!(flipped.is_symbolic());
     }
 
     #[test]
     fn shifts_and_masks() {
+        // `addr >> 24 == 10` and `addr & 0xff == 3`, as the filter
+        // interpreter records them: each mask denotes a range of `addr`.
         let mut ctx = ExecCtx::new();
         let x = ctx.symbolic_u32("addr", 0x0a01_0203);
-        let hi = x.shr_const(24, &mut ctx);
-        assert_eq!(hi.value(), 0x0a);
-        assert!(hi.is_symbolic());
-        let mask = CU32::concrete(0xff);
-        let low = x.bitand(&mask, &mut ctx);
-        assert_eq!(low.value(), 0x03);
+        let in_ten = x
+            .ge(&CU32::concrete(0x0a00_0000), &mut ctx)
+            .and(&x.le(&CU32::concrete(0x0aff_ffff), &mut ctx), &mut ctx);
+        assert!(in_ten.value());
+        assert!(in_ten.is_symbolic());
+        let byte = ctx.symbolic_u8("low", 0x03);
+        let low = byte.eq_const(0x03, &mut ctx);
+        assert!(low.value());
+        let model = ctx.concrete_model();
+        let terms = [in_ten, low].map(|b| b.term().expect("symbolic"));
+        assert!(model.satisfies_all(ctx.arena(), &terms));
     }
 
     #[test]

@@ -53,13 +53,7 @@ fn main() {
     //    the orchestrator quiesces the simulator, harvests the new window
     //    and runs one round over every node.
     let mid_run_prefix: Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
-    // Compaction (on by default) would drop the harvested log after each
-    // round; this example re-harvests the same simulator at the end for
-    // the one-shot comparison, so the full history is retained.
-    let orchestrator = LiveOrchestrator::new(session())
-        .with_max_rounds(8)
-        .with_log_compaction(false);
-    let report = orchestrator.run(&mut sim, |sim, epoch| {
+    let script = |sim: &mut Simulator, epoch: usize| {
         let mut attrs = RouteAttrs::default();
         attrs.as_path = AsPath::from_sequence([asn::CUSTOMER, asn::CUSTOMER]);
         attrs.next_hop = addr::CUSTOMER;
@@ -98,7 +92,9 @@ fn main() {
                 false
             }
         }
-    });
+    };
+    let orchestrator = LiveOrchestrator::new(session()).with_max_rounds(8);
+    let report = orchestrator.run(&mut sim, script);
 
     println!("{report}");
     for round in &report.rounds {
@@ -125,11 +121,23 @@ fn main() {
     );
 
     // ...which a single end-of-run harvest provably misses: the same
-    // session over the same final simulator state checkpoints a table the
-    // withdrawn route is long gone from, so nothing is hijacked on that
-    // prefix. (The second block is still installed and still flags — the
-    // *temporal* fault is exactly the one the single round loses.)
-    let one_shot = FleetExplorer::new(session()).explore(&sim);
+    // session over the same final state checkpoints a table the withdrawn
+    // route is long gone from, so nothing is hijacked on that prefix. (The
+    // second block is still installed and still flags — the *temporal*
+    // fault is exactly the one the single round loses.) The live run
+    // dropped each harvested window from its log, so the one-shot round
+    // runs on a twin simulator driven through the same script without
+    // exploration; exploration never writes live state, so the twin ends
+    // where the live simulator did.
+    let mut twin = Simulator::new(&topo);
+    for epoch in 0.. {
+        let more = script(&mut twin, epoch);
+        twin.run_to_quiescence(100);
+        if !more {
+            break;
+        }
+    }
+    let one_shot = FleetExplorer::new(session()).explore(&twin);
     assert!(one_shot.has_faults());
     assert!(one_shot
         .faults

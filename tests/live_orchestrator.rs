@@ -94,39 +94,35 @@ fn a_mid_run_round_flags_a_hijack_of_a_route_installed_only_mid_run() {
     let mut sim = Simulator::new(&topo);
 
     let mid_run_prefix: Ipv4Prefix = "41.1.0.0/16".parse().expect("valid");
-    // Log compaction is disabled because this test deliberately
-    // re-harvests the same simulator afterwards with a one-shot fleet
-    // round, which needs the full delivery log.
-    let live = LiveOrchestrator::new(hijack_session())
-        .with_log_compaction(false)
-        .run(&mut sim, |sim, epoch| {
-            match epoch {
-                // Epoch 0: the customer announces its block; the filter
-                // accepts it and the provider installs it.
-                0 => {
-                    sim.inject(
-                        provider,
+    let script = |sim: &mut Simulator, epoch: usize| {
+        match epoch {
+            // Epoch 0: the customer announces its block; the filter
+            // accepts it and the provider installs it.
+            0 => {
+                sim.inject(
+                    provider,
+                    addr::CUSTOMER,
+                    announcement(
+                        "41.1.0.0/16",
+                        &[asn::CUSTOMER, asn::CUSTOMER],
                         addr::CUSTOMER,
-                        announcement(
-                            "41.1.0.0/16",
-                            &[asn::CUSTOMER, asn::CUSTOMER],
-                            addr::CUSTOMER,
-                        ),
-                    );
-                    true
-                }
-                // Epoch 1: the customer withdraws it again — by the end of the
-                // run the provider's table no longer holds the route.
-                _ => {
-                    sim.inject(
-                        provider,
-                        addr::CUSTOMER,
-                        BgpMessage::Update(UpdateMessage::withdraw(vec![mid_run_prefix])),
-                    );
-                    false
-                }
+                    ),
+                );
+                true
             }
-        });
+            // Epoch 1: the customer withdraws it again — by the end of the
+            // run the provider's table no longer holds the route.
+            _ => {
+                sim.inject(
+                    provider,
+                    addr::CUSTOMER,
+                    BgpMessage::Update(UpdateMessage::withdraw(vec![mid_run_prefix])),
+                );
+                false
+            }
+        }
+    };
+    let live = LiveOrchestrator::new(hijack_session()).run(&mut sim, script);
 
     // The route is gone from the live table...
     assert!(sim
@@ -149,43 +145,42 @@ fn a_mid_run_round_flags_a_hijack_of_a_route_installed_only_mid_run() {
     assert_eq!(hijack.rounds, vec![0], "caught by the mid-run round");
     assert_eq!(hijack.nodes, vec![provider]);
 
-    // A single harvested round over the very same (final) simulator state
-    // explores the same observed inputs but checkpoints a table without
-    // the route: no installed route covers the prefix, so nothing is
-    // hijacked.
-    let one_shot = FleetExplorer::new(hijack_session()).explore(&sim);
+    // A single harvested round over the same final state explores the
+    // same observed inputs but checkpoints a table without the route: no
+    // installed route covers the prefix, so nothing is hijacked. The live
+    // run compacted its log, so the round runs on a twin driven through
+    // the same script without exploration; exploration never writes live
+    // state, so the twin ends where the live simulator did.
+    let mut twin = Simulator::new(&topo);
+    for epoch in 0.. {
+        let more = script(&mut twin, epoch);
+        twin.run_to_quiescence(100);
+        if !more {
+            break;
+        }
+    }
+    for node in (0..sim.len()).map(NodeId) {
+        let table = |sim: &Simulator| -> Vec<_> {
+            sim.router(node)
+                .rib()
+                .loc_rib()
+                .map(|(p, r)| (p, r.clone()))
+                .collect()
+        };
+        assert_eq!(table(&twin), table(&sim), "the twin ends in the live state");
+    }
+    let one_shot = FleetExplorer::new(hijack_session()).explore(&twin);
     assert!(
         one_shot.faults.is_empty(),
         "a single end-of-run round cannot see the temporal fault:\n{one_shot}"
     );
     // Not because nothing was explored: the announcement is still in the
-    // log and still harvested.
+    // twin's log and still harvested.
     assert!(one_shot.node(provider).expect("provider explored").runs > 0);
 
     // The live run's digest is stable across identical reruns.
     let mut sim2 = Simulator::new(&topo);
-    let rerun = LiveOrchestrator::new(hijack_session()).run(&mut sim2, |sim, epoch| match epoch {
-        0 => {
-            sim.inject(
-                provider,
-                addr::CUSTOMER,
-                announcement(
-                    "41.1.0.0/16",
-                    &[asn::CUSTOMER, asn::CUSTOMER],
-                    addr::CUSTOMER,
-                ),
-            );
-            true
-        }
-        _ => {
-            sim.inject(
-                provider,
-                addr::CUSTOMER,
-                BgpMessage::Update(UpdateMessage::withdraw(vec![mid_run_prefix])),
-            );
-            false
-        }
-    });
+    let rerun = LiveOrchestrator::new(hijack_session()).run(&mut sim2, script);
     assert_eq!(rerun.digest(), live.digest());
 }
 
@@ -272,14 +267,14 @@ fn generation_counted_cow_sharing_equals_what_held_forks_report() {
     let provider = topo.node_by_name("Provider").expect("node");
 
     let mut sim = Simulator::new(&topo);
-    let plane = ControlPlane::new();
-    let report = LiveOrchestrator::new(hijack_session())
-        .with_control_plane(plane.clone())
-        .run(&mut sim, |sim, epoch| scripted_epoch(sim, provider, epoch));
+    let orchestrator = LiveOrchestrator::new(hijack_session());
+    let plane = orchestrator.control_plane();
+    let report = orchestrator.run(&mut sim, |sim, epoch| scripted_epoch(sim, provider, epoch));
     let counted = plane.sample().cow;
 
     let mut held_sim = Simulator::new(&topo);
-    let held_plane = ControlPlane::new();
+    let held = LiveOrchestrator::new(hijack_session());
+    let held_plane = held.control_plane();
     let capture = |sim: &Simulator| -> Vec<RoundCheckpoint> {
         (0..sim.len())
             .map(|n| RoundCheckpoint::capture(sim.router(NodeId(n))))
@@ -302,12 +297,10 @@ fn generation_counted_cow_sharing_equals_what_held_forks_report() {
         }
         forks = capture(sim);
     };
-    let held_report = LiveOrchestrator::new(hijack_session())
-        .with_control_plane(held_plane.clone())
-        .run(&mut held_sim, |sim, epoch| {
-            close_window(sim, held_plane.sample().rounds);
-            scripted_epoch(sim, provider, epoch)
-        });
+    let held_report = held.run(&mut held_sim, |sim, epoch| {
+        close_window(sim, held_plane.sample().rounds);
+        scripted_epoch(sim, provider, epoch)
+    });
     close_window(&held_sim, held_plane.sample().rounds);
 
     assert_eq!(held_report.digest(), report.digest());
