@@ -148,54 +148,6 @@ impl FromStr for Ipv4Prefix {
     }
 }
 
-/// Prefix arithmetic only the tests below use.
-#[cfg(test)]
-impl Ipv4Prefix {
-    /// The netmask as a raw integer.
-    fn netmask(&self) -> u32 {
-        mask(self.len)
-    }
-
-    /// Returns the bit at position `i` (0 = most significant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 32`.
-    fn bit(&self, i: u8) -> bool {
-        assert!(i < 32);
-        (self.addr >> (31 - i)) & 1 == 1
-    }
-
-    /// The two halves obtained by extending the prefix by one bit, or
-    /// `None` for a /32.
-    fn split(&self) -> Option<(Ipv4Prefix, Ipv4Prefix)> {
-        if self.len >= 32 {
-            return None;
-        }
-        let left = Ipv4Prefix {
-            addr: self.addr,
-            len: self.len + 1,
-        };
-        let right = Ipv4Prefix {
-            addr: self.addr | (1 << (31 - self.len)),
-            len: self.len + 1,
-        };
-        Some((left, right))
-    }
-
-    /// The immediate covering prefix (one bit shorter), or `None` for /0.
-    fn parent(&self) -> Option<Ipv4Prefix> {
-        if self.len == 0 {
-            None
-        } else {
-            Some(Ipv4Prefix {
-                addr: self.addr & mask(self.len - 1),
-                len: self.len - 1,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,28 +185,6 @@ mod tests {
         assert!(p8.contains_ip(u32::from(Ipv4Addr::new(10, 200, 1, 1))));
         assert!(!p8.contains_ip(u32::from(Ipv4Addr::new(11, 0, 0, 1))));
         assert!(Ipv4Prefix::must(0, 0).contains(&other));
-    }
-
-    #[test]
-    fn split_and_parent() {
-        let p: Ipv4Prefix = "10.0.0.0/8".parse().expect("valid");
-        let (l, r) = p.split().expect("splittable");
-        assert_eq!(l.to_string(), "10.0.0.0/9");
-        assert_eq!(r.to_string(), "10.128.0.0/9");
-        assert_eq!(l.parent(), Some(p));
-        assert_eq!(r.parent(), Some(p));
-        let host: Ipv4Prefix = "1.2.3.4/32".parse().expect("valid");
-        assert!(host.split().is_none());
-        assert!(Ipv4Prefix::must(0, 0).parent().is_none());
-    }
-
-    #[test]
-    fn bits_are_msb_first() {
-        let p: Ipv4Prefix = "128.0.0.0/1".parse().expect("valid");
-        assert!(p.bit(0));
-        let q: Ipv4Prefix = "64.0.0.0/2".parse().expect("valid");
-        assert!(!q.bit(0));
-        assert!(q.bit(1));
     }
 
     #[test]
@@ -296,7 +226,6 @@ mod tests {
     #[test]
     fn broadcast_and_netmask() {
         let p: Ipv4Prefix = "192.168.4.0/22".parse().expect("valid");
-        assert_eq!(p.netmask(), 0xffff_fc00);
         assert_eq!(
             Ipv4Addr::from(p.broadcast()),
             Ipv4Addr::new(192, 168, 7, 255)

@@ -29,7 +29,9 @@ pub const MAX_MESSAGE_LEN: usize = 4096;
 /// the same path order, length, origin and neighbor AS. The message is
 /// not split: an UPDATE longer than [`MAX_MESSAGE_LEN`] encodes, but
 /// [`decode`] rejects it with [`BgpError::BadLength`], so keeping each
-/// UPDATE within 4,096 bytes is the caller's job.
+/// UPDATE within 4,096 bytes is the caller's job. Past 65,535 bytes the
+/// header's 16-bit length saturates at `u16::MAX` instead of wrapping to
+/// a length that would frame a shorter message.
 pub fn encode(msg: &BgpMessage) -> Bytes {
     let mut out = Vec::new();
     encode_into(msg, &mut out);
@@ -51,7 +53,7 @@ pub fn encode_into(msg: &BgpMessage, out: &mut Vec<u8>) {
     out.clear();
     out.reserve(HEADER_LEN + body_len);
     out.put_bytes(0xff, 16);
-    out.put_u16((HEADER_LEN + body_len) as u16);
+    out.put_u16(u16::try_from(HEADER_LEN + body_len).unwrap_or(u16::MAX));
     out.put_u8(msg.message_type() as u8);
     match msg {
         BgpMessage::Open(o) => encode_open(o, out),
@@ -871,6 +873,26 @@ mod tests {
         let msg = BgpMessage::Update(UpdateMessage::default());
         let (decoded, _) = decode(&encode(&msg)).expect("decodes");
         assert_eq!(decoded, msg);
+    }
+
+    #[test]
+    fn oversized_updates_are_rejected_as_bad_length() {
+        let attrs = RouteAttrs::originated(65001, Ipv4Addr::new(10, 0, 0, 1));
+        // 1,200 prefixes pass 4,096 bytes; 16,380 and more pass 65,535,
+        // where a wrapped length would frame a short, different message.
+        for count in [1_200u32, 16_380, 16_400, 20_000] {
+            let nlri = (0..count)
+                .map(|i| Ipv4Prefix::new(i << 8, 24).expect("valid"))
+                .collect();
+            let bytes = encode(&BgpMessage::Update(UpdateMessage::announce(nlri, &attrs)));
+            let header_len = u16::try_from(bytes.len()).unwrap_or(u16::MAX);
+            assert_eq!(
+                decode(&bytes),
+                Err(BgpError::BadLength(header_len)),
+                "{count} prefixes, {} bytes",
+                bytes.len()
+            );
+        }
     }
 
     #[test]

@@ -1229,7 +1229,7 @@ mod tests {
     use dice_bgp::message::UpdateMessage;
     use dice_bgp::route::PeerId;
     use dice_bgp::AsPath;
-    use dice_router::{FilterOutcome, NeighborConfig, RouterConfig};
+    use dice_router::{NeighborConfig, RouterConfig};
     use std::net::Ipv4Addr;
 
     /// A node with no peers and an empty table.
@@ -1280,11 +1280,6 @@ mod tests {
             accepted,
             next_hop: Ipv4Addr::new(10, 0, 1, 1),
             as_path: vec![origin_as],
-            filter: if accepted {
-                FilterOutcome::accepted()
-            } else {
-                FilterOutcome::rejected()
-            },
             intercepted: Vec::new(),
         }
     }

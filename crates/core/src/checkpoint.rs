@@ -70,8 +70,8 @@ impl RoundCheckpoint {
     /// directory, and the one chunk written: the rest of the chunks stay
     /// shared, the analogue of the paper's 3.45% unique pages).
     pub fn cow_stats_vs(&self, live: &BgpRouter) -> CowForkStats {
-        let (shared, total) = self.router.rib().cow_shard_sharing(live.rib());
-        CowForkStats::from_sharing(shared, total)
+        let shared = self.router.rib().shares_table_with(live.rib());
+        CowForkStats::from_sharing(usize::from(shared), 1)
     }
 }
 

@@ -29,7 +29,7 @@ use dice_obs::HistogramSummary;
 /// Schema version of [`ControlSnapshot`]. Bumped whenever a field is
 /// added, removed or changes meaning; consumers should check it before
 /// interpreting the rest of the snapshot.
-pub const CONTROL_SCHEMA_VERSION: u32 = 3;
+pub const CONTROL_SCHEMA_VERSION: u32 = 4;
 
 /// Wire-ingest counters, mirrored from
 /// [`dice_netsim::IngestStats`] into the control plane's stable schema
@@ -133,8 +133,7 @@ pub struct ControlSnapshot {
     /// The unit is a node's whole table: of the tables a fork held across
     /// each window would comprise (one per node), how many it would still
     /// share when the window closed. Counted from each table's write
-    /// generation; no such fork is held. The rendered label still reads
-    /// "cow shards".
+    /// generation; no such fork is held.
     pub cow: CowForkStats,
     /// The delivery-log compaction watermark: every log entry below this
     /// sequence number has been harvested and dropped.
@@ -215,7 +214,7 @@ impl ControlSnapshot {
              latency last={:?} mean={:?}\n\
              solver queries={} incremental={} reuse={:.1}%\n\
              policy coverage={:.1}%\n\
-             cow shards {}/{} shared\n\
+             cow tables {}/{} shared\n\
              ingest frames={} decoded={} injected={} errors={} mismatches={} bytes={} rate={:.0}/s\n\
              round-latency {}\n\
              wave-latency {}\n\
@@ -254,142 +253,6 @@ impl ControlSnapshot {
             self.search.repros,
         )
     }
-
-    /// The machine-readable export: the snapshot as Prometheus text
-    /// exposition format. Counters and gauges mirror the rendered lines;
-    /// the three latency distributions export as `summary` families with
-    /// `quantile` labels (the snapshot carries condensed summaries, not
-    /// raw buckets). Output parses against
-    /// [`dice_obs::validate_prometheus_text`].
-    pub fn prometheus(&self) -> String {
-        let mut text = dice_obs::PrometheusText::new();
-        text.counter(
-            "dice_rounds_total",
-            "Exploration rounds executed.",
-            self.rounds as u64,
-        );
-        text.counter(
-            "dice_runs_total",
-            "Exploration executions across all rounds and nodes.",
-            self.total_runs as u64,
-        );
-        text.gauge(
-            "dice_distinct_faults",
-            "Distinct faults after cross-round deduplication.",
-            self.distinct_faults as f64,
-        );
-        text.counter(
-            "dice_injected_faults_total",
-            "Faults injected by the fault plan.",
-            self.injected_faults,
-        );
-        text.counter(
-            "dice_delivered_messages_total",
-            "Messages delivered by the simulator.",
-            self.delivered,
-        );
-        text.counter(
-            "dice_compaction_watermark",
-            "Delivery-log compaction watermark.",
-            self.compaction_watermark,
-        );
-        text.counter(
-            "dice_solver_queries_total",
-            "Solver queries across all rounds.",
-            self.solver_queries,
-        );
-        text.counter(
-            "dice_solver_incremental_queries_total",
-            "Solver queries answered through incremental sessions.",
-            self.solver_incremental_queries,
-        );
-        text.gauge(
-            "dice_solver_reuse_ratio",
-            "Share of incremental constraint work reused.",
-            self.solver_reuse_rate,
-        );
-        text.gauge(
-            "dice_policy_coverage_ratio",
-            "Policy-branch coverage.",
-            self.policy_coverage,
-        );
-        text.counter(
-            "dice_ingest_frames_total",
-            "Wire frames pulled from the trace.",
-            self.ingest.frames,
-        );
-        text.counter(
-            "dice_ingest_decode_errors_total",
-            "Wire frames rejected by the codec.",
-            self.ingest.decode_errors,
-        );
-        text.gauge(
-            "dice_ingest_updates_per_second",
-            "Decode throughput through the wire codec.",
-            self.ingest.updates_per_second,
-        );
-        text.counter(
-            "dice_fault_trace_events_total",
-            "Events recorded in the fault trace.",
-            self.fault_trace_events,
-        );
-        text.counter(
-            "dice_search_plans_total",
-            "Candidate fault plans evaluated by the search.",
-            self.search.plans,
-        );
-        text.counter(
-            "dice_search_novel_plans_total",
-            "Searched plans that surfaced never-seen coverage.",
-            self.search.novel,
-        );
-        text.counter(
-            "dice_search_repros_total",
-            "Minimized replayable counterexamples emitted.",
-            self.search.repros,
-        );
-        let mut out = text.finish();
-        summary_family(
-            &mut out,
-            "dice_round_latency_seconds",
-            "Round wall-clock latency distribution.",
-            &self.round_latency,
-        );
-        summary_family(
-            &mut out,
-            "dice_wave_latency_seconds",
-            "Batched solver-wave latency distribution.",
-            &self.wave_latency,
-        );
-        summary_family(
-            &mut out,
-            "dice_ingest_decode_latency_seconds",
-            "Per-epoch wire decode latency distribution.",
-            &self.ingest.decode_latency,
-        );
-        out
-    }
-}
-
-/// Append one Prometheus `summary` family rendering a condensed
-/// [`HistogramSummary`] (quantile labels in seconds, plus `_count`).
-fn summary_family(out: &mut String, name: &str, help: &str, summary: &HistogramSummary) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} summary");
-    for (quantile, value) in [
-        ("0.5", summary.p50),
-        ("0.9", summary.p90),
-        ("0.99", summary.p99),
-        ("1", summary.max),
-    ] {
-        let _ = writeln!(
-            out,
-            "{name}{{quantile=\"{quantile}\"}} {}",
-            value as f64 / 1e9
-        );
-    }
-    let _ = writeln!(out, "{name}_count {}", summary.count);
 }
 
 impl fmt::Display for ControlSnapshot {
@@ -501,12 +364,12 @@ mod tests {
     fn golden_render_of_a_populated_snapshot() {
         assert_eq!(
             populated().render(),
-            "control-snapshot v3\n\
+            "control-snapshot v4\n\
              rounds=3 runs=120 faults=2 injected=1 delivered=42 watermark=9\n\
              latency last=12ms mean=10ms\n\
              solver queries=400 incremental=350 reuse=62.5%\n\
              policy coverage=75.0%\n\
-             cow shards 7/8 shared\n\
+             cow tables 7/8 shared\n\
              ingest frames=100 decoded=98 injected=98 errors=2 mismatches=0 bytes=5400 rate=1234/s\n\
              round-latency n=3 p50=10ms p90=12ms p99=12ms max=12ms\n\
              wave-latency n=40 p50=60µs p90=110µs p99=140µs max=140µs\n\
@@ -521,12 +384,12 @@ mod tests {
     fn golden_render_of_the_default_snapshot() {
         assert_eq!(
             ControlSnapshot::default().render(),
-            "control-snapshot v3\n\
+            "control-snapshot v4\n\
              rounds=0 runs=0 faults=0 injected=0 delivered=0 watermark=0\n\
              latency last=0ns mean=0ns\n\
              solver queries=0 incremental=0 reuse=0.0%\n\
              policy coverage=100.0%\n\
-             cow shards 0/0 shared\n\
+             cow tables 0/0 shared\n\
              ingest frames=0 decoded=0 injected=0 errors=0 mismatches=0 bytes=0 rate=0/s\n\
              round-latency n=0\n\
              wave-latency n=0\n\
@@ -568,27 +431,6 @@ mod tests {
             ControlSnapshot::mean_latency(Duration::from_secs(9), 3),
             Duration::from_secs(3)
         );
-    }
-
-    #[test]
-    fn prometheus_export_parses_and_carries_the_quantiles() {
-        let doc = populated().prometheus();
-        dice_obs::validate_prometheus_text(&doc).expect("export parses against the grammar");
-        assert!(doc.contains("# TYPE dice_round_latency_seconds summary"));
-        assert!(doc.contains("dice_round_latency_seconds{quantile=\"0.5\"} 0.01"));
-        assert!(doc.contains("dice_round_latency_seconds_count 3"));
-        assert!(doc.contains("dice_rounds_total 3"));
-        assert!(doc.contains("dice_solver_reuse_ratio 0.625"));
-        assert!(doc.contains("dice_ingest_updates_per_second 1234"));
-        assert!(doc.contains("dice_fault_trace_events_total 2"));
-        assert!(doc.contains("dice_search_plans_total 16"));
-        assert!(doc.contains("dice_search_novel_plans_total 5"));
-        assert!(doc.contains("dice_search_repros_total 1"));
-
-        // The empty snapshot also exports a complete, parseable document.
-        let empty = ControlSnapshot::default().prometheus();
-        dice_obs::validate_prometheus_text(&empty).expect("empty export parses");
-        assert!(empty.contains("dice_round_latency_seconds_count 0"));
     }
 
     #[test]

@@ -378,6 +378,9 @@ struct PlanProbe {
     report: LiveReport,
 }
 
+/// Most specs a candidate plan may carry.
+const MAX_SPECS: usize = 6;
+
 /// The coverage-guided explorer over [`FaultPlan`] space.
 ///
 /// Deterministic end to end: the generator and mutator draw from one RNG
@@ -389,7 +392,6 @@ pub struct FaultPlanSearch {
     orchestrator: LiveOrchestrator,
     seed: u64,
     budget: usize,
-    max_specs: usize,
     epoch_horizon: u64,
     kinds: SpecKindMask,
 }
@@ -402,7 +404,6 @@ impl FaultPlanSearch {
             orchestrator,
             seed: 0xD1CE,
             budget: 16,
-            max_specs: 6,
             epoch_horizon: 4,
             kinds: SpecKindMask::default(),
         }
@@ -418,13 +419,6 @@ impl FaultPlanSearch {
     /// baseline only.
     pub fn with_budget(mut self, budget: usize) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Caps the number of specs a candidate plan may carry (default 6,
-    /// clamped to at least 1).
-    pub fn with_max_specs(mut self, max_specs: usize) -> Self {
-        self.max_specs = max_specs.max(1);
         self
     }
 
@@ -636,12 +630,12 @@ impl FaultPlanSearch {
 
     fn fresh_plan(&self, rng: &mut StdRng, nodes: usize) -> FaultPlan {
         let seed = rng.gen_range(0..u64::MAX);
-        let target = rng.gen_range(1..=self.max_specs.min(3));
+        let target = rng.gen_range(1..=MAX_SPECS.min(3));
         let mut specs = Vec::new();
         while specs.len() < target {
             specs.extend(self.random_specs(rng, nodes));
         }
-        specs.truncate(self.max_specs);
+        specs.truncate(MAX_SPECS);
         rebuild_plan(seed, specs)
     }
 
@@ -693,10 +687,10 @@ impl FaultPlanSearch {
             // Reseed the probabilistic draws.
             _ => seed = rng.gen_range(0..u64::MAX),
         }
-        specs.truncate(self.max_specs);
+        specs.truncate(MAX_SPECS);
         if specs.is_empty() {
             specs = self.random_specs(rng, nodes);
-            specs.truncate(self.max_specs);
+            specs.truncate(MAX_SPECS);
         }
         rebuild_plan(seed, specs)
     }
@@ -1052,14 +1046,17 @@ mod tests {
 
     #[test]
     fn mutation_keeps_plans_nonempty_and_within_the_spec_budget() {
-        let search = FaultPlanSearch::new(small_orchestrator()).with_max_specs(4);
+        let search = FaultPlanSearch::new(small_orchestrator());
         let mut rng = StdRng::seed_from_u64(13);
         let mut plan = search.fresh_plan(&mut rng, 3);
         let pool = vec![search.fresh_plan(&mut rng, 3)];
         for _ in 0..48 {
             plan = search.mutate(plan, &pool, &mut rng, 3);
             assert!(!plan.specs().is_empty(), "mutation emptied the plan");
-            assert!(plan.specs().len() <= 4, "mutation blew the spec budget");
+            assert!(
+                plan.specs().len() <= MAX_SPECS,
+                "mutation blew the spec budget"
+            );
         }
     }
 

@@ -452,11 +452,11 @@ mod tests {
         let sim = simulated_figure2(CustomerFilterMode::Erroneous);
         let rebuilt = simulated_figure2(CustomerFilterMode::Erroneous);
         for n in 0..sim.len() {
-            let (shared, _) = sim
+            let shared = sim
                 .router(NodeId(n))
                 .rib()
-                .cow_shard_sharing(rebuilt.router(NodeId(n)).rib());
-            assert_eq!(shared, 0, "node {n} shares storage with the rebuilt fleet");
+                .shares_table_with(rebuilt.router(NodeId(n)).rib());
+            assert!(!shared, "node {n} shares storage with the rebuilt fleet");
         }
 
         let explorer = FleetExplorer::default();

@@ -35,8 +35,6 @@ pub struct HandlerOutcome {
     /// AS first, origin AS last. Relationship-aware checkers (e.g. the
     /// Gao-Rexford [`crate::RouteLeakChecker`]) classify each hop.
     pub as_path: Vec<u32>,
-    /// The filter outcome (attribute modifications requested).
-    pub filter: FilterOutcome,
     /// The messages this execution would have emitted, in emission order —
     /// all intercepted, never sent.
     pub intercepted: Vec<(PeerId, UpdateMessage)>,
@@ -162,7 +160,6 @@ impl SymbolicProgram for SymbolicUpdateHandler {
                 .flat_map(|segment| segment.asns())
                 .map(|a| a.value())
                 .collect(),
-            filter: filter_outcome,
             intercepted,
         }
     }

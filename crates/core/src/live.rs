@@ -55,7 +55,7 @@
 //! round every explored input shares it instead of deep-cloning the
 //! router. That is the only fork there is: none is alive while the driver
 //! or the simulator writes, so no live write ever copies a RIB. The
-//! control snapshot's "cow shards n/m shared" line — how many of the
+//! control snapshot's "cow tables n/m shared" line — how many of the
 //! nodes' tables a fork held across each window *would* still share — is
 //! computed from each RIB's write generation
 //! ([`dice_router::Rib::generation`]) instead of from a held fork.

@@ -80,11 +80,6 @@ pub struct DiceConfig {
     /// independent of each other, so the report is identical for every
     /// worker count — only the wall clock changes.
     pub workers: usize,
-    /// Whether the policy-oriented symbolic input fields (community slot,
-    /// AS-path length) are part of each template's exploration surface.
-    /// On by default; turning it off restores the message-field-only
-    /// surface, leaving filter arms gated on those attributes opaque.
-    pub symbolic_policy_fields: bool,
 }
 
 impl Default for DiceConfig {
@@ -93,7 +88,6 @@ impl Default for DiceConfig {
             engine: EngineConfig::default().with_max_runs(64),
             max_observed_inputs: 16,
             workers: 0,
-            symbolic_policy_fields: true,
         }
     }
 }
@@ -128,15 +122,6 @@ impl DiceBuilder {
     /// Sets the maximum number of observed inputs explored per round.
     pub fn max_observed_inputs(mut self, max: usize) -> Self {
         self.config.max_observed_inputs = max;
-        self
-    }
-
-    /// Enables or disables the policy-oriented symbolic input fields
-    /// (community slot, AS-path length). On by default; turning them off
-    /// restores the message-field-only exploration surface, leaving filter
-    /// arms gated on those attributes opaque to the solver.
-    pub fn symbolic_policy_fields(mut self, enabled: bool) -> Self {
-        self.config.symbolic_policy_fields = enabled;
         self
     }
 
@@ -336,8 +321,7 @@ impl DiceSession {
         update: &UpdateMessage,
         import_sites: Option<Arc<FilterSites>>,
     ) -> Option<InputOutcome> {
-        let template = UpdateTemplate::from_update(update)?
-            .with_policy_fields(self.config.symbolic_policy_fields);
+        let template = UpdateTemplate::from_update(update)?;
         let seed: InputValues = template.seed();
         let mut handler = SymbolicUpdateHandler::with_import_sites(
             checkpoint.clone(),
@@ -545,10 +529,8 @@ mod tests {
             .engine(EngineConfig::default().with_max_runs(7))
             .workers(3)
             .max_observed_inputs(5)
-            .symbolic_policy_fields(false)
             .build();
         assert_eq!(session.config().engine.max_runs, 7);
-        assert!(!session.config().symbolic_policy_fields);
         assert_eq!(session.config().workers, 3);
         assert_eq!(session.config().max_observed_inputs, 5);
     }
@@ -766,14 +748,13 @@ mod tests {
             live.handle_update(internet, &UpdateMessage::withdraw(update.nlri.clone()));
         }
         live.handle_update(customer, &observed);
-        assert_eq!(
-            fork.rib().cow_shard_sharing(live.rib()),
-            (0, 1),
+        assert!(
+            !fork.rib().shares_table_with(live.rib()),
             "the live writes copied the table"
         );
 
         let (rebuilt, ..) = load();
-        assert_eq!(fork.rib().cow_shard_sharing(rebuilt.rib()).0, 0);
+        assert!(!fork.rib().shares_table_with(rebuilt.rib()));
 
         let inputs = multi_input_observed(&fork, customer, &observed);
         for workers in [1, 4] {

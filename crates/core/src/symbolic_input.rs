@@ -40,21 +40,17 @@ pub(crate) mod fields {
     pub(crate) const PATH_LEN: &str = "attr.path_len";
 }
 
-/// Every symbolic field with its bit width, in declaration order. The two
-/// policy fields come last, so the message-only surface is a prefix.
-const FIELDS: [(&str, u32); 8] = [
-    (fields::NLRI_ADDR, 32),
-    (fields::NLRI_LEN, 8),
-    (fields::ORIGIN, 8),
-    (fields::MED, 32),
-    (fields::LOCAL_PREF, 32),
-    (fields::SOURCE_AS, 32),
-    (fields::COMMUNITY, 32),
-    (fields::PATH_LEN, 32),
+/// Every symbolic field, in declaration order.
+const FIELDS: [&str; 8] = [
+    fields::NLRI_ADDR,
+    fields::NLRI_LEN,
+    fields::ORIGIN,
+    fields::MED,
+    fields::LOCAL_PREF,
+    fields::SOURCE_AS,
+    fields::COMMUNITY,
+    fields::PATH_LEN,
 ];
-
-/// How many of [`FIELDS`] a template without the policy fields has.
-const MESSAGE_FIELDS: usize = 6;
 
 // Positions in `FIELDS`.
 const NLRI_ADDR: usize = 0;
@@ -70,7 +66,7 @@ thread_local! {
     /// The field names as shared strings, one set per thread. Every seed
     /// and every run names the same fields; handing out a clone of one of
     /// these is a reference-count bump where a fresh name copies the string.
-    static FIELD_NAMES: [Arc<str>; 8] = FIELDS.map(|(name, _)| Arc::from(name));
+    static FIELD_NAMES: [Arc<str>; 8] = FIELDS.map(Arc::from);
 }
 
 /// A template derived from one observed UPDATE message.
@@ -78,12 +74,7 @@ thread_local! {
 pub struct UpdateTemplate {
     observed_prefix: Ipv4Prefix,
     observed_attrs: RouteAttrs,
-    /// Whether the policy-oriented fields ([`fields::COMMUNITY`],
-    /// [`fields::PATH_LEN`]) are part of the symbolic input. On by default;
-    /// turned off to reproduce the message-field-only exploration surface.
-    policy_fields: bool,
-    /// The observed value of every field in [`FIELDS`], policy fields
-    /// included whether enabled or not.
+    /// The observed value of every field in [`FIELDS`].
     observed: [u64; 8],
 }
 
@@ -106,48 +97,16 @@ impl UpdateTemplate {
         Some(UpdateTemplate {
             observed_prefix: prefix,
             observed_attrs: attrs,
-            policy_fields: true,
             observed,
         })
     }
 
-    /// Enables or disables the policy-oriented symbolic fields.
-    pub(crate) fn with_policy_fields(mut self, enabled: bool) -> Self {
-        self.policy_fields = enabled;
-        self
-    }
-
-    /// How many of [`FIELDS`] this template declares.
-    fn field_count(&self) -> usize {
-        if self.policy_fields {
-            FIELDS.len()
-        } else {
-            MESSAGE_FIELDS
-        }
-    }
-
-    /// The declared symbolic input fields with their observed values as
-    /// defaults.
-    #[cfg(test)]
-    fn input_spec(&self) -> dice_symexec::InputSpec {
-        FIELDS
-            .iter()
-            .zip(self.observed)
-            .take(self.field_count())
-            .fold(
-                dice_symexec::InputSpec::new(),
-                |spec, (&(name, width), value)| spec.field(name, width, value),
-            )
-    }
-
-    /// The seed input: the values observed on the wire, each field at its
-    /// declared width.
+    /// The seed input: the values observed on the wire, one per field.
     pub fn seed(&self) -> InputValues {
         FIELD_NAMES.with(|names| {
             names
                 .iter()
                 .zip(self.observed)
-                .take(self.field_count())
                 .map(|(name, value)| (Arc::clone(name), value))
                 .collect()
         })
@@ -177,17 +136,15 @@ impl UpdateTemplate {
         attrs.local_pref = Some(values.get_or(fields::LOCAL_PREF, 100) as u32);
         let source_as = values.get_or(fields::SOURCE_AS, self.observed[SOURCE_AS]) as u32;
         attrs.as_path = replace_origin_as(&self.observed_attrs.as_path, Asn(source_as));
-        if self.policy_fields {
-            let target = values
-                .get_or(fields::PATH_LEN, self.observed[PATH_LEN])
-                .clamp(1, 64) as usize;
-            attrs.as_path = resize_path(&attrs.as_path, target);
-            let slot = values.get_or(fields::COMMUNITY, 0) as u32;
-            if slot != 0 {
-                let community = Community(slot);
-                if !attrs.communities.contains(&community) {
-                    attrs.communities.push(community);
-                }
+        let target = values
+            .get_or(fields::PATH_LEN, self.observed[PATH_LEN])
+            .clamp(1, 64) as usize;
+        attrs.as_path = resize_path(&attrs.as_path, target);
+        let slot = values.get_or(fields::COMMUNITY, 0) as u32;
+        if slot != 0 {
+            let community = Community(slot);
+            if !attrs.communities.contains(&community) {
+                attrs.communities.push(community);
             }
         }
         (prefix, attrs)
@@ -204,16 +161,8 @@ impl UpdateTemplate {
             // omits.
             let get = |field: usize| values.get(&names[field]).unwrap_or(self.observed[field]);
             let a = &self.observed_attrs;
-            let path_len = if self.policy_fields {
-                ctx.symbolic_shared(&names[PATH_LEN], get(PATH_LEN).clamp(1, 64) as u32)
-            } else {
-                Concolic::concrete(a.as_path.length() as u32)
-            };
-            let community_slot = if self.policy_fields {
-                ctx.symbolic_shared(&names[COMMUNITY], get(COMMUNITY) as u32)
-            } else {
-                Concolic::concrete(0)
-            };
+            let path_len = ctx.symbolic_shared(&names[PATH_LEN], get(PATH_LEN).clamp(1, 64) as u32);
+            let community_slot = ctx.symbolic_shared(&names[COMMUNITY], get(COMMUNITY) as u32);
             RouteView {
                 prefix_addr: ctx.symbolic_shared(&names[NLRI_ADDR], get(NLRI_ADDR) as u32),
                 prefix_len: ctx.symbolic_shared(&names[NLRI_LEN], get(NLRI_LEN).min(32) as u8),
@@ -297,28 +246,7 @@ mod tests {
         assert_eq!(seed.get(fields::MED), Some(5));
         assert_eq!(seed.get(fields::COMMUNITY), Some(0));
         assert_eq!(seed.get(fields::PATH_LEN), Some(2));
-        assert_eq!(template.input_spec().len(), 8);
-        assert_eq!(
-            template
-                .clone()
-                .with_policy_fields(false)
-                .input_spec()
-                .len(),
-            6
-        );
-        // Switching the fields off and back on rebuilds the full spec.
-        let round_trip = template
-            .clone()
-            .with_policy_fields(false)
-            .with_policy_fields(true);
-        assert_eq!(round_trip.input_spec().len(), 8);
-        assert_eq!(round_trip.seed(), seed);
-        // The seed is the spec's default assignment, with or without the
-        // policy fields.
-        assert_eq!(seed, template.input_spec().defaults());
-        let opaque = template.clone().with_policy_fields(false);
-        assert_eq!(opaque.seed(), opaque.input_spec().defaults());
-        assert_eq!(opaque.seed().len(), 6);
+        assert_eq!(seed.len(), 8);
         assert!(UpdateTemplate::from_update(&UpdateMessage::withdraw(vec![])).is_none());
     }
 
@@ -373,18 +301,6 @@ mod tests {
         assert_eq!(view.path_len.value(), 2);
         assert_eq!(view.community_slot.value(), 0);
         assert_eq!(ctx.var_map().len(), 8);
-    }
-
-    #[test]
-    fn opaque_template_keeps_policy_fields_concrete() {
-        let template = UpdateTemplate::from_update(&observed())
-            .expect("has NLRI")
-            .with_policy_fields(false);
-        let mut ctx = ExecCtx::new();
-        let view = template.symbolic_view(&mut ctx, &template.seed());
-        assert!(!view.community_slot.is_symbolic());
-        assert!(!view.path_len.is_symbolic());
-        assert_eq!(ctx.var_map().len(), 6);
     }
 
     #[test]

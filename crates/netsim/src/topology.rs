@@ -219,11 +219,16 @@ mod tests {
             CustomerFilterMode::Missing,
         ] {
             for node in figure2_topology(mode).nodes() {
-                assert!(
-                    node.config.validate().is_ok(),
-                    "config of {} validates",
-                    node.name
-                );
+                for neighbor in &node.config.neighbors {
+                    let filters = [&neighbor.import_filter, &neighbor.export_filter];
+                    for name in filters.into_iter().flatten() {
+                        assert!(
+                            node.config.filter(name).is_some(),
+                            "{} names filter `{name}`, which it defines",
+                            node.name
+                        );
+                    }
+                }
             }
         }
     }

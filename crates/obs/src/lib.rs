@@ -21,23 +21,19 @@
 //! - [`Histogram`] — a fixed-bucket log2 latency histogram with deterministic
 //!   p50/p90/p99/max quantiles and a `Copy`-able [`HistogramSummary`] that the
 //!   control plane embeds in `ControlSnapshot`.
-//! - Exporters: [`PrometheusText`] renders the Prometheus text exposition
-//!   format (validated line-by-line by [`validate_prometheus_text`]), and
-//!   [`chrome_trace_jsonl`] renders Chrome Trace Event Format JSONL loadable
-//!   in `chrome://tracing` or Perfetto (round-tripped by the serde-free
-//!   [`validate_chrome_trace_jsonl`]).
+//! - The exporter: [`chrome_trace_jsonl`] renders Chrome Trace Event Format
+//!   JSONL loadable in `chrome://tracing` or Perfetto (round-tripped by the
+//!   serde-free [`validate_chrome_trace_jsonl`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chrome;
 mod histogram;
-mod prometheus;
 mod sink;
 mod span;
 
 pub use chrome::{chrome_trace_jsonl, validate_chrome_trace_jsonl, ChromeEvent};
 pub use histogram::{Histogram, HistogramSummary};
-pub use prometheus::{validate_prometheus_text, PrometheusText};
 pub use sink::{now_ns, BufferedRecorder, NoopSink, SinkGuard, TraceEvent, TraceRecord, TraceSink};
 pub use span::{event, span, Span};

@@ -12,6 +12,3 @@ pub use eval::{
     FilterVerdict, RouteView,
 };
 pub use parser::{parse_filter, ParseError};
-
-pub(crate) use lexer::Token;
-pub(crate) use parser::Parser;

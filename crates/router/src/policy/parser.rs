@@ -69,10 +69,9 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// Token-stream cursor shared by the filter parser and the router
-/// configuration parser.
+/// Token-stream cursor over a filter's source text.
 #[derive(Debug)]
-pub(crate) struct Parser {
+struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
     next_branch_id: u32,
@@ -82,7 +81,7 @@ pub(crate) struct Parser {
 
 impl Parser {
     /// Creates a parser over the given source text.
-    pub(crate) fn new(input: &str) -> Result<Self, ParseError> {
+    fn new(input: &str) -> Result<Self, ParseError> {
         Ok(Parser {
             tokens: tokenize(input)?,
             pos: 0,
@@ -92,22 +91,22 @@ impl Parser {
     }
 
     /// Returns true if all tokens have been consumed.
-    pub(crate) fn at_end(&self) -> bool {
+    fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
     /// The current line number, for error messages.
-    pub(crate) fn line(&self) -> usize {
+    fn line(&self) -> usize {
         self.tokens.get(self.pos).map(|t| t.line).unwrap_or(0)
     }
 
     /// Peeks at the current token.
-    pub(crate) fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
 
     /// Consumes and returns the current token.
-    pub(crate) fn advance(&mut self) -> Option<Token> {
+    fn advance(&mut self) -> Option<Token> {
         let t = self.tokens.get(self.pos).map(|t| t.token.clone());
         if t.is_some() {
             self.pos += 1;
@@ -116,7 +115,7 @@ impl Parser {
     }
 
     /// Creates an error at the current position.
-    pub(crate) fn error(&self, message: impl Into<String>) -> ParseError {
+    fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError {
             line: self.line(),
             message: message.into(),
@@ -124,7 +123,7 @@ impl Parser {
     }
 
     /// Consumes the expected token or fails.
-    pub(crate) fn expect(&mut self, expected: &Token) -> Result<(), ParseError> {
+    fn expect(&mut self, expected: &Token) -> Result<(), ParseError> {
         match self.peek() {
             Some(t) if t == expected => {
                 self.pos += 1;
@@ -136,7 +135,7 @@ impl Parser {
     }
 
     /// Consumes an identifier with the exact given text.
-    pub(crate) fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
+    fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
         match self.peek() {
             Some(Token::Ident(s)) if s == kw => {
                 self.pos += 1;
@@ -148,7 +147,7 @@ impl Parser {
     }
 
     /// Returns true (and consumes) if the current token is the identifier.
-    pub(crate) fn eat_keyword(&mut self, kw: &str) -> bool {
+    fn eat_keyword(&mut self, kw: &str) -> bool {
         if matches!(self.peek(), Some(Token::Ident(s)) if s == kw) {
             self.pos += 1;
             true
@@ -158,7 +157,7 @@ impl Parser {
     }
 
     /// Returns true (and consumes) if the current token equals `t`.
-    pub(crate) fn eat(&mut self, t: &Token) -> bool {
+    fn eat(&mut self, t: &Token) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -168,7 +167,7 @@ impl Parser {
     }
 
     /// Consumes an identifier.
-    pub(crate) fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<String, ParseError> {
         match self.advance() {
             Some(Token::Ident(s)) => Ok(s),
             Some(t) => Err(self.error(format!("expected identifier, found `{t}`"))),
@@ -177,7 +176,7 @@ impl Parser {
     }
 
     /// Consumes a number.
-    pub(crate) fn expect_number(&mut self) -> Result<u64, ParseError> {
+    fn expect_number(&mut self) -> Result<u64, ParseError> {
         match self.advance() {
             Some(Token::Number(n)) => Ok(n),
             Some(t) => Err(self.error(format!("expected number, found `{t}`"))),
@@ -186,7 +185,7 @@ impl Parser {
     }
 
     /// Consumes a number that has to fit the narrower integer `T`.
-    pub(crate) fn expect_narrow<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, ParseError> {
+    fn expect_narrow<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, ParseError> {
         let n = self.expect_number()?;
         T::try_from(n).map_err(|_| self.error(format!("{what} `{n}` is out of range")))
     }
@@ -211,7 +210,7 @@ impl Parser {
     }
 
     /// Consumes an IPv4 address literal.
-    pub(crate) fn expect_ip(&mut self) -> Result<u32, ParseError> {
+    fn expect_ip(&mut self) -> Result<u32, ParseError> {
         match self.advance() {
             Some(Token::IpAddr(a)) => Ok(a),
             Some(t) => Err(self.error(format!("expected IPv4 address, found `{t}`"))),
@@ -220,7 +219,7 @@ impl Parser {
     }
 
     /// Consumes a `A.B.C.D/len` prefix.
-    pub(crate) fn expect_prefix(&mut self) -> Result<Ipv4Prefix, ParseError> {
+    fn expect_prefix(&mut self) -> Result<Ipv4Prefix, ParseError> {
         let addr = self.expect_ip()?;
         self.expect(&Token::Slash)?;
         let len = self.expect_narrow("prefix length")?;
@@ -228,7 +227,7 @@ impl Parser {
     }
 
     /// Parses a complete `filter name { ... }` definition.
-    pub(crate) fn parse_filter(&mut self) -> Result<FilterDef, ParseError> {
+    fn parse_filter(&mut self) -> Result<FilterDef, ParseError> {
         self.expect_keyword("filter")?;
         let name = self.expect_ident()?;
         self.next_branch_id = 0;

@@ -259,11 +259,10 @@ impl Rib {
     }
 
     /// Copy-on-write accounting against another fork of the same table:
-    /// `(shared, total)` units still physically shared between the two.
-    /// The unit is the whole table, so this is `(1, 1)` until either side
-    /// writes and `(0, 1)` after.
-    pub fn cow_shard_sharing(&self, other: &Rib) -> (usize, usize) {
-        (usize::from(Arc::ptr_eq(&self.table, &other.table)), 1)
+    /// whether the two still physically share the table, which holds until
+    /// either side writes.
+    pub fn shares_table_with(&self, other: &Rib) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
     }
 
     /// The table's write generation.
@@ -276,11 +275,10 @@ impl Rib {
         self.table.generation
     }
 
-    /// How many copy-on-write units (0 or 1: the table) some clone of this
-    /// table currently shares, i.e. whether the next write has to copy.
-    /// Zero while no fork is alive.
-    pub fn shards_shared_with_a_fork(&self) -> usize {
-        usize::from(Arc::strong_count(&self.table) > 1)
+    /// Whether some clone of this table currently shares it, i.e. whether
+    /// the next write has to copy. False while no fork is alive.
+    pub fn has_a_fork(&self) -> bool {
+        Arc::strong_count(&self.table) > 1
     }
 
     /// The best (Loc-RIB) route for a prefix, if any.
@@ -525,22 +523,22 @@ mod tests {
         rib.withdraw(&p("11.0.0.0/8"), PeerId(1));
         assert_eq!(rib.generation(), before);
         // ...and through one a fork holds, which they must not copy either.
-        assert_eq!(rib.shards_shared_with_a_fork(), 0);
+        assert!(!rib.has_a_fork());
         let fork = rib.clone();
-        assert_eq!(rib.shards_shared_with_a_fork(), 1);
+        assert!(rib.has_a_fork());
         rib.withdraw(&p("10.0.0.0/8"), PeerId(9));
         rib.withdraw(&p("11.0.0.0/8"), PeerId(1));
         assert_eq!(rib.generation(), before);
-        assert_eq!(fork.cow_shard_sharing(&rib), (1, 1));
+        assert!(fork.shares_table_with(&rib));
 
         // An effective withdrawal moves the generation, and copies the
         // table the fork holds.
         rib.withdraw(&p("10.0.0.0/8"), PeerId(1));
         assert_ne!(rib.generation(), before);
         assert_eq!(fork.generation(), before);
-        assert_eq!(fork.cow_shard_sharing(&rib), (0, 1));
-        assert_eq!(rib.shards_shared_with_a_fork(), 0);
-        assert_eq!(fork.shards_shared_with_a_fork(), 0);
+        assert!(!fork.shares_table_with(&rib));
+        assert!(!rib.has_a_fork());
+        assert!(!fork.has_a_fork());
     }
 
     #[test]
@@ -585,15 +583,14 @@ mod tests {
             live.announce(r);
         }
         let fork = live.clone();
-        assert_eq!(
-            fork.cow_shard_sharing(&live),
-            (1, 1),
+        assert!(
+            fork.shares_table_with(&live),
             "an untouched fork shares the table"
         );
 
         // Writing one prefix copies the table.
         live.announce(route("203.0.113.0/24", 1, &[100]));
-        assert_eq!(fork.cow_shard_sharing(&live), (0, 1), "copied on write");
+        assert!(!fork.shares_table_with(&live), "copied on write");
         // The fork is unaffected by the live write.
         assert!(fork.best_route(&p("203.0.113.0/24")).is_none());
         assert!(live.best_route(&p("203.0.113.0/24")).is_some());
@@ -609,9 +606,8 @@ mod tests {
             RibChange::Unchanged,
             "unknown peer on a known prefix is also a no-op"
         );
-        assert_eq!(
-            fork2.cow_shard_sharing(&live),
-            (1, 1),
+        assert!(
+            fork2.shares_table_with(&live),
             "no-op withdrawals copy nothing"
         );
 
@@ -622,7 +618,7 @@ mod tests {
             rebuilt.announce(r);
         }
         rebuilt.announce(route("203.0.113.0/24", 1, &[100]));
-        assert_eq!(rebuilt.cow_shard_sharing(&live), (0, 1));
+        assert!(!rebuilt.shares_table_with(&live));
         let a: Vec<_> = rebuilt.loc_rib().map(|(p, _)| p).collect();
         let b: Vec<_> = live.loc_rib().map(|(p, _)| p).collect();
         assert_eq!(a, b);
@@ -654,11 +650,11 @@ mod tests {
             live.withdraw(&p("200.0.1.0/24"), PeerId(9)),
             RibChange::Unchanged
         );
-        assert_eq!(fork.cow_shard_sharing(&live), (1, 1));
+        assert!(fork.shares_table_with(&live));
 
         // A second candidate for a prefix the table holds.
         live.announce(route("10.0.2.0/24", 2, &[100]));
-        assert_eq!(fork.cow_shard_sharing(&live), (0, 1), "the table copied");
+        assert!(!fork.shares_table_with(&live), "the table copied");
         let (shared, total) = chunks_shared(&live);
         assert!(total > 60, "10,000 prefixes fill {total} chunks");
         assert_eq!(shared, total - 1, "all chunks but the written one shared");

@@ -40,7 +40,23 @@ impl Value {
 /// one recursion returning a [`Value`] enum, reading variables from the
 /// model's map.
 pub(crate) fn reference_eval(model: &Model, arena: &TermArena, term: TermId) -> Value {
-    match &arena.node(term).kind {
+    reference_eval_memo(model, arena, term, &mut vec![None; arena.len()])
+}
+
+/// [`reference_eval`] that records each term's value in `memo`, indexed by
+/// [`TermId`] and holding values under this `model` only: a subterm the
+/// DAG shares is evaluated once, however many times its tree repeats it.
+fn reference_eval_memo(
+    model: &Model,
+    arena: &TermArena,
+    term: TermId,
+    memo: &mut [Option<Value>],
+) -> Value {
+    if let Some(value) = memo[term.0 as usize] {
+        return value;
+    }
+    let mut eval = |t| reference_eval_memo(model, arena, t, memo);
+    let value = match &arena.node(term).kind {
         TermKind::ConstInt { value, width } => Value::Int {
             value: *value,
             width: *width,
@@ -54,17 +70,19 @@ pub(crate) fn reference_eval(model: &Model, arena: &TermArena, term: TermId) -> 
             }
         }
         TermKind::Cmp { op, lhs, rhs } => {
-            let a = reference_eval(model, arena, *lhs).expect_int();
-            let b = reference_eval(model, arena, *rhs).expect_int();
+            let a = eval(*lhs).expect_int();
+            let b = eval(*rhs).expect_int();
             Value::Bool(op.eval(a, b))
         }
         TermKind::BoolBin { op, lhs, rhs } => {
-            let a = reference_eval(model, arena, *lhs).expect_bool();
-            let b = reference_eval(model, arena, *rhs).expect_bool();
+            let a = eval(*lhs).expect_bool();
+            let b = eval(*rhs).expect_bool();
             Value::Bool(op.eval(a, b))
         }
-        TermKind::BoolNot(x) => Value::Bool(!reference_eval(model, arena, *x).expect_bool()),
-    }
+        TermKind::BoolNot(x) => Value::Bool(!eval(*x).expect_bool()),
+    };
+    memo[term.0 as usize] = Some(value);
+    value
 }
 
 /// The number of constraints that do not hold under `model`, by
@@ -252,7 +270,8 @@ impl TermGen {
 
 /// True if some assignment of the declared variables (each over its full
 /// width, which must be small) satisfies every constraint, by trying all of
-/// them against [`reference_eval`].
+/// them against [`reference_eval`], each assignment evaluating a shared
+/// subterm once.
 pub(crate) fn exhaustively_satisfiable(
     arena: &TermArena,
     vars: &[(VarId, u32)],
@@ -263,15 +282,17 @@ pub(crate) fn exhaustively_satisfiable(
         total_bits <= 20,
         "{total_bits} bits is too many to enumerate"
     );
+    let mut memo = vec![None; arena.len()];
     (0..1u64 << total_bits).any(|mut packed| {
         let mut model = Model::new();
         for &(v, width) in vars {
             model.set(v, packed & crate::term::max_value(width));
             packed >>= width;
         }
+        memo.fill(None);
         constraints
             .iter()
-            .all(|&c| reference_eval(&model, arena, c).expect_bool())
+            .all(|&c| reference_eval_memo(&model, arena, c, &mut memo).expect_bool())
     })
 }
 

@@ -1,10 +1,8 @@
-//! Symbolic input descriptions and concrete input assignments.
+//! Concrete input assignments.
 //!
-//! An [`InputSpec`] names the fields of the input that the exploration may
-//! vary, together with their widths. An [`InputValues`] gives a concrete
-//! value for each named field; it is what the engine passes to the program
-//! under test, and what it derives from solver models when negating a
-//! branch predicate.
+//! An [`InputValues`] gives a concrete value for each named input field;
+//! it is what the engine passes to the program under test, and what it
+//! derives from solver models when negating a branch predicate.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -13,65 +11,6 @@ use std::sync::Arc;
 use dice_solver::Model;
 
 use crate::context::VarMap;
-
-/// Description of one symbolic input field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct InputField {
-    /// Field name (e.g. `"nlri.prefix"`).
-    pub(crate) name: String,
-    /// Bit width (1..=64).
-    pub(crate) width: u32,
-    /// Default concrete value, used when a generated assignment leaves the
-    /// field unconstrained.
-    pub(crate) default: u64,
-}
-
-/// The set of symbolic input fields for a program under test.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct InputSpec {
-    fields: Vec<InputField>,
-}
-
-impl InputSpec {
-    /// Creates an empty specification.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a field; builder style.
-    pub fn field(mut self, name: impl Into<String>, width: u32, default: u64) -> Self {
-        self.push(name, width, default);
-        self
-    }
-
-    /// Adds a field in place.
-    pub(crate) fn push(&mut self, name: impl Into<String>, width: u32, default: u64) {
-        self.fields.push(InputField {
-            name: name.into(),
-            width,
-            default,
-        });
-    }
-
-    /// Number of fields.
-    pub fn len(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// Returns true if no fields are declared.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
-    }
-
-    /// Produces the default assignment (every field at its default value).
-    pub fn defaults(&self) -> InputValues {
-        let mut v = InputValues::new();
-        for f in &self.fields {
-            v.set(&f.name, f.default);
-        }
-        v
-    }
-}
 
 /// A concrete assignment of values to named input fields.
 ///
@@ -182,20 +121,6 @@ impl FromIterator<(Arc<str>, u64)> for InputValues {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_defaults() {
-        let spec = InputSpec::new()
-            .field("nlri.prefix", 32, 0x0a00_0000)
-            .field("nlri.len", 8, 24);
-        assert_eq!(spec.len(), 2);
-        let d = spec.defaults();
-        assert_eq!(d.get("nlri.prefix"), Some(0x0a00_0000));
-        assert_eq!(d.get("nlri.len"), Some(24));
-        let width = |name| spec.fields.iter().find(|f| f.name == name).map(|f| f.width);
-        assert_eq!(width("nlri.len"), Some(8));
-        assert!(width("missing").is_none());
-    }
 
     #[test]
     fn values_roundtrip() {

@@ -50,7 +50,7 @@ pub use coverage::{Coverage, SiteCoverage};
 pub use engine::{
     ConcolicEngine, EngineConfig, Exploration, ExplorationStats, RunRecord, SymbolicProgram,
 };
-pub use input::{InputSpec, InputValues};
+pub use input::InputValues;
 pub use path::{ExecTrace, PathId};
 pub use value::{Concolic, ConcolicBool, ConcolicInt, CU32, CU8};
 

@@ -1,11 +1,10 @@
-//! Structured tracing and exportable metrics over a live exploration run.
+//! Structured tracing and the control snapshot over a live exploration run.
 //!
 //! Installs the buffered trace recorder, drives a wire-fed continuous
-//! exploration (`WireReplayDriver` → `LiveOrchestrator`), and then turns
-//! the captured telemetry into the two export formats the stack speaks:
-//! a Chrome Trace Event JSONL (load it at <https://ui.perfetto.dev> or
-//! `chrome://tracing`) and a Prometheus text exposition sampled from the
-//! control snapshot. Tracing is out-of-band by construction — the run's
+//! exploration (`WireReplayDriver` → `LiveOrchestrator`), and then exports
+//! the captured spans as Chrome Trace Event JSONL (load it at
+//! <https://ui.perfetto.dev> or `chrome://tracing`) and prints the control
+//! snapshot's rendered form. Tracing is out-of-band by construction — the run's
 //! report digest is byte-identical with and without the recorder, which
 //! the example asserts at the end.
 //!
@@ -13,7 +12,7 @@
 
 use std::sync::Arc;
 
-use dice::obs::{chrome_trace_jsonl, validate_chrome_trace_jsonl, validate_prometheus_text};
+use dice::obs::{chrome_trace_jsonl, validate_chrome_trace_jsonl};
 use dice::prelude::*;
 
 /// One wire-fed live run over the Figure 2 topology: 32 table-dump
@@ -68,21 +67,12 @@ fn main() {
         println!("{line}");
     }
 
-    // 3. Prometheus text exposition from the control snapshot: counters
-    //    and gauges plus quantile-labelled latency summaries.
-    let exposition = snapshot.prometheus();
-    validate_prometheus_text(&exposition).expect("exposition parses against the grammar");
-    println!("\n--- prometheus exposition ---");
-    print!("{exposition}");
+    // 3. The control snapshot's rendered form: counters, gauges and the
+    //    round, wave and decode latency distributions.
+    println!("\n--- control snapshot ---");
+    print!("{}", snapshot.render());
 
-    // 4. Latency distributions, straight from the snapshot's histogram
-    //    summaries.
-    println!("--- latency summaries ---");
-    println!("round latency:  {}", snapshot.round_latency);
-    println!("wave latency:   {}", snapshot.wave_latency);
-    println!("decode latency: {}", snapshot.ingest.decode_latency);
-
-    // 5. The tentpole invariant: tracing never changes a result. Rerun
+    // 4. The out-of-band invariant: tracing never changes a result. Rerun
     //    untraced and compare digests byte for byte.
     let (untraced, _) = traced_run();
     assert_eq!(

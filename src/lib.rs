@@ -49,8 +49,7 @@ pub mod prelude {
         DeliveryError, FaultPlan, FaultSpec, FaultTrace, InjectedFault, InjectedFaultKind,
     };
     pub use dice_obs::{
-        BufferedRecorder, Histogram, HistogramSummary, NoopSink, PrometheusText, SinkGuard,
-        TraceSink,
+        BufferedRecorder, Histogram, HistogramSummary, NoopSink, SinkGuard, TraceSink,
     };
     pub use dice_router::{BgpRouter, NeighborConfig, RouterConfig};
     pub use dice_symexec::{ConcolicEngine, EngineConfig, ExecCtx, InputValues};
@@ -115,7 +114,6 @@ mod tests {
         let search = FaultPlanSearch::new(LiveOrchestrator::default())
             .with_seed(7)
             .with_budget(0)
-            .with_max_specs(4)
             .with_epoch_horizon(3)
             .with_spec_kinds(SpecKindMask::only_partitions());
         let _: &LiveOrchestrator = search.orchestrator();
@@ -176,7 +174,6 @@ mod tests {
         let mut histogram = Histogram::new();
         histogram.record(1);
         let _: HistogramSummary = histogram.summary();
-        let _ = PrometheusText::new();
         fn assert_sink<T: TraceSink>() {}
         assert_sink::<NoopSink>();
         assert_sink::<BufferedRecorder>();

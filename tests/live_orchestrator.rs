@@ -227,16 +227,16 @@ fn no_fork_is_alive_when_the_driver_writes() {
     let topo = figure2_topology(CustomerFilterMode::Erroneous);
     let provider = topo.node_by_name("Provider").expect("node");
     let mut sim = Simulator::new(&topo);
-    let shared_tables = |sim: &Simulator| -> Vec<usize> {
+    let shared_tables = |sim: &Simulator| -> Vec<bool> {
         (0..sim.len())
-            .map(|n| sim.router(NodeId(n)).rib().shards_shared_with_a_fork())
+            .map(|n| sim.router(NodeId(n)).rib().has_a_fork())
             .collect()
     };
 
     let mut epochs = 0;
     let live = LiveOrchestrator::new(hijack_session()).run(&mut sim, |sim, epoch| {
         assert!(
-            shared_tables(sim).iter().all(|&shared| shared == 0),
+            !shared_tables(sim).contains(&true),
             "epoch {epoch}: a fork is alive across drive: {:?}",
             shared_tables(sim)
         );
@@ -246,12 +246,12 @@ fn no_fork_is_alive_when_the_driver_writes() {
     assert_eq!(epochs, 7);
     assert_eq!(live.rounds.len(), 6, "the quiet epoch runs no round");
     assert!(live.has_faults());
-    assert!(shared_tables(&sim).iter().all(|&shared| shared == 0));
+    assert!(!shared_tables(&sim).contains(&true));
 
     // The probe does see a fork when there is one.
     let held = RoundCheckpoint::capture(sim.router(provider));
     let rib = sim.router(provider).rib();
-    assert_eq!(rib.shards_shared_with_a_fork(), 1);
+    assert!(rib.has_a_fork());
     drop(held);
 }
 

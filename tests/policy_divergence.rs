@@ -4,7 +4,8 @@
 //! community, so the leak is reachable only through a solver-synthesized
 //! announcement — exactly the class of fault the policy-aware exploration
 //! surface exists to find. The control arm runs the same round with the
-//! policy fields disabled and must come back clean.
+//! seed run alone, the concrete execution of the observed message, and
+//! must come back clean.
 
 use dice::prelude::*;
 use dice::router::policy::{encode_community, parse_filter, FilterDef};
@@ -86,13 +87,15 @@ fn solver_synthesized_community_exposes_the_gated_leak() {
     );
     assert!(report.isolation_preserved);
 
-    // Control: the same round with the policy-oriented symbolic fields
-    // disabled. The community arm is opaque to the solver — no input it
-    // can synthesize reaches the leak, so the round comes back clean.
-    let opaque = DiceBuilder::new().symbolic_policy_fields(false).build();
-    let opaque_report = opaque.explore(&router, &[(customer, observed)]);
+    // Control: the same round with the seed run alone. The observed
+    // message carries no community, so without a solver-synthesized input
+    // nothing reaches the leak and the round comes back clean.
+    let seed_only = DiceBuilder::new()
+        .engine(EngineConfig::default().with_max_runs(1))
+        .build();
+    let seed_report = seed_only.explore(&router, &[(customer, observed)]);
     assert!(
-        !opaque_report.has_faults(),
-        "without the community slot the leak is unreachable:\n{opaque_report}"
+        !seed_report.has_faults(),
+        "the observed message alone does not leak:\n{seed_report}"
     );
 }
