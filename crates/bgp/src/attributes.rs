@@ -1,4 +1,12 @@
 //! BGP path attributes (RFC 4271 §4.3 and §5).
+//!
+//! [`RouteAttrs`] is the one representation of an attribute set: the wire
+//! codec decodes an UPDATE's attribute block straight into it and encodes
+//! it back in ascending type order, an [`UpdateMessage`] carries it behind
+//! an [`Arc`](std::sync::Arc), and every route installed from that UPDATE
+//! shares the same allocation.
+//!
+//! [`UpdateMessage`]: crate::message::UpdateMessage
 
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -151,50 +159,12 @@ pub(crate) mod flags {
     pub(crate) const EXTENDED_LENGTH: u8 = 0x10;
 }
 
-/// A single decoded path attribute.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PathAttribute {
-    /// ORIGIN.
-    Origin(Origin),
-    /// AS_PATH.
-    AsPath(AsPath),
-    /// NEXT_HOP.
-    NextHop(Ipv4Addr),
-    /// MULTI_EXIT_DISC.
-    Med(u32),
-    /// LOCAL_PREF.
-    LocalPref(u32),
-    /// ATOMIC_AGGREGATE.
-    AtomicAggregate,
-    /// AGGREGATOR.
-    Aggregator(Aggregator),
-    /// COMMUNITIES.
-    Communities(Vec<Community>),
-}
-
-impl PathAttribute {
-    /// The attribute's type code.
-    pub(crate) fn code(&self) -> AttrCode {
-        match self {
-            PathAttribute::Origin(_) => AttrCode::Origin,
-            PathAttribute::AsPath(_) => AttrCode::AsPath,
-            PathAttribute::NextHop(_) => AttrCode::NextHop,
-            PathAttribute::Med(_) => AttrCode::Med,
-            PathAttribute::LocalPref(_) => AttrCode::LocalPref,
-            PathAttribute::AtomicAggregate => AttrCode::AtomicAggregate,
-            PathAttribute::Aggregator(_) => AttrCode::Aggregator,
-            PathAttribute::Communities(_) => AttrCode::Communities,
-        }
-    }
-}
-
-/// The complete, typed attribute set attached to a route.
+/// The complete, typed attribute set of an UPDATE and of the routes it
+/// installs.
 ///
-/// This is the in-memory representation the router and the DiCE symbolic
-/// handler operate on; [`RouteAttrs::to_attributes`] converts it to the
-/// wire-level list and [`UpdateMessage::route_attrs`] back.
-///
-/// [`UpdateMessage::route_attrs`]: crate::message::UpdateMessage::route_attrs
+/// The router, the DiCE symbolic handler and the wire codec all operate on
+/// this one type; an attribute present on the wire is a field set here,
+/// and each attribute can appear at most once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteAttrs {
     /// ORIGIN (mandatory).
@@ -256,57 +226,6 @@ impl RouteAttrs {
     pub fn effective_med(&self) -> u32 {
         self.med.unwrap_or(0)
     }
-
-    /// Converts to the wire-level attribute list in canonical code order.
-    pub fn to_attributes(&self) -> Vec<PathAttribute> {
-        let optional = usize::from(self.med.is_some())
-            + usize::from(self.local_pref.is_some())
-            + usize::from(self.atomic_aggregate)
-            + usize::from(self.aggregator.is_some())
-            + usize::from(!self.communities.is_empty());
-        let mut out = Vec::with_capacity(3 + optional);
-        out.extend([
-            PathAttribute::Origin(self.origin),
-            PathAttribute::AsPath(self.as_path.clone()),
-            PathAttribute::NextHop(self.next_hop),
-        ]);
-        if let Some(med) = self.med {
-            out.push(PathAttribute::Med(med));
-        }
-        if let Some(lp) = self.local_pref {
-            out.push(PathAttribute::LocalPref(lp));
-        }
-        if self.atomic_aggregate {
-            out.push(PathAttribute::AtomicAggregate);
-        }
-        if let Some(agg) = self.aggregator {
-            out.push(PathAttribute::Aggregator(agg));
-        }
-        if !self.communities.is_empty() {
-            out.push(PathAttribute::Communities(self.communities.clone()));
-        }
-        out
-    }
-
-    /// Builds typed attributes from a wire-level list. Later duplicates
-    /// overwrite earlier ones; unknown attributes are not representable
-    /// here and must be filtered by the caller.
-    pub(crate) fn from_attributes(attrs: &[PathAttribute]) -> Self {
-        let mut out = RouteAttrs::default();
-        for a in attrs {
-            match a {
-                PathAttribute::Origin(o) => out.origin = *o,
-                PathAttribute::AsPath(p) => out.as_path = p.clone(),
-                PathAttribute::NextHop(n) => out.next_hop = *n,
-                PathAttribute::Med(m) => out.med = Some(*m),
-                PathAttribute::LocalPref(l) => out.local_pref = Some(*l),
-                PathAttribute::AtomicAggregate => out.atomic_aggregate = true,
-                PathAttribute::Aggregator(g) => out.aggregator = Some(*g),
-                PathAttribute::Communities(c) => out.communities = c.clone(),
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -346,6 +265,19 @@ mod tests {
         );
     }
 
+    /// `attrs` announced for one prefix, through the wire codec and back.
+    fn through_the_wire(attrs: &RouteAttrs) -> (Vec<u8>, RouteAttrs) {
+        use crate::message::{BgpMessage, UpdateMessage};
+        let prefix = "10.0.0.0/8".parse().expect("valid");
+        let bytes = crate::wire::encode(&BgpMessage::Update(UpdateMessage::announce(
+            vec![prefix],
+            attrs,
+        )));
+        let (decoded, _) = crate::wire::decode(&bytes).expect("decodes");
+        let back = decoded.as_update().expect("update").route_attrs();
+        (bytes.to_vec(), back)
+    }
+
     #[test]
     fn route_attrs_roundtrip_through_attribute_list() {
         let attrs = RouteAttrs {
@@ -361,10 +293,10 @@ mod tests {
             }),
             communities: vec![Community::new(3491, 100), Community(0xFFFF_FF01)],
         };
-        let list = attrs.to_attributes();
-        assert_eq!(list.len(), 8);
-        let back = RouteAttrs::from_attributes(&list);
+        let (bytes, back) = through_the_wire(&attrs);
         assert_eq!(back, attrs);
+        // All eight attributes, in ascending type order.
+        assert_eq!(attribute_codes(&bytes), [1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
@@ -377,13 +309,27 @@ mod tests {
         assert_eq!(originated.origin_as(), Some(Asn(65001)));
     }
 
+    /// The type codes of an encoded UPDATE's attributes, in wire order
+    /// (no withdrawn routes; one-octet lengths).
+    fn attribute_codes(frame: &[u8]) -> Vec<u8> {
+        let block_len = u16::from_be_bytes([frame[21], frame[22]]) as usize;
+        let mut block = &frame[23..23 + block_len];
+        let mut codes = Vec::new();
+        while let [_, code, len, rest @ ..] = block {
+            codes.push(*code);
+            block = &rest[*len as usize..];
+        }
+        codes
+    }
+
     #[test]
     fn minimal_attribute_list_omits_optionals() {
         let attrs = RouteAttrs::originated(65001, Ipv4Addr::new(10, 0, 0, 1));
-        let list = attrs.to_attributes();
-        assert_eq!(list.len(), 3);
-        assert!(matches!(list[0], PathAttribute::Origin(_)));
-        assert!(matches!(list[1], PathAttribute::AsPath(_)));
-        assert!(matches!(list[2], PathAttribute::NextHop(_)));
+        let (bytes, back) = through_the_wire(&attrs);
+        assert_eq!(back, attrs);
+        assert_eq!(
+            attribute_codes(&bytes),
+            [AttrCode::Origin, AttrCode::AsPath, AttrCode::NextHop].map(|c| c as u8)
+        );
     }
 }

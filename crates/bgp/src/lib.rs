@@ -12,7 +12,7 @@
 //! valid.
 //!
 //! Each type has one path: the AS number and path types ([`Asn`],
-//! [`AsPath`], [`AsPathSegment`]) sit at the crate root, everything else in
+//! [`AsPath`], [`SegmentKind`]) sit at the crate root, everything else in
 //! its module — [`prefix`], [`attributes`], [`route`], [`message`],
 //! [`wire`] (the codec), [`fsm`] and [`error`].
 //!
@@ -46,4 +46,4 @@ pub mod prefix;
 pub mod route;
 pub mod wire;
 
-pub use asn::{AsPath, AsPathSegment, Asn};
+pub use asn::{AsPath, Asn, SegmentKind};

@@ -1,9 +1,15 @@
 //! BGP message types (RFC 4271 §4).
+//!
+//! An [`UpdateMessage`] holds its attribute set as one shared
+//! [`RouteAttrs`]: the codec decodes into it, the routes the UPDATE
+//! installs share it, and an observer logging the UPDATE keeps the same
+//! allocation alive rather than a second copy.
 
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
-use crate::attributes::{PathAttribute, RouteAttrs};
+use crate::attributes::RouteAttrs;
 use crate::error::NotificationData;
 use crate::prefix::Ipv4Prefix;
 
@@ -67,8 +73,9 @@ impl OpenMessage {
 pub struct UpdateMessage {
     /// Prefixes no longer reachable through the sender.
     pub withdrawn: Vec<Ipv4Prefix>,
-    /// Path attributes applying to all announced prefixes.
-    pub attributes: Vec<PathAttribute>,
+    /// Path attributes applying to all announced prefixes; `None` when the
+    /// UPDATE has no attribute block (a pure withdrawal).
+    pub attrs: Option<Arc<RouteAttrs>>,
     /// Announced prefixes (Network Layer Reachability Information).
     pub nlri: Vec<Ipv4Prefix>,
 }
@@ -78,7 +85,7 @@ impl UpdateMessage {
     pub fn announce(nlri: Vec<Ipv4Prefix>, attrs: &RouteAttrs) -> Self {
         UpdateMessage {
             withdrawn: Vec::new(),
-            attributes: attrs.to_attributes(),
+            attrs: Some(Arc::new(attrs.clone())),
             nlri,
         }
     }
@@ -87,14 +94,15 @@ impl UpdateMessage {
     pub fn withdraw(withdrawn: Vec<Ipv4Prefix>) -> Self {
         UpdateMessage {
             withdrawn,
-            attributes: Vec::new(),
+            attrs: None,
             nlri: Vec::new(),
         }
     }
 
-    /// The typed view of the attribute list.
+    /// An owned copy of the attribute set, to edit; the defaults when the
+    /// UPDATE has none.
     pub fn route_attrs(&self) -> RouteAttrs {
-        RouteAttrs::from_attributes(&self.attributes)
+        self.attrs.as_deref().cloned().unwrap_or_default()
     }
 }
 
@@ -192,7 +200,23 @@ mod tests {
 
         let wd = UpdateMessage::withdraw(vec![p]);
         assert_eq!(wd.withdrawn, vec![p]);
-        assert!(wd.nlri.is_empty() && wd.attributes.is_empty());
+        assert!(wd.nlri.is_empty() && wd.attrs.is_none());
+    }
+
+    #[test]
+    fn clones_of_an_update_share_its_attributes() {
+        assert!(std::mem::size_of::<UpdateMessage>() <= 56);
+        let attrs = RouteAttrs::originated(65001, Ipv4Addr::new(10, 0, 0, 1));
+        let p: Ipv4Prefix = "203.0.113.0/24".parse().expect("valid");
+        let ann = UpdateMessage::announce(vec![p], &attrs);
+        let copy = ann.clone();
+        let shared = |u: &UpdateMessage| u.attrs.clone().expect("announcement");
+        assert!(Arc::ptr_eq(&shared(&ann), &shared(&copy)));
+        assert_eq!(ann.route_attrs(), attrs);
+        assert_eq!(
+            UpdateMessage::withdraw(vec![p]).route_attrs(),
+            RouteAttrs::default()
+        );
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Routes: a prefix bound to path attributes and provenance.
+//!
+//! A [`Route`] holds its attributes behind an [`Arc`]: every route an
+//! UPDATE installs shares the attribute set the UPDATE arrived with, and
+//! a policy that edits a route copies the set first
+//! ([`Arc::make_mut`]).
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::asn::Asn;
 use crate::attributes::RouteAttrs;
@@ -37,8 +43,9 @@ impl fmt::Display for PeerId {
 pub struct Route {
     /// The destination prefix.
     pub prefix: Ipv4Prefix,
-    /// Path attributes.
-    pub attrs: RouteAttrs,
+    /// Path attributes, shared with the UPDATE that carried them and with
+    /// every other route installed from it. Compared by content.
+    pub attrs: Arc<RouteAttrs>,
     /// The peer the route was learned from.
     pub learned_from: PeerId,
     /// Router id of the advertising router (decision-process tie breaker).
@@ -46,16 +53,16 @@ pub struct Route {
 }
 
 impl Route {
-    /// Creates a route.
+    /// Creates a route; `attrs` is an owned set or one to share.
     pub fn new(
         prefix: Ipv4Prefix,
-        attrs: RouteAttrs,
+        attrs: impl Into<Arc<RouteAttrs>>,
         learned_from: PeerId,
         peer_router_id: u32,
     ) -> Self {
         Route {
             prefix,
-            attrs,
+            attrs: attrs.into(),
             learned_from,
             peer_router_id,
         }
@@ -65,7 +72,7 @@ impl Route {
     pub fn local(prefix: Ipv4Prefix, attrs: RouteAttrs) -> Self {
         Route {
             prefix,
-            attrs,
+            attrs: Arc::new(attrs),
             learned_from: PeerId::LOCAL,
             peer_router_id: 0,
         }
@@ -107,6 +114,11 @@ mod tests {
         assert!(!PeerId(3).is_local());
         assert_eq!(PeerId::LOCAL.to_string(), "local");
         assert_eq!(PeerId(3).to_string(), "peer3");
+    }
+
+    #[test]
+    fn a_route_is_three_words() {
+        assert_eq!(std::mem::size_of::<Route>(), 24);
     }
 
     #[test]

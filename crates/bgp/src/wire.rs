@@ -5,12 +5,19 @@
 //! DiCE symbolic-input layer deliberately generates only *syntactically
 //! valid* messages (paper §3.2), so this layer is exercised by the live
 //! message path and by tests, not by exploration.
+//!
+//! An UPDATE's attribute block decodes straight into one [`RouteAttrs`]
+//! and encodes from it in ascending type order. Decoding follows RFC 4271
+//! §6.3: an attribute that appears twice is a malformed attribute list,
+//! and announced NLRI need ORIGIN, AS_PATH and NEXT_HOP. Attributes in any
+//! order decode; re-encoding writes them in the canonical order.
 
 use bytes::{Buf, BufMut, Bytes};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
-use crate::asn::{AsPath, AsPathSegment, Asn};
-use crate::attributes::{flags, Aggregator, AttrCode, Community, Origin, PathAttribute};
+use crate::asn::{segment_header, AsPath, Asn, SegmentKind};
+use crate::attributes::{flags, Aggregator, AttrCode, Community, Origin, RouteAttrs};
 use crate::error::{BgpError, NotificationData, UpdateErrorSubcode};
 use crate::message::{
     BgpMessage, KeepaliveMessage, MessageType, NotificationMessage, OpenMessage, UpdateMessage,
@@ -161,8 +168,21 @@ fn encode_prefixes(prefixes: &[Ipv4Prefix], out: &mut Vec<u8>) {
     }
 }
 
+/// How many prefixes an NLRI or withdrawn-routes field holds, read from
+/// their length octets alone: what the decoded vector needs room for. A
+/// malformed field counts up to where it breaks; decoding reports the
+/// error.
+fn prefix_count(mut buf: &[u8]) -> usize {
+    let mut count = 0;
+    while let Some((&len, rest)) = buf.split_first() {
+        count += 1;
+        buf = rest.get(usize::from(len).div_ceil(8)..).unwrap_or_default();
+    }
+    count
+}
+
 fn decode_prefixes(mut buf: &[u8]) -> Result<Vec<Ipv4Prefix>, BgpError> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(prefix_count(buf));
     while !buf.is_empty() {
         let len = buf.get_u8();
         if len > 32 {
@@ -187,84 +207,99 @@ const MAX_SEGMENT_ASNS: usize = u8::MAX as usize;
 /// segment header: a sequence longer than [`MAX_SEGMENT_ASNS`] becomes
 /// consecutive sequences of at most that many; anything else — an empty
 /// segment included — is one run. (Nothing builds an AS_SET that long.)
-fn wire_segments(seg: &AsPathSegment) -> impl Iterator<Item = &[Asn]> {
-    let asns = seg.asns();
-    let run = match seg {
-        AsPathSegment::Sequence(_) => MAX_SEGMENT_ASNS,
-        AsPathSegment::Set(_) => asns.len().max(1),
+fn wire_runs(kind: SegmentKind, asns: &[Asn]) -> impl Iterator<Item = &[Asn]> {
+    let run = match kind {
+        SegmentKind::Sequence => MAX_SEGMENT_ASNS,
+        SegmentKind::Set => asns.len().max(1),
     };
     asns.chunks(run).chain(asns.is_empty().then_some(asns))
 }
 
-/// Length of an attribute's value on the wire.
-fn attribute_value_len(attr: &PathAttribute) -> usize {
-    match attr {
-        PathAttribute::Origin(_) => 1,
-        PathAttribute::AsPath(path) => path
-            .segments()
-            .iter()
-            .flat_map(wire_segments)
-            .map(|asns| 2 + 4 * asns.len())
-            .sum(),
-        PathAttribute::NextHop(_) | PathAttribute::Med(_) | PathAttribute::LocalPref(_) => 4,
-        PathAttribute::AtomicAggregate => 0,
-        PathAttribute::Aggregator(_) => 8,
-        PathAttribute::Communities(cs) => 4 * cs.len(),
-    }
+/// Length of the AS_PATH attribute's value on the wire.
+fn as_path_len(path: &AsPath) -> usize {
+    path.segments()
+        .flat_map(|(kind, asns)| wire_runs(kind, asns))
+        .map(|asns| 2 + 4 * asns.len())
+        .sum()
 }
 
-/// Length of an attribute on the wire: flags, code, length field, value.
-fn attribute_len(attr: &PathAttribute) -> usize {
-    let value = attribute_value_len(attr);
+/// Length of one attribute on the wire whose value is `value` bytes:
+/// flags, code, length field, value.
+fn attribute_len(value: usize) -> usize {
     let length_field = if value > 255 { 2 } else { 1 };
     2 + length_field + value
 }
 
-fn encode_attribute(attr: &PathAttribute, out: &mut Vec<u8>) {
-    let value_len = attribute_value_len(attr);
-    let code = attr.code();
-    let mut attr_flags = code.default_flags();
-    let extended = value_len > 255;
-    if extended {
-        attr_flags |= flags::EXTENDED_LENGTH;
-    }
-    out.put_u8(attr_flags);
-    out.put_u8(code as u8);
-    if extended {
+/// Length of the attribute block [`encode_attributes`] writes.
+fn attributes_len(a: &RouteAttrs) -> usize {
+    let optional = |present: bool, value: usize| if present { attribute_len(value) } else { 0 };
+    attribute_len(1)
+        + attribute_len(as_path_len(&a.as_path))
+        + attribute_len(4)
+        + optional(a.med.is_some(), 4)
+        + optional(a.local_pref.is_some(), 4)
+        + optional(a.atomic_aggregate, 0)
+        + optional(a.aggregator.is_some(), 8)
+        + optional(!a.communities.is_empty(), 4 * a.communities.len())
+}
+
+/// Writes an attribute's flags, code and length field.
+fn put_attribute_header(code: AttrCode, value_len: usize, out: &mut Vec<u8>) {
+    if value_len > 255 {
+        out.put_slice(&[code.default_flags() | flags::EXTENDED_LENGTH, code as u8]);
         out.put_u16(value_len as u16);
     } else {
-        out.put_u8(value_len as u8);
+        out.put_slice(&[code.default_flags(), code as u8, value_len as u8]);
     }
-    match attr {
-        PathAttribute::Origin(o) => out.put_u8(o.code()),
-        PathAttribute::AsPath(path) => {
-            for seg in path.segments() {
-                for asns in wire_segments(seg) {
-                    out.put_u8(seg.type_code());
-                    out.put_u8(asns.len() as u8);
-                    for asn in asns {
-                        out.put_u32(asn.value());
-                    }
-                }
+}
+
+/// Writes the attribute block: the three mandatory attributes, then each
+/// optional one that is set, in ascending type order.
+fn encode_attributes(a: &RouteAttrs, out: &mut Vec<u8>) {
+    put_attribute_header(AttrCode::Origin, 1, out);
+    out.put_u8(a.origin.code());
+    put_attribute_header(AttrCode::AsPath, as_path_len(&a.as_path), out);
+    for (kind, asns) in a.as_path.segments() {
+        for run in wire_runs(kind, asns) {
+            out.put_u8(kind as u8);
+            out.put_u8(run.len() as u8);
+            for asn in run {
+                out.put_u32(asn.value());
             }
         }
-        PathAttribute::NextHop(nh) => out.put_u32(u32::from(*nh)),
-        PathAttribute::Med(m) => out.put_u32(*m),
-        PathAttribute::LocalPref(l) => out.put_u32(*l),
-        PathAttribute::AtomicAggregate => {}
-        PathAttribute::Aggregator(a) => {
-            out.put_u32(a.asn.value());
-            out.put_u32(a.router_id);
-        }
-        PathAttribute::Communities(cs) => {
-            for c in cs {
-                out.put_u32(c.0);
-            }
+    }
+    put_attribute_header(AttrCode::NextHop, 4, out);
+    out.put_u32(u32::from(a.next_hop));
+    if let Some(med) = a.med {
+        put_attribute_header(AttrCode::Med, 4, out);
+        out.put_u32(med);
+    }
+    if let Some(local_pref) = a.local_pref {
+        put_attribute_header(AttrCode::LocalPref, 4, out);
+        out.put_u32(local_pref);
+    }
+    if a.atomic_aggregate {
+        put_attribute_header(AttrCode::AtomicAggregate, 0, out);
+    }
+    if let Some(aggregator) = a.aggregator {
+        put_attribute_header(AttrCode::Aggregator, 8, out);
+        out.put_u32(aggregator.asn.value());
+        out.put_u32(aggregator.router_id);
+    }
+    if !a.communities.is_empty() {
+        put_attribute_header(AttrCode::Communities, 4 * a.communities.len(), out);
+        for c in &a.communities {
+            out.put_u32(c.0);
         }
     }
 }
 
-fn decode_attribute(buf: &mut &[u8]) -> Result<Option<PathAttribute>, BgpError> {
+/// Reads one attribute's header and checks its flags: the attribute's raw
+/// type code and value, or `None` for the code of an attribute this codec
+/// does not know (skipped, not stored).
+fn decode_attribute_header<'a>(
+    buf: &mut &'a [u8],
+) -> Result<(u8, Option<AttrCode>, &'a [u8]), BgpError> {
     if buf.len() < 3 {
         return Err(BgpError::Update(UpdateErrorSubcode::MalformedAttributeList));
     }
@@ -292,11 +327,10 @@ fn decode_attribute(buf: &mut &[u8]) -> Result<Option<PathAttribute>, BgpError> 
             reason: "declared length overruns attribute block",
         });
     }
-    let mut value = &buf[..len];
+    let value = &buf[..len];
     buf.advance(len);
     let Some(code) = AttrCode::from_code(code_raw) else {
-        // Unknown optional attributes are skipped (not stored).
-        return Ok(None);
+        return Ok((code_raw, None, value));
     };
     let expected = code.default_flags();
     if (attr_flags ^ expected) & flags::OPTIONAL != 0 {
@@ -307,121 +341,142 @@ fn decode_attribute(buf: &mut &[u8]) -> Result<Option<PathAttribute>, BgpError> 
         // Well-known attributes are always transitive.
         return Err(BgpError::Update(UpdateErrorSubcode::AttributeFlagsError));
     }
-    let attr = match code {
-        AttrCode::Origin => {
-            if value.len() != 1 {
-                return Err(BgpError::BadAttribute {
-                    code: code as u8,
-                    reason: "origin length",
-                });
-            }
-            let origin = Origin::from_code(value.get_u8()).ok_or(BgpError::BadAttribute {
-                code: code as u8,
-                reason: "origin value",
-            })?;
-            PathAttribute::Origin(origin)
-        }
-        AttrCode::AsPath => {
-            let mut segments = Vec::new();
-            while !value.is_empty() {
-                if value.len() < 2 {
-                    return Err(BgpError::BadAttribute {
-                        code: code as u8,
-                        reason: "segment header",
-                    });
-                }
-                let seg_type = value.get_u8();
-                let count = value.get_u8() as usize;
-                if value.len() < count * 4 {
-                    return Err(BgpError::BadAttribute {
-                        code: code as u8,
-                        reason: "segment body",
-                    });
-                }
-                let mut asns = Vec::with_capacity(count);
-                for _ in 0..count {
-                    asns.push(Asn(value.get_u32()));
-                }
-                let seg = match seg_type {
-                    1 => AsPathSegment::Set(asns),
-                    2 => AsPathSegment::Sequence(asns),
-                    _ => {
-                        return Err(BgpError::BadAttribute {
-                            code: code as u8,
-                            reason: "segment type",
-                        })
-                    }
-                };
-                segments.push(seg);
-            }
-            PathAttribute::AsPath(AsPath::from_segments(segments))
-        }
-        AttrCode::NextHop => {
-            if value.len() != 4 {
-                return Err(BgpError::BadAttribute {
-                    code: code as u8,
-                    reason: "next hop length",
-                });
-            }
-            PathAttribute::NextHop(Ipv4Addr::from(value.get_u32()))
-        }
-        AttrCode::Med => {
-            if value.len() != 4 {
-                return Err(BgpError::BadAttribute {
-                    code: code as u8,
-                    reason: "med length",
-                });
-            }
-            PathAttribute::Med(value.get_u32())
-        }
-        AttrCode::LocalPref => {
-            if value.len() != 4 {
-                return Err(BgpError::BadAttribute {
-                    code: code as u8,
-                    reason: "local pref length",
-                });
-            }
-            PathAttribute::LocalPref(value.get_u32())
-        }
-        AttrCode::AtomicAggregate => {
-            if !value.is_empty() {
-                return Err(BgpError::BadAttribute {
-                    code: code as u8,
-                    reason: "atomic aggregate length",
-                });
-            }
-            PathAttribute::AtomicAggregate
-        }
-        AttrCode::Aggregator => {
-            if value.len() != 8 {
-                return Err(BgpError::BadAttribute {
-                    code: code as u8,
-                    reason: "aggregator length",
-                });
-            }
-            let asn = Asn(value.get_u32());
-            let router_id = value.get_u32();
-            PathAttribute::Aggregator(Aggregator { asn, router_id })
-        }
-        AttrCode::Communities => {
-            if !value.len().is_multiple_of(4) {
-                return Err(BgpError::BadAttribute {
-                    code: code as u8,
-                    reason: "communities length",
-                });
-            }
-            let mut cs = Vec::with_capacity(value.len() / 4);
-            while !value.is_empty() {
-                cs.push(Community(value.get_u32()));
-            }
-            PathAttribute::Communities(cs)
-        }
+    Ok((code_raw, Some(code), value))
+}
+
+/// The value of a fixed-length attribute, or its length error.
+fn fixed_value<const N: usize>(
+    code: AttrCode,
+    value: &[u8],
+    reason: &'static str,
+) -> Result<[u8; N], BgpError> {
+    value.try_into().map_err(|_| BgpError::BadAttribute {
+        code: code as u8,
+        reason,
+    })
+}
+
+/// Decodes an AS_PATH value into its one shared slice: a first walk checks
+/// the segments and counts the words, a second writes exactly that many.
+fn decode_as_path(value: &[u8]) -> Result<AsPath, BgpError> {
+    let bad = |reason| BgpError::BadAttribute {
+        code: AttrCode::AsPath as u8,
+        reason,
     };
-    Ok(Some(attr))
+    let mut words = 0;
+    let mut rest = value;
+    while !rest.is_empty() {
+        let [seg_type, count, body @ ..] = rest else {
+            return Err(bad("segment header"));
+        };
+        let body_len = 4 * usize::from(*count);
+        if body.len() < body_len {
+            return Err(bad("segment body"));
+        }
+        if ![SegmentKind::Set as u8, SegmentKind::Sequence as u8].contains(seg_type) {
+            return Err(bad("segment type"));
+        }
+        words += 1 + usize::from(*count);
+        rest = &body[body_len..];
+    }
+    let mut rest = value;
+    let mut left_in_segment = 0;
+    let words: Arc<[Asn]> = (0..words)
+        .map(|_| {
+            if left_in_segment == 0 {
+                // The first walk admitted only the two type codes.
+                let kind = if rest.get_u8() == SegmentKind::Set as u8 {
+                    SegmentKind::Set
+                } else {
+                    SegmentKind::Sequence
+                };
+                left_in_segment = usize::from(rest.get_u8());
+                segment_header(kind, left_in_segment)
+            } else {
+                left_in_segment -= 1;
+                Asn(rest.get_u32())
+            }
+        })
+        .collect();
+    Ok(AsPath::from_words(words))
+}
+
+/// Decodes a non-empty attribute block into the attribute set it carries.
+fn decode_attributes(mut block: &[u8]) -> Result<RouteAttrs, BgpError> {
+    let mut attrs = RouteAttrs::default();
+    // One bit per type code seen so far, unknown codes included.
+    let mut seen = [0u64; 4];
+    while !block.is_empty() {
+        let (code_raw, code, value) = decode_attribute_header(&mut block)?;
+        let (word, bit) = (usize::from(code_raw / 64), 1u64 << (code_raw % 64));
+        if seen[word] & bit != 0 {
+            return Err(BgpError::Update(UpdateErrorSubcode::MalformedAttributeList));
+        }
+        seen[word] |= bit;
+        let Some(code) = code else {
+            continue;
+        };
+        match code {
+            AttrCode::Origin => {
+                let [origin] = fixed_value(code, value, "origin length")?;
+                attrs.origin = Origin::from_code(origin).ok_or(BgpError::BadAttribute {
+                    code: code as u8,
+                    reason: "origin value",
+                })?;
+            }
+            AttrCode::AsPath => attrs.as_path = decode_as_path(value)?,
+            AttrCode::NextHop => {
+                let octets = fixed_value(code, value, "next hop length")?;
+                attrs.next_hop = Ipv4Addr::from(octets);
+            }
+            AttrCode::Med => {
+                let octets = fixed_value(code, value, "med length")?;
+                attrs.med = Some(u32::from_be_bytes(octets));
+            }
+            AttrCode::LocalPref => {
+                let octets = fixed_value(code, value, "local pref length")?;
+                attrs.local_pref = Some(u32::from_be_bytes(octets));
+            }
+            AttrCode::AtomicAggregate => {
+                let [] = fixed_value(code, value, "atomic aggregate length")?;
+                attrs.atomic_aggregate = true;
+            }
+            AttrCode::Aggregator => {
+                let octets: [u8; 8] = fixed_value(code, value, "aggregator length")?;
+                let mut octets = &octets[..];
+                attrs.aggregator = Some(Aggregator {
+                    asn: Asn(octets.get_u32()),
+                    router_id: octets.get_u32(),
+                });
+            }
+            AttrCode::Communities => {
+                if !value.len().is_multiple_of(4) {
+                    return Err(BgpError::BadAttribute {
+                        code: code as u8,
+                        reason: "communities length",
+                    });
+                }
+                attrs.communities = value
+                    .chunks_exact(4)
+                    .map(|c| Community(u32::from_be_bytes([c[0], c[1], c[2], c[3]])))
+                    .collect();
+            }
+        }
+    }
+    let mandatory = [AttrCode::Origin, AttrCode::AsPath, AttrCode::NextHop];
+    if mandatory
+        .iter()
+        .any(|&code| seen[0] & (1 << (code as u8)) == 0)
+    {
+        return Err(BgpError::Update(
+            UpdateErrorSubcode::MissingWellKnownAttribute,
+        ));
+    }
+    Ok(attrs)
 }
 
 fn update_body_len(u: &UpdateMessage) -> usize {
-    let attrs: usize = u.attributes.iter().map(attribute_len).sum();
+    let attrs = u.attrs.as_deref().map_or(0, attributes_len);
     2 + prefixes_len(&u.withdrawn) + 2 + attrs + prefixes_len(&u.nlri)
 }
 
@@ -429,34 +484,15 @@ fn encode_update(u: &UpdateMessage, out: &mut Vec<u8>) {
     out.put_u16(prefixes_len(&u.withdrawn) as u16);
     encode_prefixes(&u.withdrawn, out);
 
-    let attrs: usize = u.attributes.iter().map(attribute_len).sum();
-    out.put_u16(attrs as u16);
-    for a in &u.attributes {
-        encode_attribute(a, out);
+    match u.attrs.as_deref() {
+        Some(attrs) => {
+            out.put_u16(attributes_len(attrs) as u16);
+            encode_attributes(attrs, out);
+        }
+        None => out.put_u16(0),
     }
 
     encode_prefixes(&u.nlri, out);
-}
-
-/// How many attributes an attribute block holds, read from their headers
-/// alone: what the decoded list needs room for. A malformed block counts
-/// up to where it breaks; decoding reports the error.
-fn attribute_count(mut block: &[u8]) -> usize {
-    let mut count = 0;
-    while block.len() >= 3 {
-        let extended = block[0] & flags::EXTENDED_LENGTH != 0;
-        let (header, len) = if extended {
-            if block.len() < 4 {
-                break;
-            }
-            (4, u16::from_be_bytes([block[2], block[3]]) as usize)
-        } else {
-            (3, block[2] as usize)
-        };
-        count += 1;
-        block = &block[(header + len).min(block.len())..];
-    }
-    count
 }
 
 fn decode_update(buf: &mut &[u8]) -> Result<UpdateMessage, BgpError> {
@@ -485,20 +521,24 @@ fn decode_update(buf: &mut &[u8]) -> Result<UpdateMessage, BgpError> {
     if buf.len() < attrs_len {
         return Err(malformed());
     }
-    let mut attr_buf = &buf[..attrs_len];
+    let attr_buf = &buf[..attrs_len];
     buf.advance(attrs_len);
-    let mut attributes = Vec::with_capacity(attribute_count(attr_buf));
-    while !attr_buf.is_empty() {
-        if let Some(attr) = decode_attribute(&mut attr_buf)? {
-            attributes.push(attr);
-        }
-    }
+    let attrs = match attr_buf {
+        [] => None,
+        block => Some(Arc::new(decode_attributes(block)?)),
+    };
 
     let nlri = decode_prefixes(buf).map_err(reframe)?;
     *buf = &[];
+    if attrs.is_none() && !nlri.is_empty() {
+        // Announced routes without ORIGIN, AS_PATH and NEXT_HOP.
+        return Err(BgpError::Update(
+            UpdateErrorSubcode::MissingWellKnownAttribute,
+        ));
+    }
     Ok(UpdateMessage {
         withdrawn,
-        attributes,
+        attrs,
         nlri,
     })
 }
@@ -542,7 +582,7 @@ mod tests {
         attrs.communities = vec![Community::new(3491, 100)];
         UpdateMessage {
             withdrawn: vec!["203.0.113.0/24".parse().expect("valid")],
-            attributes: attrs.to_attributes(),
+            attrs: Some(Arc::new(attrs)),
             nlri: vec![
                 "208.65.152.0/22".parse().expect("valid"),
                 "208.65.153.0/24".parse().expect("valid"),
@@ -640,29 +680,150 @@ mod tests {
         assert_eq!(decode(&raw), Err(BgpError::BadPrefixLength(40)));
     }
 
-    #[test]
-    fn unknown_attribute_is_skipped() {
-        // Attribute type 99 (optional transitive) should be ignored.
+    /// The attribute block of `attrs` as the encoder writes it.
+    fn attribute_block(attrs: &RouteAttrs) -> Vec<u8> {
+        let mut block = Vec::new();
+        encode_attributes(attrs, &mut block);
+        block
+    }
+
+    /// One encoded attribute: flags, code, one-octet length, value.
+    fn raw_attr(attr_flags: u8, code: u8, value: &[u8]) -> Vec<u8> {
+        let mut attr = vec![attr_flags, code, value.len() as u8];
+        attr.extend_from_slice(value);
+        attr
+    }
+
+    /// An UPDATE frame with no withdrawn routes, the given attribute
+    /// block and NLRI 10.0.0.0/8.
+    fn update_with_block(block: &[u8]) -> Vec<u8> {
         let mut body = BytesMut::new();
         body.put_u16(0);
-        let mut attrs = BytesMut::new();
-        attrs.put_u8(flags::OPTIONAL | flags::TRANSITIVE);
-        attrs.put_u8(99);
-        attrs.put_u8(2);
-        attrs.put_u16(0xbeef);
-        body.put_u16(attrs.len() as u16);
-        body.extend_from_slice(&attrs);
+        body.put_u16(block.len() as u16);
+        body.extend_from_slice(block);
         body.put_u8(8);
         body.put_u8(10); // 10.0.0.0/8
-        let mut raw = BytesMut::new();
-        raw.put_bytes(0xff, 16);
-        raw.put_u16((HEADER_LEN + body.len()) as u16);
-        raw.put_u8(MessageType::Update as u8);
-        raw.extend_from_slice(&body);
-        let (decoded, _) = decode(&raw).expect("decodes");
+        frame(MessageType::Update, &body)
+    }
+
+    #[test]
+    fn unknown_attribute_is_skipped() {
+        // The three mandatory attributes plus type 99 (optional
+        // transitive), which is ignored.
+        let attrs = RouteAttrs::originated(65001, Ipv4Addr::new(10, 0, 0, 1));
+        let mut block = attribute_block(&attrs);
+        block.extend(raw_attr(
+            flags::OPTIONAL | flags::TRANSITIVE,
+            99,
+            &[0xbe, 0xef],
+        ));
+        let (decoded, _) = decode(&update_with_block(&block)).expect("decodes");
         let update = decoded.as_update().expect("update");
-        assert!(update.attributes.is_empty());
+        assert_eq!(update.attrs.as_deref(), Some(&attrs));
         assert_eq!(update.nlri, vec!["10.0.0.0/8".parse().expect("valid")]);
+    }
+
+    #[test]
+    fn a_repeated_attribute_is_a_malformed_attribute_list() {
+        let attrs = RouteAttrs::originated(65001, Ipv4Addr::new(10, 0, 0, 1));
+        let med = |value: u32| raw_attr(flags::OPTIONAL, AttrCode::Med as u8, &value.to_be_bytes());
+        let mut block = attribute_block(&attrs);
+        block.extend(med(10));
+        block.extend(med(20));
+        assert_eq!(
+            decode(&update_with_block(&block)),
+            Err(BgpError::Update(UpdateErrorSubcode::MalformedAttributeList))
+        );
+        // An unknown attribute may not repeat either.
+        let unknown = raw_attr(flags::OPTIONAL | flags::TRANSITIVE, 99, &[1]);
+        let mut block = attribute_block(&attrs);
+        block.extend(unknown.clone());
+        block.extend(unknown);
+        assert_eq!(
+            decode(&update_with_block(&block)),
+            Err(BgpError::Update(UpdateErrorSubcode::MalformedAttributeList))
+        );
+    }
+
+    #[test]
+    fn announced_nlri_need_the_well_known_attributes() {
+        let missing = Err(BgpError::Update(
+            UpdateErrorSubcode::MissingWellKnownAttribute,
+        ));
+        // ORIGIN and AS_PATH, no NEXT_HOP.
+        let mut block = raw_attr(flags::TRANSITIVE, AttrCode::Origin as u8, &[0]);
+        block.extend(raw_attr(
+            flags::TRANSITIVE,
+            AttrCode::AsPath as u8,
+            &[2, 1, 0, 0, 0xfd, 0xe9],
+        ));
+        assert_eq!(decode(&update_with_block(&block)), missing);
+        // NLRI with no attribute block at all.
+        assert_eq!(decode(&update_with_block(&[])), missing);
+        // A non-empty block needs them too, NLRI or not.
+        let mut body = BytesMut::new();
+        body.put_u16(0);
+        body.put_u16(block.len() as u16);
+        body.extend_from_slice(&block);
+        assert_eq!(decode(&frame(MessageType::Update, &body)), missing);
+        // A withdrawal needs no attribute block.
+        let withdrawal = BgpMessage::Update(UpdateMessage::withdraw(vec!["10.0.0.0/8"
+            .parse()
+            .expect("valid")]));
+        assert_eq!(decode(&encode(&withdrawal)).map(|(m, _)| m), Ok(withdrawal));
+    }
+
+    #[test]
+    fn attributes_in_any_order_decode_and_reencode_in_type_order() {
+        let mut attrs = RouteAttrs::originated(65001, Ipv4Addr::new(10, 0, 0, 1));
+        attrs.med = Some(7);
+        attrs.communities = vec![Community::new(65001, 1)];
+        let canonical = update_with_block(&attribute_block(&attrs));
+        // COMMUNITIES, MED and NEXT_HOP first, then AS_PATH and ORIGIN.
+        let mut block = raw_attr(
+            flags::OPTIONAL | flags::TRANSITIVE,
+            AttrCode::Communities as u8,
+            &Community::new(65001, 1).0.to_be_bytes(),
+        );
+        block.extend(raw_attr(
+            flags::OPTIONAL,
+            AttrCode::Med as u8,
+            &7u32.to_be_bytes(),
+        ));
+        block.extend(raw_attr(
+            flags::TRANSITIVE,
+            AttrCode::NextHop as u8,
+            &[10, 0, 0, 1],
+        ));
+        block.extend(raw_attr(
+            flags::TRANSITIVE,
+            AttrCode::AsPath as u8,
+            &[2, 1, 0, 0, 0xfd, 0xe9],
+        ));
+        block.extend(raw_attr(flags::TRANSITIVE, AttrCode::Origin as u8, &[0]));
+        let shuffled = update_with_block(&block);
+        assert_ne!(shuffled, canonical);
+        let (decoded, _) = decode(&shuffled).expect("decodes");
+        assert_eq!(
+            decoded.as_update().and_then(|u| u.attrs.as_deref()),
+            Some(&attrs)
+        );
+        assert_eq!(encode(&decoded)[..], canonical[..]);
+    }
+
+    #[test]
+    fn nlri_vectors_are_allocated_exactly() {
+        let attrs = RouteAttrs::originated(65001, Ipv4Addr::new(10, 0, 0, 1));
+        for count in [1u32, 3, 7] {
+            let nlri: Vec<Ipv4Prefix> = (0..count)
+                .map(|i| Ipv4Prefix::new(i << 24, 8 + i as u8).expect("valid"))
+                .collect();
+            let bytes = encode(&BgpMessage::Update(UpdateMessage::announce(nlri, &attrs)));
+            let (decoded, _) = decode(&bytes).expect("decodes");
+            let update = decoded.as_update().expect("update");
+            assert_eq!(update.nlri.capacity(), count as usize);
+            assert_eq!(update.withdrawn.capacity(), 0);
+        }
     }
 
     fn frame(msg_type: MessageType, body: &[u8]) -> Vec<u8> {
@@ -856,7 +1017,7 @@ mod tests {
         attrs.communities = (0..70).map(|v| Community::new(3491, v)).collect();
         let update = UpdateMessage {
             withdrawn: vec!["203.0.113.0/24".parse().expect("valid")],
-            attributes: attrs.to_attributes(),
+            attrs: Some(Arc::new(attrs)),
             nlri: vec!["0.0.0.0/0".parse().expect("valid")],
         };
         let msg = BgpMessage::Update(update);
@@ -913,7 +1074,7 @@ mod tests {
             assert_eq!(used, bytes.len());
             let path = decoded.as_update().expect("update").route_attrs().as_path;
             let sent = &attrs.as_path;
-            assert!(path.segments().iter().all(|s| s.asns().len() <= 255));
+            assert!(path.segments().all(|(_, asns)| asns.len() <= 255));
             assert_eq!(path.flatten(), sent.flatten());
             assert_eq!(path.length(), sent.length());
             assert_eq!(path.origin_as(), sent.origin_as());

@@ -156,8 +156,7 @@ impl SymbolicProgram for SymbolicUpdateHandler {
             as_path: attrs
                 .as_path
                 .segments()
-                .iter()
-                .flat_map(|segment| segment.asns())
+                .flat_map(|(_, asns)| asns)
                 .map(|a| a.value())
                 .collect(),
             intercepted,

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use dice_bgp::attributes::{Community, Origin, RouteAttrs};
 use dice_bgp::message::UpdateMessage;
 use dice_bgp::prefix::Ipv4Prefix;
-use dice_bgp::{AsPath, AsPathSegment, Asn};
+use dice_bgp::{AsPath, Asn, SegmentKind};
 use dice_router::policy::RouteView;
 use dice_symexec::{Concolic, ExecCtx, InputValues};
 
@@ -73,7 +73,8 @@ thread_local! {
 #[derive(Debug, Clone)]
 pub struct UpdateTemplate {
     observed_prefix: Ipv4Prefix,
-    observed_attrs: RouteAttrs,
+    /// Shared with the observed UPDATE.
+    observed_attrs: Arc<RouteAttrs>,
     /// The observed value of every field in [`FIELDS`].
     observed: [u64; 8],
 }
@@ -84,7 +85,7 @@ impl UpdateTemplate {
     /// leaves to future work.
     pub fn from_update(update: &UpdateMessage) -> Option<Self> {
         let prefix = *update.nlri.first()?;
-        let attrs = update.route_attrs();
+        let attrs = update.attrs.clone().unwrap_or_default();
         let mut observed = [0; 8];
         observed[NLRI_ADDR] = prefix.addr() as u64;
         observed[NLRI_LEN] = prefix.len() as u64;
@@ -129,7 +130,7 @@ impl UpdateTemplate {
             .min(32) as u8;
         let addr = values.get_or(fields::NLRI_ADDR, self.observed_prefix.addr() as u64) as u32;
         let prefix = Ipv4Prefix::new(addr, len).expect("length clamped to 32");
-        let mut attrs = self.observed_attrs.clone();
+        let mut attrs = RouteAttrs::clone(&self.observed_attrs);
         attrs.origin = Origin::from_code((values.get_or(fields::ORIGIN, 0) % 3) as u8)
             .expect("code folded into 0..=2");
         attrs.med = Some(values.get_or(fields::MED, 0) as u32);
@@ -189,7 +190,8 @@ impl UpdateTemplate {
 /// segment) is replaced with `origin`. Empty paths become a one-hop path.
 fn replace_origin_as(path: &AsPath, origin: Asn) -> AsPath {
     // A one-sequence path that already ends in `origin` is its own result.
-    if let [AsPathSegment::Sequence(asns)] = path.segments() {
+    let mut segments = path.segments();
+    if let (Some((SegmentKind::Sequence, asns)), None) = (segments.next(), segments.next()) {
         if asns.last() == Some(&origin) {
             return path.clone();
         }
@@ -207,7 +209,7 @@ fn replace_origin_as(path: &AsPath, origin: Asn) -> AsPath {
 /// hop (mimicking neighbor-side prepending), shorter ones by dropping hops
 /// from the front. Empty paths stay empty — there is no AS to repeat.
 fn resize_path(path: &AsPath, target: usize) -> AsPath {
-    let hops: usize = path.segments().iter().map(|s| s.asns().len()).sum();
+    let hops: usize = path.segments().map(|(_, asns)| asns.len()).sum();
     if hops == 0 || hops == target {
         return path.clone();
     }

@@ -696,6 +696,77 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_attribute_is_one_decode_error_on_replay() {
+        let topo = figure2_topology(CustomerFilterMode::Correct);
+        let provider = topo.node_by_name("Provider").expect("node");
+        let mut attrs = RouteAttrs::default();
+        attrs.as_path = AsPath::from_sequence([asn::CUSTOMER]);
+        attrs.next_hop = addr::CUSTOMER;
+        attrs.med = Some(5);
+        let update = UpdateMessage::announce(vec!["41.1.0.0/16".parse().expect("valid")], &attrs);
+        let mut frame = wire::encode(&BgpMessage::Update(update)).to_vec();
+        // MED is the block's last attribute: write it a second time, and
+        // grow the block and message lengths to match.
+        let block_end =
+            wire::HEADER_LEN + 4 + usize::from(u16::from_be_bytes([frame[21], frame[22]]));
+        let med: Vec<u8> = frame[block_end - 7..block_end].to_vec();
+        frame.splice(block_end..block_end, med);
+        let grow = |frame: &mut Vec<u8>, at: usize| {
+            let len = u16::from_be_bytes([frame[at], frame[at + 1]]) + 7;
+            frame[at..at + 2].copy_from_slice(&len.to_be_bytes());
+        };
+        grow(&mut frame, 16);
+        grow(&mut frame, 21);
+        let mut trace = WireTrace::new();
+        trace.push_raw(0, provider, addr::CUSTOMER, frame);
+
+        let mut sim = Simulator::new(&topo);
+        let mut driver = WireReplayDriver::new(trace);
+        assert!(!driver.drive(&mut sim, 0));
+        let s = driver.stats().snapshot();
+        assert_eq!((s.frames, s.decoded, s.decode_errors), (1, 0, 1));
+        assert_eq!(
+            s.events,
+            [IngestError::Decode {
+                record: 0,
+                error: BgpError::Update(
+                    dice_bgp::error::UpdateErrorSubcode::MalformedAttributeList
+                ),
+            }]
+        );
+    }
+
+    #[test]
+    fn replayed_routes_share_the_attributes_of_the_update_they_arrived_with() {
+        let topo = figure2_topology(CustomerFilterMode::Erroneous);
+        let provider = topo.node_by_name("Provider").expect("node");
+        let customer = topo.node_by_name("Customer").expect("node");
+        let mut sim = Simulator::new(&topo);
+        let mut driver = WireReplayDriver::new(sample_trace(provider));
+        assert!(!driver.drive(&mut sim, 0));
+        sim.run_to_quiescence(100);
+
+        // The Internet's announcement: the Provider's Loc-RIB route and the
+        // UPDATE in its observed log hold one attribute set; so do the
+        // Customer's route and the UPDATE the Provider exported to it.
+        let prefix: Ipv4Prefix = "208.65.152.0/22".parse().expect("valid");
+        for node in [provider, customer] {
+            let route = sim
+                .router(node)
+                .rib()
+                .best_route(&prefix)
+                .expect("installed");
+            let observed = sim
+                .observed_log()
+                .iter()
+                .find(|o| o.node == node && o.update.nlri.contains(&prefix))
+                .expect("observed");
+            let attrs = observed.update.attrs.as_ref().expect("an announcement");
+            assert!(std::sync::Arc::ptr_eq(&route.attrs, attrs), "node {node:?}");
+        }
+    }
+
+    #[test]
     fn an_oversized_frame_fails_alone_on_replay() {
         let topo = figure2_topology(CustomerFilterMode::Correct);
         let provider = topo.node_by_name("Provider").expect("node");

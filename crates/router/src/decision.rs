@@ -125,6 +125,7 @@ mod tests {
     use dice_bgp::route::PeerId;
     use dice_bgp::AsPath;
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
 
     fn prefix() -> Ipv4Prefix {
         "203.0.113.0/24".parse().expect("valid")
@@ -140,7 +141,7 @@ mod tests {
     #[test]
     fn local_pref_dominates() {
         let mut a = route(1, &[100, 200, 300]);
-        a.attrs.local_pref = Some(200);
+        Arc::make_mut(&mut a.attrs).local_pref = Some(200);
         let b = route(2, &[400]);
         let (ord, reason) = compare(&a, &b);
         assert_eq!(ord, Ordering::Greater);
@@ -160,9 +161,9 @@ mod tests {
     #[test]
     fn origin_breaks_path_length_ties() {
         let mut a = route(1, &[100]);
-        a.attrs.origin = Origin::Igp;
+        Arc::make_mut(&mut a.attrs).origin = Origin::Igp;
         let mut b = route(2, &[200]);
-        b.attrs.origin = Origin::Incomplete;
+        Arc::make_mut(&mut b.attrs).origin = Origin::Incomplete;
         let (ord, reason) = compare(&a, &b);
         assert_eq!(ord, Ordering::Greater);
         assert_eq!(reason, DecisionReason::Origin);
@@ -172,18 +173,18 @@ mod tests {
     fn med_only_compared_within_same_neighbor_as() {
         // Same neighbor AS: lower MED wins.
         let mut a = route(1, &[100, 300]);
-        a.attrs.med = Some(10);
+        Arc::make_mut(&mut a.attrs).med = Some(10);
         let mut b = route(2, &[100, 400]);
-        b.attrs.med = Some(50);
+        Arc::make_mut(&mut b.attrs).med = Some(50);
         let (ord, reason) = compare(&a, &b);
         assert_eq!(ord, Ordering::Greater);
         assert_eq!(reason, DecisionReason::Med);
 
         // Different neighbor AS: MED is skipped, router id decides.
         let mut c = route(1, &[100, 300]);
-        c.attrs.med = Some(500);
+        Arc::make_mut(&mut c.attrs).med = Some(500);
         let mut d = route(2, &[200, 400]);
-        d.attrs.med = Some(1);
+        Arc::make_mut(&mut d.attrs).med = Some(1);
         let (_, reason) = compare(&c, &d);
         assert_eq!(reason, DecisionReason::RouterId);
     }
@@ -212,7 +213,7 @@ mod tests {
     #[test]
     fn select_best_scans_all_candidates() {
         let mut best = route(3, &[100]);
-        best.attrs.local_pref = Some(300);
+        Arc::make_mut(&mut best.attrs).local_pref = Some(300);
         let candidates = vec![route(1, &[100, 200]), route(2, &[100]), best.clone()];
         assert_eq!(select_best(&candidates), Some(2));
         assert_eq!(select_best(&[]), None);
@@ -221,7 +222,7 @@ mod tests {
     #[test]
     fn best_of_agrees_with_select_best() {
         let mut preferred = route(3, &[100]);
-        preferred.attrs.local_pref = Some(300);
+        Arc::make_mut(&mut preferred.attrs).local_pref = Some(300);
         let candidates = vec![route(1, &[100, 200]), route(2, &[100]), preferred];
         let by_index = select_best(&candidates).map(|i| &candidates[i]);
         assert_eq!(best_of(candidates.iter()), by_index);

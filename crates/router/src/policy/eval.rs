@@ -726,7 +726,7 @@ mod tests {
         let mut ctx = ExecCtx::new();
         let mut r = route("10.0.0.0/8", &[100]);
         assert!(eval_filter(&filter, &RouteView::concrete(&r), &mut ctx).is_accept());
-        r.attrs
+        std::sync::Arc::make_mut(&mut r.attrs)
             .communities
             .push(dice_bgp::attributes::Community::new(65000, 666));
         assert!(!eval_filter(&filter, &RouteView::concrete(&r), &mut ctx).is_accept());

@@ -50,7 +50,10 @@ impl RibChange {
 ///
 /// Almost every prefix of a full table has exactly one candidate, so the
 /// set is a plain vector whose first allocation holds exactly one route;
-/// only contested prefixes grow it.
+/// only contested prefixes grow it. A [`Route`] is three words (prefix,
+/// shared attribute set, peer and router id), so that allocation is 24
+/// bytes: the attribute set itself is the one the route's UPDATE arrived
+/// with, not a copy.
 #[derive(Debug, Clone, Default)]
 struct Candidates(Vec<Route>);
 
@@ -98,7 +101,9 @@ impl Candidates {
 ///
 /// The map stores entries inline, 128 to a chunk, and the first write to a
 /// chunk after a fork moves all of them, so this stays a vector header and
-/// a peer id.
+/// a peer id. Copying a chunk copies each entry's candidate vector, 24
+/// bytes a route, and bumps each route's attribute-set reference count; no
+/// attribute set is copied.
 #[derive(Debug, Clone, Default)]
 struct PrefixEntry {
     candidates: Candidates,

@@ -235,7 +235,8 @@ impl BgpRouter {
             return out;
         }
 
-        let mut attrs = update.route_attrs();
+        // Every route this UPDATE installs shares its attribute set.
+        let attrs = update.attrs.clone().unwrap_or_default();
         // eBGP loop detection: a path containing the local AS is dropped.
         if attrs.as_path.contains(Asn(self.config.local_as)) {
             self.stats.routes_rejected += update.nlri.len() as u64;
@@ -244,16 +245,9 @@ impl BgpRouter {
         }
         let peer_router_id = self.peers.get(&from).map(|p| p.router_id).unwrap_or(0);
 
-        let last = update.nlri.len() - 1;
-        for (i, prefix) in update.nlri.iter().enumerate() {
+        for prefix in &update.nlri {
             self.stats.prefixes_announced += 1;
-            // The last NLRI takes the attributes, the others get a copy.
-            let attrs = if i == last {
-                std::mem::take(&mut attrs)
-            } else {
-                attrs.clone()
-            };
-            let route = Route::new(*prefix, attrs, from, peer_router_id);
+            let route = Route::new(*prefix, Arc::clone(&attrs), from, peer_router_id);
             match self.apply_import(from, route) {
                 Some(imported) => {
                     self.stats.routes_accepted += 1;
@@ -291,19 +285,28 @@ impl BgpRouter {
         Self::apply_outcome(route, &outcome)
     }
 
-    /// Applies a filter outcome's attribute modifications to a route.
+    /// Applies a filter outcome's attribute modifications to a route. The
+    /// route's attribute set is copied only when the outcome changes it;
+    /// otherwise it stays shared with the UPDATE it arrived with.
     pub(crate) fn apply_outcome(mut route: Route, outcome: &FilterOutcome) -> Option<Route> {
         if !outcome.is_accept() {
             return None;
         }
-        if let Some(lp) = outcome.local_pref {
-            route.attrs.local_pref = Some(lp);
-        }
-        if let Some(med) = outcome.med {
-            route.attrs.med = Some(med);
-        }
-        for (a, b) in &outcome.added_communities {
-            route.attrs.communities.push(Community::new(*a, *b));
+        let local_pref = outcome.local_pref.or(route.attrs.local_pref);
+        let med = outcome.med.or(route.attrs.med);
+        if local_pref != route.attrs.local_pref
+            || med != route.attrs.med
+            || !outcome.added_communities.is_empty()
+        {
+            let attrs = Arc::make_mut(&mut route.attrs);
+            attrs.local_pref = local_pref;
+            attrs.med = med;
+            attrs.communities.extend(
+                outcome
+                    .added_communities
+                    .iter()
+                    .map(|&(a, b)| Community::new(a, b)),
+            );
         }
         Some(route)
     }
@@ -378,9 +381,10 @@ impl BgpRouter {
         if !outcome.is_accept() {
             return None;
         }
-        let mut attrs = route.attrs.clone();
         // eBGP export: prepend the local AS (plus any extra prepends), reset
-        // the next hop to ourselves and strip LOCAL_PREF.
+        // the next hop to ourselves and strip LOCAL_PREF. This is the hop's
+        // one new attribute set; the receiving router's route shares it.
+        let mut attrs = RouteAttrs::clone(&route.attrs);
         attrs.as_path = attrs
             .as_path
             .prepend(Asn(self.config.local_as), 1 + outcome.prepend as usize);
@@ -392,7 +396,11 @@ impl BgpRouter {
         for (a, b) in &outcome.added_communities {
             attrs.communities.push(Community::new(*a, *b));
         }
-        Some(UpdateMessage::announce(vec![route.prefix], &attrs))
+        Some(UpdateMessage {
+            withdrawn: Vec::new(),
+            attrs: Some(Arc::new(attrs)),
+            nlri: vec![route.prefix],
+        })
     }
 
     /// Turns a Loc-RIB change into the UPDATEs sent to the other peers,

@@ -2,11 +2,13 @@
 //! spanning the protocol codec, the routing substrate, the concolic engine
 //! and copy-on-write forks of the routing table.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use dice::prelude::*;
-use dice_bgp::attributes::{Community, Origin};
-use dice_bgp::wire;
+use dice_bgp::attributes::{Aggregator, Community, Origin};
+use dice_bgp::{wire, Asn};
 use dice_router::policy::{
     eval_filter, eval_filter_at, parse_filter, CmpOp, Expr, Field, FilterDef, FilterSites,
     PrefixPattern, RouteView, Stmt,
@@ -144,7 +146,7 @@ proptest! {
     ) {
         let update = UpdateMessage {
             withdrawn,
-            attributes: if nlri.is_empty() { Vec::new() } else { attrs.to_attributes() },
+            attrs: (!nlri.is_empty()).then(|| Arc::new(attrs)),
             nlri,
         };
         let bytes = wire::encode(&BgpMessage::Update(update.clone()));
@@ -173,7 +175,7 @@ proptest! {
         for (at_ms, nlri, withdrawn, attrs) in &msgs {
             let update = UpdateMessage {
                 withdrawn: withdrawn.clone(),
-                attributes: if nlri.is_empty() { Vec::new() } else { attrs.to_attributes() },
+                attrs: (!nlri.is_empty()).then(|| Arc::new(attrs.clone())),
                 nlri: nlri.clone(),
             };
             trace.push_update(*at_ms, NodeId(1), addr::CUSTOMER, &update);
@@ -458,7 +460,6 @@ proptest! {
         ),
     ) {
         use dice::core::{dedup_fleet_faults, FaultKind};
-        use dice_bgp::Asn;
 
         // Synthesize per-node reports from small tuples so collisions
         // within and across nodes are common.
@@ -512,8 +513,8 @@ proptest! {
 }
 
 proptest! {
-    // The default configuration, so `PROPTEST_CASES` reaches these two: CI
-    // re-runs them at 2048 cases.
+    // The default configuration, so `PROPTEST_CASES` reaches these three:
+    // CI re-runs them at 2048 cases.
     #![proptest_config(ProptestConfig::default())]
 
     /// `PrefixMap` against a `BTreeMap` plus linear scans, checked after
@@ -758,6 +759,81 @@ proptest! {
             prop_assert_eq!(fork.best_route(prefix), Some(route));
         }
     }
+
+    /// RFC 4271 §5 leaves attribute order free: any permutation of a valid
+    /// UPDATE's attribute block decodes to the same message, which encodes
+    /// to the canonical (ascending type order) frame, and the replay
+    /// driver counts a permuted frame as one re-encode mismatch.
+    #[test]
+    fn attribute_order_is_free_on_decode_and_canonical_on_encode(
+        nlri in prop::collection::vec(arb_prefix(), 1..4),
+        withdrawn in prop::collection::vec(arb_prefix(), 0..3),
+        attrs in arb_attrs(),
+        atomic_aggregate in any::<bool>(),
+        aggregator in prop::option::of((any::<u32>(), any::<u32>())),
+        // One sort key per attribute: sorting by them is a permutation.
+        keys in prop::collection::vec(any::<u8>(), 8..9),
+    ) {
+        let mut attrs = attrs;
+        attrs.atomic_aggregate = atomic_aggregate;
+        attrs.aggregator = aggregator.map(|(asn, router_id)| Aggregator {
+            asn: Asn(asn),
+            router_id,
+        });
+        let update = UpdateMessage { withdrawn, attrs: Some(Arc::new(attrs)), nlri };
+        let canonical = wire::encode(&BgpMessage::Update(update.clone())).to_vec();
+        let permuted = permute_attributes(&canonical, &keys);
+
+        let (decoded, used) = wire::decode(&permuted).expect("a permuted block decodes");
+        prop_assert_eq!(used, permuted.len());
+        prop_assert_eq!(&decoded, &BgpMessage::Update(update));
+        prop_assert_eq!(wire::encode(&decoded).to_vec(), canonical.clone());
+
+        let topo = figure2_topology(CustomerFilterMode::Missing);
+        let mut trace = WireTrace::new();
+        trace.records.push(WireRecord {
+            at_ms: 0,
+            node: topo.node_by_name("Provider").expect("node"),
+            peer: addr::INTERNET,
+            bytes: permuted.clone(),
+        });
+        let mut driver = WireReplayDriver::new(trace);
+        driver.drive(&mut Simulator::new(&topo), 0);
+        let stats = driver.stats().snapshot();
+        prop_assert_eq!(stats.decode_errors, 0);
+        prop_assert_eq!(stats.reencode_mismatches, u64::from(permuted != canonical));
+    }
+}
+
+/// `frame` (an encoded UPDATE) with its attributes reordered by `keys`:
+/// the attribute holding the smallest key comes first, ties keep their
+/// order.
+fn permute_attributes(frame: &[u8], keys: &[u8]) -> Vec<u8> {
+    let be16 = |at: usize| u16::from_be_bytes([frame[at], frame[at + 1]]) as usize;
+    let withdrawn_end = wire::HEADER_LEN + 2 + be16(wire::HEADER_LEN);
+    let block_start = withdrawn_end + 2;
+    let block_end = block_start + be16(withdrawn_end);
+    let mut block = &frame[block_start..block_end];
+    let mut attributes = Vec::new();
+    while !block.is_empty() {
+        // Flags, code, then a one- or two-octet length (extended flag 0x10).
+        let (header, len) = if block[0] & 0x10 != 0 {
+            (4, u16::from_be_bytes([block[2], block[3]]) as usize)
+        } else {
+            (3, block[2] as usize)
+        };
+        let (attribute, rest) = block.split_at(header + len);
+        attributes.push(attribute);
+        block = rest;
+    }
+    let mut order: Vec<usize> = (0..attributes.len()).collect();
+    order.sort_by_key(|&i| keys[i]);
+    let mut permuted = frame[..block_start].to_vec();
+    for i in order {
+        permuted.extend_from_slice(attributes[i]);
+    }
+    permuted.extend_from_slice(&frame[block_end..]);
+    permuted
 }
 
 /// The canonical table order: lexicographic over prefix bit strings, with
@@ -1022,7 +1098,7 @@ fn arb_hostile_frame() -> impl Strategy<Value = Vec<u8>> {
         .prop_map(|(nlri, withdrawn, attrs, (edits, cut))| {
             let update = UpdateMessage {
                 withdrawn,
-                attributes: attrs.to_attributes(),
+                attrs: Some(Arc::new(attrs)),
                 nlri,
             };
             let bytes = wire::encode(&BgpMessage::Update(update)).to_vec();
@@ -1199,7 +1275,6 @@ proptest! {
     /// instrumentation actually fired while changing nothing.
     #[test]
     fn report_digests_are_identical_under_any_trace_sink(plan in arb_message_plan()) {
-        use std::sync::Arc;
 
         let baseline_live = live_digest_under(Some(plan.clone()));
         let (baseline_fleet, baseline_nodes) = fleet_digests_under(plan.clone());
