@@ -106,8 +106,6 @@ enum EventShape {
     /// A delivery error: the node it names, `None` for an unknown source
     /// address.
     DeliveryError(Option<NodeId>),
-    /// An event kind this module does not know, by its rendered tokens.
-    Rendered(String),
 }
 
 impl EventShape {
@@ -141,12 +139,13 @@ impl EventShape {
                 | DeliveryError::UnresolvedPeerAddress { node, .. }
                 | DeliveryError::NoReturnPeer { to_node: node, .. },
             ) => EventShape::DeliveryError(Some(*node)),
-            other => EventShape::Rendered(rendered_shape(other)),
         }
     }
 }
 
-/// The first two whitespace-separated tokens of an event's rendering.
+/// The first two whitespace-separated tokens of an event's rendering:
+/// the oracle [`EventShape::of`] is tested against.
+#[cfg(test)]
 fn rendered_shape(kind: &InjectedFaultKind) -> String {
     let line = kind.to_string();
     let shape: Vec<&str> = line.split_whitespace().take(2).collect();
@@ -471,9 +470,14 @@ impl FaultPlanSearch {
             ..SearchReport::default()
         };
 
-        // Fault plans need at least two nodes to name a link; a degenerate
-        // scenario degrades to the baseline run.
-        let budget = if node_count >= 2 { self.budget } else { 0 };
+        // Fault plans need at least two nodes to name a link and one
+        // enabled spec kind; a degenerate scenario or mask degrades to the
+        // baseline run.
+        let budget = if node_count >= 2 && !self.kinds.enabled_tags().is_empty() {
+            self.budget
+        } else {
+            0
+        };
         let mut pool: Vec<FaultPlan> = Vec::new();
         let mut repro_keys: HashSet<FaultKey> = HashSet::new();
 
@@ -700,7 +704,6 @@ impl FaultPlanSearch {
     /// the wedgie checker watches actually opens.
     fn random_specs(&self, rng: &mut StdRng, nodes: usize) -> Vec<FaultSpec> {
         let tags = self.kinds.enabled_tags();
-        debug_assert!(!tags.is_empty(), "the spec-kind mask enables nothing");
         let horizon = self.epoch_horizon;
         match tags[rng.gen_range(0..tags.len())] {
             0 => {
@@ -1103,6 +1106,25 @@ mod tests {
         assert_eq!(snapshot.search.plans, 0);
         assert_eq!(snapshot.search.novel, 0);
         assert_eq!(snapshot.search.repros, 0);
+    }
+
+    #[test]
+    fn a_mask_that_enables_nothing_degrades_to_the_baseline_run() {
+        let nothing = SpecKindMask {
+            link_flaps: false,
+            session_resets: false,
+            message_faults: false,
+            partitions: false,
+        };
+        let report = FaultPlanSearch::new(small_orchestrator())
+            .with_budget(1)
+            .with_spec_kinds(nothing)
+            .run(&Figure2Scenario);
+        assert_eq!(report.plans_tried, 0);
+
+        let mut sim = Figure2Scenario.build();
+        let plain = small_orchestrator().run(&mut sim, |sim, e| Figure2Scenario.drive(sim, e));
+        assert_eq!(report.baseline_live_digest, plain.digest());
     }
 
     /// A scenario wired so that partitioning the Customer mid-run wedges

@@ -188,7 +188,6 @@ impl FaultPlan {
 /// Why a message or injection could not be delivered: the structured form
 /// of what used to be a bare `undeliverable` counter bump.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum DeliveryError {
     /// [`Simulator::inject`](crate::Simulator::inject) named a source
     /// address the receiving node has no peer configured for.
@@ -263,7 +262,6 @@ impl fmt::Display for DeliveryError {
 
 /// One event injected (or diagnosed) by the fault layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum InjectedFaultKind {
     /// A link went down at the start of an epoch.
     LinkDown {

@@ -18,7 +18,9 @@
 
 use std::sync::Arc;
 
-use dice_symexec::{Concolic, ConcolicBool, ExecCtx, SiteId, SiteInfo, TermId, CU32, CU8};
+use dice_symexec::{
+    Concolic, ConcolicBool, ConcolicInt, ExecCtx, SiteId, SiteInfo, TermId, CU32, CU8,
+};
 
 use dice_bgp::route::Route;
 
@@ -353,25 +355,15 @@ pub(crate) fn eval_expr(expr: &Expr, view: &RouteView, ctx: &mut ExecCtx) -> Con
                 observed.or(&slot_hit, ctx)
             }
         }
-        Expr::FieldCmp { field, op, value } => {
-            let (lhs32, lhs8): (Option<CU32>, Option<CU8>) = match field {
-                Field::SourceAs => (Some(view.source_as), None),
-                Field::NeighborAs => (Some(view.neighbor_as), None),
-                Field::PathLen => (Some(view.path_len), None),
-                Field::Med => (Some(view.med), None),
-                Field::LocalPref => (Some(view.local_pref), None),
-                Field::OriginCode => (None, Some(view.origin_code)),
-                Field::PrefixLen => (None, Some(view.prefix_len)),
-            };
-            if let Some(lhs) = lhs32 {
-                let rhs = Concolic::concrete(*value as u32);
-                apply_cmp32(*op, &lhs, &rhs, ctx)
-            } else {
-                let lhs = lhs8.expect("either 32-bit or 8-bit field");
-                let rhs = Concolic::concrete(*value as u8);
-                apply_cmp8(*op, &lhs, &rhs, ctx)
-            }
-        }
+        Expr::FieldCmp { field, op, value } => match field {
+            Field::SourceAs => apply_cmp(*op, &view.source_as, *value as u32, ctx),
+            Field::NeighborAs => apply_cmp(*op, &view.neighbor_as, *value as u32, ctx),
+            Field::PathLen => apply_cmp(*op, &view.path_len, *value as u32, ctx),
+            Field::Med => apply_cmp(*op, &view.med, *value as u32, ctx),
+            Field::LocalPref => apply_cmp(*op, &view.local_pref, *value as u32, ctx),
+            Field::OriginCode => apply_cmp(*op, &view.origin_code, *value as u8, ctx),
+            Field::PrefixLen => apply_cmp(*op, &view.prefix_len, *value as u8, ctx),
+        },
         Expr::NetMatch(patterns) => {
             let mut acc = ConcolicBool::concrete(false);
             for p in patterns {
@@ -383,25 +375,20 @@ pub(crate) fn eval_expr(expr: &Expr, view: &RouteView, ctx: &mut ExecCtx) -> Con
     }
 }
 
-fn apply_cmp32(op: CmpOp, lhs: &CU32, rhs: &CU32, ctx: &mut ExecCtx) -> ConcolicBool {
+fn apply_cmp<T: ConcolicInt>(
+    op: CmpOp,
+    lhs: &Concolic<T>,
+    value: T,
+    ctx: &mut ExecCtx,
+) -> ConcolicBool {
+    let rhs = Concolic::concrete(value);
     match op {
-        CmpOp::Eq => lhs.eq(rhs, ctx),
-        CmpOp::Ne => lhs.ne(rhs, ctx),
-        CmpOp::Lt => lhs.lt(rhs, ctx),
-        CmpOp::Le => lhs.le(rhs, ctx),
-        CmpOp::Gt => lhs.gt(rhs, ctx),
-        CmpOp::Ge => lhs.ge(rhs, ctx),
-    }
-}
-
-fn apply_cmp8(op: CmpOp, lhs: &CU8, rhs: &CU8, ctx: &mut ExecCtx) -> ConcolicBool {
-    match op {
-        CmpOp::Eq => lhs.eq(rhs, ctx),
-        CmpOp::Ne => lhs.ne(rhs, ctx),
-        CmpOp::Lt => lhs.lt(rhs, ctx),
-        CmpOp::Le => lhs.le(rhs, ctx),
-        CmpOp::Gt => lhs.gt(rhs, ctx),
-        CmpOp::Ge => lhs.ge(rhs, ctx),
+        CmpOp::Eq => lhs.eq(&rhs, ctx),
+        CmpOp::Ne => lhs.ne(&rhs, ctx),
+        CmpOp::Lt => lhs.lt(&rhs, ctx),
+        CmpOp::Le => lhs.le(&rhs, ctx),
+        CmpOp::Gt => lhs.gt(&rhs, ctx),
+        CmpOp::Ge => lhs.ge(&rhs, ctx),
     }
 }
 

@@ -12,9 +12,8 @@
 //! drives execution down the other side of that branch.
 //!
 //! The constraint language is the one the router's filter interpreter
-//! records: comparisons of message fields against configured constants
-//! (or against each other), joined by `&&`, `||` and `!`. There is no
-//! integer arithmetic.
+//! records: comparisons of message fields against configured constants,
+//! joined by `&&`, `||` and `!`. There is no integer arithmetic.
 //!
 //! Queries go through one entry point, [`IncrementalSolver`]: a push/pop
 //! assertion stack that keeps

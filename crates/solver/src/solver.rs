@@ -4,8 +4,9 @@
 //! boolean terms produced by the concolic engine. It is deliberately an
 //! "SMT-lite" design tuned for the constraint shapes the policy-filter
 //! interpreter records: comparisons of fixed-width message fields against
-//! configured constants (or against each other), joined by `and`, `or` and
-//! `not`. The pipeline is:
+//! configured constants, joined by `and`, `or` and `not`. It also takes
+//! comparisons of two fields, which only its own tests build. The pipeline
+//! is:
 //!
 //! 1. **Preprocess** — flatten conjunctions, drop tautologies, detect
 //!    literal contradictions ([`crate::simplify`]).
@@ -1353,10 +1354,9 @@ mod tests {
         }
     }
 
-    /// The differential test ROADMAP item 9 asked for: `Solver` and
-    /// `IncrementalSolver` against exhaustive enumeration over 4–8-bit
-    /// variables. A `Sat` model must satisfy the query, `Unsat` must mean no
-    /// assignment exists, and `Unknown` — the solver may give up — is
+    /// `Solver` and `IncrementalSolver` against exhaustive enumeration over
+    /// 4–8-bit variables. A `Sat` model must satisfy the query, `Unsat` must
+    /// mean no assignment exists, and `Unknown` — the solver may give up — is
     /// counted and printed, not asserted away.
     #[test]
     fn solvers_agree_with_exhaustive_enumeration() {

@@ -51,7 +51,7 @@ use crate::context::ExecCtx;
 use crate::coverage::Coverage;
 use crate::input::InputValues;
 use crate::path::{ExecTrace, PathId};
-use crate::strategy::{Candidate, Worklist};
+use crate::worklist::{Candidate, Worklist};
 
 /// A program that can be executed concolically.
 ///

@@ -42,8 +42,8 @@ mod coverage;
 mod engine;
 mod input;
 mod path;
-mod strategy;
 mod value;
+mod worklist;
 
 pub use context::{BranchRecord, ExecCtx, SiteId, SiteInfo, SiteLabels, VarMap};
 pub use coverage::{Coverage, SiteCoverage};

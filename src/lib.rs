@@ -20,6 +20,11 @@ pub use dice_router as router;
 pub use dice_solver as solver;
 pub use dice_symexec as symexec;
 
+// README.md's examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+mod readme {}
+
 /// Commonly used items across the DiCE stack.
 pub mod prelude {
     pub use dice_bgp::attributes::RouteAttrs;
