@@ -29,7 +29,7 @@ use dice_obs::HistogramSummary;
 /// Schema version of [`ControlSnapshot`]. Bumped whenever a field is
 /// added, removed or changes meaning; consumers should check it before
 /// interpreting the rest of the snapshot.
-pub const CONTROL_SCHEMA_VERSION: u32 = 4;
+pub const CONTROL_SCHEMA_VERSION: u32 = 5;
 
 /// Wire-ingest counters, mirrored from
 /// [`dice_netsim::IngestStats`] into the control plane's stable schema
@@ -110,6 +110,9 @@ pub struct ControlSnapshot {
     pub rounds: usize,
     /// Total exploration executions across all rounds and nodes.
     pub total_runs: usize,
+    /// Observed inputs the per-round input cap left unexplored, summed
+    /// over all rounds and nodes (added in schema v5).
+    pub dropped_inputs: u64,
     /// Distinct faults after cross-round deduplication.
     pub distinct_faults: usize,
     /// Faults the run's fault plan injected into the simulation so far.
@@ -167,6 +170,7 @@ impl Default for ControlSnapshot {
             schema_version: CONTROL_SCHEMA_VERSION,
             rounds: 0,
             total_runs: 0,
+            dropped_inputs: 0,
             distinct_faults: 0,
             injected_faults: 0,
             last_round_latency: Duration::ZERO,
@@ -201,8 +205,8 @@ impl ControlSnapshot {
         latency_total / u32::try_from(rounds).unwrap_or(u32::MAX)
     }
 
-    /// The stable rendered form, one field group per line: counters,
-    /// latencies, solver, policy coverage, CoW sharing and ingest first,
+    /// The stable rendered form, one field group per line: counters, the
+    /// inputs the cap dropped, latencies, solver, policy coverage, CoW sharing and ingest first,
     /// then the three latency distributions (count, p50, p90, p99, max),
     /// the fault-trace identity and the search counters. This is the
     /// serialized surface consumers scrape; its shape is pinned by golden
@@ -211,6 +215,7 @@ impl ControlSnapshot {
         format!(
             "control-snapshot v{}\n\
              rounds={} runs={} faults={} injected={} delivered={} watermark={}\n\
+             inputs dropped={}\n\
              latency last={:?} mean={:?}\n\
              solver queries={} incremental={} reuse={:.1}%\n\
              policy coverage={:.1}%\n\
@@ -228,6 +233,7 @@ impl ControlSnapshot {
             self.injected_faults,
             self.delivered,
             self.compaction_watermark,
+            self.dropped_inputs,
             self.last_round_latency,
             self.mean_round_latency,
             self.solver_queries,
@@ -307,6 +313,7 @@ mod tests {
             schema_version: CONTROL_SCHEMA_VERSION,
             rounds: 3,
             total_runs: 120,
+            dropped_inputs: 17,
             distinct_faults: 2,
             injected_faults: 1,
             last_round_latency: Duration::from_millis(12),
@@ -364,8 +371,9 @@ mod tests {
     fn golden_render_of_a_populated_snapshot() {
         assert_eq!(
             populated().render(),
-            "control-snapshot v4\n\
+            "control-snapshot v5\n\
              rounds=3 runs=120 faults=2 injected=1 delivered=42 watermark=9\n\
+             inputs dropped=17\n\
              latency last=12ms mean=10ms\n\
              solver queries=400 incremental=350 reuse=62.5%\n\
              policy coverage=75.0%\n\
@@ -384,8 +392,9 @@ mod tests {
     fn golden_render_of_the_default_snapshot() {
         assert_eq!(
             ControlSnapshot::default().render(),
-            "control-snapshot v4\n\
+            "control-snapshot v5\n\
              rounds=0 runs=0 faults=0 injected=0 delivered=0 watermark=0\n\
+             inputs dropped=0\n\
              latency last=0ns mean=0ns\n\
              solver queries=0 incremental=0 reuse=0.0%\n\
              policy coverage=100.0%\n\

@@ -116,6 +116,13 @@ impl FleetReport {
         self.nodes.iter().map(|n| n.report.runs).sum()
     }
 
+    /// Observed inputs the per-round cap left unexplored, summed over nodes
+    /// ([`ExplorationReport::dropped_inputs`]; never part of
+    /// [`FleetReport::digest`]).
+    pub fn total_dropped_inputs(&self) -> usize {
+        self.nodes.iter().map(|n| n.report.dropped_inputs).sum()
+    }
+
     /// Fault sightings before deduplication (sum of per-node fault counts).
     pub fn total_sightings(&self) -> usize {
         self.nodes.iter().map(|n| n.report.faults.len()).sum()
@@ -279,10 +286,10 @@ impl FleetExplorer {
         let mut harvest_span = dice_obs::span("core", "fleet.harvest");
         let mut windows: Vec<NodeWindow> =
             (0..sim.len()).map(|n| (NodeId(n), Vec::new())).collect();
-        for entry in sim.observed_log() {
-            windows[entry.node.0]
+        for entry in sim.observed_log().iter() {
+            windows[entry.node().0]
                 .1
-                .push((entry.peer, entry.update.clone()));
+                .push((entry.peer(), entry.to_update()));
         }
         harvest_span.set_detail(windows.iter().map(|(_, w)| w.len() as u64).sum());
         drop(harvest_span);

@@ -215,6 +215,16 @@ impl LiveReport {
         self.rounds.iter().map(|r| r.report.total_runs()).sum()
     }
 
+    /// Observed inputs the per-round cap left unexplored, summed over rounds
+    /// and nodes ([`FleetReport::total_dropped_inputs`]; never part of
+    /// [`LiveReport::digest`]).
+    pub fn total_dropped_inputs(&self) -> usize {
+        self.rounds
+            .iter()
+            .map(|r| r.report.total_dropped_inputs())
+            .sum()
+    }
+
     /// Fault sightings before any deduplication (sum over rounds of
     /// per-node fault counts).
     pub fn total_sightings(&self) -> usize {
@@ -297,6 +307,7 @@ impl LiveReport {
 #[derive(Debug, Default)]
 struct RunTotals {
     runs: usize,
+    dropped_inputs: usize,
     policy_sites: usize,
     policy_directions: usize,
     /// Solver counters merged over every node round.
@@ -320,6 +331,7 @@ impl RunTotals {
         }
         self.wave_latency.merge(&fleet.wave_latency());
         self.runs += fleet.total_runs();
+        self.dropped_inputs += fleet.total_dropped_inputs();
         self.policy_sites += fleet.total_policy_sites();
         self.policy_directions += fleet.total_policy_directions();
         self.last_latency = latency;
@@ -625,6 +637,7 @@ impl LiveOrchestrator {
         ControlSnapshot {
             rounds,
             total_runs: totals.runs,
+            dropped_inputs: totals.dropped_inputs as u64,
             distinct_faults,
             injected_faults: sim.injected_fault_count() as u64,
             fault_trace_events: sim.fault_trace().len() as u64,
@@ -716,6 +729,45 @@ mod tests {
         assert!(live.has_faults());
         assert_eq!(live.faults.len(), fleet.faults.len());
         assert_eq!(live.total_runs(), fleet.total_runs());
+    }
+
+    #[test]
+    fn inputs_the_cap_drops_are_counted_per_round_and_in_the_snapshot() {
+        let topo = figure2_topology(CustomerFilterMode::Erroneous);
+        let provider = topo.node_by_name("Provider").expect("node");
+        let mut sim = Simulator::new(&topo);
+        inject_victim_table(&mut sim, provider);
+
+        let orchestrator = LiveOrchestrator::new(DiceBuilder::new().max_observed_inputs(1).build());
+        let plane = orchestrator.control_plane();
+        let live = orchestrator.run(&mut sim, |sim, epoch| {
+            inject_customer_block(sim, provider, "41.1.0.0/16");
+            inject_customer_block(sim, provider, "41.64.0.0/12");
+            epoch == 0
+        });
+
+        assert_eq!(live.rounds.len(), 2);
+        // Per round, what each node explored plus what its cap dropped is
+        // the whole window.
+        for round in &live.rounds {
+            let explored: usize = round
+                .report
+                .nodes
+                .iter()
+                .map(|n| n.report.observed_inputs)
+                .sum();
+            assert_eq!(
+                explored + round.report.total_dropped_inputs(),
+                (round.window.1 - round.window.0) as usize,
+                "round {}",
+                round.index
+            );
+        }
+        assert!(live.total_dropped_inputs() > 0);
+        assert_eq!(
+            plane.sample().dropped_inputs,
+            live.total_dropped_inputs() as u64
+        );
     }
 
     /// The round pass of one round: its fleet-deduplicated faults.

@@ -24,6 +24,12 @@ pub(crate) fn policy_coverage(sites: usize, directions: usize) -> f64 {
 pub struct ExplorationReport {
     /// Observed inputs that seeded exploration.
     pub observed_inputs: usize,
+    /// Observed inputs the per-round cap
+    /// ([`crate::DiceConfig::max_observed_inputs`]) left unexplored: the
+    /// round's observed inputs minus `observed_inputs`. Purely
+    /// observational, like `elapsed`: it never reaches
+    /// [`ExplorationReport::digest`].
+    pub dropped_inputs: usize,
     /// Total program executions (seed + generated).
     pub runs: usize,
     /// Distinct execution paths covered.
@@ -273,6 +279,9 @@ mod tests {
         assert!(digest.contains("potential hijack"));
         // Wall-clock time never reaches the digest.
         report.elapsed = std::time::Duration::from_secs(1);
+        assert_eq!(report.digest(), digest);
+        // Neither does the count of inputs the cap left unexplored.
+        report.dropped_inputs = 3;
         assert_eq!(report.digest(), digest);
         // Every counted field does.
         report.runs += 1;

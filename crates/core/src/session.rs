@@ -255,6 +255,7 @@ impl DiceSession {
         let inputs = &observed[..observed.len().min(self.config.max_observed_inputs)];
         let mut report = ExplorationReport {
             observed_inputs: inputs.len(),
+            dropped_inputs: observed.len() - inputs.len(),
             ..Default::default()
         };
 
@@ -775,6 +776,36 @@ mod tests {
         assert!(DiceSession::default().effective_workers(1_000) >= 1);
         let sequential = DiceBuilder::new().workers(1).build();
         assert_eq!(sequential.effective_workers(64), 1);
+    }
+
+    #[test]
+    fn the_input_cap_counts_what_it_drops() {
+        // A benign customer /16 behind 16 Internet-peer updates: the
+        // default cap of 16 explores the Internet's updates and leaves the
+        // customer's unexplored, and the report says so.
+        let (router, customer, observed) = scenario(CustomerFilterMode::Erroneous);
+        let internet = router.peer_by_address(addr::INTERNET).expect("peer");
+        let mut attrs = RouteAttrs::default();
+        attrs.as_path = AsPath::from_sequence([asn::INTERNET, 15169]);
+        attrs.next_hop = Ipv4Addr::new(10, 0, 2, 1);
+        let mut inputs: Vec<(PeerId, UpdateMessage)> = (0..16u32)
+            .map(|i| {
+                let prefix =
+                    dice_bgp::prefix::Ipv4Prefix::new((60 << 24) | (i << 16), 16).expect("valid");
+                (internet, UpdateMessage::announce(vec![prefix], &attrs))
+            })
+            .collect();
+        inputs.push((customer, observed));
+
+        let session = DiceSession::default();
+        let capped = session.explore(&router, &inputs);
+        assert_eq!(capped.observed_inputs, 16);
+        assert_eq!(capped.dropped_inputs, 1);
+        // The count stays out of the digest: the round reads like one over
+        // the 16 explored inputs alone, which drops nothing.
+        let explored = session.explore(&router, &inputs[..16]);
+        assert_eq!(explored.dropped_inputs, 0);
+        assert_eq!(capped.digest(), explored.digest());
     }
 
     #[test]

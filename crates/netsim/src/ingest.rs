@@ -759,9 +759,11 @@ mod tests {
             let observed = sim
                 .observed_log()
                 .iter()
-                .find(|o| o.node == node && o.update.nlri.contains(&prefix))
+                .filter(|o| o.node() == node)
+                .map(crate::ObservedInput::to_update)
+                .find(|u| u.nlri.contains(&prefix))
                 .expect("observed");
-            let attrs = observed.update.attrs.as_ref().expect("an announcement");
+            let attrs = observed.attrs.as_ref().expect("an announcement");
             assert!(std::sync::Arc::ptr_eq(&route.attrs, attrs), "node {node:?}");
         }
     }

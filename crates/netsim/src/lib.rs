@@ -51,5 +51,5 @@ pub use ingest::{
 };
 pub use metrics::{slowdown_percent, ThroughputMeter};
 pub use replay::{ReplayStats, Replayer};
-pub use sim::{ObservedInput, SimStats, Simulator};
+pub use sim::{ObservedInput, ObservedLog, SimStats, Simulator};
 pub use trace::{generate_trace, BgpTrace, TraceEvent, TraceGenConfig, PAPER_TABLE_SIZE};

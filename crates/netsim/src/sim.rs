@@ -6,10 +6,14 @@
 //! and the run loop delivers messages in timestamp order until quiescence.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::sync::Arc;
 
+use dice_bgp::attributes::RouteAttrs;
 use dice_bgp::message::{BgpMessage, UpdateMessage};
+use dice_bgp::prefix::Ipv4Prefix;
 use dice_bgp::route::PeerId;
-use dice_router::BgpRouter;
+use dice_router::{BgpRouter, Outgoing};
 
 use crate::faults::{
     DeliveryError, EnqueueVerdict, FaultPlan, FaultRuntime, FaultSpec, FaultTrace,
@@ -23,19 +27,152 @@ const LINK_DELAY: u64 = 1;
 
 /// One UPDATE observed by a node during simulation: the raw material DiCE
 /// exploration seeds from ("previously observed inputs", §2.3).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The log keeps one such entry per delivered UPDATE for as long as no
+/// harvester trims it, so an entry is kept small: 32 bytes on 64-bit
+/// targets. The common shape, one announced prefix and no withdrawals, is
+/// stored as that prefix and its attribute set (the same `Arc` the
+/// receiving router's RIB holds when it accepts the route); any other
+/// UPDATE is kept whole behind one `Box`. The `(peer, update)` pair a round
+/// seeds from is rebuilt only when a window is harvested
+/// ([`Simulator::observed_inputs`], [`Simulator::observed_inputs_in`],
+/// [`Simulator::take_observed_in`], [`ObservedInput::to_update`]).
+#[derive(Clone, PartialEq, Eq)]
 pub struct ObservedInput {
+    seq: u64,
+    node: u32,
+    peer: PeerId,
+    update: ObservedUpdate,
+}
+
+/// The UPDATE of an [`ObservedInput`], in the smallest form that rebuilds
+/// it exactly. An UPDATE has exactly one form, so two entries are equal
+/// exactly when the UPDATEs they rebuild are.
+#[derive(Clone, PartialEq, Eq)]
+enum ObservedUpdate {
+    /// One announced prefix, no withdrawals.
+    Announce(Ipv4Prefix, Arc<RouteAttrs>),
+    /// Every other shape: withdrawals, several prefixes, no attributes.
+    Whole(Box<UpdateMessage>),
+}
+
+impl ObservedUpdate {
+    fn new(update: UpdateMessage) -> Self {
+        match update {
+            UpdateMessage {
+                withdrawn,
+                attrs: Some(attrs),
+                nlri,
+            } if withdrawn.is_empty() && nlri.len() == 1 => {
+                ObservedUpdate::Announce(nlri[0], attrs)
+            }
+            update => ObservedUpdate::Whole(Box::new(update)),
+        }
+    }
+
+    fn to_update(&self) -> UpdateMessage {
+        match self {
+            ObservedUpdate::Announce(prefix, attrs) => UpdateMessage {
+                withdrawn: Vec::new(),
+                attrs: Some(Arc::clone(attrs)),
+                nlri: vec![*prefix],
+            },
+            ObservedUpdate::Whole(update) => UpdateMessage::clone(update),
+        }
+    }
+
+    fn into_update(self) -> UpdateMessage {
+        match self {
+            ObservedUpdate::Announce(prefix, attrs) => UpdateMessage {
+                withdrawn: Vec::new(),
+                attrs: Some(attrs),
+                nlri: vec![prefix],
+            },
+            ObservedUpdate::Whole(update) => *update,
+        }
+    }
+}
+
+impl ObservedInput {
     /// Global delivery-log sequence number (the entry's *epoch tag*):
     /// assigned monotonically at record time and never reused, so harvest
     /// windows `[from, to)` taken against [`Simulator::observed_cursor`]
     /// stay valid even after earlier entries are drained.
-    pub seq: u64,
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
     /// The node that received the message.
-    pub node: NodeId,
+    pub fn node(&self) -> NodeId {
+        NodeId(self.node as usize)
+    }
+
     /// The receiving node's peer the message arrived from.
-    pub peer: PeerId,
-    /// The UPDATE message.
-    pub update: UpdateMessage,
+    pub fn peer(&self) -> PeerId {
+        self.peer
+    }
+
+    /// The UPDATE message, rebuilt: equal to the one the router was
+    /// handed, sharing its attribute set.
+    pub fn to_update(&self) -> UpdateMessage {
+        self.update.to_update()
+    }
+
+    fn to_pair(&self) -> (PeerId, UpdateMessage) {
+        (self.peer, self.update.to_update())
+    }
+
+    fn into_pair(self) -> (PeerId, UpdateMessage) {
+        (self.peer, self.update.into_update())
+    }
+}
+
+impl fmt::Debug for ObservedInput {
+    /// Renders the rebuilt UPDATE, as if the entry held it whole.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ObservedInput")
+            .field("seq", &self.seq)
+            .field("node", &self.node())
+            .field("peer", &self.peer)
+            .field("update", &self.to_update())
+            .finish()
+    }
+}
+
+/// A borrowed view of the observation log ([`Simulator::observed_log`]):
+/// every entry not yet drained, in delivery order. Reading it copies
+/// nothing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ObservedLog<'a> {
+    entries: &'a [ObservedInput],
+}
+
+impl<'a> ObservedLog<'a> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Returns true if the log holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entries, in delivery order.
+    pub fn iter(&self) -> std::slice::Iter<'a, ObservedInput> {
+        self.entries.iter()
+    }
+
+    /// The oldest entry, if any.
+    pub fn first(&self) -> Option<&'a ObservedInput> {
+        self.entries.first()
+    }
+}
+
+impl fmt::Debug for ObservedLog<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.entries).finish()
+    }
 }
 
 /// A message in flight between two nodes.
@@ -97,6 +234,10 @@ pub struct Simulator {
     queue: VecDeque<InFlight>,
     stats: SimStats,
     observed: Vec<ObservedInput>,
+    /// The buffer each delivery's router writes its outgoing messages to,
+    /// drained into the queue before the next delivery. It holds what one
+    /// message produced, never a burst.
+    outbox: Vec<Outgoing>,
     /// Next sequence number to tag an observed entry with; equals the
     /// number of UPDATEs ever recorded, independent of drains.
     observed_seq: u64,
@@ -121,6 +262,7 @@ impl Simulator {
             queue: VecDeque::new(),
             stats: SimStats::default(),
             observed: Vec::new(),
+            outbox: Vec::new(),
             observed_seq: 0,
             faults: FaultRuntime::new(FaultPlan::default()),
         }
@@ -374,21 +516,23 @@ impl Simulator {
     /// Hands a message to the router of `node`, queues the responses, and
     /// logs an UPDATE as exactly what the DiCE instance beside that node
     /// would have observed on the wire: the router reads the message, the
-    /// log then takes it. Non-UPDATE messages carry no explorable input
-    /// and are not recorded.
+    /// log then takes it, as one compact [`ObservedInput`]. Non-UPDATE
+    /// messages carry no explorable input and are not recorded.
     fn deliver(&mut self, node: NodeId, peer: PeerId, message: BgpMessage) {
-        let out = self.routers[node.0].handle_message(peer, &message);
+        let mut out = std::mem::take(&mut self.outbox);
+        self.routers[node.0].handle_message_into(peer, &message, &mut out);
         self.stats.delivered += 1;
         if let BgpMessage::Update(update) = message {
             self.observed.push(ObservedInput {
                 seq: self.observed_seq,
-                node,
+                node: u32::try_from(node.0).expect("a node index fits in u32"),
                 peer,
-                update,
+                update: ObservedUpdate::new(update),
             });
             self.observed_seq += 1;
         }
-        self.enqueue_outgoing(node, out);
+        self.enqueue_outgoing(node, out.drain(..));
+        self.outbox = out;
     }
 
     /// The UPDATEs a node observed so far, in delivery order, as the
@@ -396,14 +540,17 @@ impl Simulator {
     pub fn observed_inputs(&self, node: NodeId) -> Vec<(PeerId, UpdateMessage)> {
         self.observed
             .iter()
-            .filter(|o| o.node == node)
-            .map(|o| (o.peer, o.update.clone()))
+            .filter(|o| o.node() == node)
+            .map(ObservedInput::to_pair)
             .collect()
     }
 
-    /// The full observation log across all nodes, in delivery order.
-    pub fn observed_log(&self) -> &[ObservedInput] {
-        &self.observed
+    /// The full observation log across all nodes, in delivery order, as a
+    /// borrowed view: reading it copies no entry.
+    pub fn observed_log(&self) -> ObservedLog<'_> {
+        ObservedLog {
+            entries: &self.observed,
+        }
     }
 
     /// The current harvest cursor: the sequence number the *next* observed
@@ -437,8 +584,8 @@ impl Simulator {
         let end = start + self.observed[start..].partition_point(|o| o.seq < to);
         self.observed[start..end]
             .iter()
-            .filter(|o| o.node == node)
-            .map(|o| (o.peer, o.update.clone()))
+            .filter(|o| o.node() == node)
+            .map(ObservedInput::to_pair)
             .collect()
     }
 
@@ -457,12 +604,12 @@ impl Simulator {
         let end = start + self.observed[start..].partition_point(|o| o.seq < to);
         let mut counts = vec![0usize; self.routers.len()];
         for o in &self.observed[start..end] {
-            counts[o.node.0] += 1;
+            counts[o.node as usize] += 1;
         }
         let mut windows: Vec<Vec<(PeerId, UpdateMessage)>> =
             counts.into_iter().map(Vec::with_capacity).collect();
         for o in self.observed.drain(start..end) {
-            windows[o.node.0].push((o.peer, o.update));
+            windows[o.node as usize].push(o.into_pair());
         }
         windows
     }
@@ -487,7 +634,11 @@ impl Simulator {
         cut
     }
 
-    fn enqueue_outgoing(&mut self, from_node: NodeId, outgoing: Vec<(PeerId, BgpMessage)>) {
+    fn enqueue_outgoing(
+        &mut self,
+        from_node: NodeId,
+        outgoing: impl IntoIterator<Item = Outgoing>,
+    ) {
         for (peer_id, message) in outgoing {
             match self.resolve(from_node, peer_id) {
                 Ok((to_node, from_peer)) => {
@@ -791,6 +942,19 @@ mod tests {
         assert_eq!(sim.observed_cursor(), 0);
     }
 
+    /// The log keeps one entry per delivered UPDATE until a harvester
+    /// trims it: a `table_load` pass ends holding 638,710 of them, so each
+    /// byte an entry grows by costs about 0.6 MiB there. A field added
+    /// later must not silently undo the compact form.
+    #[test]
+    fn an_observed_entry_takes_at_most_40_bytes() {
+        assert!(
+            std::mem::size_of::<ObservedInput>() <= 40,
+            "ObservedInput is {} bytes",
+            std::mem::size_of::<ObservedInput>()
+        );
+    }
+
     #[test]
     fn observed_inputs_are_harvested_per_node() {
         let topo = figure2_topology(CustomerFilterMode::Missing);
@@ -860,7 +1024,7 @@ mod tests {
         let second_window_before: Vec<_> = sim.observed_inputs_in(provider, mid, head);
         let trimmed = sim.trim_observed_below(mid);
         assert_eq!(trimmed as u64, mid, "every entry below the cursor dropped");
-        assert!(sim.observed_log().iter().all(|o| o.seq >= mid));
+        assert!(sim.observed_log().iter().all(|o| o.seq() >= mid));
 
         // Cursor and later windows are untouched by compaction.
         assert_eq!(sim.observed_cursor(), head);
@@ -880,7 +1044,7 @@ mod tests {
             addr::CUSTOMER,
             announcement("41.128.0.0/12", &[asn::CUSTOMER], addr::CUSTOMER),
         );
-        assert_eq!(sim.observed_log().first().map(|o| o.seq), Some(head));
+        assert_eq!(sim.observed_log().first().map(|o| o.seq()), Some(head));
     }
 
     #[test]
@@ -918,7 +1082,7 @@ mod tests {
         // An empty window at the head harvests nothing.
         assert!(sim.observed_inputs_in(provider, end, end + 10).is_empty());
         // Sequence tags are the global delivery order.
-        let seqs: Vec<u64> = sim.observed_log().iter().map(|o| o.seq).collect();
+        let seqs: Vec<u64> = sim.observed_log().iter().map(|o| o.seq()).collect();
         assert_eq!(seqs, (0..end).collect::<Vec<u64>>());
     }
 
@@ -942,7 +1106,7 @@ mod tests {
             .map(|i| sim.observed_inputs_in(NodeId(i), from, to))
             .collect();
         assert!(copied.iter().filter(|w| !w.is_empty()).count() >= 2);
-        let before = sim.observed_log().to_vec();
+        let before: Vec<ObservedInput> = sim.observed_log().iter().cloned().collect();
 
         let taken = sim.take_observed_in(from, to);
         assert_eq!(taken, copied, "one window per node, each in delivery order");
@@ -950,9 +1114,9 @@ mod tests {
         // stay as they were.
         let rest: Vec<_> = before
             .into_iter()
-            .filter(|o| o.seq < from || o.seq >= to)
+            .filter(|o| o.seq() < from || o.seq() >= to)
             .collect();
-        assert_eq!(sim.observed_log(), rest);
+        assert_eq!(sim.observed_log(), ObservedLog { entries: &rest });
         assert_eq!(sim.observed_cursor(), head);
         // Taking it again finds nothing.
         assert!(sim.take_observed_in(from, to).iter().all(Vec::is_empty));
@@ -1212,7 +1376,7 @@ mod tests {
                 sim.run_to_quiescence(50);
             }
             (
-                sim.observed_log().to_vec(),
+                sim.observed_log().iter().cloned().collect::<Vec<_>>(),
                 sim.fault_trace().digest(),
                 sim.stats(),
             )

@@ -172,8 +172,18 @@ impl BgpRouter {
     /// send in response. This is the "message handler" the paper asks the
     /// programmer to identify for DiCE (§2.3).
     pub fn handle_message(&mut self, from: PeerId, msg: &BgpMessage) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        self.handle_message_into(from, msg, &mut out);
+        out
+    }
+
+    /// [`BgpRouter::handle_message`], appending the messages to send to
+    /// `out` instead of returning them: a caller that handles message after
+    /// message lends one buffer to all of them. What `out` held before is
+    /// left as it was.
+    pub fn handle_message_into(&mut self, from: PeerId, msg: &BgpMessage, out: &mut Vec<Outgoing>) {
         let Some(peer) = self.peers.get_mut(&from) else {
-            return Vec::new();
+            return;
         };
         match msg {
             BgpMessage::Open(open) => {
@@ -183,31 +193,26 @@ impl BgpRouter {
                 peer.session.handle(SessionEvent::ManualStart);
                 peer.session.handle(SessionEvent::TransportConnected);
                 peer.session.handle(SessionEvent::OpenReceived);
-                let reply = vec![
-                    (
-                        from,
-                        BgpMessage::Open(OpenMessage::new(
-                            self.config.local_as,
-                            90,
-                            u32::from(self.config.router_id),
-                        )),
-                    ),
-                    (from, BgpMessage::Keepalive(KeepaliveMessage)),
-                ];
-                self.stats.messages_sent += reply.len() as u64;
-                reply
+                out.push((
+                    from,
+                    BgpMessage::Open(OpenMessage::new(
+                        self.config.local_as,
+                        90,
+                        u32::from(self.config.router_id),
+                    )),
+                ));
+                out.push((from, BgpMessage::Keepalive(KeepaliveMessage)));
+                self.stats.messages_sent += 2;
             }
             BgpMessage::Keepalive(_) => {
                 peer.session.handle(SessionEvent::KeepaliveReceived);
-                Vec::new()
             }
             BgpMessage::Notification(_) => {
                 peer.session.handle(SessionEvent::NotificationReceived);
-                Vec::new()
             }
             BgpMessage::Update(update) => {
                 peer.session.handle(SessionEvent::UpdateReceived);
-                self.handle_update(from, update)
+                self.handle_update_into(from, update, out);
             }
         }
     }
@@ -215,11 +220,25 @@ impl BgpRouter {
     /// Handles an UPDATE message: withdrawals, import filtering, RIB
     /// insertion and propagation to the other peers.
     pub fn handle_update(&mut self, from: PeerId, update: &UpdateMessage) -> Vec<Outgoing> {
+        let mut out = Vec::new();
+        self.handle_update_into(from, update, &mut out);
+        out
+    }
+
+    /// [`BgpRouter::handle_update`], appending the messages to send to
+    /// `out` instead of returning them; `messages_sent` counts only what
+    /// this call appended.
+    pub fn handle_update_into(
+        &mut self,
+        from: PeerId,
+        update: &UpdateMessage,
+        out: &mut Vec<Outgoing>,
+    ) {
+        let start = out.len();
         self.stats.updates_processed += 1;
         if let Some(p) = self.peers.get_mut(&from) {
             p.stats.updates_in += 1;
         }
-        let mut out = Vec::new();
 
         for prefix in &update.withdrawn {
             self.stats.prefixes_withdrawn += 1;
@@ -227,12 +246,12 @@ impl BgpRouter {
                 p.stats.withdrawals += 1;
             }
             let change = self.rib.withdraw(prefix, from);
-            self.propagate(change, Some(from), &mut out);
+            self.propagate(change, Some(from), out);
         }
 
         if update.nlri.is_empty() {
-            self.stats.messages_sent += out.len() as u64;
-            return out;
+            self.stats.messages_sent += (out.len() - start) as u64;
+            return;
         }
 
         // Every route this UPDATE installs shares its attribute set.
@@ -240,8 +259,8 @@ impl BgpRouter {
         // eBGP loop detection: a path containing the local AS is dropped.
         if attrs.as_path.contains(Asn(self.config.local_as)) {
             self.stats.routes_rejected += update.nlri.len() as u64;
-            self.stats.messages_sent += out.len() as u64;
-            return out;
+            self.stats.messages_sent += (out.len() - start) as u64;
+            return;
         }
         let peer_router_id = self.peers.get(&from).map(|p| p.router_id).unwrap_or(0);
 
@@ -255,7 +274,7 @@ impl BgpRouter {
                         p.stats.routes_accepted += 1;
                     }
                     let change = self.rib.announce(imported);
-                    self.propagate(change, Some(from), &mut out);
+                    self.propagate(change, Some(from), out);
                 }
                 None => {
                     self.stats.routes_rejected += 1;
@@ -265,8 +284,7 @@ impl BgpRouter {
                 }
             }
         }
-        self.stats.messages_sent += out.len() as u64;
-        out
+        self.stats.messages_sent += (out.len() - start) as u64;
     }
 
     /// Applies the import policy of `from` to a candidate route, returning
@@ -667,6 +685,93 @@ mod tests {
         }
         assert!(!rebuilt.rib().shares_table_with(live.rib()));
         assert_eq!(rebuilt.rib().prefix_count(), live.rib().prefix_count());
+    }
+
+    #[test]
+    fn handling_into_a_lent_buffer_appends_what_handling_returns() {
+        use dice_bgp::error::{ErrorCode, NotificationData};
+        use dice_bgp::message::NotificationMessage;
+
+        // The Provider with the victim /22 learned from its customer, so a
+        // withdrawal has something to withdraw.
+        let mut base = provider();
+        let customer = base
+            .peer_by_address(Ipv4Addr::new(10, 0, 1, 1))
+            .expect("peer");
+        let transit = base
+            .peer_by_address(Ipv4Addr::new(10, 0, 2, 1))
+            .expect("peer");
+        base.handle_update(customer, &update("208.65.152.0/22", &[17557, 36561]));
+
+        let notification = BgpMessage::Notification(NotificationMessage {
+            error: NotificationData {
+                code: ErrorCode::Cease,
+                subcode: 2,
+                data: Vec::new(),
+            },
+        });
+        let cases = [
+            (
+                "open",
+                transit,
+                BgpMessage::Open(OpenMessage::new(1299, 90, 0x0a00_0201)),
+            ),
+            (
+                "keepalive",
+                transit,
+                BgpMessage::Keepalive(KeepaliveMessage),
+            ),
+            ("notification", transit, notification),
+            (
+                "announce",
+                transit,
+                BgpMessage::Update(update("8.8.0.0/16", &[1299, 15169])),
+            ),
+            (
+                "withdraw",
+                customer,
+                BgpMessage::Update(UpdateMessage::withdraw(vec![p("208.65.152.0/22")])),
+            ),
+            (
+                "as-loop",
+                transit,
+                BgpMessage::Update(update("9.9.9.0/24", &[1299, 3491, 100])),
+            ),
+        ];
+        for (name, from, message) in cases {
+            let mut returned_by = base.clone();
+            let returned = returned_by.handle_message(from, &message);
+
+            let mut lent_to = base.clone();
+            let held: Vec<Outgoing> = vec![
+                (customer, BgpMessage::Keepalive(KeepaliveMessage)),
+                (transit, BgpMessage::Keepalive(KeepaliveMessage)),
+            ];
+            let mut out = held.clone();
+            lent_to.handle_message_into(from, &message, &mut out);
+
+            assert_eq!(
+                out[..held.len()],
+                held[..],
+                "{name}: held entries untouched"
+            );
+            assert_eq!(out[held.len()..], returned[..], "{name}: the same messages");
+            assert_eq!(lent_to.stats(), returned_by.stats(), "{name}: router stats");
+            assert_eq!(
+                lent_to.stats().messages_sent - base.stats().messages_sent,
+                returned.len() as u64,
+                "{name}: only what the call appended is counted as sent"
+            );
+            for (a, b) in lent_to.peers().zip(returned_by.peers()) {
+                assert_eq!(a.stats, b.stats, "{name}: peer {:?} stats", a.id);
+                assert_eq!(
+                    a.session.state(),
+                    b.session.state(),
+                    "{name}: peer {:?}",
+                    a.id
+                );
+            }
+        }
     }
 
     #[test]

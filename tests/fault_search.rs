@@ -198,7 +198,7 @@ fn runs_without_search_render_no_search_fields() {
     let snapshot = plane.sample();
     let rendered = snapshot.render();
     assert!(rendered.contains("search plans=0 novel=0 repros=0"));
-    assert!(rendered.starts_with("control-snapshot v4\n"));
+    assert!(rendered.starts_with("control-snapshot v5\n"));
     // The counters line still leads the render, byte-for-byte.
     assert!(rendered.contains(&format!(
         "rounds={} runs={} faults={} injected={} delivered={} watermark={}\n",

@@ -92,7 +92,7 @@ fn traced_live_run_exports_chrome_without_touching_reports() {
     assert_eq!(snapshot.round_latency.count, snapshot.rounds as u64);
     assert!(snapshot.round_latency.max >= snapshot.round_latency.p50);
     let render = snapshot.render();
-    assert!(render.starts_with("control-snapshot v4\n"));
+    assert!(render.starts_with("control-snapshot v5\n"));
     assert!(render.contains("round-latency n="));
     assert!(render.contains("wave-latency n="));
     assert!(render.contains("decode-latency n="));

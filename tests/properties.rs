@@ -403,16 +403,18 @@ proptest! {
     /// concatenating the per-window harvests reproduces the one-shot
     /// `observed_inputs` harvest — per node, in delivery order, nothing
     /// dropped, nothing duplicated. This is the invariant continuous
-    /// orchestration (`LiveOrchestrator`) rests on.
+    /// orchestration (`LiveOrchestrator`) rests on. The traffic mixes
+    /// single-prefix announcements with two-prefix ones and withdrawals,
+    /// so entries the log keeps whole are windowed too.
     #[test]
     fn windowed_harvest_partitions_the_delivery_log(
-        traffic in prop::collection::vec((0u32..16, any::<bool>()), 1..10),
+        traffic in prop::collection::vec((0u32..16, any::<bool>(), 0u8..3), 1..10),
         raw_cuts in prop::collection::vec(any::<u64>(), 0..8),
     ) {
         let topo = figure2_topology(CustomerFilterMode::Missing);
         let provider = topo.node_by_name("Provider").expect("node");
         let mut sim = Simulator::new(&topo);
-        for (octet, from_customer) in traffic {
+        for (octet, from_customer, shape) in traffic {
             let (from, origin) = if from_customer {
                 (addr::CUSTOMER, asn::CUSTOMER)
             } else {
@@ -421,12 +423,15 @@ proptest! {
             let mut attrs = RouteAttrs::default();
             attrs.as_path = AsPath::from_sequence([origin, origin]);
             attrs.next_hop = from;
-            let prefix = Ipv4Prefix::new((41 << 24) | (octet << 16), 16).expect("len <= 32");
-            sim.inject(
-                provider,
-                from,
-                BgpMessage::Update(UpdateMessage::announce(vec![prefix], &attrs)),
-            );
+            let prefix = |octet: u32| {
+                Ipv4Prefix::new((41 << 24) | (octet << 16), 16).expect("len <= 32")
+            };
+            let update = match shape {
+                0 => UpdateMessage::announce(vec![prefix(octet)], &attrs),
+                1 => UpdateMessage::announce(vec![prefix(octet), prefix(octet + 16)], &attrs),
+                _ => UpdateMessage::withdraw(vec![prefix(octet)]),
+            };
+            sim.inject(provider, from, BgpMessage::Update(update));
             sim.run_to_quiescence(100);
         }
 
@@ -446,6 +451,78 @@ proptest! {
             }
             prop_assert_eq!(windowed, sim.observed_inputs(node), "node {}", node.0);
         }
+    }
+
+    /// The log stores each UPDATE in whichever form is smallest, and every
+    /// harvest rebuilds it: whatever the shape — one or several announced
+    /// prefixes, pure or mixed withdrawals, no attribute block — the
+    /// Provider's `observed_inputs`, its windowed `observed_inputs_in` and
+    /// the windows `take_observed_in` moves out all return exactly the
+    /// `(peer, update)` pairs its router was handed, in delivery order.
+    /// The other nodes' harvests (the Provider's re-advertisements and
+    /// withdrawals) agree across the three as well.
+    #[test]
+    fn every_update_shape_is_harvested_as_it_was_delivered(
+        messages in prop::collection::vec(
+            (0u8..5, prop::collection::vec(0u32..16, 2..4), any::<bool>(), arb_attrs()),
+            1..12,
+        ),
+        raw_cuts in prop::collection::vec(any::<u64>(), 0..6),
+    ) {
+        let topo = figure2_topology(CustomerFilterMode::Missing);
+        let provider = topo.node_by_name("Provider").expect("node");
+        let mut sim = Simulator::new(&topo);
+        let mut handed = Vec::new();
+        for (shape, octets, from_customer, attrs) in messages {
+            let from = if from_customer { addr::CUSTOMER } else { addr::INTERNET };
+            let prefixes: Vec<Ipv4Prefix> = octets
+                .iter()
+                .map(|o| Ipv4Prefix::new((41 << 24) | (o << 16), 16).expect("len <= 32"))
+                .collect();
+            let update = match shape {
+                0 => UpdateMessage::announce(vec![prefixes[0]], &attrs),
+                1 => UpdateMessage::announce(prefixes, &attrs),
+                2 => UpdateMessage::withdraw(prefixes),
+                3 => UpdateMessage {
+                    withdrawn: vec![prefixes[0]],
+                    ..UpdateMessage::announce(prefixes[1..].to_vec(), &attrs)
+                },
+                _ => UpdateMessage {
+                    withdrawn: Vec::new(),
+                    attrs: None,
+                    nlri: prefixes,
+                },
+            };
+            let peer = sim.router(provider).peer_by_address(from).expect("peer");
+            handed.push((peer, update.clone()));
+            sim.inject(provider, from, BgpMessage::Update(update));
+            sim.run_to_quiescence(100);
+        }
+
+        let head = sim.observed_cursor();
+        let mut cuts: Vec<u64> = raw_cuts.into_iter().map(|c| c % (head + 1)).collect();
+        cuts.push(0);
+        cuts.push(head);
+        cuts.sort_unstable();
+        cuts.dedup();
+
+        let whole: Vec<_> = (0..sim.len()).map(|n| sim.observed_inputs(NodeId(n))).collect();
+        prop_assert_eq!(&whole[provider.0], &handed);
+        for (node, expected) in whole.iter().enumerate() {
+            let mut windowed = Vec::new();
+            for pair in cuts.windows(2) {
+                windowed.extend(sim.observed_inputs_in(NodeId(node), pair[0], pair[1]));
+            }
+            prop_assert_eq!(&windowed, expected, "node {}", node);
+        }
+        let mut taken = vec![Vec::new(); sim.len()];
+        for pair in cuts.windows(2) {
+            for (node, window) in sim.take_observed_in(pair[0], pair[1]).into_iter().enumerate() {
+                taken[node].extend(window);
+            }
+        }
+        prop_assert_eq!(taken, whole);
+        prop_assert!(sim.observed_log().is_empty());
     }
 
     /// Fleet-wide fault deduplication is lossless: every fault present in

@@ -134,7 +134,7 @@ fn wire_fed_live_run_matches_in_memory_delivery_and_reports_status() {
     assert_eq!(last.distinct_faults, wire_report.faults.len());
     assert_eq!(last.ingest.frames, 3);
     assert_eq!(last.compaction_watermark, wire_sim.observed_cursor());
-    assert!(last.render().starts_with("control-snapshot v4\n"));
+    assert!(last.render().starts_with("control-snapshot v5\n"));
     assert!(last.render().contains("ingest frames=3 decoded=3"));
 }
 
